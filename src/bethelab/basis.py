@@ -7,7 +7,7 @@ Conventions used throughout the package:
   - a sector is labelled by N, the number of down spins; S^z = (L - 2N)/2.
 """
 
-from itertools import combinations
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -29,11 +29,27 @@ def index_to_config(L, i):
     return tuple(x for x in range(1, L + 1) if (i >> (L - x)) & 1)
 
 
+def _sector_states(L, N):
+    """Sorted int64 array of the L-bit words with exactly N set bits.
+
+    Built bit by bit: the words with n set bits among the low l+1 bits are
+    those among the low l bits (all below 2^l) followed by the words with
+    n-1 set bits there plus bit l, so each concatenation stays sorted.
+    """
+    words = [np.zeros(1, np.int64)] + [np.zeros(0, np.int64)] * N  # words[n]: n set bits
+    for bit in range(L):
+        high = np.int64(1) << bit
+        words = [words[0]] + [np.concatenate((words[n], words[n - 1] | high))
+                              for n in range(1, N + 1)]
+    return words[N]
+
+
 class SectorBasis:
     """Ordered basis of the fixed-N block of the 2^L spin-chain Hilbert space.
 
-    states holds the bit configurations as integers, strictly increasing;
-    index maps a configuration back to its ordinal.
+    states holds the bit configurations as integers, strictly increasing, and
+    state_array the same as an int64 array, which is ranked with
+    np.searchsorted; index maps a configuration back to its ordinal.
     """
 
     def __init__(self, L, N):
@@ -43,9 +59,12 @@ class SectorBasis:
             raise ValueError(f"chain length L={L} exceeds the supported limit 24")
         self.L = L
         self.N = N
-        self.states = sorted(config_to_index(L, xs)
-                             for xs in combinations(range(1, L + 1), N))
-        self.index = {s: i for i, s in enumerate(self.states)}
+        self.state_array = _sector_states(L, N)
+        self.states = self.state_array.tolist()
+
+    @cached_property
+    def index(self):
+        return {s: i for i, s in enumerate(self.states)}
 
     @property
     def dim(self):
@@ -66,9 +85,3 @@ def build_sector_basis(L, N):
     assert basis.dim == comb(L, N)
     return basis
 
-
-def sector_bit_matrix(basis):
-    """(dim, L) array of down-spin flags; column j-1 is site j."""
-    L = basis.L
-    return np.array([[(s >> (L - x)) & 1 for x in range(1, L + 1)]
-                     for s in basis.states], dtype=np.int64)

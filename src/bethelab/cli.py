@@ -137,7 +137,8 @@ def cmd_ed_spectrum(cfg):
         op = ed.build_xxz_hamiltonian(L, float(p["delta"]), sector)
     else:
         raise ConfigError(f"unknown model {model!r}")
-    spec = ed.diagonalize(op, p.get("k"))
+    k = p.get("k")
+    spec = ed.diagonalize(op, None if k is None else int(k))
     report = {"config": cfg.report_dict(), "eigenvalues": list(map(float, spec.eigenvalues))}
     _emit(report, cfg, [("spectrum.csv", serialize.spectrum_to_csv(spec))])
     return EXIT_OK

@@ -240,11 +240,11 @@ def momentum_xxx(roots):
 
 def highest_weight_residual(vector, L, N):
     """||S^+ v|| / ||v|| with S^+ taken sector N -> N-1."""
-    from .ed import splus_sector_matrix
+    from .ed import apply_splus
     v = np.asarray(vector)
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("zero vector")
     if N < 1:
         raise ValueError("need at least one down spin")
-    return float(np.linalg.norm(splus_sector_matrix(L, N) @ v) / nrm)
+    return float(np.linalg.norm(apply_splus(v, L, N)) / nrm)

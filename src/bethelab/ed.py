@@ -17,31 +17,60 @@ import scipy.sparse as sp
 from .basis import DENSE_DIM_LIMIT, SectorBasis, build_sector_basis
 
 FULL_SPACE = "full"
+# diagonalize uses Lanczos for the k lowest eigenpairs from LANCZOS_MIN_DIM up,
+# for k <= dim // LANCZOS_MAX_K_FRACTION; elsewhere a full dense eigh is faster
+# (single-thread timings of both on XXX sector Hamiltonians, dim 126 to 3003)
+LANCZOS_MIN_DIM = 250
+LANCZOS_MAX_K_FRACTION = 32
+LANCZOS_GUARD = 2  # extra eigenpairs solved for and dropped
+LANCZOS_SEED = 1101  # seeds the fixed Lanczos start vectors
+LANCZOS_DEGENERACY_TOL = 1e-10  # how far below the k-th a missed copy must lie
 
 
 class OperatorMatrix:
     """Complex matrix together with the basis it acts on.
 
-    Storage is dense below DENSE_DIM_LIMIT and scipy sparse (CSR) above.
+    Storage (`matrix`) is dense below DENSE_DIM_LIMIT and scipy sparse (CSR)
+    above.  An operator assembled from sparse entries keeps its CSR form; below
+    the limit its dense `matrix` is made when `matrix` is first read.  The
+    Hermiticity check runs on the CSR form when there is one, and diagonalize
+    chooses between Lanczos from a fixed seeded start vector and a dense eigh
+    by (dim, k) alone, so a partial spectrum needs no dense copy.
     `basis` is a SectorBasis or the FULL_SPACE tag.
     """
 
     def __init__(self, matrix, basis=FULL_SPACE, hermitian=False):
-        self.matrix = matrix
+        self._matrix = matrix
+        self._csr = matrix if sp.issparse(matrix) and matrix.format == "csr" else None
         self.basis = basis
         self.hermitian = hermitian
 
     @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = self._csr.toarray()
+        return self._matrix
+
+    @property
     def dim(self):
-        return self.matrix.shape[0]
+        return (self._csr if self._matrix is None else self._matrix).shape[0]
 
     def dense(self):
         m = self.matrix
         return m.toarray() if sp.issparse(m) else np.asarray(m)
 
+    def csr(self):
+        """CSR form: the stored one, else a conversion of the dense matrix."""
+        return self._csr if self._csr is not None else sp.csr_matrix(self._matrix)
+
     def hermiticity_defect(self):
-        m = self.dense()
-        return float(np.max(np.abs(m - m.conj().T)))
+        """Largest |m_ij - conj(m_ji)|.  A sparse operator is checked over its
+        stored entries; its dense matrix is never built."""
+        m = self._csr if self._csr is not None else self._matrix
+        d = m - m.conj().T
+        if sp.issparse(d):
+            return float(abs(d).max())
+        return float(np.max(np.abs(d)))
 
 
 class Spectrum:
@@ -53,11 +82,15 @@ class Spectrum:
 
 
 def _pack(matrix, basis, hermitian):
+    """OperatorMatrix under the storage policy of OperatorMatrix."""
     dim = matrix.shape[0]
-    if dim >= DENSE_DIM_LIMIT and not sp.issparse(matrix):
+    if sp.issparse(matrix):
+        op = OperatorMatrix(matrix.tocsr(), basis, hermitian)
+        if dim < DENSE_DIM_LIMIT:
+            op._matrix = None  # dense form made on first read of `matrix`
+        return op
+    if dim >= DENSE_DIM_LIMIT:
         matrix = sp.csr_matrix(matrix)
-    if dim < DENSE_DIM_LIMIT and sp.issparse(matrix):
-        matrix = matrix.toarray()
     return OperatorMatrix(matrix, basis, hermitian)
 
 
@@ -69,48 +102,33 @@ def _resolve_sector(L, sector):
     return build_sector_basis(L, int(sector))
 
 
-def _xxz_entries(L, basis, jxy, jz):
-    """COO triplets of sum_j [ jxy/2 (s+s- + s-s+) + jz (s^z s^z - 1/4) ] on bonds."""
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(basis.states):
-        diag = 0.0
-        for j in range(1, L + 1):
-            b1 = L - j
-            b2 = L - (j % L + 1)
-            s1 = (s >> b1) & 1
-            s2 = (s >> b2) & 1
-            if s1 == s2:
-                continue  # parallel bond: zz - 1/4 = 0, no flip
-            diag += -0.5 * jz
-            t = s ^ ((1 << b1) | (1 << b2))
-            rows.append(basis.index[t])
-            cols.append(i)
-            vals.append(0.5 * jxy)
-        if diag != 0.0:
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-    return rows, cols, vals
+def _xxz_entries(L, states, jxy, jz):
+    """COO triplets of sum_j [ jxy/2 (s+s- + s-s+) + jz (s^z s^z - 1/4) ] on bonds.
+
+    states: sorted int64 bit configurations spanning the space; rows and
+    columns are ordinals in it.  A flipped configuration is ranked with
+    np.searchsorted.  The diagonal is summed bond by bond in site order.
+    """
+    diag = np.zeros(len(states))
+    rows, cols = [], []
+    for j in range(1, L + 1):
+        b1 = L - j
+        b2 = L - (j % L + 1)
+        anti = np.flatnonzero(((states >> b1) ^ (states >> b2)) & 1)
+        diag[anti] += -0.5 * jz  # parallel bonds: zz - 1/4 = 0, no flip
+        rows.append(np.searchsorted(states, states[anti] ^ ((1 << b1) | (1 << b2))))
+        cols.append(anti)
+    nz = np.flatnonzero(diag)
+    flips = np.full(sum(map(len, cols)), 0.5 * jxy)
+    return (np.concatenate(rows + [nz]), np.concatenate(cols + [nz]),
+            np.concatenate([flips, diag[nz]]))
 
 
 def _build_spin_hamiltonian(L, jxy, jz, sector):
     basis = _resolve_sector(L, sector)
-    if basis is not None:
-        bases = [basis]
-    else:
-        bases = [build_sector_basis(L, N) for N in range(L + 1)]
-    dim = sum(b.dim for b in bases) if basis is None else basis.dim
-    rows, cols, vals = [], [], []
-    for b in bases:
-        r, c, v = _xxz_entries(L, b, jxy, jz)
-        if basis is None:
-            # embed the sector block at its full-space indices
-            r = [b.states[i] for i in r]
-            c = [b.states[i] for i in c]
-        rows += r
-        cols += c
-        vals += v
-    n = 2 ** L if basis is None else dim
+    states = np.arange(2 ** L, dtype=np.int64) if basis is None else basis.state_array
+    rows, cols, vals = _xxz_entries(L, states, jxy, jz)
+    n = len(states)
     m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return _pack(m, basis if basis is not None else FULL_SPACE, hermitian=True)
 
@@ -133,18 +151,17 @@ def build_xxz_hamiltonian(L, Delta, sector=None):
     return _build_spin_hamiltonian(L, 1.0, Delta, sector)
 
 
+def _shift_states(states, L, direction):
+    """Bit configurations with every down spin moved by `direction` sites
+    (mod L): site x sits in bit L - x, so this rotates the L-bit word."""
+    r = (-direction) % L
+    return ((states << r) | (states >> (L - r))) & ((1 << L) - 1)
+
+
 def shift_permutation(L, direction=-1):
     """Permutation i -> i' of full-space indices moving every down-spin
     coordinate by `direction` (mod L)."""
-    perm = np.empty(2 ** L, dtype=np.int64)
-    for s in range(2 ** L):
-        t = 0
-        for x in range(1, L + 1):
-            if (s >> (L - x)) & 1:
-                x2 = (x - 1 + direction) % L + 1
-                t |= 1 << (L - x2)
-        perm[s] = t
-    return perm
+    return _shift_states(np.arange(2 ** L, dtype=np.int64), L, direction)
 
 
 def build_shift_operator(L):
@@ -165,16 +182,10 @@ def build_shift_operator(L):
 
 def shift_sector_matrix(basis, direction=-1):
     """Translation restricted to a SectorBasis (dense ndarray)."""
-    L = basis.L
-    dim = basis.dim
-    m = np.zeros((dim, dim))
-    for i, s in enumerate(basis.states):
-        t = 0
-        for x in range(1, L + 1):
-            if (s >> (L - x)) & 1:
-                x2 = (x - 1 + direction) % L + 1
-                t |= 1 << (L - x2)
-        m[basis.index[t], i] = 1.0
+    states = basis.state_array
+    m = np.zeros((basis.dim, basis.dim))
+    m[np.searchsorted(states, _shift_states(states, basis.L, direction)),
+      np.arange(basis.dim)] = 1.0
     return m
 
 
@@ -203,61 +214,132 @@ def build_total_spin(L, alpha):
     if alpha == "casimir":
         total = sp.csr_matrix((n, n), dtype=complex)
         for ax in ("x", "y", "z"):
-            m = build_total_spin(L, ax).matrix
-            m = sp.csr_matrix(m)
+            m = build_total_spin(L, ax).csr()
             total = total + m @ m
         return _pack(total, FULL_SPACE, hermitian=True)
     if alpha not in _PAULI:
         raise ValueError(f"unknown spin component {alpha!r}")
-    rows, cols, vals = [], [], []
+    states = np.arange(n, dtype=np.int64)
     op = _PAULI[alpha]
-    for s in range(n):
-        for x in range(1, L + 1):
-            bit = (s >> (L - x)) & 1
-            # local basis (up, down) = (0, 1)
-            for out in range(2):
-                v = op[out, bit]
-                if v != 0:
-                    t = (s & ~(1 << (L - x))) | (out << (L - x))
-                    rows.append(t)
-                    cols.append(s)
-                    vals.append(v)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    rows, cols, vals = [], [], []
+    for x in range(1, L + 1):
+        b = L - x
+        bit = (states >> b) & 1  # local basis (up, down) = (0, 1)
+        for out in range(2):
+            v = op[out, bit]
+            keep = np.flatnonzero(v)
+            rows.append((states[keep] & ~(1 << b)) | (out << b))
+            cols.append(keep)
+            vals.append(v[keep])
+    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
     return _pack(m, FULL_SPACE, hermitian=alpha in ("x", "y", "z"))
+
+
+def _splus_pairs(L, N):
+    """(rows, cols, shape) of the unit entries of S^+ from sector N to N-1:
+    clearing a set bit (a down spin) of a column state gives its row state."""
+    src = build_sector_basis(L, N).state_array
+    dst = build_sector_basis(L, N - 1).state_array
+    rows, cols = [], []
+    for b in range(L):
+        down = np.flatnonzero((src >> b) & 1)
+        rows.append(np.searchsorted(dst, src[down] ^ (1 << b)))
+        cols.append(down)
+    return np.concatenate(rows), np.concatenate(cols), (len(dst), len(src))
 
 
 def splus_sector_matrix(L, N):
     """S^+ restricted to sectors: maps the N block to the N-1 block."""
-    src = build_sector_basis(L, N)
-    dst = build_sector_basis(L, N - 1)
-    m = np.zeros((dst.dim, src.dim))
-    for i, s in enumerate(src.states):
-        for x in range(1, L + 1):
-            if (s >> (L - x)) & 1:
-                m[dst.index[s & ~(1 << (L - x))], i] += 1.0
+    rows, cols, shape = _splus_pairs(L, N)
+    m = np.zeros(shape)
+    m[rows, cols] = 1.0
     return m
+
+
+def apply_splus(vector, L, N):
+    """S^+ v for v in the N block, as a vector of the N-1 block; no matrix is
+    built."""
+    rows, cols, shape = _splus_pairs(L, N)
+    v = np.asarray(vector)
+    out = np.zeros(shape[0], np.result_type(v, float))
+    np.add.at(out, rows, v[cols])
+    return out
+
+
+def _use_lanczos(dim, k):
+    """True when the k lowest eigenpairs are cheaper from Lanczos (eigsh) than
+    from a full dense eigh; a function of (dim, k) only."""
+    return k is not None and dim >= LANCZOS_MIN_DIM and k <= dim // LANCZOS_MAX_K_FRACTION
+
+
+def _lanczos(m, k):
+    """The k lowest eigenpairs of the Hermitian sparse matrix m by ARPACK's
+    implicitly restarted Lanczos (eigsh) from seeded start vectors.
+
+    LANCZOS_GUARD extra pairs are solved for and dropped: the pair at the edge
+    of the solved set converges last, and when it is one copy of a degenerate
+    level its residual can stay near 1e-10.  Lanczos from one start vector
+    sees a second copy of a degenerate eigenvalue only through rounding, so it
+    can miss one.  The lowest eigenvalue of m with the found pairs shifted
+    above them exposes such a copy; copies are added until none is left below
+    the k-th eigenvalue.
+    """
+    dim = m.shape[0]
+    rng = np.random.default_rng(LANCZOS_SEED)
+    w, v = sp.linalg.eigsh(m, k=k + LANCZOS_GUARD, which="SA", v0=rng.standard_normal(dim))
+    while True:
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+        shift = w[-1] + 1.0 - w
+
+        def deflated(x):
+            x = np.ravel(x)
+            return m @ x + v @ (shift * (v.conj().T @ x))
+
+        mu, x = sp.linalg.eigsh(sp.linalg.LinearOperator(m.shape, deflated, dtype=m.dtype),
+                                k=1, which="SA", v0=rng.standard_normal(dim))
+        if mu[0] >= w[k - 1] - LANCZOS_DEGENERACY_TOL:
+            return w[:k], v[:, :k]
+        w, v = np.append(w, mu), np.hstack([v, x])
 
 
 def diagonalize(op, k=None):
     """Eigen-decomposition of a Hermitian OperatorMatrix.
 
     k: number of smallest eigenpairs, or None for the full spectrum.
-    Raises ValueError for non-Hermitian input.  Every returned pair satisfies
-    ||H v - E v|| < 1e-10 ||v||.
+
+    The solver depends only on (dim, k), whatever the storage: ARPACK's
+    implicitly restarted Lanczos (scipy eigsh) on the CSR form for
+    dim >= LANCZOS_MIN_DIM and k <= dim // LANCZOS_MAX_K_FRACTION, and a full
+    numpy eigh otherwise (k = None, larger k, smaller dim).  Lanczos
+    starts from a fixed seeded pseudo-random vector, so repeated solves are
+    bit-identical; the all-ones vector would not do, it is the ferromagnetic
+    eigenvector.  The Hermiticity check runs on the stored sparse entries of a
+    sparse operator, and Lanczos converts a dense matrix to CSR once at most.
+
+    Where ARPACK stops without a result (an operator with too few distinct
+    eigenvalues, such as H = 0) the dense eigh answers instead.
+
+    Raises ValueError for non-Hermitian input or k < 1.  Every returned pair
+    satisfies ||H v - E v|| < 1e-10 ||v||.
     """
     if not isinstance(op, OperatorMatrix):
         op = OperatorMatrix(op)
+    if k is not None and k < 1:
+        raise ValueError(f"k={k}: need at least one eigenpair")
     if op.hermiticity_defect() > 1e-12:
         raise ValueError("matrix is not Hermitian")
-    m = op.matrix
-    if sp.issparse(m) and k is not None and k < op.dim - 1:
-        w, v = sp.linalg.eigsh(m, k=k, which="SA")
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
-    else:
-        w, v = np.linalg.eigh(op.dense())
-        if k is not None:
-            w, v = w[:k], v[:, :k]
+    if _use_lanczos(op.dim, k):
+        try:
+            return Spectrum(*_lanczos(op.csr(), k))
+        except sp.linalg.ArpackError:
+            # ARPACK stops when the Krylov space of its start vector is an
+            # invariant subspace it cannot extend (H = 0, H = c 1)
+            pass
+    w, v = np.linalg.eigh(op.dense())
+    if k is not None:
+        w, v = w[:k], v[:, :k]
     return Spectrum(w, v)
 
 
@@ -282,13 +364,13 @@ def multiplet_structure(spectrum, casimir, degeneracy_tol=1e-9):
     """
     w = spectrum.eigenvalues
     v = spectrum.eigenvectors
-    cas = casimir.dense()
+    cas = casimir.csr()
     levels = []
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[start] > degeneracy_tol:
             block = v[:, start:i]
-            c_eigs = np.linalg.eigvalsh(block.conj().T @ cas @ block).real
+            c_eigs = np.linalg.eigvalsh(block.conj().T @ (cas @ block)).real
             spins = {}
             for ce in c_eigs:
                 s_val = (-1 + np.sqrt(1 + 4 * max(ce, 0))) / 2

@@ -65,11 +65,6 @@ def parse_complex_list(pairs):
     return np.array([p[0] + 1j * p[1] for p in pairs], complex)
 
 
-def vector_to_json(v):
-    """Vector as a JSON array of [re, im] in basis order."""
-    return dumps(complex_list(v))
-
-
 def matrix_to_dict(op):
     """Matrix as {dim, format, entries: [[row, col, re, im], ...]} (nonzeros)."""
     m = op.matrix if hasattr(op, "matrix") else op

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,27 @@ def test_criterion_01_xxx_ground_state_oracle_equivalence():
         elapsed = time.time() - t0
         assert elapsed < 10.0, f"L={L} took {elapsed:.1f}s"
     _report(1, "ground-state Bethe energy = ED for L = 4, 6, 8, 10 (|dE| < 1e-9)")
+
+
+@pytest.mark.parametrize("L", [16, 18])
+def test_criterion_01_sparse_sizes(L):
+    """Criterion 1 at dim 12870 and 48620, through Lanczos on the sparse
+    Hamiltonian: no dense copy is made, so the peak stays far below the
+    dense matrix (1.3 GB at L = 16, 18.9 GB at L = 18)."""
+    N = L // 2
+    rep = bae.solve_logbae(L, N, tuple(range(1, N + 1)))
+    assert rep.converged
+    E = coordinate.energy_xxx(rep.roots).real
+    tracemalloc.start()
+    try:
+        w0 = ed.diagonalize(ed.build_xxx_hamiltonian(L, 1.0, N), k=2).eigenvalues[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(E - w0) < 1e-9, f"L={L}: {E} vs {w0}"
+    assert peak < 300e6, f"L={L}: peak {peak / 1e6:.0f} MB"
+    _report(1, f"ground-state Bethe energy = ED at L = {L} (|dE| < 1e-9, "
+               f"peak {peak / 1e6:.0f} MB)")
 
 
 def test_criterion_02_eigenvector_residuals_all_sectors_l8():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bethelab.basis import build_sector_basis, config_to_index, index_to_config
 from bethelab import ed
@@ -199,3 +202,86 @@ class TestDiagonalize:
         assert sum(mult for _, mult, _ in levels) == 2 ** L
         for _, mult, spins in levels:
             assert mult == sum(int(2 * s + 1) for s in spins)
+
+    def test_rejects_sparse_non_hermitian(self):
+        m = sp.eye(5000, format="lil")
+        m[0, 1] = 1e-6
+        m = m.tocsr()
+        with pytest.raises(ValueError):
+            ed.diagonalize(ed.OperatorMatrix(m), k=2)
+        with pytest.raises(ValueError):
+            ed.diagonalize(ed.OperatorMatrix(m))
+
+    def test_sparse_hermiticity_defect(self):
+        H = ed.build_xxx_hamiltonian(12, 1.0)  # dim 4096, stored sparse
+        assert sp.issparse(H.matrix) and H.hermiticity_defect() == 0.0
+        m = H.matrix.tolil()
+        m[3, 5] += 0.25
+        assert ed.OperatorMatrix(m.tocsr()).hermiticity_defect() == 0.25
+
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError):
+            ed.diagonalize(ed.build_xxx_hamiltonian(4, 1.0), k=0)
+
+    def test_zero_hamiltonian_partial_spectrum(self):
+        # the Krylov space of any start vector is one-dimensional here
+        spec = ed.diagonalize(ed.build_xxx_hamiltonian(12, 0.0, 6), k=2)
+        assert np.array_equal(spec.eigenvalues, [0.0, 0.0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(L=st.integers(8, 14), below_half=st.integers(0, 2),
+           model=st.sampled_from(["xxx", "xxz"]),
+           coupling=st.one_of(st.floats(0.1, 2.0), st.floats(-2.0, -0.1),
+                              st.sampled_from([0.0, 1.0, -1.0])),
+           k=st.integers(1, 4))
+    @example(L=13, below_half=0, model="xxx", coupling=1.0, k=2)  # odd-L ground doublet
+    @example(L=11, below_half=1, model="xxz", coupling=2.0, k=4)  # a missed doublet copy
+    @example(L=13, below_half=1, model="xxz", coupling=-1.0, k=3)  # a slow edge pair
+    def test_partial_spectrum_matches_eigh(self, L, below_half, model, coupling, k):
+        assume(model == "xxz" or coupling != 0.0)  # J = 0: test_zero_hamiltonian_...
+        N = L // 2 - below_half
+        build = ed.build_xxx_hamiltonian if model == "xxx" else ed.build_xxz_hamiltonian
+        H = build(L, coupling, N)
+        spec = ed.diagonalize(H, k)
+        m = H.dense()
+        full = np.linalg.eigvalsh(m)
+        assert spec.eigenvalues.shape == (k,)
+        assert np.max(np.abs(spec.eigenvalues - full[:k])) < 1e-9
+        for E, v in zip(spec.eigenvalues, spec.eigenvectors.T):
+            assert np.linalg.norm(m @ v - E * v) < 1e-10 * np.linalg.norm(v)
+
+    def test_lanczos_repeatable(self):
+        H = ed.build_xxx_hamiltonian(14, 1.0, 7)
+        a = ed.diagonalize(H, k=3)
+        b = ed.diagonalize(ed.build_xxx_hamiltonian(14, 1.0, 7), k=3)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+class TestSectorOperators:
+    """The vectorized sector operators against per-state loops."""
+
+    @pytest.mark.parametrize("L,N", [(5, 2), (8, 4), (9, 3)])
+    def test_shift_and_splus_match_loops(self, L, N):
+        basis = build_sector_basis(L, N)
+        lower = build_sector_basis(L, N - 1)
+        U = ed.shift_sector_matrix(basis)
+        Sp = ed.splus_sector_matrix(L, N)
+        U_ref = np.zeros_like(U)
+        Sp_ref = np.zeros_like(Sp)
+        for i, s in enumerate(basis.states):
+            xs = index_to_config(L, s)
+            U_ref[basis.index[config_to_index(L, [(x - 2) % L + 1 for x in xs])], i] = 1.0
+            for x in xs:
+                Sp_ref[lower.index[config_to_index(L, [y for y in xs if y != x])], i] += 1.0
+        assert np.array_equal(U, U_ref)
+        assert np.array_equal(Sp, Sp_ref)
+        v = np.random.default_rng(L).normal(size=basis.dim) + 1j
+        assert np.allclose(ed.apply_splus(v, L, N), Sp @ v, atol=1e-13)
+
+    @pytest.mark.parametrize("L,N,delta", [(6, 3, 1.0), (7, 2, -0.6), (8, 3, 2.5)])
+    def test_sector_hamiltonian_is_kron_oracle_block(self, L, N, delta):
+        states = build_sector_basis(L, N).states
+        block = kron_spin_hamiltonian(L, 1.0, delta)[np.ix_(states, states)]
+        H = ed.build_xxz_hamiltonian(L, delta, N).dense()
+        assert np.max(np.abs(H - block)) < 1e-12

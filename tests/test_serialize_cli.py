@@ -1,12 +1,15 @@
 """Canonical serialization and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bethelab
 from bethelab import bae, coordinate, ed, hubbard, serialize, thermo
 from bethelab.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NOCONV, EXIT_OK,
                           ExperimentConfig, main)
@@ -135,6 +138,33 @@ class TestCli:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b and len(a) > 0
 
+    def test_ed_spectrum_k_flag_matches_json(self, tmp_path, capsys):
+        params = {"model": "xxx", "L": "8", "sector": "4", "k": "2"}
+        flags = [f"--{k}={v}" for k, v in params.items()]
+        assert main(["ed", "spectrum", *flags, "--out", str(tmp_path / "a")]) == EXIT_OK
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(ExperimentConfig("ed/spectrum", params, 0, None).dumps())
+        assert main(["ed", "spectrum", "--json", str(cfg_path),
+                     "--out", str(tmp_path / "b")]) == EXIT_OK
+        a = (tmp_path / "a" / "report.json").read_bytes()
+        assert a == (tmp_path / "b" / "report.json").read_bytes()
+        assert len(json.loads(a)["eigenvalues"]) == 2
+
+    def test_ed_spectrum_bad_k_is_config_error(self, capsys):
+        assert main(["ed", "spectrum", "--L", "4", "--k", "two"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+
+    def test_partial_spectrum_report_bytes_identical(self, tmp_path, capsys):
+        # full space at L = 12 is dim 4096: the Lanczos path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(ExperimentConfig("ed/spectrum", {"L": 12, "k": 3}, 0, None).dumps())
+        for name in ("a", "b"):
+            assert main(["ed", "spectrum", "--json", str(cfg_path),
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+        a = (tmp_path / "a" / "report.json").read_bytes()
+        assert a == (tmp_path / "b" / "report.json").read_bytes()
+
     def test_json_config_and_piping(self, tmp_path, capsys):
         # output of `bae solve` feeds `bethe-vector verify`
         out1 = tmp_path / "solve"
@@ -212,8 +242,12 @@ class TestCli:
         assert (out2 / "condensation.csv").read_text().startswith("L,sum,integral,gap")
 
     def test_console_script_entry(self):
+        # the child imports the same bethelab as this process, installed or not
+        src = str(Path(bethelab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "bethelab.cli", "ed",
                                "spectrum", "--model", "xxx", "--L", "2"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["eigenvalues"][0] == -2.0
