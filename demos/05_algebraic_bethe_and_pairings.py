@@ -49,5 +49,5 @@ for N in (1, 2, 3):
     det_val = aba.slavnov_ratio(mu, la, L, eta)
     brute = aba.pairing_ratio_bruteforce(mu, la, L, eta)
     print(f"N = {N}: determinant formula {det_val:.8f}")
-    print(f"       explicit matrices   {brute:.8f}   "
+    print(f"       explicit vectors    {brute:.8f}   "
           f"rel err {abs(det_val - brute) / abs(brute):.1e}")

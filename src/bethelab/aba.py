@@ -22,13 +22,13 @@ and then t(l) has eigenvalue
 
 The pairing (scalar product) of an on-shell vector with an off-shell one has a
 determinant representation; see slavnov_ratio for the kernel actually used,
-which was validated entry-by-entry against the explicit matrix construction.
+which was validated against the explicit pairing of B/C product vectors.
 """
 
 import numpy as np
 
 from .bae import solve_logbae_xxz
-from .sixvertex import VertexWeights, monodromy, monodromy_trace
+from .sixvertex import VertexWeights, _r_factors, monodromy, monodromy_trace
 
 sh = np.sinh
 ch = np.cosh
@@ -36,6 +36,13 @@ ch = np.cosh
 
 def cth(x):
     return ch(x) / sh(x)
+
+
+def _d_prod_sh(args):
+    """d/dl prod_m sh(args_m) for args = l - const, in the zero-safe form
+    sum_m ch(args_m) prod_{n != m} sh(args_n)."""
+    terms = sh(args)
+    return sum(ch(args[m]) * np.prod(np.delete(terms, m)) for m in range(len(args)))
 
 
 class VacuumFunctions:
@@ -76,20 +83,14 @@ class VacuumFunctions:
         if self.xi is None:
             return self.rho ** self.L * self.L * sh(l + self.eta / 2) ** (self.L - 1) \
                 * ch(l + self.eta / 2)
-        terms = sh(l - self.xi + self.eta)
-        return self.rho ** self.L * sum(
-            ch(l - self.xi[m] + self.eta) * np.prod(np.delete(terms, m))
-            for m in range(self.L))
+        return self.rho ** self.L * _d_prod_sh(l - self.xi + self.eta)
 
     def dd(self, l):
         """d'(l), zero-safe at the zeros of d."""
         if self.xi is None:
             return self.rho ** self.L * self.L * sh(l - self.eta / 2) ** (self.L - 1) \
                 * ch(l - self.eta / 2)
-        terms = sh(l - self.xi)
-        return self.rho ** self.L * sum(
-            ch(l - self.xi[m]) * np.prod(np.delete(terms, m))
-            for m in range(self.L))
+        return self.rho ** self.L * _d_prod_sh(l - self.xi)
 
 
 class MonodromyBlocks:
@@ -135,22 +136,33 @@ def aba_transfer(lam, L, eta, rho=1.0):
     return monodromy_trace(monodromy(lam, L, w), L)
 
 
-def b_product_state(roots, L, eta, rho=1.0):
-    """prod_j B(l_j) applied to the pseudo vacuum (order immaterial: the B's
-    commute)."""
+def _off_diagonal_product(roots, L, eta, rho, transposed):
+    """prod_j B(l_j)|0>, or prod_j C(l_j)^T |0> with the R-factors applied in
+    reverse order (R is symmetric, so T^T is the reversed product): one
+    2^(L+1) vector per root enters with aux = 1 and keeps its aux = 0 half."""
+    if L > 12:
+        raise ValueError("monodromy blocks supported up to L = 12")
+    w = _weights_homogeneous(L, eta, rho)
     v = pseudo_vacuum(L)
     for lam in np.atleast_1d(np.asarray(roots, complex)):
-        v = monodromy_blocks(lam, L, eta, rho).B @ v
+        x = np.concatenate([np.zeros_like(v), v])
+        factors = _r_factors(lam, L, w, L + 1)
+        for R in factors[::-1] if transposed else factors:
+            x = R @ x
+        v = x[:len(v)]
     return v
+
+
+def b_product_state(roots, L, eta, rho=1.0):
+    """prod_j B(l_j) applied to the pseudo vacuum (order immaterial: the B's
+    commute), without building a monodromy matrix."""
+    return _off_diagonal_product(roots, L, eta, rho, transposed=False)
 
 
 def c_product_covector(roots, L, eta, rho=1.0):
-    """<0| prod_j C(m_j); the dual pseudo vacuum is the conjugate transpose of
-    |0>, without extra normalization."""
-    v = pseudo_vacuum(L)
-    for lam in np.atleast_1d(np.asarray(roots, complex)):
-        v = monodromy_blocks(lam, L, eta, rho).C.T @ v
-    return v
+    """<0| prod_j C(m_j) as a vector, without building a monodromy matrix; the
+    dual pseudo vacuum is the conjugate transpose of |0>, unnormalized."""
+    return _off_diagonal_product(roots, L, eta, rho, transposed=True)
 
 
 def q_function(lam, roots):
@@ -169,12 +181,7 @@ def _q_log_derivative(lam, roots):
 
 def _q_derivative(lam, roots):
     """Q'(l|{roots}) in the zero-safe sum-of-products form."""
-    roots = np.asarray(roots, complex)
-    if len(roots) == 0:
-        return 0.0 + 0.0j
-    terms = sh(lam - roots)
-    return complex(sum(ch(lam - roots[m]) * np.prod(np.delete(terms, m))
-                       for m in range(len(roots))))
+    return complex(_d_prod_sh(lam - np.asarray(roots, complex)))
 
 
 def bae_q_residual(roots, vac):
@@ -233,6 +240,21 @@ def xxz_energy_from_eigenvalue(roots, vac):
     return complex(sh(vac.eta) / 2 * lam_der / lam_val - ch(vac.eta) * vac.L / 2)
 
 
+def _action_terms(params, ell, L, eta, rho):
+    """({l}_j for each dropped j, the coefficient of the {l}_j term in the
+    action of t(l_ell) on the {l}_ell product)."""
+    params = np.asarray(params, complex)
+    n1 = len(params)
+    if len(set(np.round(params, 12))) != n1:
+        raise ValueError("parameters must be pairwise distinct")
+    vac = VacuumFunctions(L, eta, rho)
+    keep = [np.delete(params, j) for j in range(n1)]
+    coeffs = [(vac.a(params[j]) * q_function(params[j] - eta, keep[ell])
+               + vac.d(params[j]) * q_function(params[j] + eta, keep[ell]))
+              / q_function(params[j], keep[j]) for j in range(n1)]
+    return keep, coeffs
+
+
 def offshell_action_residual(params, ell, L, eta, rho=1.0):
     """Relative residual of the off-shell transfer action identity
 
@@ -242,39 +264,23 @@ def offshell_action_residual(params, ell, L, eta, rho=1.0):
 
     evaluated with explicit vectors on the 2^L space; {l}_j omits the j-th of
     the N+1 parameters."""
-    params = np.asarray(params, complex)
-    n1 = len(params)
-    if len(set(np.round(params, 12))) != n1:
-        raise ValueError("parameters must be pairwise distinct")
-    vac = VacuumFunctions(L, eta, rho)
-    keep = [np.delete(params, j) for j in range(n1)]
-    lhs = aba_transfer(params[ell], L, eta, rho) @ b_product_state(keep[ell], L, eta, rho)
-    rhs = np.zeros(2 ** L, complex)
-    for j in range(n1):
-        num = (vac.a(params[j]) * q_function(params[j] - eta, keep[ell])
-               + vac.d(params[j]) * q_function(params[j] + eta, keep[ell]))
-        den = q_function(params[j], keep[j])
-        rhs += num / den * b_product_state(keep[j], L, eta, rho)
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    keep, coeffs = _action_terms(params, ell, L, eta, rho)
+    t = aba_transfer(complex(params[ell]), L, eta, rho)
+    lhs = t @ b_product_state(keep[ell], L, eta, rho)
+    rhs = sum(cf * b_product_state(kp, L, eta, rho) for cf, kp in zip(coeffs, keep))
+    return float(np.linalg.norm(lhs - rhs)
+                 / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
 
 
 def dual_action_residual(params, ell, L, eta, rho=1.0):
     """Dual version of offshell_action_residual with C-products acting from
     the left."""
-    params = np.asarray(params, complex)
-    n1 = len(params)
-    vac = VacuumFunctions(L, eta, rho)
-    keep = [np.delete(params, j) for j in range(n1)]
-    lhs = c_product_covector(keep[ell], L, eta, rho) @ aba_transfer(params[ell], L, eta, rho)
-    rhs = np.zeros(2 ** L, complex)
-    for j in range(n1):
-        num = (vac.a(params[j]) * q_function(params[j] - eta, keep[ell])
-               + vac.d(params[j]) * q_function(params[j] + eta, keep[ell]))
-        den = q_function(params[j], keep[j])
-        rhs += num / den * c_product_covector(keep[j], L, eta, rho)
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    keep, coeffs = _action_terms(params, ell, L, eta, rho)
+    t = aba_transfer(complex(params[ell]), L, eta, rho)
+    lhs = c_product_covector(keep[ell], L, eta, rho) @ t
+    rhs = sum(cf * c_product_covector(kp, L, eta, rho) for cf, kp in zip(coeffs, keep))
+    return float(np.linalg.norm(lhs - rhs)
+                 / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
 
 
 def e_function(lam, eta):
@@ -318,7 +324,7 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0, onshell_tol=1e-10):
         N_jk = e(m_j - l_k)/(1 + afun(l_k)) - e(l_k - m_j)/(1 + 1/afun(l_k)).
 
     The second kernel term carries the reflected argument e(l_k - m_j); the
-    variant with e(m_j - l_k) in both terms disagrees with the explicit-matrix
+    variant with e(m_j - l_k) in both terms disagrees with the explicit
     pairing already at N = 1 (see the regression test), so the reflected form
     is the one exposed.  Determinant ratios go through slogdet to keep the
     magnitudes in range.
@@ -333,9 +339,16 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0, onshell_tol=1e-10):
         for j in range(i + 1, len(allpairs)):
             if abs(allpairs[i] - allpairs[j]) < MIN_PAIR_DISTANCE:
                 raise ValueError("parameters closer than the pole guard")
-    vac = VacuumFunctions(L, eta, rho)
-    if bae_q_residual(mu, vac) > onshell_tol:
+    if bae_q_residual(mu, VacuumFunctions(L, eta, rho)) > onshell_tol:
         raise ValueError("the mu set is not on shell")
+    return _determinant_ratio(mu, la, L, eta, rho, reflected=True)
+
+
+def _determinant_ratio(mu, la, L, eta, rho, reflected):
+    """The determinant expression of slavnov_ratio; reflected=False repeats
+    e(m_j - l_k) in the second kernel term instead."""
+    n = len(mu)
+    vac = VacuumFunctions(L, eta, rho)
     log_pref = 0.0 + 0.0j
     for j in range(n):
         log_pref += np.log(transfer_eigenvalue(la[j], mu, vac))
@@ -346,8 +359,9 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0, onshell_tol=1e-10):
     den_cauchy = np.empty((n, n), complex)
     for j in range(n):
         for k in range(n):
+            second = la[k] - mu[j] if reflected else mu[j] - la[k]
             num[j, k] = (e_function(mu[j] - la[k], eta) / (1 + af[k])
-                         - e_function(la[k] - mu[j], eta) / (1 + 1 / af[k]))
+                         - e_function(second, eta) / (1 + 1 / af[k]))
             den_cauchy[j, k] = 1 / sh(mu[j] - la[k])
             den_gaudin[j, k] -= k_function(mu[j] - mu[k], eta) \
                 / a_ratio_derivative(mu[k], mu, vac)
@@ -358,37 +372,20 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0, onshell_tol=1e-10):
 
 
 def pairing_ratio_bruteforce(mu, la, L, eta, rho=1.0):
-    """The same ratio from explicit monodromy-block matrices (the oracle)."""
-    v0 = pseudo_vacuum(L)
-    num = c_product_covector(mu, L, eta, rho) @ b_product_state(la, L, eta, rho)
-    den = c_product_covector(mu, L, eta, rho) @ b_product_state(mu, L, eta, rho)
-    return complex(num / den)
+    """The same ratio from explicit B/C product vectors on the 2^L space (the
+    oracle): no determinant and no Bethe equations enter, only the R-matrix
+    factors of the monodromy."""
+    cvec = c_product_covector(mu, L, eta, rho)
+    return complex(cvec @ b_product_state(la, L, eta, rho)
+                   / (cvec @ b_product_state(mu, L, eta, rho)))
 
 
 def _printed_kernel_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
     """Kernel variant with e(m_j - l_k) repeated in both terms; kept only as a
     regression guard showing it disagrees with the explicit pairing."""
-    mu = np.asarray(mu_onshell, complex)
-    la = np.asarray(lam_offshell, complex)
-    n = len(mu)
-    vac = VacuumFunctions(L, eta, rho)
-    log_pref = sum(np.log(transfer_eigenvalue(la[j], mu, vac))
-                   - np.log(transfer_eigenvalue(mu[j], mu, vac)) for j in range(n))
-    af = np.array([a_ratio(lk, mu, vac) for lk in la])
-    num = np.empty((n, n), complex)
-    den_gaudin = np.eye(n, dtype=complex)
-    den_cauchy = np.empty((n, n), complex)
-    for j in range(n):
-        for k in range(n):
-            num[j, k] = e_function(mu[j] - la[k], eta) * (1 / (1 + af[k])
-                                                          - 1 / (1 + 1 / af[k]))
-            den_cauchy[j, k] = 1 / sh(mu[j] - la[k])
-            den_gaudin[j, k] -= k_function(mu[j] - mu[k], eta) \
-                / a_ratio_derivative(mu[k], mu, vac)
-    s1, l1 = np.linalg.slogdet(num)
-    s2, l2 = np.linalg.slogdet(den_gaudin)
-    s3, l3 = np.linalg.slogdet(den_cauchy)
-    return complex(s1 / (s2 * s3) * np.exp(l1 - l2 - l3 + log_pref))
+    return _determinant_ratio(np.asarray(mu_onshell, complex),
+                              np.asarray(lam_offshell, complex), L, eta, rho,
+                              reflected=False)
 
 
 def linear_system_residual(mu, params, L, eta, rho=1.0):
@@ -399,18 +396,14 @@ def linear_system_residual(mu, params, L, eta, rho=1.0):
     """
     mu = np.asarray(mu, complex)
     params = np.asarray(params, complex)
-    n1 = len(params)
     vac = VacuumFunctions(L, eta, rho)
-    keep = [np.delete(params, j) for j in range(n1)]
     cvec = c_product_covector(mu, L, eta, rho)
-    X = np.array([cvec @ b_product_state(keep[j], L, eta, rho) for j in range(n1)])
+    keep, _ = _action_terms(params, 0, L, eta, rho)
+    X = [cvec @ b_product_state(kp, L, eta, rho) for kp in keep]
     worst = 0.0
-    for ell in range(n1):
-        lhs = 0.0 + 0.0j
-        for j in range(n1):
-            num = (vac.a(params[j]) * q_function(params[j] - eta, keep[ell])
-                   + vac.d(params[j]) * q_function(params[j] + eta, keep[ell]))
-            lhs += num / q_function(params[j], keep[j]) * X[j]
+    for ell in range(len(params)):
+        _, coeffs = _action_terms(params, ell, L, eta, rho)
+        lhs = sum(cf * x for cf, x in zip(coeffs, X))
         rhs = transfer_eigenvalue(params[ell], mu, vac) * X[ell]
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return float(worst)

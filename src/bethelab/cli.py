@@ -15,14 +15,11 @@ Every subcommand accepts `--json FILE` (a config overriding the flags, the
 serialized form of the run) and `--out DIR` (artifact directory; default
 prints to stdout).  Reports are canonical JSON: identical config and seed give
 byte-identical bytes.  Exit codes: 0 success, 2 config error, 3 solver
-non-convergence, 4 invariant violation.  BETHE_LAB_THREADS caps the number of
-worker threads used for independent verification trials.
+non-convergence, 4 invariant violation.
 """
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,22 +74,6 @@ class ExperimentConfig:
     @classmethod
     def loads(cls, text):
         return cls.from_dict(serialize.loads(text))
-
-
-def _max_workers():
-    cap = os.environ.get("BETHE_LAB_THREADS")
-    if cap is None:
-        return 1
-    return max(1, int(cap))
-
-
-def _run_trials(fn, n_trials):
-    """Run independent trials, optionally threaded; results ordered by index."""
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(i) for i in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_trials)))
 
 
 def _emit(report, cfg, extra_files=()):
@@ -246,15 +227,11 @@ def cmd_vertex_ybe(cfg):
     p = cfg.params
     trials = int(p.get("trials", 100))
     rng = np.random.default_rng(cfg.seed)
-    draws = [(rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3),
-              0.3 if i % 2 == 0 else 0.7 + 0.2j) for i in range(trials)]
-
-    def one(i):
-        (lam, mu, nu), eta = draws[i]
-        return sixvertex.ybe_residual(lam, mu, nu, eta)
-
-    residuals = _run_trials(one, trials)
-    worst = max(residuals) if residuals else 0.0
+    worst = 0.0
+    for i in range(trials):
+        lam, mu, nu = rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
+        eta = 0.3 if i % 2 == 0 else 0.7 + 0.2j
+        worst = max(worst, sixvertex.ybe_residual(lam, mu, nu, eta))
     _emit({"config": cfg.report_dict(), "trials": trials, "max_residual": worst}, cfg)
     return EXIT_OK if worst < 1e-12 else EXIT_INVARIANT
 

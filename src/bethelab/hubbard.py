@@ -219,6 +219,8 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=(), tol=1e-12, max_iter=30
     """
     if not (0 <= 2 * M <= N <= L):
         raise ValueError("need 0 <= 2M <= N <= L")
+    if u == 0:
+        raise ValueError("u = 0 makes the Lieb-Wu equations singular")
     ns = np.asarray(charge_qnums, float)
     ss = np.asarray(spin_qnums, float)
     if len(ns) != N or len(ss) != M:

@@ -15,14 +15,19 @@ At l = 0 (homogeneous, xi = 0) the trace over the auxiliary space is
 rho^L sh^L(eta) times the cyclic shift that moves the spin pattern forward by
 one site, i.e. the inverse of the momentum-convention shift operator built in
 the ed module.
+
+Every R-matrix operator is built from one kernel, the sparse two-site
+embedding _embed_pair: the monodromy is the product of the embedded factors
+(_r_factors), transfer blocks are slices of its partial trace, and the RTT
+check and the aba module's B/C products apply the same factors.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import build_sector_basis
 from .ed import FULL_SPACE, OperatorMatrix, _pack, build_xxz_hamiltonian
 
 FD_STEP = 1e-5
@@ -129,31 +134,44 @@ def r_matrix(lam, eta, rho=1.0):
 def _embed_pair(R4, pos0, pos1, n):
     """Sparse embedding of a two-site operator on tensor slots (pos0, pos1)
     out of n slots, slot 0 slowest."""
-    shift0 = n - 1 - pos0
-    shift1 = n - 1 - pos1
-    dim = 2 ** n
-    idx = np.arange(dim)
-    b0 = (idx >> shift0) & 1
-    b1 = (idx >> shift1) & 1
+    bit0, bit1 = 1 << (n - 1 - pos0), 1 << (n - 1 - pos1)
+    idx = np.arange(2 ** n)
+    pair = 2 * ((idx & bit0) > 0) + ((idx & bit1) > 0)  # two-site state of each index
+    rest = idx & ~(bit0 | bit1)
+    place = np.array([0, bit1, bit0, bit0 | bit1])
     rows, cols, vals = [], [], []
-    for out0 in range(2):
-        for out1 in range(2):
-            for in0 in range(2):
-                for in1 in range(2):
-                    v = R4[2 * out0 + out1, 2 * in0 + in1]
-                    if v == 0:
-                        continue
-                    mask = (b0 == in0) & (b1 == in1)
-                    src = idx[mask]
-                    dst = (src & ~(1 << shift0) & ~(1 << shift1)) \
-                        | (out0 << shift0) | (out1 << shift1)
-                    rows.append(dst)
-                    cols.append(src)
-                    vals.append(np.full(src.shape, v, complex))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    for out, inp in zip(*np.nonzero(R4)):
+        src = idx[pair == inp]
+        rows.append(rest[src] | place[out])
+        cols.append(src)
+        vals.append(np.full(src.shape, R4[out, inp], complex))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 ** n, 2 ** n)).tocsr()
+
+
+def _r_factors(lam, L, weights, n, aux=0):
+    """The embedded R_{aux,j}(l - xi_j), j = 1..L, in the order they act
+    (site 1 first), with the chain in the last L of n slots.  Every
+    monodromy, transfer block, RTT check and B/C product is built from these."""
+    if L < 1:
+        raise ValueError(f"chain length L={L} must be >= 1")
+    if weights.parameterized:
+        xi = weights.inhomogeneities(L)
+        R4s = [r_matrix(lam - x, weights.eta, weights.rho) for x in xi]
+    else:
+        R4s = [r_matrix_from_weights(weights.a, weights.b, weights.c)] * L
+    return [_embed_pair(R4, aux, n - L + j, n) for j, R4 in enumerate(R4s)]
+
+
+def _product(factors):
+    """factors[-1] @ ... @ factors[0] (the first factor acts first)."""
+    return reduce(lambda T, R: R @ T, factors)
+
+
+def _monodromy_csr(lam, L, weights):
+    if L > 14:
+        raise ValueError("monodromy supported up to L = 14")
+    return _product(_r_factors(lam, L, weights, L + 1))
 
 
 def monodromy(lam, L, weights):
@@ -161,18 +179,7 @@ def monodromy(lam, L, weights):
     space: the ordered product R_{0,L}(l - xi_L) ... R_{0,1}(l - xi_1).
 
     Returns a dense array for L <= 10 and scipy CSR above (L <= 14)."""
-    if L > 14:
-        raise ValueError("monodromy supported up to L = 14")
-    n = L + 1
-    xi = weights.inhomogeneities(L)
-    T = None
-    for j in range(1, L + 1):  # R_{0,1} acts first
-        if weights.parameterized:
-            R4 = r_matrix(lam - xi[j - 1], weights.eta, weights.rho)
-        else:
-            R4 = r_matrix_from_weights(weights.a, weights.b, weights.c)
-        Rj = _embed_pair(R4, 0, j, n)
-        T = Rj if T is None else Rj @ T
+    T = _monodromy_csr(lam, L, weights)
     return T.toarray() if L <= 10 else T
 
 
@@ -189,57 +196,43 @@ def transfer(lam, L, weights):
     return TransferMatrix(L, lam, monodromy_trace(monodromy(lam, L, weights), L))
 
 
-def transfer_sector_block(L, N, weights, lam=0.0):
-    """Transfer matrix restricted to the N-down-spins sector, contracted
-    through the 2x2 auxiliary space site by site (no 2^(L+1) intermediate).
+def _transfer_and_sectors(L, weights, lam):
+    """The CSR transfer and, for N = 0..L, the indices of the N-down-spin
+    states in increasing order (the order of build_sector_basis(L, N))."""
+    t = monodromy_trace(_monodromy_csr(lam, L, weights), L)
+    ndown = sum((np.arange(2 ** L) >> bit) & 1 for bit in range(L))
+    order = np.argsort(ndown, kind="stable")
+    return t, np.split(order, np.cumsum(np.bincount(ndown))[:-1])
 
-    The transfer conserves the arrow number, so the full matrix is the direct
-    sum of these blocks."""
-    if weights.parameterized:
-        xi = weights.inhomogeneities(L)
-        Rs = [r_matrix(lam - xi[j], weights.eta, weights.rho) for j in range(L)]
-    else:
-        Rs = [r_matrix_from_weights(weights.a, weights.b, weights.c)] * L
-    basis = build_sector_basis(L, N)
-    dim = basis.dim
-    bits = np.array([[(s >> (L - x)) & 1 for x in range(1, L + 1)]
-                     for s in basis.states])
-    t = np.zeros((dim, dim), complex)
-    # per site: aux matrix M[s_out, s_in][a_out, a_in] = R[(a_out,s_out),(a_in,s_in)]
-    Ms = [R.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2) for R in Rs]
-    for col in range(dim):
-        sin = bits[col]
-        P = None
-        for j in range(L - 1, -1, -1):  # aux-space product M_L ... M_1
-            Mj = Ms[j][bits[:, j], sin[j]]
-            P = Mj.copy() if P is None else np.einsum("nab,nbc->nac", P, Mj)
-        t[:, col] = P[:, 0, 0] + P[:, 1, 1]
-    return t
+
+def transfer_sector_block(L, N, weights, lam=0.0):
+    """Transfer matrix restricted to the N-down-spins sector (dense, in the
+    order of build_sector_basis(L, N).states), sliced from the sparse trace
+    of one monodromy.  The transfer conserves the arrow number, so the full
+    matrix is the direct sum of these blocks."""
+    if not 0 <= N <= L:
+        raise ValueError(f"down-spin count N={N} outside 0..L={L}")
+    t, sectors = _transfer_and_sectors(L, weights, lam)
+    return t[sectors[N]][:, sectors[N]].toarray()
 
 
 def ybe_residual(lam, mu, nu, eta, rho=1.0):
     """Max-entry magnitude of R12 R13 R23 - R23 R13 R12 on the 8-dim space,
     with arguments l - m, l - n, m - n."""
-    def emb(R4, p0, p1):
-        return _embed_pair(R4, p0, p1, 3).toarray()
-    R12 = emb(r_matrix(lam - mu, eta, rho), 0, 1)
-    R13 = emb(r_matrix(lam - nu, eta, rho), 0, 2)
-    R23 = emb(r_matrix(mu - nu, eta, rho), 1, 2)
+    R12, R13, R23 = (_embed_pair(r_matrix(x, eta, rho), p0, p1, 3).toarray()
+                     for x, p0, p1 in ((lam - mu, 0, 1), (lam - nu, 0, 2), (mu - nu, 1, 2)))
     return float(np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)))
 
 
 def rtt_residual(lam, mu, L, weights):
-    """Max-entry magnitude of R_00'(l-m) T_0(l) T_0'(m) - T_0'(m) T_0(l) R_00'(l-m)."""
-    d = 2 ** L
-    T_l = np.asarray(monodromy(lam, L, weights)).reshape(2, d, 2, d)
-    T_m = np.asarray(monodromy(mu, L, weights)).reshape(2, d, 2, d)
-    # spaces ordered (0, 0', chain)
-    T0 = np.einsum("apbq,cd->acpbdq", T_l, np.eye(2)).reshape(4 * d, 4 * d)
-    T0p = np.einsum("cpdq,ab->acpbdq", T_m, np.eye(2)).reshape(4 * d, 4 * d)
-    R4 = r_matrix(lam - mu, weights.eta, weights.rho)
-    R = np.einsum("acbd,pq->acpbdq",
-                  R4.reshape(2, 2, 2, 2), np.eye(d)).reshape(4 * d, 4 * d)
-    return float(np.max(np.abs(R @ T0 @ T0p - T0p @ T0 @ R)))
+    """Max-entry magnitude of R_00'(l-m) T_0(l) T_0'(m) - T_0'(m) T_0(l) R_00'(l-m),
+    with the spaces ordered (0, 0', chain)."""
+    n = L + 2
+    T0 = _product(_r_factors(lam, L, weights, n, aux=0))
+    T0p = _product(_r_factors(mu, L, weights, n, aux=1))
+    R = _embed_pair(r_matrix(lam - mu, weights.eta, weights.rho), 0, 1, n)
+    diff = R @ T0 @ T0p - T0p @ T0 @ R
+    return float(np.max(np.abs(diff.data), initial=0.0))
 
 
 def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
@@ -271,16 +264,15 @@ def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
 
 
 def partition_function(L, M, a, b, c):
-    """Z_{L,M}(a,b,c) = tr (tr_0 T_0)^M via the sector blocks of the transfer
+    """Z_{L,M}(a,b,c) = tr (tr_0 T_0)^M via the sector blocks of one transfer
     matrix (the transfer conserves the arrow number, so the trace is the sum
     of block traces)."""
     if M < 1:
         raise ValueError("M >= 1 required")
-    w = VertexWeights(a, b, c)
+    t, sectors = _transfer_and_sectors(L, VertexWeights(a, b, c), 0.0)
     total = 0.0 + 0.0j
-    for N in range(L + 1):
-        tb = transfer_sector_block(L, N, w)
-        total += np.trace(np.linalg.matrix_power(tb, M))
+    for idx in sectors:
+        total += np.trace(np.linalg.matrix_power(t[idx][:, idx].toarray(), M))
     return complex(total)
 
 
@@ -363,6 +355,8 @@ def ice_entropy(L_max, L_min=2):
     """
     if L_max % 2 or L_max > 14:
         raise ValueError("even L_max <= 14 required")
+    if L_max < L_min:
+        raise ValueError(f"L_max={L_max} below L_min={L_min}")
     w = VertexWeights.ice()
     table = []
     for L in range(L_min, L_max + 1, 2):

@@ -3,6 +3,8 @@ eigenvalues, off-shell action, and the pairing determinant formula."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bethelab import aba, bae, coordinate, ed, sixvertex
 from bethelab.basis import build_sector_basis
@@ -96,6 +98,28 @@ class TestBProducts:
         t = aba.aba_transfer(z, L, eta)
         lam_th = aba.transfer_eigenvalue(z, mu, vac)
         assert np.linalg.norm(t @ v - lam_th * v) / np.linalg.norm(v) < 1e-8
+
+
+def _complex(re, im):
+    return st.builds(complex, st.floats(*re), st.floats(*im))
+
+
+class TestBProductProperties:
+    """The vector-at-a-time B/C products against the explicit monodromy blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 6), eta=_complex((0.1, 1.0), (-1.0, 1.0)),
+           roots=st.lists(_complex((-1.0, 1.0), (-1.0, 1.0)), max_size=3))
+    def test_b_and_c_products_match_blocks(self, L, eta, roots):
+        b_ref = c_ref = aba.pseudo_vacuum(L)
+        for lam in roots:
+            bl = aba.monodromy_blocks(lam, L, eta)
+            b_ref = bl.B @ b_ref
+            c_ref = bl.C.T @ c_ref
+        for got, ref in ((aba.b_product_state(roots, L, eta), b_ref),
+                         (aba.c_product_covector(roots, L, eta), c_ref)):
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
 class TestQFunction:

@@ -112,6 +112,11 @@ class TestLiebWu:
         assert ok
         assert abs(roots.k[0].real - 2 * np.pi * 2 / 5) < 1e-12
 
+    def test_zero_u_rejected(self):
+        # the equations divide by u; u = 0 (free fermions) is left to ED
+        with pytest.raises(ValueError):
+            hubbard.solve_liebwu(6, 2, 1, 0.0, (-1, 0), (0,))
+
     def test_energy_momentum_trivials(self):
         roots = hubbard.NestedRoots(4, [], [], 0.9)
         E, P = hubbard.energy_momentum(roots)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,14 +197,35 @@ class TestCli:
         assert main(["vertex", "hamiltonian-link", "--L", "4", "--eta", "0.3",
                      "--tol", "1e-15"]) == EXIT_INVARIANT
 
-    def test_thread_cap_env(self, monkeypatch, capsys):
-        argv = ["verify", "ybe", "--trials", "8", "--seed", "1"]
-        assert main(argv) == EXIT_OK
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("BETHE_LAB_THREADS", "4")
-        assert main(argv) == EXIT_OK
-        threaded = capsys.readouterr().out
-        assert serial == threaded  # trial dispatch is order-independent
+    @pytest.mark.parametrize("argv", [
+        ["vertex", "partition", "--L", "0", "--M", "1"],
+        ["vertex", "partition", "--L", "-1", "--M", "1"],
+        ["vertex", "transfer", "--L", "0", "--eta", "0.3"],
+        ["vertex", "ice-entropy", "--lmax", "0"],
+    ])
+    def test_nonpositive_chain_length_is_config_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["liebwu", "verify"])
+    def test_hubbard_zero_u_is_config_error(self, command, capsys):
+        argv = ["hubbard", command, "--L", "6", "--N", "2", "--M", "1", "--u", "0",
+                "--qnums=-1,0", "--spin-qnums", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_hubbard_ed_zero_u_is_free_fermions(self, capsys):
+        L = 4
+        assert main(["hubbard", "ed", "--L", str(L), "--N", "2", "--M", "1",
+                     "--u", "0"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        eps = -2 * np.cos(2 * np.pi * np.arange(L) / L)  # one up, one down fermion
+        assert np.allclose(out["eigenvalues"], np.sort(np.add.outer(eps, eps).ravel()),
+                           atol=1e-12)
 
     def test_every_subcommand_runs(self, tmp_path, capsys):
         runs = [

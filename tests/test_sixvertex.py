@@ -3,6 +3,8 @@ functions, the spin-chain link, and square ice."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bethelab import ed, sixvertex
 from bethelab.basis import build_sector_basis
@@ -87,6 +89,18 @@ class TestMonodromy:
         w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, 0.3)
         with pytest.raises(ValueError):
             sixvertex.monodromy(0.1, 15, w)
+
+    def test_rejects_empty_chain(self):
+        w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, 0.3)
+        for L in (0, -1):
+            with pytest.raises(ValueError):
+                sixvertex.monodromy(0.1, L, w)
+            with pytest.raises(ValueError):
+                sixvertex.partition_function(L, 1, 1, 1, 1)
+        with pytest.raises(ValueError):
+            sixvertex.transfer_sector_block(0, 0, w)
+        with pytest.raises(ValueError):
+            sixvertex.ice_entropy(0)
 
     @pytest.mark.parametrize("L", [2, 4, 6])
     def test_rtt_relation(self, L):
@@ -210,3 +224,43 @@ class TestIceEntropy:
         vals = [v for _, v in table]
         assert all(a > b for a, b in zip(vals, vals[1:]))  # monotone toward the limit
         assert abs(s_inf - 1.5 * np.log(4 / 3)) < 1e-2
+
+
+def _complex(re, im):
+    return st.builds(complex, st.floats(*re), st.floats(*im))
+
+
+class TestProperties:
+    """Identities of the R-matrix kernel at random parameters."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 7), data=st.data(), parameterized=st.booleans(),
+           lam=_complex((-0.5, 0.5), (-0.5, 0.5)))
+    def test_sector_block_is_restricted_transfer(self, L, data, parameterized, lam):
+        N = data.draw(st.integers(0, L))
+        if parameterized:
+            xi = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=L, max_size=L))
+            eta = data.draw(_complex((0.1, 1.0), (-0.5, 0.5)))
+            w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi)
+        else:
+            a, b, c = data.draw(st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3))
+            w = sixvertex.VertexWeights(a, b, c)
+        tfull = np.asarray(sixvertex.transfer(lam, L, w).matrix)
+        idx = build_sector_basis(L, N).states
+        tb = sixvertex.transfer_sector_block(L, N, w, lam)
+        scale = max(1.0, np.max(np.abs(tfull)))
+        assert np.max(np.abs(tb - tfull[np.ix_(idx, idx)])) <= 1e-12 * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(lam=_complex((-1.0, 1.0), (-1.0, 1.0)), mu=_complex((-1.0, 1.0), (-1.0, 1.0)),
+           nu=_complex((-1.0, 1.0), (-1.0, 1.0)), eta=_complex((0.1, 1.0), (-0.5, 0.5)))
+    def test_yang_baxter(self, lam, mu, nu, eta):
+        assert sixvertex.ybe_residual(lam, mu, nu, eta) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(1, 5), data=st.data(), eta=_complex((0.2, 0.8), (-0.3, 0.3)),
+           lam=_complex((-0.5, 0.5), (-0.3, 0.3)), mu=_complex((-0.5, 0.5), (-0.3, 0.3)))
+    def test_rtt(self, L, data, eta, lam, mu):
+        xi = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=L, max_size=L))
+        w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi)
+        assert sixvertex.rtt_residual(lam, mu, L, w) < 1e-12
