@@ -11,11 +11,16 @@ Logarithmic form for real roots (integers n_j, principal arctan):
 
   (1/pi) arctg(2 l_j) = n_j/L - (N+1)/(2L) + sum_k arctg(l_j - l_k)/(pi L)
 
-Newton iterations use the analytic Jacobian, damping by step-halving, an
-initial guess from the non-interacting part, tolerance 1e-12, max 200 steps.
-Quantum-number sets whose iterates run away to |l| > ROOT_ESCAPE correspond to
-solutions with rapidities at infinity (spin-lowered descendants); they are
-reported as unconverged.
+Every residual and Jacobian is an N x N broadcast over the differences
+l_j - l_k; no Python loop runs over roots.  All solves, the bound-pair search
+of classify_two_magnon included, go through one damped-Newton routine with
+analytic Jacobians: step-halving damping, an initial guess from the
+non-interacting part, tolerance 1e-12, max 200 steps.  It says why it
+stopped (STOP_REASONS).  Iterates that run away to |x| > ROOT_ESCAPE, or
+converge beyond ROOT_ESCAPE/100, are reported as unconverged: for the
+log-form solves these are solutions with rapidities at infinity
+(spin-lowered descendants); in the bound-pair search they are seeds that walk
+off to |l| -> infinity, where both sides of the equation tend to 1.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +33,7 @@ TOL = 1e-12
 MAX_ITER = 200
 ROOT_ESCAPE = 1e6
 EQUALITY_TOL = 1e-8  # root-coincidence threshold for admissibility
+STOP_REASONS = ("converged", "singular", "stalled", "run_away", "max_iter")
 
 
 @dataclass
@@ -46,21 +52,42 @@ class QuantumNumbers:
 
 @dataclass
 class SolveReport:
-    """Outcome of a Bethe-equation solve; converged implies residual < tol."""
+    """Outcome of a Bethe-equation solve; converged implies residual < tol.
+    stop says why _damped_newton stopped (one of STOP_REASONS)."""
     roots: RapiditySet
     residual: float
     iterations: int
     converged: bool
     qnums: tuple = ()
     params: dict = field(default_factory=dict)
+    stop: str = "converged"
+
+
+def _diff(x):
+    """N x N matrix of differences x_j - x_k."""
+    return x[:, None] - x[None, :]
+
+
+def _jacobian(drive, K):
+    """Jacobian of F_j = f(x_j) - sum_{k != j} g(x_j - x_k) from drive = f'(x_j)
+    and K = g'(x_j - x_k): K off the diagonal, drive - (row sum of K) on it.
+    K is overwritten."""
+    np.fill_diagonal(K, 0.0)
+    np.fill_diagonal(K, drive - K.sum(axis=1))
+    return K
 
 
 def _pairwise_min_dist(vals):
-    vals = np.asarray(vals)
-    n = len(vals)
-    if n < 2:
-        return np.inf
-    return min(abs(vals[i] - vals[j]) for i in range(n) for j in range(i + 1, n))
+    d = np.abs(_diff(np.asarray(vals)))
+    np.fill_diagonal(d, np.inf)
+    return float(d.min(initial=np.inf))
+
+
+def _exp_residual(lhs, num, den):
+    """max_j |lhs_j + prod_k num_jk/den_jk|, the products taken in log form to
+    keep |...|^L in range."""
+    rhs = np.exp(np.sum(np.log(num) - np.log(den), axis=1))
+    return float(np.max(np.abs(lhs + rhs), initial=0.0))
 
 
 def bae_residual_xxx(roots, L):
@@ -70,13 +97,9 @@ def bae_residual_xxx(roots, L):
         raise ValueError("rapidity at a pole +-i/2")
     if _pairwise_min_dist(lam) < 1e-12:
         raise ValueError("coincident rapidities")
-    res = 0.0
-    for j, l in enumerate(lam):
-        # log-form products to keep |...|^L in range
-        lhs = np.exp(L * (np.log(l - 0.5j) - np.log(l + 0.5j)))
-        rhs = np.exp(np.sum(np.log(l - lam - 1j) - np.log(l - lam + 1j)))
-        res = max(res, abs(lhs + rhs))
-    return float(res)
+    d = _diff(lam)
+    return _exp_residual(np.exp(L * (np.log(lam - 0.5j) - np.log(lam + 0.5j))),
+                         d - 1j, d + 1j)
 
 
 def bae_residual_xxz(roots, L, gamma):
@@ -85,28 +108,21 @@ def bae_residual_xxz(roots, L, gamma):
     sh = np.sinh
     if np.any(np.abs(sh(lam - 0.5j * gamma)) < 1e-12) or np.any(np.abs(sh(lam + 0.5j * gamma)) < 1e-12):
         raise ValueError("rapidity at a zero of sh")
-    res = 0.0
-    for j, l in enumerate(lam):
-        lhs = np.exp(L * (np.log(sh(l - 0.5j * gamma)) - np.log(sh(l + 0.5j * gamma))))
-        rhs = np.exp(np.sum(np.log(sh(l - lam - 1j * gamma)) - np.log(sh(l - lam + 1j * gamma))))
-        res = max(res, abs(lhs + rhs))
-    return float(res)
+    d = _diff(lam)
+    lhs = np.exp(L * (np.log(sh(lam - 0.5j * gamma)) - np.log(sh(lam + 0.5j * gamma))))
+    return _exp_residual(lhs, sh(d - 1j * gamma), sh(d + 1j * gamma))
 
 
 def bose_residual(roots, L_ring, c):
     """Max exponential-form residual of the delta-Bose-gas equations."""
     k = np.asarray(getattr(roots, "values", roots), complex)
-    res = 0.0
-    for j in range(len(k)):
-        lhs = np.exp(1j * k[j] * L_ring)
-        rhs = np.exp(np.sum(np.log(k[j] - k + 1j * c) - np.log(k[j] - k - 1j * c)))
-        res = max(res, abs(lhs + rhs))
-    return float(res)
+    d = _diff(k)
+    return _exp_residual(np.exp(1j * k * L_ring), d + 1j * c, d - 1j * c)
 
 
 def _logbae_F(lam, L, N, ns):
     return (np.arctan(2 * lam) / np.pi - ns / L + (N + 1) / (2 * L)
-            - np.array([np.sum(np.arctan(lam[j] - lam)) for j in range(N)]) / (np.pi * L))
+            - np.arctan(_diff(lam)).sum(axis=1) / (np.pi * L))
 
 
 def logbae_residual(roots, L, qnums):
@@ -120,30 +136,51 @@ def logbae_residual(roots, L, qnums):
 
 
 def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
-    """Newton iteration with step-halving damping; returns (x, maxres, iters, ok)."""
+    """Newton iteration with step-halving damping.
+
+    Returns (x, maxres, iters, reason), reason one of STOP_REASONS:
+    'converged' (max |F| < tol), 'singular' (the Jacobian solve failed),
+    'stalled' (50 halvings did not lower max |F|), 'run_away' (an iterate
+    beyond ROOT_ESCAPE, or a converged one beyond ROOT_ESCAPE/100) or
+    'max_iter'.
+    """
     x = np.array(x0, float)
     f = F(x)
-    it = 0
+    res = np.abs(f).max(initial=0.0)
     for it in range(1, max_iter + 1):
-        if np.max(np.abs(f)) < tol:
-            return x, float(np.max(np.abs(f))), it - 1, True
+        if res < tol:
+            far = np.abs(x).max(initial=0.0) > 0.01 * ROOT_ESCAPE
+            return x, float(res), it - 1, "run_away" if far else "converged"
         try:
             step = np.linalg.solve(J(x), -f)
         except np.linalg.LinAlgError:
-            return x, float(np.max(np.abs(f))), it, False
+            return x, float(res), it, "singular"
         t = 1.0
         for _ in range(50):
-            fn = F(x + t * step)
-            if np.max(np.abs(fn)) < np.max(np.abs(f)):
+            f_new = F(x + t * step)
+            res_new = np.abs(f_new).max()
+            if res_new < res:
                 break
             t /= 2
         else:
-            return x, float(np.max(np.abs(f))), it, False
-        x = x + t * step
-        f = F(x)
-        if np.max(np.abs(x)) > ROOT_ESCAPE:
-            return x, float(np.max(np.abs(f))), it, False
-    return x, float(np.max(np.abs(f))), max_iter, False
+            return x, float(res), it, "stalled"
+        x, f, res = x + t * step, f_new, res_new
+        if np.abs(x).max() > ROOT_ESCAPE:
+            return x, float(res), it, "run_away"
+    return x, float(res), max_iter, "max_iter"
+
+
+def _logbae_system(L, ns):
+    """(F, J) of the logarithmic XXX equations."""
+    N = len(ns)
+
+    def F(lam):
+        return _logbae_F(lam, L, N, ns)
+
+    def J(lam):
+        return _jacobian(2 / np.pi / (1 + 4 * lam ** 2),
+                         1 / (np.pi * L) / (1 + _diff(lam) ** 2))
+    return F, J
 
 
 def solve_logbae(L, N, qnums):
@@ -162,27 +199,11 @@ def solve_logbae(L, N, qnums):
         raise ValueError("real-root branch requires N <= L/2")
     if N == 0:
         return SolveReport(RapiditySet("XXX", L, []), 0.0, 0, True, ())
-
-    def F(lam):
-        return _logbae_F(lam, L, N, ns)
-
-    def J(lam):
-        m = np.zeros((N, N))
-        for j in range(N):
-            m[j, j] = 2 / np.pi / (1 + 4 * lam[j] ** 2) - sum(
-                1 / (np.pi * L) / (1 + (lam[j] - lam[k]) ** 2)
-                for k in range(N) if k != j)
-            for k in range(N):
-                if k != j:
-                    m[j, k] = 1 / (np.pi * L) / (1 + (lam[j] - lam[k]) ** 2)
-        return m
-
     lam0 = 0.5 * np.tan(np.pi * (ns / L - (N + 1) / (2 * L)))
-    lam, res, iters, ok = _damped_newton(F, J, lam0)
-    if ok and np.max(np.abs(lam)) > 0.01 * ROOT_ESCAPE:
-        ok = False
+    lam, res, iters, stop = _damped_newton(*_logbae_system(L, ns), lam0)
     roots = RapiditySet("XXX", L, np.sort(lam).astype(complex))
-    return SolveReport(roots, res, iters, ok, tuple(int(n) for n in ns))
+    return SolveReport(roots, res, iters, stop == "converged",
+                       tuple(int(n) for n in ns), stop=stop)
 
 
 def _theta(n, lam, gamma):
@@ -196,36 +217,30 @@ def _dtheta(n, lam, gamma):
     return 2 * c * (1 - t ** 2) / (1 + (c * t) ** 2)
 
 
+def _xxz_system(L, gamma, ns):
+    """(F, J) of the logarithmic XXZ equations."""
+    N = len(ns)
+
+    def F(lam):
+        return (L * _theta(1, lam, gamma) - 2 * np.pi * ns + np.pi * (N + 1)
+                - np.sum(_theta(2, _diff(lam), gamma), axis=1))
+
+    def J(lam):
+        return _jacobian(L * _dtheta(1, lam, gamma), _dtheta(2, _diff(lam), gamma))
+    return F, J
+
+
 def solve_logbae_xxz(L, N, gamma, qnums):
     """Real-root XXZ solve in the gapless parameterization Delta = cos(gamma),
     0 < gamma < pi: L theta_1(l_j) = 2 pi n_j - pi (N+1) + sum_k theta_2(l_j - l_k)."""
     ns = np.asarray(getattr(qnums, "n", qnums), float)
     if N == 0:
         return SolveReport(RapiditySet("XXZ", L, [], {"gamma": gamma}), 0.0, 0, True, ())
-
-    def F(lam):
-        return np.array([L * _theta(1, lam[j], gamma) - 2 * np.pi * ns[j]
-                         + np.pi * (N + 1)
-                         - np.sum(_theta(2, lam[j] - lam, gamma))
-                         for j in range(N)])
-
-    def J(lam):
-        m = np.zeros((N, N))
-        for j in range(N):
-            m[j, j] = L * _dtheta(1, lam[j], gamma) - sum(
-                _dtheta(2, lam[j] - lam[k], gamma) for k in range(N) if k != j)
-            for k in range(N):
-                if k != j:
-                    m[j, k] = _dtheta(2, lam[j] - lam[k], gamma)
-        return m
-
-    lam0 = np.array([0.3 * (n - (N + 1) / 2) for n in ns])
-    lam, res, iters, ok = _damped_newton(F, J, lam0)
-    if ok and np.max(np.abs(lam)) > 0.01 * ROOT_ESCAPE:
-        ok = False
+    lam0 = 0.3 * (ns - (N + 1) / 2)
+    lam, res, iters, stop = _damped_newton(*_xxz_system(L, gamma, ns), lam0)
     roots = RapiditySet("XXZ", L, np.sort(lam).astype(complex), {"gamma": gamma})
-    return SolveReport(roots, res, iters, ok, tuple(int(n) for n in ns),
-                       {"gamma": gamma})
+    return SolveReport(roots, res, iters, stop == "converged",
+                       tuple(int(n) for n in ns), {"gamma": gamma}, stop)
 
 
 def xxz_energy(roots, gamma):
@@ -235,6 +250,17 @@ def xxz_energy(roots, gamma):
     if len(lam) == 0:
         return 0.0
     return complex(-np.sum(np.sin(gamma) ** 2 / (np.cosh(2 * lam) - np.cos(gamma))))
+
+
+def _bose_system(L_ring, c, target):
+    """(F, J) of the logarithmic delta-Bose-gas equations."""
+
+    def F(k):
+        return k * L_ring + np.sum(2 * np.arctan(_diff(k) / c), axis=1) - target
+
+    def J(k):
+        return _jacobian(L_ring, -2 * c / (c ** 2 + _diff(k) ** 2))
+    return F, J
 
 
 def solve_bose(L_ring, N, c, qnums):
@@ -251,28 +277,11 @@ def solve_bose(L_ring, N, c, qnums):
         return SolveReport(RapiditySet("BOSE", 0, [], {"c": c, "L_ring": L_ring}),
                            0.0, 0, True, (), {"c": c, "energy": 0.0})
     target = 2 * np.pi * (ns - (N + 1) / 2)
-
-    def F(k):
-        return (k * L_ring
-                + np.array([np.sum(2 * np.arctan((k[j] - k) / c)) for j in range(N)])
-                - target)
-
-    def J(k):
-        m = np.zeros((N, N))
-        for j in range(N):
-            m[j, j] = L_ring + sum(2 * c / (c ** 2 + (k[j] - k[l]) ** 2)
-                                   for l in range(N) if l != j)
-            for l in range(N):
-                if l != j:
-                    m[j, l] = -2 * c / (c ** 2 + (k[j] - k[l]) ** 2)
-        return m
-
-    k0 = target / L_ring
-    k, res, iters, ok = _damped_newton(F, J, k0)
+    k, res, iters, stop = _damped_newton(*_bose_system(L_ring, c, target), target / L_ring)
     roots = RapiditySet("BOSE", 0, np.sort(k).astype(complex), {"c": c, "L_ring": L_ring})
     energy = float(np.sum(k ** 2))
-    return SolveReport(roots, res, iters, ok, tuple(int(n) for n in ns),
-                       {"c": c, "L_ring": L_ring, "energy": energy})
+    return SolveReport(roots, res, iters, stop == "converged", tuple(int(n) for n in ns),
+                       {"c": c, "L_ring": L_ring, "energy": energy}, stop)
 
 
 def admissibility(roots, tol=EQUALITY_TOL):
@@ -299,6 +308,28 @@ def _bound_pair_roots(z):
     return np.array([z[0] + 1j * z[1], z[0] - 1j * z[1]])
 
 
+def _bound_pair_system(L):
+    """(F, J) of the N = 2 bound-pair equation in z = (l_r, d), l = l_r + i d:
+    G = ((l - i/2)/(l + i/2))^L - (2d - 1)/(2d + 1), split into (Re G, Im G).
+    G is holomorphic in l up to the d-dependent constant, whose d-derivative
+    is 4/(2d + 1)^2."""
+
+    def p(z):
+        l = z[0] + 1j * z[1]
+        return l, np.exp(L * (np.log(l - 0.5j) - np.log(l + 0.5j)))
+
+    def F(z):
+        g = p(z)[1] - (2 * z[1] - 1) / (2 * z[1] + 1)
+        return np.array([g.real, g.imag])
+
+    def J(z):
+        l, pl = p(z)
+        dl = pl * L * (1 / (l - 0.5j) - 1 / (l + 0.5j))
+        dd = 1j * dl - 4 / (2 * z[1] + 1) ** 2
+        return np.array([[dl.real, dd.real], [dl.imag, dd.imag]])
+    return F, J
+
+
 def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
     """Enumerate admissible N = 2 solutions: real pairs from a quantum-number
     scan and conjugate ("bound") pairs l = l_r +- i d from a Newton search.
@@ -307,10 +338,12 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
     covers every branch that converges at this L).  Bound seeds: l_r on a
     step-0.1 grid with d0 = 0.5; the default grid spans +-(cot(pi/L) + 1.5)
     because the smallest-momentum bound pair sits at center cot(pi/L), beyond
-    +-3 once L >= 10.  Solutions are verified by bae_residual_xxx and
-    deduplicated at distance 1e-6.  The exactly singular pair {+i/2, -i/2}
-    (a genuine two-magnon level at momentum pi for even L) is inadmissible and
-    intentionally not returned.
+    +-3 once L >= 10.  The bound-pair search runs on the shared _damped_newton
+    (tolerance 1e-13, 100 steps); its run-away rule discards seeds that walk
+    off to |l| -> infinity, where the equation holds only asymptotically.
+    Solutions are verified by bae_residual_xxx and deduplicated at distance
+    1e-6.  The exactly singular pair {+i/2, -i/2} (a genuine two-magnon level
+    at momentum pi for even L) is inadmissible and intentionally not returned.
 
     Returns a list of (RapiditySet, kind) with kind 'real-pair' | 'bound-pair'.
     """
@@ -319,76 +352,36 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
     if qn_range is None:
         qn_range = range(-L // 2 + 1, L // 2 + 4)
     found = []
+    keys = np.empty((0, 2), complex)  # sorted root pairs of found
 
-    def _known(roots):
-        for rs, _ in found:
-            if len(rs.values) == len(roots) and np.max(np.abs(np.sort_complex(rs.values) - np.sort_complex(roots))) < 1e-6:
-                return True
-        return False
+    def add(roots, kind):
+        nonlocal keys
+        if not admissibility(roots)[0]:
+            return  # the singular pair {+-i/2} lands here
+        if bae_residual_xxx(roots, L) > 1e-10:
+            return
+        key = np.sort_complex(roots)
+        if np.any(np.max(np.abs(keys - key), axis=1) < 1e-6):
+            return
+        keys = np.vstack([keys, key])
+        found.append((RapiditySet("XXX", L, roots), kind))
 
     for n1 in qn_range:
         for n2 in qn_range:
             if n2 <= n1:
                 continue
             rep = solve_logbae(L, 2, (n1, n2))
-            if not rep.converged:
-                continue
-            lam = rep.roots.values
-            ok, _ = admissibility(lam)
-            if not ok:
-                continue
-            if bae_residual_xxx(lam, L) > 1e-10:
-                continue
-            if not _known(lam):
-                found.append((RapiditySet("XXX", L, lam), "real-pair"))
+            if rep.converged:
+                add(rep.roots.values, "real-pair")
 
     if grid is None:
         reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)
         grid = np.arange(-reach, reach + 1e-9, 0.1)
-
-    def G(z):
-        l = z[0] + 1j * z[1]
-        g = np.exp(L * (np.log(l - 0.5j) - np.log(l + 0.5j))) \
-            - (2 * z[1] - 1) / (2 * z[1] + 1)
-        return np.array([g.real, g.imag])
-
+    F, J = _bound_pair_system(L)
     for lr0 in grid:
-        z = np.array([lr0, delta0])
-        g = G(z)
-        ok = False
-        for _ in range(100):
-            if np.max(np.abs(g)) < 1e-13:
-                ok = True
-                break
-            h = 1e-8
-            Jm = np.zeros((2, 2))
-            for b in range(2):
-                zp = z.copy()
-                zp[b] += h
-                Jm[:, b] = (G(zp) - g) / h
-            try:
-                step = np.linalg.solve(Jm, -g)
-            except np.linalg.LinAlgError:
-                break
-            t = 1.0
-            for _ in range(40):
-                if np.max(np.abs(G(z + t * step))) < np.max(np.abs(g)):
-                    break
-                t /= 2
-            else:
-                break
-            z = z + t * step
-            g = G(z)
-        if not ok or abs(z[1]) < 1e-4:
-            continue
-        roots = _bound_pair_roots(z)
-        adm, _ = admissibility(roots)
-        if not adm:
-            continue  # singular pair {+-i/2} lands here
-        if bae_residual_xxx(roots, L) > 1e-10:
-            continue
-        if not _known(roots):
-            found.append((RapiditySet("XXX", L, roots), "bound-pair"))
+        z, _, _, stop = _damped_newton(F, J, (lr0, delta0), tol=1e-13, max_iter=100)
+        if stop == "converged" and abs(z[1]) >= 1e-4:
+            add(_bound_pair_roots(z), "bound-pair")
     return found
 
 

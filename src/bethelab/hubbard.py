@@ -25,6 +25,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from .bae import _damped_newton, _diff, _jacobian
 from .ed import _pack
 
 FACTORIAL_GUARD_N = 6
@@ -185,24 +186,46 @@ def liebwu_residual(roots, L=None):
     """Max exponential-form residual over both equation families."""
     L = roots.L if L is None else L
     k, lam, u = roots.k, roots.lam, roots.u
-    for kj in k:
-        for ll in lam:
-            if abs(ll - np.sin(kj) - 1j * u) < 1e-12 or abs(ll - np.sin(kj) + 1j * u) < 1e-12:
-                raise ValueError("pole configuration l - sin k = +-iu")
-    res = 0.0
-    for j in range(len(k)):
-        lhs = np.exp(1j * k[j] * L)
-        rhs = np.exp(np.sum(np.log(lam - np.sin(k[j]) - 1j * u)
-                            - np.log(lam - np.sin(k[j]) + 1j * u))) if len(lam) else 1.0
-        res = max(res, abs(lhs - rhs))
-    for l in range(len(lam)):
-        lhs = np.exp(np.sum(np.log(lam[l] - np.sin(k) - 1j * u)
-                            - np.log(lam[l] - np.sin(k) + 1j * u)))
-        others = np.delete(lam, l)
-        rhs = np.exp(np.sum(np.log(lam[l] - others - 2j * u)
-                            - np.log(lam[l] - others + 2j * u))) if len(others) else 1.0
-        res = max(res, abs(lhs - rhs))
-    return float(res)
+    d = lam[None, :] - np.sin(k)[:, None]  # l_l - sin k_j, N x M
+    if np.any(np.abs(d - 1j * u) < 1e-12) or np.any(np.abs(d + 1j * u) < 1e-12):
+        raise ValueError("pole configuration l - sin k = +-iu")
+    log_s = np.log(d - 1j * u) - np.log(d + 1j * u)
+    dl = lam[:, None] - lam[None, :]
+    log_l = np.log(dl - 2j * u) - np.log(dl + 2j * u)
+    np.fill_diagonal(log_l, 0.0)  # the products run over m != l
+    charge = np.exp(1j * k * L) - np.exp(log_s.sum(axis=1))
+    spin = np.exp(log_s.sum(axis=0)) - np.exp(log_l.sum(axis=1))
+    return float(max(np.max(np.abs(charge), initial=0.0),
+                     np.max(np.abs(spin), initial=0.0)))
+
+
+def _charge_offset(M):
+    """pi M reduced mod 2pi."""
+    return np.pi * M - 2 * np.pi * np.round(M / 2)
+
+
+def _liebwu_system(L, N, M, u, ns, ss):
+    """(F, J) of the logarithmic Lieb-Wu equations in z = (k, lambda)."""
+    off_c = _charge_offset(M)
+    off_s = np.pi * (M - 1 - N)
+    off_s -= 2 * np.pi * np.round(off_s / (2 * np.pi))
+
+    def F(z):
+        k, lam = z[:N], z[N:]
+        a = 2 * np.arctan((np.sin(k)[:, None] - lam[None, :]) / u)  # N x M
+        G = k * L - 2 * np.pi * ns - off_c + a.sum(axis=1)
+        Hs = (-a.sum(axis=0) - np.sum(2 * np.arctan(_diff(lam) / (2 * u)), axis=1)
+              - off_s - 2 * np.pi * ss)
+        return np.concatenate([G, Hs])
+
+    def J(z):
+        k, lam = z[:N], z[N:]
+        ck = np.cos(k)
+        A = 2 * u / (u ** 2 + (np.sin(k)[:, None] - lam[None, :]) ** 2)  # N x M
+        spin = _jacobian(A.sum(axis=0), 4 * u / (4 * u ** 2 + _diff(lam) ** 2))
+        return np.block([[np.diag(L + ck * A.sum(axis=1)), -A],
+                         [-(A * ck[:, None]).T, spin]])
+    return F, J
 
 
 def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=(), tol=1e-12, max_iter=300):
@@ -225,50 +248,13 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=(), tol=1e-12, max_iter=30
     ss = np.asarray(spin_qnums, float)
     if len(ns) != N or len(ss) != M:
         raise ValueError("need one charge number per k and one spin number per lambda")
-    off_c = np.pi * M - 2 * np.pi * np.round(M / 2)
-    off_s = np.pi * (M - 1 - N)
-    off_s -= 2 * np.pi * np.round(off_s / (2 * np.pi))
-
-    def F(z):
-        k, lam = z[:N], z[N:]
-        sk = np.sin(k)
-        G = np.array([k[j] * L - 2 * np.pi * ns[j] - off_c
-                      + np.sum(2 * np.arctan((sk[j] - lam) / u)) for j in range(N)])
-        Hs = np.array([np.sum(2 * np.arctan((lam[l] - sk) / u))
-                       - sum(2 * np.arctan((lam[l] - lam[m]) / (2 * u))
-                             for m in range(M) if m != l)
-                       - off_s - 2 * np.pi * ss[l] for l in range(M)])
-        return np.concatenate([G, Hs])
-
-    def J(z):
-        k, lam = z[:N], z[N:]
-        sk, ck = np.sin(k), np.cos(k)
-        m = np.zeros((N + M, N + M))
-        for j in range(N):
-            m[j, j] = L + np.sum(2 * u * ck[j] / (u ** 2 + (sk[j] - lam) ** 2))
-            for l in range(M):
-                m[j, N + l] = -2 * u / (u ** 2 + (sk[j] - lam[l]) ** 2)
-        for l in range(M):
-            for j in range(N):
-                m[N + l, j] = -2 * u * ck[j] / (u ** 2 + (lam[l] - sk[j]) ** 2)
-            m[N + l, N + l] = (np.sum(2 * u / (u ** 2 + (lam[l] - sk) ** 2))
-                               - sum(4 * u / (4 * u ** 2 + (lam[l] - lam[mm]) ** 2)
-                                     for mm in range(M) if mm != l))
-            for mm in range(M):
-                if mm != l:
-                    m[N + l, N + mm] = 4 * u / (4 * u ** 2 + (lam[l] - lam[mm]) ** 2)
-        return m
-
-    k0 = (2 * np.pi * ns + off_c) / L
+    k0 = (2 * np.pi * ns + _charge_offset(M)) / L
     lam0 = np.array([u * np.tan(np.pi * s / N) if abs(np.pi * s / N) < 1.4
                      else 3.0 * np.sign(s) for s in ss])
-    from .bae import _damped_newton
-    z, res, iters, ok = _damped_newton(F, J, np.concatenate([k0, lam0]),
-                                       tol=tol, max_iter=max_iter)
-    if ok and M and np.max(np.abs(z[N:])) > 1e4:
-        ok = False
+    z, res, _, stop = _damped_newton(*_liebwu_system(L, N, M, u, ns, ss),
+                                     np.concatenate([k0, lam0]), tol=tol, max_iter=max_iter)
     roots = NestedRoots(L, z[:N].astype(complex), z[N:].astype(complex), u)
-    return roots, res, ok
+    return roots, res, stop == "converged"
 
 
 def energy_momentum(roots, L=None):

@@ -348,15 +348,16 @@ def largest_transfer_eigenvalue(tb, tol=1e-10, max_iter=20000, seed=0):
 def ice_entropy(L_max, L_min=2):
     """(1/L) ln Lambda_0 at the ice point for even L <= L_max, in the
     half-filled arrow sector, plus a least-squares s_inf + alpha/L + beta/L^2
-    extrapolation.
+    extrapolation, which needs at least three sizes (L_max >= L_min + 4).
 
     Returns (table, s_inf) where table is a list of (L, value).  The exact
     two-dimensional limit is (3/2) ln(4/3) = 0.43152...
     """
     if L_max % 2 or L_max > 14:
         raise ValueError("even L_max <= 14 required")
-    if L_max < L_min:
-        raise ValueError(f"L_max={L_max} below L_min={L_min}")
+    if L_max < L_min + 4:
+        raise ValueError(f"L_max={L_max} gives fewer than three sizes from "
+                         f"L_min={L_min}; the three-term fit needs L_max >= {L_min + 4}")
     w = VertexWeights.ice()
     table = []
     for L in range(L_min, L_max + 1, 2):

@@ -6,12 +6,14 @@ integral equation
     rho(l|q) = 2 / (pi (1 + 4 l^2))
                - (1/pi) int_{-q}^{q} dm rho(m|q) / (1 + (l - m)^2),
 
-discretized by Gauss-Legendre Nystrom collocation.  At q = infinity the
+discretized by Gauss-Legendre Nystrom collocation; the rule for each node
+count is computed once and cached (read-only arrays).  At q = infinity the
 Fourier-transform solution is rho(l) = 1/(2 ch(pi l)); then the filled-root
 fraction is D = 1/2 and the energy per site is e = -J ln 2.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +46,16 @@ def closed_form_density(lam):
     return 1.0 / (2.0 * np.cosh(np.pi * np.asarray(lam, float)))
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _panel_grid(half_width, panel, per_panel):
-    x, w = np.polynomial.legendre.leggauss(per_panel)
+    x, w = _gauss_legendre(per_panel)
     nodes, weights = [], []
     a = -half_width
     while a < half_width - 1e-12:
@@ -68,7 +78,7 @@ def solve_root_density(q, n_nodes=N_NODES_DEFAULT):
         return RootDensity(np.inf, nodes, weights, closed_form_density(nodes))
     if q <= 0:
         raise ValueError("support half-width q must be positive")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     nodes = q * x
     weights = q * w
     K = _kernel(nodes[:, None] - nodes[None, :]) * weights[None, :]

@@ -2,7 +2,9 @@
 
 Everything here is built from explicit Kronecker products of single-site
 operators (spins) or Jordan-Wigner strings (fermions), deliberately avoiding
-the bitmask code paths of the package.
+the bitmask code paths of the package.  Jacobians of the Bethe-equation
+solvers are checked against plain central differences of their residual
+functions.
 """
 
 import numpy as np
@@ -96,3 +98,14 @@ def jw_hubbard_block_eigs(L, u, N, M):
             keep.append(idx)
     block = H[np.ix_(keep, keep)]
     return np.linalg.eigvalsh(block)
+
+
+def central_difference_jacobian(F, x, h=1e-6):
+    """Jacobian of F at x by central differences, one column per coordinate."""
+    x = np.asarray(x, float)
+    cols = []
+    for b in range(len(x)):
+        e = np.zeros_like(x)
+        e[b] = h
+        cols.append((F(x + e) - F(x - e)) / (2 * h))
+    return np.array(cols).T

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bethelab import bae, coordinate, ed
-from oracles import kron_spin_hamiltonian
+from oracles import central_difference_jacobian, kron_spin_hamiltonian
 
 RNG = np.random.default_rng(7)
 
@@ -258,3 +260,162 @@ class TestTwoMagnon:
         uncovered = [e for e in w2 if min(abs(np.array(found) - e)) > 1e-7]
         assert len(uncovered) == 1
         assert abs(uncovered[0] + 1.0) < 1e-9
+
+
+# counts found by the earlier finite-difference bound-pair search; the
+# analytic Jacobian must find at least these
+TWO_MAGNON_FLOOR = {4: 1, 6: 8, 8: 19, 10: 32, 12: 50, 14: 72, 16: 97}
+
+
+class TestTwoMagnonSizes:
+    @pytest.mark.parametrize("L", sorted(TWO_MAGNON_FLOOR))
+    def test_every_solution_is_an_ed_level(self, L):
+        sols = bae.classify_two_magnon(L)
+        assert len(sols) >= TWO_MAGNON_FLOOR[L]
+        assert len(sols) < bae.two_magnon_reference_count(L)
+        w = ed.diagonalize(ed.build_xxx_hamiltonian(L, 1.0, 2)).eigenvalues
+        for rs, _ in sols:
+            assert np.min(np.abs(w - coordinate.energy_xxx(rs).real)) < 1e-8
+
+    def test_l12_bound_pair(self):
+        # missed by the finite-difference search; E matches ED to 7e-16
+        bound = [rs.values for rs, k in bae.classify_two_magnon(12) if k == "bound-pair"]
+        hit = [v for v in bound if np.min(np.abs(v - (0.57693 + 0.50024j))) < 1e-5]
+        assert len(hit) == 1
+        assert abs(coordinate.energy_xxx(hit[0]).real + 0.749454) < 1e-6
+
+
+class TestStopReason:
+    def test_converged(self):
+        rep = bae.solve_logbae(8, 4, (1, 2, 3, 4))
+        assert rep.converged and rep.stop == "converged"
+
+    def test_xxz_failure_is_explained(self):
+        rep = bae.solve_logbae_xxz(200, 100, 1.5, tuple(range(1, 101)))
+        assert not rep.converged
+        assert rep.stop in bae.STOP_REASONS and rep.stop != "converged"
+
+    def test_rapidities_at_infinity(self):
+        rep = bae.solve_logbae(8, 3, (1, 3, 5))
+        assert not rep.converged and rep.stop == "run_away"
+
+    def test_two_magnon_seed_runs_away(self):
+        # without the run-away rule this seed "converges" at |l| ~ 1e13,
+        # where bae_residual_xxx < 1e-10 accepts it
+        F, J = bae._bound_pair_system(4)
+        z, _, _, stop = bae._damped_newton(F, J, (1.0, 0.5), tol=1e-13, max_iter=100)
+        assert stop == "run_away"
+        assert np.max(np.abs(z)) > bae.ROOT_ESCAPE
+
+
+# ---- property tests of the vectorized layer at random sizes and roots
+
+def _loop_residual_xxx(lam, L):
+    res = 0.0
+    for l in lam:
+        lhs = np.exp(L * (np.log(l - 0.5j) - np.log(l + 0.5j)))
+        rhs = np.exp(np.sum(np.log(l - lam - 1j) - np.log(l - lam + 1j)))
+        res = max(res, abs(lhs + rhs))
+    return res
+
+
+def _loop_residual_xxz(lam, L, gamma):
+    sh = np.sinh
+    res = 0.0
+    for l in lam:
+        lhs = np.exp(L * (np.log(sh(l - 0.5j * gamma)) - np.log(sh(l + 0.5j * gamma))))
+        rhs = np.exp(np.sum(np.log(sh(l - lam - 1j * gamma)) - np.log(sh(l - lam + 1j * gamma))))
+        res = max(res, abs(lhs + rhs))
+    return res
+
+
+def _loop_residual_bose(k, L_ring, c):
+    res = 0.0
+    for kj in k:
+        rhs = np.exp(np.sum(np.log(kj - k + 1j * c) - np.log(kj - k - 1j * c)))
+        res = max(res, abs(np.exp(1j * kj * L_ring) + rhs))
+    return res
+
+
+def _roots(data, n, lo=-2.0, hi=2.0, imag=0.0):
+    re = data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    im = data.draw(st.lists(st.floats(-imag, imag), min_size=n, max_size=n)) if imag else [0.0] * n
+    return np.array(re) + 1j * np.array(im)
+
+
+def _assume_regular(*factors):
+    """Keep draws away from zeros of the product factors, where log gives -inf."""
+    for f in factors:
+        assume(np.min(np.abs(f), initial=1.0) > 1e-3)
+
+
+def _assert_fd_jacobian(F, J, x):
+    Jfd = central_difference_jacobian(F, x)
+    Ja = J(np.array(x, float))
+    assert np.max(np.abs(Ja - Jfd)) < 1e-6 * max(1.0, np.max(np.abs(Ja)))
+
+
+class TestVectorizedProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 12), L=st.integers(4, 64), data=st.data())
+    def test_logbae_jacobian(self, N, L, data):
+        ns = np.arange(1, N + 1, dtype=float)
+        _assert_fd_jacobian(*bae._logbae_system(L, ns), _roots(data, N).real)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 12), L=st.integers(4, 64), gamma=st.floats(0.2, 2.8),
+           data=st.data())
+    def test_xxz_jacobian(self, N, L, gamma, data):
+        ns = np.arange(1, N + 1, dtype=float)
+        _assert_fd_jacobian(*bae._xxz_system(L, gamma, ns), _roots(data, N).real)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 12), ring=st.floats(2.0, 40.0), c=st.floats(0.1, 10.0),
+           data=st.data())
+    def test_bose_jacobian(self, N, ring, c, data):
+        target = 2 * np.pi * (np.arange(1, N + 1) - (N + 1) / 2)
+        _assert_fd_jacobian(*bae._bose_system(ring, c, target),
+                            _roots(data, N, -3.0, 3.0).real)
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.sampled_from(range(4, 17, 2)), lr=st.floats(-3.0, 3.0),
+           d=st.floats(0.1, 1.5))
+    def test_bound_pair_jacobian(self, L, lr, d):
+        # at l = i/2 (the singular pair) G = 0, so _damped_newton stops before
+        # evaluating J, whose p * (1/(l - i/2) - ...) form is 0 * inf there
+        _assume_regular(lr + 1j * d - 0.5j)
+        _assert_fd_jacobian(*bae._bound_pair_system(L), [lr, d])
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(0, 10), L=st.integers(2, 40), data=st.data())
+    def test_xxx_residual_matches_loop(self, N, L, data):
+        lam = _roots(data, N, imag=1.5)
+        _assume_regular(lam - 0.5j, lam + 0.5j)
+        pairs = [abs(a - b) for i, a in enumerate(lam) for b in lam[i + 1:]]
+        assume(min(pairs, default=1.0) > 1e-3)
+        d = lam[:, None] - lam[None, :]
+        _assume_regular(d - 1j, d + 1j)
+        assert np.isclose(bae._pairwise_min_dist(lam), min(pairs, default=np.inf), rtol=1e-14)
+        ref = _loop_residual_xxx(lam, L)
+        assert abs(bae.bae_residual_xxx(lam, L) - ref) <= 1e-10 * max(1.0, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(0, 10), L=st.integers(2, 40), gamma=st.floats(0.2, 2.8),
+           data=st.data())
+    def test_xxz_residual_matches_loop(self, N, L, gamma, data):
+        lam = _roots(data, N, imag=1.0)
+        _assume_regular(np.sinh(lam - 0.5j * gamma), np.sinh(lam + 0.5j * gamma))
+        d = lam[:, None] - lam[None, :]
+        _assume_regular(np.sinh(d - 1j * gamma), np.sinh(d + 1j * gamma))
+        ref = _loop_residual_xxz(lam, L, gamma)
+        assert abs(bae.bae_residual_xxz(lam, L, gamma) - ref) <= 1e-10 * max(1.0, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(0, 10), ring=st.floats(2.0, 40.0), c=st.floats(0.1, 10.0),
+           data=st.data())
+    def test_bose_residual_matches_loop(self, N, ring, c, data):
+        k = _roots(data, N, -3.0, 3.0, imag=0.5)
+        d = k[:, None] - k[None, :]
+        _assume_regular(d + 1j * c, d - 1j * c)
+        ref = _loop_residual_bose(k, ring, c)
+        assert abs(bae.bose_residual(k, ring, c) - ref) <= 1e-10 * max(1.0, ref)

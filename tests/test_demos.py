@@ -1,5 +1,5 @@
-"""Smoke runs of the demos that walk through the six-vertex and algebraic
-Bethe Ansatz layers."""
+"""Smoke runs of the demos that walk through the Bethe-equation,
+thermodynamic-limit, six-vertex and algebraic Bethe Ansatz layers."""
 
 import os
 import subprocess
@@ -13,7 +13,9 @@ import bethelab
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("script", ["04_six_vertex_model.py",
+@pytest.mark.parametrize("script", ["02_bethe_roots_and_vectors.py",
+                                    "03_thermodynamic_limit.py",
+                                    "04_six_vertex_model.py",
                                     "05_algebraic_bethe_and_pairings.py"])
 def test_demo_runs(script):
     # the child imports the same bethelab as this process, installed or not

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bethelab import ed, hubbard
-from oracles import jw_hubbard_block_eigs, jw_hubbard_full
+from oracles import central_difference_jacobian, jw_hubbard_block_eigs, jw_hubbard_full
 
 RNG = np.random.default_rng(31)
 
@@ -121,6 +123,48 @@ class TestLiebWu:
         roots = hubbard.NestedRoots(4, [], [], 0.9)
         E, P = hubbard.energy_momentum(roots)
         assert E == pytest.approx(0.9 * 4) and P == 0.0
+
+
+def _loop_liebwu_residual(k, lam, u, L):
+    res = 0.0
+    for kj in k:
+        rhs = np.exp(np.sum(np.log(lam - np.sin(kj) - 1j * u)
+                            - np.log(lam - np.sin(kj) + 1j * u)))
+        res = max(res, abs(np.exp(1j * kj * L) - rhs))
+    for l in range(len(lam)):
+        lhs = np.exp(np.sum(np.log(lam[l] - np.sin(k) - 1j * u)
+                            - np.log(lam[l] - np.sin(k) + 1j * u)))
+        others = np.delete(lam, l)
+        rhs = np.exp(np.sum(np.log(lam[l] - others - 2j * u)
+                            - np.log(lam[l] - others + 2j * u)))
+        res = max(res, abs(lhs - rhs))
+    return res
+
+
+class TestLiebWuProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 8), u=st.floats(0.5, 4.0), data=st.data())
+    def test_jacobian_matches_central_difference(self, N, u, data):
+        L, M = data.draw(st.integers(N, 32)), data.draw(st.integers(0, N // 2))
+        ns = np.arange(N, dtype=float) - N // 2
+        ss = np.arange(M, dtype=float)
+        k = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=N, max_size=N))
+        lam = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=M, max_size=M))
+        F, J = hubbard._liebwu_system(L, N, M, u, ns, ss)
+        z = np.array(k + lam, float)
+        Ja = J(z)
+        assert np.max(np.abs(Ja - central_difference_jacobian(F, z))) \
+            < 1e-6 * max(1.0, np.max(np.abs(Ja)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 8), u=st.floats(0.5, 4.0), data=st.data())
+    def test_residual_matches_loop(self, N, u, data):
+        L, M = data.draw(st.integers(N, 32)), data.draw(st.integers(0, N // 2))
+        k = np.array(data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=N, max_size=N)))
+        lam = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=M, max_size=M)))
+        roots = hubbard.NestedRoots(L, k, lam, u)
+        ref = _loop_liebwu_residual(roots.k, roots.lam, u, L)
+        assert abs(hubbard.liebwu_residual(roots) - ref) <= 1e-10 * max(1.0, ref)
 
 
 class TestNestedWavefunction:

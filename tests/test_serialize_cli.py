@@ -208,6 +208,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lmax", ["2", "4"])
+    def test_ice_entropy_too_few_sizes_is_config_error(self, lmax, capsys):
+        assert main(["vertex", "ice-entropy", "--lmax", lmax]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("lmax", [6, 8, 12])
+    def test_ice_entropy_fits_three_or_more_sizes(self, lmax, capsys):
+        assert main(["vertex", "ice-entropy", "--lmax", str(lmax)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["table"]) == lmax // 2
+        assert abs(report["extrapolated"] - report["exact_2d"]) < 2e-2
+
     @pytest.mark.parametrize("command", ["liebwu", "verify"])
     def test_hubbard_zero_u_is_config_error(self, command, capsys):
         argv = ["hubbard", command, "--L", "6", "--N", "2", "--M", "1", "--u", "0",

@@ -102,6 +102,14 @@ class TestMonodromy:
         with pytest.raises(ValueError):
             sixvertex.ice_entropy(0)
 
+    @pytest.mark.parametrize("L_max", [2, 4])
+    def test_ice_entropy_needs_three_sizes(self, L_max):
+        # the fit s_inf + a/L + b/L^2 has three unknowns
+        with pytest.raises(ValueError, match="three"):
+            sixvertex.ice_entropy(L_max)
+        table, _ = sixvertex.ice_entropy(8, L_min=4)
+        assert [L for L, _ in table] == [4, 6, 8]
+
     @pytest.mark.parametrize("L", [2, 4, 6])
     def test_rtt_relation(self, L):
         xi = RNG.normal(size=L) * 0.3

@@ -50,6 +50,14 @@ class TestRootDensity:
         mids = 0.5 * (rd.nodes[40:80:4] + rd.nodes[41:81:4])
         assert thermo.equation_residual(rd, mids) < 1e-8
 
+    def test_quadrature_rule_cached_read_only(self):
+        x, w = thermo._gauss_legendre(64)
+        assert thermo._gauss_legendre(64)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        a = thermo.solve_root_density(2.0, 64)
+        b = thermo.solve_root_density(2.0, 64)
+        assert np.array_equal(a.values, b.values)
+
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             thermo.solve_root_density(-1.0)
@@ -84,6 +92,14 @@ class TestCondensation:
         gaps = [r["gap"] for r in rows]
         assert gaps[0] > gaps[1] > gaps[2]
         assert abs(rows[-1]["integral"] + np.log(2)) < 1e-10
+
+    def test_large_l_gap_scaling(self):
+        # gap ~ (pi^2/12)/L^2 with log corrections, solved up to N = 1000 roots
+        Ls = [8, 16, 32, 64, 128, 250, 500, 1000, 2000]
+        rows = thermo.condensation_check(Ls, lambda lam: -0.5 / (lam ** 2 + 0.25))
+        gaps = [r["gap"] for r in rows]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert all(r["gap"] < 1 / r["L"] ** 2 for r in rows)
 
     def test_odd_observable_vanishes(self):
         rows = thermo.condensation_check([8, 10], lambda lam: lam)
