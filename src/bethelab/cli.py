@@ -1,6 +1,6 @@
 """Command-line front end: reproducible experiments over the library modules.
 
-Groups and subcommands:
+Groups and subcommands, one entry each in the `COMMANDS` table:
 
     ed spectrum                     sector or full spectra of XXX/XXZ chains
     bae solve|residual|two-magnon   Bethe-equation work for XXX chains
@@ -11,17 +11,23 @@ Groups and subcommands:
     hubbard ed|liebwu|verify
     verify ybe                      alias of `vertex ybe`
 
-Every subcommand accepts `--json FILE` (a config overriding the flags, the
-serialized form of the run) and `--out DIR` (artifact directory; default
-prints to stdout).  Reports are canonical JSON: identical config and seed give
-byte-identical bytes.  Exit codes: 0 success, 2 config error, 3 solver
-non-convergence, 4 invariant violation.
+A subcommand takes the flags its table entry names and no others
+(`bethelab GROUP COMMAND --help` lists them), plus `--json FILE` (a config
+overriding the flags, the serialized form of the run), `--out DIR` (artifact
+directory; default prints to stdout) and `--seed`.  Only the invoked
+subcommand's parser is built.  A parameter the subcommand (or its `--model`)
+does not read, in flags or in --json, and a missing required one are config
+errors.  Reports are canonical JSON: identical config and seed give
+byte-identical bytes.  Exit codes: 0 success, 2 config error (one
+`config error:` line on stderr), 3 solver non-convergence, 4 invariant
+violation.
 """
 
 import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +82,9 @@ class ExperimentConfig:
         return cls.from_dict(serialize.loads(text))
 
 
-def _emit(report, cfg, extra_files=()):
-    text = serialize.dumps(report) + "\n"
+def _emit(cfg, report, extra_files=(), status=EXIT_OK):
+    """Write `report` with the run's config embedded; return the exit status."""
+    text = serialize.dumps({"config": cfg.report_dict(), **report}) + "\n"
     if cfg.out:
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -86,6 +93,7 @@ def _emit(report, cfg, extra_files=()):
             (outdir / name).write_text(content)
     else:
         sys.stdout.write(text)
+    return status
 
 
 def _parse_qnums(text):
@@ -93,84 +101,63 @@ def _parse_qnums(text):
 
 
 def _parse_roots(text):
-    vals = []
-    for part in str(text).split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        re_im = [float(t) for t in part.split(",")]
-        vals.append(re_im[0] + 1j * (re_im[1] if len(re_im) > 1 else 0.0))
-    return np.array(vals, complex)
+    pairs = [[float(t) for t in part.split(",")] for part in str(text).split(";")
+             if part.strip()]
+    return np.array([z[0] + 1j * (z[1] if len(z) > 1 else 0.0) for z in pairs], complex)
 
 
 # ---------------------------------------------------------------- commands
+# Each takes the run's parameters `p` (flag strings, or --json values) and its
+# config, writes the report, and returns the exit status.
 
 
-def cmd_ed_spectrum(cfg):
-    p = cfg.params
+def cmd_ed_spectrum(p, cfg):
     L = int(p["L"])
     model = p.get("model", "xxx")
     sector = p.get("sector", "full")
     sector = None if sector in (None, "full") else int(sector)
     if model == "xxx":
         op = ed.build_xxx_hamiltonian(L, float(p.get("J", 1.0)), sector)
-    elif model == "xxz":
+    else:  # xxz: _check_params admits only the models in COMMANDS
         op = ed.build_xxz_hamiltonian(L, float(p["delta"]), sector)
-    else:
-        raise ConfigError(f"unknown model {model!r}")
     k = p.get("k")
     spec = ed.diagonalize(op, None if k is None else int(k))
-    report = {"config": cfg.report_dict(), "eigenvalues": list(map(float, spec.eigenvalues))}
-    _emit(report, cfg, [("spectrum.csv", serialize.spectrum_to_csv(spec))])
-    return EXIT_OK
+    return _emit(cfg, {"eigenvalues": list(map(float, spec.eigenvalues))},
+                 [("spectrum.csv", serialize.spectrum_to_csv(spec))])
 
 
-def cmd_bae_solve(cfg):
-    p = cfg.params
+def cmd_bae_solve(p, cfg):
     rep = bae.solve_logbae(int(p["L"]), int(p["N"]), _parse_qnums(p["qnums"]))
-    report = {"config": cfg.report_dict(), "solve": serialize.solve_report_to_dict(rep)}
+    report = {"solve": serialize.solve_report_to_dict(rep)}
     if rep.converged:
         report["energy"] = serialize.complex_pair(
             coordinate.energy_xxx(rep.roots, float(p.get("J", 1.0))))
-    _emit(report, cfg)
-    return EXIT_OK if rep.converged else EXIT_NOCONV
+    return _emit(cfg, report, status=EXIT_OK if rep.converged else EXIT_NOCONV)
 
 
-def cmd_bae_residual(cfg):
-    p = cfg.params
+def cmd_bae_residual(p, cfg):
     roots = _parse_roots(p["roots"])
-    res = bae.bae_residual_xxx(roots, int(p["L"]))
     adm, reasons = bae.admissibility(roots)
-    _emit({"config": cfg.report_dict(), "residual": res,
-           "admissible": adm, "reasons": reasons}, cfg)
-    return EXIT_OK
+    return _emit(cfg, {"residual": bae.bae_residual_xxx(roots, int(p["L"])),
+                       "admissible": adm, "reasons": reasons})
 
 
-def cmd_bae_two_magnon(cfg):
-    p = cfg.params
+def cmd_bae_two_magnon(p, cfg):
     L = int(p["L"])
-    sols = bae.classify_two_magnon(L)
-    rows = []
-    for rs, kind in sols:
-        rows.append({"kind": kind, "roots": serialize.complex_list(rs.values),
-                     "energy": serialize.complex_pair(coordinate.energy_xxx(rs)),
-                     "residual": bae.bae_residual_xxx(rs.values, L)})
-    _emit({"config": cfg.report_dict(), "count": len(rows),
-           "reference_level_count": bae.two_magnon_reference_count(L),
-           "solutions": rows}, cfg)
-    return EXIT_OK
+    rows = [{"kind": kind, "roots": serialize.complex_list(rs.values),
+             "energy": serialize.complex_pair(coordinate.energy_xxx(rs)),
+             "residual": bae.bae_residual_xxx(rs.values, L)}
+            for rs, kind in bae.classify_two_magnon(L)]
+    return _emit(cfg, {"count": len(rows), "solutions": rows,
+                       "reference_level_count": bae.two_magnon_reference_count(L)})
 
 
-def cmd_vector_build(cfg):
-    p = cfg.params
-    roots = _parse_roots(p["roots"])
-    v = coordinate.offshell_vector(roots, int(p["L"]))
-    _emit({"config": cfg.report_dict(), "vector": serialize.complex_list(v)}, cfg)
-    return EXIT_OK
+def cmd_vector_build(p, cfg):
+    v = coordinate.offshell_vector(_parse_roots(p["roots"]), int(p["L"]))
+    return _emit(cfg, {"vector": serialize.complex_list(v)})
 
 
-def cmd_vector_verify(cfg):
-    p = cfg.params
+def cmd_vector_verify(p, cfg):
     L = int(p["L"])
     roots = _parse_roots(p["roots"])
     N = len(roots)
@@ -184,47 +171,34 @@ def cmd_vector_verify(cfg):
     shift = ed.shift_sector_matrix(ed.build_sector_basis(L, N))
     mom_res = float(np.linalg.norm(shift @ v - np.exp(1j * complex(P)) * v))
     tol = float(p.get("tol", 1e-8))
-    report = {"config": cfg.report_dict(), "bae_residual": bres,
-              "eigenvector_residual": h_res, "hw_residual": hw_res,
-              "momentum_residual": mom_res,
-              "energy": serialize.complex_pair(E)}
-    _emit(report, cfg)
-    if bres < 1e-10 and (h_res > tol or hw_res > tol or mom_res > tol):
-        return EXIT_INVARIANT
-    return EXIT_OK
+    broken = bres < 1e-10 and (h_res > tol or hw_res > tol or mom_res > tol)
+    return _emit(cfg, {"bae_residual": bres, "eigenvector_residual": h_res,
+                       "hw_residual": hw_res, "momentum_residual": mom_res,
+                       "energy": serialize.complex_pair(E)},
+                 status=EXIT_INVARIANT if broken else EXIT_OK)
 
 
-def cmd_thermo_density(cfg):
-    p = cfg.params
-    q = float("inf") if str(p.get("q", "inf")) in ("inf", "Infinity") else float(p["q"])
-    rd = thermo.solve_root_density(q, int(p.get("n_nodes", 128)))
-    _emit({"config": cfg.report_dict(), "D": thermo.density_D(rd),
-           "density": serialize.root_density_to_dict(rd)}, cfg)
-    return EXIT_OK
+def cmd_thermo_density(p, cfg):
+    rd = thermo.solve_root_density(float(p.get("q", "inf")), int(p.get("n_nodes", 128)))
+    return _emit(cfg, {"D": thermo.density_D(rd),
+                       "density": serialize.root_density_to_dict(rd)})
 
 
-def cmd_thermo_gs_energy(cfg):
-    p = cfg.params
-    q = float("inf") if str(p.get("q", "inf")) in ("inf", "Infinity") else float(p["q"])
-    rd = thermo.solve_root_density(q, int(p.get("n_nodes", 128)))
+def cmd_thermo_gs_energy(p, cfg):
+    rd = thermo.solve_root_density(float(p.get("q", "inf")), int(p.get("n_nodes", 128)))
     e = thermo.gs_energy_density(rd, float(p.get("J", 1.0)))
-    report = {"config": cfg.report_dict(), "energy_per_site": e,
-              "minus_ln2": -float(np.log(2)), "deviation": abs(e + np.log(2))}
-    _emit(report, cfg)
-    return EXIT_OK
+    return _emit(cfg, {"energy_per_site": e, "minus_ln2": -float(np.log(2)),
+                       "deviation": abs(e + np.log(2))})
 
 
-def cmd_thermo_condensation(cfg):
-    p = cfg.params
+def cmd_thermo_condensation(p, cfg):
     Ls = list(range(int(p.get("lmin", 8)), int(p.get("lmax", 16)) + 1, 2))
     rows = thermo.condensation_check(Ls, lambda lam: -0.5 / (lam ** 2 + 0.25))
-    _emit({"config": cfg.report_dict(), "rows": rows}, cfg,
-          [("condensation.csv", serialize.condensation_csv(rows))])
-    return EXIT_OK
+    return _emit(cfg, {"rows": rows},
+                 [("condensation.csv", serialize.condensation_csv(rows))])
 
 
-def cmd_vertex_ybe(cfg):
-    p = cfg.params
+def cmd_vertex_ybe(p, cfg):
     trials = int(p.get("trials", 100))
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -232,64 +206,49 @@ def cmd_vertex_ybe(cfg):
         lam, mu, nu = rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
         eta = 0.3 if i % 2 == 0 else 0.7 + 0.2j
         worst = max(worst, sixvertex.ybe_residual(lam, mu, nu, eta))
-    _emit({"config": cfg.report_dict(), "trials": trials, "max_residual": worst}, cfg)
-    return EXIT_OK if worst < 1e-12 else EXIT_INVARIANT
+    return _emit(cfg, {"trials": trials, "max_residual": worst},
+                 status=EXIT_OK if worst < 1e-12 else EXIT_INVARIANT)
 
 
-def cmd_vertex_transfer(cfg):
-    p = cfg.params
-    L = int(p["L"])
+def cmd_vertex_transfer(p, cfg):
     w = sixvertex.VertexWeights.from_parameters(
         complex(p.get("rho", 1.0)), 0.0, complex(p["eta"]))
-    t = sixvertex.transfer(complex(p.get("lambda", 0.0)), L, w)
-    _emit({"config": cfg.report_dict(),
-           "matrix": serialize.matrix_to_dict(t.matrix)}, cfg)
-    return EXIT_OK
+    t = sixvertex.transfer(complex(p.get("lambda", 0.0)), int(p["L"]), w)
+    return _emit(cfg, {"matrix": serialize.matrix_to_dict(t.matrix)})
 
 
-def cmd_vertex_partition(cfg):
-    p = cfg.params
+def cmd_vertex_partition(p, cfg):
     L, M = int(p["L"]), int(p["M"])
-    a, b, c = (p.get("a", 1), p.get("b", 1), p.get("c", 1))
-    ints = all(float(x) == int(float(x)) for x in (a, b, c))
-    if ints:
-        a, b, c = int(float(a)), int(float(b)), int(float(c))
-    else:
-        a, b, c = float(a), float(b), float(c)
+    abc = [p.get(x, 1) for x in "abc"]
+    ints = all(float(x) == int(float(x)) for x in abc)
+    a, b, c = (int(float(x)) if ints else float(x) for x in abc)
     z = sixvertex.partition_function(L, M, a, b, c)
-    report = {"config": cfg.report_dict(), "Z": serialize.complex_pair(z)}
+    report = {"Z": serialize.complex_pair(z)}
     status = EXIT_OK
     if L * M <= 12:
         ze = sixvertex.enumerate_partition(L, M, a, b, c)
         report["Z_enumeration"] = serialize.complex_pair(complex(ze))
         if abs(z - complex(ze)) > 1e-8 * max(1.0, abs(z)):
             status = EXIT_INVARIANT
-    _emit(report, cfg)
-    return status
+    return _emit(cfg, report, status=status)
 
 
-def cmd_vertex_ice_entropy(cfg):
-    p = cfg.params
+def cmd_vertex_ice_entropy(p, cfg):
     table, s_inf = sixvertex.ice_entropy(int(p.get("lmax", 12)))
-    report = {"config": cfg.report_dict(),
-              "table": [{"L": L, "s": s} for L, s in table],
-              "extrapolated": s_inf,
-              "exact_2d": float(1.5 * np.log(4 / 3))}
-    _emit(report, cfg, [("entropy.csv", serialize.entropy_csv(table))])
-    return EXIT_OK
+    return _emit(cfg, {"table": [{"L": L, "s": s} for L, s in table],
+                       "extrapolated": s_inf, "exact_2d": float(1.5 * np.log(4 / 3))},
+                 [("entropy.csv", serialize.entropy_csv(table))])
 
 
-def cmd_vertex_hamiltonian_link(cfg):
-    p = cfg.params
+def cmd_vertex_hamiltonian_link(p, cfg):
     op, dev = sixvertex.hamiltonian_from_transfer(
         int(p.get("L", 4)), float(p.get("eta", 0.3)), float(p.get("rho", 1.0)),
         float(p.get("J", 1.0)), float(p.get("step", 1e-5)))
-    _emit({"config": cfg.report_dict(), "max_deviation": dev}, cfg)
-    return EXIT_OK if dev < float(p.get("tol", 1e-6)) else EXIT_INVARIANT
+    return _emit(cfg, {"max_deviation": dev},
+                 status=EXIT_OK if dev < float(p.get("tol", 1e-6)) else EXIT_INVARIANT)
 
 
-def cmd_aba_slavnov(cfg):
-    p = cfg.params
+def cmd_aba_slavnov(p, cfg):
     L = int(p.get("L", 8))
     N = int(p.get("N", 2))
     gamma = float(p.get("gamma", 0.6))
@@ -298,20 +257,17 @@ def cmd_aba_slavnov(cfg):
     mu = aba.onshell_roots(L, N, gamma)
     rng = np.random.default_rng(cfg.seed)
     reports = []
-    worst = 0.0
     for _ in range(trials):
         la = mu + rng.normal(size=N) * 0.2 + 1j * rng.normal(size=N) * 0.2
         sv = aba.slavnov_ratio(mu, la, L, eta)
         bf = aba.pairing_ratio_bruteforce(mu, la, L, eta)
-        rep = serialize.pairing_report(L, N, mu, la, sv, bf)
-        worst = max(worst, rep["rel_err"])
-        reports.append(rep)
-    _emit({"config": cfg.report_dict(), "pairings": reports, "max_rel_err": worst}, cfg)
-    return EXIT_OK if worst < 1e-9 else EXIT_INVARIANT
+        reports.append(serialize.pairing_report(L, N, mu, la, sv, bf))
+    worst = max([0.0] + [rep["rel_err"] for rep in reports])
+    return _emit(cfg, {"pairings": reports, "max_rel_err": worst},
+                 status=EXIT_OK if worst < 1e-9 else EXIT_INVARIANT)
 
 
-def cmd_aba_verify_action(cfg):
-    p = cfg.params
+def cmd_aba_verify_action(p, cfg):
     L = int(p.get("L", 6))
     N = int(p.get("N", 2))
     trials = int(p.get("trials", 3))
@@ -321,128 +277,167 @@ def cmd_aba_verify_action(cfg):
     for _ in range(trials):
         params = rng.normal(size=N + 1) * 0.5 + 1j * rng.normal(size=N + 1) * 0.3
         worst = max(worst, aba.offshell_action_residual(params, 0, L, eta))
-    _emit({"config": cfg.report_dict(), "max_residual": worst}, cfg)
-    return EXIT_OK if worst < 1e-10 else EXIT_INVARIANT
+    return _emit(cfg, {"max_residual": worst},
+                 status=EXIT_OK if worst < 1e-10 else EXIT_INVARIANT)
 
 
-def cmd_hubbard_ed(cfg):
-    p = cfg.params
+def cmd_hubbard_ed(p, cfg):
     op = hubbard.build_hubbard_hamiltonian(
         int(p["L"]), float(p["u"]), (int(p["N"]), int(p["M"])))
     spec = ed.diagonalize(op)
-    _emit({"config": cfg.report_dict(),
-           "eigenvalues": list(map(float, spec.eigenvalues))}, cfg,
-          [("spectrum.csv", serialize.spectrum_to_csv(spec))])
-    return EXIT_OK
+    return _emit(cfg, {"eigenvalues": list(map(float, spec.eigenvalues))},
+                 [("spectrum.csv", serialize.spectrum_to_csv(spec))])
 
 
-def cmd_hubbard_liebwu(cfg):
-    p = cfg.params
-    roots, res, ok = hubbard.solve_liebwu(
-        int(p["L"]), int(p["N"]), int(p["M"]), float(p["u"]),
-        _parse_qnums(p["qnums"]), _parse_qnums(p.get("spin_qnums", "")) or ())
+def _solve_liebwu(p):
+    return hubbard.solve_liebwu(int(p["L"]), int(p["N"]), int(p["M"]), float(p["u"]),
+                                _parse_qnums(p["qnums"]), _parse_qnums(p.get("spin_qnums", "")))
+
+
+def cmd_hubbard_liebwu(p, cfg):
+    roots, res, ok = _solve_liebwu(p)
     E, P = hubbard.energy_momentum(roots)
-    report = {"config": cfg.report_dict(),
-              "roots": serialize.nested_roots_to_dict(roots),
-              "residual": res, "converged": ok,
-              "E": float(np.real(E)), "P": P}
-    _emit(report, cfg)
-    return EXIT_OK if ok else EXIT_NOCONV
+    return _emit(cfg, {"roots": serialize.nested_roots_to_dict(roots),
+                       "residual": res, "converged": ok, "E": float(np.real(E)), "P": P},
+                 status=EXIT_OK if ok else EXIT_NOCONV)
 
 
-def cmd_hubbard_verify(cfg):
-    p = cfg.params
-    L, N, M = int(p["L"]), int(p["N"]), int(p["M"])
-    u = float(p["u"])
-    roots, res, ok = hubbard.solve_liebwu(
-        L, N, M, u, _parse_qnums(p["qnums"]), _parse_qnums(p.get("spin_qnums", "")) or ())
+def cmd_hubbard_verify(p, cfg):
+    roots, res, ok = _solve_liebwu(p)
     if not ok:
-        _emit({"config": cfg.report_dict(), "converged": False, "residual": res}, cfg)
-        return EXIT_NOCONV
-    basis = hubbard.FermionBasis(L, N, M)
-    H = hubbard.build_hubbard_hamiltonian(L, u, basis).matrix
+        return _emit(cfg, {"converged": False, "residual": res}, status=EXIT_NOCONV)
+    basis = hubbard.FermionBasis(int(p["L"]), int(p["N"]), int(p["M"]))
+    H = hubbard.build_hubbard_hamiltonian(basis.L, float(p["u"]), basis).matrix
     v = hubbard.assemble_state(roots, basis)
     E, P = hubbard.energy_momentum(roots)
     h_res = float(np.linalg.norm(H @ v - np.real(E) * v))
-    tol = float(p.get("tol", 1e-8))
-    report = {"config": cfg.report_dict(), "converged": True,
-              "roots": serialize.nested_roots_to_dict(roots),
-              "liebwu_residual": hubbard.liebwu_residual(roots),
-              "eigenvector_residual": h_res, "E": float(np.real(E)), "P": P}
-    _emit(report, cfg)
-    return EXIT_OK if h_res < tol else EXIT_INVARIANT
+    return _emit(cfg, {"converged": True, "roots": serialize.nested_roots_to_dict(roots),
+                       "liebwu_residual": hubbard.liebwu_residual(roots),
+                       "eigenvector_residual": h_res, "E": float(np.real(E)), "P": P},
+                 status=EXIT_OK if h_res < float(p.get("tol", 1e-8)) else EXIT_INVARIANT)
+
+
+class Command(NamedTuple):
+    """A subcommand's function and the parameters it reads.  `spec` lists their
+    names, a trailing `!` marking a required one; `models` maps each `--model`
+    value (the first is the default) to the spec of those only it reads."""
+    run: object
+    spec: str
+    models: dict = None
+
+    def params(self, model=None):
+        """(names, required names) read under `model`, or under any model."""
+        words = " ".join([self.spec, *(s for m, s in (self.models or {}).items()
+                                       if model in (None, m))]).split()
+        return ([w.rstrip("!") for w in words],
+                {w.rstrip("!") for w in words if w.endswith("!")})
 
 
 COMMANDS = {
-    "ed/spectrum": cmd_ed_spectrum,
-    "bae/solve": cmd_bae_solve,
-    "bae/residual": cmd_bae_residual,
-    "bae/two-magnon": cmd_bae_two_magnon,
-    "bethe-vector/build": cmd_vector_build,
-    "bethe-vector/verify": cmd_vector_verify,
-    "thermo/density": cmd_thermo_density,
-    "thermo/gs-energy": cmd_thermo_gs_energy,
-    "thermo/condensation": cmd_thermo_condensation,
-    "vertex/ybe": cmd_vertex_ybe,
-    "vertex/transfer": cmd_vertex_transfer,
-    "vertex/partition": cmd_vertex_partition,
-    "vertex/ice-entropy": cmd_vertex_ice_entropy,
-    "vertex/hamiltonian-link": cmd_vertex_hamiltonian_link,
-    "aba/slavnov": cmd_aba_slavnov,
-    "aba/verify-action": cmd_aba_verify_action,
-    "hubbard/ed": cmd_hubbard_ed,
-    "hubbard/liebwu": cmd_hubbard_liebwu,
-    "hubbard/verify": cmd_hubbard_verify,
-    "verify/ybe": cmd_vertex_ybe,
+    "ed/spectrum": Command(cmd_ed_spectrum, "L! model sector k",
+                           {"xxx": "J", "xxz": "delta!"}),
+    "bae/solve": Command(cmd_bae_solve, "L! N! qnums! J"),
+    "bae/residual": Command(cmd_bae_residual, "L! roots!"),
+    "bae/two-magnon": Command(cmd_bae_two_magnon, "L!"),
+    "bethe-vector/build": Command(cmd_vector_build, "L! roots!"),
+    "bethe-vector/verify": Command(cmd_vector_verify, "L! roots! tol"),
+    "thermo/density": Command(cmd_thermo_density, "q n_nodes"),
+    "thermo/gs-energy": Command(cmd_thermo_gs_energy, "q n_nodes J"),
+    "thermo/condensation": Command(cmd_thermo_condensation, "lmin lmax"),
+    "vertex/ybe": Command(cmd_vertex_ybe, "trials"),
+    "vertex/transfer": Command(cmd_vertex_transfer, "L! eta! rho lambda"),
+    "vertex/partition": Command(cmd_vertex_partition, "L! M! a b c"),
+    "vertex/ice-entropy": Command(cmd_vertex_ice_entropy, "lmax"),
+    "vertex/hamiltonian-link": Command(cmd_vertex_hamiltonian_link,
+                                       "L eta rho J step tol"),
+    "aba/slavnov": Command(cmd_aba_slavnov, "L N gamma trials"),
+    "aba/verify-action": Command(cmd_aba_verify_action, "L N trials eta"),
+    "hubbard/ed": Command(cmd_hubbard_ed, "L! N! M! u!"),
+    "hubbard/liebwu": Command(cmd_hubbard_liebwu, "L! N! M! u! qnums! spin_qnums"),
+    "hubbard/verify": Command(cmd_hubbard_verify, "L! N! M! u! qnums! spin_qnums tol"),
+    "verify/ybe": Command(cmd_vertex_ybe, "trials"),
 }
 
-_GROUP_HELP = {
-    "ed": ["spectrum"],
-    "bae": ["solve", "residual", "two-magnon"],
-    "bethe-vector": ["build", "verify"],
-    "thermo": ["density", "gs-energy", "condensation"],
-    "vertex": ["ybe", "transfer", "partition", "ice-entropy", "hamiltonian-link"],
-    "aba": ["slavnov", "verify-action"],
-    "hubbard": ["ed", "liebwu", "verify"],
-    "verify": ["ybe"],
-}
 
-_KNOWN_FLAGS = [
-    "L", "N", "M", "J", "u", "delta", "gamma", "eta", "rho", "q", "a", "b", "c",
-    "k", "qnums", "spin_qnums", "roots", "sector", "trials", "lmin", "lmax",
-    "n_nodes", "step", "tol", "lambda", "model",
-]
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bethelab",
-        description="Bethe Ansatz laboratory: solvers and cross-checks "
-                    "for integrable chains and vertex models.")
+class _Parser(argparse.ArgumentParser):
+    """Parse errors are config errors: one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")
+
+
+def _listing_parser():
+    """Groups and their commands, without per-command flags: for `--help`,
+    `<group> --help` and unknown subcommands only."""
+    parser = _Parser(prog="bethelab",
+                     description="Bethe Ansatz laboratory: solvers and cross-checks "
+                                 "for integrable chains and vertex models.  "
+                                 "`bethelab GROUP COMMAND --help` lists its flags.")
+    groups = {}
+    for key in COMMANDS:
+        group, command = key.split("/")
+        groups.setdefault(group, []).append(command)
     sub = parser.add_subparsers(dest="group", metavar="GROUP")
-    for group, cmds in _GROUP_HELP.items():
-        gp = sub.add_parser(group, help=f"subcommands: {', '.join(cmds)}")
-        gsub = gp.add_subparsers(dest="command", metavar="COMMAND")
-        for cmd in cmds:
-            cp = gsub.add_parser(cmd)
-            cp.add_argument("--json", help="config file overriding the flags")
-            cp.add_argument("--out", help="artifact directory")
-            cp.add_argument("--seed", type=int, default=0)
-            for flag in _KNOWN_FLAGS:
-                cp.add_argument(f"--{flag.replace('_', '-')}", dest=flag)
+    for group, commands in groups.items():
+        gsub = sub.add_parser(group, help=f"subcommands: {', '.join(commands)}",
+                              description=f"`bethelab {group} COMMAND --help` lists "
+                                          "the flags of COMMAND."
+                              ).add_subparsers(dest="command", metavar="COMMAND")
+        for command in commands:
+            gsub.add_parser(command, help="")
     return parser
 
 
+def _command_parser(key):
+    """The parser of one subcommand, with only the flags it reads."""
+    cmd = COMMANDS[key]
+    parser = _Parser(prog=f"bethelab {key.replace('/', ' ')}")
+    parser.add_argument("--json", help="config file overriding the flags")
+    parser.add_argument("--out", help="artifact directory")
+    parser.add_argument("--seed", type=int, default=0)
+    specs = [(cmd.spec, [])] + [(s, [f"--model {m} only"])
+                                for m, s in (cmd.models or {}).items()]
+    for spec, notes in specs:
+        for word in spec.split():
+            name = word.rstrip("!")
+            note = notes + ["required"] if word.endswith("!") else notes
+            parser.add_argument(_flag(name), dest=name, help=", ".join(note) or None)
+    return parser
+
+
+def _check_params(key, params):
+    """Reject a parameter that subcommand `key` (under its `--model`) does not
+    read, and name each required one that is missing."""
+    cmd = COMMANDS[key]
+    model = None
+    if cmd.models:
+        model = params.get("model", next(iter(cmd.models)))
+        if model not in cmd.models:
+            raise ConfigError(f"unknown model {model!r}")
+        key = f"{key} --model {model}"
+    names, required = cmd.params(model)
+    extra = [n for n in params if n not in names]
+    if extra:
+        raise ConfigError(f"{key} does not take {', '.join(map(_flag, extra))}")
+    missing = [n for n in names if n in required and params.get(n) is None]
+    if missing:
+        raise ConfigError(f"{key} needs {', '.join(map(_flag, missing))}")
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "group", None) or not getattr(args, "command", None):
-        parser.print_help()
-        return EXIT_CONFIG
-    key = f"{args.group}/{args.command}"
+    argv = sys.argv[1:] if argv is None else list(argv)
+    key = "/".join(argv[:2])
     if key not in COMMANDS:
-        sys.stderr.write(f"unknown subcommand {key}\n")
+        listing = _listing_parser()
+        listing.parse_args(argv)  # help exits 0; an unknown name exits 2
+        listing.print_help()
         return EXIT_CONFIG
+    cmd = COMMANDS[key]
+    args = _command_parser(key).parse_args(argv[2:])
     try:
         if args.json:
             cfg = ExperimentConfig.loads(Path(args.json).read_text())
@@ -450,12 +445,13 @@ def main(argv=None):
                 cfg.out = args.out
         else:
             params = {k: v for k, v in vars(args).items()
-                      if k in _KNOWN_FLAGS and v is not None}
+                      if v is not None and k not in ("json", "out", "seed")}
             cfg = ExperimentConfig(key, params, args.seed, args.out)
         if cfg.command != key:
             raise ConfigError(
                 f"config command {cfg.command!r} does not match {key!r}")
-        return COMMANDS[key](cfg)
+        _check_params(key, cfg.params)
+        return cmd.run(cfg.params, cfg)
     except (ConfigError, KeyError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -38,7 +38,12 @@ def _driving(lam):
 
 
 def _kernel(d):
-    return 1.0 / (np.pi * (1.0 + d ** 2))
+    """1 / (pi (1 + d^2)), evaluated in place: `d` is a fresh float array of
+    differences and is overwritten, so an n x n kernel needs one n x n array."""
+    np.square(d, out=d)
+    d += 1.0
+    d *= np.pi
+    return np.divide(1.0, d, out=d)
 
 
 def closed_form_density(lam):
@@ -81,8 +86,10 @@ def solve_root_density(q, n_nodes=N_NODES_DEFAULT):
     x, w = _gauss_legendre(n_nodes)
     nodes = q * x
     weights = q * w
-    K = _kernel(nodes[:, None] - nodes[None, :]) * weights[None, :]
-    rho = np.linalg.solve(np.eye(n_nodes) + K, _driving(nodes))
+    A = _kernel(nodes[:, None] - nodes[None, :])
+    A *= weights  # K_ij = kernel(l_i - l_j) w_j
+    A[np.diag_indices(n_nodes)] += 1.0  # I + K in place: no second n x n array
+    rho = np.linalg.solve(A, _driving(nodes))
     return RootDensity(q, nodes, weights, rho)
 
 

@@ -139,17 +139,102 @@ class TestCli:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b and len(a) > 0
 
-    def test_ed_spectrum_k_flag_matches_json(self, tmp_path, capsys):
-        params = {"model": "xxx", "L": "8", "sector": "4", "k": "2"}
-        flags = [f"--{k}={v}" for k, v in params.items()]
-        assert main(["ed", "spectrum", *flags, "--out", str(tmp_path / "a")]) == EXIT_OK
+    @pytest.mark.parametrize("command, params, seed", [
+        pytest.param("ed/spectrum", {"model": "xxx", "L": "8", "sector": "4", "k": "2"},
+                     0, id="ed-spectrum"),
+        pytest.param("thermo/density", {"q": "2.5", "n_nodes": "32"}, 0,
+                     id="thermo-density"),
+        pytest.param("vertex/partition", {"L": "2", "M": "2", "a": "1", "b": "2", "c": "1"},
+                     0, id="vertex-partition"),
+        pytest.param("bae/solve", {"L": "6", "N": "2", "qnums": "1,2", "J": "-1"}, 0,
+                     id="bae-solve"),
+        pytest.param("vertex/ybe", {"trials": "4"}, 11, id="vertex-ybe"),
+        pytest.param("hubbard/liebwu", {"L": "6", "N": "2", "M": "1", "u": "1.5",
+                                        "qnums": "-1,0", "spin_qnums": "0"}, 0,
+                     id="hubbard-liebwu"),
+    ])
+    def test_flag_matches_json(self, command, params, seed, tmp_path, capsys):
+        # the same string parameters as flags and as a --json config
+        for mode in ("flags", "json"):
+            assert self._run(tmp_path, mode, command, params, seed,
+                             ["--out", str(tmp_path / mode)]) == EXIT_OK
+        report = (tmp_path / "flags" / "report.json").read_bytes()
+        assert report == (tmp_path / "json" / "report.json").read_bytes()
+        assert json.loads(report)["config"]["params"] == params
+        if command == "ed/spectrum":
+            assert len(json.loads(report)["eigenvalues"]) == 2  # --k parsed as an int
+
+    @staticmethod
+    def _config_error(capsys):
+        """The single stderr line of a config error."""
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        return err
+
+    @staticmethod
+    def _run(tmp_path, mode, command, params, seed=0, extra=()):
+        """Run `command` with `params` given as flags or as a --json config."""
+        argv = [*command.split("/"), *extra]
+        if mode == "flags":
+            flags = [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
+            return main([*argv, *flags, "--seed", str(seed)])
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(ExperimentConfig("ed/spectrum", params, 0, None).dumps())
-        assert main(["ed", "spectrum", "--json", str(cfg_path),
-                     "--out", str(tmp_path / "b")]) == EXIT_OK
-        a = (tmp_path / "a" / "report.json").read_bytes()
-        assert a == (tmp_path / "b" / "report.json").read_bytes()
-        assert len(json.loads(a)["eigenvalues"]) == 2
+        cfg_path.write_text(ExperimentConfig(command, params, seed, None).dumps())
+        return main([*argv, "--json", str(cfg_path)])
+
+    @pytest.mark.parametrize("mode", ["flags", "json"])
+    @pytest.mark.parametrize("params, unused", [
+        ({"L": "4", "delta": "0.5"}, "--delta"),                 # default --model xxx
+        ({"model": "xxz", "L": "4", "delta": "0.5", "J": "2"}, "--J"),
+    ])
+    def test_parameter_of_other_model_is_config_error(self, mode, params, unused,
+                                                      tmp_path, capsys):
+        assert self._run(tmp_path, mode, "ed/spectrum", params) == EXIT_CONFIG
+        assert self._config_error(capsys).rstrip().endswith(f"does not take {unused}")
+
+    @pytest.mark.parametrize("mode", ["flags", "json"])
+    @pytest.mark.parametrize("command, params, message", [
+        ("ed/spectrum", {"model": "xxz", "L": "4"}, "ed/spectrum --model xxz needs --delta"),
+        ("bae/solve", {"L": "6", "N": "2"}, "bae/solve needs --qnums"),
+        ("hubbard/liebwu", {"L": "6", "N": "2", "qnums": "-1,0"},
+         "hubbard/liebwu needs --M, --u"),
+    ])
+    def test_missing_parameter_names_itself(self, mode, command, params, message,
+                                            tmp_path, capsys):
+        assert self._run(tmp_path, mode, command, params) == EXIT_CONFIG
+        assert self._config_error(capsys) == f"config error: {message}\n"
+
+    def test_json_parameter_not_taken_is_config_error(self, tmp_path, capsys):
+        params = {"q": "2", "n_nodes": "32", "lmax": "8"}
+        assert self._run(tmp_path, "json", "thermo/density", params) == EXIT_CONFIG
+        assert "thermo/density does not take --lmax" in self._config_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["thermo", "density", "--L", "8"],    # a flag of other subcommands
+        ["ed", "spectrum", "--L", "4", "--bogus", "1"],
+        ["vertex", "nonsense"],
+        ["nonsense", "spectrum"],
+        ["ed", "spectrum", "--L", "4", "--seed", "x"],
+    ])
+    def test_parser_error_is_one_config_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        self._config_error(capsys)
+
+    def test_subcommand_help_lists_only_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["thermo", "density", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--q" in out and "--n-nodes" in out and "--json" in out
+        assert "--lmax" not in out and "--delta" not in out
+
+    def test_top_level_help_has_no_command_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "thermo" in out and "--lmax" not in out and "--n-nodes" not in out
 
     def test_ed_spectrum_bad_k_is_config_error(self, capsys):
         assert main(["ed", "spectrum", "--L", "4", "--k", "two"]) == EXIT_CONFIG

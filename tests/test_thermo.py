@@ -58,6 +58,16 @@ class TestRootDensity:
         b = thermo.solve_root_density(2.0, 64)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_in_place_assembly_matches_identity_plus_kernel(self, n):
+        # the Nystrom matrix I + K is built in place; the same IEEE operations
+        # in another order of allocation give the np.eye form bit for bit
+        rd = thermo.solve_root_density(2.5, n)
+        nodes, weights = rd.nodes, rd.weights
+        K = 1.0 / (np.pi * (1.0 + (nodes[:, None] - nodes[None, :]) ** 2)) * weights[None, :]
+        rho = np.linalg.solve(np.eye(n) + K, thermo._driving(nodes))
+        assert np.array_equal(rd.values, rho)
+
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             thermo.solve_root_density(-1.0)
