@@ -49,7 +49,8 @@ class SectorBasis:
 
     states holds the bit configurations as integers, strictly increasing, and
     state_array the same as an int64 array, which is ranked with
-    np.searchsorted; index maps a configuration back to its ordinal.
+    np.searchsorted; index maps a configuration back to its ordinal, and
+    sites lists each state's down-spin sites.
     """
 
     def __init__(self, L, N):
@@ -70,10 +71,23 @@ class SectorBasis:
     def dim(self):
         return len(self.states)
 
+    @cached_property
+    def sites(self):
+        """Read-only (dim, N) int64 array: the down-spin sites of each state,
+        1-based and increasing, read off state_array one bit at a time."""
+        sites = np.empty((self.dim, self.N), np.int64)
+        filled = np.zeros(self.dim, np.intp)
+        for x in range(1, self.L + 1):
+            hit = np.flatnonzero((self.state_array >> (self.L - x)) & 1)
+            sites[hit, filled[hit]] = x
+            filled[hit] += 1
+        sites.flags.writeable = False
+        return sites
+
     def configs(self):
         """Iterate (ordinal, down-spin site tuple) pairs."""
-        for i, s in enumerate(self.states):
-            yield i, index_to_config(self.L, s)
+        for i, xs in enumerate(self.sites.tolist()):
+            yield i, tuple(xs)
 
     def __repr__(self):
         return f"SectorBasis(L={self.L}, N={self.N}, dim={self.dim})"

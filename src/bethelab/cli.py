@@ -12,15 +12,16 @@ Groups and subcommands, one entry each in the `COMMANDS` table:
     verify ybe                      alias of `vertex ybe`
 
 A subcommand takes the flags its table entry names and no others
-(`bethelab GROUP COMMAND --help` lists them), plus `--json FILE` (a config
-overriding the flags, the serialized form of the run), `--out DIR` (artifact
-directory; default prints to stdout) and `--seed`.  Only the invoked
-subcommand's parser is built.  A parameter the subcommand (or its `--model`)
-does not read, in flags or in --json, and a missing required one are config
-errors.  Reports are canonical JSON: identical config and seed give
-byte-identical bytes.  Exit codes: 0 success, 2 config error (one
-`config error:` line on stderr), 3 solver non-convergence, 4 invariant
-violation.
+(`bethelab GROUP COMMAND --help` lists them), plus `--json FILE` (a config,
+the serialized form of the run, which then alone decides it: only `--out`
+may accompany it), `--out DIR` (artifact directory; default prints to
+stdout) and `--seed`.  Only the invoked subcommand's parser is built.  A
+parameter the subcommand (or its `--model`) does not read, in flags or in
+--json, a missing required one, a --json value that is a list or object, and
+any flag but `--out` next to `--json` are config errors.  Reports are
+canonical JSON: identical config and seed give byte-identical bytes.  Exit
+codes: 0 success, 2 config error (one `config error:` line on stderr), 3
+solver non-convergence, 4 invariant violation.
 """
 
 import argparse
@@ -71,8 +72,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["command"], dict(d.get("params", {})),
-                   int(d.get("seed", 0)), d.get("out"))
+        try:
+            return cls(d["command"], dict(d.get("params", {})),
+                       int(d.get("seed", 0)), d.get("out"))
+        except (TypeError, AttributeError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
 
     def dumps(self):
         return serialize.dumps(self.to_dict())
@@ -396,9 +400,9 @@ def _command_parser(key):
     """The parser of one subcommand, with only the flags it reads."""
     cmd = COMMANDS[key]
     parser = _Parser(prog=f"bethelab {key.replace('/', ' ')}")
-    parser.add_argument("--json", help="config file overriding the flags")
+    parser.add_argument("--json", help="config file deciding the run (no other flag but --out)")
     parser.add_argument("--out", help="artifact directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int)
     specs = [(cmd.spec, [])] + [(s, [f"--model {m} only"])
                                 for m, s in (cmd.models or {}).items()]
     for spec, notes in specs:
@@ -423,6 +427,9 @@ def _check_params(key, params):
     extra = [n for n in params if n not in names]
     if extra:
         raise ConfigError(f"{key} does not take {', '.join(map(_flag, extra))}")
+    for n, v in params.items():
+        if isinstance(v, (list, dict)):
+            raise ConfigError(f"{key} {_flag(n)} takes one value, not a {type(v).__name__}")
     missing = [n for n in names if n in required and params.get(n) is None]
     if missing:
         raise ConfigError(f"{key} needs {', '.join(map(_flag, missing))}")
@@ -439,14 +446,18 @@ def main(argv=None):
     cmd = COMMANDS[key]
     args = _command_parser(key).parse_args(argv[2:])
     try:
+        given = {k: v for k, v in vars(args).items()
+                 if v is not None and k not in ("json", "out")}
         if args.json:
+            if given:
+                raise ConfigError(f"{', '.join(map(_flag, given))} next to --json: "
+                                  "the config alone decides the run")
             cfg = ExperimentConfig.loads(Path(args.json).read_text())
             if args.out:
                 cfg.out = args.out
         else:
-            params = {k: v for k, v in vars(args).items()
-                      if v is not None and k not in ("json", "out", "seed")}
-            cfg = ExperimentConfig(key, params, args.seed, args.out)
+            seed = given.pop("seed", 0)
+            cfg = ExperimentConfig(key, given, seed, args.out)
         if cfg.command != key:
             raise ConfigError(
                 f"config command {cfg.command!r} does not match {key!r}")

@@ -14,9 +14,16 @@ condition for arbitrary complex rapidities ("off-shell"); imposing
 periodicity yields the Bethe equations (see the bethe-equations module) and
 turns the vector into a Hamiltonian eigenvector.
 
-Amplitudes are accumulated in log-magnitude/phase form: each permutation term
-is exp(sum of complex logs), summed after subtracting a common scale, because
-the raw factors grow like |l|^(L+1) per magnon.
+The sum over the N! orderings Q is never expanded.  It is built position by
+position as a recursion over the set S of rapidities already placed: the
+partial sum over S gains root j at the next position x_k with the factor
+(-1)^{#{s in S: s > j}} prod_{s in S} f(l_s - l_j) g_j(x_k), for every
+configuration at once.  That is N 2^(N-1) vector operations instead of N!,
+holding at most C(N, N/2) partial sums per configuration.  The raw site
+factors grow like |l|^(L+1), so each position's factors are divided by their
+largest modulus and each level of partial sums by its largest modulus, per
+configuration, with the logs kept as a running scale.  Vanishing factors are
+exact zeros (with 0^0 = 1 at the extended configurations x = 0, L + 1).
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +32,7 @@ import numpy as np
 
 from .basis import build_sector_basis
 
-FACTORIAL_GUARD = 10  # permanent-style N! sums are rejected beyond this N
+FACTORIAL_GUARD = 10  # wavefunctions of more roots than this are rejected
 
 
 @dataclass
@@ -49,29 +56,6 @@ class RapiditySet:
         return len(self.values)
 
 
-def signed_permutations(n):
-    """Yield (permutation tuple, sign) via Heap's algorithm with incremental
-    sign tracking; every step is a single transposition."""
-    perm = list(range(n))
-    sign = 1
-    yield tuple(perm), sign
-    c = [0] * n
-    i = 1
-    while i < n:
-        if c[i] < i:
-            if i % 2 == 0:
-                perm[0], perm[i] = perm[i], perm[0]
-            else:
-                perm[c[i]], perm[i] = perm[i], perm[c[i]]
-            sign = -sign
-            yield tuple(perm), sign
-            c[i] += 1
-            i = 1
-        else:
-            c[i] = 0
-            i += 1
-
-
 def rapidity_to_momentum(lam):
     """Quasi-momentum k of a rapidity, e^{ik} = (l + i/2)/(l - i/2).
 
@@ -84,65 +68,104 @@ def rapidity_to_momentum(lam):
     return complex(k)
 
 
-def _log_terms(roots, L, xs_list, pair_factor, plus_half, minus_half):
-    """Scaled permutation sums of the regularized wavefunction.
+_PLACEMENTS = {}
 
-    Generic core shared by the XXX (rational) and XXZ (hyperbolic) forms:
-    pair factor pair_factor(l_Qk - l_Ql), site factors plus_half(l)^x *
-    minus_half(l)^(L-x+1).  Returns (values, log_scale) with
-    amplitude = values * exp(log_scale).
+
+def _placements(N):
+    """Tables of the subset recursion over N roots, cached per N.  Level n
+    lists the n-subsets T of roots (ascending bit masks) and, for each member
+    j of T: the index of T minus j in level n - 1 (`prev`), j, the members of
+    T minus j as a boolean row over the roots (`rest`), and the sign
+    (-1)^{#{s in T: s > j}} of appending j to an ordering of T minus j."""
+    if N not in _PLACEMENTS:
+        masks = np.arange(1 << N)
+        bits = (masks[:, None] >> np.arange(N)) & 1
+        size = bits.sum(axis=1)
+        rank = np.zeros(1 << N, np.intp)
+        levels = []
+        for n in range(1, N + 1):
+            T = masks[size == n]
+            j = np.nonzero(bits[T])[1].reshape(len(T), n)
+            S = T[:, None] & ~(1 << j)
+            sign = 1 - 2 * (size[T[:, None] >> (j + 1)] % 2)
+            levels.append((rank[S], j, bits[S].astype(bool), sign))
+            rank[T] = np.arange(len(T))
+        _PLACEMENTS[N] = levels
+    return _PLACEMENTS[N]
+
+
+def _site_factors(plus, minus, x, L):
+    """g_j(x) = plus_j^x minus_j^(L-x+1) for every root j (rows) and every
+    coordinate x in the array x (columns), divided per column by the largest
+    modulus.  Returns (factors, log of that modulus).  A zero base gives an
+    exact zero unless its exponent is 0 (0^0 = 1); a column of zeros keeps
+    scale 1."""
+    lp, lm = (np.log(np.where(z == 0, 1.0, z)) for z in (plus, minus))
+    lg = np.outer(lp, x) + np.outer(lm, L + 1 - x)
+    vanish = np.outer(plus == 0, x != 0) | np.outer(minus == 0, x != L + 1)
+    top = np.where(vanish, -np.inf, lg.real).max(axis=0, initial=-np.inf)
+    top[np.isinf(top)] = 0.0
+    return np.where(vanish, 0.0, np.exp(lg - top)), top
+
+
+def _bethe_sum(factors, L, xs):
+    """Psi at each row of xs (an (ncfg, N) integer array) as (values,
+    log_scale), Psi = values * exp(log_scale), by the subset recursion.
+
+    factors = (F, plus, minus) with F[s, j] = f(l_s - l_j) the pair factor
+    and plus, minus the site-factor bases of each root.
     """
-    N = len(roots)
-    if N == 0:
-        return np.ones(len(xs_list), complex), 0.0
+    F, plus, minus = factors
+    N = len(plus)
     if N > FACTORIAL_GUARD:
-        raise ValueError(f"N={N} exceeds the N! cost guard ({FACTORIAL_GUARD})")
-    xs_arr = np.asarray(xs_list, dtype=float)  # (ncfg, N)
-    # per-root logs; exact zeros handled outside the log
-    lp = np.array([plus_half(l) for l in roots])
-    lm = np.array([minus_half(l) for l in roots])
-    zero_mask = (np.abs(lp) == 0) | (np.abs(lm) == 0)
-    safe_lp = np.where(np.abs(lp) == 0, 1.0, lp)
-    safe_lm = np.where(np.abs(lm) == 0, 1.0, lm)
-    log_p = np.log(safe_lp.astype(complex))
-    log_m = np.log(safe_lm.astype(complex))
-    terms = []
-    consts = []
-    perms = []
-    for perm, sign in signed_permutations(N):
-        pair = 0.0 + 0.0j
-        pair_zero = False
-        for a in range(N):
-            for b in range(a + 1, N):
-                f = pair_factor(roots[perm[a]] - roots[perm[b]])
-                if f == 0:
-                    pair_zero = True
-                    break
-                pair += np.log(complex(f))
-            if pair_zero:
-                break
-        consts.append((sign, pair, pair_zero))
-        perms.append(perm)
-    # scale: max real part over terms and configurations
-    ncfg = len(xs_list)
-    out = np.zeros(ncfg, complex)
-    # s(x) = const + sum_k x_k (log_p - log_m)[perm_k] + (L+1) sum log_m[perm]
-    d = log_p - log_m
-    base = (L + 1) * np.sum(log_m)
-    exps = []
-    for (sign, pair, pair_zero), perm in zip(consts, perms):
-        if pair_zero or any(zero_mask[list(perm)]):
-            exps.append(None)
-            continue
-        exps.append(pair + base + xs_arr @ d[list(perm)])
-    finite = [e for e in exps if e is not None]
-    if not finite:
-        return np.zeros(ncfg, complex), 0.0
-    scale = max(float(np.max(e.real)) for e in finite)
-    for (sign, _, _), e in zip(consts, exps):
-        if e is not None:
-            out += sign * np.exp(e - scale)
-    return out, scale
+        raise ValueError(f"N={N} exceeds the root-count guard ({FACTORIAL_GUARD})")
+    part = np.ones((1, len(xs)), complex)
+    log_scale = np.zeros(len(xs))
+    low = xs.min(initial=0)
+    table, tops = _site_factors(plus, minus, np.arange(low, xs.max(initial=0) + 1), L)
+    for k, (prev, j, rest, sign) in enumerate(_placements(N)):
+        g, top = table[:, xs[:, k] - low], tops[xs[:, k] - low]
+        coef = sign * np.prod(np.where(rest, F.T[j], 1.0), axis=-1)
+        nxt = np.zeros((len(prev), len(xs)), complex)
+        for m in range(k + 1):
+            nxt += coef[:, m, None] * part[prev[:, m]] * g[j[:, m]]
+        level = np.abs(nxt).max(axis=0)
+        level[level == 0] = 1.0
+        part = nxt / level
+        log_scale += top + np.log(level)
+    return part[0], log_scale
+
+
+def _xxx_factors(roots):
+    return roots[:, None] - roots[None, :] + 1j, roots + 0.5j, roots - 0.5j
+
+
+def _xxz_factors(roots, eta):
+    return (np.sinh(roots[:, None] - roots[None, :] - eta),
+            np.sinh(roots - eta / 2), np.sinh(roots + eta / 2))
+
+
+def _roots(roots):
+    return np.asarray(getattr(roots, "values", roots), complex)
+
+
+def _at(factors, xs, L):
+    """Psi at the one configuration xs."""
+    vals, log_scale = _bethe_sum(factors, L, np.array([tuple(xs)], np.int64))
+    return complex(vals[0] * np.exp(log_scale[0]))
+
+
+def _over_sector(factors, L, normalize):
+    """Psi over SectorBasis(L, N), normalized or raw."""
+    N = len(factors[1])
+    vals, log_scale = _bethe_sum(factors, L, build_sector_basis(L, N).sites)
+    if not normalize:
+        return vals * np.exp(log_scale)
+    live = vals != 0
+    if not live.any():
+        return vals
+    vals = vals * np.exp(np.where(live, log_scale - log_scale[live].max(), 0.0))
+    return vals / np.linalg.norm(vals)
 
 
 def offshell_wavefunction(xs, roots, L):
@@ -150,38 +173,14 @@ def offshell_wavefunction(xs, roots, L):
 
     xs may be any integer tuple (the formula is defined off the fundamental
     simplex too, which the reflection-condition checks exploit)."""
-    roots = np.asarray(getattr(roots, "values", roots), complex)
-    if np.any(np.abs(roots + 0.5j) == 0) or np.any(np.abs(roots - 0.5j) == 0):
-        # a vanishing site factor: evaluate directly (0^0 = 1 at extended configs)
-        total = 0.0 + 0.0j
-        for perm, sign in signed_permutations(len(roots)):
-            term = complex(sign)
-            for a in range(len(roots)):
-                for b in range(a + 1, len(roots)):
-                    term *= roots[perm[a]] - roots[perm[b]] + 1j
-            for k, x in enumerate(xs):
-                l = roots[perm[k]]
-                term *= (l + 0.5j) ** x * (l - 0.5j) ** (L - x + 1)
-            total += term
-        return complex(total)
-    vals, scale = _log_terms(roots, L, [tuple(xs)], lambda u: u + 1j,
-                             lambda l: l + 0.5j, lambda l: l - 0.5j)
-    return complex(vals[0] * np.exp(scale))
+    return _at(_xxx_factors(_roots(roots)), xs, L)
 
 
 def offshell_vector(roots, L, normalize=True):
     """Off-shell Bethe vector over SectorBasis(L, N), component x ->
     offshell_wavefunction(x).  Normalized by default (the raw amplitudes can
     overflow double precision for large |l| and L)."""
-    roots = np.asarray(getattr(roots, "values", roots), complex)
-    basis = build_sector_basis(L, len(roots))
-    xs_list = [xs for _, xs in basis.configs()]
-    vals, scale = _log_terms(roots, L, xs_list, lambda u: u + 1j,
-                             lambda l: l + 0.5j, lambda l: l - 0.5j)
-    if normalize:
-        n = np.linalg.norm(vals)
-        return vals / n if n > 0 else vals
-    return vals * np.exp(scale)
+    return _over_sector(_xxx_factors(_roots(roots)), L, normalize)
 
 
 def xxz_offshell_wavefunction(xs, roots, L, eta):
@@ -191,31 +190,18 @@ def xxz_offshell_wavefunction(xs, roots, L, eta):
         sum_Q sign(Q) [prod_{k<l} sh(l_Qk - l_Ql - eta)]
               prod_k sh(l_Qk - eta/2)^{x_k} sh(l_Qk + eta/2)^{L - x_k + 1}.
     """
-    roots = np.asarray(getattr(roots, "values", roots), complex)
-    vals, scale = _log_terms(roots, L, [tuple(xs)], lambda u: np.sinh(u - eta),
-                             lambda l: np.sinh(l - eta / 2),
-                             lambda l: np.sinh(l + eta / 2))
-    return complex(vals[0] * np.exp(scale))
+    return _at(_xxz_factors(_roots(roots), eta), xs, L)
 
 
 def xxz_offshell_vector(roots, L, eta, normalize=True):
     """Vector of xxz_offshell_wavefunction over SectorBasis(L, N)."""
-    roots = np.asarray(getattr(roots, "values", roots), complex)
-    basis = build_sector_basis(L, len(roots))
-    xs_list = [xs for _, xs in basis.configs()]
-    vals, scale = _log_terms(roots, L, xs_list, lambda u: np.sinh(u - eta),
-                             lambda l: np.sinh(l - eta / 2),
-                             lambda l: np.sinh(l + eta / 2))
-    if normalize:
-        n = np.linalg.norm(vals)
-        return vals / n if n > 0 else vals
-    return vals * np.exp(scale)
+    return _over_sector(_xxz_factors(_roots(roots), eta), L, normalize)
 
 
 def energy_xxx(roots, J=1.0):
     """Magnon energy E = -(J/2) sum_j 1/(l_j^2 + 1/4); equals
     J sum_j (cos k_j - 1) under the rapidity map."""
-    roots = np.asarray(getattr(roots, "values", roots), complex)
+    roots = _roots(roots)
     if len(roots) == 0:
         return 0.0
     if np.any(np.abs(roots - 0.5j) < 1e-14) or np.any(np.abs(roots + 0.5j) < 1e-14):
@@ -228,7 +214,7 @@ def momentum_xxx(roots):
 
     Principal log per root, result reduced into [0, 2pi).  Real (float) for
     self-conjugate root sets; complex otherwise."""
-    roots = np.asarray(getattr(roots, "values", roots), complex)
+    roots = _roots(roots)
     if len(roots) == 0:
         return 0.0
     p = complex(np.sum([rapidity_to_momentum(l) for l in roots]))

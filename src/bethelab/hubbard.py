@@ -17,7 +17,10 @@ k_j and M spin rapidities l_l solving
     prod_j (l_l - sin k_j - iu)/(l_l - sin k_j + iu)
         = prod_{m != l} (l_l - l_m - 2iu)/(l_l - l_m + 2iu),
 
-with E = -2 sum cos k_j + u(L - 2N) and P = sum k_j mod 2pi.
+with E = -2 sum cos k_j + u(L - 2N) and P = sum k_j mod 2pi.  The nested
+wavefunction's sum over charge permutations is, for each ordering of the spin
+rapidities, one determinant, so whole occupation bases are assembled by one
+batched `np.linalg.det` (`_nested_amplitudes`).
 """
 
 from dataclasses import dataclass
@@ -53,11 +56,6 @@ class NestedRoots:
     @property
     def M(self):
         return len(self.lam)
-
-
-def orbital(x, s):
-    """Orbital index of (1-based site x, spin s in {0 up, 1 down})."""
-    return 2 * (x - 1) + s
 
 
 class FermionBasis:
@@ -265,41 +263,38 @@ def energy_momentum(roots, L=None):
     return complex(E).real if abs(complex(E).imag) < 1e-10 else complex(E), float(P)
 
 
-def _perm_sign(p):
-    s = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                s = -s
-    return s
+def _nested_amplitudes(roots, xs, ys):
+    """Nested wavefunction in its ordering sector, for a stack of states.
 
+    xs: (n, N) ordered electron coordinates; ys: (n, M) 1-based positions
+    (in that order) of the down spins.  For each ordering R of the spin
+    rapidities, the sum over charge permutations P of sign(P) prod_j
+    G_R[P_j, j] is det G_R, with
 
-def _spin_amplitude(aQ, kP, lam, u):
-    """Nested spin amplitude: sum over spin-rapidity orderings R of
-    A(lam R) prod_l F_{kP}(lam_{R(l)}; y_l), with y_l the (1-based) positions
-    of the down spins in aQ; zero when the down-spin count differs from M."""
-    M = len(lam)
-    ys = [i + 1 for i, a in enumerate(aQ) if a == 1]
-    if len(ys) != M:
-        return 0.0 + 0.0j
-    sk = np.sin(np.asarray(kP, complex))
-    total = 0.0 + 0.0j
-    for R in permutations(range(M)):
-        lR = [lam[r] for r in R]
-        amp = 1.0 + 0.0j
-        for m in range(M):
-            for nn in range(m + 1, M):
-                amp *= (lR[m] - lR[nn] - 2j * u) / (lR[m] - lR[nn])
-        for ell in range(M):
-            y = ys[ell]
-            l = lR[ell]
-            f = 2j * u / (l - sk[y - 1] + 1j * u)
-            for j in range(y - 1):
-                f *= (l - sk[j] - 1j * u) / (l - sk[j] + 1j * u)
-            amp *= f
-        total += amp
-    return total
+        G_R[p, j] = e^{i k_p x_j} prod_l s_l(k_p, j),
+        s_l = (l_Rl - sin k_p - iu)/(l_Rl - sin k_p + iu)   if j < y_l,
+              2iu/(l_Rl - sin k_p + iu)                      if j = y_l,
+              1                                              if j > y_l,
+
+    weighted by A(l_R) = prod_{m<n} (l_Rm - l_Rn - 2iu)/(l_Rm - l_Rn).
+    One batched determinant over the (M!, n) stack of N x N matrices.
+    """
+    if roots.N > FACTORIAL_GUARD_N or roots.M > FACTORIAL_GUARD_M:
+        raise ValueError("factorial cost guard: N <= 6, M <= 2")
+    u, M = roots.u, roots.M
+    lamR = roots.lam[np.array(list(permutations(range(M))), np.intp)]  # (M!, M)
+    d = lamR[:, :, None] - np.sin(roots.k)                       # (M!, M, N)
+    below, at = (d - 1j * u) / (d + 1j * u), 2j * u / (d + 1j * u)
+    G = np.exp(1j * roots.k[:, None] * xs[:, None, :])[None]      # (1, n, N, N)
+    j = np.arange(1, roots.N + 1)
+    for l in range(M):
+        y = ys[:, l, None, None]                                  # (n, 1, 1)
+        s = np.where(j < y, below[:, l, None, :, None], 1.0)
+        G = G * np.where(j == y, at[:, l, None, :, None], s)
+    m, n = np.triu_indices(M, 1)
+    dl = lamR[:, m] - lamR[:, n]
+    A = np.prod((dl - 2j * u) / dl, axis=1)
+    return A @ np.linalg.det(G)
 
 
 def nested_wavefunction(xs, spins, roots):
@@ -307,52 +302,43 @@ def nested_wavefunction(xs, spins, roots):
 
     xs: electron coordinates (1-based, any order, ties allowed for opposite
     spins); spins: 0 = up, 1 = down.  The ordering sector is the stable sort
-    of xs (tied coordinates keep their input order).  The value vanishes when
-    the number of down spins differs from M.
+    of xs (tied coordinates keep their input order), whose sign multiplies
+    the sector formula of `_nested_amplitudes`.  The value vanishes when the
+    number of down spins differs from M.
     """
     if roots.N > FACTORIAL_GUARD_N or roots.M > FACTORIAL_GUARD_M:
         raise ValueError("factorial cost guard: N <= 6, M <= 2")
-    N = roots.N
-    if len(xs) != N:
+    if len(xs) != roots.N:
         raise ValueError("need one coordinate per charge momentum")
-    Q = tuple(sorted(range(N), key=lambda i: (xs[i], i)))
-    xQ = [xs[q] for q in Q]
-    aQ = [spins[q] for q in Q]
-    sgnQ = _perm_sign(Q)
-    total = 0.0 + 0.0j
-    for P in permutations(range(N)):
-        kP = [roots.k[p] for p in P]
-        amp = _spin_amplitude(aQ, kP, roots.lam, roots.u)
-        if amp == 0.0:
-            continue
-        phase = np.exp(1j * sum(kP[j] * xQ[j] for j in range(N)))
-        total += _perm_sign(P) * sgnQ * amp * phase
-    return complex(total)
+    Q = np.argsort(np.asarray(xs), kind="stable")
+    ys = np.flatnonzero(np.asarray(spins)[Q] == 1) + 1
+    if len(ys) != roots.M:
+        return 0.0 + 0.0j
+    inversions = np.count_nonzero(np.triu(Q[:, None] > Q[None, :]))
+    amp = _nested_amplitudes(roots, np.asarray(xs)[Q][None, :], ys[None, :])
+    return complex((-1) ** inversions * amp[0])
 
 
 def assemble_state(roots, basis=None):
     """Expand the nested wavefunction over the (N, M) occupation basis.
 
-    Each basis state is read as the canonical tuple (orbitals ascending); the
+    Each basis state is read as the canonical tuple (orbitals ascending: site
+    by site, up before down), which is already in its ordering sector; the
     factor (-1)^(K(K-1)/2) converts between the ascending creation string and
-    the wavefunction's coordinate-ordering convention.  Normalized (the
-    overall scale of the nested construction is left free).
+    the wavefunction's coordinate-ordering convention.  All states go through
+    one batched `_nested_amplitudes` call.  Normalized (the overall scale of
+    the nested construction is left free).
     """
-    L = roots.L
-    basis = basis or FermionBasis(L, roots.N, roots.M)
-    v = np.zeros(basis.dim, complex)
     K = roots.N
-    string_sign = (-1) ** (K * (K - 1) // 2)
-    for i, (um, dm) in enumerate(basis.states):
-        orbs = []
-        for x in range(L):
-            if (um >> x) & 1:
-                orbs.append((x + 1, 0))
-            if (dm >> x) & 1:
-                orbs.append((x + 1, 1))
-        orbs.sort(key=lambda t: orbital(*t))
-        xs = [x for x, s in orbs]
-        spins = [s for x, s in orbs]
-        v[i] = string_sign * nested_wavefunction(xs, spins, roots)
+    basis = basis or FermionBasis(roots.L, K, roots.M)
+    if basis.N != K:
+        raise ValueError("need one coordinate per charge momentum")
+    if basis.M != roots.M:
+        return np.zeros(basis.dim, complex)
+    masks = np.array(basis.states, np.int64).reshape(-1, 2)
+    occupied = (masks[:, None, :] >> np.arange(basis.L)[:, None]) & 1  # (dim, site, spin)
+    orbs = np.nonzero(occupied.reshape(basis.dim, -1))[1].reshape(basis.dim, K)
+    downs = np.nonzero(orbs % 2)[1].reshape(basis.dim, roots.M) + 1
+    v = (-1) ** (K * (K - 1) // 2) * _nested_amplitudes(roots, orbs // 2 + 1, downs)
     nrm = np.linalg.norm(v)
     return v / nrm if nrm > 0 else v

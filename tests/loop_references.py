@@ -1,0 +1,177 @@
+"""Permutation-sum forms of the wavefunction kernels, kept as test references.
+
+The package builds coordinate Bethe vectors by a recursion over subsets of
+placed rapidities and nested Hubbard states by batched determinants.  These
+are the explicit N!-term loops those kernels replace: the coordinate sum term
+by term in log form (with a direct product loop when a site factor vanishes),
+and the nested sum over charge permutations P and spin orderings R per
+configuration.  Cost grows like N! (times M! for the nested state); use them
+at small N only.
+"""
+
+from itertools import permutations
+
+import numpy as np
+
+
+def signed_permutations(n):
+    """Yield (permutation tuple, sign) via Heap's algorithm with incremental
+    sign tracking; every step is a single transposition."""
+    perm = list(range(n))
+    sign = 1
+    yield tuple(perm), sign
+    c = [0] * n
+    i = 1
+    while i < n:
+        if c[i] < i:
+            if i % 2 == 0:
+                perm[0], perm[i] = perm[i], perm[0]
+            else:
+                perm[c[i]], perm[i] = perm[i], perm[c[i]]
+            sign = -sign
+            yield tuple(perm), sign
+            c[i] += 1
+            i = 1
+        else:
+            c[i] = 0
+            i += 1
+
+
+def log_terms(roots, L, xs_list, pair_factor, plus_half, minus_half):
+    """Per-permutation sum sign(Q) exp(sum of complex logs) at each
+    configuration, with a common scale: returns (values, log_scale) with
+    amplitude = values * exp(log_scale).  Terms with a vanishing factor are
+    dropped, so configurations that need 0^0 = 1 go through `direct_sum`."""
+    N = len(roots)
+    if N == 0:
+        return np.ones(len(xs_list), complex), 0.0
+    xs_arr = np.asarray(xs_list, dtype=float)
+    lp = np.array([plus_half(l) for l in roots])
+    lm = np.array([minus_half(l) for l in roots])
+    zero_mask = (np.abs(lp) == 0) | (np.abs(lm) == 0)
+    log_p = np.log(np.where(np.abs(lp) == 0, 1.0, lp).astype(complex))
+    log_m = np.log(np.where(np.abs(lm) == 0, 1.0, lm).astype(complex))
+    d = log_p - log_m
+    base = (L + 1) * np.sum(log_m)
+    exps, signs = [], []
+    for perm, sign in signed_permutations(N):
+        pair = 0.0 + 0.0j
+        pair_zero = False
+        for a in range(N):
+            for b in range(a + 1, N):
+                f = pair_factor(roots[perm[a]] - roots[perm[b]])
+                if f == 0:
+                    pair_zero = True
+                pair += np.log(complex(f)) if f != 0 else 0.0
+        if pair_zero or any(zero_mask[list(perm)]):
+            continue
+        exps.append(pair + base + xs_arr @ d[list(perm)])
+        signs.append(sign)
+    if not exps:
+        return np.zeros(len(xs_list), complex), 0.0
+    scale = max(float(np.max(e.real)) for e in exps)
+    out = np.zeros(len(xs_list), complex)
+    for sign, e in zip(signs, exps):
+        out += sign * np.exp(e - scale)
+    return out, scale
+
+
+def direct_sum(xs, roots, L, pair_factor, plus_half, minus_half):
+    """The permutation sum at one configuration as plain products (0^0 = 1),
+    with the largest term modulus: (sum, largest)."""
+    total = 0.0 + 0.0j
+    largest = 0.0
+    for perm, sign in signed_permutations(len(roots)):
+        term = complex(sign)
+        for a in range(len(roots)):
+            for b in range(a + 1, len(roots)):
+                term *= pair_factor(roots[perm[a]] - roots[perm[b]])
+        for k, x in enumerate(xs):
+            l = roots[perm[k]]
+            term *= plus_half(l) ** x * minus_half(l) ** (L - x + 1)
+        total += term
+        largest = max(largest, abs(term))
+    return complex(total), largest
+
+
+def xxx_factors():
+    return (lambda u: u + 1j), (lambda l: l + 0.5j), (lambda l: l - 0.5j)
+
+
+def xxz_factors(eta):
+    return (lambda u: np.sinh(u - eta)), (lambda l: np.sinh(l - eta / 2)), \
+        (lambda l: np.sinh(l + eta / 2))
+
+
+def perm_sign(p):
+    s = 1
+    p = list(p)
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            if p[i] > p[j]:
+                s = -s
+    return s
+
+
+def spin_amplitude(aQ, kP, lam, u):
+    """Nested spin amplitude: sum over spin-rapidity orderings R of
+    A(lam R) prod_l F_{kP}(lam_{R(l)}; y_l), with y_l the (1-based) positions
+    of the down spins in aQ; zero when the down-spin count differs from M."""
+    M = len(lam)
+    ys = [i + 1 for i, a in enumerate(aQ) if a == 1]
+    if len(ys) != M:
+        return 0.0 + 0.0j
+    sk = np.sin(np.asarray(kP, complex))
+    total = 0.0 + 0.0j
+    for R in permutations(range(M)):
+        lR = [lam[r] for r in R]
+        amp = 1.0 + 0.0j
+        for m in range(M):
+            for nn in range(m + 1, M):
+                amp *= (lR[m] - lR[nn] - 2j * u) / (lR[m] - lR[nn])
+        for ell in range(M):
+            y = ys[ell]
+            l = lR[ell]
+            f = 2j * u / (l - sk[y - 1] + 1j * u)
+            for j in range(y - 1):
+                f *= (l - sk[j] - 1j * u) / (l - sk[j] + 1j * u)
+            amp *= f
+        total += amp
+    return total
+
+
+def nested_wavefunction(xs, spins, roots):
+    """Sum over charge permutations P of sign(P) sign(Q) spin_amplitude
+    e^{i sum_j k_Pj x_Qj}, Q the stable sort of xs."""
+    N = roots.N
+    Q = tuple(sorted(range(N), key=lambda i: (xs[i], i)))
+    xQ = [xs[q] for q in Q]
+    aQ = [spins[q] for q in Q]
+    sgnQ = perm_sign(Q)
+    total = 0.0 + 0.0j
+    for P in permutations(range(N)):
+        kP = [roots.k[p] for p in P]
+        amp = spin_amplitude(aQ, kP, roots.lam, roots.u)
+        if amp == 0.0:
+            continue
+        phase = np.exp(1j * sum(kP[j] * xQ[j] for j in range(N)))
+        total += perm_sign(P) * sgnQ * amp * phase
+    return complex(total)
+
+
+def assemble_state(roots, basis):
+    """nested_wavefunction at every basis state read in orbital order, times
+    (-1)^(K(K-1)/2), normalized."""
+    L, K = roots.L, roots.N
+    v = np.zeros(basis.dim, complex)
+    for i, (um, dm) in enumerate(basis.states):
+        orbs = []
+        for x in range(L):
+            if (um >> x) & 1:
+                orbs.append((x + 1, 0))
+            if (dm >> x) & 1:
+                orbs.append((x + 1, 1))
+        v[i] = (-1) ** (K * (K - 1) // 2) * nested_wavefunction(
+            [x for x, _ in orbs], [s for _, s in orbs], roots)
+    nrm = np.linalg.norm(v)
+    return v / nrm if nrm > 0 else v

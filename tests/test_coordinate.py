@@ -1,8 +1,13 @@
 """Coordinate Bethe vectors: wavefunction identities and observables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import loop_references
 from bethelab import bae, coordinate, ed
 from bethelab.basis import build_sector_basis
 
@@ -198,3 +203,113 @@ class TestObservables:
         P = coordinate.momentum_xxx([lam, np.conj(lam)])
         assert isinstance(P, float)
         assert 0 <= P < 2 * np.pi
+
+
+def _model(kind, eta):
+    """(package wavefunction, package vector, reference factors, pole, string
+    spacing) of the rational or the hyperbolic form."""
+    if kind == "xxx":
+        return (coordinate.offshell_wavefunction,
+                lambda r, L: coordinate.offshell_vector(r, L, normalize=False),
+                loop_references.xxx_factors(), 0.5j, 1j)
+    return (lambda xs, r, L: coordinate.xxz_offshell_wavefunction(xs, r, L, eta),
+            lambda r, L: coordinate.xxz_offshell_vector(r, L, eta, normalize=False),
+            loop_references.xxz_factors(eta), eta / 2, eta)
+
+
+def _with_edge(roots, edge, pole, spacing):
+    """roots with one edge case imposed on its first entries."""
+    roots = roots.copy()
+    if edge == "coincident" and len(roots) >= 2:
+        roots[1] = roots[0]
+    elif edge == "string" and len(roots) >= 2:
+        roots[1] = roots[0] + spacing
+    elif edge in ("pole+", "pole-"):
+        roots[0] = pole if edge == "pole+" else -pole
+    return roots
+
+
+_COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+class TestKernelMatchesPermutationSum:
+    """The subset recursion against the explicit N!-term loops of
+    tests/loop_references.py, at random complex roots and at the edge cases:
+    coincident roots, a root at a pole (+-i/2, or +-eta/2 for XXZ), a pair at
+    distance i (eta), and the extended configurations x = 0 and x = L + 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["xxx", "xxz"]), N=st.integers(1, 6),
+           edge=st.sampled_from(["none", "coincident", "pole+", "pole-", "string"]),
+           eta=_COMPLEX.filter(lambda z: abs(z) > 0.1), data=st.data())
+    def test_vector_matches_loop(self, kind, N, edge, eta, data):
+        L = data.draw(st.integers(N, 10))
+        _, vector, factors, pole, spacing = _model(kind, eta)
+        roots = _with_edge(np.array(data.draw(st.lists(_COMPLEX, min_size=N, max_size=N))),
+                           edge, pole, spacing)
+        xs = [xs for _, xs in build_sector_basis(L, N).configs()]
+        ref, scale = loop_references.log_terms(roots, L, xs, *factors)
+        v = vector(roots, L)
+        assert np.max(np.abs(v * np.exp(-scale) - ref)) <= 1e-10
+        if edge.startswith("pole"):
+            assert np.all(v == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["xxx", "xxz"]), N=st.integers(1, 5),
+           edge=st.sampled_from(["none", "coincident", "pole+", "pole-", "string"]),
+           eta=_COMPLEX.filter(lambda z: abs(z) > 0.1), data=st.data())
+    def test_extended_configurations_match_direct_products(self, kind, N, edge, eta, data):
+        L = data.draw(st.integers(N, 10))
+        wavefunction, _, factors, pole, spacing = _model(kind, eta)
+        roots = _with_edge(np.array(data.draw(st.lists(_COMPLEX, min_size=N, max_size=N))),
+                           edge, pole, spacing)
+        ends = st.sampled_from([0, L + 1])
+        xs = tuple(data.draw(st.lists(st.one_of(ends, st.integers(0, L + 1)),
+                                      min_size=N, max_size=N)))
+        ref, largest = loop_references.direct_sum(xs, roots, L, *factors)
+        assert abs(wavefunction(xs, roots, L) - ref) <= 1e-10 * largest
+
+    def test_pole_root_at_its_extended_configuration(self):
+        # (l + i/2)^0 = 1: a root at -i/2 survives only at x = 0, one at +i/2
+        # only at x = L + 1
+        L = 6
+        for pole, x in ((-0.5j, 0), (0.5j, L + 1)):
+            roots = np.array([pole, 0.3 + 0.2j])
+            psi = coordinate.offshell_wavefunction((x, 3), roots, L)
+            ref, _ = loop_references.direct_sum((x, 3), roots, L,
+                                                *loop_references.xxx_factors())
+            assert psi != 0 and abs(psi - ref) <= 1e-12 * abs(ref)
+            assert coordinate.offshell_wavefunction((x + (1 if x == 0 else -1), 3),
+                                                    roots, L) == 0
+
+
+class TestKernelScaling:
+    def test_memory_at_seven_roots_on_sixteen_sites(self):
+        roots = random_roots(7)
+        tracemalloc.start()
+        try:
+            v = coordinate.offshell_vector(roots, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(v) == 11440 and abs(np.linalg.norm(v) - 1) < 1e-12
+        assert peak < 100e6
+
+    def test_large_roots_do_not_overflow(self):
+        # raw amplitudes ~ |l|^(N (L+1)) = 1e960: only the running scale holds them
+        L, roots = 14, 1e20 * (1 + np.arange(3)) + 0.3j
+        v = coordinate.offshell_vector(roots, L)
+        assert np.all(np.isfinite(v)) and abs(np.linalg.norm(v) - 1) < 1e-12
+        w = coordinate.offshell_vector(roots[:2], 4)
+        assert np.all(np.isfinite(w))
+
+    def test_ground_state_eight_magnons_sixteen_sites(self):
+        L, N = 16, 8
+        rep = bae.solve_logbae(L, N, tuple(range(1, N + 1)))
+        assert rep.converged
+        v = coordinate.offshell_vector(rep.roots, L)
+        H = ed.build_xxx_hamiltonian(L, 1.0, N)
+        E = complex(coordinate.energy_xxx(rep.roots)).real
+        assert np.linalg.norm(H.csr() @ v - E * v) <= 1e-8
+        assert coordinate.highest_weight_residual(v, L, N) <= 1e-8
+        assert abs(ed.diagonalize(H, k=1).eigenvalues[0] - E) <= 1e-8

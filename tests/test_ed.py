@@ -23,6 +23,16 @@ class TestSectorBasis:
             assert b.index[s] == i
             assert config_to_index(6, index_to_config(6, s)) == s
 
+    def test_sites_match_index_to_config(self):
+        for L in range(13):
+            for N in range(L + 1):
+                b = build_sector_basis(L, N)
+                ref = [index_to_config(L, s) for s in b.states]
+                assert b.sites.shape == (b.dim, N) and b.sites.dtype == np.int64
+                assert [tuple(row) for row in b.sites.tolist()] == ref
+                assert [xs for _, xs in b.configs()] == ref
+                assert not b.sites.flags.writeable
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             build_sector_basis(4, 5)

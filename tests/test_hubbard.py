@@ -1,10 +1,13 @@
 """Hubbard chain: fermionic ED, Lieb-Wu solver, nested wavefunction."""
 
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import loop_references
 from bethelab import ed, hubbard
 from oracles import central_difference_jacobian, jw_hubbard_block_eigs, jw_hubbard_full
 
@@ -241,3 +244,74 @@ class TestAssembledStates:
         U = hubbard.shift_block(basis)
         assert np.allclose(U @ U.T, np.eye(basis.dim))
         assert np.allclose(np.linalg.matrix_power(U, 4), np.eye(basis.dim))
+
+
+def _random_nested(data, L, N, M, u):
+    """Charge momenta and spin rapidities kept apart from each other and from
+    the poles l - sin k = -iu, where the nested sum is ill-conditioned."""
+    k = np.array(data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=N, max_size=N)))
+    k = k + 1j * np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=N, max_size=N)))
+    lam = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=M, max_size=M)))
+    assume(np.all(np.abs(np.subtract.outer(k, k))[np.triu_indices(N, 1)] > 0.1))
+    assume(np.all(np.abs(np.subtract.outer(lam, lam))[np.triu_indices(M, 1)] > 0.1))
+    assume(np.all(np.abs(lam[None, :] - np.sin(k)[:, None] + 1j * u) > 0.1))
+    return hubbard.NestedRoots(L, k, lam, u)
+
+
+class TestNestedKernelMatchesLoops:
+    """Batched determinants against the P and R permutation loops of
+    tests/loop_references.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 4), u=st.floats(0.5, 3.0), data=st.data())
+    def test_assembled_state_matches_loop(self, N, u, data):
+        L = data.draw(st.integers(N, 6))
+        M = data.draw(st.integers(0, N // 2))
+        roots = _random_nested(data, L, N, M, u)
+        basis = hubbard.FermionBasis(L, N, M)
+        ref = loop_references.assemble_state(roots, basis)
+        assert np.linalg.norm(hubbard.assemble_state(roots, basis) - ref) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 4), u=st.floats(0.5, 3.0), data=st.data())
+    def test_wavefunction_matches_loop_in_any_order(self, N, u, data):
+        # unsorted coordinates, ties and wrong down-spin counts included
+        L = data.draw(st.integers(N, 6))
+        M = data.draw(st.integers(0, N // 2))
+        roots = _random_nested(data, L, N, M, u)
+        xs = data.draw(st.lists(st.integers(1, L), min_size=N, max_size=N))
+        spins = data.draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))
+        ref = loop_references.nested_wavefunction(xs, spins, roots)
+        psi = hubbard.nested_wavefunction(xs, spins, roots)
+        assert abs(psi - ref) <= 1e-10 * max(1.0, abs(ref))
+        if sum(spins) != M:
+            assert psi == 0
+
+    @pytest.mark.parametrize("L, N, M, qnums, spin_qnums", [
+        (8, 4, 1, (-1, 0, 1, 2), (0,)), (6, 4, 2, (-2, -1, 0, 1), (-1, 0))])
+    def test_onshell_state_matches_loop(self, L, N, M, qnums, spin_qnums):
+        roots, _, ok = hubbard.solve_liebwu(L, N, M, 1.5, qnums, spin_qnums)
+        assert ok and hubbard.liebwu_residual(roots) < 1e-10
+        basis = hubbard.FermionBasis(L, N, M)
+        v = hubbard.assemble_state(roots, basis)
+        ref = loop_references.assemble_state(roots, basis)
+        phase = np.vdot(ref, v) / abs(np.vdot(ref, v))
+        assert np.linalg.norm(v - ref) <= 1e-12 and abs(phase - 1) <= 1e-12
+        H = hubbard.build_hubbard_hamiltonian(L, 1.5, basis).matrix
+        E, _ = hubbard.energy_momentum(roots)
+        assert np.linalg.norm(H @ v - E * v) < 1e-8
+
+    def test_six_electrons_two_down_on_eight_sites(self):
+        # dim 1960, 720 x 2 permutation terms per state in the loop form
+        L, N, M, u = 8, 6, 2, 1.0
+        roots, _, ok = hubbard.solve_liebwu(L, N, M, u, (-2, -1, 0, 1, 2, 3), (0, 1))
+        assert ok and hubbard.liebwu_residual(roots) < 1e-10
+        basis = hubbard.FermionBasis(L, N, M)
+        start = time.perf_counter()
+        v = hubbard.assemble_state(roots, basis)
+        assert time.perf_counter() - start < 1.0
+        H = hubbard.build_hubbard_hamiltonian(L, u, basis).matrix
+        E, _ = hubbard.energy_momentum(roots)
+        assert np.linalg.norm(H @ v - E * v) < 1e-8
+        Sp, _ = hubbard.spin_raise_block(basis)
+        assert np.linalg.norm(Sp @ v) < 1e-8

@@ -209,6 +209,34 @@ class TestCli:
         assert self._run(tmp_path, "json", "thermo/density", params) == EXIT_CONFIG
         assert "thermo/density does not take --lmax" in self._config_error(capsys)
 
+    @pytest.mark.parametrize("value, kind", [([4], "list"), ({"n": 4}, "dict")])
+    def test_json_non_scalar_value_is_config_error(self, value, kind, tmp_path, capsys):
+        assert self._run(tmp_path, "json", "ed/spectrum", {"L": value}) == EXIT_CONFIG
+        assert self._config_error(capsys).rstrip().endswith(
+            f"--L takes one value, not a {kind}")
+
+    def test_json_params_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"command": "ed/spectrum", "params": [4], "seed": 0}')
+        assert main(["ed", "spectrum", "--json", str(cfg_path)]) == EXIT_CONFIG
+        self._config_error(capsys)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--L", "4"], "--L"),
+        (["--seed", "3"], "--seed"),
+        (["--model", "xxx", "--L", "4"], "--L, --model"),
+    ])
+    def test_flag_next_to_json_is_config_error(self, flags, named, tmp_path, capsys):
+        # the config (L = 2) alone decides the run; --out may still redirect it
+        params = {"model": "xxx", "L": "2"}
+        assert self._run(tmp_path, "json", "ed/spectrum", params, extra=flags) == EXIT_CONFIG
+        err = self._config_error(capsys)
+        assert err.startswith(f"config error: {named} next to --json")
+        assert self._run(tmp_path, "json", "ed/spectrum", params,
+                         extra=["--out", str(tmp_path / "out")]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["params"]["L"] == "2" and len(report["eigenvalues"]) == 4
+
     @pytest.mark.parametrize("argv", [
         ["thermo", "density", "--L", "8"],    # a flag of other subcommands
         ["ed", "spectrum", "--L", "4", "--bogus", "1"],
