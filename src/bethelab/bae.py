@@ -12,15 +12,22 @@ Logarithmic form for real roots (integers n_j, principal arctan):
   (1/pi) arctg(2 l_j) = n_j/L - (N+1)/(2L) + sum_k arctg(l_j - l_k)/(pi L)
 
 Every residual and Jacobian is an N x N broadcast over the differences
-l_j - l_k; no Python loop runs over roots.  All solves, the bound-pair search
-of classify_two_magnon included, go through one damped-Newton routine with
-analytic Jacobians: step-halving damping, an initial guess from the
-non-interacting part, tolerance 1e-12, max 200 steps.  It says why it
-stopped (STOP_REASONS).  Iterates that run away to |x| > ROOT_ESCAPE, or
-converge beyond ROOT_ESCAPE/100, are reported as unconverged: for the
-log-form solves these are solutions with rapidities at infinity
-(spin-lowered descendants); in the bound-pair search they are seeds that walk
-off to |l| -> infinity, where both sides of the equation tend to 1.
+l_j - l_k on a leading lane axis: a system's F(x, lanes) and J(x, lanes) take
+x of shape (n,) or (B, n), B independent systems, and `lanes` picks the rows
+of per-lane parameters (quantum numbers of shape (B, N)) that x holds; None
+means all of them.  No Python loop runs over roots or over lanes.  All solves
+go through one damped-Newton routine with analytic Jacobians: step-halving
+damping, an initial guess from the non-interacting part, tolerance 1e-12, max
+200 steps.  Each lane keeps its own damping, iteration count and stop reason
+(STOP_REASONS) and leaves the working set when it stops, so a lane of a stack
+ends exactly as its own solve would; the two-magnon classification runs its
+whole quantum-number scan and its whole bound-pair grid as one stack each.
+Iterates that run away to |x| > ROOT_ESCAPE, or converge beyond
+ROOT_ESCAPE/100, are reported as unconverged: for the log-form solves these
+are solutions with rapidities at infinity (spin-lowered descendants); in the
+bound-pair search they are seeds that walk off to |l| -> infinity, where both
+sides of the equation tend to 1.  The log forms fold parity offsets into
+their constants, so their quantum numbers must be integers.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +41,7 @@ MAX_ITER = 200
 ROOT_ESCAPE = 1e6
 EQUALITY_TOL = 1e-8  # root-coincidence threshold for admissibility
 STOP_REASONS = ("converged", "singular", "stalled", "run_away", "max_iter")
+CONVERGED, SINGULAR, STALLED, RUN_AWAY, MAX_ITER_STOP = range(len(STOP_REASONS))
 
 
 @dataclass
@@ -63,18 +71,34 @@ class SolveReport:
     stop: str = "converged"
 
 
+def _integer_qnums(qnums):
+    """Quantum numbers (QuantumNumbers, tuple or array) as a float array;
+    ValueError unless every one is an integer."""
+    ns = np.asarray(getattr(qnums, "n", qnums), float)
+    if np.any(np.mod(ns, 1) != 0):
+        raise ValueError(f"quantum numbers must be integers, got {ns.tolist()}")
+    return ns
+
+
 def _diff(x):
-    """N x N matrix of differences x_j - x_k."""
-    return x[:, None] - x[None, :]
+    """Matrices of differences x_j - x_k, (..., N, N) for x of shape (..., N)."""
+    return x[..., :, None] - x[..., None, :]
 
 
 def _jacobian(drive, K):
     """Jacobian of F_j = f(x_j) - sum_{k != j} g(x_j - x_k) from drive = f'(x_j)
     and K = g'(x_j - x_k): K off the diagonal, drive - (row sum of K) on it.
-    K is overwritten."""
-    np.fill_diagonal(K, 0.0)
-    np.fill_diagonal(K, drive - K.sum(axis=1))
+    K, of shape (..., N, N), is overwritten."""
+    i = np.arange(K.shape[-1])
+    K[..., i, i] = 0.0
+    K[..., i, i] = drive - K.sum(axis=-1)
     return K
+
+
+def _per_lane(a, lanes):
+    """The rows of a per-lane parameter a (B, N) for the lanes x holds; a
+    1-D a is shared by every lane."""
+    return a if lanes is None or a.ndim < 2 else a[lanes]
 
 
 def _pairwise_min_dist(vals):
@@ -83,11 +107,17 @@ def _pairwise_min_dist(vals):
     return float(d.min(initial=np.inf))
 
 
-def _exp_residual(lhs, num, den):
-    """max_j |lhs_j + prod_k num_jk/den_jk|, the products taken in log form to
-    keep |...|^L in range."""
-    rhs = np.exp(np.sum(np.log(num) - np.log(den), axis=1))
-    return float(np.max(np.abs(lhs + rhs), initial=0.0))
+def _exp_residuals(lhs, num, den):
+    """max_j |lhs_j + prod_k num_jk/den_jk| per root set (leading axes), the
+    products taken in log form to keep |...|^L in range."""
+    rhs = np.exp(np.sum(np.log(num) - np.log(den), axis=-1))
+    return np.max(np.abs(lhs + rhs), axis=-1, initial=0.0)
+
+
+def _xxx_residuals(lam, L):
+    d = _diff(lam)
+    return _exp_residuals(np.exp(L * (np.log(lam - 0.5j) - np.log(lam + 0.5j))),
+                          d - 1j, d + 1j)
 
 
 def bae_residual_xxx(roots, L):
@@ -97,9 +127,7 @@ def bae_residual_xxx(roots, L):
         raise ValueError("rapidity at a pole +-i/2")
     if _pairwise_min_dist(lam) < 1e-12:
         raise ValueError("coincident rapidities")
-    d = _diff(lam)
-    return _exp_residual(np.exp(L * (np.log(lam - 0.5j) - np.log(lam + 0.5j))),
-                         d - 1j, d + 1j)
+    return float(_xxx_residuals(lam, L))
 
 
 def bae_residual_xxz(roots, L, gamma):
@@ -110,19 +138,19 @@ def bae_residual_xxz(roots, L, gamma):
         raise ValueError("rapidity at a zero of sh")
     d = _diff(lam)
     lhs = np.exp(L * (np.log(sh(lam - 0.5j * gamma)) - np.log(sh(lam + 0.5j * gamma))))
-    return _exp_residual(lhs, sh(d - 1j * gamma), sh(d + 1j * gamma))
+    return float(_exp_residuals(lhs, sh(d - 1j * gamma), sh(d + 1j * gamma)))
 
 
 def bose_residual(roots, L_ring, c):
     """Max exponential-form residual of the delta-Bose-gas equations."""
     k = np.asarray(getattr(roots, "values", roots), complex)
     d = _diff(k)
-    return _exp_residual(np.exp(1j * k * L_ring), d + 1j * c, d - 1j * c)
+    return float(_exp_residuals(np.exp(1j * k * L_ring), d + 1j * c, d - 1j * c))
 
 
 def _logbae_F(lam, L, N, ns):
     return (np.arctan(2 * lam) / np.pi - ns / L + (N + 1) / (2 * L)
-            - np.arctan(_diff(lam)).sum(axis=1) / (np.pi * L))
+            - np.arctan(_diff(lam)).sum(axis=-1) / (np.pi * L))
 
 
 def logbae_residual(roots, L, qnums):
@@ -136,51 +164,115 @@ def logbae_residual(roots, L, qnums):
 
 
 def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
-    """Newton iteration with step-halving damping.
+    """Newton iteration with step-halving damping, over one system or a stack.
 
-    Returns (x, maxres, iters, reason), reason one of STOP_REASONS:
+    x0 has shape (n,) for one system or (B, n) for B independent lanes; F and
+    J are called as F(x, lanes), J(x, lanes) on the rows x of the lanes still
+    running (lanes None while all of them are).  Each lane keeps its own
+    step halving, iteration count and stop reason, one of STOP_REASONS:
     'converged' (max |F| < tol), 'singular' (the Jacobian solve failed),
     'stalled' (50 halvings did not lower max |F|), 'run_away' (an iterate
     beyond ROOT_ESCAPE, or a converged one beyond ROOT_ESCAPE/100) or
-    'max_iter'.
+    'max_iter'.  A stopped lane leaves the working set.
+
+    Returns (x, maxres, iters, reason): for x0 of shape (n,) an array, a
+    float, an int and a string; for (B, n) arrays of shape (B, n), (B,), (B,)
+    and (B,) (reasons as strings).
     """
-    x = np.array(x0, float)
-    f = F(x)
-    res = np.abs(f).max(initial=0.0)
+    x = np.array(x0, float, ndmin=2)
+    out, res_out = np.empty_like(x), np.empty(len(x))
+    iters, stop = np.empty(len(x), int), np.empty(len(x), int)
+    lanes, sub = np.arange(len(x)), None  # sub: the lanes argument of F and J
+
+    def retire(drop, why, it):
+        sel = lanes[drop]
+        out[sel], res_out[sel], iters[sel], stop[sel] = x[drop], res[drop], it, why
+        return ~drop
+
+    f = F(x, sub)
+    res = np.abs(f).max(axis=-1, initial=0.0)
     for it in range(1, max_iter + 1):
-        if res < tol:
-            far = np.abs(x).max(initial=0.0) > 0.01 * ROOT_ESCAPE
-            return x, float(res), it - 1, "run_away" if far else "converged"
-        try:
-            step = np.linalg.solve(J(x), -f)
-        except np.linalg.LinAlgError:
-            return x, float(res), it, "singular"
-        t = 1.0
-        for _ in range(50):
-            f_new = F(x + t * step)
-            res_new = np.abs(f_new).max()
-            if res_new < res:
+        done = res < tol
+        if done.any():
+            far = np.abs(x[done]).max(axis=-1, initial=0.0) > 0.01 * ROOT_ESCAPE
+            keep = retire(done, np.where(far, RUN_AWAY, CONVERGED), it - 1)
+            if not keep.any():
                 break
-            t /= 2
-        else:
-            return x, float(res), it, "stalled"
-        x, f, res = x + t * step, f_new, res_new
-        if np.abs(x).max() > ROOT_ESCAPE:
-            return x, float(res), it, "run_away"
-    return x, float(res), max_iter, "max_iter"
+            x, f, res, lanes = x[keep], f[keep], res[keep], lanes[keep]
+            sub = lanes
+        Jx = J(x, sub)
+        try:
+            step = np.linalg.solve(Jx, -f[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # some lane is singular: solve one by one to find which
+            step, bad = np.zeros_like(x), np.zeros(len(x), bool)
+            for r in range(len(x)):
+                try:
+                    step[r] = np.linalg.solve(Jx[r], -f[r])
+                except np.linalg.LinAlgError:
+                    bad[r] = True
+            keep = retire(bad, SINGULAR, it)
+            x, f, res, lanes, step = x[keep], f[keep], res[keep], lanes[keep], step[keep]
+            sub = lanes
+            if not len(x):
+                break
+        x_new = x + step
+        f_new = F(x_new, sub)
+        res_new = np.abs(f_new).max(axis=-1)
+        ok = res_new < res
+        if not ok.all():
+            # halve the steps of the lanes whose residual did not drop; all
+            # of them have been halved equally often, so t is shared
+            p, t = np.flatnonzero(~ok), 1.0
+            for _ in range(49):
+                t /= 2
+                xp = x[p] + t * step[p]
+                fp = F(xp, lanes[p])
+                rp = np.abs(fp).max(axis=-1)
+                ok = rp < res[p]
+                q = p[ok]
+                x_new[q], f_new[q], res_new[q] = xp[ok], fp[ok], rp[ok]
+                p = p[~ok]
+                if not len(p):
+                    break
+            else:
+                stalled = np.zeros(len(x), bool)
+                stalled[p] = True
+                keep = retire(stalled, STALLED, it)
+                x_new, f_new, res_new, lanes = x_new[keep], f_new[keep], res_new[keep], lanes[keep]
+                sub = lanes
+        x, f, res = x_new, f_new, res_new
+        away = np.abs(x).max(axis=-1) > ROOT_ESCAPE
+        if away.any():
+            keep = retire(away, RUN_AWAY, it)
+            x, f, res, lanes = x[keep], f[keep], res[keep], lanes[keep]
+            sub = lanes
+        if not len(x):
+            break
+    else:
+        retire(np.ones(len(x), bool), MAX_ITER_STOP, max_iter)
+    if np.ndim(x0) == 1:
+        return out[0], float(res_out[0]), int(iters[0]), STOP_REASONS[stop[0]]
+    return out, res_out, iters, np.array(STOP_REASONS)[stop]
 
 
 def _logbae_system(L, ns):
-    """(F, J) of the logarithmic XXX equations."""
-    N = len(ns)
+    """(F, J) of the logarithmic XXX equations; ns of shape (N,), or (B, N)
+    for one set of quantum numbers per lane."""
+    N = ns.shape[-1]
 
-    def F(lam):
-        return _logbae_F(lam, L, N, ns)
+    def F(lam, lanes=None):
+        return _logbae_F(lam, L, N, _per_lane(ns, lanes))
 
-    def J(lam):
+    def J(lam, lanes=None):
         return _jacobian(2 / np.pi / (1 + 4 * lam ** 2),
                          1 / (np.pi * L) / (1 + _diff(lam) ** 2))
     return F, J
+
+
+def _logbae_seed(L, ns):
+    """Initial guess from the non-interacting part of the log XXX equations."""
+    return 0.5 * np.tan(np.pi * (ns / L - (ns.shape[-1] + 1) / (2 * L)))
 
 
 def solve_logbae(L, N, qnums):
@@ -190,7 +282,7 @@ def solve_logbae(L, N, qnums):
     the lowest state of the N-sector has n_j = 1..N.  Returns a SolveReport;
     run-away iterates (rapidities at infinity) are flagged unconverged.
     """
-    ns = np.asarray(getattr(qnums, "n", qnums), float)
+    ns = _integer_qnums(qnums)
     if len(ns) != N:
         raise ValueError("need one quantum number per root")
     if N > 0 and np.any(np.diff(ns) <= 0):
@@ -199,8 +291,7 @@ def solve_logbae(L, N, qnums):
         raise ValueError("real-root branch requires N <= L/2")
     if N == 0:
         return SolveReport(RapiditySet("XXX", L, []), 0.0, 0, True, ())
-    lam0 = 0.5 * np.tan(np.pi * (ns / L - (N + 1) / (2 * L)))
-    lam, res, iters, stop = _damped_newton(*_logbae_system(L, ns), lam0)
+    lam, res, iters, stop = _damped_newton(*_logbae_system(L, ns), _logbae_seed(L, ns))
     roots = RapiditySet("XXX", L, np.sort(lam).astype(complex))
     return SolveReport(roots, res, iters, stop == "converged",
                        tuple(int(n) for n in ns), stop=stop)
@@ -218,14 +309,14 @@ def _dtheta(n, lam, gamma):
 
 
 def _xxz_system(L, gamma, ns):
-    """(F, J) of the logarithmic XXZ equations."""
-    N = len(ns)
+    """(F, J) of the logarithmic XXZ equations; ns (N,) or per lane (B, N)."""
+    N = ns.shape[-1]
 
-    def F(lam):
-        return (L * _theta(1, lam, gamma) - 2 * np.pi * ns + np.pi * (N + 1)
-                - np.sum(_theta(2, _diff(lam), gamma), axis=1))
+    def F(lam, lanes=None):
+        return (L * _theta(1, lam, gamma) - 2 * np.pi * _per_lane(ns, lanes) + np.pi * (N + 1)
+                - np.sum(_theta(2, _diff(lam), gamma), axis=-1))
 
-    def J(lam):
+    def J(lam, lanes=None):
         return _jacobian(L * _dtheta(1, lam, gamma), _dtheta(2, _diff(lam), gamma))
     return F, J
 
@@ -233,7 +324,7 @@ def _xxz_system(L, gamma, ns):
 def solve_logbae_xxz(L, N, gamma, qnums):
     """Real-root XXZ solve in the gapless parameterization Delta = cos(gamma),
     0 < gamma < pi: L theta_1(l_j) = 2 pi n_j - pi (N+1) + sum_k theta_2(l_j - l_k)."""
-    ns = np.asarray(getattr(qnums, "n", qnums), float)
+    ns = _integer_qnums(qnums)
     if N == 0:
         return SolveReport(RapiditySet("XXZ", L, [], {"gamma": gamma}), 0.0, 0, True, ())
     lam0 = 0.3 * (ns - (N + 1) / 2)
@@ -253,12 +344,13 @@ def xxz_energy(roots, gamma):
 
 
 def _bose_system(L_ring, c, target):
-    """(F, J) of the logarithmic delta-Bose-gas equations."""
+    """(F, J) of the logarithmic delta-Bose-gas equations; target (N,) or per
+    lane (B, N)."""
 
-    def F(k):
-        return k * L_ring + np.sum(2 * np.arctan(_diff(k) / c), axis=1) - target
+    def F(k, lanes=None):
+        return k * L_ring + np.sum(2 * np.arctan(_diff(k) / c), axis=-1) - _per_lane(target, lanes)
 
-    def J(k):
+    def J(k, lanes=None):
         return _jacobian(L_ring, -2 * c / (c ** 2 + _diff(k) ** 2))
     return F, J
 
@@ -272,7 +364,7 @@ def solve_bose(L_ring, N, c, qnums):
     """
     if c <= 0:
         raise ValueError("repulsive coupling c > 0 required")
-    ns = np.asarray(getattr(qnums, "n", qnums), float)
+    ns = _integer_qnums(qnums)
     if N == 0:
         return SolveReport(RapiditySet("BOSE", 0, [], {"c": c, "L_ring": L_ring}),
                            0.0, 0, True, (), {"c": c, "energy": 0.0})
@@ -284,49 +376,50 @@ def solve_bose(L_ring, N, c, qnums):
                        {"c": c, "L_ring": L_ring, "energy": energy}, stop)
 
 
+def _inadmissible(lam, tol):
+    """Admissibility failures of root sets lam (..., n): a root at +-i/2
+    (..., n), and coincident roots j < k and differences l_j - l_k = i
+    (..., n, n each)."""
+    d = _diff(lam)
+    off = ~np.eye(lam.shape[-1], dtype=bool)
+    pole = (np.abs(lam - 0.5j) < tol) | (np.abs(lam + 0.5j) < tol)
+    return pole, (np.abs(d) < tol) & np.triu(off), (np.abs(d - 1j) < tol) & off
+
+
 def admissibility(roots, tol=EQUALITY_TOL):
     """Admissibility of an XXX root set: pairwise distinct, no difference i,
     no root at +-i/2.  Returns (flag, list of reasons)."""
     lam = np.asarray(getattr(roots, "values", roots), complex)
-    reasons = []
-    n = len(lam)
-    for j in range(n):
-        if abs(lam[j] - 0.5j) < tol or abs(lam[j] + 0.5j) < tol:
-            reasons.append(f"root at +-i/2 (index {j})")
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            if j < k and abs(lam[j] - lam[k]) < tol:
-                reasons.append(f"coincident roots ({j},{k})")
-            if abs(lam[j] - lam[k] - 1j) < tol:
-                reasons.append(f"difference i ({j},{k})")
+    pole, coincident, diff_i = _inadmissible(lam, tol)
+    reasons = [f"root at +-i/2 (index {j})" for j in np.flatnonzero(pole)]
+    for j, k in zip(*np.nonzero(coincident | diff_i)):
+        if coincident[j, k]:
+            reasons.append(f"coincident roots ({j},{k})")
+        if diff_i[j, k]:
+            reasons.append(f"difference i ({j},{k})")
     return len(reasons) == 0, reasons
-
-
-def _bound_pair_roots(z):
-    return np.array([z[0] + 1j * z[1], z[0] - 1j * z[1]])
 
 
 def _bound_pair_system(L):
     """(F, J) of the N = 2 bound-pair equation in z = (l_r, d), l = l_r + i d:
     G = ((l - i/2)/(l + i/2))^L - (2d - 1)/(2d + 1), split into (Re G, Im G).
     G is holomorphic in l up to the d-dependent constant, whose d-derivative
-    is 4/(2d + 1)^2."""
+    is 4/(2d + 1)^2.  z has shape (2,) or (B, 2)."""
 
     def p(z):
-        l = z[0] + 1j * z[1]
+        l = z[..., 0] + 1j * z[..., 1]
         return l, np.exp(L * (np.log(l - 0.5j) - np.log(l + 0.5j)))
 
-    def F(z):
-        g = p(z)[1] - (2 * z[1] - 1) / (2 * z[1] + 1)
-        return np.array([g.real, g.imag])
+    def F(z, lanes=None):
+        g = p(z)[1] - (2 * z[..., 1] - 1) / (2 * z[..., 1] + 1)
+        return np.stack([g.real, g.imag], axis=-1)
 
-    def J(z):
+    def J(z, lanes=None):
         l, pl = p(z)
         dl = pl * L * (1 / (l - 0.5j) - 1 / (l + 0.5j))
-        dd = 1j * dl - 4 / (2 * z[1] + 1) ** 2
-        return np.array([[dl.real, dd.real], [dl.imag, dd.imag]])
+        dd = 1j * dl - 4 / (2 * z[..., 1] + 1) ** 2
+        return np.stack([np.stack([dl.real, dd.real], axis=-1),
+                         np.stack([dl.imag, dd.imag], axis=-1)], axis=-2)
     return F, J
 
 
@@ -335,14 +428,16 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
     scan and conjugate ("bound") pairs l = l_r +- i d from a Newton search.
 
     Real seeds: all strictly increasing integer pairs in qn_range (default
-    covers every branch that converges at this L).  Bound seeds: l_r on a
-    step-0.1 grid with d0 = 0.5; the default grid spans +-(cot(pi/L) + 1.5)
+    covers every branch that converges at this L), solved as one stack of
+    log-form systems.  Bound seeds: l_r on a step-0.1 grid with d0 = 0.5,
+    solved as one stack; the default grid spans +-(cot(pi/L) + 1.5)
     because the smallest-momentum bound pair sits at center cot(pi/L), beyond
     +-3 once L >= 10.  The bound-pair search runs on the shared _damped_newton
     (tolerance 1e-13, 100 steps); its run-away rule discards seeds that walk
     off to |l| -> infinity, where the equation holds only asymptotically.
-    Solutions are verified by bae_residual_xxx and deduplicated at distance
-    1e-6.  The exactly singular pair {+i/2, -i/2} (a genuine two-magnon level
+    Candidates, real pairs first, are kept if admissible with exp-form
+    residual at most 1e-10 and not within 1e-6 of an earlier candidate.
+    The exactly singular pair {+i/2, -i/2} (a genuine two-magnon level
     at momentum pi for even L) is inadmissible and intentionally not returned.
 
     Returns a list of (RapiditySet, kind) with kind 'real-pair' | 'bound-pair'.
@@ -351,38 +446,28 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
         raise ValueError("L must be even, 4 <= L <= 16")
     if qn_range is None:
         qn_range = range(-L // 2 + 1, L // 2 + 4)
-    found = []
-    keys = np.empty((0, 2), complex)  # sorted root pairs of found
-
-    def add(roots, kind):
-        nonlocal keys
-        if not admissibility(roots)[0]:
-            return  # the singular pair {+-i/2} lands here
-        if bae_residual_xxx(roots, L) > 1e-10:
-            return
-        key = np.sort_complex(roots)
-        if np.any(np.max(np.abs(keys - key), axis=1) < 1e-6):
-            return
-        keys = np.vstack([keys, key])
-        found.append((RapiditySet("XXX", L, roots), kind))
-
-    for n1 in qn_range:
-        for n2 in qn_range:
-            if n2 <= n1:
-                continue
-            rep = solve_logbae(L, 2, (n1, n2))
-            if rep.converged:
-                add(rep.roots.values, "real-pair")
+    ns = np.array([(n1, n2) for n1 in qn_range for n2 in qn_range if n2 > n1],
+                  float).reshape(-1, 2)
+    lam, _, _, stop = _damped_newton(*_logbae_system(L, ns), _logbae_seed(L, ns))
+    real = np.sort(lam[stop == "converged"], axis=-1).astype(complex)
 
     if grid is None:
         reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)
         grid = np.arange(-reach, reach + 1e-9, 0.1)
-    F, J = _bound_pair_system(L)
-    for lr0 in grid:
-        z, _, _, stop = _damped_newton(F, J, (lr0, delta0), tol=1e-13, max_iter=100)
-        if stop == "converged" and abs(z[1]) >= 1e-4:
-            add(_bound_pair_roots(z), "bound-pair")
-    return found
+    z0 = np.stack([np.asarray(grid, float), np.full(len(grid), float(delta0))], axis=-1)
+    z, _, _, stop = _damped_newton(*_bound_pair_system(L), z0, tol=1e-13, max_iter=100)
+    z = z[(stop == "converged") & (np.abs(z[:, 1]) >= 1e-4)]
+    bound = np.stack([z[:, 0] + 1j * z[:, 1], z[:, 0] - 1j * z[:, 1]], axis=-1)
+
+    cand = np.concatenate([real, bound])
+    kinds = ["real-pair"] * len(real) + ["bound-pair"] * len(bound)
+    pole, coincident, diff_i = _inadmissible(cand, EQUALITY_TOL)  # the pair {+-i/2} fails
+    ok = ~(pole.any(axis=-1) | coincident.any(axis=(-2, -1)) | diff_i.any(axis=(-2, -1)))
+    ok[ok] = ~(_xxx_residuals(cand[ok], L) > 1e-10)
+    keys = np.sort_complex(cand[ok])
+    near = np.max(np.abs(keys[:, None] - keys[None, :]), axis=-1) < 1e-6
+    ok[ok] = ~np.triu(near, 1).any(axis=0)
+    return [(RapiditySet("XXX", L, cand[i].copy()), kinds[i]) for i in np.flatnonzero(ok)]
 
 
 def two_magnon_reference_count(L):

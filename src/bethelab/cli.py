@@ -205,11 +205,10 @@ def cmd_thermo_condensation(p, cfg):
 def cmd_vertex_ybe(p, cfg):
     trials = int(p.get("trials", 100))
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for i in range(trials):
-        lam, mu, nu = rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
-        eta = 0.3 if i % 2 == 0 else 0.7 + 0.2j
-        worst = max(worst, sixvertex.ybe_residual(lam, mu, nu, eta))
+    draws = np.array([rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
+                      for _ in range(trials)]).reshape(-1, 3)
+    eta = np.where(np.arange(len(draws)) % 2 == 0, 0.3, 0.7 + 0.2j)
+    worst = sixvertex.ybe_residual(*draws.T, eta)
     return _emit(cfg, {"trials": trials, "max_residual": worst},
                  status=EXIT_OK if worst < 1e-12 else EXIT_INVARIANT)
 

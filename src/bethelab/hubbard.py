@@ -28,7 +28,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .bae import _damped_newton, _diff, _jacobian
+from .bae import _damped_newton, _diff, _integer_qnums, _jacobian, _per_lane
 from .ed import _pack
 
 FACTORIAL_GUARD_N = 6
@@ -203,26 +203,29 @@ def _charge_offset(M):
 
 
 def _liebwu_system(L, N, M, u, ns, ss):
-    """(F, J) of the logarithmic Lieb-Wu equations in z = (k, lambda)."""
+    """(F, J) of the logarithmic Lieb-Wu equations in z = (k, lambda), z of
+    shape (N + M,) or (B, N + M); ns and ss (N,), (M,) or per lane (B, .)."""
     off_c = _charge_offset(M)
     off_s = np.pi * (M - 1 - N)
     off_s -= 2 * np.pi * np.round(off_s / (2 * np.pi))
+    i = np.arange(N)
 
-    def F(z):
-        k, lam = z[:N], z[N:]
-        a = 2 * np.arctan((np.sin(k)[:, None] - lam[None, :]) / u)  # N x M
-        G = k * L - 2 * np.pi * ns - off_c + a.sum(axis=1)
-        Hs = (-a.sum(axis=0) - np.sum(2 * np.arctan(_diff(lam) / (2 * u)), axis=1)
-              - off_s - 2 * np.pi * ss)
-        return np.concatenate([G, Hs])
+    def F(z, lanes=None):
+        k, lam = z[..., :N], z[..., N:]
+        a = 2 * np.arctan((np.sin(k)[..., :, None] - lam[..., None, :]) / u)  # N x M
+        G = k * L - 2 * np.pi * _per_lane(ns, lanes) - off_c + a.sum(axis=-1)
+        Hs = (-a.sum(axis=-2) - np.sum(2 * np.arctan(_diff(lam) / (2 * u)), axis=-1)
+              - off_s - 2 * np.pi * _per_lane(ss, lanes))
+        return np.concatenate([G, Hs], axis=-1)
 
-    def J(z):
-        k, lam = z[:N], z[N:]
+    def J(z, lanes=None):
+        k, lam = z[..., :N], z[..., N:]
         ck = np.cos(k)
-        A = 2 * u / (u ** 2 + (np.sin(k)[:, None] - lam[None, :]) ** 2)  # N x M
-        spin = _jacobian(A.sum(axis=0), 4 * u / (4 * u ** 2 + _diff(lam) ** 2))
-        return np.block([[np.diag(L + ck * A.sum(axis=1)), -A],
-                         [-(A * ck[:, None]).T, spin]])
+        A = 2 * u / (u ** 2 + (np.sin(k)[..., :, None] - lam[..., None, :]) ** 2)  # N x M
+        spin = _jacobian(A.sum(axis=-2), 4 * u / (4 * u ** 2 + _diff(lam) ** 2))
+        charge = np.zeros(k.shape + (N,))
+        charge[..., i, i] = L + ck * A.sum(axis=-1)
+        return np.block([[charge, -A], [-(A * ck[..., :, None]).swapaxes(-1, -2), spin]])
     return F, J
 
 
@@ -233,17 +236,18 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=(), tol=1e-12, max_iter=30
     Spin:    sum_j 2 arctg((l_l - sin k_j)/u)
              = [pi (M-1-N)] + 2 pi s_l + sum_{m != l} 2 arctg((l_l - l_m)/(2u))
 
-    with the bracketed constants reduced mod 2pi.  Seeds: k0 from the
-    decoupled charge part, l0 from the strong-coupling spin chain.  Returns
-    (NestedRoots, residual, converged); run-away spin rapidities (the
-    spin-lowered descendants) are flagged unconverged.
+    with the bracketed constants reduced mod 2pi; they carry the parity
+    offsets, so n_j and s_l must be integers (ValueError otherwise).  Seeds:
+    k0 from the decoupled charge part, l0 from the strong-coupling spin
+    chain.  Returns (NestedRoots, residual, converged); run-away spin
+    rapidities (the spin-lowered descendants) are flagged unconverged.
     """
     if not (0 <= 2 * M <= N <= L):
         raise ValueError("need 0 <= 2M <= N <= L")
     if u == 0:
         raise ValueError("u = 0 makes the Lieb-Wu equations singular")
-    ns = np.asarray(charge_qnums, float)
-    ss = np.asarray(spin_qnums, float)
+    ns = _integer_qnums(charge_qnums)
+    ss = _integer_qnums(spin_qnums)
     if len(ns) != N or len(ss) != M:
         raise ValueError("need one charge number per k and one spin number per lambda")
     k0 = (2 * np.pi * ns + _charge_offset(M)) / L

@@ -23,7 +23,7 @@ check and the aba module's B/C products apply the same factors.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,7 @@ import scipy.sparse as sp
 from .ed import FULL_SPACE, OperatorMatrix, _pack, build_xxz_hamiltonian
 
 FD_STEP = 1e-5
+YBE_BATCH = 4096  # Yang-Baxter trials per stacked product: 4 MB per (B, 8, 8) array
 
 
 @dataclass
@@ -117,10 +118,12 @@ class TransferMatrix:
 
 
 def r_matrix_from_weights(a, b, c):
-    R = np.zeros((4, 4), complex)
-    R[0, 0] = R[3, 3] = a
-    R[1, 1] = R[2, 2] = b
-    R[1, 2] = R[2, 1] = c
+    """The 4 x 4 R-matrix of weights (a, b, c); array weights give a stack
+    (..., 4, 4)."""
+    R = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)) + (4, 4), complex)
+    R[..., 0, 0] = R[..., 3, 3] = a
+    R[..., 1, 1] = R[..., 2, 2] = b
+    R[..., 1, 2] = R[..., 2, 1] = c
     return R
 
 
@@ -147,6 +150,17 @@ def _embed_pair(R4, pos0, pos1, n):
         vals.append(np.full(src.shape, R4[out, inp], complex))
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(2 ** n, 2 ** n)).tocsr()
+
+
+@cache
+def _embedding_map(pos0, pos1, n):
+    """The linear map R4.ravel() -> _embed_pair(R4, pos0, pos1, n).ravel() as a
+    read-only (4^n, 16) matrix, read off _embed_pair at the 16 unit matrices."""
+    units = np.eye(16).reshape(16, 4, 4)
+    M = np.stack([_embed_pair(e, pos0, pos1, n).toarray().ravel() for e in units],
+                 axis=-1).real
+    M.flags.writeable = False
+    return M
 
 
 def _r_factors(lam, L, weights, n, aux=0):
@@ -218,10 +232,18 @@ def transfer_sector_block(L, N, weights, lam=0.0):
 
 def ybe_residual(lam, mu, nu, eta, rho=1.0):
     """Max-entry magnitude of R12 R13 R23 - R23 R13 R12 on the 8-dim space,
-    with arguments l - m, l - n, m - n."""
-    R12, R13, R23 = (_embed_pair(r_matrix(x, eta, rho), p0, p1, 3).toarray()
-                     for x, p0, p1 in ((lam - mu, 0, 1), (lam - nu, 0, 2), (mu - nu, 1, 2)))
-    return float(np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)))
+    with arguments l - m, l - n, m - n.  lam, mu, nu (and eta, rho) may be
+    equal-length arrays, one entry per trial; the max runs over all trials,
+    evaluated as stacks of YBE_BATCH."""
+    lam, mu, nu, eta, rho = (np.ravel(a) for a in np.broadcast_arrays(lam, mu, nu, eta, rho))
+    args = ((lam - mu, 0, 1), (lam - nu, 0, 2), (mu - nu, 1, 2))
+    worst = 0.0
+    for w in (slice(s, s + YBE_BATCH) for s in range(0, len(lam), YBE_BATCH)):
+        R12, R13, R23 = ((r_matrix(x[w], eta[w], rho[w]).reshape(-1, 16)
+                          @ _embedding_map(p0, p1, 3).T).reshape(-1, 8, 8)
+                         for x, p0, p1 in args)
+        worst = max(worst, float(np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12))))
+    return worst
 
 
 def rtt_residual(lam, mu, L, weights):

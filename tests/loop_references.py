@@ -7,11 +7,19 @@ by term in log form (with a direct product loop when a site factor vanishes),
 and the nested sum over charge permutations P and spin orderings R per
 configuration.  Cost grows like N! (times M! for the nested state); use them
 at small N only.
+
+The two-magnon classification is kept in its serial form too: one
+solve_logbae per quantum-number pair, one single-lane _damped_newton per
+bound-pair seed, and admissibility, residual and de-duplication checked
+candidate by candidate, with the double-loop admissibility test.
 """
 
 from itertools import permutations
 
 import numpy as np
+
+from bethelab import bae
+from bethelab.coordinate import RapiditySet
 
 
 def signed_permutations(n):
@@ -175,3 +183,60 @@ def assemble_state(roots, basis):
             [x for x, _ in orbs], [s for _, s in orbs], roots)
     nrm = np.linalg.norm(v)
     return v / nrm if nrm > 0 else v
+
+
+def admissibility(roots, tol=bae.EQUALITY_TOL):
+    """(flag, reasons) of an XXX root set, pair by pair."""
+    lam = np.asarray(getattr(roots, "values", roots), complex)
+    reasons = []
+    n = len(lam)
+    for j in range(n):
+        if abs(lam[j] - 0.5j) < tol or abs(lam[j] + 0.5j) < tol:
+            reasons.append(f"root at +-i/2 (index {j})")
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            if j < k and abs(lam[j] - lam[k]) < tol:
+                reasons.append(f"coincident roots ({j},{k})")
+            if abs(lam[j] - lam[k] - 1j) < tol:
+                reasons.append(f"difference i ({j},{k})")
+    return len(reasons) == 0, reasons
+
+
+def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
+    """bae.classify_two_magnon, one solve and one candidate at a time."""
+    if qn_range is None:
+        qn_range = range(-L // 2 + 1, L // 2 + 4)
+    found = []
+    keys = np.empty((0, 2), complex)  # sorted root pairs of found
+
+    def add(roots, kind):
+        nonlocal keys
+        if not admissibility(roots)[0]:
+            return
+        if bae.bae_residual_xxx(roots, L) > 1e-10:
+            return
+        key = np.sort_complex(roots)
+        if np.any(np.max(np.abs(keys - key), axis=1) < 1e-6):
+            return
+        keys = np.vstack([keys, key])
+        found.append((RapiditySet("XXX", L, roots), kind))
+
+    for n1 in qn_range:
+        for n2 in qn_range:
+            if n2 <= n1:
+                continue
+            rep = bae.solve_logbae(L, 2, (n1, n2))
+            if rep.converged:
+                add(rep.roots.values, "real-pair")
+
+    if grid is None:
+        reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)
+        grid = np.arange(-reach, reach + 1e-9, 0.1)
+    F, J = bae._bound_pair_system(L)
+    for lr0 in grid:
+        z, _, _, stop = bae._damped_newton(F, J, (lr0, delta0), tol=1e-13, max_iter=100)
+        if stop == "converged" and abs(z[1]) >= 1e-4:
+            add(np.array([z[0] + 1j * z[1], z[0] - 1j * z[1]]), "bound-pair")
+    return found

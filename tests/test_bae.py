@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bethelab import bae, coordinate, ed
+import loop_references
+from bethelab import bae, coordinate, ed, hubbard
 from oracles import central_difference_jacobian, kron_spin_hamiltonian
 
 RNG = np.random.default_rng(7)
@@ -419,3 +420,150 @@ class TestVectorizedProperties:
         _assume_regular(d + 1j * c, d - 1j * c)
         ref = _loop_residual_bose(k, ring, c)
         assert abs(bae.bose_residual(k, ring, c) - ref) <= 1e-10 * max(1.0, ref)
+
+
+# ---- the lane-batched Newton driver against single solves and the serial scan
+
+TWO_MAGNON_COUNTS = {4: 1, 6: 8, 8: 19, 10: 32, 12: 51, 14: 72, 16: 97}
+
+
+@pytest.mark.parametrize("L", sorted(TWO_MAGNON_COUNTS))
+def test_two_magnon_matches_serial_scan(L):
+    sols = bae.classify_two_magnon(L)
+    ref = loop_references.classify_two_magnon(L)
+    assert len(sols) == len(ref) == TWO_MAGNON_COUNTS[L]
+    assert [k for _, k in sols] == [k for _, k in ref]
+    for (rs, _), (rr, _) in zip(sols, ref):
+        assert np.max(np.abs(rs.values - rr.values)) <= 1e-14
+
+
+def _assert_lanes_match_single(system, params, X0, **kw):
+    """system(*params) with per-lane params (B, .) solved as one stack from X0
+    (B, n), against system(*row b of params) solved from X0[b]."""
+    X, res, iters, stop = bae._damped_newton(*system(*params), X0, **kw)
+    assert X.shape == X0.shape and res.shape == iters.shape == stop.shape == (len(X0),)
+    for b, x0 in enumerate(X0):
+        x1, r1, it1, s1 = bae._damped_newton(*system(*(p[b] for p in params)), x0, **kw)
+        assert (iters[b], stop[b]) == (it1, s1)
+        assert np.array_equal(X[b], x1) and res[b] == r1
+
+
+def _increasing_qnums(data, B, N, lo, hi):
+    return np.array([sorted(data.draw(st.lists(st.integers(lo, hi), min_size=N, max_size=N,
+                                               unique=True))) for _ in range(B)], float)
+
+
+class TestLaneBatchedNewton:
+    """Each lane of a stack ends exactly as its own single-lane solve: the
+    single call passes the lane's row of the per-lane parameters."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(6, 40), N=st.integers(1, 3), B=st.integers(1, 6), data=st.data())
+    def test_logbae_lanes(self, L, N, B, data):
+        ns = _increasing_qnums(data, B, N, -L // 2, L // 2 + 3)
+        _assert_lanes_match_single(lambda q: bae._logbae_system(L, q), (ns,),
+                                   bae._logbae_seed(L, ns))
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(6, 40), N=st.integers(1, 4), B=st.integers(1, 6),
+           gamma=st.floats(0.2, 2.8), data=st.data())
+    def test_xxz_lanes(self, L, N, B, gamma, data):
+        ns = _increasing_qnums(data, B, N, -2, L // 2 + 2)
+        _assert_lanes_match_single(lambda q: bae._xxz_system(L, gamma, q), (ns,),
+                                   0.3 * (ns - (N + 1) / 2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 5), B=st.integers(1, 6), ring=st.floats(2.0, 20.0),
+           c=st.floats(0.1, 10.0), data=st.data())
+    def test_bose_lanes(self, N, B, ring, c, data):
+        target = 2 * np.pi * (_increasing_qnums(data, B, N, -3, 6) - (N + 1) / 2)
+        _assert_lanes_match_single(lambda t: bae._bose_system(ring, c, t), (target,),
+                                   target / ring)
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(4, 12), N=st.integers(1, 4), B=st.integers(1, 5),
+           u=st.floats(0.3, 4.0), data=st.data())
+    def test_liebwu_lanes(self, L, N, B, u, data):
+        M = data.draw(st.integers(0, N // 2))
+        ns = _increasing_qnums(data, B, N, -3, 3)
+        ss = _increasing_qnums(data, B, M, -1, 1)
+        z0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=B * (N + M),
+                                         max_size=B * (N + M)))).reshape(B, N + M)
+        _assert_lanes_match_single(lambda n, s: hubbard._liebwu_system(L, N, M, u, n, s),
+                                   (ns, ss), z0, max_iter=300)
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.sampled_from(range(4, 17, 2)), B=st.integers(1, 8), data=st.data())
+    def test_bound_pair_lanes(self, L, B, data):
+        lr = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=B, max_size=B))
+        d = data.draw(st.lists(st.floats(0.1, 1.5), min_size=B, max_size=B))
+        _assert_lanes_match_single(lambda: bae._bound_pair_system(L), (),
+                                   np.stack([lr, d], axis=-1), tol=1e-13, max_iter=100)
+
+    def test_mixed_batch_ends_in_every_stop_reason(self):
+        # per lane: x - 1 (converges); x^2 + 1 from 0 (J = 0, singular);
+        # x^2 + 1 with the Jacobian's sign flipped (every step uphill,
+        # stalled); 1/x from 1e4 (the step doubles x: run-away); 1/x from 1
+        # (still below ROOT_ESCAPE after max_iter); x - 2e4 (converges beyond
+        # ROOT_ESCAPE/100: run-away); x - 1 with J = 2^-49 (only the 50th
+        # and last trial step, t = 2^-49, lowers |F|: converges) and with
+        # J = 2^-50 (that would take a 51st: stalled)
+        def system(kind):
+            def F(x, lanes=None):
+                k = bae._per_lane(kind, lanes)
+                with np.errstate(divide="ignore"):
+                    return np.select([k == 0, k <= 2, k == 3, k == 4],
+                                     [x - 1, x ** 2 + 1, 1 / x, x - 2e4], x - 1)
+
+            def J(x, lanes=None):
+                k = bae._per_lane(kind, lanes)
+                with np.errstate(divide="ignore"):
+                    return np.select([k == 0, k == 1, k == 2, k == 3, k == 4, k == 5],
+                                     [np.ones_like(x), 2 * x, -2 * x, -1 / x ** 2,
+                                      np.ones_like(x), np.full_like(x, 2.0 ** -49)],
+                                     2.0 ** -50)[..., None]
+            return F, J
+
+        kind = np.array([[0], [1], [2], [3], [3], [4], [5], [6]])
+        x0 = np.array([[0.0], [0.0], [1.0], [1e4], [1.0], [0.0], [0.0], [0.0]])
+        X, res, iters, stop = bae._damped_newton(*system(kind), x0, max_iter=10)
+        assert list(stop) == ["converged", "singular", "stalled", "run_away", "max_iter",
+                              "run_away", "converged", "stalled"]
+        assert set(stop) == set(bae.STOP_REASONS)
+        assert list(iters) == [1, 1, 1, 7, 10, 1, 1, 1]
+        assert X[0, 0] == 1.0 and X[1, 0] == 0.0 and X[2, 0] == 1.0 and X[3, 0] > bae.ROOT_ESCAPE
+        assert X[4, 0] == 2.0 ** 10 and X[5, 0] == 2e4 and X[6, 0] == 1.0 and X[7, 0] == 0.0
+        _assert_lanes_match_single(system, (kind,), x0, max_iter=10)
+
+    def test_empty_stack(self):
+        F, J = bae._bound_pair_system(8)
+        X, res, iters, stop = bae._damped_newton(F, J, np.empty((0, 2)))
+        assert X.shape == (0, 2) and len(res) == len(iters) == len(stop) == 0
+
+
+_ROOT_POOL = [0.5j, -0.5j, 0.3, 0.3 + 1j, 0.3 - 1j, 0.3 + 1e-9, -0.7 + 0.2j, -0.7 + 1.2j,
+              -0.7 - 0.8j, 2.0, 0.5j + 1e-9]
+
+
+class TestAdmissibilityVectorized:
+    @settings(max_examples=200, deadline=None)
+    @given(roots=st.lists(st.sampled_from(_ROOT_POOL), max_size=6),
+           tol=st.sampled_from([bae.EQUALITY_TOL, 1e-12, 0.3, 2.0]))
+    def test_matches_loop_form(self, roots, tol):
+        lam = np.array(roots, complex)
+        assert bae.admissibility(lam, tol) == loop_references.admissibility(lam, tol)
+
+
+class TestIntegerQuantumNumbers:
+    @pytest.mark.parametrize("solve", [
+        lambda q: bae.solve_logbae(8, 2, q),
+        lambda q: bae.solve_logbae_xxz(8, 2, 0.7, q),
+        lambda q: bae.solve_bose(8.0, 2, 1.0, q)])
+    @pytest.mark.parametrize("qnums", [(0.5, 1.5), (1, 2.5), (1, np.nan)])
+    def test_non_integer_is_rejected(self, solve, qnums):
+        with pytest.raises(ValueError, match="integers"):
+            solve(qnums)
+
+    def test_integer_valued_floats_are_accepted(self):
+        rep = bae.solve_logbae(8, 2, (1.0, 2.0))
+        assert rep.converged and rep.qnums == (1, 2)

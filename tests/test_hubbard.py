@@ -117,6 +117,17 @@ class TestLiebWu:
         assert ok
         assert abs(roots.k[0].real - 2 * np.pi * 2 / 5) < 1e-12
 
+    @pytest.mark.parametrize("L, N, M, u, qnums, spin_qnums", [
+        (8, 6, 2, 1.0, (-2, -1, 0, 1, 2, 3), (-0.5, 0.5)),
+        (8, 6, 2, 2.0, (-2, -1, 0, 1, 2, 3), (-0.5, 0.5)),
+        (6, 4, 2, 1.5, (-2, -1, 0, 1), (-0.5, 0.5)),
+        (6, 2, 1, 1.0, (-0.5, 0.5), (0,))])
+    def test_non_integer_quantum_numbers_rejected(self, L, N, M, u, qnums, spin_qnums):
+        # the log form folds the parity offsets into its constants: half-odd
+        # spin numbers used to "converge" to roots with exp-form residual 2
+        with pytest.raises(ValueError, match="integers"):
+            hubbard.solve_liebwu(L, N, M, u, qnums, spin_qnums)
+
     def test_zero_u_rejected(self):
         # the equations divide by u; u = 0 (free fermions) is left to ED
         with pytest.raises(ValueError):

@@ -305,6 +305,12 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["eigenvector_residual"] < 1e-8
 
+    def test_half_odd_spin_qnums_are_config_error(self, capsys):
+        assert main(["hubbard", "liebwu", "--L", "8", "--N", "6", "--M", "2", "--u", "1.0",
+                     "--qnums=-2,-1,0,1,2,3", "--spin-qnums=-0.5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_invariant_violation_exit(self, capsys):
         # an unreachable tolerance on a passing computation must flag exit 4
         assert main(["vertex", "hamiltonian-link", "--L", "4", "--eta", "0.3",

@@ -60,6 +60,24 @@ class TestYangBaxter:
             for eta in (0.3, 0.7 + 0.2j):
                 assert sixvertex.ybe_residual(lam, mu, nu, eta) < 1e-12
 
+    @pytest.mark.parametrize("batch", [sixvertex.YBE_BATCH, 7])
+    def test_stacked_trials_equal_max_of_single_calls(self, batch, monkeypatch):
+        monkeypatch.setattr(sixvertex, "YBE_BATCH", batch)
+        rng = np.random.default_rng(5)
+        lam, mu, nu = rng.uniform(-2, 2, (3, 40)) + 1j * rng.uniform(-2, 2, (3, 40))
+        eta = np.where(np.arange(40) % 2 == 0, 0.3, 0.7 + 0.2j)
+        single = max(sixvertex.ybe_residual(*args) for args in zip(lam, mu, nu, eta))
+        assert abs(sixvertex.ybe_residual(lam, mu, nu, eta) - single) <= 1e-15
+        assert sixvertex.ybe_residual(lam[:0], mu[:0], nu[:0], eta[:0]) == 0.0
+
+    def test_embedding_map_is_embed_pair(self):
+        rng = np.random.default_rng(6)
+        R4 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for p0, p1 in ((0, 1), (0, 2), (1, 2)):
+            direct = sixvertex._embed_pair(R4, p0, p1, 3).toarray()
+            assert np.array_equal((sixvertex._embedding_map(p0, p1, 3) @ R4.ravel()).reshape(8, 8),
+                                  direct)
+
     def test_coincident_arguments(self):
         assert sixvertex.ybe_residual(0.4, 0.4, 0.4, 0.55) == 0.0
 
