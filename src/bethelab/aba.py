@@ -28,7 +28,7 @@ which was validated against the explicit pairing of B/C product vectors.
 import numpy as np
 
 from .bae import solve_logbae_xxz
-from .sixvertex import VertexWeights, _r_factors, monodromy, monodromy_trace
+from .sixvertex import VertexWeights, _monodromy_action, monodromy, monodromy_trace
 
 sh = np.sinh
 ch = np.cosh
@@ -131,38 +131,48 @@ def pseudo_vacuum(L):
 
 def aba_transfer(lam, L, eta, rho=1.0):
     """A(l) + D(l) in the homogeneous eta/2 convention (equals the six-vertex
-    transfer at l - eta/2)."""
+    transfer at l - eta/2), as an explicit matrix; the action residuals apply
+    it to vectors through _transfer_action instead."""
     w = _weights_homogeneous(L, eta, rho)
     return monodromy_trace(monodromy(lam, L, w), L)
 
 
-def _off_diagonal_product(roots, L, eta, rho, transposed):
-    """prod_j B(l_j)|0>, or prod_j C(l_j)^T |0> with the R-factors applied in
-    reverse order (R is symmetric, so T^T is the reversed product): one
-    2^(L+1) vector per root enters with aux = 1 and keeps its aux = 0 half."""
+def _off_diagonal_product(roots, L, w, transposed):
+    """prod_j B(l_j)|0>, or prod_j C(l_j)^T |0> with the transposed monodromy,
+    for the weights w: one 2^(L+1) vector per root enters with aux = 1, goes
+    through the R-factors by reshape, and keeps its aux = 0 half."""
     if L > 12:
-        raise ValueError("monodromy blocks supported up to L = 12")
-    w = _weights_homogeneous(L, eta, rho)
+        raise ValueError("B/C products supported up to L = 12")
     v = pseudo_vacuum(L)
     for lam in np.atleast_1d(np.asarray(roots, complex)):
         x = np.concatenate([np.zeros_like(v), v])
-        factors = _r_factors(lam, L, w, L + 1)
-        for R in factors[::-1] if transposed else factors:
-            x = R @ x
-        v = x[:len(v)]
+        v = _monodromy_action(lam, L, w, x, transposed)[:len(v)]
     return v
 
 
 def b_product_state(roots, L, eta, rho=1.0):
     """prod_j B(l_j) applied to the pseudo vacuum (order immaterial: the B's
-    commute), without building a monodromy matrix."""
-    return _off_diagonal_product(roots, L, eta, rho, transposed=False)
+    commute), applying the R-factors to one vector per root without building
+    any matrix."""
+    return _off_diagonal_product(roots, L, _weights_homogeneous(L, eta, rho), False)
 
 
 def c_product_covector(roots, L, eta, rho=1.0):
-    """<0| prod_j C(m_j) as a vector, without building a monodromy matrix; the
-    dual pseudo vacuum is the conjugate transpose of |0>, unnormalized."""
-    return _off_diagonal_product(roots, L, eta, rho, transposed=True)
+    """<0| prod_j C(m_j) as a vector, applying the R-factors to one vector per
+    root without building any matrix; the dual pseudo vacuum is the conjugate
+    transpose of |0>, unnormalized."""
+    return _off_diagonal_product(roots, L, _weights_homogeneous(L, eta, rho), True)
+
+
+def _transfer_action(v, lam, L, eta, rho, transposed):
+    """t(l) @ v = sum_a <a|T_0(l)|a> v, or v @ t(l) with transposed=True, as
+    one monodromy action on the two columns (|a> (x) v, a = 0, 1); equals
+    aba_transfer(lam, L, eta, rho) @ v without building it."""
+    d = len(v)
+    x = np.zeros((2 * d, 2), complex)
+    x[:d, 0] = x[d:, 1] = v
+    y = _monodromy_action(lam, L, _weights_homogeneous(L, eta, rho), x, transposed)
+    return y[:d, 0] + y[d:, 1]
 
 
 def q_function(lam, roots):
@@ -262,11 +272,12 @@ def offshell_action_residual(params, ell, L, eta, rho=1.0):
                                      + d(l_j) Q(l_j + eta|{l}_ell)]
                               / Q(l_j|{l}_j) * B({l}_j)
 
-    evaluated with explicit vectors on the 2^L space; {l}_j omits the j-th of
+    evaluated with explicit vectors on the 2^L space, t applied to the vector
+    factor by factor (no transfer matrix is built); {l}_j omits the j-th of
     the N+1 parameters."""
     keep, coeffs = _action_terms(params, ell, L, eta, rho)
-    t = aba_transfer(complex(params[ell]), L, eta, rho)
-    lhs = t @ b_product_state(keep[ell], L, eta, rho)
+    lhs = _transfer_action(b_product_state(keep[ell], L, eta, rho),
+                           complex(params[ell]), L, eta, rho, transposed=False)
     rhs = sum(cf * b_product_state(kp, L, eta, rho) for cf, kp in zip(coeffs, keep))
     return float(np.linalg.norm(lhs - rhs)
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
@@ -274,10 +285,11 @@ def offshell_action_residual(params, ell, L, eta, rho=1.0):
 
 def dual_action_residual(params, ell, L, eta, rho=1.0):
     """Dual version of offshell_action_residual with C-products acting from
-    the left."""
+    the left; the covector times t is applied as t^T to it, again without a
+    transfer matrix."""
     keep, coeffs = _action_terms(params, ell, L, eta, rho)
-    t = aba_transfer(complex(params[ell]), L, eta, rho)
-    lhs = c_product_covector(keep[ell], L, eta, rho) @ t
+    lhs = _transfer_action(c_product_covector(keep[ell], L, eta, rho),
+                           complex(params[ell]), L, eta, rho, transposed=True)
     rhs = sum(cf * c_product_covector(kp, L, eta, rho) for cf, kp in zip(coeffs, keep))
     return float(np.linalg.norm(lhs - rhs)
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
@@ -354,6 +366,7 @@ def _determinant_ratio(mu, la, L, eta, rho, reflected):
         log_pref += np.log(transfer_eigenvalue(la[j], mu, vac))
         log_pref -= np.log(transfer_eigenvalue(mu[j], mu, vac))
     af = np.array([a_ratio(lk, mu, vac) for lk in la])
+    daf = [a_ratio_derivative(mk, mu, vac) for mk in mu]
     num = np.empty((n, n), complex)
     den_gaudin = np.eye(n, dtype=complex)
     den_cauchy = np.empty((n, n), complex)
@@ -363,8 +376,7 @@ def _determinant_ratio(mu, la, L, eta, rho, reflected):
             num[j, k] = (e_function(mu[j] - la[k], eta) / (1 + af[k])
                          - e_function(second, eta) / (1 + 1 / af[k]))
             den_cauchy[j, k] = 1 / sh(mu[j] - la[k])
-            den_gaudin[j, k] -= k_function(mu[j] - mu[k], eta) \
-                / a_ratio_derivative(mu[k], mu, vac)
+            den_gaudin[j, k] -= k_function(mu[j] - mu[k], eta) / daf[k]
     s1, l1 = np.linalg.slogdet(num)
     s2, l2 = np.linalg.slogdet(den_gaudin)
     s3, l3 = np.linalg.slogdet(den_cauchy)

@@ -325,6 +325,8 @@ def solve_logbae_xxz(L, N, gamma, qnums):
     """Real-root XXZ solve in the gapless parameterization Delta = cos(gamma),
     0 < gamma < pi: L theta_1(l_j) = 2 pi n_j - pi (N+1) + sum_k theta_2(l_j - l_k)."""
     ns = _integer_qnums(qnums)
+    if len(ns) != N:
+        raise ValueError("need one quantum number per root")
     if N == 0:
         return SolveReport(RapiditySet("XXZ", L, [], {"gamma": gamma}), 0.0, 0, True, ())
     lam0 = 0.3 * (ns - (N + 1) / 2)
@@ -365,6 +367,8 @@ def solve_bose(L_ring, N, c, qnums):
     if c <= 0:
         raise ValueError("repulsive coupling c > 0 required")
     ns = _integer_qnums(qnums)
+    if len(ns) != N:
+        raise ValueError("need one quantum number per root")
     if N == 0:
         return SolveReport(RapiditySet("BOSE", 0, [], {"c": c, "L_ring": L_ring}),
                            0.0, 0, True, (), {"c": c, "energy": 0.0})

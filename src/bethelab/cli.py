@@ -110,6 +110,15 @@ def _parse_roots(text):
     return np.array([z[0] + 1j * (z[1] if len(z) > 1 else 0.0) for z in pairs], complex)
 
 
+def _trials(p, default):
+    """The trial count of a randomized check; fewer than one would report a
+    check that ran nothing as passed."""
+    trials = int(p.get("trials", default))
+    if trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {trials}")
+    return trials
+
+
 # ---------------------------------------------------------------- commands
 # Each takes the run's parameters `p` (flag strings, or --json values) and its
 # config, writes the report, and returns the exit status.
@@ -203,7 +212,7 @@ def cmd_thermo_condensation(p, cfg):
 
 
 def cmd_vertex_ybe(p, cfg):
-    trials = int(p.get("trials", 100))
+    trials = _trials(p, 100)
     rng = np.random.default_rng(cfg.seed)
     draws = np.array([rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
                       for _ in range(trials)]).reshape(-1, 3)
@@ -255,7 +264,7 @@ def cmd_aba_slavnov(p, cfg):
     L = int(p.get("L", 8))
     N = int(p.get("N", 2))
     gamma = float(p.get("gamma", 0.6))
-    trials = int(p.get("trials", 5))
+    trials = _trials(p, 5)
     eta = 1j * gamma
     mu = aba.onshell_roots(L, N, gamma)
     rng = np.random.default_rng(cfg.seed)
@@ -273,7 +282,7 @@ def cmd_aba_slavnov(p, cfg):
 def cmd_aba_verify_action(p, cfg):
     L = int(p.get("L", 6))
     N = int(p.get("N", 2))
-    trials = int(p.get("trials", 3))
+    trials = _trials(p, 3)
     eta = complex(p.get("eta", 0.4 + 0.1j))
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0

@@ -16,10 +16,14 @@ rho^L sh^L(eta) times the cyclic shift that moves the spin pattern forward by
 one site, i.e. the inverse of the momentum-convention shift operator built in
 the ed module.
 
-Every R-matrix operator is built from one kernel, the sparse two-site
-embedding _embed_pair: the monodromy is the product of the embedded factors
+The R-factors R(l - xi_j) come from one place (_r_matrices) and reach the
+chain in two forms.  Explicit matrices use the sparse two-site embedding
+_embed_pair: the monodromy is the product of the embedded factors
 (_r_factors), transfer blocks are slices of its partial trace, and the RTT
-check and the aba module's B/C products apply the same factors.
+check multiplies the same factors.  Vectors use the reshape action
+_apply_pair, which applies a 4 x 4 R on the (aux, site) axes and stores
+nothing: _monodromy_action serves the aba module's B/C products and transfer
+actions.
 """
 
 from dataclasses import dataclass, field
@@ -142,7 +146,7 @@ def _embed_pair(R4, pos0, pos1, n):
     pair = 2 * ((idx & bit0) > 0) + ((idx & bit1) > 0)  # two-site state of each index
     rest = idx & ~(bit0 | bit1)
     place = np.array([0, bit1, bit0, bit0 | bit1])
-    rows, cols, vals = [], [], []
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
     for out, inp in zip(*np.nonzero(R4)):
         src = idx[pair == inp]
         rows.append(rest[src] | place[out])
@@ -163,18 +167,45 @@ def _embedding_map(pos0, pos1, n):
     return M
 
 
-def _r_factors(lam, L, weights, n, aux=0):
-    """The embedded R_{aux,j}(l - xi_j), j = 1..L, in the order they act
-    (site 1 first), with the chain in the last L of n slots.  Every
-    monodromy, transfer block, RTT check and B/C product is built from these."""
+def _r_matrices(lam, L, weights):
+    """The 4 x 4 R(l - xi_j), j = 1..L, in the order they act (site 1 first);
+    direct weights give L copies of one matrix."""
     if L < 1:
         raise ValueError(f"chain length L={L} must be >= 1")
     if weights.parameterized:
-        xi = weights.inhomogeneities(L)
-        R4s = [r_matrix(lam - x, weights.eta, weights.rho) for x in xi]
-    else:
-        R4s = [r_matrix_from_weights(weights.a, weights.b, weights.c)] * L
-    return [_embed_pair(R4, aux, n - L + j, n) for j, R4 in enumerate(R4s)]
+        return list(r_matrix(lam - weights.inhomogeneities(L), weights.eta, weights.rho))
+    return [r_matrix_from_weights(weights.a, weights.b, weights.c)] * L
+
+
+def _r_factors(lam, L, weights, n, aux=0):
+    """The embedded R_{aux,j}(l - xi_j), j = 1..L, in the order they act
+    (site 1 first), with the chain in the last L of n slots.  Every
+    monodromy, transfer block and RTT check is built from these."""
+    return [_embed_pair(R4, aux, n - L + j, n)
+            for j, R4 in enumerate(_r_matrices(lam, L, weights))]
+
+
+def _apply_pair(R4, j, x):
+    """_embed_pair(R4, 0, j, n) @ x without building the matrix: x of shape
+    (2^n, ...) is viewed as (2, 2^(j-1), 2, 2^(n-1-j), ...), aux slot 0
+    slowest, and each nonzero R4[out, inp] adds its multiple of the inp
+    slice to the out slice."""
+    n = x.shape[0].bit_length() - 1
+    xs = x.reshape(2, 2 ** (j - 1), 2, 2 ** (n - 1 - j), *x.shape[1:])
+    out = np.zeros(xs.shape, np.result_type(R4, x))
+    for o, i in zip(*np.nonzero(R4)):
+        out[o >> 1, :, o & 1] += R4[o, i] * xs[i >> 1, :, i & 1]
+    return out.reshape(x.shape)
+
+
+def _monodromy_action(lam, L, weights, x, transposed=False):
+    """T_0(l) @ x on the 2^(L+1)-dim aux (x) chain space, x of shape
+    (2^(L+1),) or (2^(L+1), K), applied factor by factor through _apply_pair;
+    transposed=True applies T_0(l)^T, the reversed product (R is symmetric)."""
+    factors = list(enumerate(_r_matrices(lam, L, weights), start=1))
+    for j, R4 in factors[::-1] if transposed else factors:
+        x = _apply_pair(R4, j, x)
+    return x
 
 
 def _product(factors):
@@ -309,37 +340,28 @@ def _vertex_weight_table(a, b, c, exact):
 
 def enumerate_partition(L, M, a, b, c):
     """Brute-force partition function: enumerate all 2^(L*M) vertical-edge
-    configurations; for each, sum the horizontal edges of every row as a trace
-    of 2x2 weight products around the periodic row.
+    configurations at once as a (configs, M, L) bit array; for each row, sum
+    the horizontal edges as the trace of the product of the 2x2 site weights
+    around the periodic row, and multiply the rows.
 
     Independent of the R-matrix/transfer code path.  With integer weights the
-    sum is carried in exact integer arithmetic.
+    sum is carried in exact integer arithmetic (object arrays of Python ints)
+    and returned as an int; otherwise it is complex.
     """
     if L * M > 16:
         raise ValueError("enumeration guard: L*M <= 16")
     exact = all(isinstance(x, (int, np.integer)) for x in (a, b, c))
+    if exact:
+        a, b, c = int(a), int(b), int(c)
     W = _vertex_weight_table(a, b, c, exact)
-    total = 0 if exact else 0.0 + 0.0j
-    for cfg in range(2 ** (L * M)):
-        v = [(cfg >> i) & 1 for i in range(L * M)]
-        wgt = 1 if exact else 1.0 + 0.0j
-        for i in range(M):
-            s_row = v[i * L:(i + 1) * L]
-            n_row = v[((i + 1) % M) * L:((i + 1) % M) * L + L]
-            m00 = m11 = 1 if exact else 1.0
-            m01 = m10 = 0 if exact else 0.0
-            for j in range(L):
-                a00 = W[0, s_row[j], 0, n_row[j]]
-                a01 = W[0, s_row[j], 1, n_row[j]]
-                a10 = W[1, s_row[j], 0, n_row[j]]
-                a11 = W[1, s_row[j], 1, n_row[j]]
-                m00, m01, m10, m11 = (m00 * a00 + m01 * a10, m00 * a01 + m01 * a11,
-                                      m10 * a00 + m11 * a10, m10 * a01 + m11 * a11)
-            wgt *= m00 + m11
-            if wgt == 0:
-                break
-        total += wgt
-    return total
+    bits = (np.arange(2 ** (L * M))[:, None] >> np.arange(L * M)) & 1
+    south = bits.reshape(-1, M, L)
+    north = np.roll(south, -1, axis=1)  # row i's north edges are row i+1's south edges
+    m = np.broadcast_to(np.eye(2, dtype=W.dtype), south.shape[:2] + (2, 2))
+    for j in range(L):
+        m = m @ W[:, south[..., j], :, north[..., j]]  # (configs, M, west, east)
+    total = (m[..., 0, 0] + m[..., 1, 1]).prod(axis=1).sum()
+    return int(total) if exact else complex(total)
 
 
 def largest_transfer_eigenvalue(tb, tol=1e-10, max_iter=20000, seed=0):

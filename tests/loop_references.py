@@ -12,13 +12,17 @@ The two-magnon classification is kept in its serial form too: one
 solve_logbae per quantum-number pair, one single-lane _damped_newton per
 bound-pair seed, and admissibility, residual and de-duplication checked
 candidate by candidate, with the double-loop admissibility test.
+
+The B/C products are kept in their embedded-matrix form (each R-factor built
+as a sparse 2^(L+1) matrix by sixvertex._r_factors and applied as R @ x), and
+the edge enumeration in its per-configuration loop.
 """
 
 from itertools import permutations
 
 import numpy as np
 
-from bethelab import bae
+from bethelab import bae, sixvertex
 from bethelab.coordinate import RapiditySet
 
 
@@ -240,3 +244,49 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
         if stop == "converged" and abs(z[1]) >= 1e-4:
             add(np.array([z[0] + 1j * z[1], z[0] - 1j * z[1]]), "bound-pair")
     return found
+
+
+def off_diagonal_product(roots, L, weights, transposed):
+    """aba._off_diagonal_product with the embedded CSR R-factors, applied in
+    reverse order for the transposed (C) product."""
+    v = np.zeros(2 ** L, complex)
+    v[0] = 1.0
+    for lam in np.atleast_1d(np.asarray(roots, complex)):
+        x = np.concatenate([np.zeros_like(v), v])
+        factors = sixvertex._r_factors(lam, L, weights, L + 1)
+        for R in factors[::-1] if transposed else factors:
+            x = R @ x
+        v = x[:len(v)]
+    return v
+
+
+def enumerate_partition(L, M, a, b, c):
+    """sixvertex.enumerate_partition one configuration at a time, with the
+    2x2 row products carried site by site."""
+    exact = all(isinstance(x, (int, np.integer)) for x in (a, b, c))
+    W = np.zeros((2, 2, 2, 2), dtype=object if exact else complex)
+    # (west, south, east, north); 1 = arrow in the positive direction
+    W[1, 1, 1, 1] = W[0, 0, 0, 0] = a
+    W[1, 0, 1, 0] = W[0, 1, 0, 1] = b
+    W[1, 0, 0, 1] = W[0, 1, 1, 0] = c
+    total = 0 if exact else 0.0 + 0.0j
+    for cfg in range(2 ** (L * M)):
+        v = [(cfg >> i) & 1 for i in range(L * M)]
+        wgt = 1 if exact else 1.0 + 0.0j
+        for i in range(M):
+            s_row = v[i * L:(i + 1) * L]
+            n_row = v[((i + 1) % M) * L:((i + 1) % M) * L + L]
+            m00 = m11 = 1 if exact else 1.0
+            m01 = m10 = 0 if exact else 0.0
+            for j in range(L):
+                a00 = W[0, s_row[j], 0, n_row[j]]
+                a01 = W[0, s_row[j], 1, n_row[j]]
+                a10 = W[1, s_row[j], 0, n_row[j]]
+                a11 = W[1, s_row[j], 1, n_row[j]]
+                m00, m01, m10, m11 = (m00 * a00 + m01 * a10, m00 * a01 + m01 * a11,
+                                      m10 * a00 + m11 * a10, m10 * a01 + m11 * a11)
+            wgt *= m00 + m11
+            if wgt == 0:
+                break
+        total += wgt
+    return total

@@ -121,6 +121,20 @@ class TestBProductProperties:
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 7), eta=_complex((0.1, 1.0), (-1.0, 1.0)),
+           lam=_complex((-1.0, 1.0), (-1.0, 1.0)), rho=st.floats(0.5, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_transfer_action_matches_aba_transfer(self, L, eta, lam, rho, seed):
+        """t(l) applied to a vector (and a covector) factor by factor equals
+        the explicit A + D matrix."""
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=2 ** L) + 1j * rng.normal(size=2 ** L)
+        t = aba.aba_transfer(lam, L, eta, rho)
+        for transposed, ref in ((False, t @ v), (True, v @ t)):
+            got = aba._transfer_action(v, lam, L, eta, rho, transposed)
+            assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
 
 class TestQFunction:
     def test_trivials(self):

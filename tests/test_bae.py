@@ -564,6 +564,14 @@ class TestIntegerQuantumNumbers:
         with pytest.raises(ValueError, match="integers"):
             solve(qnums)
 
+    @pytest.mark.parametrize("solve", [
+        lambda q: bae.solve_logbae_xxz(8, 3, 0.7, q),
+        lambda q: bae.solve_bose(8.0, 3, 1.0, q)])
+    @pytest.mark.parametrize("qnums", [(1, 2), (1, 2, 3, 4), ()])
+    def test_quantum_number_count_must_be_n(self, solve, qnums):
+        with pytest.raises(ValueError, match="one quantum number per root"):
+            solve(qnums)
+
     def test_integer_valued_floats_are_accepted(self):
         rep = bae.solve_logbae(8, 2, (1.0, 2.0))
         assert rep.converged and rep.qnums == (1, 2)

@@ -327,6 +327,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["vertex", "ybe"], ["verify", "ybe"],
+        ["aba", "slavnov", "--L", "6", "--N", "1"],
+        ["aba", "verify-action", "--L", "5", "--N", "1"]],
+        ids=["vertex-ybe", "verify-ybe", "aba-slavnov", "aba-verify-action"])
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_non_positive_trials_is_config_error(self, argv, trials, capsys):
+        assert main(argv + ["--trials", trials]) == EXIT_CONFIG
+        assert "--trials must be >= 1" in self._config_error(capsys)
+
     @pytest.mark.parametrize("lmax", ["2", "4"])
     def test_ice_entropy_too_few_sizes_is_config_error(self, lmax, capsys):
         assert main(["vertex", "ice-entropy", "--lmax", lmax]) == EXIT_CONFIG

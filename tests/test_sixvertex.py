@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_references
 from bethelab import ed, sixvertex
 from bethelab.basis import build_sector_basis
 
@@ -229,6 +230,10 @@ class TestPartitionFunction:
         assert isinstance(ze, int)
         assert z.real == ze and abs(z.imag) == 0
 
+    def test_zero_weights(self):
+        assert sixvertex.partition_function(2, 2, 0, 0, 0) == 0
+        assert sixvertex.enumerate_partition(2, 2, 0, 0, 0) == 0
+
     def test_generic_weights(self):
         z = sixvertex.partition_function(2, 2, 1.3, 0.7, 0.4)
         ze = sixvertex.enumerate_partition(2, 2, 1.3, 0.7, 0.4)
@@ -290,3 +295,58 @@ class TestProperties:
         xi = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=L, max_size=L))
         w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi)
         assert sixvertex.rtt_residual(lam, mu, L, w) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(1, 7), data=st.data(), batch=st.sampled_from([None, 1, 3]))
+    def test_pair_action_is_embedded_matrix(self, L, data, batch):
+        """The reshape action of any complex 4 x 4 (six-vertex sparsity or
+        not) equals the embedded CSR factor times the vector, column by
+        column with a trailing batch axis."""
+        j = data.draw(st.integers(1, L))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        mask = rng.random((4, 4)) < data.draw(st.floats(0.0, 1.0))
+        R4 = np.where(mask, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 0)
+        shape = (2 ** (L + 1),) if batch is None else (2 ** (L + 1), batch)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = sixvertex._apply_pair(R4, j, x)
+        ref = sixvertex._embed_pair(R4, 0, j, L + 1) @ x
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 6), data=st.data(), parameterized=st.booleans(),
+           transposed=st.booleans(),
+           roots=st.lists(_complex((-1.0, 1.0), (-1.0, 1.0)), max_size=3))
+    def test_off_diagonal_products_match_csr_factors(self, L, data, parameterized,
+                                                     transposed, roots):
+        """The B/C products by reshape against the embedded-factor reference,
+        for direct weights and for parameterized ones with random
+        inhomogeneities."""
+        from bethelab import aba
+        if parameterized:
+            xi = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=L, max_size=L))
+            eta = data.draw(_complex((0.1, 1.0), (-0.5, 0.5)))
+            w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi)
+        else:
+            a, b, c = data.draw(st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3))
+            w = sixvertex.VertexWeights(a, b, c)
+        got = aba._off_diagonal_product(roots, L, w, transposed)
+        ref = loop_references.off_diagonal_product(roots, L, w, transposed)
+        assert np.linalg.norm(got - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(1, 12), data=st.data(), exact=st.booleans())
+    def test_enumeration_matches_configuration_loop(self, L, data, exact):
+        M = data.draw(st.integers(1, 12 // L))
+        if exact:
+            a, b, c = data.draw(st.lists(st.integers(-3, 5), min_size=3, max_size=3))
+        else:
+            a, b, c = data.draw(st.lists(_complex((-2.0, 2.0), (-1.0, 1.0)),
+                                         min_size=3, max_size=3))
+        got = sixvertex.enumerate_partition(L, M, a, b, c)
+        ref = loop_references.enumerate_partition(L, M, a, b, c)
+        if exact:
+            assert isinstance(got, int) and got == ref
+        else:
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
