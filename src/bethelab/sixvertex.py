@@ -36,6 +36,7 @@ from .ed import FULL_SPACE, OperatorMatrix, _pack, build_xxz_hamiltonian
 
 FD_STEP = 1e-5
 YBE_BATCH = 4096  # Yang-Baxter trials per stacked product: 4 MB per (B, 8, 8) array
+ENUM_BATCH = 4096  # edge configurations per stack: <= 4 MB per (B, M, 2, 2) array
 
 
 @dataclass
@@ -340,9 +341,9 @@ def _vertex_weight_table(a, b, c, exact):
 
 def enumerate_partition(L, M, a, b, c):
     """Brute-force partition function: enumerate all 2^(L*M) vertical-edge
-    configurations at once as a (configs, M, L) bit array; for each row, sum
-    the horizontal edges as the trace of the product of the 2x2 site weights
-    around the periodic row, and multiply the rows.
+    configurations as (configs, M, L) bit arrays of ENUM_BATCH configurations;
+    for each row, sum the horizontal edges as the trace of the product of the
+    2x2 site weights around the periodic row, and multiply the rows.
 
     Independent of the R-matrix/transfer code path.  With integer weights the
     sum is carried in exact integer arithmetic (object arrays of Python ints)
@@ -354,13 +355,15 @@ def enumerate_partition(L, M, a, b, c):
     if exact:
         a, b, c = int(a), int(b), int(c)
     W = _vertex_weight_table(a, b, c, exact)
-    bits = (np.arange(2 ** (L * M))[:, None] >> np.arange(L * M)) & 1
-    south = bits.reshape(-1, M, L)
-    north = np.roll(south, -1, axis=1)  # row i's north edges are row i+1's south edges
-    m = np.broadcast_to(np.eye(2, dtype=W.dtype), south.shape[:2] + (2, 2))
-    for j in range(L):
-        m = m @ W[:, south[..., j], :, north[..., j]]  # (configs, M, west, east)
-    total = (m[..., 0, 0] + m[..., 1, 1]).prod(axis=1).sum()
+    total = 0
+    for start in range(0, 2 ** (L * M), ENUM_BATCH):
+        cfg = np.arange(start, min(start + ENUM_BATCH, 2 ** (L * M)))
+        south = ((cfg[:, None] >> np.arange(L * M)) & 1).reshape(-1, M, L)
+        north = np.roll(south, -1, axis=1)  # row i's north edges are row i+1's south edges
+        m = np.broadcast_to(np.eye(2, dtype=W.dtype), south.shape[:2] + (2, 2))
+        for j in range(L):
+            m = m @ W[:, south[..., j], :, north[..., j]]  # (configs, M, west, east)
+        total += (m[..., 0, 0] + m[..., 1, 1]).prod(axis=1).sum()
     return int(total) if exact else complex(total)
 
 

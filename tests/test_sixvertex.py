@@ -230,6 +230,17 @@ class TestPartitionFunction:
         assert isinstance(ze, int)
         assert z.real == ze and abs(z.imag) == 0
 
+    @pytest.mark.parametrize("abc", [(1, 2, 3), (1.3, 0.7 + 0.2j, 0.4)])
+    def test_enumeration_batches(self, abc, monkeypatch):
+        """Configurations split over uneven batches give the one-stack sum."""
+        whole = sixvertex.enumerate_partition(3, 3, *abc)
+        monkeypatch.setattr(sixvertex, "ENUM_BATCH", 7)
+        split = sixvertex.enumerate_partition(3, 3, *abc)
+        if isinstance(whole, int):
+            assert split == whole
+        assert abs(split - whole) <= 1e-12 * abs(whole)
+        assert split == pytest.approx(loop_references.enumerate_partition(3, 3, *abc), rel=1e-12)
+
     def test_zero_weights(self):
         assert sixvertex.partition_function(2, 2, 0, 0, 0) == 0
         assert sixvertex.enumerate_partition(2, 2, 0, 0, 0) == 0
