@@ -360,9 +360,9 @@ def enumerate_partition(L, M, a, b, c):
         cfg = np.arange(start, min(start + ENUM_BATCH, 2 ** (L * M)))
         south = ((cfg[:, None] >> np.arange(L * M)) & 1).reshape(-1, M, L)
         north = np.roll(south, -1, axis=1)  # row i's north edges are row i+1's south edges
-        m = np.broadcast_to(np.eye(2, dtype=W.dtype), south.shape[:2] + (2, 2))
-        for j in range(L):
-            m = m @ W[:, south[..., j], :, north[..., j]]  # (configs, M, west, east)
+        m = W[:, south[..., 0], :, north[..., 0]]  # (configs, M, west, east)
+        for j in range(1, L):
+            m = m @ W[:, south[..., j], :, north[..., j]]
         total += (m[..., 0, 0] + m[..., 1, 1]).prod(axis=1).sum()
     return int(total) if exact else complex(total)
 
