@@ -35,8 +35,11 @@ class OperatorMatrix:
     the limit its dense `matrix` is made when `matrix` is first read.  The
     Hermiticity check runs on the CSR form when there is one, and diagonalize
     chooses between Lanczos from a fixed seeded start vector and a dense eigh
-    by (dim, k) alone, so a partial spectrum needs no dense copy.
-    `basis` is a SectorBasis or the FULL_SPACE tag.
+    by (dim, k) alone, so a partial spectrum needs no dense copy.  A dense
+    solve of a FULL_SPACE operator whose stored entries keep the number of
+    down spins splits into one eigh per magnetization block, so its full
+    dense matrix is never made either.
+    `basis` is a SectorBasis, a hubbard.FermionBasis or the FULL_SPACE tag.
     """
 
     def __init__(self, matrix, basis=FULL_SPACE, hermitian=False):
@@ -304,6 +307,49 @@ def _lanczos(m, k):
         w, v = np.append(w, mu), np.hstack([v, x])
 
 
+def _magnetization_blocks(op):
+    """Index arrays of the fixed-N blocks (index popcount N) of a FULL_SPACE
+    operator of dim 2^L, or None when the operator is not of that kind or a
+    stored entry couples two blocks.  Bits are counted by a shift loop."""
+    dim = op.dim
+    if op.basis != FULL_SPACE or dim & (dim - 1):
+        return None
+    index = np.arange(dim, dtype=np.int64)
+    pop = np.zeros(dim, np.int64)
+    for b in range(dim.bit_length() - 1):
+        pop += (index >> b) & 1
+    m = op._csr if op._csr is not None else op._matrix
+    rows, cols = m.nonzero() if sp.issparse(m) else np.nonzero(m)
+    if np.any(pop[rows] != pop[cols]):
+        return None
+    return [np.flatnonzero(pop == n) for n in range(dim.bit_length())]
+
+
+def _blocked_eigh(op, blocks, k):
+    """The k lowest (all for k None) eigenpairs of a block-diagonal operator:
+    one dense eigh per block, eigenvalues merged by a stable argsort and the
+    block vectors scattered into full-length columns."""
+    m = op._csr if op._csr is not None else op._matrix
+    if sp.issparse(m):
+        m = m.tocsr()
+        pairs = [np.linalg.eigh(m[idx][:, idx].toarray()) for idx in blocks]
+    else:
+        m = np.asarray(m)
+        pairs = [np.linalg.eigh(m[np.ix_(idx, idx)]) for idx in blocks]
+    w = np.concatenate([p[0] for p in pairs])
+    order = np.argsort(w, kind="stable")[:k]
+    rank = np.full(len(w), -1)
+    rank[order] = np.arange(len(order))
+    v = np.zeros((op.dim, len(order)), np.result_type(*(p[1] for p in pairs)))
+    start = 0
+    for idx, (_, vb) in zip(blocks, pairs):
+        r = rank[start:start + len(idx)]
+        keep = r >= 0
+        v[np.ix_(idx, r[keep])] = vb[:, keep]
+        start += len(idx)
+    return w[order], v
+
+
 def diagonalize(op, k=None):
     """Eigen-decomposition of a Hermitian OperatorMatrix.
 
@@ -321,6 +367,15 @@ def diagonalize(op, k=None):
     Where ARPACK stops without a result (an operator with too few distinct
     eigenvalues, such as H = 0) the dense eigh answers instead.
 
+    The dense eigh is block-diagonal where the operator allows it: a
+    FULL_SPACE operator of dim 2^L none of whose stored entries couples two
+    indices of different popcount (number of down spins) is solved by one
+    eigh per magnetization block, at most C(L, L/2) wide.  The eigenvalues are
+    merged by a stable argsort and the block vectors scattered into the usual
+    (dim, k or dim) columns, each nonzero on one block only.  Sector and
+    Hubbard operators, and full-space operators with an S^x or S^y term, take
+    one eigh of the whole matrix.
+
     Raises ValueError for non-Hermitian input or k < 1.  Every returned pair
     satisfies ||H v - E v|| < 1e-10 ||v||.
     """
@@ -337,6 +392,9 @@ def diagonalize(op, k=None):
             # ARPACK stops when the Krylov space of its start vector is an
             # invariant subspace it cannot extend (H = 0, H = c 1)
             pass
+    blocks = _magnetization_blocks(op)
+    if blocks is not None:
+        return Spectrum(*_blocked_eigh(op, blocks, k))
     w, v = np.linalg.eigh(op.dense())
     if k is not None:
         w, v = w[:k], v[:, :k]

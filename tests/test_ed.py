@@ -268,6 +268,107 @@ class TestDiagonalize:
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def _sz_conserving_hermitian(L, rng):
+    """Random complex Hermitian operator on the 2^L space with no entry
+    between two magnetization blocks."""
+    pop = np.array([bin(i).count("1") for i in range(2 ** L)])
+    a = rng.normal(size=(2 ** L, 2 ** L)) + 1j * rng.normal(size=(2 ** L, 2 ** L))
+    a = np.where(pop[:, None] == pop[None, :], a, 0.0)
+    return a + a.conj().T
+
+
+def _eigh_sizes(monkeypatch):
+    """Record the matrix size of every np.linalg.eigh call."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(m, *args, **kwargs):
+        sizes.append(m.shape[0])
+        return eigh(m, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+class TestBlockedSolve:
+    """Full-space operators solved one magnetization block at a time."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(1, 10), kind=st.sampled_from(["xxz", "random"]),
+           delta=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 32 - 1),
+           dense=st.booleans())
+    def test_matches_dense_eigh(self, L, kind, delta, seed, dense):
+        assume(kind == "random" or L >= 2)
+        if kind == "xxz":
+            m = ed.build_xxz_hamiltonian(L, delta).dense()
+        else:
+            m = _sz_conserving_hermitian(L, np.random.default_rng(seed))
+        op = ed.OperatorMatrix(m if dense else sp.csr_matrix(m))
+        assert len(ed._magnetization_blocks(op)) == L + 1
+        spec = ed.diagonalize(op)
+        w_ref = np.linalg.eigh(m)[0]
+        scale = max(1.0, np.max(np.abs(w_ref)))
+        v = spec.eigenvectors
+        assert v.shape == m.shape
+        assert np.all(np.diff(spec.eigenvalues) >= 0)
+        assert np.max(np.abs(spec.eigenvalues - w_ref)) < 1e-12 * scale
+        r = np.linalg.norm(m @ v - v * spec.eigenvalues, axis=0)
+        assert np.all(r < 1e-10 * np.linalg.norm(v, axis=0))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(2 ** L))) < 1e-12
+
+    def test_sx_term_falls_back_to_one_block(self, monkeypatch):
+        L = 6
+        m = ed.build_xxz_hamiltonian(L, 0.7).csr() + 0.3 * ed.build_total_spin(L, "x").csr()
+        op = ed.OperatorMatrix(m)
+        assert ed._magnetization_blocks(op) is None
+        sizes = _eigh_sizes(monkeypatch)
+        spec = ed.diagonalize(op)
+        assert sizes == [2 ** L]
+        d = m.toarray()
+        assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(d))) < 1e-12
+        v = spec.eigenvectors
+        assert np.max(np.abs(d @ v - v * spec.eigenvalues)) < 1e-10
+
+    def test_dim_not_a_power_of_two(self, monkeypatch):
+        op = ed.OperatorMatrix(np.eye(5))
+        assert ed._magnetization_blocks(op) is None
+        sizes = _eigh_sizes(monkeypatch)
+        assert np.array_equal(ed.diagonalize(op).eigenvalues, np.ones(5))
+        assert sizes == [5]
+
+    def test_sector_operator_is_one_block(self, monkeypatch):
+        H = ed.build_xxx_hamiltonian(8, 1.0, 4)
+        assert ed._magnetization_blocks(H) is None
+        sizes = _eigh_sizes(monkeypatch)
+        ed.diagonalize(H)
+        assert sizes == [70]
+
+    def test_dense_and_sparse_storage_agree(self):
+        H = ed.build_xxz_hamiltonian(8, 0.3)
+        a = ed.diagonalize(H)
+        b = ed.diagonalize(ed.OperatorMatrix(H.dense()))
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    @pytest.mark.parametrize("L,k", [(6, 5), (10, 40)])
+    def test_k_on_the_eigh_branch(self, monkeypatch, L, k):
+        H = ed.build_xxz_hamiltonian(L, 0.7)
+        assert not ed._use_lanczos(H.dim, k)
+        sizes = _eigh_sizes(monkeypatch)
+        spec = ed.diagonalize(H, k)
+        assert max(sizes) < 2 ** L
+        m = H.dense()
+        assert spec.eigenvalues.shape == (k,) and spec.eigenvectors.shape == (2 ** L, k)
+        assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(m)[:k])) < 1e-12
+        v = spec.eigenvectors
+        assert np.max(np.abs(m @ v - v * spec.eigenvalues)) < 1e-10
+
+    def test_l12_solves_no_block_above_half_filling(self, monkeypatch):
+        sizes = _eigh_sizes(monkeypatch)
+        spec = ed.diagonalize(ed.build_xxz_hamiltonian(12, 0.7))
+        assert max(sizes) == 924 and sum(sizes) == 4096
+        assert spec.eigenvectors.shape == (4096, 4096)
+
+
 class TestSectorOperators:
     """The vectorized sector operators against per-state loops."""
 
