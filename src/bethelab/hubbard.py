@@ -24,6 +24,7 @@ batched `np.linalg.det` (`_nested_amplitudes`).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -62,121 +63,131 @@ class FermionBasis:
     """Occupation basis of the (N, M) block: pairs of up/down bit masks with
     bit x-1 set when site x is occupied.  (The Fock block exists whenever both
     spin populations fit on the lattice; the 2M <= N <= L restriction applies
-    to nested root sets, not to the basis.)"""
+    to nested root sets, not to the basis.)
+
+    `up` and `dn` hold the masks as int64 arrays in basis order (up masks
+    outer, both in combinations order); `rank` maps mask arrays back to
+    ordinals by searchsorted on the sorted up and down masks.  `states` and
+    `index` are the same as a list of (up, dn) tuples and a dict."""
 
     def __init__(self, L, N, M):
         if not (0 <= M <= L and 0 <= N - M <= L):
             raise ValueError("spin populations must fit on the lattice")
+        if L > 62:
+            raise ValueError(f"L={L}: the bit masks are int64, need L <= 62")
         self.L, self.N, self.M = L, N, M
-        ups = list(combinations(range(L), N - M))
-        dns = list(combinations(range(L), M))
-        self.states = [(sum(1 << x for x in u), sum(1 << x for x in d))
-                       for u in ups for d in dns]
-        self.index = {s: i for i, s in enumerate(self.states)}
+        self._ups, self._dns = (np.array([sum(1 << x for x in c)
+                                          for c in combinations(range(L), n)], np.int64)
+                                for n in (N - M, M))
+        self.up = np.repeat(self._ups, len(self._dns))
+        self.dn = np.tile(self._dns, len(self._ups))
 
     @property
     def dim(self):
-        return len(self.states)
+        return len(self.up)
 
-    def combined_mask(self, um, dm):
-        m = 0
-        for x in range(self.L):
-            if (um >> x) & 1:
-                m |= 1 << (2 * x)
-            if (dm >> x) & 1:
-                m |= 1 << (2 * x + 1)
-        return m
+    @cached_property
+    def states(self):
+        return list(zip(self.up.tolist(), self.dn.tolist()))
+
+    @cached_property
+    def index(self):
+        return {s: i for i, s in enumerate(self.states)}
+
+    def rank(self, up, dn):
+        """Ordinals of the states with masks (up, dn), arrays of basis states."""
+        return _rank(self._ups, up) * len(self._dns) + _rank(self._dns, dn)
+
+    @cached_property
+    def occupations(self):
+        """(dim, 2L) int64 array of 0/1: occupation of orbital p = 2(x-1) + s
+        (s = 0 up, 1 down) in each state."""
+        sites = np.arange(self.L)
+        occ = np.stack([(self.up[:, None] >> sites) & 1, (self.dn[:, None] >> sites) & 1],
+                       axis=-1)
+        return occ.reshape(self.dim, 2 * self.L)
+
+    @cached_property
+    def occupied_below(self):
+        """(dim, 2L + 1) int64 array: the number of occupied orbitals below
+        orbital p in each state, the masked bit counts behind fermion signs."""
+        below = np.zeros((self.dim, 2 * self.L + 1), np.int64)
+        np.cumsum(self.occupations, axis=1, out=below[:, 1:])
+        return below
 
 
-def _popcount_below(mask, p):
-    return bin(mask & ((1 << p) - 1)).count("1")
+def _rank(words, w):
+    """Positions in `words` (distinct, any order) of the entries of w."""
+    order = np.argsort(words)
+    return order[np.searchsorted(words[order], w)]
+
+
+def _hop_signs(basis, src, dst):
+    """(-1)^(occupied orbitals below src + those below dst once src is
+    emptied): the sign of c+_dst c_src on each state."""
+    below = basis.occupied_below
+    return 1 - 2 * ((below[:, src] + below[:, dst] - (src < dst)) & 1)
 
 
 def build_hubbard_hamiltonian(L, u, sector):
-    """Hubbard Hamiltonian in the (N, M) block (sector a tuple or FermionBasis)."""
+    """Hubbard Hamiltonian in the (N, M) block (sector a tuple or FermionBasis).
+
+    The diagonal is summed site by site; each hop c+_{j,s} c_{j',s} on a bond
+    is applied to all states at once and ranked with FermionBasis.rank."""
     if L > 8:
         raise ValueError("full blocks supported up to L = 8")
     basis = sector if isinstance(sector, FermionBasis) else FermionBasis(L, *sector)
     dim = basis.dim
     H = np.zeros((dim, dim))
-    for i, (um, dm) in enumerate(basis.states):
-        diag = 0.0
-        for x in range(L):
-            nu = (um >> x) & 1
-            nd = (dm >> x) & 1
-            diag += u * (1 - 2 * nu) * (1 - 2 * nd)
-        H[i, i] += diag
-        if L == 1:
-            continue
-        for j in range(L):
-            jp = (j + 1) % L
-            for s, mask in ((0, um), (1, dm)):
-                for src, dst in ((jp, j), (j, jp)):
-                    if not ((mask >> src) & 1) or ((mask >> dst) & 1):
-                        continue
-                    cm = basis.combined_mask(um, dm)
-                    sgn = (-1) ** _popcount_below(cm, 2 * src + s)
-                    cm2 = cm & ~(1 << (2 * src + s))
-                    sgn *= (-1) ** _popcount_below(cm2, 2 * dst + s)
-                    new = mask ^ (1 << src) | (1 << dst)
-                    key = (new, dm) if s == 0 else (um, new)
-                    H[basis.index[key], i] -= sgn
+    occ = basis.occupations
+    diag = np.zeros(dim)
+    for x in range(L):
+        diag += u * (1 - 2 * occ[:, 2 * x]) * (1 - 2 * occ[:, 2 * x + 1])
+    np.fill_diagonal(H, diag)
+    for j in range(L):  # at L = 1 no state can hop from site 0 to itself
+        jp = (j + 1) % L
+        for s in (0, 1):
+            for src, dst in ((jp, j), (j, jp)):
+                ps, pd = 2 * src + s, 2 * dst + s
+                cols = np.flatnonzero(occ[:, ps] & (1 - occ[:, pd]))
+                moved = (1 << src) | (1 << dst)
+                up, dn = basis.up[cols], basis.dn[cols]
+                rows = basis.rank(up ^ moved, dn) if s == 0 else basis.rank(up, dn ^ moved)
+                np.subtract.at(H, (rows, cols), _hop_signs(basis, ps, pd)[cols])
     return _pack(H, basis, hermitian=True)
 
 
 def spin_raise_block(basis):
     """S^+ = sum_j c+_{j,up} c_{j,dn} mapping the (N, M) block to (N, M-1)."""
-    L = basis.L
-    dst = FermionBasis(L, basis.N, basis.M - 1)
+    dst = FermionBasis(basis.L, basis.N, basis.M - 1)
     m = np.zeros((dst.dim, basis.dim))
-    for i, (um, dm) in enumerate(basis.states):
-        for x in range(L):
-            if ((dm >> x) & 1) and not ((um >> x) & 1):
-                cm = basis.combined_mask(um, dm)
-                sgn = (-1) ** _popcount_below(cm, 2 * x + 1)
-                cm2 = cm & ~(1 << (2 * x + 1))
-                sgn *= (-1) ** _popcount_below(cm2, 2 * x)
-                key = (um | (1 << x), dm & ~(1 << x))
-                m[dst.index[key], i] += sgn
+    occ = basis.occupations
+    for x in range(basis.L):
+        cols = np.flatnonzero(occ[:, 2 * x + 1] & (1 - occ[:, 2 * x]))
+        rows = dst.rank(basis.up[cols] | (1 << x), basis.dn[cols] & ~(1 << x))
+        np.add.at(m, (rows, cols), _hop_signs(basis, 2 * x + 1, 2 * x)[cols])
     return m, dst
 
 
 def shift_block(basis, direction=-1):
     """One-site translation (all orbitals move site x -> x + direction) with
     the fermionic reordering sign; direction -1 matches the spin-chain
-    convention whose Bethe-state eigenvalue is e^{+iP}."""
+    convention whose Bethe-state eigenvalue is e^{+iP}.
+
+    Moving every site by r = direction mod L rotates the L-bit masks left by
+    r; the n orbitals on the top r sites wrap to the bottom past the other
+    N - n, so the sign is (-1)^(n (N - n))."""
     L = basis.L
+    r = direction % L
+    full = (1 << L) - 1
+
+    def rotate(m):
+        return ((m << r) | (m >> (L - r))) & full
+
+    n = basis.occupied_below[:, 2 * L] - basis.occupied_below[:, 2 * (L - r)]
     m = np.zeros((basis.dim, basis.dim))
-    for i, (um, dm) in enumerate(basis.states):
-        orbs = []
-        for x in range(L):
-            if (um >> x) & 1:
-                orbs.append(2 * x)
-            if (dm >> x) & 1:
-                orbs.append(2 * x + 1)
-        shifted = [2 * (((p // 2) + direction) % L) + (p % 2) for p in orbs]
-        # parity of the permutation sorting the shifted string
-        perm = np.argsort(shifted, kind="stable")
-        sgn = 1
-        seen = [False] * len(perm)
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            jj = start
-            while not seen[jj]:
-                seen[jj] = True
-                jj = perm[jj]
-                length += 1
-            if length % 2 == 0:
-                sgn = -sgn
-        um2 = dm2 = 0
-        for p in shifted:
-            if p % 2 == 0:
-                um2 |= 1 << (p // 2)
-            else:
-                dm2 |= 1 << (p // 2)
-        m[basis.index[(um2, dm2)], i] = sgn
+    m[basis.rank(rotate(basis.up), rotate(basis.dn)), np.arange(basis.dim)] = \
+        1 - 2 * ((n * (basis.N - n)) & 1)
     return m
 
 
@@ -339,9 +350,7 @@ def assemble_state(roots, basis=None):
         raise ValueError("need one coordinate per charge momentum")
     if basis.M != roots.M:
         return np.zeros(basis.dim, complex)
-    masks = np.array(basis.states, np.int64).reshape(-1, 2)
-    occupied = (masks[:, None, :] >> np.arange(basis.L)[:, None]) & 1  # (dim, site, spin)
-    orbs = np.nonzero(occupied.reshape(basis.dim, -1))[1].reshape(basis.dim, K)
+    orbs = np.nonzero(basis.occupations)[1].reshape(basis.dim, K)
     downs = np.nonzero(orbs % 2)[1].reshape(basis.dim, roots.M) + 1
     v = (-1) ** (K * (K - 1) // 2) * _nested_amplitudes(roots, orbs // 2 + 1, downs)
     nrm = np.linalg.norm(v)

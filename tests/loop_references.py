@@ -13,6 +13,10 @@ solve_logbae per quantum-number pair, one single-lane _damped_newton per
 bound-pair seed, and admissibility, residual and de-duplication checked
 candidate by candidate, with the double-loop admissibility test.
 
+The Hubbard block operators (Hamiltonian, S^+ and the one-site translation)
+are kept as their per-state loops over up/down bit masks, with dict ranking
+and fermion signs counted bit by bit on the interleaved orbital mask.
+
 The B/C products are kept in their embedded-matrix form (each R-factor built
 as a sparse 2^(L+1) matrix by sixvertex._r_factors and applied as R @ x), and
 the edge enumeration in its per-configuration loop.
@@ -290,3 +294,101 @@ def enumerate_partition(L, M, a, b, c):
                 break
         total += wgt
     return total
+
+
+def _combined_mask(L, um, dm):
+    """Interleaved orbital mask: bit 2x is the up spin at x, bit 2x+1 the
+    down spin."""
+    m = 0
+    for x in range(L):
+        if (um >> x) & 1:
+            m |= 1 << (2 * x)
+        if (dm >> x) & 1:
+            m |= 1 << (2 * x + 1)
+    return m
+
+
+def _popcount_below(mask, p):
+    return bin(mask & ((1 << p) - 1)).count("1")
+
+
+def hubbard_hamiltonian(L, u, basis):
+    """hubbard.build_hubbard_hamiltonian(...).matrix state by state."""
+    dim = basis.dim
+    H = np.zeros((dim, dim))
+    for i, (um, dm) in enumerate(basis.states):
+        diag = 0.0
+        for x in range(L):
+            nu = (um >> x) & 1
+            nd = (dm >> x) & 1
+            diag += u * (1 - 2 * nu) * (1 - 2 * nd)
+        H[i, i] += diag
+        if L == 1:
+            continue
+        for j in range(L):
+            jp = (j + 1) % L
+            for s, mask in ((0, um), (1, dm)):
+                for src, dst in ((jp, j), (j, jp)):
+                    if not ((mask >> src) & 1) or ((mask >> dst) & 1):
+                        continue
+                    cm = _combined_mask(L, um, dm)
+                    sgn = (-1) ** _popcount_below(cm, 2 * src + s)
+                    cm2 = cm & ~(1 << (2 * src + s))
+                    sgn *= (-1) ** _popcount_below(cm2, 2 * dst + s)
+                    new = mask ^ (1 << src) | (1 << dst)
+                    key = (new, dm) if s == 0 else (um, new)
+                    H[basis.index[key], i] -= sgn
+    return H
+
+
+def spin_raise_block(basis, dst):
+    """hubbard.spin_raise_block(basis)[0] state by state (dst: the (N, M-1)
+    basis)."""
+    m = np.zeros((dst.dim, basis.dim))
+    for i, (um, dm) in enumerate(basis.states):
+        for x in range(basis.L):
+            if ((dm >> x) & 1) and not ((um >> x) & 1):
+                cm = _combined_mask(basis.L, um, dm)
+                sgn = (-1) ** _popcount_below(cm, 2 * x + 1)
+                cm2 = cm & ~(1 << (2 * x + 1))
+                sgn *= (-1) ** _popcount_below(cm2, 2 * x)
+                key = (um | (1 << x), dm & ~(1 << x))
+                m[dst.index[key], i] += sgn
+    return m
+
+
+def shift_block(basis, direction=-1):
+    """hubbard.shift_block state by state, the sign as the parity of the
+    permutation sorting the shifted orbital string."""
+    L = basis.L
+    m = np.zeros((basis.dim, basis.dim))
+    for i, (um, dm) in enumerate(basis.states):
+        orbs = []
+        for x in range(L):
+            if (um >> x) & 1:
+                orbs.append(2 * x)
+            if (dm >> x) & 1:
+                orbs.append(2 * x + 1)
+        shifted = [2 * (((p // 2) + direction) % L) + (p % 2) for p in orbs]
+        perm = np.argsort(shifted, kind="stable")
+        sgn = 1
+        seen = [False] * len(perm)
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            length = 0
+            jj = start
+            while not seen[jj]:
+                seen[jj] = True
+                jj = perm[jj]
+                length += 1
+            if length % 2 == 0:
+                sgn = -sgn
+        um2 = dm2 = 0
+        for p in shifted:
+            if p % 2 == 0:
+                um2 |= 1 << (p // 2)
+            else:
+                dm2 |= 1 << (p // 2)
+        m[basis.index[(um2, dm2)], i] = sgn
+    return m

@@ -28,6 +28,52 @@ class TestFermionBasis:
         with pytest.raises(ValueError):
             hubbard.FermionBasis(4, 9, 0)
 
+    def test_masks_fit_int64(self):
+        assert hubbard.FermionBasis(62, 2, 1).dim == 62 * 62
+        with pytest.raises(ValueError):
+            hubbard.FermionBasis(63, 1, 0)
+
+
+def _blocks(L):
+    return [(N, M) for N in range(2 * L + 1) for M in range(L + 1) if 0 <= N - M <= L]
+
+
+def _assert_block_operators_match_loops(L, N, M):
+    """Hamiltonian, translations and S^+ of one block, bit for bit against
+    the per-state loops."""
+    basis = hubbard.FermionBasis(L, N, M)
+    for u in (1.3, -0.7, 0.0):
+        H = hubbard.build_hubbard_hamiltonian(L, u, basis).matrix
+        assert isinstance(H, np.ndarray)
+        assert H.tobytes() == loop_references.hubbard_hamiltonian(L, u, basis).tobytes()
+    for direction in (-1, 1, 2, -3):
+        assert (hubbard.shift_block(basis, direction).tobytes()
+                == loop_references.shift_block(basis, direction).tobytes())
+    if M >= 1 and N - M < L:
+        Sp, dst = hubbard.spin_raise_block(basis)
+        assert (dst.L, dst.N, dst.M) == (L, N, M - 1)
+        assert Sp.tobytes() == loop_references.spin_raise_block(basis, dst).tobytes()
+
+
+class TestBlockOperatorsMatchLoops:
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_every_block(self, L):
+        for N, M in _blocks(L):
+            _assert_block_operators_match_loops(L, N, M)
+
+    def test_sampled_l8_blocks(self):
+        blocks = _blocks(8)
+        for i in np.random.default_rng(8).choice(len(blocks), 6, replace=False):
+            _assert_block_operators_match_loops(8, *blocks[i])
+        _assert_block_operators_match_loops(8, 4, 1)
+
+    def test_rank_inverts_states(self):
+        for N, M in _blocks(4):
+            b = hubbard.FermionBasis(4, N, M)
+            assert b.states == [(int(u), int(d)) for u, d in zip(b.up, b.dn)]
+            assert np.array_equal(b.rank(b.up, b.dn), np.arange(b.dim))
+            assert all(b.index[s] == i for i, s in enumerate(b.states))
+
 
 class TestHamiltonian:
     def test_single_site_spectrum(self):
