@@ -360,4 +360,32 @@ class TestProperties:
         if exact:
             assert isinstance(got, int) and got == ref
         else:
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+            # the terms can cancel far below their size, so the rounding
+            # scale is their absolute sum, bounded by Z(|a|, |b|, |c|)
+            scale = abs(loop_references.enumerate_partition(L, M, abs(a), abs(b), abs(c)))
+            assert abs(got - ref) <= 1e-12 * max(1.0, scale)
+
+    def test_cancelling_terms_match_exact_value(self):
+        """L = 8, M = 1 with a + b small: |Z| = 7.6e-5 from terms summing to
+        1.0e5 in modulus.  Kernel and loop agree with a 50-digit sum over the
+        256 configurations to rounding level of the terms, not of |Z|."""
+        mpmath = pytest.importorskip("mpmath")
+        L, a, b, c = 8, 2, -1.8739160296284645 + 0.25j, 0
+        with mpmath.workdps(50):
+            W = {(1, 1, 1, 1): a, (0, 0, 0, 0): a, (1, 0, 1, 0): b, (0, 1, 0, 1): b,
+                 (1, 0, 0, 1): c, (0, 1, 1, 0): c}
+            exact = mpmath.mpc(0)
+            for cfg in range(2 ** L):  # M = 1: north row = south row
+                row = mpmath.matrix([[1, 0], [0, 1]])
+                for j in range(L):
+                    s = (cfg >> j) & 1
+                    row = row * mpmath.matrix(
+                        [[mpmath.mpc(W.get((w, s, e, s), 0)) for e in (0, 1)] for w in (0, 1)])
+                exact += row[0, 0] + row[1, 1]
+            exact = complex(exact)
+        scale = abs(loop_references.enumerate_partition(L, 1, abs(a), abs(b), abs(c)))
+        assert 1e5 < scale and abs(exact) < 1e-4
+        for value in (sixvertex.enumerate_partition(L, 1, a, b, c),
+                      loop_references.enumerate_partition(L, 1, a, b, c)):
+            assert abs(value - exact) <= 1e-12 * scale
+        assert abs(exact - 2 * (a + b) ** L) <= 1e-15 * scale
