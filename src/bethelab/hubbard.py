@@ -149,7 +149,7 @@ def build_hubbard_hamiltonian(L, u, sector):
         for s in (0, 1):
             for src, dst in ((jp, j), (j, jp)):
                 ps, pd = 2 * src + s, 2 * dst + s
-                cols = np.flatnonzero(occ[:, ps] & (1 - occ[:, pd]))
+                cols = np.flatnonzero(occ[:, ps] > occ[:, pd])  # src filled, dst empty
                 moved = (1 << src) | (1 << dst)
                 up, dn = basis.up[cols], basis.dn[cols]
                 rows = basis.rank(up ^ moved, dn) if s == 0 else basis.rank(up, dn ^ moved)
@@ -163,7 +163,7 @@ def spin_raise_block(basis):
     m = np.zeros((dst.dim, basis.dim))
     occ = basis.occupations
     for x in range(basis.L):
-        cols = np.flatnonzero(occ[:, 2 * x + 1] & (1 - occ[:, 2 * x]))
+        cols = np.flatnonzero(occ[:, 2 * x + 1] > occ[:, 2 * x])
         rows = dst.rank(basis.up[cols] | (1 << x), basis.dn[cols] & ~(1 << x))
         np.add.at(m, (rows, cols), _hop_signs(basis, 2 * x + 1, 2 * x)[cols])
     return m, dst
