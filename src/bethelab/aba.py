@@ -28,7 +28,8 @@ which was validated against the explicit pairing of B/C product vectors.
 import numpy as np
 
 from .bae import solve_logbae_xxz
-from .sixvertex import VertexWeights, _monodromy_action, monodromy, monodromy_trace
+from .sixvertex import (VertexWeights, _monodromy_action, _transfer_action, monodromy,
+                        monodromy_trace)
 
 sh = np.sinh
 ch = np.cosh
@@ -132,7 +133,7 @@ def pseudo_vacuum(L):
 def aba_transfer(lam, L, eta, rho=1.0):
     """A(l) + D(l) in the homogeneous eta/2 convention (equals the six-vertex
     transfer at l - eta/2), as an explicit matrix; the action residuals apply
-    it to vectors through _transfer_action instead."""
+    it to vectors through sixvertex._transfer_action instead."""
     w = _weights_homogeneous(L, eta, rho)
     return monodromy_trace(monodromy(lam, L, w), L)
 
@@ -162,17 +163,6 @@ def c_product_covector(roots, L, eta, rho=1.0):
     root without building any matrix; the dual pseudo vacuum is the conjugate
     transpose of |0>, unnormalized."""
     return _off_diagonal_product(roots, L, _weights_homogeneous(L, eta, rho), True)
-
-
-def _transfer_action(v, lam, L, eta, rho, transposed):
-    """t(l) @ v = sum_a <a|T_0(l)|a> v, or v @ t(l) with transposed=True, as
-    one monodromy action on the two columns (|a> (x) v, a = 0, 1); equals
-    aba_transfer(lam, L, eta, rho) @ v without building it."""
-    d = len(v)
-    x = np.zeros((2 * d, 2), complex)
-    x[:d, 0] = x[d:, 1] = v
-    y = _monodromy_action(lam, L, _weights_homogeneous(L, eta, rho), x, transposed)
-    return y[:d, 0] + y[d:, 1]
 
 
 def q_function(lam, roots):
@@ -276,8 +266,8 @@ def offshell_action_residual(params, ell, L, eta, rho=1.0):
     factor by factor (no transfer matrix is built); {l}_j omits the j-th of
     the N+1 parameters."""
     keep, coeffs = _action_terms(params, ell, L, eta, rho)
-    lhs = _transfer_action(b_product_state(keep[ell], L, eta, rho),
-                           complex(params[ell]), L, eta, rho, transposed=False)
+    lhs = _transfer_action(complex(params[ell]), L, _weights_homogeneous(L, eta, rho),
+                           b_product_state(keep[ell], L, eta, rho))
     rhs = sum(cf * b_product_state(kp, L, eta, rho) for cf, kp in zip(coeffs, keep))
     return float(np.linalg.norm(lhs - rhs)
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
@@ -288,8 +278,8 @@ def dual_action_residual(params, ell, L, eta, rho=1.0):
     the left; the covector times t is applied as t^T to it, again without a
     transfer matrix."""
     keep, coeffs = _action_terms(params, ell, L, eta, rho)
-    lhs = _transfer_action(c_product_covector(keep[ell], L, eta, rho),
-                           complex(params[ell]), L, eta, rho, transposed=True)
+    lhs = _transfer_action(complex(params[ell]), L, _weights_homogeneous(L, eta, rho),
+                           c_product_covector(keep[ell], L, eta, rho), transposed=True)
     rhs = sum(cf * c_product_covector(kp, L, eta, rho) for cf, kp in zip(coeffs, keep))
     return float(np.linalg.norm(lhs - rhs)
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))

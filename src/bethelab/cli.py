@@ -44,14 +44,6 @@ class ConfigError(Exception):
     pass
 
 
-class NonConvergence(Exception):
-    pass
-
-
-class InvariantViolation(Exception):
-    pass
-
-
 @dataclass
 class ExperimentConfig:
     """One reproducible run: command path, parameters, seed, output target."""
@@ -474,12 +466,6 @@ def main(argv=None):
     except (ConfigError, KeyError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except NonConvergence as exc:
-        sys.stderr.write(f"solver did not converge: {exc}\n")
-        return EXIT_NOCONV
-    except InvariantViolation as exc:
-        sys.stderr.write(f"invariant violation: {exc}\n")
-        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

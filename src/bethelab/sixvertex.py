@@ -16,14 +16,15 @@ rho^L sh^L(eta) times the cyclic shift that moves the spin pattern forward by
 one site, i.e. the inverse of the momentum-convention shift operator built in
 the ed module.
 
-The R-factors R(l - xi_j) come from one place (_r_matrices) and reach the
-chain in two forms.  Explicit matrices use the sparse two-site embedding
-_embed_pair: the monodromy is the product of the embedded factors
-(_r_factors), transfer blocks are slices of its partial trace, and the RTT
-check multiplies the same factors.  Vectors use the reshape action
+The R-factors R(l - xi_j) come from one place (_r_matrices).  Explicit
+matrices use the sparse two-site embedding _embed_pair: the monodromy is the
+product of the embedded factors (_r_factors), transfer blocks and partition
+functions slice its partial trace by sector, and the RTT check multiplies the
+same factors.  Everything that meets a vector uses the reshape action
 _apply_pair, which applies a 4 x 4 R on the (aux, site) axes and stores
-nothing: _monodromy_action serves the aba module's B/C products and transfer
-actions.
+nothing: _monodromy_action gives the aba module's B/C products, and
+_transfer_action, the only way t(l) reaches a vector, gives the aba action
+residuals and the matrix-free square-ice eigenvalue.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from functools import cache, reduce
 import numpy as np
 import scipy.sparse as sp
 
+from .basis import build_sector_basis
 from .ed import FULL_SPACE, OperatorMatrix, _pack, build_xxz_hamiltonian
 
 FD_STEP = 1e-5
@@ -209,6 +211,17 @@ def _monodromy_action(lam, L, weights, x, transposed=False):
     return x
 
 
+def _transfer_action(lam, L, weights, v, transposed=False):
+    """t(l) @ v = sum_a <a|T_0(l)|a> v, or t(l)^T @ v with transposed=True,
+    as one _monodromy_action on the two columns |a> (x) v, a = 0, 1; equals
+    transfer(lam, L, weights).matrix @ v without building it."""
+    d = len(v)
+    x = np.zeros((2 * d, 2), complex)
+    x[:d, 0] = x[d:, 1] = v
+    y = _monodromy_action(lam, L, weights, x, transposed)
+    return y[:d, 0] + y[d:, 1]
+
+
 def _product(factors):
     """factors[-1] @ ... @ factors[0] (the first factor acts first)."""
     return reduce(lambda T, R: R @ T, factors)
@@ -232,8 +245,6 @@ def monodromy(lam, L, weights):
 def monodromy_trace(T, L):
     """Partial trace over the auxiliary slot (slot 0)."""
     d = 2 ** L
-    if sp.issparse(T):
-        return (T[:d, :d] + T[d:, d:]).tocsr()
     return T[:d, :d] + T[d:, d:]
 
 
@@ -242,24 +253,13 @@ def transfer(lam, L, weights):
     return TransferMatrix(L, lam, monodromy_trace(monodromy(lam, L, weights), L))
 
 
-def _transfer_and_sectors(L, weights, lam):
-    """The CSR transfer and, for N = 0..L, the indices of the N-down-spin
-    states in increasing order (the order of build_sector_basis(L, N))."""
-    t = monodromy_trace(_monodromy_csr(lam, L, weights), L)
-    ndown = sum((np.arange(2 ** L) >> bit) & 1 for bit in range(L))
-    order = np.argsort(ndown, kind="stable")
-    return t, np.split(order, np.cumsum(np.bincount(ndown))[:-1])
-
-
 def transfer_sector_block(L, N, weights, lam=0.0):
     """Transfer matrix restricted to the N-down-spins sector (dense, in the
     order of build_sector_basis(L, N).states), sliced from the sparse trace
     of one monodromy.  The transfer conserves the arrow number, so the full
     matrix is the direct sum of these blocks."""
-    if not 0 <= N <= L:
-        raise ValueError(f"down-spin count N={N} outside 0..L={L}")
-    t, sectors = _transfer_and_sectors(L, weights, lam)
-    return t[sectors[N]][:, sectors[N]].toarray()
+    idx = build_sector_basis(L, N).state_array
+    return monodromy_trace(_monodromy_csr(lam, L, weights), L)[idx][:, idx].toarray()
 
 
 def ybe_residual(lam, mu, nu, eta, rho=1.0):
@@ -323,9 +323,10 @@ def partition_function(L, M, a, b, c):
     of block traces)."""
     if M < 1:
         raise ValueError("M >= 1 required")
-    t, sectors = _transfer_and_sectors(L, VertexWeights(a, b, c), 0.0)
+    t = monodromy_trace(_monodromy_csr(0.0, L, VertexWeights(a, b, c)), L)
     total = 0.0 + 0.0j
-    for idx in sectors:
+    for N in range(L + 1):
+        idx = build_sector_basis(L, N).state_array
         total += np.trace(np.linalg.matrix_power(t[idx][:, idx].toarray(), M))
     return complex(total)
 
@@ -367,35 +368,32 @@ def enumerate_partition(L, M, a, b, c):
     return int(total) if exact else complex(total)
 
 
-def largest_transfer_eigenvalue(tb, tol=1e-10, max_iter=20000, seed=0):
-    """Dominant eigenvalue of a non-negative transfer block by power iteration
-    (positive start vector), with a dense-eigendecomposition guard when the
-    iteration stalls."""
-    dim = tb.shape[0]
-    rng = np.random.default_rng(seed)
-    v = np.ones(dim) + 0.01 * rng.random(dim)
-    v /= np.linalg.norm(v)
-    lam_old = 0.0
-    for _ in range(max_iter):
-        w = tb @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0
-        v = w / nrm
-        lam = float(v @ (tb @ v))
-        if abs(lam - lam_old) < tol * max(1.0, abs(lam)):
-            resid = np.linalg.norm(tb @ v - lam * v)
-            if resid < 1e-8 * max(1.0, abs(lam)):
-                return lam
-        lam_old = lam
-    # deflation guard: stalled iteration, fall back to the dense spectrum
-    return float(np.max(np.linalg.eigvals(tb).real))
+def _top_sector_eigenvalue(L, N, weights):
+    """Largest eigenvalue of a real symmetric transfer block of sector N
+    (the ice point has one), by Lanczos on the matrix-free block: each matvec
+    embeds the sector vector in 2^L, applies _transfer_action and restricts
+    the result to the sector.  ARPACK raises when it does not converge."""
+    idx = build_sector_basis(L, N).state_array
+    dim = len(idx)
+
+    def matvec(v):
+        full = np.zeros(2 ** L)
+        full[idx] = v
+        return _transfer_action(0.0, L, weights, full)[idx].real
+
+    op = sp.linalg.LinearOperator((dim, dim), matvec, dtype=float)
+    # ncv = 8 converges in 8-13 matvecs for L = 4..14; the default ncv = 20 takes 21
+    return sp.linalg.eigsh(op, k=1, which="LA", v0=np.ones(dim), ncv=min(8, dim),
+                           return_eigenvectors=False)[0]
 
 
 def ice_entropy(L_max, L_min=2):
-    """(1/L) ln Lambda_0 at the ice point for even L <= L_max, in the
-    half-filled arrow sector, plus a least-squares s_inf + alpha/L + beta/L^2
-    extrapolation, which needs at least three sizes (L_max >= L_min + 4).
+    """(1/L) ln Lambda_0 at the ice point for even L <= L_max, with Lambda_0
+    the top eigenvalue of the half-filled arrow sector, found matrix-free
+    (no monodromy or transfer block is built), plus the least-squares
+    extrapolation s_inf + alpha/L^2 + beta/L^4 of a periodic strip, whose
+    finite-size corrections run in even powers of 1/L; the fit needs at least
+    three sizes (L_max >= L_min + 4).
 
     Returns (table, s_inf) where table is a list of (L, value).  The exact
     two-dimensional limit is (3/2) ln(4/3) = 0.43152...
@@ -406,13 +404,10 @@ def ice_entropy(L_max, L_min=2):
         raise ValueError(f"L_max={L_max} gives fewer than three sizes from "
                          f"L_min={L_min}; the three-term fit needs L_max >= {L_min + 4}")
     w = VertexWeights.ice()
-    table = []
-    for L in range(L_min, L_max + 1, 2):
-        tb = transfer_sector_block(L, L // 2, w).real
-        lam0 = largest_transfer_eigenvalue(tb)
-        table.append((L, float(np.log(lam0) / L)))
+    table = [(L, float(np.log(_top_sector_eigenvalue(L, L // 2, w)) / L))
+             for L in range(L_min, L_max + 1, 2)]
     Ls = np.array([row[0] for row in table], float)
     y = np.array([row[1] for row in table])
-    A = np.vstack([np.ones_like(Ls), 1 / Ls, 1 / Ls ** 2]).T
+    A = np.vstack([np.ones_like(Ls), 1 / Ls ** 2, 1 / Ls ** 4]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return table, float(coef[0])

@@ -124,15 +124,26 @@ class TestBProductProperties:
     @settings(max_examples=40, deadline=None)
     @given(L=st.integers(1, 7), eta=_complex((0.1, 1.0), (-1.0, 1.0)),
            lam=_complex((-1.0, 1.0), (-1.0, 1.0)), rho=st.floats(0.5, 2.0),
+           kind=st.sampled_from(["homogeneous", "inhomogeneous", "direct"]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_transfer_action_matches_aba_transfer(self, L, eta, lam, rho, seed):
+    def test_transfer_action_matches_aba_transfer(self, L, eta, lam, rho, kind, seed):
         """t(l) applied to a vector (and a covector) factor by factor equals
-        the explicit A + D matrix."""
+        the explicit transfer matrix: the A + D of the eta/2 convention, random
+        inhomogeneities, or direct (a, b, c) weights."""
         rng = np.random.default_rng(seed)
         v = rng.normal(size=2 ** L) + 1j * rng.normal(size=2 ** L)
-        t = aba.aba_transfer(lam, L, eta, rho)
+        if kind == "homogeneous":
+            w = aba._weights_homogeneous(L, eta, rho)
+            t = aba.aba_transfer(lam, L, eta, rho)
+        else:
+            if kind == "inhomogeneous":
+                xi = rng.normal(size=L) * 0.3 + 1j * rng.normal(size=L) * 0.3
+                w = sixvertex.VertexWeights.from_parameters(rho, 0.0, eta, xi=xi)
+            else:
+                w = sixvertex.VertexWeights(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
+            t = np.asarray(sixvertex.transfer(lam, L, w).matrix)
         for transposed, ref in ((False, t @ v), (True, v @ t)):
-            got = aba._transfer_action(v, lam, L, eta, rho, transposed)
+            got = sixvertex._transfer_action(lam, L, w, v, transposed)
             assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
 

@@ -169,7 +169,7 @@ def test_criterion_05_hamiltonian_link():
 
 def test_criterion_06_square_ice():
     """Partition function equals exact enumeration for all L*M <= 12 at unit
-    weights; entropy extrapolation reproduces (3/2) ln(4/3) within 1e-2."""
+    weights; entropy extrapolation reproduces (3/2) ln(4/3) within 2e-4."""
     t0 = time.time()
     for L in range(1, 13):
         for M in range(1, 12 // L + 1):
@@ -179,7 +179,7 @@ def test_criterion_06_square_ice():
             assert z.real == ze and z.imag == 0, f"L={L} M={M}: {z} vs {ze}"
     table, s_inf = sixvertex.ice_entropy(12)
     target = 1.5 * np.log(4 / 3)
-    assert abs(s_inf - target) < 1e-2
+    assert abs(s_inf - target) < 2e-4
     elapsed = time.time() - t0
     assert elapsed < 300.0
     _report(6, f"Z(transfer) == Z(enumeration) exactly for all L*M <= 12; "

@@ -415,3 +415,15 @@ class TestCli:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["eigenvalues"][0] == -2.0
+
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        # scipy.sparse.linalg is reached lazily, where an eigensolve needs it,
+        # so a plain import of the front end does not pay for it
+        src = str(Path(bethelab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", "import sys, bethelab.cli; "
+                               "print('scipy.sparse.linalg' in sys.modules)"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

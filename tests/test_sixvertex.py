@@ -123,7 +123,7 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("L_max", [2, 4])
     def test_ice_entropy_needs_three_sizes(self, L_max):
-        # the fit s_inf + a/L + b/L^2 has three unknowns
+        # the fit s_inf + a/L^2 + b/L^4 has three unknowns
         with pytest.raises(ValueError, match="three"):
             sixvertex.ice_entropy(L_max)
         table, _ = sixvertex.ice_entropy(8, L_min=4)
@@ -258,14 +258,28 @@ class TestIceEntropy:
         w = sixvertex.VertexWeights.ice()
         tb = sixvertex.transfer_sector_block(2, 1, w).real
         assert np.allclose(sorted(np.linalg.eigvalsh(tb)), [1, 3])
-        lam0 = sixvertex.largest_transfer_eigenvalue(tb)
-        assert abs(lam0 - 3.0) < 1e-9
+        table, _ = sixvertex.ice_entropy(6)
+        assert table[0] == (2, pytest.approx(np.log(3) / 2, abs=1e-14))
+
+    @pytest.mark.parametrize("L", range(2, 11))
+    def test_matrix_free_eigenvalue_matches_block(self, L):
+        w = sixvertex.VertexWeights.ice()
+        top = np.max(np.linalg.eigvalsh(sixvertex.transfer_sector_block(L, L // 2, w).real))
+        assert abs(sixvertex._top_sector_eigenvalue(L, L // 2, w) - top) <= 1e-12 * top
+
+    def test_builds_no_monodromy(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ice_entropy built a monodromy")
+
+        monkeypatch.setattr(sixvertex, "_monodromy_csr", refuse)
+        table, _ = sixvertex.ice_entropy(8)
+        assert [L for L, _ in table] == [2, 4, 6, 8]
 
     def test_sequence_and_extrapolation(self):
         table, s_inf = sixvertex.ice_entropy(10)
         vals = [v for _, v in table]
         assert all(a > b for a, b in zip(vals, vals[1:]))  # monotone toward the limit
-        assert abs(s_inf - 1.5 * np.log(4 / 3)) < 1e-2
+        assert abs(s_inf - 1.5 * np.log(4 / 3)) < 2e-4
 
 
 def _complex(re, im):
