@@ -28,8 +28,8 @@ which was validated against the explicit pairing of B/C product vectors.
 import numpy as np
 
 from .bae import solve_logbae_xxz
-from .sixvertex import (VertexWeights, _monodromy_action, _transfer_action, monodromy,
-                        monodromy_trace)
+from .sixvertex import (VertexWeights, _monodromy_action, _monodromy_csr, _transfer_action,
+                        transfer)
 
 sh = np.sinh
 ch = np.cosh
@@ -118,8 +118,7 @@ def monodromy_blocks(lam, L, eta, rho=1.0, xi=None):
         raise ValueError("monodromy blocks supported up to L = 12")
     xi_list = [eta / 2] * L if xi is None else list(xi)
     w = VertexWeights.from_parameters(rho, 0.0, eta, xi=xi_list)
-    T = monodromy(lam, L, w)
-    T = T.toarray() if hasattr(T, "toarray") else np.asarray(T)
+    T = _monodromy_csr(lam, L, w).toarray()
     d = 2 ** L
     return MonodromyBlocks(T[:d, :d], T[:d, d:], T[d:, :d], T[d:, d:], lam, eta)
 
@@ -134,8 +133,7 @@ def aba_transfer(lam, L, eta, rho=1.0):
     """A(l) + D(l) in the homogeneous eta/2 convention (equals the six-vertex
     transfer at l - eta/2), as an explicit matrix; the action residuals apply
     it to vectors through sixvertex._transfer_action instead."""
-    w = _weights_homogeneous(L, eta, rho)
-    return monodromy_trace(monodromy(lam, L, w), L)
+    return transfer(lam, L, _weights_homogeneous(L, eta, rho)).matrix
 
 
 def _off_diagonal_product(roots, L, w, transposed):
@@ -311,9 +309,10 @@ def a_ratio_derivative(lam, roots, vac):
 
 
 MIN_PAIR_DISTANCE = 1e-6
+ONSHELL_TOL = 1e-10  # largest Q-form BAE residual slavnov_ratio accepts as on shell
 
 
-def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0, onshell_tol=1e-10):
+def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
     """Normalized determinant formula for the Bethe-vector pairing
 
         <0| prod C(m_j) prod B(l_k) |0>  /  <0| prod C(m_j) prod B(m_k) |0>
@@ -341,7 +340,7 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0, onshell_tol=1e-10):
         for j in range(i + 1, len(allpairs)):
             if abs(allpairs[i] - allpairs[j]) < MIN_PAIR_DISTANCE:
                 raise ValueError("parameters closer than the pole guard")
-    if bae_q_residual(mu, VacuumFunctions(L, eta, rho)) > onshell_tol:
+    if bae_q_residual(mu, VacuumFunctions(L, eta, rho)) > ONSHELL_TOL:
         raise ValueError("the mu set is not on shell")
     return _determinant_ratio(mu, la, L, eta, rho, reflected=True)
 

@@ -427,14 +427,14 @@ def _bound_pair_system(L):
     return F, J
 
 
-def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
+def classify_two_magnon(L):
     """Enumerate admissible N = 2 solutions: real pairs from a quantum-number
     scan and conjugate ("bound") pairs l = l_r +- i d from a Newton search.
 
-    Real seeds: all strictly increasing integer pairs in qn_range (default
-    covers every branch that converges at this L), solved as one stack of
+    Real seeds: all strictly increasing integer pairs in -L/2 + 1 .. L/2 + 3
+    (every branch that converges at this L), solved as one stack of
     log-form systems.  Bound seeds: l_r on a step-0.1 grid with d0 = 0.5,
-    solved as one stack; the default grid spans +-(cot(pi/L) + 1.5)
+    solved as one stack; the grid spans +-(cot(pi/L) + 1.5)
     because the smallest-momentum bound pair sits at center cot(pi/L), beyond
     +-3 once L >= 10.  The bound-pair search runs on the shared _damped_newton
     (tolerance 1e-13, 100 steps); its run-away rule discards seeds that walk
@@ -448,17 +448,15 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
     """
     if L % 2 or not (4 <= L <= 16):
         raise ValueError("L must be even, 4 <= L <= 16")
-    if qn_range is None:
-        qn_range = range(-L // 2 + 1, L // 2 + 4)
+    qn_range = range(-L // 2 + 1, L // 2 + 4)
     ns = np.array([(n1, n2) for n1 in qn_range for n2 in qn_range if n2 > n1],
                   float).reshape(-1, 2)
     lam, _, _, stop = _damped_newton(*_logbae_system(L, ns), _logbae_seed(L, ns))
     real = np.sort(lam[stop == "converged"], axis=-1).astype(complex)
 
-    if grid is None:
-        reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)
-        grid = np.arange(-reach, reach + 1e-9, 0.1)
-    z0 = np.stack([np.asarray(grid, float), np.full(len(grid), float(delta0))], axis=-1)
+    reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)
+    grid = np.arange(-reach, reach + 1e-9, 0.1)
+    z0 = np.stack([grid, np.full(len(grid), 0.5)], axis=-1)
     z, _, _, stop = _damped_newton(*_bound_pair_system(L), z0, tol=1e-13, max_iter=100)
     z = z[(stop == "converged") & (np.abs(z[:, 1]) >= 1e-4)]
     bound = np.stack([z[:, 0] + 1j * z[:, 1], z[:, 0] - 1j * z[:, 1]], axis=-1)

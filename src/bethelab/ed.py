@@ -11,6 +11,8 @@ builds sector-resolved and full-space Hamiltonians, the shift operator, the
 total-spin operators, and diagonalizes them.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -25,55 +27,47 @@ LANCZOS_MAX_K_FRACTION = 32
 LANCZOS_GUARD = 2  # extra eigenpairs solved for and dropped
 LANCZOS_SEED = 1101  # seeds the fixed Lanczos start vectors
 LANCZOS_DEGENERACY_TOL = 1e-10  # how far below the k-th a missed copy must lie
+MULTIPLET_DEGENERACY_TOL = 1e-9  # eigenvalue gap that separates two levels
 
 
 class OperatorMatrix:
     """Complex matrix together with the basis it acts on.
 
-    Storage (`matrix`) is dense below DENSE_DIM_LIMIT and scipy sparse (CSR)
-    above.  An operator assembled from sparse entries keeps its CSR form; below
-    the limit its dense `matrix` is made when `matrix` is first read.  The
-    Hermiticity check runs on the CSR form when there is one, and diagonalize
-    chooses between Lanczos from a fixed seeded start vector and a dense eigh
-    by (dim, k) alone, so a partial spectrum needs no dense copy.  A dense
-    solve of a FULL_SPACE operator whose stored entries keep the number of
-    down spins splits into one eigh per magnetization block, so its full
-    dense matrix is never made either.
+    The operator is stored once, as CSR, whatever form it is given in.
+    `matrix` is that CSR from dimension DENSE_DIM_LIMIT up and, below it, a
+    dense array made from the CSR when `matrix` is first read and kept.  The
+    Hermiticity check runs on the stored entries, and diagonalize chooses
+    between Lanczos from a fixed seeded start vector and a dense eigh by
+    (dim, k) alone, so a partial spectrum needs no dense copy.  A dense solve
+    of a FULL_SPACE operator whose stored entries keep the number of down
+    spins splits into one eigh per magnetization block, so its full dense
+    matrix is never made either.
     `basis` is a SectorBasis, a hubbard.FermionBasis or the FULL_SPACE tag.
     """
 
-    def __init__(self, matrix, basis=FULL_SPACE, hermitian=False):
-        self._matrix = matrix
-        self._csr = matrix if sp.issparse(matrix) and matrix.format == "csr" else None
+    def __init__(self, matrix, basis=FULL_SPACE):
+        self._csr = sp.csr_matrix(matrix)
         self.basis = basis
-        self.hermitian = hermitian
 
-    @property
+    @cached_property
     def matrix(self):
-        if self._matrix is None:
-            self._matrix = self._csr.toarray()
-        return self._matrix
+        return self._csr.toarray() if self.dim < DENSE_DIM_LIMIT else self._csr
 
     @property
     def dim(self):
-        return (self._csr if self._matrix is None else self._matrix).shape[0]
+        return self._csr.shape[0]
 
     def dense(self):
         m = self.matrix
-        return m.toarray() if sp.issparse(m) else np.asarray(m)
+        return m.toarray() if sp.issparse(m) else m
 
     def csr(self):
-        """CSR form: the stored one, else a conversion of the dense matrix."""
-        return self._csr if self._csr is not None else sp.csr_matrix(self._matrix)
+        return self._csr
 
     def hermiticity_defect(self):
-        """Largest |m_ij - conj(m_ji)|.  A sparse operator is checked over its
-        stored entries; its dense matrix is never built."""
-        m = self._csr if self._csr is not None else self._matrix
-        d = m - m.conj().T
-        if sp.issparse(d):
-            return float(abs(d).max())
-        return float(np.max(np.abs(d)))
+        """Largest |m_ij - conj(m_ji)| over the stored entries; no dense
+        matrix is built."""
+        return float(abs(self._csr - self._csr.conj().T).max())
 
 
 class Spectrum:
@@ -82,19 +76,6 @@ class Spectrum:
     def __init__(self, eigenvalues, eigenvectors=None):
         self.eigenvalues = np.asarray(eigenvalues, float)
         self.eigenvectors = eigenvectors
-
-
-def _pack(matrix, basis, hermitian):
-    """OperatorMatrix under the storage policy of OperatorMatrix."""
-    dim = matrix.shape[0]
-    if sp.issparse(matrix):
-        op = OperatorMatrix(matrix.tocsr(), basis, hermitian)
-        if dim < DENSE_DIM_LIMIT:
-            op._matrix = None  # dense form made on first read of `matrix`
-        return op
-    if dim >= DENSE_DIM_LIMIT:
-        matrix = sp.csr_matrix(matrix)
-    return OperatorMatrix(matrix, basis, hermitian)
 
 
 def _resolve_sector(L, sector):
@@ -132,8 +113,8 @@ def _build_spin_hamiltonian(L, jxy, jz, sector):
     states = np.arange(2 ** L, dtype=np.int64) if basis is None else basis.state_array
     rows, cols, vals = _xxz_entries(L, states, jxy, jz)
     n = len(states)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return _pack(m, basis if basis is not None else FULL_SPACE, hermitian=True)
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    return OperatorMatrix(m, basis if basis is not None else FULL_SPACE)
 
 
 def build_xxx_hamiltonian(L, J=1.0, sector=None):
@@ -154,17 +135,16 @@ def build_xxz_hamiltonian(L, Delta, sector=None):
     return _build_spin_hamiltonian(L, 1.0, Delta, sector)
 
 
-def _shift_states(states, L, direction):
-    """Bit configurations with every down spin moved by `direction` sites
-    (mod L): site x sits in bit L - x, so this rotates the L-bit word."""
-    r = (-direction) % L
-    return ((states << r) | (states >> (L - r))) & ((1 << L) - 1)
+def _shift_states(states, L):
+    """Bit configurations with every down spin moved by -1 site (mod L):
+    site x sits in bit L - x, so this rotates the L-bit word left by one."""
+    return ((states << 1) | (states >> (L - 1))) & ((1 << L) - 1)
 
 
-def shift_permutation(L, direction=-1):
+def shift_permutation(L):
     """Permutation i -> i' of full-space indices moving every down-spin
-    coordinate by `direction` (mod L)."""
-    return _shift_states(np.arange(2 ** L, dtype=np.int64), L, direction)
+    coordinate by -1 (mod L)."""
+    return _shift_states(np.arange(2 ** L, dtype=np.int64), L)
 
 
 def build_shift_operator(L):
@@ -177,17 +157,17 @@ def build_shift_operator(L):
     """
     if L < 2:
         raise ValueError("need at least two sites")
-    perm = shift_permutation(L, direction=-1)
+    perm = shift_permutation(L)
     n = 2 ** L
-    m = sp.coo_matrix((np.ones(n), (perm, np.arange(n))), shape=(n, n)).tocsr()
-    return _pack(m, FULL_SPACE, hermitian=False)
+    return OperatorMatrix(sp.coo_matrix((np.ones(n), (perm, np.arange(n))), shape=(n, n)))
 
 
-def shift_sector_matrix(basis, direction=-1):
-    """Translation restricted to a SectorBasis (dense ndarray)."""
+def shift_sector_matrix(basis):
+    """The translation of build_shift_operator restricted to a SectorBasis
+    (dense ndarray)."""
     states = basis.state_array
     m = np.zeros((basis.dim, basis.dim))
-    m[np.searchsorted(states, _shift_states(states, basis.L, direction)),
+    m[np.searchsorted(states, _shift_states(states, basis.L)),
       np.arange(basis.dim)] = 1.0
     return m
 
@@ -219,7 +199,7 @@ def build_total_spin(L, alpha):
         for ax in ("x", "y", "z"):
             m = build_total_spin(L, ax).csr()
             total = total + m @ m
-        return _pack(total, FULL_SPACE, hermitian=True)
+        return OperatorMatrix(total)
     if alpha not in _PAULI:
         raise ValueError(f"unknown spin component {alpha!r}")
     states = np.arange(n, dtype=np.int64)
@@ -234,9 +214,8 @@ def build_total_spin(L, alpha):
             rows.append((states[keep] & ~(1 << b)) | (out << b))
             cols.append(keep)
             vals.append(v[keep])
-    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-    return _pack(m, FULL_SPACE, hermitian=alpha in ("x", "y", "z"))
+    return OperatorMatrix(sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)))
 
 
 def _splus_pairs(L, N):
@@ -318,8 +297,7 @@ def _magnetization_blocks(op):
     pop = np.zeros(dim, np.int64)
     for b in range(dim.bit_length() - 1):
         pop += (index >> b) & 1
-    m = op._csr if op._csr is not None else op._matrix
-    rows, cols = m.nonzero() if sp.issparse(m) else np.nonzero(m)
+    rows, cols = op.csr().nonzero()
     if np.any(pop[rows] != pop[cols]):
         return None
     return [np.flatnonzero(pop == n) for n in range(dim.bit_length())]
@@ -329,13 +307,8 @@ def _blocked_eigh(op, blocks, k):
     """The k lowest (all for k None) eigenpairs of a block-diagonal operator:
     one dense eigh per block, eigenvalues merged by a stable argsort and the
     block vectors scattered into full-length columns."""
-    m = op._csr if op._csr is not None else op._matrix
-    if sp.issparse(m):
-        m = m.tocsr()
-        pairs = [np.linalg.eigh(m[idx][:, idx].toarray()) for idx in blocks]
-    else:
-        m = np.asarray(m)
-        pairs = [np.linalg.eigh(m[np.ix_(idx, idx)]) for idx in blocks]
+    m = op.csr()
+    pairs = [np.linalg.eigh(m[idx][:, idx].toarray()) for idx in blocks]
     w = np.concatenate([p[0] for p in pairs])
     order = np.argsort(w, kind="stable")[:k]
     rank = np.full(len(w), -1)
@@ -355,14 +328,13 @@ def diagonalize(op, k=None):
 
     k: number of smallest eigenpairs, or None for the full spectrum.
 
-    The solver depends only on (dim, k), whatever the storage: ARPACK's
-    implicitly restarted Lanczos (scipy eigsh) on the CSR form for
-    dim >= LANCZOS_MIN_DIM and k <= dim // LANCZOS_MAX_K_FRACTION, and a full
-    numpy eigh otherwise (k = None, larger k, smaller dim).  Lanczos
+    The solver depends only on (dim, k): ARPACK's implicitly restarted
+    Lanczos (scipy eigsh) on the stored CSR for dim >= LANCZOS_MIN_DIM and
+    k <= dim // LANCZOS_MAX_K_FRACTION, and a full numpy eigh otherwise
+    (k = None, larger k, smaller dim).  Lanczos
     starts from a fixed seeded pseudo-random vector, so repeated solves are
     bit-identical; the all-ones vector would not do, it is the ferromagnetic
-    eigenvector.  The Hermiticity check runs on the stored sparse entries of a
-    sparse operator, and Lanczos converts a dense matrix to CSR once at most.
+    eigenvector.  The Hermiticity check runs on the stored entries.
 
     Where ARPACK stops without a result (an operator with too few distinct
     eigenvalues, such as H = 0) the dense eigh answers instead.
@@ -403,17 +375,13 @@ def diagonalize(op, k=None):
 
 def commutator_norm(A, B):
     """Largest entry magnitude of AB - BA."""
-    a = A.matrix if isinstance(A, OperatorMatrix) else A
-    b = B.matrix if isinstance(B, OperatorMatrix) else B
+    a, b = (X.csr() if isinstance(X, OperatorMatrix) else sp.csr_matrix(X) for X in (A, B))
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    c = a @ b - b @ a
-    if sp.issparse(c):
-        return float(np.max(np.abs(c.toarray()))) if c.nnz else 0.0
-    return float(np.max(np.abs(c)))
+    return float(abs(a @ b - b @ a).max())
 
 
-def multiplet_structure(spectrum, casimir, degeneracy_tol=1e-9):
+def multiplet_structure(spectrum, casimir):
     """Group eigenvalues into degenerate levels and report SU(2) content.
 
     Returns a list of (energy, multiplicity, spin list) where the spin list
@@ -426,7 +394,7 @@ def multiplet_structure(spectrum, casimir, degeneracy_tol=1e-9):
     levels = []
     start = 0
     for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[start] > degeneracy_tol:
+        if i == len(w) or w[i] - w[start] > MULTIPLET_DEGENERACY_TOL:
             block = v[:, start:i]
             c_eigs = np.linalg.eigvalsh(block.conj().T @ (cas @ block)).real
             spins = {}

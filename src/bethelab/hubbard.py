@@ -28,12 +28,15 @@ from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bae import _damped_newton, _diff, _integer_qnums, _jacobian, _per_lane
-from .ed import _pack
+from .ed import OperatorMatrix
 
 FACTORIAL_GUARD_N = 6
 FACTORIAL_GUARD_M = 2
+LIEBWU_TOL = 1e-12  # Newton residual at which solve_liebwu stops
+LIEBWU_MAX_ITER = 300
 
 
 @dataclass
@@ -133,28 +136,31 @@ def build_hubbard_hamiltonian(L, u, sector):
     """Hubbard Hamiltonian in the (N, M) block (sector a tuple or FermionBasis).
 
     The diagonal is summed site by site; each hop c+_{j,s} c_{j',s} on a bond
-    is applied to all states at once and ranked with FermionBasis.rank."""
+    is applied to all states at once and ranked with FermionBasis.rank.  The
+    entries are collected as COO triplets (repeated hops of L = 2 add up)."""
     if L > 8:
         raise ValueError("full blocks supported up to L = 8")
     basis = sector if isinstance(sector, FermionBasis) else FermionBasis(L, *sector)
     dim = basis.dim
-    H = np.zeros((dim, dim))
     occ = basis.occupations
     diag = np.zeros(dim)
     for x in range(L):
         diag += u * (1 - 2 * occ[:, 2 * x]) * (1 - 2 * occ[:, 2 * x + 1])
-    np.fill_diagonal(H, diag)
+    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
     for j in range(L):  # at L = 1 no state can hop from site 0 to itself
         jp = (j + 1) % L
         for s in (0, 1):
             for src, dst in ((jp, j), (j, jp)):
                 ps, pd = 2 * src + s, 2 * dst + s
-                cols = np.flatnonzero(occ[:, ps] > occ[:, pd])  # src filled, dst empty
+                hop = np.flatnonzero(occ[:, ps] > occ[:, pd])  # src filled, dst empty
                 moved = (1 << src) | (1 << dst)
-                up, dn = basis.up[cols], basis.dn[cols]
-                rows = basis.rank(up ^ moved, dn) if s == 0 else basis.rank(up, dn ^ moved)
-                np.subtract.at(H, (rows, cols), _hop_signs(basis, ps, pd)[cols])
-    return _pack(H, basis, hermitian=True)
+                up, dn = basis.up[hop], basis.dn[hop]
+                rows.append(basis.rank(up ^ moved, dn) if s == 0 else basis.rank(up, dn ^ moved))
+                cols.append(hop)
+                vals.append(-_hop_signs(basis, ps, pd)[hop].astype(float))
+    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dim, dim))
+    return OperatorMatrix(m, basis)
 
 
 def spin_raise_block(basis):
@@ -240,7 +246,7 @@ def _liebwu_system(L, N, M, u, ns, ss):
     return F, J
 
 
-def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=(), tol=1e-12, max_iter=300):
+def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=()):
     """Newton solve of the logarithmic real-root equations.
 
     Charge:  k_j L = 2 pi n_j + [pi M] - sum_l 2 arctg((sin k_j - l_l)/u)
@@ -265,7 +271,8 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=(), tol=1e-12, max_iter=30
     lam0 = np.array([u * np.tan(np.pi * s / N) if abs(np.pi * s / N) < 1.4
                      else 3.0 * np.sign(s) for s in ss])
     z, res, _, stop = _damped_newton(*_liebwu_system(L, N, M, u, ns, ss),
-                                     np.concatenate([k0, lam0]), tol=tol, max_iter=max_iter)
+                                     np.concatenate([k0, lam0]), tol=LIEBWU_TOL,
+                                     max_iter=LIEBWU_MAX_ITER)
     roots = NestedRoots(L, z[:N].astype(complex), z[N:].astype(complex), u)
     return roots, res, stop == "converged"
 

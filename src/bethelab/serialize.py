@@ -66,15 +66,16 @@ def parse_complex_list(pairs):
 
 
 def matrix_to_dict(op):
-    """Matrix as {dim, format, entries: [[row, col, re, im], ...]} (nonzeros)."""
+    """Matrix as {dim, format, entries: [[row, col, re, im], ...]} (nonzeros in
+    row-major order); format is "coo" for sparse storage, else "dense"."""
     m = op.matrix if hasattr(op, "matrix") else op
     if sp.issparse(m):
-        coo = m.tocoo()
+        coo = m.tocsr().sorted_indices().tocoo()
         fmt = "coo"
         rows, cols, vals = coo.row, coo.col, coo.data
     else:
         m = np.asarray(m)
-        fmt = "dense" if m.shape[0] < 4096 else "coo"
+        fmt = "dense"
         rows, cols = np.nonzero(m)
         vals = m[rows, cols]
     entries = [[int(r), int(c), complex(v).real, complex(v).imag]

@@ -18,23 +18,25 @@ the ed module.
 
 The R-factors R(l - xi_j) come from one place (_r_matrices).  Explicit
 matrices use the sparse two-site embedding _embed_pair: the monodromy is the
-product of the embedded factors (_r_factors), transfer blocks and partition
-functions slice its partial trace by sector, and the RTT check multiplies the
-same factors.  Everything that meets a vector uses the reshape action
+CSR product of the embedded factors (_r_factors), transfer blocks and
+partition functions slice its partial trace by sector, and the RTT check
+multiplies the same factors.  `monodromy` and `transfer` hand the CSR to
+ed.OperatorMatrix, whose one rule (dense below DENSE_DIM_LIMIT) decides what
+`.matrix` is.  Everything that meets a vector uses the reshape action
 _apply_pair, which applies a 4 x 4 R on the (aux, site) axes and stores
 nothing: _monodromy_action gives the aba module's B/C products, and
 _transfer_action, the only way t(l) reaches a vector, gives the aba action
 residuals and the matrix-free square-ice eigenvalue.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import build_sector_basis
-from .ed import FULL_SPACE, OperatorMatrix, _pack, build_xxz_hamiltonian
+from .ed import OperatorMatrix, build_xxz_hamiltonian
 
 FD_STEP = 1e-5
 YBE_BATCH = 4096  # Yang-Baxter trials per stacked product: 4 MB per (B, 8, 8) array
@@ -111,17 +113,6 @@ class VertexWeights:
         if len(self.xi) != L:
             raise ValueError("need one inhomogeneity per site")
         return np.asarray(self.xi, complex)
-
-
-@dataclass
-class TransferMatrix:
-    L: int
-    lam: complex
-    matrix: object = field(repr=False)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
 
 def r_matrix_from_weights(a, b, c):
@@ -237,9 +228,9 @@ def monodromy(lam, L, weights):
     """Inhomogeneous monodromy matrix T_0(l) on the 2^(L+1)-dim aux (x) chain
     space: the ordered product R_{0,L}(l - xi_L) ... R_{0,1}(l - xi_1).
 
-    Returns a dense array for L <= 10 and scipy CSR above (L <= 14)."""
-    T = _monodromy_csr(lam, L, weights)
-    return T.toarray() if L <= 10 else T
+    Returns the `matrix` of an OperatorMatrix: dense below DENSE_DIM_LIMIT
+    (L <= 10) and scipy CSR above (L <= 14)."""
+    return OperatorMatrix(_monodromy_csr(lam, L, weights)).matrix
 
 
 def monodromy_trace(T, L):
@@ -249,8 +240,9 @@ def monodromy_trace(T, L):
 
 
 def transfer(lam, L, weights):
-    """Transfer matrix tr_0 T_0(l) on the 2^L chain space."""
-    return TransferMatrix(L, lam, monodromy_trace(monodromy(lam, L, weights), L))
+    """Transfer matrix tr_0 T_0(l) on the 2^L chain space, as the
+    OperatorMatrix of the CSR trace of the monodromy."""
+    return OperatorMatrix(monodromy_trace(_monodromy_csr(lam, L, weights), L))
 
 
 def transfer_sector_block(L, N, weights, lam=0.0):
@@ -303,9 +295,7 @@ def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
     w = VertexWeights.from_parameters(rho, 0.0, eta)
     if abs(np.sinh(eta)) < 1e-12:
         raise ValueError("sh(eta) = 0 makes t(0) singular")
-    t0 = np.asarray(transfer(0.0, L, w).matrix)
-    tp = np.asarray(transfer(step, L, w).matrix)
-    tm = np.asarray(transfer(-step, L, w).matrix)
+    t0, tp, tm = (transfer(x, L, w).dense() for x in (0.0, step, -step))
     tprime = (tp - tm) / (2 * step)
     delta = complex(np.cosh(eta))
     if abs(delta.imag) > 1e-12:
@@ -314,7 +304,7 @@ def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
                  - delta.real * L / 2 * np.eye(2 ** L))
     h_dir = J * build_xxz_hamiltonian(L, delta.real).dense()
     dev = float(np.max(np.abs(h_rec - h_dir)))
-    return _pack(h_rec, FULL_SPACE, hermitian=False), dev
+    return OperatorMatrix(h_rec), dev
 
 
 def partition_function(L, M, a, b, c):

@@ -117,6 +117,12 @@ class TestHamiltonians:
             for N in range(13)]))[:3]
         assert np.allclose(spec.eigenvalues, sector_lows, atol=1e-9)
 
+    def test_storage_depends_on_dim_only(self):
+        # one rule whatever the input form: CSR from DENSE_DIM_LIMIT up,
+        # dense below
+        assert sp.issparse(ed.OperatorMatrix(np.eye(4096)).matrix)
+        assert isinstance(ed.OperatorMatrix(sp.eye(8, format="csr")).matrix, np.ndarray)
+
 
 class TestShiftOperator:
     def test_translation_action(self):

@@ -1,6 +1,7 @@
 """Hubbard chain: fermionic ED, Lieb-Wu solver, nested wavefunction."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestHamiltonian:
     def test_hermitian(self):
         H = hubbard.build_hubbard_hamiltonian(4, 1.3, (3, 1))
         assert H.hermiticity_defect() < 1e-12
+
+    def test_assembly_allocates_no_square_array(self):
+        # dim 4900: a dense (dim, dim) float array alone would be 192 MB
+        tracemalloc.start()
+        try:
+            H = hubbard.build_hubbard_hamiltonian(8, 1.0, (8, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.dim == 4900 and peak < 20e6
 
 
 class TestLiebWu:

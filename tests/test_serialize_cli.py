@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import bethelab
 from bethelab import bae, coordinate, ed, hubbard, serialize, thermo
@@ -49,6 +50,14 @@ class TestCanonicalJson:
         assert d["dim"] == 8 and d["format"] == "dense"
         m = serialize.matrix_from_dict(d)
         assert np.max(np.abs(m - op.dense())) == 0
+
+    def test_sparse_entries_row_major(self):
+        # CSR with unsorted column indices in row 0
+        m = sp.csr_matrix((np.array([2.0, 1.0, 3.0]), np.array([2, 0, 1]), np.array([0, 2, 3, 3])),
+                          shape=(3, 3))
+        d = serialize.matrix_to_dict(m)
+        assert d["format"] == "coo"
+        assert [e[:3] for e in d["entries"]] == [[0, 0, 1.0], [0, 2, 2.0], [1, 1, 3.0]]
 
     def test_rapidity_set_roundtrip(self):
         rs = coordinate.RapiditySet("XXX", 8, [0.3 + 0.1j, -0.3 - 0.1j])

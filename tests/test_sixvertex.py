@@ -210,6 +210,12 @@ class TestHamiltonianLink:
             hxxx = ed.build_xxx_hamiltonian(4, 1.0).dense()
             assert np.max(np.abs(op.dense() - hxxx)) < tol
 
+    def test_l11_reconstruction(self):
+        # the L = 11 transfer (dim 2048) is dense below DENSE_DIM_LIMIT while
+        # its monodromy (dim 4096) is CSR; one call, about 2-5 s
+        _, dev = sixvertex.hamiltonian_from_transfer(11, 0.3)
+        assert dev < 1e-6
+
 
 class TestPartitionFunction:
     def test_1x1_analytic(self):
