@@ -251,7 +251,7 @@ def transfer_sector_block(L, N, weights, lam=0.0):
     of one monodromy.  The transfer conserves the arrow number, so the full
     matrix is the direct sum of these blocks."""
     idx = build_sector_basis(L, N).state_array
-    return monodromy_trace(_monodromy_csr(lam, L, weights), L)[idx][:, idx].toarray()
+    return transfer(lam, L, weights).csr()[idx][:, idx].toarray()
 
 
 def ybe_residual(lam, mu, nu, eta, rho=1.0):
@@ -313,7 +313,7 @@ def partition_function(L, M, a, b, c):
     of block traces)."""
     if M < 1:
         raise ValueError("M >= 1 required")
-    t = monodromy_trace(_monodromy_csr(0.0, L, VertexWeights(a, b, c)), L)
+    t = transfer(0.0, L, VertexWeights(a, b, c)).csr()
     total = 0.0 + 0.0j
     for N in range(L + 1):
         idx = build_sector_basis(L, N).state_array
