@@ -31,11 +31,12 @@ MULTIPLET_DEGENERACY_TOL = 1e-9  # eigenvalue gap that separates two levels
 
 
 class OperatorMatrix:
-    """Complex matrix together with the basis it acts on.
+    """Real or complex matrix together with the basis it acts on.
 
     The operator is stored once, as CSR, whatever form it is given in.
-    `matrix` is that CSR from dimension DENSE_DIM_LIMIT up and, below it, a
-    dense array made from the CSR when `matrix` is first read and kept.  The
+    `matrix` is that CSR from dimension DENSE_DIM_LIMIT (512) up and, below
+    it, a dense array made from the CSR when `matrix` is first read and kept,
+    so `matrix @ v` never densifies more than 2 MB of real entries.  The
     Hermiticity check runs on the stored entries, and diagonalize chooses
     between Lanczos from a fixed seeded start vector and a dense eigh by
     (dim, k) alone, so a partial spectrum needs no dense copy.  A dense solve
@@ -186,7 +187,7 @@ def build_total_spin(L, alpha):
 
     alpha: 'x' | 'y' | 'z' | 'raise' | 'lower' | 'casimir'.
     'raise'/'lower' are S^+/S^- = S^x +- i S^y; 'casimir' is (S^x)^2 + (S^y)^2
-    + (S^z)^2 with eigenvalues S(S+1).
+    + (S^z)^2 with eigenvalues S(S+1), stored real.
 
     Basis note: a set bit is a down spin, so the single-site raising operator
     clears a bit.
@@ -195,10 +196,11 @@ def build_total_spin(L, alpha):
         raise ValueError("need at least one site")
     n = 2 ** L
     if alpha == "casimir":
-        total = sp.csr_matrix((n, n), dtype=complex)
+        # (S^y)^2 has real entries, so the imaginary part of the sum is exactly 0
+        total = sp.csr_matrix((n, n))
         for ax in ("x", "y", "z"):
             m = build_total_spin(L, ax).csr()
-            total = total + m @ m
+            total = total + (m @ m).real
         return OperatorMatrix(total)
     if alpha not in _PAULI:
         raise ValueError(f"unknown spin component {alpha!r}")

@@ -21,12 +21,14 @@ matrices use the sparse two-site embedding _embed_pair: the monodromy is the
 CSR product of the embedded factors (_r_factors), transfer blocks and
 partition functions slice its partial trace by sector, and the RTT check
 multiplies the same factors.  `monodromy` and `transfer` hand the CSR to
-ed.OperatorMatrix, whose one rule (dense below DENSE_DIM_LIMIT) decides what
-`.matrix` is.  Everything that meets a vector uses the reshape action
-_apply_pair, which applies a 4 x 4 R on the (aux, site) axes and stores
-nothing: _monodromy_action gives the aba module's B/C products, and
-_transfer_action, the only way t(l) reaches a vector, gives the aba action
-residuals and the matrix-free square-ice eigenvalue.
+ed.OperatorMatrix, whose one rule (dense below DENSE_DIM_LIMIT = 512) decides
+what `.matrix` is: the monodromy is dense for L <= 7, the transfer for L <= 8.
+hamiltonian_from_transfer inverts t(0) as the scaled shift it is and stays
+CSR.  Everything that meets a vector uses the reshape action _apply_pair,
+which applies a 4 x 4 R on the (aux, site) axes and stores nothing:
+_monodromy_action gives the aba module's B/C products, and _transfer_action,
+the only way t(l) reaches a vector, gives the aba action residuals and the
+matrix-free square-ice eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import build_sector_basis
-from .ed import OperatorMatrix, build_xxz_hamiltonian
+from .ed import OperatorMatrix, build_shift_operator, build_xxz_hamiltonian
 
 FD_STEP = 1e-5
 YBE_BATCH = 4096  # Yang-Baxter trials per stacked product: 4 MB per (B, 8, 8) array
@@ -229,7 +231,7 @@ def monodromy(lam, L, weights):
     space: the ordered product R_{0,L}(l - xi_L) ... R_{0,1}(l - xi_1).
 
     Returns the `matrix` of an OperatorMatrix: dense below DENSE_DIM_LIMIT
-    (L <= 10) and scipy CSR above (L <= 14)."""
+    (L <= 7) and scipy CSR above (L <= 14)."""
     return OperatorMatrix(_monodromy_csr(lam, L, weights)).matrix
 
 
@@ -270,6 +272,11 @@ def ybe_residual(lam, mu, nu, eta, rho=1.0):
     return worst
 
 
+def _max_entry(m):
+    """Largest |entry| of a sparse matrix, 0.0 when it stores none."""
+    return float(np.max(np.abs(m.data), initial=0.0))
+
+
 def rtt_residual(lam, mu, L, weights):
     """Max-entry magnitude of R_00'(l-m) T_0(l) T_0'(m) - T_0'(m) T_0(l) R_00'(l-m),
     with the spaces ordered (0, 0', chain)."""
@@ -277,8 +284,7 @@ def rtt_residual(lam, mu, L, weights):
     T0 = _product(_r_factors(lam, L, weights, n, aux=0))
     T0p = _product(_r_factors(mu, L, weights, n, aux=1))
     R = _embed_pair(r_matrix(lam - mu, weights.eta, weights.rho), 0, 1, n)
-    diff = R @ T0 @ T0p - T0p @ T0 @ R
-    return float(np.max(np.abs(diff.data), initial=0.0))
+    return _max_entry(R @ T0 @ T0p - T0p @ T0 @ R)
 
 
 def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
@@ -289,22 +295,30 @@ def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
     with t'(0) from central finite differences of step `step`.  Returns
     (OperatorMatrix, max entry deviation from the directly built Hamiltonian).
     The deviation shrinks proportionally to step^2.
+
+    R(0) = rho sh(eta) P, so t(0) = c U^{-1} with c = (rho sh eta)^L and U the
+    shift operator of the ed module; t(0)^{-1} t'(0) is then U t'(0) / c, and
+    everything stays CSR.  Raises ValueError when t(0) is not c U^{-1} to
+    1e-12 |c|.
     """
     if L < 3:
         raise ValueError("needs L >= 3 (distinct-site shift)")
     w = VertexWeights.from_parameters(rho, 0.0, eta)
     if abs(np.sinh(eta)) < 1e-12:
         raise ValueError("sh(eta) = 0 makes t(0) singular")
-    t0, tp, tm = (transfer(x, L, w).dense() for x in (0.0, step, -step))
-    tprime = (tp - tm) / (2 * step)
     delta = complex(np.cosh(eta))
     if abs(delta.imag) > 1e-12:
         raise ValueError("ch(eta) must be real to compare with the XXZ chain")
-    h_rec = J * (np.sinh(eta) / 2 * (np.linalg.inv(t0) @ tprime)
-                 - delta.real * L / 2 * np.eye(2 ** L))
-    h_dir = J * build_xxz_hamiltonian(L, delta.real).dense()
-    dev = float(np.max(np.abs(h_rec - h_dir)))
-    return OperatorMatrix(h_rec), dev
+    t0, tp, tm = (transfer(x, L, w).csr() for x in (0.0, step, -step))
+    U = build_shift_operator(L).csr()
+    c = w.c ** L
+    if _max_entry(t0 - c * U.T) > 1e-12 * abs(c):
+        raise ValueError("t(0) is not (rho sh eta)^L times the inverse shift")
+    tprime = (tp - tm) / (2 * step)
+    h_rec = J * (np.sinh(eta) / 2 * ((U / c) @ tprime)
+                 - delta.real * L / 2 * sp.identity(2 ** L, format="csr"))
+    h_dir = J * build_xxz_hamiltonian(L, delta.real).csr()
+    return OperatorMatrix(h_rec), _max_entry(h_rec - h_dir)
 
 
 def partition_function(L, M, a, b, c):

@@ -1,5 +1,7 @@
 """Exact-diagonalization module: bases, Hamiltonians, symmetries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -109,7 +111,8 @@ class TestHamiltonians:
         H = ed.build_xxz_hamiltonian(12, 0.7)  # dim 4096 -> sparse
         assert sp.issparse(H.matrix)
         assert serialize.matrix_to_dict(H)["format"] == "coo"
-        assert not sp.issparse(ed.build_xxz_hamiltonian(11, 0.7).matrix)
+        assert sp.issparse(ed.build_xxz_hamiltonian(9, 0.7).matrix)  # dim 512
+        assert not sp.issparse(ed.build_xxz_hamiltonian(8, 0.7).matrix)  # dim 256
         # partial eigensolve through the sparse path (dim 4096, k = 3)
         spec = ed.diagonalize(H, k=3)
         sector_lows = np.sort(np.concatenate([
@@ -122,6 +125,21 @@ class TestHamiltonians:
         # dense below
         assert sp.issparse(ed.OperatorMatrix(np.eye(4096)).matrix)
         assert isinstance(ed.OperatorMatrix(sp.eye(8, format="csr")).matrix, np.ndarray)
+
+    def test_large_sector_is_applied_as_csr(self):
+        # L = 14, N = 6 (dim 3003): a dense view would be 72 MB, and a complex
+        # vector would cast it to a 144 MB complex copy
+        H = ed.build_xxx_hamiltonian(14, 1.0, 6)
+        v = np.random.default_rng(14).standard_normal(H.dim) * (1 + 0.5j)
+        tracemalloc.start()
+        try:
+            Hv = H.matrix @ v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.issparse(H.matrix)
+        assert peak < 5e6
+        assert np.max(np.abs(Hv - H.csr() @ v)) == 0
 
 
 class TestShiftOperator:
@@ -162,6 +180,13 @@ class TestTotalSpin:
         for comp in ("x", "y", "z"):
             S = ed.build_total_spin(3, comp).dense()
             assert np.max(np.abs(S - kron_total_spin(3, comp))) < 1e-12
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_casimir_is_real_and_exact(self, L):
+        cas = ed.build_total_spin(L, "casimir").csr()
+        assert cas.dtype == np.float64
+        total = sum(S @ S for S in (ed.build_total_spin(L, ax).dense() for ax in "xyz"))
+        assert np.array_equal(cas.toarray(), total)
 
     def test_sz_eigenvalue_on_configurations(self):
         L = 5

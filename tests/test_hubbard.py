@@ -44,8 +44,7 @@ def _assert_block_operators_match_loops(L, N, M):
     the per-state loops."""
     basis = hubbard.FermionBasis(L, N, M)
     for u in (1.3, -0.7, 0.0):
-        H = hubbard.build_hubbard_hamiltonian(L, u, basis).matrix
-        assert isinstance(H, np.ndarray)
+        H = hubbard.build_hubbard_hamiltonian(L, u, basis).dense()
         assert H.tobytes() == loop_references.hubbard_hamiltonian(L, u, basis).tobytes()
     for direction in (-1, 1, 2, -3):
         assert (hubbard.shift_block(basis, direction).tobytes()
@@ -67,6 +66,11 @@ class TestBlockOperatorsMatchLoops:
         for i in np.random.default_rng(8).choice(len(blocks), 6, replace=False):
             _assert_block_operators_match_loops(8, *blocks[i])
         _assert_block_operators_match_loops(8, 4, 1)
+
+    def test_l8_single_flip_block_stays_dense(self):
+        # callers hand .matrix of blocks up to L = 8, N = 4, M = 1 to numpy
+        H = hubbard.build_hubbard_hamiltonian(8, 1.0, hubbard.FermionBasis(8, 4, 1)).matrix
+        assert isinstance(H, np.ndarray) and H.shape == (448, 448)
 
     def test_rank_inverts_states(self):
         for N, M in _blocks(4):

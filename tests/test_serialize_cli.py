@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import bethelab
-from bethelab import bae, coordinate, ed, hubbard, serialize, thermo
+from bethelab import bae, coordinate, ed, hubbard, serialize, sixvertex, thermo
 from bethelab.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NOCONV, EXIT_OK,
                           ExperimentConfig, main)
 
@@ -58,6 +58,15 @@ class TestCanonicalJson:
         d = serialize.matrix_to_dict(m)
         assert d["format"] == "coo"
         assert [e[:3] for e in d["entries"]] == [[0, 0, 1.0], [0, 2, 2.0], [1, 1, 3.0]]
+
+    def test_transfer_entries_same_in_both_formats(self):
+        # the L = 9 transfer (dim 512) is CSR and reported as "coo"; its
+        # entries are those of the dense matrix, in the same row-major order
+        w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, 0.4)
+        t = sixvertex.transfer(0.0, 9, w)
+        d = serialize.matrix_to_dict(t)
+        assert d["format"] == "coo"
+        assert d["entries"] == serialize.matrix_to_dict(t.dense())["entries"]
 
     def test_rapidity_set_roundtrip(self):
         rs = coordinate.RapiditySet("XXX", 8, [0.3 + 0.1j, -0.3 - 0.1j])

@@ -211,10 +211,21 @@ class TestHamiltonianLink:
             assert np.max(np.abs(op.dense() - hxxx)) < tol
 
     def test_l11_reconstruction(self):
-        # the L = 11 transfer (dim 2048) is dense below DENSE_DIM_LIMIT while
-        # its monodromy (dim 4096) is CSR; one call, about 2-5 s
+        # the L = 11 transfer (dim 2048) and its monodromy (dim 4096) are CSR,
+        # and t(0) is inverted as a scaled shift
         _, dev = sixvertex.hamiltonian_from_transfer(11, 0.3)
         assert dev < 1e-6
+
+    def test_rejects_t0_that_is_not_a_scaled_shift(self, monkeypatch):
+        transfer = sixvertex.transfer
+
+        def skewed(lam, L, w):
+            t = transfer(lam, L, w)
+            return ed.OperatorMatrix(t.csr() * (1 + 1e-9)) if lam == 0 else t
+
+        monkeypatch.setattr(sixvertex, "transfer", skewed)
+        with pytest.raises(ValueError, match="inverse shift"):
+            sixvertex.hamiltonian_from_transfer(6, 0.3)
 
 
 class TestPartitionFunction:
