@@ -6,13 +6,12 @@ The monodromy is written as a 2x2 matrix in the auxiliary space,
               [ C(l), D(l) ]]_0 ,
 
 with A + D the transfer matrix.  B lowers S^z by one; products of B's applied
-to the all-up pseudo vacuum generate (XXZ) off-shell Bethe vectors.  The
-homogeneous convention here places the inhomogeneities at xi_j = eta/2, so the
-vacuum eigenvalues are a(l) = rho^L sh^L(l + eta/2), d(l) = rho^L sh^L(l - eta/2)
-and this module's transfer t(l) equals the six-vertex homogeneous transfer at
-l - eta/2.
-
-With Q(l|{n}) = prod_n sh(l - n), a root set {m} is on shell when
+to the all-up pseudo vacuum generate (XXZ) off-shell Bethe vectors.  With
+Q(l|{n}) = prod_n sh(l - n), the vacuum eigenvalues are Q-functions of the
+inhomogeneities, a(l) = rho^L Q(l + eta|{xi}) and d(l) = rho^L Q(l|{xi}).  The
+homogeneous convention here is xi_j = eta/2, so a(l) = rho^L sh^L(l + eta/2),
+d(l) = rho^L sh^L(l - eta/2) and this module's transfer t(l) equals the
+six-vertex homogeneous transfer at l - eta/2.  A root set {m} is on shell when
 
     a(m_j) Q(m_j - eta|{m}) + d(m_j) Q(m_j + eta|{m}) = 0   for every j,
 
@@ -23,88 +22,96 @@ and then t(l) has eigenvalue
 The pairing (scalar product) of an on-shell vector with an off-shell one has a
 determinant representation; see slavnov_ratio for the kernel actually used,
 which was validated against the explicit pairing of B/C product vectors.
+
+Q-functions, vacuum functions, residuals, action coefficients and determinant
+matrices are evaluated on arrays of spectral parameters (roots on the last
+axis); the B/C products apply one monodromy action per root, and
+transfer_eigenvalue takes one l (its near-root branch is scalar).
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from .bae import solve_logbae_xxz
+from .bae import _pairwise_min_dist, solve_logbae_xxz
 from .sixvertex import (VertexWeights, _monodromy_action, _monodromy_csr, _transfer_action,
                         transfer)
 
 sh = np.sinh
 ch = np.cosh
+MIN_PAIR_DISTANCE = 1e-6  # closest two parameters the action and pairing formulas accept
+ONSHELL_TOL = 1e-10  # largest Q-form BAE residual slavnov_ratio accepts as on shell
 
 
 def cth(x):
     return ch(x) / sh(x)
 
 
-def _d_prod_sh(args):
-    """d/dl prod_m sh(args_m) for args = l - const, in the zero-safe form
-    sum_m ch(args_m) prod_{n != m} sh(args_n)."""
-    terms = sh(args)
-    return sum(ch(args[m]) * np.prod(np.delete(terms, m)) for m in range(len(args)))
+def _shifts(lam, roots):
+    """l - n with the spectral parameters l on the leading axes and the roots
+    n on the last; leading axes of the roots broadcast against l."""
+    return np.asarray(lam, complex)[..., None] - np.asarray(roots, complex)
+
+
+def q_function(lam, roots):
+    """Q(l|{n}) = prod_n sh(l - n) for a scalar or an array of l; empty
+    product = 1."""
+    return np.prod(sh(_shifts(lam, roots)), axis=-1)
+
+
+def _q_log_derivative(lam, roots):
+    """d/dl log Q(l|{roots}) away from the zeros, for a scalar or an array of l."""
+    return np.sum(cth(_shifts(lam, roots)), axis=-1)
+
+
+def _q_derivative(lam, roots):
+    """Q'(l|{roots}) = sum_m ch(l - n_m) prod_{k != m} sh(l - n_k), each term a
+    product masked on its own factor, so it stays exact at a root (where it is
+    the product of the other factors); for a scalar or an array of l."""
+    x = _shifts(lam, roots)[..., None, :]
+    own = np.eye(x.shape[-1], dtype=bool)
+    return np.sum(np.prod(np.where(own, ch(x), sh(x)), axis=-1), axis=-1)
 
 
 class VacuumFunctions:
-    """Vacuum eigenvalues a(l), d(l) of the monodromy diagonal blocks.
-
-    Homogeneous (xi = eta/2): a = rho^L sh^L(l + eta/2), d = rho^L sh^L(l - eta/2).
-    Explicit inhomogeneities: a = rho^L prod sh(l - xi_j + eta), d = rho^L prod sh(l - xi_j).
-    """
+    """Vacuum eigenvalues of the monodromy diagonal blocks as Q-functions of
+    the inhomogeneities xi (eta/2 at every site unless given):
+    a(l) = rho^L Q(l + eta|{xi}), d(l) = rho^L Q(l|{xi}); every method takes a
+    scalar or an array of l."""
 
     def __init__(self, L, eta, rho=1.0, xi=None):
         self.L = L
         self.eta = eta
         self.rho = rho
-        self.xi = None if xi is None else np.asarray(xi, complex)
+        self.xi = np.full(L, eta / 2, complex) if xi is None else np.asarray(xi, complex)
 
     def a(self, l):
-        if self.xi is None:
-            return self.rho ** self.L * sh(l + self.eta / 2) ** self.L
-        return self.rho ** self.L * np.prod(sh(l - self.xi + self.eta))
+        return self.rho ** self.L * q_function(l + self.eta, self.xi)
 
     def d(self, l):
-        if self.xi is None:
-            return self.rho ** self.L * sh(l - self.eta / 2) ** self.L
-        return self.rho ** self.L * np.prod(sh(l - self.xi))
+        return self.rho ** self.L * q_function(l, self.xi)
 
     def dlog_a(self, l):
-        if self.xi is None:
-            return self.L * cth(l + self.eta / 2)
-        return np.sum(cth(l - self.xi + self.eta))
+        return _q_log_derivative(l + self.eta, self.xi)
 
     def dlog_d(self, l):
-        if self.xi is None:
-            return self.L * cth(l - self.eta / 2)
-        return np.sum(cth(l - self.xi))
+        return _q_log_derivative(l, self.xi)
 
     def da(self, l):
         """a'(l), zero-safe at the zeros of a."""
-        if self.xi is None:
-            return self.rho ** self.L * self.L * sh(l + self.eta / 2) ** (self.L - 1) \
-                * ch(l + self.eta / 2)
-        return self.rho ** self.L * _d_prod_sh(l - self.xi + self.eta)
+        return self.rho ** self.L * _q_derivative(l + self.eta, self.xi)
 
     def dd(self, l):
         """d'(l), zero-safe at the zeros of d."""
-        if self.xi is None:
-            return self.rho ** self.L * self.L * sh(l - self.eta / 2) ** (self.L - 1) \
-                * ch(l - self.eta / 2)
-        return self.rho ** self.L * _d_prod_sh(l - self.xi)
+        return self.rho ** self.L * _q_derivative(l, self.xi)
 
 
-class MonodromyBlocks:
+class MonodromyBlocks(NamedTuple):
     """A/B/C/D blocks of the monodromy at one spectral parameter."""
-
-    def __init__(self, A, B, C, D, lam, eta):
-        self.A, self.B, self.C, self.D = A, B, C, D
-        self.lam = lam
-        self.eta = eta
-
-    @property
-    def transfer(self):
-        return self.A + self.D
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
 
 
 def _weights_homogeneous(L, eta, rho):
@@ -120,7 +127,7 @@ def monodromy_blocks(lam, L, eta, rho=1.0, xi=None):
     w = VertexWeights.from_parameters(rho, 0.0, eta, xi=xi_list)
     T = _monodromy_csr(lam, L, w).toarray()
     d = 2 ** L
-    return MonodromyBlocks(T[:d, :d], T[:d, d:], T[d:, :d], T[d:, d:], lam, eta)
+    return MonodromyBlocks(T[:d, :d], T[:d, d:], T[d:, :d], T[d:, d:])
 
 
 def pseudo_vacuum(L):
@@ -163,35 +170,14 @@ def c_product_covector(roots, L, eta, rho=1.0):
     return _off_diagonal_product(roots, L, _weights_homogeneous(L, eta, rho), True)
 
 
-def q_function(lam, roots):
-    """Q(l|{n}) = prod_n sh(l - n); empty product = 1."""
-    roots = np.atleast_1d(np.asarray(roots, complex))
-    if len(roots) == 0:
-        return 1.0 + 0.0j
-    return complex(np.prod(sh(lam - roots)))
-
-
-def _q_log_derivative(lam, roots):
-    """d/dl log Q(l|{roots}) away from the zeros."""
-    roots = np.asarray(roots, complex)
-    return complex(np.sum(cth(lam - roots))) if len(roots) else 0.0
-
-
-def _q_derivative(lam, roots):
-    """Q'(l|{roots}) in the zero-safe sum-of-products form."""
-    return complex(_d_prod_sh(lam - np.asarray(roots, complex)))
-
-
 def bae_q_residual(roots, vac):
     """Max relative residual of a(m_j) Q(m_j - eta) + d(m_j) Q(m_j + eta) = 0
     over the set (the on-shell condition in Q-form)."""
     roots = np.asarray(roots, complex)
-    res = 0.0
-    for m in roots:
-        t1 = vac.a(m) * q_function(m - vac.eta, roots)
-        t2 = vac.d(m) * q_function(m + vac.eta, roots)
-        res = max(res, abs(t1 + t2) / max(abs(t1), abs(t2), 1e-300))
-    return float(res)
+    t1 = vac.a(roots) * q_function(roots - vac.eta, roots)
+    t2 = vac.d(roots) * q_function(roots + vac.eta, roots)
+    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-300)
+    return float(np.max(np.abs(t1 + t2) / scale, initial=0.0))
 
 
 def transfer_eigenvalue(lam, roots, vac):
@@ -200,16 +186,13 @@ def transfer_eigenvalue(lam, roots, vac):
     The apparent pole at l = root is removable on shell; within 1e-8 of a root
     the value is computed by the derivative (l'Hopital) form."""
     roots = np.asarray(roots, complex)
-    if len(roots) == 0:
-        return complex(vac.a(lam) + vac.d(lam))
-    dmin = np.min(np.abs(lam - roots))
-    if dmin > 1e-8:
+    dist = np.abs(lam - roots)
+    if np.min(dist, initial=np.inf) > 1e-8:
         return complex((vac.a(lam) * q_function(lam - vac.eta, roots)
                         + vac.d(lam) * q_function(lam + vac.eta, roots))
                        / q_function(lam, roots))
-    j = int(np.argmin(np.abs(lam - roots)))
-    others = np.delete(roots, j)
-    qp = complex(np.prod(sh(lam - others))) if len(others) else 1.0
+    j = int(np.argmin(dist))
+    qp = q_function(lam, np.delete(roots, j))
     num = (vac.da(lam) * q_function(lam - vac.eta, roots)
            + vac.a(lam) * _q_derivative(lam - vac.eta, roots)
            + vac.dd(lam) * q_function(lam + vac.eta, roots)
@@ -238,18 +221,17 @@ def xxz_energy_from_eigenvalue(roots, vac):
     return complex(sh(vac.eta) / 2 * lam_der / lam_val - ch(vac.eta) * vac.L / 2)
 
 
-def _action_terms(params, ell, L, eta, rho):
-    """({l}_j for each dropped j, the coefficient of the {l}_j term in the
-    action of t(l_ell) on the {l}_ell product)."""
+def _action_terms(params, L, eta, rho):
+    """(keep, coeffs): row j of keep is the parameters without the j-th, and
+    coeffs[ell, j] the coefficient of B(keep[j]) in t(l_ell) B(keep[ell])."""
     params = np.asarray(params, complex)
     n1 = len(params)
-    if len(set(np.round(params, 12))) != n1:
-        raise ValueError("parameters must be pairwise distinct")
+    if _pairwise_min_dist(params) < MIN_PAIR_DISTANCE:
+        raise ValueError("parameters closer than the pole guard")
     vac = VacuumFunctions(L, eta, rho)
-    keep = [np.delete(params, j) for j in range(n1)]
-    coeffs = [(vac.a(params[j]) * q_function(params[j] - eta, keep[ell])
-               + vac.d(params[j]) * q_function(params[j] + eta, keep[ell]))
-              / q_function(params[j], keep[j]) for j in range(n1)]
+    keep = np.broadcast_to(params, (n1, n1))[~np.eye(n1, dtype=bool)].reshape(n1, n1 - 1)
+    coeffs = (vac.a(params) * q_function(params - eta, keep[:, None])
+              + vac.d(params) * q_function(params + eta, keep[:, None])) / q_function(params, keep)
     return keep, coeffs
 
 
@@ -263,10 +245,10 @@ def offshell_action_residual(params, ell, L, eta, rho=1.0):
     evaluated with explicit vectors on the 2^L space, t applied to the vector
     factor by factor (no transfer matrix is built); {l}_j omits the j-th of
     the N+1 parameters."""
-    keep, coeffs = _action_terms(params, ell, L, eta, rho)
+    keep, coeffs = _action_terms(params, L, eta, rho)
     lhs = _transfer_action(complex(params[ell]), L, _weights_homogeneous(L, eta, rho),
                            b_product_state(keep[ell], L, eta, rho))
-    rhs = sum(cf * b_product_state(kp, L, eta, rho) for cf, kp in zip(coeffs, keep))
+    rhs = sum(cf * b_product_state(kp, L, eta, rho) for cf, kp in zip(coeffs[ell], keep))
     return float(np.linalg.norm(lhs - rhs)
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
 
@@ -275,10 +257,10 @@ def dual_action_residual(params, ell, L, eta, rho=1.0):
     """Dual version of offshell_action_residual with C-products acting from
     the left; the covector times t is applied as t^T to it, again without a
     transfer matrix."""
-    keep, coeffs = _action_terms(params, ell, L, eta, rho)
+    keep, coeffs = _action_terms(params, L, eta, rho)
     lhs = _transfer_action(complex(params[ell]), L, _weights_homogeneous(L, eta, rho),
                            c_product_covector(keep[ell], L, eta, rho), transposed=True)
-    rhs = sum(cf * c_product_covector(kp, L, eta, rho) for cf, kp in zip(coeffs, keep))
+    rhs = sum(cf * c_product_covector(kp, L, eta, rho) for cf, kp in zip(coeffs[ell], keep))
     return float(np.linalg.norm(lhs - rhs)
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
 
@@ -293,23 +275,19 @@ def k_function(lam, eta):
 
 def a_ratio(lam, roots, vac):
     """Exponential counting function  afun(l|{m}) = d(l) Q(l + eta|{m}) /
-    (a(l) Q(l - eta|{m})); equals -1 at on-shell roots."""
-    roots = np.asarray(roots, complex)
-    return complex(vac.d(lam) * q_function(lam + vac.eta, roots)
-                   / (vac.a(lam) * q_function(lam - vac.eta, roots)))
+    (a(l) Q(l - eta|{m})) for a scalar or an array of l; equals -1 at on-shell
+    roots."""
+    return (vac.d(lam) * q_function(lam + vac.eta, roots)
+            / (vac.a(lam) * q_function(lam - vac.eta, roots)))
 
 
 def a_ratio_derivative(lam, roots, vac):
-    """d afun/dl from the product form (logarithmic derivative)."""
-    roots = np.asarray(roots, complex)
+    """d afun/dl from the product form (logarithmic derivative), for a scalar
+    or an array of l."""
     dlog = vac.dlog_d(lam) - vac.dlog_a(lam) \
         + _q_log_derivative(lam + vac.eta, roots) \
         - _q_log_derivative(lam - vac.eta, roots)
-    return complex(a_ratio(lam, roots, vac) * dlog)
-
-
-MIN_PAIR_DISTANCE = 1e-6
-ONSHELL_TOL = 1e-10  # largest Q-form BAE residual slavnov_ratio accepts as on shell
+    return a_ratio(lam, roots, vac) * dlog
 
 
 def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
@@ -335,11 +313,8 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
     n = len(mu)
     if len(la) != n:
         raise ValueError("need as many off-shell as on-shell parameters")
-    allpairs = np.concatenate([mu, la])
-    for i in range(len(allpairs)):
-        for j in range(i + 1, len(allpairs)):
-            if abs(allpairs[i] - allpairs[j]) < MIN_PAIR_DISTANCE:
-                raise ValueError("parameters closer than the pole guard")
+    if _pairwise_min_dist(np.concatenate([mu, la])) < MIN_PAIR_DISTANCE:
+        raise ValueError("parameters closer than the pole guard")
     if bae_q_residual(mu, VacuumFunctions(L, eta, rho)) > ONSHELL_TOL:
         raise ValueError("the mu set is not on shell")
     return _determinant_ratio(mu, la, L, eta, rho, reflected=True)
@@ -348,24 +323,16 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
 def _determinant_ratio(mu, la, L, eta, rho, reflected):
     """The determinant expression of slavnov_ratio; reflected=False repeats
     e(m_j - l_k) in the second kernel term instead."""
-    n = len(mu)
     vac = VacuumFunctions(L, eta, rho)
-    log_pref = 0.0 + 0.0j
-    for j in range(n):
-        log_pref += np.log(transfer_eigenvalue(la[j], mu, vac))
-        log_pref -= np.log(transfer_eigenvalue(mu[j], mu, vac))
-    af = np.array([a_ratio(lk, mu, vac) for lk in la])
-    daf = [a_ratio_derivative(mk, mu, vac) for mk in mu]
-    num = np.empty((n, n), complex)
-    den_gaudin = np.eye(n, dtype=complex)
-    den_cauchy = np.empty((n, n), complex)
-    for j in range(n):
-        for k in range(n):
-            second = la[k] - mu[j] if reflected else mu[j] - la[k]
-            num[j, k] = (e_function(mu[j] - la[k], eta) / (1 + af[k])
-                         - e_function(second, eta) / (1 + 1 / af[k]))
-            den_cauchy[j, k] = 1 / sh(mu[j] - la[k])
-            den_gaudin[j, k] -= k_function(mu[j] - mu[k], eta) / daf[k]
+    log_pref = sum(np.log(transfer_eigenvalue(lj, mu, vac))
+                   - np.log(transfer_eigenvalue(mj, mu, vac)) for lj, mj in zip(la, mu))
+    af = a_ratio(la, mu, vac)
+    diff = mu[:, None] - la[None, :]
+    num = (e_function(diff, eta) / (1 + af)
+           - e_function(-diff if reflected else diff, eta) / (1 + 1 / af))
+    den_gaudin = np.eye(len(mu)) - k_function(mu[:, None] - mu[None, :], eta) \
+        / a_ratio_derivative(mu, mu, vac)
+    den_cauchy = 1 / sh(diff)
     s1, l1 = np.linalg.slogdet(num)
     s2, l2 = np.linalg.slogdet(den_gaudin)
     s3, l3 = np.linalg.slogdet(den_cauchy)
@@ -395,19 +362,13 @@ def linear_system_residual(mu, params, L, eta, rho=1.0):
 
         sum_j coeff_j({l}_ell) X^j = Lambda(l_ell|{m}) X^ell .
     """
-    mu = np.asarray(mu, complex)
-    params = np.asarray(params, complex)
     vac = VacuumFunctions(L, eta, rho)
     cvec = c_product_covector(mu, L, eta, rho)
-    keep, _ = _action_terms(params, 0, L, eta, rho)
-    X = [cvec @ b_product_state(kp, L, eta, rho) for kp in keep]
-    worst = 0.0
-    for ell in range(len(params)):
-        _, coeffs = _action_terms(params, ell, L, eta, rho)
-        lhs = sum(cf * x for cf, x in zip(coeffs, X))
-        rhs = transfer_eigenvalue(params[ell], mu, vac) * X[ell]
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    return float(worst)
+    keep, coeffs = _action_terms(params, L, eta, rho)
+    X = np.array([cvec @ b_product_state(kp, L, eta, rho) for kp in keep])
+    lhs = coeffs @ X
+    rhs = np.array([transfer_eigenvalue(p, mu, vac) for p in params]) * X
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
 
 
 def onshell_roots(L, N, gamma, qnums=None):

@@ -60,12 +60,13 @@ def rapidity_to_momentum(lam):
     """Quasi-momentum k of a rapidity, e^{ik} = (l + i/2)/(l - i/2).
 
     Principal branch: Re(k) in (-pi, pi], Im(k) = -ln|e^{ik}|.  The map has a
-    pole at l = -i/2 (and k -> 0 as l -> infinity)."""
-    lam = complex(lam)
-    if abs(lam + 0.5j) < 1e-14:
+    pole at l = -i/2 (and k -> 0 as l -> infinity).  A scalar gives a complex,
+    an array of rapidities the array of momenta."""
+    lam = np.asarray(lam, complex)
+    if np.any(np.abs(lam + 0.5j) < 1e-14):
         raise ValueError("rapidity at the pole -i/2")
     k = -1j * np.log((lam + 0.5j) / (lam - 0.5j))
-    return complex(k)
+    return complex(k) if k.ndim == 0 else k
 
 
 _PLACEMENTS = {}
@@ -217,7 +218,7 @@ def momentum_xxx(roots):
     roots = _roots(roots)
     if len(roots) == 0:
         return 0.0
-    p = complex(np.sum([rapidity_to_momentum(l) for l in roots]))
+    p = complex(np.sum(rapidity_to_momentum(roots)))
     real_part = np.mod(p.real, 2 * np.pi)
     if abs(p.imag) < 1e-10:
         return float(real_part)

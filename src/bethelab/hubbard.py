@@ -268,8 +268,8 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=()):
     if len(ns) != N or len(ss) != M:
         raise ValueError("need one charge number per k and one spin number per lambda")
     k0 = (2 * np.pi * ns + _charge_offset(M)) / L
-    lam0 = np.array([u * np.tan(np.pi * s / N) if abs(np.pi * s / N) < 1.4
-                     else 3.0 * np.sign(s) for s in ss])
+    phase = np.pi * ss / N
+    lam0 = np.where(np.abs(phase) < 1.4, u * np.tan(phase), 3.0 * np.sign(phase))
     z, res, _, stop = _damped_newton(*_liebwu_system(L, N, M, u, ns, ss),
                                      np.concatenate([k0, lam0]), tol=LIEBWU_TOL,
                                      max_iter=LIEBWU_MAX_ITER)

@@ -64,10 +64,8 @@ class VertexWeights:
         b = rho * np.sinh(lam)
         c = rho * np.sinh(eta)
         degenerate = abs(c) < 1e-14
-        w = cls(a, b, c, rho=rho, lam=lam, eta=eta,
-                xi=tuple(xi) if xi is not None else None, degenerate=degenerate)
-        w.validate()
-        return w
+        return cls(a, b, c, rho=rho, lam=lam, eta=eta,
+                   xi=tuple(xi) if xi is not None else None, degenerate=degenerate)
 
     @classmethod
     def ice(cls):
@@ -99,15 +97,6 @@ class VertexWeights:
     @property
     def parameterized(self):
         return self.eta is not None
-
-    def validate(self):
-        if self.parameterized:
-            rec = (self.rho * np.sinh(self.lam + self.eta),
-                   self.rho * np.sinh(self.lam), self.rho * np.sinh(self.eta))
-            stored = (self.a, self.b, self.c)
-            scale = max(1.0, *(abs(x) for x in stored))
-            if max(abs(r - s) for r, s in zip(rec, stored)) > 1e-12 * scale:
-                raise ValueError("parameterization does not reproduce the weights")
 
     def inhomogeneities(self, L):
         if self.xi is None:

@@ -3,9 +3,10 @@ eigenvalues, off-shell action, and the pairing determinant formula."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import loop_references
 from bethelab import aba, bae, coordinate, ed, sixvertex
 from bethelab.basis import build_sector_basis
 from oracles import kron_spin_hamiltonian
@@ -63,7 +64,7 @@ class TestBlocks:
         bl = aba.monodromy_blocks(lam, L, eta)
         w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, eta)
         t6 = np.asarray(sixvertex.transfer(lam - eta / 2, L, w).matrix)
-        assert np.max(np.abs(bl.transfer - t6)) < 1e-12
+        assert np.max(np.abs(bl.A + bl.D - t6)) < 1e-12
 
 
 class TestBProducts:
@@ -155,6 +156,112 @@ class TestQFunction:
         assert abs(aba.q_function(nu, [nu, 0.9])) == 0
 
 
+def _complex_list(lo, hi, min_size=0, max_size=4):
+    return st.lists(_complex((lo, hi), (lo, hi)), min_size=min_size, max_size=max_size)
+
+
+def _vacuum_pair(L, eta, rho, seed):
+    """(VacuumFunctions, its scalar loop reference) for the homogeneous chain
+    (seed None) or random complex inhomogeneities."""
+    xi = None
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        xi = rng.normal(size=L) * 0.3 + 1j * rng.normal(size=L) * 0.3
+    return aba.VacuumFunctions(L, eta, rho, xi), loop_references.ScalarVacuum(L, eta, rho, xi)
+
+
+_vacuum_args = dict(L=st.integers(1, 10), eta=_complex((0.1, 1.0), (-1.0, 1.0)),
+                    rho=_complex((0.5, 1.5), (-0.5, 0.5)),
+                    seed=st.none() | st.integers(0, 2 ** 32 - 1))
+
+
+class TestArrayForms:
+    """The array forms of the Q-functions, vacuum functions, residuals,
+    action coefficients and determinant matrices against the scalar loops
+    kept in tests/loop_references.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(roots=_complex_list(-1.0, 1.0), ls=_complex_list(-1.5, 1.5, min_size=1))
+    def test_q_function_and_derivatives(self, roots, ls):
+        ls, roots = np.array(ls, complex), np.array(roots, complex)
+        x = ls[:, None] - roots
+        bound = len(roots) * np.prod(np.maximum(np.abs(sh(x)), np.abs(np.cosh(x))), axis=-1)
+        got = aba.q_function(ls, roots)
+        assert got.shape == ls.shape
+        assert np.array_equal(got, [loop_references.q_function(l, roots) for l in ls])
+        want = np.array([loop_references.d_prod_sh(l - roots) for l in ls])
+        assert np.all(np.abs(aba._q_derivative(ls, roots) - want) <= 1e-13 * bound)
+        assume(np.min(np.abs(sh(x)), initial=np.inf) > 1e-3)
+        want = np.sum(1 / np.tanh(x), axis=-1)
+        assert np.all(np.abs(aba._q_log_derivative(ls, roots) - want)
+                      <= 1e-13 * (1 + np.sum(np.abs(1 / np.tanh(x)), axis=-1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(roots=_complex_list(-1.0, 1.0, min_size=1))
+    def test_q_derivative_at_a_root(self, roots):
+        # exactly at a root, Q' is the product of the other factors
+        roots = np.array(roots, complex)
+        others = [np.prod(sh(r - np.delete(roots, j))) for j, r in enumerate(roots)]
+        assert np.array_equal(aba._q_derivative(roots, roots), others)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ls=_complex_list(-1.0, 1.0, min_size=1), **_vacuum_args)
+    def test_vacuum_functions(self, ls, L, eta, rho, seed):
+        ls = np.array(ls, complex)
+        vac, ref = _vacuum_pair(L, eta, rho, seed)
+        zeros = np.concatenate([vac.xi, vac.xi - eta])
+        assume(np.min(np.abs(sh(ls[:, None] - zeros))) > 1e-3)
+        for name in ("a", "d", "dlog_a", "dlog_d", "da", "dd"):
+            got = getattr(vac, name)(ls)
+            want = np.array([getattr(ref, name)(l) for l in ls])
+            assert got.shape == ls.shape
+            assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want))), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(roots=_complex_list(-1.0, 1.0, min_size=1), **_vacuum_args)
+    def test_bae_q_residual(self, roots, L, eta, rho, seed):
+        vac, ref = _vacuum_pair(L, eta, rho, seed)
+        assert abs(aba.bae_q_residual(roots, vac)
+                   - loop_references.bae_q_residual(roots, ref)) <= 1e-11
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=_complex_list(-1.0, 1.0, min_size=1, max_size=5), L=st.integers(1, 10),
+           eta=_complex((0.1, 1.0), (-1.0, 1.0)), rho=_complex((0.5, 1.5), (-0.5, 0.5)))
+    def test_action_coefficients(self, params, L, eta, rho):
+        params = np.array(params, complex)
+        assume(bae._pairwise_min_dist(params) > 1e-3)
+        keep, coeffs = aba._action_terms(params, L, eta, rho)
+        ref = loop_references.ScalarVacuum(L, eta, rho)
+        for ell in range(len(params)):
+            ref_keep, ref_coeffs = loop_references.action_terms(params, ell, L, eta, rho)
+            assert np.array_equal(keep, np.reshape(ref_keep, keep.shape))
+            # scale: the two terms of each numerator over its denominator
+            scale = [(abs(ref.a(l) * loop_references.q_function(l - eta, ref_keep[ell]))
+                      + abs(ref.d(l) * loop_references.q_function(l + eta, ref_keep[ell])))
+                     / abs(loop_references.q_function(l, kp)) for l, kp in zip(params, ref_keep)]
+            assert np.all(np.abs(coeffs[ell] - ref_coeffs) <= 1e-10 * np.array(scale))
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.sampled_from([2, 4, 6, 8, 10]), N=st.integers(1, 4), gamma=st.floats(0.3, 1.2),
+           shifts=_complex_list(-0.5, 0.5, 4, 4), rho=_complex((0.5, 1.5), (-0.5, 0.5)),
+           reflected=st.booleans())
+    def test_determinant_ratio(self, L, N, gamma, shifts, rho, reflected):
+        # on-shell mu (the domain of slavnov_ratio), random complex la and rho
+        assume(2 * N <= L)
+        try:
+            mu = aba.onshell_roots(L, N, gamma)
+        except RuntimeError:
+            assume(False)
+        la = mu + np.array(shifts[:N])
+        assume(bae._pairwise_min_dist(np.concatenate([mu, la])) > 0.05)
+        got = aba._determinant_ratio(mu, la, L, 1j * gamma, rho, reflected)
+        want = loop_references.determinant_ratio(mu, la, L, 1j * gamma, rho, reflected)
+        if np.isfinite(want):
+            assert abs(got - want) <= 1e-10 * abs(want)
+        else:  # some l at a zero of a or d: the kernel is nan in both forms
+            assert not np.isfinite(got)
+
+
 class TestTransferEigenvalue:
     def test_onshell_q_residual(self):
         L, gamma = 8, 0.55
@@ -216,6 +323,15 @@ class TestOffshellAction:
     def test_coincident_parameters_rejected(self):
         with pytest.raises(ValueError):
             aba.offshell_action_residual(np.array([0.3, 0.3, 0.9]), 0, 4, 0.5)
+
+    @pytest.mark.parametrize("residual", [aba.offshell_action_residual,
+                                          aba.dual_action_residual])
+    def test_nearly_coincident_parameters_rejected(self, residual):
+        # 1.9e-16 apart: distinct after rounding to 12 decimals, but inside
+        # the pole guard, where the identity is no longer resolved
+        params = np.array([0.1234567890124999, 0.1234567890125001, 0.7 + 0.2j])
+        with pytest.raises(ValueError):
+            residual(params, 2, 6, 0.4 + 0.1j)
 
     def test_linear_system(self):
         L, gamma = 6, 0.6

@@ -33,6 +33,17 @@ class TestRapidityMap:
         with pytest.raises(ValueError):
             coordinate.rapidity_to_momentum(-0.5j)
 
+    def test_array_matches_scalars(self):
+        rng = np.random.default_rng(5)
+        roots = rng.normal(size=6) + 0.5j * rng.normal(size=6)
+        ks = coordinate.rapidity_to_momentum(roots)
+        assert type(coordinate.rapidity_to_momentum(roots[0])) is complex
+        assert ks.shape == roots.shape
+        ref = [-1j * np.log((complex(l) + 0.5j) / (complex(l) - 0.5j)) for l in roots]
+        assert np.max(np.abs(ks - ref)) < 1e-14
+        with pytest.raises(ValueError):
+            coordinate.rapidity_to_momentum(np.array([0.3, -0.5j]))
+
     def test_branch(self):
         k = coordinate.rapidity_to_momentum(0.3 + 0.2j)
         assert -np.pi < k.real <= np.pi
