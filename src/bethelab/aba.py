@@ -326,10 +326,12 @@ def _determinant_ratio(mu, la, L, eta, rho, reflected):
     vac = VacuumFunctions(L, eta, rho)
     log_pref = sum(np.log(transfer_eigenvalue(lj, mu, vac))
                    - np.log(transfer_eigenvalue(mj, mu, vac)) for lj, mj in zip(la, mu))
-    af = a_ratio(la, mu, vac)
+    # 1/(1 + afun) and 1/(1 + 1/afun), finite where a(l_k) or d(l_k) is 0
+    wa = vac.a(la) * q_function(la - eta, mu)
+    wd = vac.d(la) * q_function(la + eta, mu)
     diff = mu[:, None] - la[None, :]
-    num = (e_function(diff, eta) / (1 + af)
-           - e_function(-diff if reflected else diff, eta) / (1 + 1 / af))
+    num = (e_function(diff, eta) * wa
+           - e_function(-diff if reflected else diff, eta) * wd) / (wa + wd)
     den_gaudin = np.eye(len(mu)) - k_function(mu[:, None] - mu[None, :], eta) \
         / a_ratio_derivative(mu, mu, vac)
     den_cauchy = 1 / sh(diff)

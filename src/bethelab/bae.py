@@ -9,7 +9,12 @@ contributes a factor -1, which absorbs the minus sign of the textbook form):
 
 Logarithmic form for real roots (integers n_j, principal arctan):
 
-  (1/pi) arctg(2 l_j) = n_j/L - (N+1)/(2L) + sum_k arctg(l_j - l_k)/(pi L)
+  (1/pi) arctg(2 l_j) = I_j/L + sum_k arctg(l_j - l_k)/(pi L),
+  I_j = n_j - (N + 1 + L mod 2)/2,
+
+so I_j is an integer for L - N odd and a half-odd integer for L - N even
+(Takahashi's parity rule) and the log form holds on the principal branch of
+the exponential form at every L.
 
 Every residual and Jacobian is an N x N broadcast over the differences
 l_j - l_k on a leading lane axis: a system's F(x, lanes) and J(x, lanes) take
@@ -148,8 +153,13 @@ def bose_residual(roots, L_ring, c):
     return float(_exp_residuals(np.exp(1j * k * L_ring), d + 1j * c, d - 1j * c))
 
 
+def _qnum_offset(L, N):
+    """c in I_j = n_j - c, the parity offset of the log forms."""
+    return (N + 1 + L % 2) / 2
+
+
 def _logbae_F(lam, L, N, ns):
-    return (np.arctan(2 * lam) / np.pi - ns / L + (N + 1) / (2 * L)
+    return (np.arctan(2 * lam) / np.pi - ns / L + _qnum_offset(L, N) / L
             - np.arctan(_diff(lam)).sum(axis=-1) / (np.pi * L))
 
 
@@ -272,7 +282,7 @@ def _logbae_system(L, ns):
 
 def _logbae_seed(L, ns):
     """Initial guess from the non-interacting part of the log XXX equations."""
-    return 0.5 * np.tan(np.pi * (ns / L - (ns.shape[-1] + 1) / (2 * L)))
+    return 0.5 * np.tan(np.pi * (ns / L - _qnum_offset(L, ns.shape[-1]) / L))
 
 
 def solve_logbae(L, N, qnums):
@@ -313,8 +323,8 @@ def _xxz_system(L, gamma, ns):
     N = ns.shape[-1]
 
     def F(lam, lanes=None):
-        return (L * _theta(1, lam, gamma) - 2 * np.pi * _per_lane(ns, lanes) + np.pi * (N + 1)
-                - np.sum(_theta(2, _diff(lam), gamma), axis=-1))
+        return (L * _theta(1, lam, gamma) - 2 * np.pi * _per_lane(ns, lanes)
+                + 2 * np.pi * _qnum_offset(L, N) - np.sum(_theta(2, _diff(lam), gamma), axis=-1))
 
     def J(lam, lanes=None):
         return _jacobian(L * _dtheta(1, lam, gamma), _dtheta(2, _diff(lam), gamma))
@@ -323,13 +333,21 @@ def _xxz_system(L, gamma, ns):
 
 def solve_logbae_xxz(L, N, gamma, qnums):
     """Real-root XXZ solve in the gapless parameterization Delta = cos(gamma),
-    0 < gamma < pi: L theta_1(l_j) = 2 pi n_j - pi (N+1) + sum_k theta_2(l_j - l_k)."""
+    0 < gamma < pi: L theta_1(l_j) = 2 pi I_j + sum_k theta_2(l_j - l_k), with
+    I_j = n_j - (N + 1 + L mod 2)/2.
+
+    The seed puts l_j where the ground-state counting function, with density
+    1/(2 gamma ch(pi l/gamma)), reaches I_j/L:
+    l_j = (2 gamma/pi) arth(tg(pi I_j/L)) for |tg| < 1, and 0.3 I_j elsewhere."""
     ns = _integer_qnums(qnums)
     if len(ns) != N:
         raise ValueError("need one quantum number per root")
     if N == 0:
         return SolveReport(RapiditySet("XXZ", L, [], {"gamma": gamma}), 0.0, 0, True, ())
-    lam0 = 0.3 * (ns - (N + 1) / 2)
+    I = ns - _qnum_offset(L, N)
+    t = np.tan(np.pi * I / L)
+    inside = np.abs(t) < 1
+    lam0 = np.where(inside, 2 * gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)), 0.3 * I)
     lam, res, iters, stop = _damped_newton(*_xxz_system(L, gamma, ns), lam0)
     roots = RapiditySet("XXZ", L, np.sort(lam).astype(complex), {"gamma": gamma})
     return SolveReport(roots, res, iters, stop == "converged",

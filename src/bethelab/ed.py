@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from .basis import DENSE_DIM_LIMIT, SectorBasis, build_sector_basis
 
-FULL_SPACE = "full"
 # diagonalize uses Lanczos for the k lowest eigenpairs from LANCZOS_MIN_DIM up,
 # for k <= dim // LANCZOS_MAX_K_FRACTION; elsewhere a full dense eigh is faster
 # (single-thread timings of both on XXX sector Hamiltonians, dim 126 to 3003)
@@ -31,24 +30,17 @@ MULTIPLET_DEGENERACY_TOL = 1e-9  # eigenvalue gap that separates two levels
 
 
 class OperatorMatrix:
-    """Real or complex matrix together with the basis it acts on.
+    """Real or complex square matrix, stored once, as CSR, whatever form it
+    is given in.
 
-    The operator is stored once, as CSR, whatever form it is given in.
     `matrix` is that CSR from dimension DENSE_DIM_LIMIT (512) up and, below
     it, a dense array made from the CSR when `matrix` is first read and kept,
-    so `matrix @ v` never densifies more than 2 MB of real entries.  The
-    Hermiticity check runs on the stored entries, and diagonalize chooses
-    between Lanczos from a fixed seeded start vector and a dense eigh by
-    (dim, k) alone, so a partial spectrum needs no dense copy.  A dense solve
-    of a FULL_SPACE operator whose stored entries keep the number of down
-    spins splits into one eigh per magnetization block, so its full dense
-    matrix is never made either.
-    `basis` is a SectorBasis, a hubbard.FermionBasis or the FULL_SPACE tag.
+    so `matrix @ v` never densifies more than 2 MB of real entries.
+    diagonalize reads only the CSR.
     """
 
-    def __init__(self, matrix, basis=FULL_SPACE):
+    def __init__(self, matrix):
         self._csr = sp.csr_matrix(matrix)
-        self.basis = basis
 
     @cached_property
     def matrix(self):
@@ -80,7 +72,7 @@ class Spectrum:
 
 
 def _resolve_sector(L, sector):
-    if sector is None or sector == FULL_SPACE:
+    if sector is None or sector == "full":
         return None
     if isinstance(sector, SectorBasis):
         return sector
@@ -115,13 +107,14 @@ def _build_spin_hamiltonian(L, jxy, jz, sector):
     rows, cols, vals = _xxz_entries(L, states, jxy, jz)
     n = len(states)
     m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return OperatorMatrix(m, basis if basis is not None else FULL_SPACE)
+    return OperatorMatrix(m)
 
 
 def build_xxx_hamiltonian(L, J=1.0, sector=None):
     """Heisenberg chain, H = J sum_j (s_j . s_{j+1} - 1/4).
 
-    sector: None for the full 2^L space, an integer N, or a SectorBasis.
+    sector: None or "full" for the full 2^L space, an integer N, or a
+    SectorBasis.
     For J < 0 the spectrum is non-negative and the all-up state has energy 0.
     """
     if L < 2:
@@ -288,27 +281,19 @@ def _lanczos(m, k):
         w, v = np.append(w, mu), np.hstack([v, x])
 
 
-def _magnetization_blocks(op):
-    """Index arrays of the fixed-N blocks (index popcount N) of a FULL_SPACE
-    operator of dim 2^L, or None when the operator is not of that kind or a
-    stored entry couples two blocks.  Bits are counted by a shift loop."""
-    dim = op.dim
-    if op.basis != FULL_SPACE or dim & (dim - 1):
-        return None
-    index = np.arange(dim, dtype=np.int64)
-    pop = np.zeros(dim, np.int64)
-    for b in range(dim.bit_length() - 1):
-        pop += (index >> b) & 1
-    rows, cols = op.csr().nonzero()
-    if np.any(pop[rows] != pop[cols]):
-        return None
-    return [np.flatnonzero(pop == n) for n in range(dim.bit_length())]
+def _components(op):
+    """Index arrays, ascending, of the connected components of the graph of
+    op's nonzero entries, in the order of their smallest index."""
+    # imported here: csgraph loads scipy.sparse.linalg, slow to import cold
+    from scipy.sparse.csgraph import connected_components
+    _, labels = connected_components(op.csr() != 0, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def _blocked_eigh(op, blocks, k):
-    """The k lowest (all for k None) eigenpairs of a block-diagonal operator:
-    one dense eigh per block, eigenvalues merged by a stable argsort and the
-    block vectors scattered into full-length columns."""
+    """The k lowest (all for k None) eigenpairs of an operator that does not
+    couple the index arrays `blocks`, one dense eigh per block."""
     m = op.csr()
     pairs = [np.linalg.eigh(m[idx][:, idx].toarray()) for idx in blocks]
     w = np.concatenate([p[0] for p in pairs])
@@ -319,8 +304,8 @@ def _blocked_eigh(op, blocks, k):
     start = 0
     for idx, (_, vb) in zip(blocks, pairs):
         r = rank[start:start + len(idx)]
-        keep = r >= 0
-        v[np.ix_(idx, r[keep])] = vb[:, keep]
+        r = r[r >= 0]  # a prefix: the stable sort keeps eigh's ascending order
+        v[np.ix_(idx, r)] = vb[:, :len(r)]
         start += len(idx)
     return w[order], v
 
@@ -332,23 +317,19 @@ def diagonalize(op, k=None):
 
     The solver depends only on (dim, k): ARPACK's implicitly restarted
     Lanczos (scipy eigsh) on the stored CSR for dim >= LANCZOS_MIN_DIM and
-    k <= dim // LANCZOS_MAX_K_FRACTION, and a full numpy eigh otherwise
-    (k = None, larger k, smaller dim).  Lanczos
-    starts from a fixed seeded pseudo-random vector, so repeated solves are
-    bit-identical; the all-ones vector would not do, it is the ferromagnetic
-    eigenvector.  The Hermiticity check runs on the stored entries.
+    k <= dim // LANCZOS_MAX_K_FRACTION, and dense eigh otherwise (k = None,
+    larger k, smaller dim).  Lanczos starts from a fixed seeded pseudo-random
+    vector, so repeated solves are bit-identical; the all-ones vector would
+    not do, it is the ferromagnetic eigenvector.  The Hermiticity check runs
+    on the stored entries.  Where ARPACK stops without a result (an operator
+    with too few distinct eigenvalues, such as H = 0) the dense eigh answers
+    instead.
 
-    Where ARPACK stops without a result (an operator with too few distinct
-    eigenvalues, such as H = 0) the dense eigh answers instead.
-
-    The dense eigh is block-diagonal where the operator allows it: a
-    FULL_SPACE operator of dim 2^L none of whose stored entries couples two
-    indices of different popcount (number of down spins) is solved by one
-    eigh per magnetization block, at most C(L, L/2) wide.  The eigenvalues are
-    merged by a stable argsort and the block vectors scattered into the usual
-    (dim, k or dim) columns, each nonzero on one block only.  Sector and
-    Hubbard operators, and full-space operators with an S^x or S^y term, take
-    one eigh of the whole matrix.
+    The dense solve runs one eigh per connected component of the graph of the
+    nonzero entries (a full-space chain Hamiltonian splits into its
+    magnetization blocks; sector and Hubbard operators are one block).  The
+    eigenvalues are merged by a stable argsort and the block vectors
+    scattered into (dim, k or dim) columns, each nonzero on one block only.
 
     Raises ValueError for non-Hermitian input or k < 1.  Every returned pair
     satisfies ||H v - E v|| < 1e-10 ||v||.
@@ -366,13 +347,7 @@ def diagonalize(op, k=None):
             # ARPACK stops when the Krylov space of its start vector is an
             # invariant subspace it cannot extend (H = 0, H = c 1)
             pass
-    blocks = _magnetization_blocks(op)
-    if blocks is not None:
-        return Spectrum(*_blocked_eigh(op, blocks, k))
-    w, v = np.linalg.eigh(op.dense())
-    if k is not None:
-        w, v = w[:k], v[:, :k]
-    return Spectrum(w, v)
+    return Spectrum(*_blocked_eigh(op, _components(op), k))
 
 
 def commutator_norm(A, B):

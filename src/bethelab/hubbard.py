@@ -160,7 +160,7 @@ def build_hubbard_hamiltonian(L, u, sector):
                 vals.append(-_hop_signs(basis, ps, pd)[hop].astype(float))
     m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(dim, dim))
-    return OperatorMatrix(m, basis)
+    return OperatorMatrix(m)
 
 
 def spin_raise_block(basis):

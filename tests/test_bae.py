@@ -70,12 +70,13 @@ class TestSolveLogBae:
         assert rep.converged and rep.roots.N == 0
         assert coordinate.energy_xxx(rep.roots) == 0.0
 
-    @pytest.mark.parametrize("L", [4, 6, 8])
+    @pytest.mark.parametrize("L", [4, 5, 6, 7, 8, 9, 11, 13])
     def test_ground_energy_matches_ed(self, L):
         rep = bae.solve_logbae(L, L // 2, tuple(range(1, L // 2 + 1)))
         E = coordinate.energy_xxx(rep.roots).real
-        w = ed.diagonalize(ed.build_xxx_hamiltonian(L, 1.0, L // 2)).eigenvalues
-        assert abs(E - w[0]) < 1e-10
+        w = ed.diagonalize(ed.build_xxx_hamiltonian(L, 1.0, L // 2), k=1).eigenvalues
+        assert rep.converged and abs(E - w[0]) < 1e-10
+        assert bae.bae_residual_xxx(rep.roots, L) < 1e-10
 
     def test_symmetric_qnums_give_symmetric_roots(self):
         rep = bae.solve_logbae(8, 4, (1, 2, 3, 4))
@@ -146,6 +147,45 @@ class TestXXZ:
         L, gamma = 8, 0.9
         rep = bae.solve_logbae_xxz(L, 2, gamma, (1, 3))
         assert rep.converged
+        assert bae.bae_residual_xxz(rep.roots.values, L, gamma) < 1e-10
+
+    @pytest.mark.parametrize("L", [5, 7, 9, 11, 13])
+    def test_odd_l_ground_state_matches_ed(self, L):
+        gamma, N = 0.9, L // 2
+        rep = bae.solve_logbae_xxz(L, N, gamma, tuple(range(1, N + 1)))
+        w = ed.diagonalize(ed.build_xxz_hamiltonian(L, np.cos(gamma), N), k=1).eigenvalues
+        assert rep.converged and abs(bae.xxz_energy(rep.roots, gamma).real - w[0]) < 1e-10
+        assert bae.bae_residual_xxz(rep.roots.values, L, gamma) < 1e-10
+
+    def test_ground_states_converge_up_to_l800(self):
+        # seeded from the ground-state counting function
+        for L in (40, 96, 200, 400, 800):
+            for gamma in np.linspace(0.3, 1.5, 8):
+                rep = bae.solve_logbae_xxz(L, L // 2, gamma, tuple(range(1, L // 2 + 1)))
+                assert rep.converged
+                assert bae.bae_residual_xxz(rep.roots.values, L, gamma) < 1e-10
+
+
+class TestLogFormBranch:
+    """A converged log-form solve satisfies the exponential form, at odd and
+    even L: the parity offset puts the log form on its principal branch."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(4, 13), data=st.data())
+    def test_xxx(self, L, data):
+        N = data.draw(st.integers(1, L // 2))
+        qn = sorted(data.draw(st.sets(st.integers(0, L), min_size=N, max_size=N)))
+        rep = bae.solve_logbae(L, N, qn)
+        assume(rep.converged)
+        assert bae.bae_residual_xxx(rep.roots, L) < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(4, 13), gamma=st.floats(0.3, 1.5), data=st.data())
+    def test_xxz(self, L, gamma, data):
+        N = data.draw(st.integers(1, L // 2))
+        qn = sorted(data.draw(st.sets(st.integers(0, L), min_size=N, max_size=N)))
+        rep = bae.solve_logbae_xxz(L, N, gamma, qn)
+        assume(rep.converged)
         assert bae.bae_residual_xxz(rep.roots.values, L, gamma) < 1e-10
 
 
@@ -292,7 +332,7 @@ class TestStopReason:
         assert rep.converged and rep.stop == "converged"
 
     def test_xxz_failure_is_explained(self):
-        rep = bae.solve_logbae_xxz(200, 100, 1.5, tuple(range(1, 101)))
+        rep = bae.solve_logbae_xxz(40, 20, 1.0, tuple(range(3, 23)))
         assert not rep.converged
         assert rep.stop in bae.STOP_REASONS and rep.stop != "converged"
 

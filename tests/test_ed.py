@@ -1,6 +1,7 @@
 """Exact-diagonalization module: bases, Hamiltonians, symmetries."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,7 +322,8 @@ def _eigh_sizes(monkeypatch):
 
 
 class TestBlockedSolve:
-    """Full-space operators solved one magnetization block at a time."""
+    """Dense solves run one eigh per connected component of the nonzero
+    entries; a full-space chain operator splits into magnetization blocks."""
 
     @settings(max_examples=25, deadline=None)
     @given(L=st.integers(1, 10), kind=st.sampled_from(["xxz", "random"]),
@@ -334,7 +336,7 @@ class TestBlockedSolve:
         else:
             m = _sz_conserving_hermitian(L, np.random.default_rng(seed))
         op = ed.OperatorMatrix(m if dense else sp.csr_matrix(m))
-        assert len(ed._magnetization_blocks(op)) == L + 1
+        assert len(ed._components(op)) == L + 1
         spec = ed.diagonalize(op)
         w_ref = np.linalg.eigh(m)[0]
         scale = max(1.0, np.max(np.abs(w_ref)))
@@ -350,7 +352,7 @@ class TestBlockedSolve:
         L = 6
         m = ed.build_xxz_hamiltonian(L, 0.7).csr() + 0.3 * ed.build_total_spin(L, "x").csr()
         op = ed.OperatorMatrix(m)
-        assert ed._magnetization_blocks(op) is None
+        assert len(ed._components(op)) == 1
         sizes = _eigh_sizes(monkeypatch)
         spec = ed.diagonalize(op)
         assert sizes == [2 ** L]
@@ -359,16 +361,18 @@ class TestBlockedSolve:
         v = spec.eigenvectors
         assert np.max(np.abs(d @ v - v * spec.eigenvalues)) < 1e-10
 
-    def test_dim_not_a_power_of_two(self, monkeypatch):
+    def test_diagonal_operator_splits_per_index(self, monkeypatch):
         op = ed.OperatorMatrix(np.eye(5))
-        assert ed._magnetization_blocks(op) is None
+        assert len(ed._components(op)) == 5
         sizes = _eigh_sizes(monkeypatch)
-        assert np.array_equal(ed.diagonalize(op).eigenvalues, np.ones(5))
-        assert sizes == [5]
+        spec = ed.diagonalize(op)
+        assert np.array_equal(spec.eigenvalues, np.ones(5))
+        assert np.array_equal(spec.eigenvectors, np.eye(5))
+        assert sizes == [1] * 5
 
     def test_sector_operator_is_one_block(self, monkeypatch):
         H = ed.build_xxx_hamiltonian(8, 1.0, 4)
-        assert ed._magnetization_blocks(H) is None
+        assert len(ed._components(H)) == 1
         sizes = _eigh_sizes(monkeypatch)
         ed.diagonalize(H)
         assert sizes == [70]
@@ -398,6 +402,29 @@ class TestBlockedSolve:
         spec = ed.diagonalize(ed.build_xxz_hamiltonian(12, 0.7))
         assert max(sizes) == 924 and sum(sizes) == 4096
         assert spec.eigenvectors.shape == (4096, 4096)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+           complex_entries=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_scrambled_blocks(self, sizes, complex_entries, seed):
+        """Random Hermitian blocks under a random permutation of the indices,
+        so a block is neither contiguous nor a set of equal popcounts."""
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for n in sizes:
+            a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_entries else 0)
+            blocks.append(a + a.conj().T)
+        perm = rng.permutation(sum(sizes))
+        m = sp.block_diag(blocks).toarray()[np.ix_(perm, perm)]
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            spec = ed.diagonalize(ed.OperatorMatrix(m))
+        assert eigh.call_count == len(sizes)
+        w_ref = np.linalg.eigh(m)[0]
+        scale = max(1.0, np.max(np.abs(w_ref)))
+        assert np.max(np.abs(spec.eigenvalues - w_ref)) < 1e-12 * scale
+        v = spec.eigenvectors
+        r = np.linalg.norm(m @ v - v * spec.eigenvalues, axis=0)
+        assert np.all(r < 1e-10 * np.linalg.norm(v, axis=0))
 
 
 class TestSectorOperators:
