@@ -64,13 +64,19 @@ def _q_log_derivative(lam, roots):
     return np.sum(cth(_shifts(lam, roots)), axis=-1)
 
 
-def _q_derivative(lam, roots):
-    """Q'(l|{roots}) = sum_m ch(l - n_m) prod_{k != m} sh(l - n_k), each term a
-    product masked on its own factor, so it stays exact at a root (where it is
-    the product of the other factors); for a scalar or an array of l."""
+def _q_masked(lam, roots, own):
+    """own(l - n_m) prod_{k != m} sh(l - n_k) for every m (on the last axis),
+    each a product masked on its own factor, so it stays exact where
+    sh(l - n_m) = 0; for a scalar or an array of l."""
     x = _shifts(lam, roots)[..., None, :]
-    own = np.eye(x.shape[-1], dtype=bool)
-    return np.sum(np.prod(np.where(own, ch(x), sh(x)), axis=-1), axis=-1)
+    return np.prod(np.where(np.eye(x.shape[-1], dtype=bool), own(x), sh(x)), axis=-1)
+
+
+def _q_derivative(lam, roots):
+    """Q'(l|{roots}) = sum_m ch(l - n_m) prod_{k != m} sh(l - n_k), exact at a
+    root (where it is the product of the other factors); for a scalar or an
+    array of l."""
+    return np.sum(_q_masked(lam, roots, ch), axis=-1)
 
 
 class VacuumFunctions:
@@ -305,7 +311,10 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
     The second kernel term carries the reflected argument e(l_k - m_j); the
     variant with e(m_j - l_k) in both terms disagrees with the explicit
     pairing already at N = 1 (see the regression test), so the reflected form
-    is the one exposed.  Determinant ratios go through slogdet to keep the
+    is the one exposed.  The two terms are formed with the pole of e at
+    l_k = m_j + eta (resp. m_j - eta) cancelled against the zero of
+    a(l_k) Q(l_k - eta|{m}) (resp. d(l_k) Q(l_k + eta|{m})), so the ratio is
+    finite there.  Determinant ratios go through slogdet to keep the
     magnitudes in range.
     """
     mu = np.asarray(mu_onshell, complex)
@@ -330,11 +339,18 @@ def _determinant_ratio(mu, la, L, eta, rho, reflected):
     wa = vac.a(la) * q_function(la - eta, mu)
     wd = vac.d(la) * q_function(la + eta, mu)
     diff = mu[:, None] - la[None, :]
-    num = (e_function(diff, eta) * wa
-           - e_function(-diff if reflected else diff, eta) * wd) / (wa + wd)
+    den_cauchy = 1 / sh(diff)
+    # e(m_j - l_k) wa_k and e(l_k - m_j) wd_k with the factor of Q(l_k -+ eta)
+    # that cancels the pole of e at l_k = m_j +- eta divided out:
+    # e(x) sh(x + eta) = sh(eta) / sh(x) for x = m_j - l_k and x = l_k - m_j
+    ewa = -sh(eta) * den_cauchy * vac.a(la) * _q_masked(la - eta, mu, np.ones_like).T
+    if reflected:
+        ewd = -sh(eta) * den_cauchy * vac.d(la) * _q_masked(la + eta, mu, np.ones_like).T
+    else:
+        ewd = e_function(diff, eta) * wd
+    num = (ewa - ewd) / (wa + wd)
     den_gaudin = np.eye(len(mu)) - k_function(mu[:, None] - mu[None, :], eta) \
         / a_ratio_derivative(mu, mu, vac)
-    den_cauchy = 1 / sh(diff)
     s1, l1 = np.linalg.slogdet(num)
     s2, l2 = np.linalg.slogdet(den_gaudin)
     s3, l3 = np.linalg.slogdet(den_cauchy)

@@ -30,13 +30,14 @@ MULTIPLET_DEGENERACY_TOL = 1e-9  # eigenvalue gap that separates two levels
 
 
 class OperatorMatrix:
-    """Real or complex square matrix, stored once, as CSR, whatever form it
-    is given in.
+    """Real or complex matrix, stored once, as CSR, whatever form it is given
+    in: a square operator, or a map between two sectors (S^+).
 
-    `matrix` is that CSR from dimension DENSE_DIM_LIMIT (512) up and, below
-    it, a dense array made from the CSR when `matrix` is first read and kept,
-    so `matrix @ v` never densifies more than 2 MB of real entries.
-    diagonalize reads only the CSR.
+    `op @ x` applies the CSR and `nbytes` is its size (data, indices and
+    indptr).  `matrix` is that CSR when either dimension is DENSE_DIM_LIMIT
+    (512) or more and, below it, a dense array made from the CSR when
+    `matrix` is first read and kept, so `matrix @ v` never densifies more
+    than 2 MB of real entries.  diagonalize reads only the CSR.
     """
 
     def __init__(self, matrix):
@@ -44,7 +45,7 @@ class OperatorMatrix:
 
     @cached_property
     def matrix(self):
-        return self._csr.toarray() if self.dim < DENSE_DIM_LIMIT else self._csr
+        return self._csr.toarray() if max(self._csr.shape) < DENSE_DIM_LIMIT else self._csr
 
     @property
     def dim(self):
@@ -56,6 +57,14 @@ class OperatorMatrix:
 
     def csr(self):
         return self._csr
+
+    def __matmul__(self, x):
+        return self._csr @ x
+
+    @property
+    def nbytes(self):
+        m = self._csr
+        return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
     def hermiticity_defect(self):
         """Largest |m_ij - conj(m_ji)| over the stored entries; no dense
@@ -157,13 +166,12 @@ def build_shift_operator(L):
 
 
 def shift_sector_matrix(basis):
-    """The translation of build_shift_operator restricted to a SectorBasis
-    (dense ndarray)."""
+    """The translation of build_shift_operator restricted to a SectorBasis,
+    as an OperatorMatrix."""
     states = basis.state_array
-    m = np.zeros((basis.dim, basis.dim))
-    m[np.searchsorted(states, _shift_states(states, basis.L)),
-      np.arange(basis.dim)] = 1.0
-    return m
+    n = basis.dim
+    rows = np.searchsorted(states, _shift_states(states, basis.L))
+    return OperatorMatrix(sp.coo_matrix((np.ones(n), (rows, np.arange(n))), shape=(n, n)))
 
 
 _PAULI = {
@@ -227,11 +235,10 @@ def _splus_pairs(L, N):
 
 
 def splus_sector_matrix(L, N):
-    """S^+ restricted to sectors: maps the N block to the N-1 block."""
+    """S^+ restricted to sectors: the OperatorMatrix mapping the N block to
+    the N-1 block."""
     rows, cols, shape = _splus_pairs(L, N)
-    m = np.zeros(shape)
-    m[rows, cols] = 1.0
-    return m
+    return OperatorMatrix(sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=shape))
 
 
 def apply_splus(vector, L, N):

@@ -164,21 +164,25 @@ def build_hubbard_hamiltonian(L, u, sector):
 
 
 def spin_raise_block(basis):
-    """S^+ = sum_j c+_{j,up} c_{j,dn} mapping the (N, M) block to (N, M-1)."""
+    """S^+ = sum_j c+_{j,up} c_{j,dn} mapping the (N, M) block to (N, M-1):
+    (OperatorMatrix, the (N, M-1) FermionBasis)."""
     dst = FermionBasis(basis.L, basis.N, basis.M - 1)
-    m = np.zeros((dst.dim, basis.dim))
     occ = basis.occupations
+    rows, cols, vals = [], [], []
     for x in range(basis.L):
-        cols = np.flatnonzero(occ[:, 2 * x + 1] > occ[:, 2 * x])
-        rows = dst.rank(basis.up[cols] | (1 << x), basis.dn[cols] & ~(1 << x))
-        np.add.at(m, (rows, cols), _hop_signs(basis, 2 * x + 1, 2 * x)[cols])
-    return m, dst
+        flip = np.flatnonzero(occ[:, 2 * x + 1] > occ[:, 2 * x])  # a down electron at x, no up one
+        rows.append(dst.rank(basis.up[flip] | (1 << x), basis.dn[flip] & ~(1 << x)))
+        cols.append(flip)
+        vals.append(_hop_signs(basis, 2 * x + 1, 2 * x)[flip].astype(float))
+    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dst.dim, basis.dim))
+    return OperatorMatrix(m), dst
 
 
 def shift_block(basis, direction=-1):
     """One-site translation (all orbitals move site x -> x + direction) with
-    the fermionic reordering sign; direction -1 matches the spin-chain
-    convention whose Bethe-state eigenvalue is e^{+iP}.
+    the fermionic reordering sign, as an OperatorMatrix; direction -1 matches
+    the spin-chain convention whose Bethe-state eigenvalue is e^{+iP}.
 
     Moving every site by r = direction mod L rotates the L-bit masks left by
     r; the n orbitals on the top r sites wrap to the bottom past the other
@@ -191,10 +195,10 @@ def shift_block(basis, direction=-1):
         return ((m << r) | (m >> (L - r))) & full
 
     n = basis.occupied_below[:, 2 * L] - basis.occupied_below[:, 2 * (L - r)]
-    m = np.zeros((basis.dim, basis.dim))
-    m[basis.rank(rotate(basis.up), rotate(basis.dn)), np.arange(basis.dim)] = \
-        1 - 2 * ((n * (basis.N - n)) & 1)
-    return m
+    dim = basis.dim
+    rows = basis.rank(rotate(basis.up), rotate(basis.dn))
+    signs = (1 - 2 * ((n * (basis.N - n)) & 1)).astype(float)
+    return OperatorMatrix(sp.coo_matrix((signs, (rows, np.arange(dim))), shape=(dim, dim)))
 
 
 def liebwu_residual(roots, L=None):

@@ -3,7 +3,7 @@ eigenvalues, off-shell action, and the pairing determinant formula."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loop_references
@@ -245,6 +245,8 @@ class TestArrayForms:
     @given(L=st.sampled_from([2, 4, 6, 8, 10]), N=st.integers(1, 4), gamma=st.floats(0.3, 1.2),
            shifts=_complex_list(-0.5, 0.5, 4, 4), rho=_complex((0.5, 1.5), (-0.5, 0.5)),
            reflected=st.booleans())
+    @example(L=2, N=1, gamma=0.5, shifts=[0.5j, 0, 0, 0], rho=1.0, reflected=True)
+    @example(L=2, N=1, gamma=0.5, shifts=[0.5j, 0, 0, 0], rho=1.0, reflected=False)
     def test_determinant_ratio(self, L, N, gamma, shifts, rho, reflected):
         # on-shell mu (the domain of slavnov_ratio), random complex la and rho
         assume(2 * N <= L)
@@ -258,7 +260,11 @@ class TestArrayForms:
         want = loop_references.determinant_ratio(mu, la, L, 1j * gamma, rho, reflected)
         if np.isfinite(want):
             assert abs(got - want) <= 1e-10 * abs(want)
-        else:  # some l at a zero of a or d: the loop form divides by 0
+        elif not reflected and np.any(mu[:, None] - la[None, :] == -1j * gamma):
+            # the repeated variant's second term e(m_j - l_k) wd_k has a pole at
+            # l_k = m_j + eta that no factor of wd_k cancels: it diverges there
+            assert not np.isfinite(got)
+        else:  # some l at a zero of a or d, or at m_j -+ eta: the loop form divides by 0
             assert np.isfinite(got)
 
 
@@ -363,6 +369,19 @@ class TestSlavnov:
         sv = aba.slavnov_ratio(mu, la, L, eta)
         bf = aba.pairing_ratio_bruteforce(mu, la, L, eta)
         assert abs(sv - bf) / abs(bf) < 1e-9
+
+    @pytest.mark.parametrize("L,N,gamma", [(2, 1, 0.5), (8, 2, 0.6), (10, 3, 0.7)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_parameter_at_a_root_shifted_by_eta(self, L, N, gamma, sign):
+        # l_k = m_j +- eta: a pole of e in the kernel, cancelled by the zero of
+        # Q(l_k -+ eta) it is multiplied by
+        eta = 1j * gamma
+        mu = aba.onshell_roots(L, N, gamma)
+        la = mu + np.array([0.21 + 0.1j, -0.33 + 0.05j, 0.12 - 0.08j])[:N]
+        la[0] = mu[-1] + sign * eta
+        sv = aba.slavnov_ratio(mu, la, L, eta)
+        bf = aba.pairing_ratio_bruteforce(mu, la, L, eta)
+        assert np.isfinite(sv) and abs(sv - bf) / abs(bf) < 1e-9
 
     def test_limit_to_norm_ratio_one(self):
         L, gamma = 8, 0.6

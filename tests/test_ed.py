@@ -436,17 +436,56 @@ class TestSectorOperators:
         lower = build_sector_basis(L, N - 1)
         U = ed.shift_sector_matrix(basis)
         Sp = ed.splus_sector_matrix(L, N)
-        U_ref = np.zeros_like(U)
-        Sp_ref = np.zeros_like(Sp)
+        U_ref = np.zeros((basis.dim, basis.dim))
+        Sp_ref = np.zeros((lower.dim, basis.dim))
         for i, s in enumerate(basis.states):
             xs = index_to_config(L, s)
             U_ref[basis.index[config_to_index(L, [(x - 2) % L + 1 for x in xs])], i] = 1.0
             for x in xs:
                 Sp_ref[lower.index[config_to_index(L, [y for y in xs if y != x])], i] += 1.0
-        assert np.array_equal(U, U_ref)
-        assert np.array_equal(Sp, Sp_ref)
+        assert U.dense().shape == U_ref.shape and U.dense().tobytes() == U_ref.tobytes()
+        assert Sp.dense().shape == Sp_ref.shape and Sp.dense().tobytes() == Sp_ref.tobytes()
         v = np.random.default_rng(L).normal(size=basis.dim) + 1j
         assert np.allclose(ed.apply_splus(v, L, N), Sp @ v, atol=1e-13)
+
+    def test_shift_is_applied_as_csr(self):
+        # L = 14, N = 6 (dim 3003): a dense U would be 72 MB, and a complex
+        # vector would cast it to a 144 MB complex copy
+        basis = build_sector_basis(14, 6)
+        v = np.random.default_rng(6).standard_normal(basis.dim) * (1 + 0.5j)
+        tracemalloc.start()
+        try:
+            U = ed.shift_sector_matrix(basis)
+            Uv = U @ v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert U.nbytes == U.csr().data.nbytes + U.csr().indices.nbytes + U.csr().indptr.nbytes
+        assert Uv.tobytes() == (U.csr() @ v).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(3, 10), data=st.data(), delta=st.floats(-2.0, 2.0))
+    def test_shift_is_a_symmetry(self, L, data, delta):
+        N = data.draw(st.integers(0, L), label="N")
+        basis = build_sector_basis(L, N)
+        U = ed.shift_sector_matrix(basis)
+        assert ed.commutator_norm(ed.build_xxz_hamiltonian(L, delta, basis), U) < 1e-12
+        u, one = U.csr(), sp.identity(basis.dim, format="csr")
+        assert (u @ u.T != one).nnz == 0
+        power = one
+        for _ in range(L):
+            power = power @ u
+        assert (power != one).nnz == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(3, 10), data=st.data(), J=st.floats(-2.0, 2.0))
+    def test_splus_intertwines_xxx_sectors(self, L, data, J):
+        N = data.draw(st.integers(1, L), label="N")
+        Sp = ed.splus_sector_matrix(L, N).csr()
+        H_N = ed.build_xxx_hamiltonian(L, J, N).csr()
+        H_lower = ed.build_xxx_hamiltonian(L, J, N - 1).csr()
+        assert abs(Sp @ H_N - H_lower @ Sp).max() < 1e-12
 
     @pytest.mark.parametrize("L,N,delta", [(6, 3, 1.0), (7, 2, -0.6), (8, 3, 2.5)])
     def test_sector_hamiltonian_is_kron_oracle_block(self, L, N, delta):

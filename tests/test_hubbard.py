@@ -47,12 +47,12 @@ def _assert_block_operators_match_loops(L, N, M):
         H = hubbard.build_hubbard_hamiltonian(L, u, basis).dense()
         assert H.tobytes() == loop_references.hubbard_hamiltonian(L, u, basis).tobytes()
     for direction in (-1, 1, 2, -3):
-        assert (hubbard.shift_block(basis, direction).tobytes()
+        assert (hubbard.shift_block(basis, direction).dense().tobytes()
                 == loop_references.shift_block(basis, direction).tobytes())
     if M >= 1 and N - M < L:
         Sp, dst = hubbard.spin_raise_block(basis)
         assert (dst.L, dst.N, dst.M) == (L, N, M - 1)
-        assert Sp.tobytes() == loop_references.spin_raise_block(basis, dst).tobytes()
+        assert Sp.dense().tobytes() == loop_references.spin_raise_block(basis, dst).tobytes()
 
 
 class TestBlockOperatorsMatchLoops:
@@ -131,6 +131,34 @@ class TestHamiltonian:
         finally:
             tracemalloc.stop()
         assert H.dim == 4900 and peak < 20e6
+
+    def test_shift_and_spin_raise_allocate_no_square_array(self):
+        # dim 1960 (S^+ to dim 448): dense blocks would be 31 MB and 7 MB
+        for build in (hubbard.shift_block, lambda b: hubbard.spin_raise_block(b)[0]):
+            basis = hubbard.FermionBasis(8, 6, 2)
+            tracemalloc.start()
+            try:
+                op = build(basis)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert op.csr().shape[1] == 1960 and peak < 5e6
+            # S^+ has 448 rows: the larger dimension keeps `.matrix` sparse
+            assert not isinstance(op.matrix, np.ndarray)
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(1, 6), data=st.data(), u=st.floats(-3.0, 3.0))
+    def test_shift_and_spin_raise_are_symmetries(self, L, data, u):
+        N = data.draw(st.integers(0, 2 * L), label="N")
+        M = data.draw(st.integers(max(0, N - L), min(N, L)), label="M")
+        basis = hubbard.FermionBasis(L, N, M)
+        H = hubbard.build_hubbard_hamiltonian(L, u, basis)
+        for direction in (-1, 1):
+            assert ed.commutator_norm(H, hubbard.shift_block(basis, direction)) < 1e-12
+        if M >= 1 and N - M < L:
+            Sp, dst = hubbard.spin_raise_block(basis)
+            H_dst = hubbard.build_hubbard_hamiltonian(L, u, dst).csr()
+            assert abs(Sp.csr() @ H.csr() - H_dst @ Sp.csr()).max() < 1e-12
 
 
 class TestLiebWu:
@@ -313,7 +341,7 @@ class TestAssembledStates:
 
     def test_shift_block_unitary_order(self):
         basis = hubbard.FermionBasis(4, 2, 1)
-        U = hubbard.shift_block(basis)
+        U = hubbard.shift_block(basis).dense()
         assert np.allclose(U @ U.T, np.eye(basis.dim))
         assert np.allclose(np.linalg.matrix_power(U, 4), np.eye(basis.dim))
 
