@@ -23,10 +23,10 @@ The pairing (scalar product) of an on-shell vector with an off-shell one has a
 determinant representation; see slavnov_ratio for the kernel actually used,
 which was validated against the explicit pairing of B/C product vectors.
 
-Q-functions, vacuum functions, residuals, action coefficients and determinant
-matrices are evaluated on arrays of spectral parameters (roots on the last
-axis); the B/C products apply one monodromy action per root, and
-transfer_eigenvalue takes one l (its near-root branch is scalar).
+Q-functions, vacuum functions, transfer eigenvalues, residuals, action
+coefficients and determinant matrices are evaluated on arrays of spectral
+parameters (roots on the last axis), each formula in one place; the only loop
+over roots is the B/C products, which apply one monodromy action per root.
 """
 
 from typing import NamedTuple
@@ -186,36 +186,34 @@ def bae_q_residual(roots, vac):
     return float(np.max(np.abs(t1 + t2) / scale, initial=0.0))
 
 
+def _transfer_numerator(lam, roots, vac):
+    """(n, n', Q, Q') at a scalar or an array of l, with
+    n = a(l) Q(l - eta|{roots}) + d(l) Q(l + eta|{roots}) the numerator of
+    Lambda = n/Q and the derivatives in the zero-safe product-rule form."""
+    lam = np.asarray(lam, complex)
+    qm, qp = q_function(lam - vac.eta, roots), q_function(lam + vac.eta, roots)
+    n = vac.a(lam) * qm + vac.d(lam) * qp
+    dn = (vac.da(lam) * qm + vac.a(lam) * _q_derivative(lam - vac.eta, roots)
+          + vac.dd(lam) * qp + vac.d(lam) * _q_derivative(lam + vac.eta, roots))
+    return n, dn, q_function(lam, roots), _q_derivative(lam, roots)
+
+
 def transfer_eigenvalue(lam, roots, vac):
-    """Lambda(l|{roots}) of the transfer matrix on the Bethe state.
+    """Lambda(l|{roots}) of the transfer matrix on the Bethe state, for a
+    scalar or an array of l.
 
     The apparent pole at l = root is removable on shell; within 1e-8 of a root
-    the value is computed by the derivative (l'Hopital) form."""
-    roots = np.asarray(roots, complex)
-    dist = np.abs(lam - roots)
-    if np.min(dist, initial=np.inf) > 1e-8:
-        return complex((vac.a(lam) * q_function(lam - vac.eta, roots)
-                        + vac.d(lam) * q_function(lam + vac.eta, roots))
-                       / q_function(lam, roots))
-    j = int(np.argmin(dist))
-    qp = q_function(lam, np.delete(roots, j))
-    num = (vac.da(lam) * q_function(lam - vac.eta, roots)
-           + vac.a(lam) * _q_derivative(lam - vac.eta, roots)
-           + vac.dd(lam) * q_function(lam + vac.eta, roots)
-           + vac.d(lam) * _q_derivative(lam + vac.eta, roots))
-    return complex(num / qp)
+    the value is computed by the derivative (l'Hopital) form n'/Q'."""
+    n, dn, q, dq = _transfer_numerator(lam, roots, vac)
+    near = np.min(np.abs(_shifts(lam, roots)), axis=-1, initial=np.inf) <= 1e-8
+    return (np.where(near, dn, n) / np.where(near, dq, q))[()]
 
 
 def transfer_eigenvalue_derivative(lam, roots, vac):
-    """Analytic d Lambda/dl away from the roots (zero-safe product-rule form)."""
-    roots = np.asarray(roots, complex)
-    qm = q_function(lam - vac.eta, roots)
-    qp = q_function(lam + vac.eta, roots)
-    q0 = q_function(lam, roots)
-    t1 = vac.da(lam) * qm + vac.a(lam) * _q_derivative(lam - vac.eta, roots)
-    t2 = vac.dd(lam) * qp + vac.d(lam) * _q_derivative(lam + vac.eta, roots)
-    lam_val = (vac.a(lam) * qm + vac.d(lam) * qp) / q0
-    return complex((t1 + t2) / q0 - lam_val * _q_derivative(lam, roots) / q0)
+    """Analytic d Lambda/dl = (n' - Lambda Q')/Q away from the roots, for a
+    scalar or an array of l."""
+    n, dn, q, dq = _transfer_numerator(lam, roots, vac)
+    return ((dn - n / q * dq) / q)[()]
 
 
 def xxz_energy_from_eigenvalue(roots, vac):
@@ -234,11 +232,22 @@ def _action_terms(params, L, eta, rho):
     n1 = len(params)
     if _pairwise_min_dist(params) < MIN_PAIR_DISTANCE:
         raise ValueError("parameters closer than the pole guard")
-    vac = VacuumFunctions(L, eta, rho)
     keep = np.broadcast_to(params, (n1, n1))[~np.eye(n1, dtype=bool)].reshape(n1, n1 - 1)
-    coeffs = (vac.a(params) * q_function(params - eta, keep[:, None])
-              + vac.d(params) * q_function(params + eta, keep[:, None])) / q_function(params, keep)
-    return keep, coeffs
+    numer = _transfer_numerator(params, keep[:, None], VacuumFunctions(L, eta, rho))[0]
+    return keep, numer / q_function(params, keep)
+
+
+def _action_residual(params, ell, L, eta, rho, transposed):
+    """Relative residual of the action of t(l_ell) on the B-product (or, with
+    transposed, of t^T on the C-product covector) over the N+1 parameters."""
+    keep, coeffs = _action_terms(params, L, eta, rho)
+    w = _weights_homogeneous(L, eta, rho)
+    lhs = _transfer_action(complex(params[ell]), L, w,
+                           _off_diagonal_product(keep[ell], L, w, transposed), transposed)
+    rhs = sum(cf * _off_diagonal_product(kp, L, w, transposed)
+              for cf, kp in zip(coeffs[ell], keep))
+    return float(np.linalg.norm(lhs - rhs)
+                 / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
 
 
 def offshell_action_residual(params, ell, L, eta, rho=1.0):
@@ -251,24 +260,14 @@ def offshell_action_residual(params, ell, L, eta, rho=1.0):
     evaluated with explicit vectors on the 2^L space, t applied to the vector
     factor by factor (no transfer matrix is built); {l}_j omits the j-th of
     the N+1 parameters."""
-    keep, coeffs = _action_terms(params, L, eta, rho)
-    lhs = _transfer_action(complex(params[ell]), L, _weights_homogeneous(L, eta, rho),
-                           b_product_state(keep[ell], L, eta, rho))
-    rhs = sum(cf * b_product_state(kp, L, eta, rho) for cf, kp in zip(coeffs[ell], keep))
-    return float(np.linalg.norm(lhs - rhs)
-                 / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
+    return _action_residual(params, ell, L, eta, rho, False)
 
 
 def dual_action_residual(params, ell, L, eta, rho=1.0):
     """Dual version of offshell_action_residual with C-products acting from
     the left; the covector times t is applied as t^T to it, again without a
     transfer matrix."""
-    keep, coeffs = _action_terms(params, L, eta, rho)
-    lhs = _transfer_action(complex(params[ell]), L, _weights_homogeneous(L, eta, rho),
-                           c_product_covector(keep[ell], L, eta, rho), transposed=True)
-    rhs = sum(cf * c_product_covector(kp, L, eta, rho) for cf, kp in zip(coeffs[ell], keep))
-    return float(np.linalg.norm(lhs - rhs)
-                 / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
+    return _action_residual(params, ell, L, eta, rho, True)
 
 
 def e_function(lam, eta):
@@ -324,32 +323,21 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
         raise ValueError("need as many off-shell as on-shell parameters")
     if _pairwise_min_dist(np.concatenate([mu, la])) < MIN_PAIR_DISTANCE:
         raise ValueError("parameters closer than the pole guard")
-    if bae_q_residual(mu, VacuumFunctions(L, eta, rho)) > ONSHELL_TOL:
-        raise ValueError("the mu set is not on shell")
-    return _determinant_ratio(mu, la, L, eta, rho, reflected=True)
-
-
-def _determinant_ratio(mu, la, L, eta, rho, reflected):
-    """The determinant expression of slavnov_ratio; reflected=False repeats
-    e(m_j - l_k) in the second kernel term instead."""
     vac = VacuumFunctions(L, eta, rho)
-    log_pref = sum(np.log(transfer_eigenvalue(lj, mu, vac))
-                   - np.log(transfer_eigenvalue(mj, mu, vac)) for lj, mj in zip(la, mu))
-    # 1/(1 + afun) and 1/(1 + 1/afun), finite where a(l_k) or d(l_k) is 0
-    wa = vac.a(la) * q_function(la - eta, mu)
-    wd = vac.d(la) * q_function(la + eta, mu)
-    diff = mu[:, None] - la[None, :]
-    den_cauchy = 1 / sh(diff)
-    # e(m_j - l_k) wa_k and e(l_k - m_j) wd_k with the factor of Q(l_k -+ eta)
-    # that cancels the pole of e at l_k = m_j +- eta divided out:
+    if bae_q_residual(mu, vac) > ONSHELL_TOL:
+        raise ValueError("the mu set is not on shell")
+    lam = transfer_eigenvalue(np.concatenate([la, mu]), mu, vac)
+    log_pref = np.sum(np.log(lam[:n]) - np.log(lam[n:]))
+    den_cauchy = 1 / sh(mu[:, None] - la[None, :])
+    # e(m_j - l_k) wa_k and e(l_k - m_j) wd_k, wa = a(l) Q(l - eta|{m}) and
+    # wd = d(l) Q(l + eta|{m}), with the factor of Q(l_k -+ eta) that cancels
+    # the pole of e at l_k = m_j +- eta divided out:
     # e(x) sh(x + eta) = sh(eta) / sh(x) for x = m_j - l_k and x = l_k - m_j
     ewa = -sh(eta) * den_cauchy * vac.a(la) * _q_masked(la - eta, mu, np.ones_like).T
-    if reflected:
-        ewd = -sh(eta) * den_cauchy * vac.d(la) * _q_masked(la + eta, mu, np.ones_like).T
-    else:
-        ewd = e_function(diff, eta) * wd
-    num = (ewa - ewd) / (wa + wd)
-    den_gaudin = np.eye(len(mu)) - k_function(mu[:, None] - mu[None, :], eta) \
+    ewd = -sh(eta) * den_cauchy * vac.d(la) * _q_masked(la + eta, mu, np.ones_like).T
+    # over wa + wd: 1/(1 + afun) and 1/(1 + 1/afun), finite where a(l_k) or d(l_k) is 0
+    num = (ewa - ewd) / _transfer_numerator(la, mu, vac)[0]
+    den_gaudin = np.eye(n) - k_function(mu[:, None] - mu[None, :], eta) \
         / a_ratio_derivative(mu, mu, vac)
     s1, l1 = np.linalg.slogdet(num)
     s2, l2 = np.linalg.slogdet(den_gaudin)
@@ -366,26 +354,17 @@ def pairing_ratio_bruteforce(mu, la, L, eta, rho=1.0):
                    / (cvec @ b_product_state(mu, L, eta, rho)))
 
 
-def _printed_kernel_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
-    """Kernel variant with e(m_j - l_k) repeated in both terms; kept only as a
-    regression guard showing it disagrees with the explicit pairing."""
-    return _determinant_ratio(np.asarray(mu_onshell, complex),
-                              np.asarray(lam_offshell, complex), L, eta, rho,
-                              reflected=False)
-
-
 def linear_system_residual(mu, params, L, eta, rho=1.0):
     """Relative residual of the linear system satisfied by the pairings
     X^j = <0|prod C({m})| B({l}_j)|0> for each choice of the dropped l:
 
         sum_j coeff_j({l}_ell) X^j = Lambda(l_ell|{m}) X^ell .
     """
-    vac = VacuumFunctions(L, eta, rho)
     cvec = c_product_covector(mu, L, eta, rho)
     keep, coeffs = _action_terms(params, L, eta, rho)
     X = np.array([cvec @ b_product_state(kp, L, eta, rho) for kp in keep])
     lhs = coeffs @ X
-    rhs = np.array([transfer_eigenvalue(p, mu, vac) for p in params]) * X
+    rhs = transfer_eigenvalue(params, mu, VacuumFunctions(L, eta, rho)) * X
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
 
 

@@ -53,10 +53,11 @@ def _sector_states(L, N):
 class SectorBasis:
     """Ordered basis of the fixed-N block of the 2^L spin-chain Hilbert space.
 
-    states holds the bit configurations as integers, strictly increasing, and
-    state_array the same as an int64 array, which is ranked with
-    np.searchsorted; index maps a configuration back to its ordinal, and
-    sites lists each state's down-spin sites.
+    state_array holds the bit configurations as an int64 array, strictly
+    increasing, which is ranked with np.searchsorted.  Built on first use:
+    states, the same as a list of Python ints; index, which maps a
+    configuration back to its ordinal; and sites, each state's down-spin
+    sites.
     """
 
     def __init__(self, L, N):
@@ -67,7 +68,10 @@ class SectorBasis:
         self.L = L
         self.N = N
         self.state_array = _sector_states(L, N)
-        self.states = self.state_array.tolist()
+
+    @cached_property
+    def states(self):
+        return self.state_array.tolist()
 
     @cached_property
     def index(self):
@@ -75,7 +79,7 @@ class SectorBasis:
 
     @property
     def dim(self):
-        return len(self.states)
+        return len(self.state_array)
 
     @cached_property
     def sites(self):

@@ -66,7 +66,7 @@ class ExperimentConfig:
     def from_dict(cls, d):
         try:
             return cls(d["command"], dict(d.get("params", {})),
-                       int(d.get("seed", 0)), d.get("out"))
+                       _int(d, "seed", 0), d.get("out"))
         except (TypeError, AttributeError) as exc:
             raise ConfigError(f"malformed config: {exc}") from None
 
@@ -92,6 +92,15 @@ def _emit(cfg, report, extra_files=(), status=EXIT_OK):
     return status
 
 
+def _int(p, name, default=None):
+    """Parameter `name` as an integer (`default` when it is absent, if given).
+    A --json number must be integral: int() would run 8.7 as 8."""
+    value = p[name] if default is None else p.get(name, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{_flag(name)} takes an integer, got {value}")
+    return int(value)
+
+
 def _parse_qnums(text):
     return tuple(int(t) for t in str(text).replace(";", ",").split(",") if t.strip())
 
@@ -105,7 +114,7 @@ def _parse_roots(text):
 def _trials(p, default):
     """The trial count of a randomized check; fewer than one would report a
     check that ran nothing as passed."""
-    trials = int(p.get("trials", default))
+    trials = _int(p, "trials", default)
     if trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {trials}")
     return trials
@@ -117,22 +126,22 @@ def _trials(p, default):
 
 
 def cmd_ed_spectrum(p, cfg):
-    L = int(p["L"])
+    L = _int(p, "L")
     model = p.get("model", "xxx")
     sector = p.get("sector", "full")
-    sector = None if sector in (None, "full") else int(sector)
+    sector = None if sector in (None, "full") else _int(p, "sector")
     if model == "xxx":
         op = ed.build_xxx_hamiltonian(L, float(p.get("J", 1.0)), sector)
     else:  # xxz: _check_params admits only the models in COMMANDS
         op = ed.build_xxz_hamiltonian(L, float(p["delta"]), sector)
     k = p.get("k")
-    spec = ed.diagonalize(op, None if k is None else int(k))
+    spec = ed.diagonalize(op, None if k is None else _int(p, "k"))
     return _emit(cfg, {"eigenvalues": list(map(float, spec.eigenvalues))},
                  [("spectrum.csv", serialize.spectrum_to_csv(spec))])
 
 
 def cmd_bae_solve(p, cfg):
-    rep = bae.solve_logbae(int(p["L"]), int(p["N"]), _parse_qnums(p["qnums"]))
+    rep = bae.solve_logbae(_int(p, "L"), _int(p, "N"), _parse_qnums(p["qnums"]))
     report = {"solve": serialize.solve_report_to_dict(rep)}
     if rep.converged:
         report["energy"] = serialize.complex_pair(
@@ -143,12 +152,12 @@ def cmd_bae_solve(p, cfg):
 def cmd_bae_residual(p, cfg):
     roots = _parse_roots(p["roots"])
     adm, reasons = bae.admissibility(roots)
-    return _emit(cfg, {"residual": bae.bae_residual_xxx(roots, int(p["L"])),
+    return _emit(cfg, {"residual": bae.bae_residual_xxx(roots, _int(p, "L")),
                        "admissible": adm, "reasons": reasons})
 
 
 def cmd_bae_two_magnon(p, cfg):
-    L = int(p["L"])
+    L = _int(p, "L")
     rows = [{"kind": kind, "roots": serialize.complex_list(rs.values),
              "energy": serialize.complex_pair(coordinate.energy_xxx(rs)),
              "residual": bae.bae_residual_xxx(rs.values, L)}
@@ -158,12 +167,12 @@ def cmd_bae_two_magnon(p, cfg):
 
 
 def cmd_vector_build(p, cfg):
-    v = coordinate.offshell_vector(_parse_roots(p["roots"]), int(p["L"]))
+    v = coordinate.offshell_vector(_parse_roots(p["roots"]), _int(p, "L"))
     return _emit(cfg, {"vector": serialize.complex_list(v)})
 
 
 def cmd_vector_verify(p, cfg):
-    L = int(p["L"])
+    L = _int(p, "L")
     roots = _parse_roots(p["roots"])
     N = len(roots)
     v = coordinate.offshell_vector(roots, L)
@@ -184,20 +193,20 @@ def cmd_vector_verify(p, cfg):
 
 
 def cmd_thermo_density(p, cfg):
-    rd = thermo.solve_root_density(float(p.get("q", "inf")), int(p.get("n_nodes", 128)))
+    rd = thermo.solve_root_density(float(p.get("q", "inf")), _int(p, "n_nodes", 128))
     return _emit(cfg, {"D": thermo.density_D(rd),
                        "density": serialize.root_density_to_dict(rd)})
 
 
 def cmd_thermo_gs_energy(p, cfg):
-    rd = thermo.solve_root_density(float(p.get("q", "inf")), int(p.get("n_nodes", 128)))
+    rd = thermo.solve_root_density(float(p.get("q", "inf")), _int(p, "n_nodes", 128))
     e = thermo.gs_energy_density(rd, float(p.get("J", 1.0)))
     return _emit(cfg, {"energy_per_site": e, "minus_ln2": -float(np.log(2)),
                        "deviation": abs(e + np.log(2))})
 
 
 def cmd_thermo_condensation(p, cfg):
-    Ls = list(range(int(p.get("lmin", 8)), int(p.get("lmax", 16)) + 1, 2))
+    Ls = list(range(_int(p, "lmin", 8), _int(p, "lmax", 16) + 1, 2))
     rows = thermo.condensation_check(Ls, lambda lam: -0.5 / (lam ** 2 + 0.25))
     return _emit(cfg, {"rows": rows},
                  [("condensation.csv", serialize.condensation_csv(rows))])
@@ -217,12 +226,12 @@ def cmd_vertex_ybe(p, cfg):
 def cmd_vertex_transfer(p, cfg):
     w = sixvertex.VertexWeights.from_parameters(
         complex(p.get("rho", 1.0)), 0.0, complex(p["eta"]))
-    t = sixvertex.transfer(complex(p.get("lambda", 0.0)), int(p["L"]), w)
+    t = sixvertex.transfer(complex(p.get("lambda", 0.0)), _int(p, "L"), w)
     return _emit(cfg, {"matrix": serialize.matrix_to_dict(t.matrix)})
 
 
 def cmd_vertex_partition(p, cfg):
-    L, M = int(p["L"]), int(p["M"])
+    L, M = _int(p, "L"), _int(p, "M")
     abc = [p.get(x, 1) for x in "abc"]
     ints = all(float(x) == int(float(x)) for x in abc)
     a, b, c = (int(float(x)) if ints else float(x) for x in abc)
@@ -238,7 +247,7 @@ def cmd_vertex_partition(p, cfg):
 
 
 def cmd_vertex_ice_entropy(p, cfg):
-    table, s_inf = sixvertex.ice_entropy(int(p.get("lmax", 12)))
+    table, s_inf = sixvertex.ice_entropy(_int(p, "lmax", 12))
     return _emit(cfg, {"table": [{"L": L, "s": s} for L, s in table],
                        "extrapolated": s_inf, "exact_2d": float(1.5 * np.log(4 / 3))},
                  [("entropy.csv", serialize.entropy_csv(table))])
@@ -246,15 +255,15 @@ def cmd_vertex_ice_entropy(p, cfg):
 
 def cmd_vertex_hamiltonian_link(p, cfg):
     op, dev = sixvertex.hamiltonian_from_transfer(
-        int(p.get("L", 4)), float(p.get("eta", 0.3)), float(p.get("rho", 1.0)),
+        _int(p, "L", 4), float(p.get("eta", 0.3)), float(p.get("rho", 1.0)),
         float(p.get("J", 1.0)), float(p.get("step", 1e-5)))
     return _emit(cfg, {"max_deviation": dev},
                  status=EXIT_OK if dev < float(p.get("tol", 1e-6)) else EXIT_INVARIANT)
 
 
 def cmd_aba_slavnov(p, cfg):
-    L = int(p.get("L", 8))
-    N = int(p.get("N", 2))
+    L = _int(p, "L", 8)
+    N = _int(p, "N", 2)
     gamma = float(p.get("gamma", 0.6))
     trials = _trials(p, 5)
     eta = 1j * gamma
@@ -272,8 +281,8 @@ def cmd_aba_slavnov(p, cfg):
 
 
 def cmd_aba_verify_action(p, cfg):
-    L = int(p.get("L", 6))
-    N = int(p.get("N", 2))
+    L = _int(p, "L", 6)
+    N = _int(p, "N", 2)
     trials = _trials(p, 3)
     eta = complex(p.get("eta", 0.4 + 0.1j))
     rng = np.random.default_rng(cfg.seed)
@@ -287,14 +296,14 @@ def cmd_aba_verify_action(p, cfg):
 
 def cmd_hubbard_ed(p, cfg):
     op = hubbard.build_hubbard_hamiltonian(
-        int(p["L"]), float(p["u"]), (int(p["N"]), int(p["M"])))
+        _int(p, "L"), float(p["u"]), (_int(p, "N"), _int(p, "M")))
     spec = ed.diagonalize(op)
     return _emit(cfg, {"eigenvalues": list(map(float, spec.eigenvalues))},
                  [("spectrum.csv", serialize.spectrum_to_csv(spec))])
 
 
 def _solve_liebwu(p):
-    return hubbard.solve_liebwu(int(p["L"]), int(p["N"]), int(p["M"]), float(p["u"]),
+    return hubbard.solve_liebwu(_int(p, "L"), _int(p, "N"), _int(p, "M"), float(p["u"]),
                                 _parse_qnums(p["qnums"]), _parse_qnums(p.get("spin_qnums", "")))
 
 
@@ -310,7 +319,7 @@ def cmd_hubbard_verify(p, cfg):
     roots, res, ok = _solve_liebwu(p)
     if not ok:
         return _emit(cfg, {"converged": False, "residual": res}, status=EXIT_NOCONV)
-    basis = hubbard.FermionBasis(int(p["L"]), int(p["N"]), int(p["M"]))
+    basis = hubbard.FermionBasis(_int(p, "L"), _int(p, "N"), _int(p, "M"))
     H = hubbard.build_hubbard_hamiltonian(basis.L, float(p["u"]), basis).matrix
     v = hubbard.assemble_state(roots, basis)
     E, P = hubbard.energy_momentum(roots)
@@ -465,6 +474,9 @@ def main(argv=None):
         return cmd.run(cfg.params, cfg)
     except (ConfigError, KeyError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        sys.stderr.write(f"config error: run too large for memory: {exc}\n")
         return EXIT_CONFIG
 
 

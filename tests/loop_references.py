@@ -24,8 +24,9 @@ the edge enumeration in its per-configuration loop.
 The algebraic Bethe layer is kept in its scalar form: the closed-form
 homogeneous vacuum rho^L sh^L(l +- eta/2) with its derivatives, the
 inhomogeneous vacuum through the per-term zero-safe derivative d_prod_sh, the
-Q-form residual and the action coefficients root by root, and the determinant
-matrices of the pairing formula entry by entry.
+transfer eigenvalue one l at a time, the Q-form residual and the action
+coefficients root by root, and the determinant matrices of the pairing
+formula entry by entry (with the kernel variant that repeats e(m_j - l_k)).
 """
 
 from itertools import permutations
@@ -475,10 +476,28 @@ def action_terms(params, ell, L, eta, rho):
     return keep, coeffs
 
 
+def transfer_eigenvalue(lam, roots, vac):
+    """aba.transfer_eigenvalue one l at a time (vac: a ScalarVacuum): within
+    1e-8 of a root the derivative of the numerator over the product of the
+    other factors of Q."""
+    roots = np.asarray(roots, complex)
+    out = []
+    for l in np.atleast_1d(np.asarray(lam, complex)):
+        qm, qp = q_function(l - vac.eta, roots), q_function(l + vac.eta, roots)
+        dist = np.abs(l - roots)
+        if np.min(dist, initial=np.inf) > 1e-8:
+            out.append((vac.a(l) * qm + vac.d(l) * qp) / q_function(l, roots))
+            continue
+        num = (vac.da(l) * qm + vac.a(l) * d_prod_sh(l - vac.eta - roots)
+               + vac.dd(l) * qp + vac.d(l) * d_prod_sh(l + vac.eta - roots))
+        out.append(num / q_function(l, np.delete(roots, np.argmin(dist))))
+    return np.array(out, complex)
+
+
 def determinant_ratio(mu, la, L, eta, rho, reflected):
-    """aba._determinant_ratio with the three N x N matrices filled entry by
-    entry from scalar counting functions (the prefactor through the scalar
-    aba.transfer_eigenvalue, here on the scalar vacuum)."""
+    """aba.slavnov_ratio's determinant expression with the three N x N
+    matrices filled entry by entry from scalar counting functions; with
+    reflected=False, the kernel repeats e(m_j - l_k) in its second term."""
     n = len(mu)
     vac = ScalarVacuum(L, eta, rho)
 
@@ -492,8 +511,8 @@ def determinant_ratio(mu, la, L, eta, rho, reflected):
 
     log_pref = 0.0 + 0.0j
     for j in range(n):
-        log_pref += np.log(aba.transfer_eigenvalue(la[j], mu, vac)) \
-            - np.log(aba.transfer_eigenvalue(mu[j], mu, vac))
+        log_pref += np.log(transfer_eigenvalue(la[j], mu, vac)[0]) \
+            - np.log(transfer_eigenvalue(mu[j], mu, vac)[0])
     af = [afun(lk) for lk in la]
     daf = [dafun(mk) for mk in mu]
     num = np.empty((n, n), complex)

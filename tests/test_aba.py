@@ -243,11 +243,9 @@ class TestArrayForms:
 
     @settings(max_examples=40, deadline=None)
     @given(L=st.sampled_from([2, 4, 6, 8, 10]), N=st.integers(1, 4), gamma=st.floats(0.3, 1.2),
-           shifts=_complex_list(-0.5, 0.5, 4, 4), rho=_complex((0.5, 1.5), (-0.5, 0.5)),
-           reflected=st.booleans())
-    @example(L=2, N=1, gamma=0.5, shifts=[0.5j, 0, 0, 0], rho=1.0, reflected=True)
-    @example(L=2, N=1, gamma=0.5, shifts=[0.5j, 0, 0, 0], rho=1.0, reflected=False)
-    def test_determinant_ratio(self, L, N, gamma, shifts, rho, reflected):
+           shifts=_complex_list(-0.5, 0.5, 4, 4), rho=_complex((0.5, 1.5), (-0.5, 0.5)))
+    @example(L=2, N=1, gamma=0.5, shifts=[0.5j, 0, 0, 0], rho=1.0)
+    def test_determinant_ratio(self, L, N, gamma, shifts, rho):
         # on-shell mu (the domain of slavnov_ratio), random complex la and rho
         assume(2 * N <= L)
         try:
@@ -256,14 +254,10 @@ class TestArrayForms:
             assume(False)
         la = mu + np.array(shifts[:N])
         assume(bae._pairwise_min_dist(np.concatenate([mu, la])) > 0.05)
-        got = aba._determinant_ratio(mu, la, L, 1j * gamma, rho, reflected)
-        want = loop_references.determinant_ratio(mu, la, L, 1j * gamma, rho, reflected)
+        got = aba.slavnov_ratio(mu, la, L, 1j * gamma, rho)
+        want = loop_references.determinant_ratio(mu, la, L, 1j * gamma, rho, reflected=True)
         if np.isfinite(want):
             assert abs(got - want) <= 1e-10 * abs(want)
-        elif not reflected and np.any(mu[:, None] - la[None, :] == -1j * gamma):
-            # the repeated variant's second term e(m_j - l_k) wd_k has a pole at
-            # l_k = m_j + eta that no factor of wd_k cancels: it diverges there
-            assert not np.isfinite(got)
         else:  # some l at a zero of a or d, or at m_j -+ eta: the loop form divides by 0
             assert np.isfinite(got)
 
@@ -287,6 +281,70 @@ class TestTransferEigenvalue:
         assert abs(E.real - w[0]) < 1e-8  # ground state for these quantum numbers
         E2 = bae.xxz_energy(mu, gamma)
         assert abs(E - E2) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(roots=_complex_list(-1.0, 1.0, min_size=1), ls=_complex_list(-1.5, 1.5, min_size=1),
+           **_vacuum_args)
+    def test_array_matches_scalar_loop(self, roots, ls, L, eta, rho, seed):
+        ls, roots = np.array(ls, complex), np.array(roots, complex)
+        assume(np.min(np.abs(sh(ls[:, None] - roots))) > 1e-3)
+        vac, ref = _vacuum_pair(L, eta, rho, seed)
+        got = aba.transfer_eigenvalue(ls, roots, vac)
+        assert got.shape == ls.shape
+        want = loop_references.transfer_eigenvalue(ls, roots, ref)
+        # scale: the two terms of the numerator over Q
+        scale = np.array([(abs(ref.a(l) * loop_references.q_function(l - eta, roots))
+                           + abs(ref.d(l) * loop_references.q_function(l + eta, roots)))
+                          / abs(loop_references.q_function(l, roots)) for l in ls])
+        assert np.all(np.abs(got - want) <= 1e-11 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(roots=_complex_list(-1.0, 1.0, min_size=1), **_vacuum_args)
+    def test_bitwise_at_exact_roots(self, roots, L, eta, rho, seed):
+        # at l = n_j, Q' is exactly the product of the other factors of Q
+        roots = np.array(roots, complex)
+        assume(bae._pairwise_min_dist(roots) > 1e-3)
+        vac, _ = _vacuum_pair(L, eta, rho, seed)
+        others = np.array([np.prod(sh(r - np.delete(roots, j))) for j, r in enumerate(roots)])
+        dn = aba._transfer_numerator(roots, roots, vac)[1]
+        assert np.array_equal(aba.transfer_eigenvalue(roots, roots, vac), dn / others)
+        for r, p in zip(roots, others):  # one l at a time, as before the array form
+            dn = aba._transfer_numerator(r, roots, vac)[1]
+            assert aba.transfer_eigenvalue(r, roots, vac) == dn / p
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 10), N=st.integers(1, 4), gamma=st.floats(0.3, 1.2),
+           offsets=st.lists(_complex((-1.0, 1.0), (-1.0, 1.0)), min_size=1, max_size=4))
+    def test_within_1e8_of_a_root(self, L, N, gamma, offsets):
+        # on shell the pole at a root is removable: near it the derivative form
+        # continues the value at the root
+        assume(2 * N <= L)
+        try:
+            mu = aba.onshell_roots(L, N, gamma)
+        except RuntimeError:
+            assume(False)
+        vac = aba.VacuumFunctions(L, 1j * gamma)
+        d = 1e-8 * np.array(offsets) / np.sqrt(2)
+        assume(np.all(d != 0))
+        ls = mu[np.arange(len(d)) % N] + d
+        got = aba.transfer_eigenvalue(ls, mu, vac)
+        at_root = aba.transfer_eigenvalue(mu[np.arange(len(d)) % N], mu, vac)
+        assert np.all(np.abs(got - at_root) <= 1e-6 * np.abs(at_root))
+
+    @settings(max_examples=60, deadline=None)
+    @given(roots=_complex_list(-1.0, 1.0), ls=_complex_list(-1.5, 1.5, min_size=1),
+           **_vacuum_args)
+    def test_derivative_matches_central_difference(self, roots, ls, L, eta, rho, seed):
+        ls, roots = np.array(ls, complex), np.array(roots, complex)
+        assume(np.min(np.abs(sh(ls[:, None] - roots)), initial=np.inf) > 0.1)
+        vac, _ = _vacuum_pair(L, eta, rho, seed)
+        h = 1e-5
+        diff = (aba.transfer_eigenvalue(ls + h, roots, vac)
+                - aba.transfer_eigenvalue(ls - h, roots, vac)) / (2 * h)
+        got = aba.transfer_eigenvalue_derivative(ls, roots, vac)
+        assert got.shape == ls.shape
+        scale = np.abs(aba.transfer_eigenvalue(ls, roots, vac)) + np.abs(got)
+        assert np.all(np.abs(got - diff) <= 1e-6 * scale)
 
     def test_removable_pole_at_roots(self):
         L, gamma = 8, 0.6
@@ -419,6 +477,6 @@ class TestSlavnov:
         la = mu + np.array([0.3 + 0.2j])
         bf = aba.pairing_ratio_bruteforce(mu, la, L, eta)
         good = aba.slavnov_ratio(mu, la, L, eta)
-        bad = aba._printed_kernel_ratio(mu, la, L, eta)
+        bad = loop_references.determinant_ratio(mu, la, L, eta, 1.0, reflected=False)
         assert abs(good - bf) / abs(bf) < 1e-12
         assert abs(bad - bf) / abs(bf) > 1e-3

@@ -233,6 +233,27 @@ class TestCli:
         assert self._config_error(capsys).rstrip().endswith(
             f"--L takes one value, not a {kind}")
 
+    @pytest.mark.parametrize("command, params, message", [
+        ("bae/two-magnon", {"L": 8.7}, "--L takes an integer, got 8.7"),
+        ("vertex/ybe", {"trials": 2.9}, "--trials takes an integer, got 2.9"),
+    ])
+    def test_json_non_integral_integer_is_config_error(self, command, params, message,
+                                                       tmp_path, capsys):
+        # int() would silently run L = 8 (or 2 trials next to a config saying 2.9)
+        assert self._run(tmp_path, "json", command, params) == EXIT_CONFIG
+        assert self._config_error(capsys) == f"config error: {message}\n"
+        integral = {k: int(v) for k, v in params.items()}
+        assert self._run(tmp_path, "json", command, integral) == EXIT_OK
+
+    def test_memory_error_is_config_error(self, monkeypatch, capsys):
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(ed, "build_xxx_hamiltonian", too_large)
+        assert main(["ed", "spectrum", "--L", "30"]) == EXIT_CONFIG
+        assert self._config_error(capsys) == \
+            "config error: run too large for memory: Unable to allocate 8.00 GiB\n"
+
     def test_json_params_not_an_object_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"command": "ed/spectrum", "params": [4], "seed": 0}')
