@@ -245,6 +245,18 @@ class TestCli:
         integral = {k: int(v) for k, v in params.items()}
         assert self._run(tmp_path, "json", command, integral) == EXIT_OK
 
+    @pytest.mark.parametrize("mode", ["flags", "json"])
+    @pytest.mark.parametrize("command, params", [
+        ("thermo/density", {"q": "2", "n_nodes": "0"}),
+        ("thermo/gs-energy", {"n_nodes": "0"}),   # q = inf, which reads no nodes
+        ("thermo/gs-energy", {"q": "1.5", "n_nodes": "-4"}),
+    ])
+    def test_nonpositive_node_count_is_config_error(self, mode, command, params,
+                                                    tmp_path, capsys):
+        assert self._run(tmp_path, mode, command, params) == EXIT_CONFIG
+        assert self._config_error(capsys) == \
+            f"config error: n_nodes must be a positive integer, got {params['n_nodes']}\n"
+
     def test_memory_error_is_config_error(self, monkeypatch, capsys):
         def too_large(*args):
             raise MemoryError("Unable to allocate 8.00 GiB")

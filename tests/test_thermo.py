@@ -1,5 +1,7 @@
 """Root-density integral equation and thermodynamic-limit observables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,8 @@ class TestRootDensity:
     def test_symmetry_and_positivity(self):
         rd = thermo.solve_root_density(3.0)
         assert np.all(rd.values > 0)
-        assert np.max(np.abs(rd.values - rd.values[::-1])) < 1e-12
+        assert np.array_equal(rd.values, rd.values[::-1])  # even by construction
+        assert np.array_equal(rd.nodes, -rd.nodes[::-1])
 
     def test_equation_residual_off_grid(self):
         rd = thermo.solve_root_density(4.0)
@@ -58,19 +61,40 @@ class TestRootDensity:
         b = thermo.solve_root_density(2.0, 64)
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("n", [128, 1024])
-    def test_in_place_assembly_matches_identity_plus_kernel(self, n):
-        # the Nystrom matrix I + K is built in place; the same IEEE operations
-        # in another order of allocation give the np.eye form bit for bit
-        rd = thermo.solve_root_density(2.5, n)
+    @pytest.mark.parametrize("q", [0.7, 2.3, 3.9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 1024])
+    def test_folded_solve_matches_full_system(self, n, q):
+        # the solve runs on the nodes l >= 0; the full n x n Nystrom system on
+        # the same rule is the reference
+        rd = thermo.solve_root_density(q, n)
         nodes, weights = rd.nodes, rd.weights
         K = 1.0 / (np.pi * (1.0 + (nodes[:, None] - nodes[None, :]) ** 2)) * weights[None, :]
         rho = np.linalg.solve(np.eye(n) + K, thermo._driving(nodes))
-        assert np.array_equal(rd.values, rho)
+        assert rd.values.shape == (n,)
+        assert np.max(np.abs(rd.values - rho)) <= 1e-14
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             thermo.solve_root_density(-1.0)
+
+    @pytest.mark.parametrize("q", [2.0, np.inf])
+    @pytest.mark.parametrize("n", [0, -3, 2.0])
+    def test_invalid_n_nodes(self, n, q):
+        with pytest.raises(ValueError, match=f"n_nodes must be a positive integer, got {n}"):
+            thermo.solve_root_density(q, n)
+
+    def test_solve_memory(self):
+        # the folded system is two (n/2) x (n/2) arrays: 4.2 MB at n = 1024,
+        # against 8.4 MB for the full matrix
+        thermo._gauss_legendre(1024)
+        tracemalloc.start()
+        try:
+            thermo.solve_root_density(2.0, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
 
     def test_counting_function_derivative(self):
         # n(l) := driving - integral term; its derivative reproduces rho
@@ -86,6 +110,46 @@ class TestRootDensity:
         deriv = (counting(pts + h) - counting(pts - h)) / (2 * h)
         rho_at = thermo.interpolate_density(rd, pts)
         assert np.max(np.abs(deriv - rho_at)) < 1e-6
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 127, 128, 1024])
+    def test_weights_sum_nodes_antisymmetric(self, n):
+        x, w = thermo._gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(np.sum(w) - 2.0) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 64, 127, 128, 224, 255, 256])
+    def test_nodes_match_leggauss(self, n):
+        # two units in the last place of 1.0: near x = 0 the nodes of both
+        # rules lie a few ulp of their own size from the exact roots
+        x, _ = thermo._gauss_legendre(n)
+        assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 2 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("n", [128, 512, 1024])
+    def test_runge_integral(self, n):
+        x, w = thermo._gauss_legendre(n)
+        assert abs(w @ (1.0 / (1.0 + 25.0 * x ** 2)) - 2.0 * np.arctan(5.0) / 5.0) < 1e-14
+
+    @pytest.mark.parametrize("n, edge_weight", [(256, 1.1278901782227218e-04),
+                                                (1024, 7.07007641018259e-06)])
+    def test_edge_weight(self, n, edge_weight):
+        # 50-digit recurrence values of the weight at the node nearest -1
+        # (leggauss: 1.1e-11 and 1.2e-9 relative)
+        _, w = thermo._gauss_legendre(n)
+        assert abs(w[0] / edge_weight - 1.0) < 1e-11
+
+    def test_build_memory(self):
+        # no (n, n) array: the companion-matrix eigensolve held 8.4 MB at n = 1024
+        tracemalloc.start()
+        try:
+            thermo._gauss_legendre.__wrapped__(1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestCondensation:
