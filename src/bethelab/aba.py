@@ -26,7 +26,9 @@ which was validated against the explicit pairing of B/C product vectors.
 Q-functions, vacuum functions, transfer eigenvalues, residuals, action
 coefficients and determinant matrices are evaluated on arrays of spectral
 parameters (roots on the last axis), each formula in one place; the only loop
-over roots is the B/C products, which apply one monodromy action per root.
+over roots is the B/C products, which apply one monodromy action per root
+position to a whole stack of root sets (one row each): the action residuals,
+the linear system and the explicit pairing build their products in one sweep.
 """
 
 from typing import NamedTuple
@@ -151,14 +153,19 @@ def aba_transfer(lam, L, eta, rho=1.0):
 
 def _off_diagonal_product(roots, L, w, transposed):
     """prod_j B(l_j)|0>, or prod_j C(l_j)^T |0> with the transposed monodromy,
-    for the weights w: one 2^(L+1) vector per root enters with aux = 1, goes
-    through the R-factors by reshape, and keeps its aux = 0 half."""
+    for the weights w and roots of shape (N,), or (K, N) for K root sets at
+    once (one product per row): for each root position, one 2^(L+1) row per
+    set enters with aux = 1, goes through the R-factors by reshape, and keeps
+    its aux = 0 half."""
     if L > 12:
         raise ValueError("B/C products supported up to L = 12")
-    v = pseudo_vacuum(L)
-    for lam in np.atleast_1d(np.asarray(roots, complex)):
-        x = np.concatenate([np.zeros_like(v), v])
-        v = _monodromy_action(lam, L, w, x, transposed)[:len(v)]
+    roots = np.atleast_1d(np.asarray(roots, complex))
+    d = 2 ** L
+    v = np.zeros(roots.shape[:-1] + (d,), complex)
+    v[..., 0] = 1.0
+    for lam in np.moveaxis(roots, -1, 0):
+        x = np.concatenate([np.zeros_like(v), v], axis=-1)
+        v = _monodromy_action(lam, L, w, x, transposed)[..., :d]
     return v
 
 
@@ -239,13 +246,15 @@ def _action_terms(params, L, eta, rho):
 
 def _action_residual(params, ell, L, eta, rho, transposed):
     """Relative residual of the action of t(l_ell) on the B-product (or, with
-    transposed, of t^T on the C-product covector) over the N+1 parameters."""
+    transposed, of t^T on the C-product covector) over the N+1 parameters;
+    the N+1 products are built as one stack."""
+    if abs(sh(eta)) < 1e-12:
+        raise ValueError("sh(eta) = 0 makes every B/C product vanish")
     keep, coeffs = _action_terms(params, L, eta, rho)
     w = _weights_homogeneous(L, eta, rho)
-    lhs = _transfer_action(complex(params[ell]), L, w,
-                           _off_diagonal_product(keep[ell], L, w, transposed), transposed)
-    rhs = sum(cf * _off_diagonal_product(kp, L, w, transposed)
-              for cf, kp in zip(coeffs[ell], keep))
+    vecs = _off_diagonal_product(keep, L, w, transposed)
+    lhs = _transfer_action(complex(params[ell]), L, w, vecs[ell], transposed)
+    rhs = coeffs[ell] @ vecs
     return float(np.linalg.norm(lhs - rhs)
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
 
@@ -348,10 +357,11 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
 def pairing_ratio_bruteforce(mu, la, L, eta, rho=1.0):
     """The same ratio from explicit B/C product vectors on the 2^L space (the
     oracle): no determinant and no Bethe equations enter, only the R-matrix
-    factors of the monodromy."""
-    cvec = c_product_covector(mu, L, eta, rho)
-    return complex(cvec @ b_product_state(la, L, eta, rho)
-                   / (cvec @ b_product_state(mu, L, eta, rho)))
+    factors of the monodromy.  The B-products of {l} and {m} are one stack."""
+    w = _weights_homogeneous(L, eta, rho)
+    cvec = _off_diagonal_product(mu, L, w, True)
+    b_la, b_mu = _off_diagonal_product(np.stack([la, mu]), L, w, False) @ cvec
+    return complex(b_la / b_mu)
 
 
 def linear_system_residual(mu, params, L, eta, rho=1.0):
@@ -360,9 +370,9 @@ def linear_system_residual(mu, params, L, eta, rho=1.0):
 
         sum_j coeff_j({l}_ell) X^j = Lambda(l_ell|{m}) X^ell .
     """
-    cvec = c_product_covector(mu, L, eta, rho)
+    w = _weights_homogeneous(L, eta, rho)
     keep, coeffs = _action_terms(params, L, eta, rho)
-    X = np.array([cvec @ b_product_state(kp, L, eta, rho) for kp in keep])
+    X = _off_diagonal_product(keep, L, w, False) @ _off_diagonal_product(mu, L, w, True)
     lhs = coeffs @ X
     rhs = transfer_eigenvalue(params, mu, VacuumFunctions(L, eta, rho)) * X
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
@@ -371,7 +381,12 @@ def linear_system_residual(mu, params, L, eta, rho=1.0):
 def onshell_roots(L, N, gamma, qnums=None):
     """On-shell rapidities for the homogeneous chain at eta = i*gamma (the
     real-root regime): the gapless XXZ logarithmic equations deliver them, and
-    they satisfy the Q-form on-shell condition of this module as-is."""
+    they satisfy the Q-form on-shell condition of this module as-is.  Raises
+    ValueError above the equator (2N > L), where the solver can report
+    run-away roots as converged, and RuntimeError when the solve does not
+    converge."""
+    if 2 * N > L:
+        raise ValueError(f"N={N} above the equator of L={L}: on-shell roots need 2N <= L")
     if qnums is None:
         qnums = tuple(range(1, N + 1))
     rep = solve_logbae_xxz(L, N, gamma, qnums)

@@ -25,10 +25,12 @@ ed.OperatorMatrix, whose one rule (dense below DENSE_DIM_LIMIT = 512) decides
 what `.matrix` is: the monodromy is dense for L <= 7, the transfer for L <= 8.
 hamiltonian_from_transfer inverts t(0) as the scaled shift it is and stays
 CSR.  Everything that meets a vector uses the reshape action _apply_pair,
-which applies a 4 x 4 R on the (aux, site) axes and stores nothing:
-_monodromy_action gives the aba module's B/C products, and _transfer_action,
-the only way t(l) reaches a vector, gives the aba action residuals and the
-matrix-free square-ice eigenvalue.
+which stores nothing: vectors are rows, (..., 2^n), and each R-factor is one
+matmul of a 4 x 4 R (or a stack with one R per row) on the (aux, site) pair
+brought to the front.  _monodromy_action, with one l for all rows or one per
+row, gives the aba module's B/C products for a whole stack of root sets, and
+_transfer_action, the only way t(l) reaches a vector, gives the aba action
+residuals and the matrix-free square-ice eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -153,12 +155,14 @@ def _embedding_map(pos0, pos1, n):
 
 
 def _r_matrices(lam, L, weights):
-    """The 4 x 4 R(l - xi_j), j = 1..L, in the order they act (site 1 first);
-    direct weights give L copies of one matrix."""
+    """The R(l - xi_j), j = 1..L, in the order they act (site 1 first): a
+    4 x 4 each for a scalar l, a (K, 4, 4) stack each for K values of l;
+    direct weights give L copies of one 4 x 4."""
     if L < 1:
         raise ValueError(f"chain length L={L} must be >= 1")
     if weights.parameterized:
-        return list(r_matrix(lam - weights.inhomogeneities(L), weights.eta, weights.rho))
+        shifts = np.asarray(lam)[..., None] - weights.inhomogeneities(L)
+        return list(np.moveaxis(r_matrix(shifts, weights.eta, weights.rho), -3, 0))
     return [r_matrix_from_weights(weights.a, weights.b, weights.c)] * L
 
 
@@ -171,22 +175,23 @@ def _r_factors(lam, L, weights, n, aux=0):
 
 
 def _apply_pair(R4, j, x):
-    """_embed_pair(R4, 0, j, n) @ x without building the matrix: x of shape
-    (2^n, ...) is viewed as (2, 2^(j-1), 2, 2^(n-1-j), ...), aux slot 0
-    slowest, and each nonzero R4[out, inp] adds its multiple of the inp
-    slice to the out slice."""
-    n = x.shape[0].bit_length() - 1
-    xs = x.reshape(2, 2 ** (j - 1), 2, 2 ** (n - 1 - j), *x.shape[1:])
-    out = np.zeros(xs.shape, np.result_type(R4, x))
-    for o, i in zip(*np.nonzero(R4)):
-        out[o >> 1, :, o & 1] += R4[o, i] * xs[i >> 1, :, i & 1]
-    return out.reshape(x.shape)
+    """_embed_pair(R4, 0, j, n) @ x for each row of x, without building the
+    matrix: x of shape (..., 2^n), aux slot 0 slowest, is viewed as
+    (..., 2, A, 2, B) with A = 2^(j-1), B = 2^(n-1-j), the (aux, site j)
+    pair is brought to the front as (..., 4, A B), and one matmul applies R4,
+    a 4 x 4 or a (K, 4, 4) stack with one R per row."""
+    n = x.shape[-1].bit_length() - 1
+    A, B = 2 ** (j - 1), 2 ** (n - 1 - j)
+    xs = x.reshape(*x.shape[:-1], 2, A, 2, B).swapaxes(-3, -2)
+    y = R4 @ xs.reshape(*x.shape[:-1], 4, A * B)
+    return y.reshape(xs.shape).swapaxes(-3, -2).reshape(x.shape)
 
 
 def _monodromy_action(lam, L, weights, x, transposed=False):
-    """T_0(l) @ x on the 2^(L+1)-dim aux (x) chain space, x of shape
-    (2^(L+1),) or (2^(L+1), K), applied factor by factor through _apply_pair;
-    transposed=True applies T_0(l)^T, the reversed product (R is symmetric)."""
+    """T_0(l) @ x for each row of x, on the 2^(L+1)-dim aux (x) chain space:
+    x of shape (2^(L+1),) or (K, 2^(L+1)), l a scalar or one value per row,
+    applied factor by factor through _apply_pair; transposed=True applies
+    T_0(l)^T, the reversed product (R is symmetric)."""
     factors = list(enumerate(_r_matrices(lam, L, weights), start=1))
     for j, R4 in factors[::-1] if transposed else factors:
         x = _apply_pair(R4, j, x)
@@ -195,13 +200,13 @@ def _monodromy_action(lam, L, weights, x, transposed=False):
 
 def _transfer_action(lam, L, weights, v, transposed=False):
     """t(l) @ v = sum_a <a|T_0(l)|a> v, or t(l)^T @ v with transposed=True,
-    as one _monodromy_action on the two columns |a> (x) v, a = 0, 1; equals
+    as one _monodromy_action on the two rows |a> (x) v, a = 0, 1; equals
     transfer(lam, L, weights).matrix @ v without building it."""
     d = len(v)
-    x = np.zeros((2 * d, 2), complex)
-    x[:d, 0] = x[d:, 1] = v
+    x = np.zeros((2, 2 * d), complex)
+    x[0, :d] = x[1, d:] = v
     y = _monodromy_action(lam, L, weights, x, transposed)
-    return y[:d, 0] + y[d:, 1]
+    return y[0, :d] + y[1, d:]
 
 
 def _product(factors):
@@ -249,7 +254,8 @@ def ybe_residual(lam, mu, nu, eta, rho=1.0):
     """Max-entry magnitude of R12 R13 R23 - R23 R13 R12 on the 8-dim space,
     with arguments l - m, l - n, m - n.  lam, mu, nu (and eta, rho) may be
     equal-length arrays, one entry per trial; the max runs over all trials,
-    evaluated as stacks of YBE_BATCH."""
+    evaluated as stacks of YBE_BATCH, and is nan when any trial is (an
+    overflowed sinh must not read as a pass)."""
     lam, mu, nu, eta, rho = (np.ravel(a) for a in np.broadcast_arrays(lam, mu, nu, eta, rho))
     args = ((lam - mu, 0, 1), (lam - nu, 0, 2), (mu - nu, 1, 2))
     worst = 0.0
@@ -257,8 +263,8 @@ def ybe_residual(lam, mu, nu, eta, rho=1.0):
         R12, R13, R23 = ((r_matrix(x[w], eta[w], rho[w]).reshape(-1, 16)
                           @ _embedding_map(p0, p1, 3).T).reshape(-1, 8, 8)
                          for x, p0, p1 in args)
-        worst = max(worst, float(np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)))
+    return float(worst)
 
 
 def _max_entry(m):

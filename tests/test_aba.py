@@ -263,6 +263,13 @@ class TestArrayForms:
 
 
 class TestTransferEigenvalue:
+    @pytest.mark.parametrize("L, N", [(3, 2), (4, 3), (6, 4), (7, 4), (8, 5)])
+    def test_onshell_roots_above_the_equator_rejected(self, L, N):
+        # the solver reports run-away roots (about +-14.65 at L = 8, N = 5)
+        # as converged there, or does not converge
+        with pytest.raises(ValueError, match="2N <= L"):
+            aba.onshell_roots(L, N, 0.6)
+
     def test_onshell_q_residual(self):
         L, gamma = 8, 0.55
         mu = aba.onshell_roots(L, 3, gamma)
@@ -387,6 +394,14 @@ class TestOffshellAction:
     def test_coincident_parameters_rejected(self):
         with pytest.raises(ValueError):
             aba.offshell_action_residual(np.array([0.3, 0.3, 0.9]), 0, 4, 0.5)
+
+    @pytest.mark.parametrize("residual", [aba.offshell_action_residual,
+                                          aba.dual_action_residual])
+    @pytest.mark.parametrize("eta", [0.0, 1j * np.pi])
+    def test_vanishing_sh_eta_rejected(self, residual, eta):
+        # sh(eta) = 0 makes every B/C product zero and the residual 0/0
+        with pytest.raises(ValueError, match="sh\\(eta\\) = 0"):
+            residual(np.array([0.1 + 0.2j, -0.3, 0.5j]), 0, 5, eta)
 
     @pytest.mark.parametrize("residual", [aba.offshell_action_residual,
                                           aba.dual_action_residual])

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import bethelab
-from bethelab import bae, coordinate, ed, hubbard, serialize, sixvertex, thermo
+from bethelab import aba, bae, coordinate, ed, hubbard, serialize, sixvertex, thermo
 from bethelab.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NOCONV, EXIT_OK,
                           ExperimentConfig, main)
 
@@ -387,6 +387,35 @@ class TestCli:
     def test_non_positive_trials_is_config_error(self, argv, trials, capsys):
         assert main(argv + ["--trials", trials]) == EXIT_CONFIG
         assert "--trials must be >= 1" in self._config_error(capsys)
+
+    @pytest.mark.parametrize("L, N", [("4", "3"), ("6", "4"), ("8", "5"), ("3", "2"),
+                                      ("7", "4")])
+    def test_aba_slavnov_above_the_equator_is_config_error(self, L, N, capsys):
+        assert main(["aba", "slavnov", "--L", L, "--N", N]) == EXIT_CONFIG
+        assert "2N <= L" in self._config_error(capsys)
+
+    def test_aba_slavnov_unconverged_roots_exit(self, monkeypatch, capsys):
+        def unconverged(L, N, gamma, qnums):
+            return bae.SolveReport(None, 1.0, 7, False, qnums, stop="stalled")
+
+        monkeypatch.setattr(aba, "solve_logbae_xxz", unconverged)
+        assert main(["aba", "slavnov", "--L", "8", "--N", "2"]) == EXIT_NOCONV
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("no convergence:") and out.err.count("\n") == 1
+
+    def test_aba_verify_action_eta_zero_is_config_error(self, capsys):
+        assert main(["aba", "verify-action", "--eta", "0"]) == EXIT_CONFIG
+        assert "sh(eta) = 0" in self._config_error(capsys)
+
+    def test_nan_residual_does_not_pass(self, monkeypatch, capsys):
+        # a nan in the second of three trials must reach the worst value, so
+        # no passing report is written (a max that dropped it reported 1e-16)
+        residuals = iter([1e-16, np.nan, 1e-16])
+        monkeypatch.setattr(aba, "offshell_action_residual", lambda *args: next(residuals))
+        assert main(["aba", "verify-action", "--L", "5", "--N", "1", "--trials", "3"]) \
+            != EXIT_OK
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("lmax", ["2", "4"])
     def test_ice_entropy_too_few_sizes_is_config_error(self, lmax, capsys):

@@ -82,6 +82,15 @@ class TestYangBaxter:
     def test_coincident_arguments(self):
         assert sixvertex.ybe_residual(0.4, 0.4, 0.4, 0.55) == 0.0
 
+    def test_overflow_is_not_a_pass(self, monkeypatch):
+        # sinh(800) overflows, so the residual is nan; a max that dropped
+        # the nan would report 0.0, also from a later batch of one trial each
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not sixvertex.ybe_residual(800.0, 0.0, 0.1, 0.3) <= 1e-12
+            monkeypatch.setattr(sixvertex, "YBE_BATCH", 1)
+            lam = np.array([0.1, 800.0, 0.2])
+            assert not sixvertex.ybe_residual(lam, 0.0, 0.1, 0.3) <= 1e-12
+
     def test_negative_control(self):
         # corrupting one Boltzmann weight must break the identity
         lam, mu, nu, eta = 0.3, -0.2, 0.5, 0.7
@@ -339,43 +348,88 @@ class TestProperties:
         assert sixvertex.rtt_residual(lam, mu, L, w) < 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(L=st.integers(1, 7), data=st.data(), batch=st.sampled_from([None, 1, 3]))
-    def test_pair_action_is_embedded_matrix(self, L, data, batch):
+    @given(L=st.integers(1, 7), data=st.data(), batch=st.sampled_from([None, 1, 3]),
+           stacked=st.booleans())
+    def test_pair_action_is_embedded_matrix(self, L, data, batch, stacked):
         """The reshape action of any complex 4 x 4 (six-vertex sparsity or
-        not) equals the embedded CSR factor times the vector, column by
-        column with a trailing batch axis."""
+        not) equals the embedded CSR factor times the vector, row by row with
+        a leading batch axis; a (batch, 4, 4) stack applies its own R to each
+        row."""
         j = data.draw(st.integers(1, L))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         rng = np.random.default_rng(seed)
-        mask = rng.random((4, 4)) < data.draw(st.floats(0.0, 1.0))
-        R4 = np.where(mask, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 0)
-        shape = (2 ** (L + 1),) if batch is None else (2 ** (L + 1), batch)
+        stacked = stacked and batch is not None
+        rshape = (batch, 4, 4) if stacked else (4, 4)
+        mask = rng.random(rshape) < data.draw(st.floats(0.0, 1.0))
+        R4 = np.where(mask, rng.normal(size=rshape) + 1j * rng.normal(size=rshape), 0)
+        shape = (2 ** (L + 1),) if batch is None else (batch, 2 ** (L + 1))
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         got = sixvertex._apply_pair(R4, j, x)
-        ref = sixvertex._embed_pair(R4, 0, j, L + 1) @ x
         assert got.shape == x.shape
-        assert np.linalg.norm(got - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+        for k, (g, row) in enumerate(zip(np.atleast_2d(got), np.atleast_2d(x))):
+            ref = sixvertex._embed_pair(R4[k] if stacked else R4, 0, j, L + 1) @ row
+            assert np.linalg.norm(g - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+
+    @staticmethod
+    def _draw_weights(data, L):
+        """Parameterized weights with random inhomogeneities, or direct ones."""
+        if data.draw(st.booleans()):
+            xi = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=L, max_size=L))
+            eta = data.draw(_complex((0.1, 1.0), (-0.5, 0.5)))
+            return sixvertex.VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi)
+        a, b, c = data.draw(st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3))
+        return sixvertex.VertexWeights(a, b, c)
 
     @settings(max_examples=40, deadline=None)
-    @given(L=st.integers(1, 6), data=st.data(), parameterized=st.booleans(),
-           transposed=st.booleans(),
+    @given(L=st.integers(1, 6), data=st.data(), transposed=st.booleans(),
            roots=st.lists(_complex((-1.0, 1.0), (-1.0, 1.0)), max_size=3))
-    def test_off_diagonal_products_match_csr_factors(self, L, data, parameterized,
-                                                     transposed, roots):
+    def test_off_diagonal_products_match_csr_factors(self, L, data, transposed, roots):
         """The B/C products by reshape against the embedded-factor reference,
         for direct weights and for parameterized ones with random
         inhomogeneities."""
         from bethelab import aba
-        if parameterized:
-            xi = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=L, max_size=L))
-            eta = data.draw(_complex((0.1, 1.0), (-0.5, 0.5)))
-            w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi)
-        else:
-            a, b, c = data.draw(st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3))
-            w = sixvertex.VertexWeights(a, b, c)
+        w = self._draw_weights(data, L)
         got = aba._off_diagonal_product(roots, L, w, transposed)
         ref = loop_references.off_diagonal_product(roots, L, w, transposed)
         assert np.linalg.norm(got - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 6), data=st.data(), transposed=st.booleans(),
+           K=st.sampled_from([1, 2, 4]), N=st.integers(0, 3))
+    def test_stacked_off_diagonal_products_are_rowwise(self, L, data, transposed, K, N):
+        """K root sets of shape (K, N) in one call give, row by row, the K
+        single-set products and the embedded-factor reference."""
+        from bethelab import aba
+        w = self._draw_weights(data, L)
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        roots = rng.uniform(-1, 1, (K, N)) + 1j * rng.uniform(-1, 1, (K, N))
+        got = aba._off_diagonal_product(roots, L, w, transposed)
+        assert got.shape == (K, 2 ** L)
+        for row, kroots in zip(got, roots):
+            single = aba._off_diagonal_product(kroots, L, w, transposed)
+            ref = loop_references.off_diagonal_product(kroots, L, w, transposed)
+            scale = max(1.0, np.linalg.norm(ref))
+            assert np.linalg.norm(row - single) <= 1e-14 * scale
+            assert np.linalg.norm(row - ref) <= 1e-14 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(1, 6), data=st.data(), transposed=st.booleans(),
+           K=st.sampled_from([1, 2, 4]))
+    def test_monodromy_action_with_one_lambda_per_row(self, L, data, transposed, K):
+        """T_0(l_k) (or its transpose) applied to row k, for K spectral
+        parameters at once, equals the CSR monodromy at l_k times that row."""
+        w = self._draw_weights(data, L)
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+        x = rng.normal(size=(K, 2 ** (L + 1))) + 1j * rng.normal(size=(K, 2 ** (L + 1)))
+        got = sixvertex._monodromy_action(lam, L, w, x, transposed)
+        assert got.shape == x.shape
+        for lk, xk, gk in zip(lam, x, got):
+            T = sixvertex._monodromy_csr(lk, L, w)
+            ref = (T.T if transposed else T) @ xk
+            assert np.linalg.norm(gk - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
 
     @settings(max_examples=25, deadline=None)
     @given(L=st.integers(1, 12), data=st.data(), exact=st.booleans())
