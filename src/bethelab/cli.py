@@ -21,7 +21,9 @@ parameter the subcommand (or its `--model`) does not read, in flags or in
 any flag but `--out` next to `--json` are config errors.  Reports are
 canonical JSON: identical config and seed give byte-identical bytes.  Exit
 codes: 0 success, 2 config error (one `config error:` line on stderr), 3
-solver non-convergence, 4 invariant violation.
+solver non-convergence, 4 invariant violation (one `invariant violation:`
+line).  A report that holds a nan or an infinity is not written: the run is a
+config error when a parameter reads as one, else an invariant violation.
 """
 
 import argparse
@@ -79,8 +81,17 @@ class ExperimentConfig:
 
 
 def _emit(cfg, report, extra_files=(), status=EXIT_OK):
-    """Write `report` with the run's config embedded; return the exit status."""
-    text = serialize.dumps({"config": cfg.report_dict(), **report}) + "\n"
+    """Write `report` with the run's config embedded; return the exit status.
+    A report with a nan or an infinity is not written: a config error when a
+    parameter reads as one, else an invariant violation."""
+    try:
+        text = serialize.dumps({"config": cfg.report_dict(), **report}) + "\n"
+    except ValueError:
+        for name, value in cfg.params.items():
+            if _non_finite(value):
+                raise ConfigError(f"non-finite {_flag(name)} = {value}") from None
+        sys.stderr.write("invariant violation: non-finite value in the report\n")
+        return EXIT_INVARIANT
     if cfg.out:
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -90,6 +101,14 @@ def _emit(cfg, report, extra_files=(), status=EXIT_OK):
     else:
         sys.stdout.write(text)
     return status
+
+
+def _non_finite(value):
+    """Whether a parameter reads as a number with a nan or infinite part."""
+    try:
+        return not np.isfinite(complex(value))
+    except (TypeError, ValueError):
+        return False
 
 
 def _int(p, name, default=None):

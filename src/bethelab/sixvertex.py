@@ -17,10 +17,14 @@ one site, i.e. the inverse of the momentum-convention shift operator built in
 the ed module.
 
 The R-factors R(l - xi_j) come from one place (_r_matrices).  Explicit
-matrices use the sparse two-site embedding _embed_pair: the monodromy is the
-CSR product of the embedded factors (_r_factors), transfer blocks and
-partition functions slice its partial trace by sector, and the RTT check
-multiplies the same factors.  `monodromy` and `transfer` hand the CSR to
+matrices are read off the ice-rule paths of the monodromy (_ice_paths): an
+entering aux value, a chain-in state and a chain-out state allow at most one
+path of horizontal edges, so T_0 stores at most 2 3^L entries, each a product
+of one R entry per site, emitted in CSR row order.  `monodromy` takes all of
+them, `transfer` the paths that leave with the aux value they entered with,
+the dense sector blocks of transfer_sector_block and partition_function are
+filled from those by sector rank, and the RTT check inserts the idle aux slot
+into the monodromy's entries.  `monodromy` and `transfer` hand the CSR to
 ed.OperatorMatrix, whose one rule (dense below DENSE_DIM_LIMIT = 512) decides
 what `.matrix` is: the monodromy is dense for L <= 7, the transfer for L <= 8.
 hamiltonian_from_transfer inverts t(0) as the scaled shift it is and stays
@@ -30,11 +34,13 @@ matmul of a 4 x 4 R (or a stack with one R per row) on the (aux, site) pair
 brought to the front.  _monodromy_action, with one l for all rows or one per
 row, gives the aba module's B/C products for a whole stack of root sets, and
 _transfer_action, the only way t(l) reaches a vector, gives the aba action
-residuals and the matrix-free square-ice eigenvalue.
+residuals and the matrix-free square-ice eigenvalue.  The sparse two-site
+embedding _embed_pair is left to the Yang-Baxter and RTT R-matrices.
 """
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +51,7 @@ from .ed import OperatorMatrix, build_shift_operator, build_xxz_hamiltonian
 FD_STEP = 1e-5
 YBE_BATCH = 4096  # Yang-Baxter trials per stacked product: 4 MB per (B, 8, 8) array
 ENUM_BATCH = 4096  # edge configurations per stack: <= 4 MB per (B, M, 2, 2) array
+EXPLICIT_L_MAX = 14  # explicit matrices: 2 3^L entries, codes of 2L + 1 bits in int32
 
 
 @dataclass
@@ -166,14 +173,6 @@ def _r_matrices(lam, L, weights):
     return [r_matrix_from_weights(weights.a, weights.b, weights.c)] * L
 
 
-def _r_factors(lam, L, weights, n, aux=0):
-    """The embedded R_{aux,j}(l - xi_j), j = 1..L, in the order they act
-    (site 1 first), with the chain in the last L of n slots.  Every
-    monodromy, transfer block and RTT check is built from these."""
-    return [_embed_pair(R4, aux, n - L + j, n)
-            for j, R4 in enumerate(_r_matrices(lam, L, weights))]
-
-
 def _apply_pair(R4, j, x):
     """_embed_pair(R4, 0, j, n) @ x for each row of x, without building the
     matrix: x of shape (..., 2^n), aux slot 0 slowest, is viewed as
@@ -209,45 +208,148 @@ def _transfer_action(lam, L, weights, v, transposed=False):
     return y[0, :d] + y[1, d:]
 
 
-def _product(factors):
-    """factors[-1] @ ... @ factors[0] (the first factor acts first)."""
-    return reduce(lambda T, R: R @ T, factors)
+def _ice_paths(lam, L, weights, a=None):
+    """The nonzero entries of the monodromy T_0(l), one per ice-rule path.
+
+    By the ice rule the aux value after site j is h_j = h_(j-1) + s_j - s'_j,
+    so an entering aux value, a chain-in state s and a chain-out state s'
+    allow at most one path of horizontal edges, and T_0 stores at most
+    2 3^L entries.  The sites are walked in order; a path with aux value h
+    moves on in three ways, weighted by the matching entry of the site's
+    R(l - xi_j) from _r_matrices:
+      a: both arrows pass (s_j = s'_j = h),            R[3h, 3h];
+      b: the other arrow passes (s_j = s'_j = 1 - h),  R[1 + h, 1 + h];
+      c: the arrows turn (s_j = 1 - h, s'_j = h),      R[2 - h, 1 + h],
+         and h becomes 1 - h.
+    Moves of weight zero are dropped.
+
+    Returns (codes, values, runs).  The int32 code of an entry is
+    s' << (L + 1) | a << L | s, with a the entering aux value.  The entries
+    are grouped by exit aux value (0 first) and, within a group, by s': row
+    (b, s') of T_0 is the next runs[b, s'] entries, so the CSR rows come out
+    in order without a sort.  To keep that order, each site places the new
+    paths by run offsets, within the runs of equal s'-prefix, by their new
+    output bit.  a=None enters with both aux values; a=0 or 1 enters with a
+    alone and keeps only the paths that leave with a: the entries of
+    <a|T_0|a>, whose sum over a is the transfer matrix."""
+    if L > EXPLICIT_L_MAX:
+        raise ValueError(f"explicit six-vertex matrices supported up to L = {EXPLICIT_L_MAX}")
+    enter = [0, 1] if a is None else [a]
+    codes = np.array(enter, np.int32) << L
+    values = np.ones(len(enter), complex)
+    runs = np.array([[0 in enter], [1 in enter]], np.int64)  # (aux value, s'-prefix)
+    start = np.array([[0], [runs[0, 0]]])  # where each run begins
+    for j, R in enumerate(_r_matrices(lam, L, weights), start=1):
+        R = R.tolist()
+        s_bit = 1 << (L - j)
+        out_bit = s_bit << (L + 1)
+        # (aux value h, weight, code offset, next aux value, s'_j), moves a, b, c
+        moves = [move for h in (0, 1) for move in (
+                     (h, R[3 * h][3 * h], h * (out_bit | s_bit), h, h),
+                     (h, R[1 + h][1 + h], (1 - h) * (out_bit | s_bit), h, 1 - h),
+                     (h, R[2 - h][1 + h], (1 - h) * s_bit | h * out_bit, 1 - h, h))
+                 if move[1] != 0 and not (j == L and a is not None and move[3] != a)]
+        new_runs = np.zeros(runs.shape + (2,), np.int64)
+        for h, _, _, g, t in moves:
+            new_runs[g, :, t] += runs[h]
+        new_start = (np.cumsum(new_runs) - new_runs.ravel()).reshape(new_runs.shape)
+        fill = new_start.copy()
+        bounds = (0, int(runs[0].sum()), len(codes))
+        index = np.arange(len(codes))
+        new_codes = np.empty(new_runs.sum(), np.int32)
+        new_values = np.empty(len(new_codes), complex)
+        for h, w, offset, g, t in moves:
+            src = slice(bounds[h], bounds[h + 1])
+            dst = np.repeat(fill[g, :, t] - start[h], runs[h]) + index[src]
+            new_codes[dst] = codes[src] + offset if offset else codes[src]
+            new_values[dst] = values[src] * w
+            fill[g, :, t] += runs[h]
+        codes, values = new_codes, new_values
+        runs, start = new_runs.reshape(2, -1), new_start.reshape(2, -1)
+    return codes, values, runs
 
 
-def _monodromy_csr(lam, L, weights):
-    if L > 14:
-        raise ValueError("monodromy supported up to L = 14")
-    return _product(_r_factors(lam, L, weights, L + 1))
+def _csr_rows(values, columns, runs, dim):
+    """The CSR matrix whose row k is the next runs.ravel()[k] entries."""
+    indptr = np.concatenate(([0], np.cumsum(runs))).astype(np.int32)
+    return sp.csr_matrix((values, columns, indptr), shape=(dim, dim))
+
+
+def _monodromy_entries(lam, L, weights):
+    """(rows, columns, values) of T_0(l) on aux (x) chain, rows in order."""
+    codes, values, runs = _ice_paths(lam, L, weights)
+    d = 2 ** (L + 1)
+    return np.repeat(np.arange(d), runs.ravel()), codes & (d - 1), values
 
 
 def monodromy(lam, L, weights):
     """Inhomogeneous monodromy matrix T_0(l) on the 2^(L+1)-dim aux (x) chain
-    space: the ordered product R_{0,L}(l - xi_L) ... R_{0,1}(l - xi_1).
+    space: the ordered product R_{0,L}(l - xi_L) ... R_{0,1}(l - xi_1), read
+    off its ice paths (_ice_paths).
 
     Returns the `matrix` of an OperatorMatrix: dense below DENSE_DIM_LIMIT
     (L <= 7) and scipy CSR above (L <= 14)."""
-    return OperatorMatrix(_monodromy_csr(lam, L, weights)).matrix
-
-
-def monodromy_trace(T, L):
-    """Partial trace over the auxiliary slot (slot 0)."""
-    d = 2 ** L
-    return T[:d, :d] + T[d:, d:]
+    codes, values, runs = _ice_paths(lam, L, weights)
+    d = 2 ** (L + 1)
+    return OperatorMatrix(_csr_rows(values, codes & (d - 1), runs, d)).matrix
 
 
 def transfer(lam, L, weights):
     """Transfer matrix tr_0 T_0(l) on the 2^L chain space, as the
-    OperatorMatrix of the CSR trace of the monodromy."""
-    return OperatorMatrix(monodromy_trace(_monodromy_csr(lam, L, weights), L))
+    OperatorMatrix of the CSR sum of <0|T_0|0> and <1|T_0|1>."""
+    d = 2 ** L
+    halves = []
+    for a in (0, 1):
+        codes, values, runs = _ice_paths(lam, L, weights, a)
+        halves.append(_csr_rows(values, codes & (d - 1), runs[a], d))
+    return OperatorMatrix(halves[0] + halves[1])
+
+
+@cache
+def _sector_ranks(L):
+    """Read-only: the position of each L-bit state in the order of
+    build_sector_basis(L, N).state_array, N its number of set bits."""
+    rank = np.empty(2 ** L, np.intp)
+    for N in range(L + 1):
+        states = build_sector_basis(L, N).state_array
+        rank[states] = np.arange(len(states))
+    rank.flags.writeable = False
+    return rank
+
+
+def _closed_paths(lam, L, weights):
+    """The ice paths of <0|T_0(l)|0> and <1|T_0(l)|1>, the entries of the
+    transfer matrix, as (codes, sector, values) per aux value, sector the
+    number of down spins of s.  A path that leaves with the aux value it
+    entered with keeps the arrow number, so s' lies in the same sector."""
+    paths = []
+    for a in (0, 1):
+        codes, values, _ = _ice_paths(lam, L, weights, a)
+        paths.append((codes, np.bitwise_count(codes & (2 ** L - 1)), values))
+    return paths
+
+
+def _sector_block(paths, L, N):
+    """The dense block of the transfer matrix on the N-down-spins sector, in
+    the order of build_sector_basis(L, N).states, filled from _closed_paths
+    by sector rank."""
+    rank = _sector_ranks(L)
+    dim = comb(L, N)
+    block = np.zeros(dim * dim, complex)
+    for codes, sector, values in paths:
+        hit = np.flatnonzero(sector == N)
+        c = codes[hit]
+        np.add.at(block, rank[c >> (L + 1)] * dim + rank[c & (2 ** L - 1)], values[hit])
+    return block.reshape(dim, dim)
 
 
 def transfer_sector_block(L, N, weights, lam=0.0):
     """Transfer matrix restricted to the N-down-spins sector (dense, in the
-    order of build_sector_basis(L, N).states), sliced from the sparse trace
-    of one monodromy.  The transfer conserves the arrow number, so the full
-    matrix is the direct sum of these blocks."""
-    idx = build_sector_basis(L, N).state_array
-    return transfer(lam, L, weights).csr()[idx][:, idx].toarray()
+    order of build_sector_basis(L, N).states).  The transfer conserves the
+    arrow number, so the full matrix is the direct sum of these blocks."""
+    if not 0 <= N <= L:
+        raise ValueError(f"down-spin count N={N} outside 0..L={L}")
+    return _sector_block(_closed_paths(lam, L, weights), L, N)
 
 
 def ybe_residual(lam, mu, nu, eta, rho=1.0):
@@ -272,13 +374,25 @@ def _max_entry(m):
     return float(np.max(np.abs(m.data), initial=0.0))
 
 
+def _aux_slot_operator(lam, L, weights, aux):
+    """T_0(l) on the spaces (0, 0', chain), acting on aux slot `aux` (0 or 1)
+    and the chain: the monodromy's entries with the idle slot's bit inserted."""
+    rows, cols, values = _monodromy_entries(lam, L, weights)
+    p = L + aux  # the idle slot's bit: 0' for aux 0, 0 for aux 1
+
+    def insert(i, x):
+        return (i >> p) << (p + 1) | x << p | i & ((1 << p) - 1)
+
+    rows, cols = (np.concatenate([insert(i, x) for x in (0, 1)]) for i in (rows, cols))
+    return sp.csr_matrix((np.tile(values, 2), (rows, cols)), shape=(2 ** (L + 2),) * 2)
+
+
 def rtt_residual(lam, mu, L, weights):
     """Max-entry magnitude of R_00'(l-m) T_0(l) T_0'(m) - T_0'(m) T_0(l) R_00'(l-m),
     with the spaces ordered (0, 0', chain)."""
-    n = L + 2
-    T0 = _product(_r_factors(lam, L, weights, n, aux=0))
-    T0p = _product(_r_factors(mu, L, weights, n, aux=1))
-    R = _embed_pair(r_matrix(lam - mu, weights.eta, weights.rho), 0, 1, n)
+    T0 = _aux_slot_operator(lam, L, weights, 0)
+    T0p = _aux_slot_operator(mu, L, weights, 1)
+    R = _embed_pair(r_matrix(lam - mu, weights.eta, weights.rho), 0, 1, L + 2)
     return _max_entry(R @ T0 @ T0p - T0p @ T0 @ R)
 
 
@@ -322,12 +436,9 @@ def partition_function(L, M, a, b, c):
     of block traces)."""
     if M < 1:
         raise ValueError("M >= 1 required")
-    t = transfer(0.0, L, VertexWeights(a, b, c)).csr()
-    total = 0.0 + 0.0j
-    for N in range(L + 1):
-        idx = build_sector_basis(L, N).state_array
-        total += np.trace(np.linalg.matrix_power(t[idx][:, idx].toarray(), M))
-    return complex(total)
+    paths = _closed_paths(0.0, L, VertexWeights(a, b, c))
+    return complex(sum(np.trace(np.linalg.matrix_power(_sector_block(paths, L, N), M))
+                       for N in range(L + 1)))
 
 
 def _vertex_weight_table(a, b, c, exact):

@@ -17,9 +17,10 @@ The Hubbard block operators (Hamiltonian, S^+ and the one-site translation)
 are kept as their per-state loops over up/down bit masks, with dict ranking
 and fermion signs counted bit by bit on the interleaved orbital mask.
 
-The B/C products are kept in their embedded-matrix form (each R-factor built
-as a sparse 2^(L+1) matrix by sixvertex._r_factors and applied as R @ x), and
-the edge enumeration in its per-configuration loop.
+The monodromy is kept as the CSR product of its embedded R-factors (each
+R(l - xi_j) built as a sparse 2^(L+1) matrix by sixvertex._embed_pair), the
+B/C products in the same embedded-matrix form (each factor applied as R @ x),
+and the edge enumeration in its per-configuration loop.
 
 The algebraic Bethe layer is kept in its scalar form: the closed-form
 homogeneous vacuum rho^L sh^L(l +- eta/2) with its derivatives, the
@@ -257,6 +258,24 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
     return found
 
 
+def r_factors(lam, L, weights, aux=0, n=None):
+    """The embedded CSR R_{aux,j}(l - xi_j), j = 1..L, in the order they act
+    (site 1 first), with the chain in the last L of n slots (default L + 1:
+    aux (x) chain)."""
+    n = L + 1 if n is None else n
+    return [sixvertex._embed_pair(R4, aux, n - L - 1 + j, n)
+            for j, R4 in enumerate(sixvertex._r_matrices(lam, L, weights), start=1)]
+
+
+def monodromy_csr(lam, L, weights, aux=0, n=None):
+    """sixvertex.monodromy as the CSR product R_{aux,L} ... R_{aux,1} of the
+    embedded factors (on n slots, as in r_factors)."""
+    T = None
+    for R in r_factors(lam, L, weights, aux, n):
+        T = R if T is None else R @ T
+    return T
+
+
 def off_diagonal_product(roots, L, weights, transposed):
     """aba._off_diagonal_product with the embedded CSR R-factors, applied in
     reverse order for the transposed (C) product."""
@@ -264,7 +283,7 @@ def off_diagonal_product(roots, L, weights, transposed):
     v[0] = 1.0
     for lam in np.atleast_1d(np.asarray(roots, complex)):
         x = np.concatenate([np.zeros_like(v), v])
-        factors = sixvertex._r_factors(lam, L, weights, L + 1)
+        factors = r_factors(lam, L, weights)
         for R in factors[::-1] if transposed else factors:
             x = R @ x
         v = x[:len(v)]

@@ -414,8 +414,44 @@ class TestCli:
         residuals = iter([1e-16, np.nan, 1e-16])
         monkeypatch.setattr(aba, "offshell_action_residual", lambda *args: next(residuals))
         assert main(["aba", "verify-action", "--L", "5", "--N", "1", "--trials", "3"]) \
-            != EXIT_OK
-        assert capsys.readouterr().out == ""
+            == EXIT_INVARIANT
+        self._invariant_violation(capsys)
+
+    def test_nan_deviation_is_invariant_violation(self, monkeypatch, capsys, tmp_path):
+        # a nan result ends the run with one line and writes no report
+        monkeypatch.setattr(sixvertex, "hamiltonian_from_transfer",
+                            lambda *args: (None, float("nan")))
+        argv = ["vertex", "hamiltonian-link", "--L", "4", "--eta", "0.3"]
+        assert main(argv) == EXIT_INVARIANT
+        self._invariant_violation(capsys)
+        assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_INVARIANT
+        self._invariant_violation(capsys)
+        assert not (tmp_path / "run" / "report.json").exists()
+
+    @staticmethod
+    def _invariant_violation(capsys):
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("invariant violation:") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("eta", ["nan", "inf", "NaN"])
+    def test_non_finite_parameter_stays_config_error(self, eta, capsys, tmp_path):
+        assert main(["vertex", "hamiltonian-link", "--L", "4", "--eta", eta]) == EXIT_CONFIG
+        assert f"non-finite --eta = {eta}" in self._config_error(capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"command": "vertex/hamiltonian-link", "params": {"eta": NaN}}')
+        assert main(["vertex", "hamiltonian-link", "--json", str(cfg)]) == EXIT_CONFIG
+        assert "non-finite --eta = nan" in self._config_error(capsys)
+
+    def test_infinite_fermi_point(self, capsys, tmp_path):
+        # q = inf is a valid Fermi point and gives a finite report, but
+        # canonical JSON cannot embed it in the config
+        assert main(["thermo", "gs-energy", "--q", "inf", "--n-nodes", "16"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["params"]["q"] == "inf"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"command": "thermo/gs-energy", "params": {"q": Infinity, "n_nodes": 16}}')
+        assert main(["thermo", "gs-energy", "--json", str(cfg)]) == EXIT_CONFIG
+        assert "non-finite --q = inf" in self._config_error(capsys)
 
     @pytest.mark.parametrize("lmax", ["2", "4"])
     def test_ice_entropy_too_few_sizes_is_config_error(self, lmax, capsys):

@@ -1,8 +1,11 @@
 """Six-vertex engine: R-matrix, Yang-Baxter, transfer matrices, partition
 functions, the spin-chain link, and square ice."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +148,17 @@ class TestMonodromy:
         lam, mu = 0.37 + 0.11j, -0.23 + 0.05j
         assert sixvertex.rtt_residual(lam, mu, L, w) < 1e-12
 
+    @pytest.mark.parametrize("aux", [0, 1])
+    def test_rtt_operators_act_on_their_aux_slot(self, aux):
+        # the RTT relation also holds with T_0 and T_0' on swapped slots (R
+        # commutes with the swap), so the slot is checked against the
+        # embedded-factor product on (0, 0', chain)
+        L = 3
+        w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, 0.5, xi=RNG.normal(size=L) * 0.3)
+        got = sixvertex._aux_slot_operator(0.37 + 0.11j, L, w, aux)
+        ref = loop_references.monodromy_csr(0.37 + 0.11j, L, w, aux, L + 2)
+        assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
     def test_trace_at_zero_is_shift(self):
         # homogeneous tr_0 T_0(0) = rho^L sh^L(eta) * (forward pattern shift)
         # = rho^L sh^L(eta) * U^{-1} with U the momentum-convention shift
@@ -267,6 +281,20 @@ class TestPartitionFunction:
         assert abs(split - whole) <= 1e-12 * abs(whole)
         assert split == pytest.approx(loop_references.enumerate_partition(3, 3, *abc), rel=1e-12)
 
+    @pytest.mark.parametrize("args, parent_peak_mb", [((10, 1, 1, 2, 3), 4.75),
+                                                      ((12, 1, 1, 1, 1), 42.6)])
+    def test_peak_memory(self, args, parent_peak_mb):
+        """The traced peak stays below that of the CSR-product transfer
+        (4.75 MB and 42.6 MB, tracemalloc on the same calls)."""
+        sixvertex.partition_function(*args)  # cached sector ranks out of the count
+        tracemalloc.start()
+        try:
+            sixvertex.partition_function(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak_mb * 1e6
+
     def test_zero_weights(self):
         assert sixvertex.partition_function(2, 2, 0, 0, 0) == 0
         assert sixvertex.enumerate_partition(2, 2, 0, 0, 0) == 0
@@ -297,7 +325,7 @@ class TestIceEntropy:
         def refuse(*args):
             raise AssertionError("ice_entropy built a monodromy")
 
-        monkeypatch.setattr(sixvertex, "_monodromy_csr", refuse)
+        monkeypatch.setattr(sixvertex, "_ice_paths", refuse)
         table, _ = sixvertex.ice_entropy(8)
         assert [L for L, _ in table] == [2, 4, 6, 8]
 
@@ -427,9 +455,29 @@ class TestProperties:
         got = sixvertex._monodromy_action(lam, L, w, x, transposed)
         assert got.shape == x.shape
         for lk, xk, gk in zip(lam, x, got):
-            T = sixvertex._monodromy_csr(lk, L, w)
+            T = loop_references.monodromy_csr(lk, L, w)
             ref = (T.T if transposed else T) @ xk
             assert np.linalg.norm(gk - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 7), data=st.data(), lam=_complex((-1.0, 1.0), (-1.0, 1.0)))
+    def test_ice_paths_are_the_csr_product(self, L, data, lam):
+        """Monodromy and transfer read off the ice paths equal the CSR
+        product of the embedded R-factors, for direct weights and for
+        parameterized ones with random inhomogeneities; generic weights store
+        one entry per path, 2 3^L in all."""
+        w = self._draw_weights(data, L)
+        ref = loop_references.monodromy_csr(lam, L, w)
+        T = sp.csr_matrix(sixvertex.monodromy(lam, L, w))
+        assert abs(T - ref).max() <= 1e-14 * abs(ref).max()
+        d = 2 ** L
+        t_ref = ref[:d, :d] + ref[d:, d:]
+        t = sixvertex.transfer(lam, L, w).csr()
+        assert abs(t - t_ref).max() <= 1e-14 * abs(t_ref).max()
+        stored = len(sixvertex._ice_paths(lam, L, w)[0])
+        assert stored == ref.nnz and t.nnz == t_ref.nnz
+        if all(np.count_nonzero(R) == 6 for R in sixvertex._r_matrices(lam, L, w)):
+            assert stored == 2 * 3 ** L
 
     @settings(max_examples=25, deadline=None)
     @given(L=st.integers(1, 12), data=st.data(), exact=st.booleans())
