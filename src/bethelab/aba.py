@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bae import _pairwise_min_dist, solve_logbae_xxz
-from .sixvertex import (VertexWeights, _monodromy_action, _monodromy_entries, _transfer_action,
+from .sixvertex import (VertexWeights, _monodromy_action, _monodromy_csr, _transfer_action,
                         transfer)
 
 sh = np.sinh
@@ -133,10 +133,8 @@ def monodromy_blocks(lam, L, eta, rho=1.0, xi=None):
         raise ValueError("monodromy blocks supported up to L = 12")
     xi_list = [eta / 2] * L if xi is None else list(xi)
     w = VertexWeights.from_parameters(rho, 0.0, eta, xi=xi_list)
-    rows, cols, values = _monodromy_entries(lam, L, w)
+    T = _monodromy_csr(lam, L, w).toarray()
     d = 2 ** L
-    T = np.zeros((2 * d, 2 * d), complex)
-    T[rows, cols] = values
     return MonodromyBlocks(T[:d, :d], T[:d, d:], T[d:, :d], T[d:, d:])
 
 

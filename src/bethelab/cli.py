@@ -125,9 +125,14 @@ def _parse_qnums(text):
 
 
 def _parse_roots(text):
-    pairs = [[float(t) for t in part.split(",")] for part in str(text).split(";")
-             if part.strip()]
-    return np.array([z[0] + 1j * (z[1] if len(z) > 1 else 0.0) for z in pairs], complex)
+    """Roots as `re[,im]`, separated by `;`."""
+    roots = []
+    for part in filter(str.strip, str(text).split(";")):
+        z = [float(t) for t in part.split(",")]
+        if len(z) > 2:
+            raise ConfigError(f"--roots takes re[,im] per root, got {part.strip()!r}")
+        roots.append(z[0] + 1j * (z[1] if len(z) > 1 else 0.0))
+    return np.array(roots, complex)
 
 
 def _trials(p, default):
@@ -225,7 +230,11 @@ def cmd_thermo_gs_energy(p, cfg):
 
 
 def cmd_thermo_condensation(p, cfg):
-    Ls = list(range(_int(p, "lmin", 8), _int(p, "lmax", 16) + 1, 2))
+    lmin, lmax = _int(p, "lmin", 8), _int(p, "lmax", 16)
+    if lmin > lmax:
+        # an empty scan would report a check that ran nothing as passed
+        raise ConfigError(f"--lmin {lmin} > --lmax {lmax} leaves no chain length")
+    Ls = list(range(lmin, lmax + 1, 2))
     rows = thermo.condensation_check(Ls, lambda lam: -0.5 / (lam ** 2 + 0.25))
     return _emit(cfg, {"rows": rows},
                  [("condensation.csv", serialize.condensation_csv(rows))])
@@ -252,7 +261,7 @@ def cmd_vertex_transfer(p, cfg):
 def cmd_vertex_partition(p, cfg):
     L, M = _int(p, "L"), _int(p, "M")
     abc = [p.get(x, 1) for x in "abc"]
-    ints = all(float(x) == int(float(x)) for x in abc)
+    ints = all(float(x).is_integer() for x in abc)
     a, b, c = (int(float(x)) if ints else float(x) for x in abc)
     z = sixvertex.partition_function(L, M, a, b, c)
     report = {"Z": serialize.complex_pair(z)}
@@ -260,7 +269,9 @@ def cmd_vertex_partition(p, cfg):
     if L * M <= 12:
         ze = sixvertex.enumerate_partition(L, M, a, b, c)
         report["Z_enumeration"] = serialize.complex_pair(complex(ze))
-        if abs(z - complex(ze)) > 1e-8 * max(1.0, abs(z)):
+        # np.abs: Python's abs of a nan complex raises OverflowError when a
+        # prior overflow left errno set
+        if np.abs(z - complex(ze)) > 1e-8 * max(1.0, np.abs(z)):
             status = EXIT_INVARIANT
     return _emit(cfg, report, status=status)
 
@@ -495,7 +506,8 @@ def main(argv=None):
             raise ConfigError(
                 f"config command {cfg.command!r} does not match {key!r}")
         _check_params(key, cfg.params)
-        return cmd.run(cfg.params, cfg)
+        with np.errstate(all="ignore"):  # a non-finite input ends in one line
+            return cmd.run(cfg.params, cfg)
     except (ConfigError, KeyError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

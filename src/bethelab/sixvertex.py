@@ -24,7 +24,7 @@ of one R entry per site, emitted in CSR row order.  `monodromy` takes all of
 them, `transfer` the paths that leave with the aux value they entered with,
 the dense sector blocks of transfer_sector_block and partition_function are
 filled from those by sector rank, and the RTT check inserts the idle aux slot
-into the monodromy's entries.  `monodromy` and `transfer` hand the CSR to
+into the monodromy's CSR.  `monodromy` and `transfer` hand the CSR to
 ed.OperatorMatrix, whose one rule (dense below DENSE_DIM_LIMIT = 512) decides
 what `.matrix` is: the monodromy is dense for L <= 7, the transfer for L <= 8.
 hamiltonian_from_transfer inverts t(0) as the scaled shift it is and stays
@@ -34,8 +34,9 @@ matmul of a 4 x 4 R (or a stack with one R per row) on the (aux, site) pair
 brought to the front.  _monodromy_action, with one l for all rows or one per
 row, gives the aba module's B/C products for a whole stack of root sets, and
 _transfer_action, the only way t(l) reaches a vector, gives the aba action
-residuals and the matrix-free square-ice eigenvalue.  The sparse two-site
-embedding _embed_pair is left to the Yang-Baxter and RTT R-matrices.
+residuals and the matrix-free square-ice eigenvalue.  The Yang-Baxter and
+RTT checks' R-matrices are Kronecker products with identities: the 8 x 8
+stacks of _three_slot and the sparse R (x) 1 of rtt_residual.
 """
 
 from dataclasses import dataclass
@@ -132,35 +133,6 @@ def r_matrix(lam, eta, rho=1.0):
                                  rho * np.sinh(eta))
 
 
-def _embed_pair(R4, pos0, pos1, n):
-    """Sparse embedding of a two-site operator on tensor slots (pos0, pos1)
-    out of n slots, slot 0 slowest."""
-    bit0, bit1 = 1 << (n - 1 - pos0), 1 << (n - 1 - pos1)
-    idx = np.arange(2 ** n)
-    pair = 2 * ((idx & bit0) > 0) + ((idx & bit1) > 0)  # two-site state of each index
-    rest = idx & ~(bit0 | bit1)
-    place = np.array([0, bit1, bit0, bit0 | bit1])
-    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
-    for out, inp in zip(*np.nonzero(R4)):
-        src = idx[pair == inp]
-        rows.append(rest[src] | place[out])
-        cols.append(src)
-        vals.append(np.full(src.shape, R4[out, inp], complex))
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(2 ** n, 2 ** n)).tocsr()
-
-
-@cache
-def _embedding_map(pos0, pos1, n):
-    """The linear map R4.ravel() -> _embed_pair(R4, pos0, pos1, n).ravel() as a
-    read-only (4^n, 16) matrix, read off _embed_pair at the 16 unit matrices."""
-    units = np.eye(16).reshape(16, 4, 4)
-    M = np.stack([_embed_pair(e, pos0, pos1, n).toarray().ravel() for e in units],
-                 axis=-1).real
-    M.flags.writeable = False
-    return M
-
-
 def _r_matrices(lam, L, weights):
     """The R(l - xi_j), j = 1..L, in the order they act (site 1 first): a
     4 x 4 each for a scalar l, a (K, 4, 4) stack each for K values of l;
@@ -174,11 +146,11 @@ def _r_matrices(lam, L, weights):
 
 
 def _apply_pair(R4, j, x):
-    """_embed_pair(R4, 0, j, n) @ x for each row of x, without building the
-    matrix: x of shape (..., 2^n), aux slot 0 slowest, is viewed as
-    (..., 2, A, 2, B) with A = 2^(j-1), B = 2^(n-1-j), the (aux, site j)
-    pair is brought to the front as (..., 4, A B), and one matmul applies R4,
-    a 4 x 4 or a (K, 4, 4) stack with one R per row."""
+    """R4 on tensor slots (0, j) of n, applied to each row of x without
+    building the 2^n matrix: x of shape (..., 2^n), aux slot 0 slowest, is
+    viewed as (..., 2, A, 2, B) with A = 2^(j-1), B = 2^(n-1-j), the (aux,
+    site j) pair is brought to the front as (..., 4, A B), and one matmul
+    applies R4, a 4 x 4 or a (K, 4, 4) stack with one R per row."""
     n = x.shape[-1].bit_length() - 1
     A, B = 2 ** (j - 1), 2 ** (n - 1 - j)
     xs = x.reshape(*x.shape[:-1], 2, A, 2, B).swapaxes(-3, -2)
@@ -275,11 +247,11 @@ def _csr_rows(values, columns, runs, dim):
     return sp.csr_matrix((values, columns, indptr), shape=(dim, dim))
 
 
-def _monodromy_entries(lam, L, weights):
-    """(rows, columns, values) of T_0(l) on aux (x) chain, rows in order."""
+def _monodromy_csr(lam, L, weights):
+    """T_0(l) on aux (x) chain as CSR, read off its ice paths."""
     codes, values, runs = _ice_paths(lam, L, weights)
     d = 2 ** (L + 1)
-    return np.repeat(np.arange(d), runs.ravel()), codes & (d - 1), values
+    return _csr_rows(values, codes & (d - 1), runs, d)
 
 
 def monodromy(lam, L, weights):
@@ -289,9 +261,7 @@ def monodromy(lam, L, weights):
 
     Returns the `matrix` of an OperatorMatrix: dense below DENSE_DIM_LIMIT
     (L <= 7) and scipy CSR above (L <= 14)."""
-    codes, values, runs = _ice_paths(lam, L, weights)
-    d = 2 ** (L + 1)
-    return OperatorMatrix(_csr_rows(values, codes & (d - 1), runs, d)).matrix
+    return OperatorMatrix(_monodromy_csr(lam, L, weights)).matrix
 
 
 def transfer(lam, L, weights):
@@ -352,6 +322,19 @@ def transfer_sector_block(L, N, weights, lam=0.0):
     return _sector_block(_closed_paths(lam, L, weights), L, N)
 
 
+def _three_slot(R, pos0, pos1):
+    """A (B, 4, 4) stack of two-slot operators on tensor slots (pos0, pos1) of
+    three, slot 0 slowest, as the (B, 8, 8) stack of Kronecker products with
+    the identity on the idle slot: one copy of R per value of that slot."""
+    idle = 3 - pos0 - pos1
+    out = np.zeros((len(R),) + (2,) * 6, complex)  # (B, slots 0-2 out, slots 0-2 in)
+    for x in (0, 1):
+        at = [slice(None)] * 7
+        at[1 + idle] = at[4 + idle] = x
+        out[tuple(at)] = R.reshape(-1, 2, 2, 2, 2)
+    return out.reshape(-1, 8, 8)
+
+
 def ybe_residual(lam, mu, nu, eta, rho=1.0):
     """Max-entry magnitude of R12 R13 R23 - R23 R13 R12 on the 8-dim space,
     with arguments l - m, l - n, m - n.  lam, mu, nu (and eta, rho) may be
@@ -362,8 +345,7 @@ def ybe_residual(lam, mu, nu, eta, rho=1.0):
     args = ((lam - mu, 0, 1), (lam - nu, 0, 2), (mu - nu, 1, 2))
     worst = 0.0
     for w in (slice(s, s + YBE_BATCH) for s in range(0, len(lam), YBE_BATCH)):
-        R12, R13, R23 = ((r_matrix(x[w], eta[w], rho[w]).reshape(-1, 16)
-                          @ _embedding_map(p0, p1, 3).T).reshape(-1, 8, 8)
+        R12, R13, R23 = (_three_slot(r_matrix(x[w], eta[w], rho[w]), p0, p1)
                          for x, p0, p1 in args)
         worst = np.maximum(worst, np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)))
     return float(worst)
@@ -377,7 +359,8 @@ def _max_entry(m):
 def _aux_slot_operator(lam, L, weights, aux):
     """T_0(l) on the spaces (0, 0', chain), acting on aux slot `aux` (0 or 1)
     and the chain: the monodromy's entries with the idle slot's bit inserted."""
-    rows, cols, values = _monodromy_entries(lam, L, weights)
+    T = _monodromy_csr(lam, L, weights).tocoo()
+    rows, cols, values = T.row, T.col, T.data
     p = L + aux  # the idle slot's bit: 0' for aux 0, 0 for aux 1
 
     def insert(i, x):
@@ -392,7 +375,7 @@ def rtt_residual(lam, mu, L, weights):
     with the spaces ordered (0, 0', chain)."""
     T0 = _aux_slot_operator(lam, L, weights, 0)
     T0p = _aux_slot_operator(mu, L, weights, 1)
-    R = _embed_pair(r_matrix(lam - mu, weights.eta, weights.rho), 0, 1, L + 2)
+    R = sp.kron(r_matrix(lam - mu, weights.eta, weights.rho), sp.identity(2 ** L), format="csr")
     return _max_entry(R @ T0 @ T0p - T0p @ T0 @ R)
 
 
@@ -408,10 +391,12 @@ def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
     R(0) = rho sh(eta) P, so t(0) = c U^{-1} with c = (rho sh eta)^L and U the
     shift operator of the ed module; t(0)^{-1} t'(0) is then U t'(0) / c, and
     everything stays CSR.  Raises ValueError when t(0) is not c U^{-1} to
-    1e-12 |c|.
+    1e-12 |c|, and unless step is finite and > 0.
     """
     if L < 3:
         raise ValueError("needs L >= 3 (distinct-site shift)")
+    if not 0 < step < np.inf:
+        raise ValueError(f"finite-difference step must be finite and > 0, got {step}")
     w = VertexWeights.from_parameters(rho, 0.0, eta)
     if abs(np.sinh(eta)) < 1e-12:
         raise ValueError("sh(eta) = 0 makes t(0) singular")

@@ -17,10 +17,12 @@ The Hubbard block operators (Hamiltonian, S^+ and the one-site translation)
 are kept as their per-state loops over up/down bit masks, with dict ranking
 and fermion signs counted bit by bit on the interleaved orbital mask.
 
-The monodromy is kept as the CSR product of its embedded R-factors (each
-R(l - xi_j) built as a sparse 2^(L+1) matrix by sixvertex._embed_pair), the
-B/C products in the same embedded-matrix form (each factor applied as R @ x),
-and the edge enumeration in its per-configuration loop.
+The sparse embedding of a two-site operator on any two tensor slots
+(embed_pair) is the reference for the package's reshape action and its
+Yang-Baxter Kronecker stacks.  The monodromy is kept as the CSR product of
+its embedded R-factors (each R(l - xi_j) a sparse 2^(L+1) matrix built by
+embed_pair), the B/C products in the same embedded-matrix form (each factor
+applied as R @ x), and the edge enumeration in its per-configuration loop.
 
 The algebraic Bethe layer is kept in its scalar form: the closed-form
 homogeneous vacuum rho^L sh^L(l +- eta/2) with its derivatives, the
@@ -33,6 +35,7 @@ formula entry by entry (with the kernel variant that repeats e(m_j - l_k)).
 from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
 from bethelab import aba, bae, sixvertex
 from bethelab.coordinate import RapiditySet
@@ -258,12 +261,30 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
     return found
 
 
+def embed_pair(R4, pos0, pos1, n):
+    """Sparse embedding of a two-site operator on tensor slots (pos0, pos1)
+    out of n slots, slot 0 slowest."""
+    bit0, bit1 = 1 << (n - 1 - pos0), 1 << (n - 1 - pos1)
+    idx = np.arange(2 ** n)
+    pair = 2 * ((idx & bit0) > 0) + ((idx & bit1) > 0)  # two-site state of each index
+    rest = idx & ~(bit0 | bit1)
+    place = np.array([0, bit1, bit0, bit0 | bit1])
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
+    for out, inp in zip(*np.nonzero(R4)):
+        src = idx[pair == inp]
+        rows.append(rest[src] | place[out])
+        cols.append(src)
+        vals.append(np.full(src.shape, R4[out, inp], complex))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 ** n, 2 ** n)).tocsr()
+
+
 def r_factors(lam, L, weights, aux=0, n=None):
     """The embedded CSR R_{aux,j}(l - xi_j), j = 1..L, in the order they act
     (site 1 first), with the chain in the last L of n slots (default L + 1:
     aux (x) chain)."""
     n = L + 1 if n is None else n
-    return [sixvertex._embed_pair(R4, aux, n - L - 1 + j, n)
+    return [embed_pair(R4, aux, n - L - 1 + j, n)
             for j, R4 in enumerate(sixvertex._r_matrices(lam, L, weights), start=1)]
 
 

@@ -453,6 +453,49 @@ class TestCli:
         assert main(["thermo", "gs-energy", "--json", str(cfg)]) == EXIT_CONFIG
         assert "non-finite --q = inf" in self._config_error(capsys)
 
+    @pytest.mark.parametrize("mode", ["flags", "json"])
+    def test_root_with_three_numbers_is_config_error(self, mode, capsys, tmp_path):
+        # 0.1,0.2,0.3 once read as 0.1+0.2i with the 0.3 dropped
+        params = {"L": 6, "roots": "0.1,0.2,0.3"}
+        assert self._run(tmp_path, mode, "bae/residual", params) == EXIT_CONFIG
+        assert "--roots" in self._config_error(capsys)
+        assert self._run(tmp_path, mode, "bethe-vector/build",
+                         {"L": 5, "roots": "0.3,0.1;-0.2,0.4,1"}) == EXIT_CONFIG
+        assert "--roots" in self._config_error(capsys)
+
+    @pytest.mark.parametrize("value", ["inf", "1e400"])
+    def test_infinite_vertex_weight_is_config_error(self, value, capsys):
+        argv = ["vertex", "partition", "--L", "2", "--M", "2", "--a", value]
+        assert main(argv) == EXIT_CONFIG
+        assert f"non-finite --a = {value}" in self._config_error(capsys)
+
+    @pytest.mark.parametrize("step", ["0", "-1e-5"])
+    def test_non_positive_step_is_config_error(self, step, capsys):
+        assert main(["vertex", "hamiltonian-link", "--L", "4", f"--step={step}"]) == EXIT_CONFIG
+        assert "step must be finite and > 0" in self._config_error(capsys)
+
+    @pytest.mark.parametrize("mode", ["flags", "json"])
+    def test_empty_condensation_range_is_config_error(self, mode, capsys, tmp_path):
+        # no chain length in the scan would report a check that ran nothing
+        params = {"lmin": 10, "lmax": 8}
+        assert self._run(tmp_path, mode, "thermo/condensation", params) == EXIT_CONFIG
+        assert "leaves no chain length" in self._config_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["vertex", "hamiltonian-link", "--L", "4", "--eta", "inf"],
+        ["vertex", "partition", "--L", "2", "--M", "2", "--a", "inf"]])
+    def test_non_finite_input_writes_one_stderr_line(self, argv):
+        # numpy's RuntimeWarnings on the way must not precede the reason
+        src = str(Path(bethelab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "bethelab.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("config error: non-finite")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     @pytest.mark.parametrize("lmax", ["2", "4"])
     def test_ice_entropy_too_few_sizes_is_config_error(self, lmax, capsys):
         assert main(["vertex", "ice-entropy", "--lmax", lmax]) == EXIT_CONFIG

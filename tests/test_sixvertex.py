@@ -74,13 +74,18 @@ class TestYangBaxter:
         assert abs(sixvertex.ybe_residual(lam, mu, nu, eta) - single) <= 1e-15
         assert sixvertex.ybe_residual(lam[:0], mu[:0], nu[:0], eta[:0]) == 0.0
 
-    def test_embedding_map_is_embed_pair(self):
+    def test_three_slot_embeddings_are_embed_pair(self):
+        # a generic complex 4 x 4 is not symmetric under the slot swap, so a
+        # swapped slot order fails here (the six-vertex R would hide it)
         rng = np.random.default_rng(6)
         R4 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        swap = [0, 2, 1, 3]
+        assert not np.array_equal(R4[np.ix_(swap, swap)], R4)
         for p0, p1 in ((0, 1), (0, 2), (1, 2)):
-            direct = sixvertex._embed_pair(R4, p0, p1, 3).toarray()
-            assert np.array_equal((sixvertex._embedding_map(p0, p1, 3) @ R4.ravel()).reshape(8, 8),
-                                  direct)
+            direct = loop_references.embed_pair(R4, p0, p1, 3).toarray()
+            got = sixvertex._three_slot(np.stack([R4, 2 * R4]), p0, p1)
+            assert np.array_equal(got[0], direct)
+            assert np.array_equal(got[1], 2 * direct)
 
     def test_coincident_arguments(self):
         assert sixvertex.ybe_residual(0.4, 0.4, 0.4, 0.55) == 0.0
@@ -99,7 +104,7 @@ class TestYangBaxter:
         lam, mu, nu, eta = 0.3, -0.2, 0.5, 0.7
 
         def emb(R4, p0, p1):
-            return sixvertex._embed_pair(R4, p0, p1, 3).toarray()
+            return loop_references.embed_pair(R4, p0, p1, 3).toarray()
 
         R12 = sixvertex.r_matrix(lam - mu, eta)
         R12[1, 1] += 1e-2
@@ -238,6 +243,11 @@ class TestHamiltonianLink:
         # and t(0) is inverted as a scaled shift
         _, dev = sixvertex.hamiltonian_from_transfer(11, 0.3)
         assert dev < 1e-6
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf])
+    def test_rejects_step_that_is_not_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="step"):
+            sixvertex.hamiltonian_from_transfer(4, 0.3, step=step)
 
     def test_rejects_t0_that_is_not_a_scaled_shift(self, monkeypatch):
         transfer = sixvertex.transfer
@@ -395,7 +405,7 @@ class TestProperties:
         got = sixvertex._apply_pair(R4, j, x)
         assert got.shape == x.shape
         for k, (g, row) in enumerate(zip(np.atleast_2d(got), np.atleast_2d(x))):
-            ref = sixvertex._embed_pair(R4[k] if stacked else R4, 0, j, L + 1) @ row
+            ref = loop_references.embed_pair(R4[k] if stacked else R4, 0, j, L + 1) @ row
             assert np.linalg.norm(g - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
 
     @staticmethod
