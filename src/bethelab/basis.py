@@ -7,7 +7,7 @@ Conventions used throughout the package:
   - a sector is labelled by N, the number of down spins; S^z = (L - 2N)/2.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -53,8 +53,9 @@ def _sector_states(L, N):
 class SectorBasis:
     """Ordered basis of the fixed-N block of the 2^L spin-chain Hilbert space.
 
-    state_array holds the bit configurations as an int64 array, strictly
-    increasing, which is ranked with np.searchsorted.  Built on first use:
+    state_array holds the bit configurations as a read-only int64 array,
+    strictly increasing, which is ranked with np.searchsorted.  Built on
+    first use:
     states, the same as a list of Python ints; index, which maps a
     configuration back to its ordinal; and sites, each state's down-spin
     sites.
@@ -68,6 +69,7 @@ class SectorBasis:
         self.L = L
         self.N = N
         self.state_array = _sector_states(L, N)
+        self.state_array.flags.writeable = False
 
     @cached_property
     def states(self):
@@ -104,8 +106,20 @@ class SectorBasis:
 
 
 def build_sector_basis(L, N):
-    """Enumerate the binomial(L, N) configurations with N down spins."""
+    """Enumerate the binomial(L, N) configurations with N down spins.
+
+    The most recent bases are kept and handed out again, so every caller of
+    one (L, N) shares a single SectorBasis: its arrays are read-only, and its
+    states list and index dict must not be changed."""
+    return _cached_sector_basis(L, N)
+
+
+# An off-shell check reads the (L, N) basis in the vector, the Hamiltonian,
+# the translation and S^+, and S^+ also reads (L, N - 1).  The cache sits
+# behind build_sector_basis so that the public name stays a plain function,
+# which profilers and tracers that wrap functions can see.
+@lru_cache(maxsize=4)
+def _cached_sector_basis(L, N):
     basis = SectorBasis(L, N)
     assert basis.dim == comb(L, N)
     return basis
-

@@ -27,6 +27,7 @@ config error when a parameter reads as one, else an invariant violation.
 """
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -412,7 +413,14 @@ def _flag(name):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parse errors are config errors: one line on stderr, exit 2."""
+    """Parse errors are config errors: one line on stderr, exit 2.  A word
+    that reads as a negative number, in decimal or exponent form and complex
+    or not (-1e-3, -.5, -0.3+0.1j), is a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        num = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{num}([-+]{num})?[jJ]?$")
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")

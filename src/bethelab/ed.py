@@ -19,9 +19,11 @@ import scipy.sparse as sp
 from .basis import DENSE_DIM_LIMIT, SectorBasis, build_sector_basis
 
 # diagonalize uses Lanczos for the k lowest eigenpairs from LANCZOS_MIN_DIM up,
-# for k <= dim // LANCZOS_MAX_K_FRACTION; elsewhere a full dense eigh is faster
-# (single-thread timings of both on XXX sector Hamiltonians, dim 126 to 3003)
-LANCZOS_MIN_DIM = 250
+# for k <= dim // LANCZOS_MAX_K_FRACTION; elsewhere a dense eigh of the k
+# lowest pairs is faster.  One BLAS thread, XXX half-filled sectors, k = 2,
+# dense subset eigh vs _lanczos, two sets of runs: dim 252 2.4-2.8 ms vs
+# 4.0-6.1 ms, dim 462 9.2-9.8 ms vs 7.7-9.7 ms, dim 924 62-69 ms vs 6.1-10.4 ms.
+LANCZOS_MIN_DIM = 400
 LANCZOS_MAX_K_FRACTION = 32
 LANCZOS_GUARD = 2  # extra eigenpairs solved for and dropped
 LANCZOS_SEED = 1101  # seeds the fixed Lanczos start vectors
@@ -298,23 +300,45 @@ def _components(op):
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
+def _eigh(a, k):
+    """The min(k, n) lowest (all for k None) eigenpairs of the dense
+    Hermitian n x n array a, in ascending order."""
+    if k is None or k >= len(a):
+        return np.linalg.eigh(a)
+    from scipy.linalg import eigh  # here: slow to import cold, and the CLI starts without it
+    return eigh(a, subset_by_index=[0, k - 1])
+
+
 def _blocked_eigh(op, blocks, k):
     """The k lowest (all for k None) eigenpairs of an operator that does not
-    couple the index arrays `blocks`, one dense eigh per block."""
+    couple the index arrays `blocks`, one dense eigh of the min(k, n) lowest
+    pairs per block of n indices."""
     m = op.csr()
-    pairs = [np.linalg.eigh(m[idx][:, idx].toarray()) for idx in blocks]
+    pairs = [_eigh(m[idx][:, idx].toarray(), k) for idx in blocks]
     w = np.concatenate([p[0] for p in pairs])
     order = np.argsort(w, kind="stable")[:k]
     rank = np.full(len(w), -1)
     rank[order] = np.arange(len(order))
     v = np.zeros((op.dim, len(order)), np.result_type(*(p[1] for p in pairs)))
     start = 0
-    for idx, (_, vb) in zip(blocks, pairs):
-        r = rank[start:start + len(idx)]
+    for idx, (wb, vb) in zip(blocks, pairs):
+        r = rank[start:start + len(wb)]
         r = r[r >= 0]  # a prefix: the stable sort keeps eigh's ascending order
         v[np.ix_(idx, r)] = vb[:, :len(r)]
-        start += len(idx)
+        start += len(wb)
     return w[order], v
+
+
+def _dense_hermiticity_defect(a):
+    """Largest |a_ij - conj(a_ji)| of a dense square array."""
+    d = a.T.conj().copy()  # C order; a - a.T.conj() reads a.T by a long stride, slowly
+    d -= a
+    return np.abs(d).max()
+
+
+def _require_hermitian(defect):
+    if defect > 1e-12:
+        raise ValueError("matrix is not Hermitian")
 
 
 def diagonalize(op, k=None):
@@ -327,34 +351,42 @@ def diagonalize(op, k=None):
     k <= dim // LANCZOS_MAX_K_FRACTION, and dense eigh otherwise (k = None,
     larger k, smaller dim).  Lanczos starts from a fixed seeded pseudo-random
     vector, so repeated solves are bit-identical; the all-ones vector would
-    not do, it is the ferromagnetic eigenvector.  The Hermiticity check runs
-    on the stored entries.  Where ARPACK stops without a result (an operator
-    with too few distinct eigenvalues, such as H = 0) the dense eigh answers
-    instead.
+    not do, it is the ferromagnetic eigenvector.  Where ARPACK stops without
+    a result (an operator with too few distinct eigenvalues, such as H = 0)
+    the dense eigh answers instead.
 
     The dense solve runs one eigh per connected component of the graph of the
     nonzero entries (a full-space chain Hamiltonian splits into its
-    magnetization blocks; sector and Hubbard operators are one block).  The
+    magnetization blocks; sector and Hubbard operators are one block), for
+    the min(k, n) lowest pairs of a block of n indices when k is given.  The
     eigenvalues are merged by a stable argsort and the block vectors
     scattered into (dim, k or dim) columns, each nonzero on one block only.
+    A one-block operator is densified once and solved as it is.  A dense
+    solve finds every copy of a degenerate level, so it needs no re-check.
 
-    Raises ValueError for non-Hermitian input or k < 1.  Every returned pair
-    satisfies ||H v - E v|| < 1e-10 ||v||.
+    The Hermiticity check reads the stored entries, or the dense array of a
+    one-block operator.  Raises ValueError for non-Hermitian input or k < 1.
+    Every returned pair satisfies ||H v - E v|| < 1e-10 ||v||.
     """
     if not isinstance(op, OperatorMatrix):
         op = OperatorMatrix(op)
     if k is not None and k < 1:
         raise ValueError(f"k={k}: need at least one eigenpair")
-    if op.hermiticity_defect() > 1e-12:
-        raise ValueError("matrix is not Hermitian")
     if _use_lanczos(op.dim, k):
+        _require_hermitian(op.hermiticity_defect())
         try:
             return Spectrum(*_lanczos(op.csr(), k))
         except sp.linalg.ArpackError:
             # ARPACK stops when the Krylov space of its start vector is an
             # invariant subspace it cannot extend (H = 0, H = c 1)
             pass
-    return Spectrum(*_blocked_eigh(op, _components(op), k))
+    blocks = _components(op)
+    if len(blocks) > 1:
+        _require_hermitian(op.hermiticity_defect())
+        return Spectrum(*_blocked_eigh(op, blocks, k))
+    a = op.csr().toarray()
+    _require_hermitian(_dense_hermiticity_defect(a))
+    return Spectrum(*_eigh(a, k))
 
 
 def commutator_norm(A, B):

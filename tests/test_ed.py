@@ -5,12 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bethelab.basis import build_sector_basis, config_to_index, index_to_config
-from bethelab import ed
+from bethelab import basis, coordinate, ed
 from oracles import kron_spin_hamiltonian, kron_total_spin
 
 
@@ -41,6 +42,24 @@ class TestSectorBasis:
             build_sector_basis(4, 5)
         with pytest.raises(ValueError):
             build_sector_basis(4, -1)
+
+    def test_one_read_only_basis_per_sector(self):
+        b = build_sector_basis(9, 4)
+        assert b is build_sector_basis(9, 4)
+        for a in (b.state_array, b.sites):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_offshell_check_builds_each_sector_once(self):
+        # vector, Hamiltonian, S^+ (N and N - 1) and translation of one check
+        L, N = 11, 4
+        basis._cached_sector_basis.cache_clear()
+        with mock.patch.object(basis, "_sector_states", wraps=basis._sector_states) as built:
+            v = coordinate.offshell_vector([-0.7, -0.1, 0.4, 1.3], L)
+            ed.build_xxx_hamiltonian(L, 1.0, N) @ v
+            coordinate.highest_weight_residual(v, L, N)
+            ed.shift_sector_matrix(build_sector_basis(L, N)) @ v
+        assert sorted(c.args for c in built.call_args_list) == [(L, N - 1), (L, N)]
 
 
 class TestHamiltonians:
@@ -292,6 +311,38 @@ class TestDiagonalize:
         for E, v in zip(spec.eigenvalues, spec.eigenvectors.T):
             assert np.linalg.norm(m @ v - E * v) < 1e-10 * np.linalg.norm(v)
 
+    @settings(max_examples=20, deadline=None)
+    @given(L=st.integers(9, 12), below_half=st.integers(0, 1),
+           model=st.sampled_from(["xxx", "xxz"]),
+           coupling=st.one_of(st.floats(0.1, 2.0), st.floats(-2.0, -0.1)),
+           k=st.integers(1, 4))
+    @example(L=9, below_half=0, model="xxx", coupling=1.0, k=2)  # dim 126, dense
+    @example(L=11, below_half=0, model="xxx", coupling=1.0, k=2)  # dim 462, Lanczos
+    def test_both_sides_of_the_lanczos_crossover(self, L, below_half, model, coupling, k):
+        # dims 84 to 924 of sectors at or one below half filling
+        build = ed.build_xxx_hamiltonian if model == "xxx" else ed.build_xxz_hamiltonian
+        H = build(L, coupling, L // 2 - below_half)
+        spec = ed.diagonalize(H, k)
+        m = H.dense()
+        assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(m)[:k])) < 1e-9
+        v = spec.eigenvectors
+        assert np.all(np.linalg.norm(m @ v - v * spec.eigenvalues, axis=0)
+                      < 1e-10 * np.linalg.norm(v, axis=0))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(k))) < 1e-10
+
+    @pytest.mark.parametrize("L", [7, 9])
+    def test_dense_path_returns_both_doublet_copies(self, L):
+        # odd L: the XXX ground level at S^z = 1/2 is the momentum pair +-p
+        H = ed.build_xxx_hamiltonian(L, 1.0, L // 2)
+        assert not ed._use_lanczos(H.dim, 2)
+        spec = ed.diagonalize(H, 2)
+        w, v = spec.eigenvalues, spec.eigenvectors
+        full = np.linalg.eigvalsh(H.dense())
+        assert full[1] - full[0] < 1e-9 < full[2] - full[1]
+        assert np.max(np.abs(w - full[:2])) < 1e-9
+        assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-10
+        assert np.all(np.linalg.norm(H @ v - v * w, axis=0) < 1e-10)
+
     def test_lanczos_repeatable(self):
         H = ed.build_xxx_hamiltonian(14, 1.0, 7)
         a = ed.diagonalize(H, k=3)
@@ -310,14 +361,14 @@ def _sz_conserving_hermitian(L, rng):
 
 
 def _eigh_sizes(monkeypatch):
-    """Record the matrix size of every np.linalg.eigh call."""
+    """Record the matrix size of every dense eigensolve: np.linalg.eigh for
+    all pairs of a block, scipy.linalg.eigh for its lowest few."""
     sizes = []
-    eigh = np.linalg.eigh
-
-    def recording(m, *args, **kwargs):
-        sizes.append(m.shape[0])
-        return eigh(m, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for module in (np.linalg, scipy.linalg):
+        def recording(m, *args, eigh=module.eigh, **kwargs):
+            sizes.append(m.shape[0])
+            return eigh(m, *args, **kwargs)
+        monkeypatch.setattr(module, "eigh", recording)
     return sizes
 
 
@@ -390,7 +441,7 @@ class TestBlockedSolve:
         assert not ed._use_lanczos(H.dim, k)
         sizes = _eigh_sizes(monkeypatch)
         spec = ed.diagonalize(H, k)
-        assert max(sizes) < 2 ** L
+        assert max(sizes) < 2 ** L and sum(sizes) == 2 ** L
         m = H.dense()
         assert spec.eigenvalues.shape == (k,) and spec.eigenvectors.shape == (2 ** L, k)
         assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(m)[:k])) < 1e-12

@@ -474,6 +474,22 @@ class TestCli:
         assert main(["vertex", "hamiltonian-link", "--L", "4", f"--step={step}"]) == EXIT_CONFIG
         assert "step must be finite and > 0" in self._config_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["vertex", "transfer", "--L", "3", "--eta", "-1e-3"],
+        ["vertex", "transfer", "--L", "3", "--eta", "0.4", "--lambda", "-2.5e-1-1E-1j"]])
+    def test_negative_exponent_value_after_a_space(self, argv, tmp_path, capsys):
+        # argparse's own negative-number pattern has no exponent, so the value
+        # read as a flag; `--flag=value` always worked
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert main(argv + ["--out", str(tmp_path / "spaced")]) == EXIT_OK
+        assert main(joined + ["--out", str(tmp_path / "joined")]) == EXIT_OK
+        a = (tmp_path / "spaced" / "report.json").read_bytes()
+        assert a == (tmp_path / "joined" / "report.json").read_bytes() and len(a) > 0
+
+    def test_negative_step_after_a_space_reaches_its_check(self, capsys):
+        assert main(["vertex", "hamiltonian-link", "--L", "4", "--step", "-1e-5"]) == EXIT_CONFIG
+        assert "step must be finite and > 0" in self._config_error(capsys)
+
     @pytest.mark.parametrize("mode", ["flags", "json"])
     def test_empty_condensation_range_is_config_error(self, mode, capsys, tmp_path):
         # no chain length in the scan would report a check that ran nothing
@@ -576,13 +592,15 @@ class TestCli:
         assert json.loads(proc.stdout)["eigenvalues"][0] == -2.0
 
     def test_import_leaves_sparse_linalg_unloaded(self):
-        # scipy.sparse.linalg is reached lazily, where an eigensolve needs it,
-        # so a plain import of the front end does not pay for it
+        # scipy.sparse.linalg and scipy.linalg are reached lazily, where an
+        # eigensolve needs them, so a plain import of the front end does not
+        # pay for them
         src = str(Path(bethelab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", "import sys, bethelab.cli; "
-                               "print('scipy.sparse.linalg' in sys.modules)"],
+                               "print('scipy.sparse.linalg' in sys.modules, "
+                               "'scipy.linalg' in sys.modules)"],
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
