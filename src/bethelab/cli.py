@@ -414,13 +414,13 @@ def _flag(name):
 
 class _Parser(argparse.ArgumentParser):
     """Parse errors are config errors: one line on stderr, exit 2.  A word
-    that reads as a negative number, in decimal or exponent form and complex
-    or not (-1e-3, -.5, -0.3+0.1j), is a value, not a flag."""
+    that starts with '-' and a digit, or '-.' and a digit (-1e-3, -.5,
+    -0.3+0.1j), is a value, not a flag: no flag starts that way, and each
+    command's own conversion rejects a malformed number."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        num = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
-        self._negative_number_matcher = re.compile(rf"^-{num}([-+]{num})?[jJ]?$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")
