@@ -270,10 +270,29 @@ def _lanczos(m, k):
     can miss one.  The lowest eigenvalue of m with the found pairs shifted
     above them exposes such a copy; copies are added until none is left below
     the k-th eigenvalue.
+
+    eigsh misses an eigenvalue that is exactly 0 (on the diagonal 0, 1, 2, ...
+    it returns 1, 2), and so does the re-check, whose operator keeps that
+    null vector: ARPACK's convergence test is relative to the Ritz value.
+    Both therefore run on m - sigma 1, which has the same Krylov spaces:
+    with [g, G] the interval holding every Gershgorin disc of m, sigma =
+    g - (G - g) / 10 leaves no eigenvalue below a tenth of the spread, and a
+    shift of that size adds little rounding to the eigenvalues when sigma is
+    added back.
     """
     dim = m.shape[0]
+    diag = m.diagonal().real
+    radius = np.asarray(abs(m).sum(axis=1)).ravel() - np.abs(diag)
+    low, high = (diag - radius).min(), (diag + radius).max()
+    sigma = low - (high - low) / 10
+
+    def shifted(x):
+        x = np.ravel(x)
+        return m @ x - sigma * x
+
     rng = np.random.default_rng(LANCZOS_SEED)
-    w, v = sp.linalg.eigsh(m, k=k + LANCZOS_GUARD, which="SA", v0=rng.standard_normal(dim))
+    w, v = sp.linalg.eigsh(sp.linalg.LinearOperator(m.shape, shifted, dtype=m.dtype),
+                           k=k + LANCZOS_GUARD, which="SA", v0=rng.standard_normal(dim))
     while True:
         order = np.argsort(w)
         w, v = w[order], v[:, order]
@@ -281,12 +300,12 @@ def _lanczos(m, k):
 
         def deflated(x):
             x = np.ravel(x)
-            return m @ x + v @ (shift * (v.conj().T @ x))
+            return shifted(x) + v @ (shift * (v.conj().T @ x))
 
         mu, x = sp.linalg.eigsh(sp.linalg.LinearOperator(m.shape, deflated, dtype=m.dtype),
                                 k=1, which="SA", v0=rng.standard_normal(dim))
         if mu[0] >= w[k - 1] - LANCZOS_DEGENERACY_TOL:
-            return w[:k], v[:, :k]
+            return w[:k] + sigma, v[:, :k]
         w, v = np.append(w, mu), np.hstack([v, x])
 
 

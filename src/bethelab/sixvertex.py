@@ -51,7 +51,6 @@ from .ed import OperatorMatrix, build_shift_operator, build_xxz_hamiltonian
 
 FD_STEP = 1e-5
 YBE_BATCH = 4096  # Yang-Baxter trials per stacked product: 4 MB per (B, 8, 8) array
-ENUM_BATCH = 4096  # edge configurations per stack: <= 4 MB per (B, M, 2, 2) array
 EXPLICIT_L_MAX = 14  # explicit matrices: 2 3^L entries, codes of 2L + 1 bits in int32
 
 
@@ -118,8 +117,9 @@ class VertexWeights:
 
 def r_matrix_from_weights(a, b, c):
     """The 4 x 4 R-matrix of weights (a, b, c); array weights give a stack
-    (..., 4, 4)."""
-    R = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)) + (4, 4), complex)
+    (..., 4, 4).  It is real when a, b and c are, and complex otherwise."""
+    R = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c)) + (4, 4),
+                 np.result_type(a, b, c, float))
     R[..., 0, 0] = R[..., 3, 3] = a
     R[..., 1, 1] = R[..., 2, 2] = b
     R[..., 1, 2] = R[..., 2, 1] = c
@@ -172,9 +172,10 @@ def _monodromy_action(lam, L, weights, x, transposed=False):
 def _transfer_action(lam, L, weights, v, transposed=False):
     """t(l) @ v = sum_a <a|T_0(l)|a> v, or t(l)^T @ v with transposed=True,
     as one _monodromy_action on the two rows |a> (x) v, a = 0, 1; equals
-    transfer(lam, L, weights).matrix @ v without building it."""
+    transfer(lam, L, weights).matrix @ v without building it.  A real v
+    under real direct weights stays real; complex R-factors make it complex."""
     d = len(v)
-    x = np.zeros((2, 2 * d), complex)
+    x = np.zeros((2, 2 * d), np.result_type(v, float))
     x[0, :d] = x[1, d:] = v
     y = _monodromy_action(lam, L, weights, x, transposed)
     return y[0, :d] + y[1, d:]
@@ -426,8 +427,8 @@ def partition_function(L, M, a, b, c):
                        for N in range(L + 1)))
 
 
-def _vertex_weight_table(a, b, c, exact):
-    W = np.zeros((2, 2, 2, 2), dtype=object if exact else complex)
+def _vertex_weight_table(a, b, c, dtype):
+    W = np.zeros((2, 2, 2, 2), dtype)
     # (west, south, east, north); 1 = arrow in the positive direction
     W[1, 1, 1, 1] = W[0, 0, 0, 0] = a
     W[1, 0, 1, 0] = W[0, 1, 0, 1] = b
@@ -435,32 +436,56 @@ def _vertex_weight_table(a, b, c, exact):
     return W
 
 
-def enumerate_partition(L, M, a, b, c):
-    """Brute-force partition function: enumerate all 2^(L*M) vertical-edge
-    configurations as (configs, M, L) bit arrays of ENUM_BATCH configurations;
-    for each row, sum the horizontal edges as the trace of the product of the
-    2x2 site weights around the periodic row, and multiply the rows.
+def _enumeration_dtype(L, M, a, b, c):
+    """int64 for integer weights while every partial sum and product of the
+    enumeration stays below 2^62, object (Python ints) for larger integer
+    weights, and the weights' own float or complex type otherwise.  A row
+    has at most two horizontal-edge paths (the west edge fixes the rest), so
+    |row| <= 2 w^L with w = max(|a|, |b|, |c|), and |Z| <= 2^(LM + M) w^(LM)
+    bounds every term, prefix product and partial sum."""
+    if not all(isinstance(x, (int, np.integer)) for x in (a, b, c)):
+        return np.result_type(a, b, c, float)
+    w = max(abs(int(x)) for x in (a, b, c))
+    return np.int64 if 2 ** (L * M + M) * w ** (L * M) < 2 ** 62 else object
 
-    Independent of the R-matrix/transfer code path.  With integer weights the
-    sum is carried in exact integer arithmetic (object arrays of Python ints)
-    and returned as an int; otherwise it is complex.
+
+def enumerate_partition(L, M, a, b, c):
+    """Brute-force partition function: the sum over all 2^(L*M) vertical-edge
+    configurations of the product of their M row weights.  A row with south
+    edges s and north edges n (site j = bit j) weighs the trace of the
+    product of its L 2x2 site weights, summing its horizontal edges around
+    the periodic row; that weight is tabulated once per (s, n), for the 2^L
+    rows n = s at M = 1 and the 4^L pairs at M >= 2, and each configuration
+    adds the product of M table lookups.
+
+    Independent of the R-matrix/transfer code path: the only input is
+    _vertex_weight_table.  Integer weights give an exact int (summed in
+    int64 below the bound of _enumeration_dtype, in Python ints above it);
+    other weights give a complex.
     """
     if L * M > 16:
         raise ValueError("enumeration guard: L*M <= 16")
-    exact = all(isinstance(x, (int, np.integer)) for x in (a, b, c))
-    if exact:
+    dtype = _enumeration_dtype(L, M, a, b, c)
+    if dtype == object:
         a, b, c = int(a), int(b), int(c)
-    W = _vertex_weight_table(a, b, c, exact)
-    total = 0
-    for start in range(0, 2 ** (L * M), ENUM_BATCH):
-        cfg = np.arange(start, min(start + ENUM_BATCH, 2 ** (L * M)))
-        south = ((cfg[:, None] >> np.arange(L * M)) & 1).reshape(-1, M, L)
-        north = np.roll(south, -1, axis=1)  # row i's north edges are row i+1's south edges
-        m = W[:, south[..., 0], :, north[..., 0]]  # (configs, M, west, east)
-        for j in range(1, L):
-            m = m @ W[:, south[..., j], :, north[..., j]]
-        total += (m[..., 0, 0] + m[..., 1, 1]).prod(axis=1).sum()
-    return int(total) if exact else complex(total)
+    W = _vertex_weight_table(a, b, c, dtype)
+    site = W.transpose(1, 3, 0, 2)  # (south, north, west, east)
+    site = site[[0, 1], [0, 1]] if M == 1 else site.reshape(4, 2, 2)
+    m = np.eye(2, dtype=dtype)[None]
+    for _ in range(L):  # m[q] for q = sum_j q_j b^j, q_j = s_j (M = 1) or 2 s_j + n_j
+        m = (m[None] @ site[:, None]).reshape(-1, 2, 2)
+    table = m[:, 0, 0] + m[:, 1, 1]
+    cfg = np.arange(2 ** (L * M))
+    rows = [(cfg >> (i * L)) & (2 ** L - 1) for i in range(M)]  # row i+1 is row i's north
+    if M == 1:
+        terms = table[rows[0]]
+    else:
+        s = np.arange(2 ** L)
+        spread = (((s[:, None] >> np.arange(L)) & 1) << 2 * np.arange(L)).sum(axis=1)
+        rows = [spread[r] for r in rows]
+        terms = np.prod([table[2 * rows[i] + rows[(i + 1) % M]] for i in range(M)], axis=0)
+    total = terms.sum()
+    return int(total) if dtype in (np.int64, object) else complex(total)
 
 
 def _top_sector_eigenvalue(L, N, weights):
@@ -474,7 +499,7 @@ def _top_sector_eigenvalue(L, N, weights):
     def matvec(v):
         full = np.zeros(2 ** L)
         full[idx] = v
-        return _transfer_action(0.0, L, weights, full)[idx].real
+        return _transfer_action(0.0, L, weights, full)[idx]  # real, as the ice weights are
 
     op = sp.linalg.LinearOperator((dim, dim), matvec, dtype=float)
     # ncv = 8 converges in 8-13 matvecs for L = 4..14; the default ncv = 20 takes 21

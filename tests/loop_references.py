@@ -312,8 +312,10 @@ def off_diagonal_product(roots, L, weights, transposed):
 
 
 def enumerate_partition(L, M, a, b, c):
-    """sixvertex.enumerate_partition one configuration at a time, with the
-    2x2 row products carried site by site."""
+    """sixvertex.enumerate_partition one configuration at a time, each row's
+    2x2 product carried site by site for every configuration (the package
+    tabulates a row once per (south, north) pair), in Python ints for
+    integer weights at any size."""
     exact = all(isinstance(x, (int, np.integer)) for x in (a, b, c))
     W = np.zeros((2, 2, 2, 2), dtype=object if exact else complex)
     # (west, south, east, north); 1 = arrow in the positive direction

@@ -348,6 +348,19 @@ class TestDiagonalize:
         if dropped is not None:
             assert found[0] == 4 + ed.LANCZOS_GUARD - 1 and len(found) >= 3
 
+    @pytest.mark.parametrize("m", [
+        sp.diags(np.arange(500.)),
+        sp.block_diag([np.array([[.5, .5], [.5, .5]]), sp.diags(np.arange(3., 501.))])],
+        ids=["diagonal", "block"])
+    def test_lanczos_finds_an_exact_zero(self, m):
+        # eigsh on m itself returned [1, 2] and [1, 3]: its convergence test
+        # is relative to the Ritz value, and the re-check kept the null vector
+        assert ed._use_lanczos(500, 2)
+        spec = ed.diagonalize(ed.OperatorMatrix(m), 2)
+        w, v = spec.eigenvalues, spec.eigenvectors
+        assert np.max(np.abs(w - [0.0, 1.0])) < 1e-10
+        assert np.all(np.linalg.norm(m @ v - v * w, axis=0) < 1e-10 * np.linalg.norm(v, axis=0))
+
     def test_lanczos_repeatable(self):
         H = ed.build_xxx_hamiltonian(14, 1.0, 7)
         a = ed.diagonalize(H, k=3)

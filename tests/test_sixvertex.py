@@ -23,6 +23,10 @@ def transposition_4x4():
     return P
 
 
+def _complex(re, im):
+    return st.builds(complex, st.floats(*re), st.floats(*im))
+
+
 class TestRMatrix:
     def test_regularity(self):
         eta, rho = 0.42, 1.3
@@ -39,6 +43,26 @@ class TestRMatrix:
         assert np.max(np.abs(R - np.sinh(lam) * np.eye(4))) < 1e-14
         w = sixvertex.VertexWeights.from_parameters(1.0, lam, 0.0)
         assert w.degenerate
+
+    @settings(max_examples=40, deadline=None)
+    @given(abc=st.lists(st.integers(-3, 3) | st.floats(-2.0, 2.0) | _complex((-2.0, 2.0), (-1.0, 1.0)),
+                        min_size=3, max_size=3))
+    def test_real_exactly_for_real_weights(self, abc):
+        R = sixvertex.r_matrix_from_weights(*abc)
+        assert np.isrealobj(R) == (not any(isinstance(x, complex) for x in abc))
+        a, b, c = abc
+        assert np.array_equal(R, [[a, 0, 0, 0], [0, b, c, 0], [0, c, b, 0], [0, 0, 0, a]])
+
+    def test_explicit_matrices_stay_complex(self):
+        """Real direct weights give a real transfer action, but the explicit
+        monodromy and transfer, and parameterized R-factors, stay complex."""
+        w = sixvertex.VertexWeights(1.0, 2.0, 0.5)
+        assert sixvertex._transfer_action(0.0, 3, w, np.ones(8)).dtype == float
+        assert sixvertex.monodromy(0.0, 3, w).dtype == complex
+        assert sixvertex.transfer(0.0, 3, w).csr().dtype == complex
+        p = sixvertex.VertexWeights.from_parameters(1.0, 0.0, 0.4)
+        assert all(R.dtype == complex for R in sixvertex._r_matrices(0.2, 3, p))
+        assert sixvertex._transfer_action(0.2, 3, p, np.ones(8)).dtype == complex
 
     def test_ice_point_direct_weights(self):
         w = sixvertex.VertexWeights.ice()
@@ -280,16 +304,28 @@ class TestPartitionFunction:
         assert isinstance(ze, int)
         assert z.real == ze and abs(z.imag) == 0
 
-    @pytest.mark.parametrize("abc", [(1, 2, 3), (1.3, 0.7 + 0.2j, 0.4)])
-    def test_enumeration_batches(self, abc, monkeypatch):
-        """Configurations split over uneven batches give the one-stack sum."""
-        whole = sixvertex.enumerate_partition(3, 3, *abc)
-        monkeypatch.setattr(sixvertex, "ENUM_BATCH", 7)
-        split = sixvertex.enumerate_partition(3, 3, *abc)
-        if isinstance(whole, int):
-            assert split == whole
-        assert abs(split - whole) <= 1e-12 * abs(whole)
-        assert split == pytest.approx(loop_references.enumerate_partition(3, 3, *abc), rel=1e-12)
+    @pytest.mark.parametrize("L, M, abc, dtype", [
+        (2, 2, (2 ** 14 - 1, -3, 2), np.int64), (2, 2, (2 ** 14, -3, 2), object),
+        (1, 1, (2 ** 62, 1, 7), object)])
+    def test_int64_and_object_sides_of_the_bound(self, L, M, abc, dtype):
+        """L = M = 2 sums in int64 while 2^6 w^4 < 2^62, i.e. w < 2^14, and
+        in Python ints from w = 2^14 on; both sides give the exact int, as
+        does Z = 2a + 2b = 2^63 + 2 at L = M = 1, past int64."""
+        assert sixvertex._enumeration_dtype(L, M, *abc) == dtype
+        z = sixvertex.enumerate_partition(L, M, *abc)
+        assert type(z) is int and z == loop_references.enumerate_partition(L, M, *abc)
+
+    def test_enumeration_reads_only_the_weight_table(self, monkeypatch):
+        """The oracle stays independent of the R-matrix, ice-path and
+        transfer code."""
+        def unused(*args, **kwargs):
+            raise AssertionError("the enumeration oracle called the R-matrix code")
+
+        for name in ("r_matrix_from_weights", "_r_matrices", "_ice_paths", "_closed_paths",
+                     "_transfer_action", "_monodromy_action"):
+            monkeypatch.setattr(sixvertex, name, unused)
+        assert sixvertex.enumerate_partition(3, 2, 1, 2, 3) == \
+            loop_references.enumerate_partition(3, 2, 1, 2, 3)
 
     @pytest.mark.parametrize("args, parent_peak_mb", [((10, 1, 1, 2, 3), 4.75),
                                                       ((12, 1, 1, 1, 1), 42.6)])
@@ -344,10 +380,6 @@ class TestIceEntropy:
         vals = [v for _, v in table]
         assert all(a > b for a, b in zip(vals, vals[1:]))  # monotone toward the limit
         assert abs(s_inf - 1.5 * np.log(4 / 3)) < 2e-4
-
-
-def _complex(re, im):
-    return st.builds(complex, st.floats(*re), st.floats(*im))
 
 
 class TestProperties:
@@ -476,7 +508,21 @@ class TestProperties:
         product of the embedded R-factors, for direct weights and for
         parameterized ones with random inhomogeneities; generic weights store
         one entry per path, 2 3^L in all."""
-        w = self._draw_weights(data, L)
+        self._check_ice_paths(lam, L, self._draw_weights(data, L))
+
+    @pytest.mark.parametrize("lam", [2.29e-178j, 2.99e-234j])
+    def test_ice_paths_with_an_underflowing_weight(self, lam):
+        """sh(l)^2 underflows to 0 at these l: the ice paths keep that path
+        with value 0 (18 entries at L = 2), which the CSR product drops."""
+        w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, 1.0, xi=(0.0, 0.0))
+        assert len(sixvertex._ice_paths(lam, 2, w)[0]) == 2 * 3 ** 2
+        assert loop_references.monodromy_csr(lam, 2, w).nnz == 16
+        self._check_ice_paths(lam, 2, w)
+
+    @staticmethod
+    def _check_ice_paths(lam, L, w):
+        """The ice-path monodromy and transfer against the CSR product; the
+        nonzero path values are the product's stored entries."""
         ref = loop_references.monodromy_csr(lam, L, w)
         T = sp.csr_matrix(sixvertex.monodromy(lam, L, w))
         assert abs(T - ref).max() <= 1e-14 * abs(ref).max()
@@ -484,29 +530,39 @@ class TestProperties:
         t_ref = ref[:d, :d] + ref[d:, d:]
         t = sixvertex.transfer(lam, L, w).csr()
         assert abs(t - t_ref).max() <= 1e-14 * abs(t_ref).max()
-        stored = len(sixvertex._ice_paths(lam, L, w)[0])
-        assert stored == ref.nnz and t.nnz == t_ref.nnz
+        _, values, _ = sixvertex._ice_paths(lam, L, w)
+        assert np.count_nonzero(values) == ref.nnz and t.nnz == t_ref.nnz
         if all(np.count_nonzero(R) == 6 for R in sixvertex._r_matrices(lam, L, w)):
-            assert stored == 2 * 3 ** L
+            assert len(values) == 2 * 3 ** L
 
-    @settings(max_examples=25, deadline=None)
-    @given(L=st.integers(1, 12), data=st.data(), exact=st.booleans())
-    def test_enumeration_matches_configuration_loop(self, L, data, exact):
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(1, 12), data=st.data(),
+           kind=st.sampled_from(["int", "big int", "float", "complex"]))
+    def test_enumeration_matches_configuration_loop(self, L, data, kind):
+        """The row-table sum against the per-configuration loop: small ints
+        (int64) and ints past the int64 bound (Python ints) give the equal
+        int, floats and complex weights the same complex."""
         M = data.draw(st.integers(1, 12 // L))
-        if exact:
-            a, b, c = data.draw(st.lists(st.integers(-3, 5), min_size=3, max_size=3))
+        if kind == "int":
+            weights = st.integers(-3, 5)
+        elif kind == "big int":
+            weights = st.integers(2 ** 62, 2 ** 70) | st.integers(-2 ** 70, -2 ** 62)
+        elif kind == "float":
+            weights = st.floats(-2.0, 2.0)
         else:
-            a, b, c = data.draw(st.lists(_complex((-2.0, 2.0), (-1.0, 1.0)),
-                                         min_size=3, max_size=3))
+            weights = _complex((-2.0, 2.0), (-1.0, 1.0))
+        a, b, c = data.draw(st.lists(weights, min_size=3, max_size=3))
         got = sixvertex.enumerate_partition(L, M, a, b, c)
         ref = loop_references.enumerate_partition(L, M, a, b, c)
-        if exact:
-            assert isinstance(got, int) and got == ref
+        if kind.endswith("int"):
+            dtype = sixvertex._enumeration_dtype(L, M, a, b, c)
+            assert dtype == (np.int64 if kind == "int" else object)
+            assert type(got) is int and got == ref
         else:
             # the terms can cancel far below their size, so the rounding
             # scale is their absolute sum, bounded by Z(|a|, |b|, |c|)
             scale = abs(loop_references.enumerate_partition(L, M, abs(a), abs(b), abs(c)))
-            assert abs(got - ref) <= 1e-12 * max(1.0, scale)
+            assert type(got) is complex and abs(got - ref) <= 1e-12 * max(1.0, scale)
 
     def test_cancelling_terms_match_exact_value(self):
         """L = 8, M = 1 with a + b small: |Z| = 7.6e-5 from terms summing to
