@@ -45,8 +45,8 @@ class TestRMatrix:
         assert w.degenerate
 
     @settings(max_examples=40, deadline=None)
-    @given(abc=st.lists(st.integers(-3, 3) | st.floats(-2.0, 2.0) | _complex((-2.0, 2.0), (-1.0, 1.0)),
-                        min_size=3, max_size=3))
+    @given(abc=st.lists(st.integers(-3, 3) | st.floats(-2.0, 2.0)
+                        | _complex((-2.0, 2.0), (-1.0, 1.0)), min_size=3, max_size=3))
     def test_real_exactly_for_real_weights(self, abc):
         R = sixvertex.r_matrix_from_weights(*abc)
         assert np.isrealobj(R) == (not any(isinstance(x, complex) for x in abc))
