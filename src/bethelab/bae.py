@@ -1,20 +1,27 @@
 """Bethe Ansatz equations: residuals, Newton solvers, and classification.
 
+The XXX and XXZ chains are one periodic chain over a coordinate.ChainKernel
+(rational or trigonometric), and each chain quantity is written once over
+it: the exponential residual, the log-form system and its solve.
+
 Exponential-form residuals use the product over *all* k (the self term
 contributes a factor -1, which absorbs the minus sign of the textbook form):
 
-  XXX:   ((l_j - i/2)/(l_j + i/2))^L + prod_k (l_j - l_k - i)/(l_j - l_k + i)
-  XXZ:   same with rational factors replaced by sh(..., gamma) per Delta=cos(gamma)
+  chain: (f(l_j - eta/2)/f(l_j + eta/2))^L + prod_k f(l_j - l_k - eta)/f(l_j - l_k + eta),
+         f = id, eta = i (XXX); f = sh, eta = i gamma (XXZ, Delta = cos(gamma))
   Bose:  e^{i k_j L'} + prod_l (k_j - k_l + ic)/(k_j - k_l - ic)
 
-Logarithmic form for real roots (integers n_j, principal arctan):
+Logarithmic form for real roots (integers n_j, principal arctan), in one
+normalization for both chains, with phases theta_n(x) = 2 arctg(2x/n) (XXX):
 
-  (1/pi) arctg(2 l_j) = I_j/L + sum_k arctg(l_j - l_k)/(pi L),
+  F_j = L theta_1(l_j) - 2 pi I_j - sum_k theta_2(l_j - l_k) = 0,
   I_j = n_j - (N + 1 + L mod 2)/2,
 
 so I_j is an integer for L - N odd and a half-odd integer for L - N even
 (Takahashi's parity rule) and the log form holds on the principal branch of
-the exponential form at every L.
+the exponential form at every L.  SolveReport.residual and logbae_residual
+are max_j |F_j|, a phase, which the exponential form follows to first order:
+a converged solve holds it to about 1e-12 at every L.
 
 Every residual and Jacobian is an N x N broadcast over the differences
 l_j - l_k on a leading lane axis: a system's F(x, lanes) and J(x, lanes) take
@@ -22,11 +29,12 @@ x of shape (n,) or (B, n), B independent systems, and `lanes` picks the rows
 of per-lane parameters (quantum numbers of shape (B, N)) that x holds; None
 means all of them.  No Python loop runs over roots or over lanes.  All solves
 go through one damped-Newton routine with analytic Jacobians: step-halving
-damping, an initial guess from the non-interacting part, tolerance 1e-12, max
-200 steps.  Each lane keeps its own damping, iteration count and stop reason
-(STOP_REASONS) and leaves the working set when it stops, so a lane of a stack
-ends exactly as its own solve would; the two-magnon classification runs its
-whole quantum-number scan and its whole bound-pair grid as one stack each.
+damping, a seed per system (the kernel's for the chains), tolerance 1e-12,
+max 200 steps.  Each lane keeps its own damping, iteration count and stop
+reason (STOP_REASONS) and leaves the working set when it stops, so a lane of
+a stack ends exactly as its own solve would; the two-magnon classification
+runs its whole quantum-number scan and its whole bound-pair grid as one stack
+each.
 Iterates that run away to |x| > ROOT_ESCAPE, or converge beyond
 ROOT_ESCAPE/100, are reported as unconverged: for the log-form solves these
 are solutions with rapidities at infinity (spin-lowered descendants); in the
@@ -39,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coordinate import RapiditySet
+from .coordinate import XXX, ChainKernel, RapiditySet
 
 TOL = 1e-12
 MAX_ITER = 200
@@ -119,31 +127,30 @@ def _exp_residuals(lhs, num, den):
     return np.max(np.abs(lhs + rhs), axis=-1, initial=0.0)
 
 
-def _xxx_residuals(lam, L):
-    d = _diff(lam)
-    return _exp_residuals(np.exp(L * (np.log(lam - 0.5j) - np.log(lam + 0.5j))),
-                          d - 1j, d + 1j)
+def _chain_residuals(chain, lam, L):
+    """Exponential-form residuals of root sets lam (..., N), unguarded."""
+    f, eta, d = chain.f, chain.eta, _diff(lam)
+    return _exp_residuals(np.exp(L * (np.log(f(lam - eta / 2)) - np.log(f(lam + eta / 2)))),
+                          f(d - eta), f(d + eta))
+
+
+def _chain_residual(chain, roots, L):
+    """Max exponential-form residual of one root set; ValueError at a pole or
+    at coincident rapidities."""
+    lam = chain.off_poles(roots)
+    if _pairwise_min_dist(lam) < 1e-12:
+        raise ValueError("coincident rapidities")
+    return float(_chain_residuals(chain, lam, L))
 
 
 def bae_residual_xxx(roots, L):
     """Max exponential-form residual of the XXX Bethe equations."""
-    lam = np.asarray(getattr(roots, "values", roots), complex)
-    if np.any(np.abs(lam - 0.5j) < 1e-12) or np.any(np.abs(lam + 0.5j) < 1e-12):
-        raise ValueError("rapidity at a pole +-i/2")
-    if _pairwise_min_dist(lam) < 1e-12:
-        raise ValueError("coincident rapidities")
-    return float(_xxx_residuals(lam, L))
+    return _chain_residual(XXX, roots, L)
 
 
 def bae_residual_xxz(roots, L, gamma):
     """Max exponential-form residual of the XXZ Bethe equations, Delta = cos(gamma)."""
-    lam = np.asarray(getattr(roots, "values", roots), complex)
-    sh = np.sinh
-    if np.any(np.abs(sh(lam - 0.5j * gamma)) < 1e-12) or np.any(np.abs(sh(lam + 0.5j * gamma)) < 1e-12):
-        raise ValueError("rapidity at a zero of sh")
-    d = _diff(lam)
-    lhs = np.exp(L * (np.log(sh(lam - 0.5j * gamma)) - np.log(sh(lam + 0.5j * gamma))))
-    return float(_exp_residuals(lhs, sh(d - 1j * gamma), sh(d + 1j * gamma)))
+    return _chain_residual(ChainKernel(gamma), roots, L)
 
 
 def bose_residual(roots, L_ring, c):
@@ -158,19 +165,29 @@ def _qnum_offset(L, N):
     return (N + 1 + L % 2) / 2
 
 
-def _logbae_F(lam, L, N, ns):
-    return (np.arctan(2 * lam) / np.pi - ns / L + _qnum_offset(L, N) / L
-            - np.arctan(_diff(lam)).sum(axis=-1) / (np.pi * L))
+def _chain_system(chain, L, ns):
+    """(F, J) of the chain's log form
+    F_j = L theta_1(l_j) - 2 pi I_j - sum_k theta_2(l_j - l_k); ns of shape
+    (N,), or (B, N) for one set of quantum numbers per lane."""
+    phases, offset = 2 * np.pi * ns, 2 * np.pi * _qnum_offset(L, ns.shape[-1])
+
+    def F(lam, lanes=None):
+        return (L * chain.theta(1, lam) - _per_lane(phases, lanes) + offset
+                - np.sum(chain.theta(2, _diff(lam)), axis=-1))
+
+    def J(lam, lanes=None):
+        return _jacobian(L * chain.dtheta(1, lam), chain.dtheta(2, _diff(lam)))
+    return F, J
 
 
 def logbae_residual(roots, L, qnums):
-    """Max residual of the logarithmic XXX equations at real roots."""
+    """Max |F_j| of the logarithmic XXX equations at real roots."""
     lam = np.asarray(getattr(roots, "values", roots))
     if np.iscomplexobj(lam) and np.max(np.abs(lam.imag)) > 1e-10:
         raise ValueError("logarithmic form requires real roots")
-    lam = lam.real.astype(float)
     ns = np.asarray(getattr(qnums, "n", qnums), float)
-    return float(np.max(np.abs(_logbae_F(lam, L, len(lam), ns)))) if len(lam) else 0.0
+    F = _chain_system(XXX, L, ns)[0]
+    return float(np.max(np.abs(F(lam.real.astype(float))))) if len(lam) else 0.0
 
 
 def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
@@ -266,23 +283,23 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
     return out, res_out, iters, np.array(STOP_REASONS)[stop]
 
 
-def _logbae_system(L, ns):
-    """(F, J) of the logarithmic XXX equations; ns of shape (N,), or (B, N)
-    for one set of quantum numbers per lane."""
-    N = ns.shape[-1]
-
-    def F(lam, lanes=None):
-        return _logbae_F(lam, L, N, _per_lane(ns, lanes))
-
-    def J(lam, lanes=None):
-        return _jacobian(2 / np.pi / (1 + 4 * lam ** 2),
-                         1 / (np.pi * L) / (1 + _diff(lam) ** 2))
-    return F, J
-
-
-def _logbae_seed(L, ns):
-    """Initial guess from the non-interacting part of the log XXX equations."""
-    return 0.5 * np.tan(np.pi * (ns / L - _qnum_offset(L, ns.shape[-1]) / L))
+def _solve_chain(chain, L, N, qnums):
+    """Real-root solve of the chain's log form from the kernel's seed."""
+    ns = _integer_qnums(qnums)
+    if len(ns) != N:
+        raise ValueError("need one quantum number per root")
+    if N > 0 and np.any(np.diff(ns) <= 0):
+        raise ValueError("quantum numbers must be strictly increasing")
+    if N > L / 2:
+        raise ValueError("real-root branch requires N <= L/2")
+    if N == 0:
+        return SolveReport(RapiditySet(chain.model, L, [], chain.params), 0.0, 0, True, (),
+                           chain.params)
+    lam, res, iters, stop = _damped_newton(*_chain_system(chain, L, ns),
+                                           chain.seed(ns - _qnum_offset(L, N), L))
+    roots = RapiditySet(chain.model, L, np.sort(lam).astype(complex), chain.params)
+    return SolveReport(roots, res, iters, stop == "converged",
+                       tuple(int(n) for n in ns), chain.params, stop)
 
 
 def solve_logbae(L, N, qnums):
@@ -292,75 +309,19 @@ def solve_logbae(L, N, qnums):
     the lowest state of the N-sector has n_j = 1..N.  Returns a SolveReport;
     run-away iterates (rapidities at infinity) are flagged unconverged.
     """
-    ns = _integer_qnums(qnums)
-    if len(ns) != N:
-        raise ValueError("need one quantum number per root")
-    if N > 0 and np.any(np.diff(ns) <= 0):
-        raise ValueError("quantum numbers must be strictly increasing")
-    if N > L / 2:
-        raise ValueError("real-root branch requires N <= L/2")
-    if N == 0:
-        return SolveReport(RapiditySet("XXX", L, []), 0.0, 0, True, ())
-    lam, res, iters, stop = _damped_newton(*_logbae_system(L, ns), _logbae_seed(L, ns))
-    roots = RapiditySet("XXX", L, np.sort(lam).astype(complex))
-    return SolveReport(roots, res, iters, stop == "converged",
-                       tuple(int(n) for n in ns), stop=stop)
-
-
-def _theta(n, lam, gamma):
-    """theta_n(l) = 2 arctg(cot(n gamma/2) th l); the XXX limit is 2 arctg(2l/n)."""
-    return 2 * np.arctan(np.tan(np.pi / 2 - n * gamma / 2) * np.tanh(lam))
-
-
-def _dtheta(n, lam, gamma):
-    c = np.tan(np.pi / 2 - n * gamma / 2)
-    t = np.tanh(lam)
-    return 2 * c * (1 - t ** 2) / (1 + (c * t) ** 2)
-
-
-def _xxz_system(L, gamma, ns):
-    """(F, J) of the logarithmic XXZ equations; ns (N,) or per lane (B, N)."""
-    N = ns.shape[-1]
-
-    def F(lam, lanes=None):
-        return (L * _theta(1, lam, gamma) - 2 * np.pi * _per_lane(ns, lanes)
-                + 2 * np.pi * _qnum_offset(L, N) - np.sum(_theta(2, _diff(lam), gamma), axis=-1))
-
-    def J(lam, lanes=None):
-        return _jacobian(L * _dtheta(1, lam, gamma), _dtheta(2, _diff(lam), gamma))
-    return F, J
+    return _solve_chain(XXX, L, N, qnums)
 
 
 def solve_logbae_xxz(L, N, gamma, qnums):
     """Real-root XXZ solve in the gapless parameterization Delta = cos(gamma),
-    0 < gamma < pi: L theta_1(l_j) = 2 pi I_j + sum_k theta_2(l_j - l_k), with
-    I_j = n_j - (N + 1 + L mod 2)/2.
-
-    The seed puts l_j where the ground-state counting function, with density
-    1/(2 gamma ch(pi l/gamma)), reaches I_j/L:
-    l_j = (2 gamma/pi) arth(tg(pi I_j/L)) for |tg| < 1, and 0.3 I_j elsewhere."""
-    ns = _integer_qnums(qnums)
-    if len(ns) != N:
-        raise ValueError("need one quantum number per root")
-    if N == 0:
-        return SolveReport(RapiditySet("XXZ", L, [], {"gamma": gamma}), 0.0, 0, True, ())
-    I = ns - _qnum_offset(L, N)
-    t = np.tan(np.pi * I / L)
-    inside = np.abs(t) < 1
-    lam0 = np.where(inside, 2 * gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)), 0.3 * I)
-    lam, res, iters, stop = _damped_newton(*_xxz_system(L, gamma, ns), lam0)
-    roots = RapiditySet("XXZ", L, np.sort(lam).astype(complex), {"gamma": gamma})
-    return SolveReport(roots, res, iters, stop == "converged",
-                       tuple(int(n) for n in ns), {"gamma": gamma}, stop)
+    0 < gamma < pi, with the same quantum numbers as solve_logbae."""
+    return _solve_chain(ChainKernel(gamma), L, N, qnums)
 
 
 def xxz_energy(roots, gamma):
     """Bethe-state energy of the XXZ chain at Delta = cos(gamma):
     E = - sum_j sin(gamma)^2 / (ch(2 l_j) - cos(gamma))."""
-    lam = np.asarray(getattr(roots, "values", roots), complex)
-    if len(lam) == 0:
-        return 0.0
-    return complex(-np.sum(np.sin(gamma) ** 2 / (np.cosh(2 * lam) - np.cos(gamma))))
+    return ChainKernel(gamma).energy(roots, np.sin(gamma))
 
 
 def _bose_system(L_ring, c, target):
@@ -469,7 +430,8 @@ def classify_two_magnon(L):
     qn_range = range(-L // 2 + 1, L // 2 + 4)
     ns = np.array([(n1, n2) for n1 in qn_range for n2 in qn_range if n2 > n1],
                   float).reshape(-1, 2)
-    lam, _, _, stop = _damped_newton(*_logbae_system(L, ns), _logbae_seed(L, ns))
+    lam, _, _, stop = _damped_newton(*_chain_system(XXX, L, ns),
+                                     XXX.seed(ns - _qnum_offset(L, 2), L))
     real = np.sort(lam[stop == "converged"], axis=-1).astype(complex)
 
     reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)
@@ -483,7 +445,7 @@ def classify_two_magnon(L):
     kinds = ["real-pair"] * len(real) + ["bound-pair"] * len(bound)
     pole, coincident, diff_i = _inadmissible(cand, EQUALITY_TOL)  # the pair {+-i/2} fails
     ok = ~(pole.any(axis=-1) | coincident.any(axis=(-2, -1)) | diff_i.any(axis=(-2, -1)))
-    ok[ok] = ~(_xxx_residuals(cand[ok], L) > 1e-10)
+    ok[ok] = ~(_chain_residuals(XXX, cand[ok], L) > 1e-10)
     keys = np.sort_complex(cand[ok])
     near = np.max(np.abs(keys[:, None] - keys[None, :]), axis=-1) < 1e-6
     ok[ok] = ~np.triu(near, 1).any(axis=0)

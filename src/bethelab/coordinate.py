@@ -1,4 +1,5 @@
-"""Coordinate Bethe Ansatz wavefunctions for the XXX chain (and the XXZ analog).
+"""Coordinate Bethe Ansatz wavefunctions for the XXX chain (and the XXZ
+analog), and ChainKernel, the chain description the bae module solves over.
 
 The regularized N-magnon wavefunction used everywhere is
 
@@ -54,6 +55,64 @@ class RapiditySet:
     @property
     def N(self):
         return len(self.values)
+
+
+class ChainKernel:
+    """The Bethe-equation kernel of a periodic spin-1/2 chain, rational (XXX,
+    gamma None) or trigonometric (XXZ, Delta = cos(gamma), 0 < gamma < pi):
+    the phases theta_n(x) = 2 arctg(2x/n) or 2 arctg(cot(n gamma/2) th x) of
+    the log form, and the phase function f (the identity or sh) with its
+    shift eta (i or i gamma) of the exponential form; see the bae module.
+    XXX is the gamma -> 0 limit of XXZ at l_XXZ = gamma l_XXX."""
+
+    def __init__(self, gamma=None):
+        self.gamma = gamma
+        self.model, self.eta = ("XXX", 1j) if gamma is None else ("XXZ", 1j * gamma)
+        self.f = (lambda x: x) if gamma is None else np.sinh
+
+    @property
+    def params(self):
+        return {} if self.gamma is None else {"gamma": self.gamma}
+
+    def theta(self, n, x):
+        if self.gamma is None:
+            return 2 * np.arctan(2 / n * x)
+        return 2 * np.arctan(np.tan(np.pi / 2 - n * self.gamma / 2) * np.tanh(x))
+
+    def dtheta(self, n, x):
+        if self.gamma is None:
+            return n / (x ** 2 + n ** 2 / 4)
+        c, t = np.tan(np.pi / 2 - n * self.gamma / 2), np.tanh(x)
+        return 2 * c * (1 - t ** 2) / (1 + (c * t) ** 2)
+
+    def seed(self, I, L):
+        """Newton seed at I_j = n_j - offset.  XXX: the free magnon
+        l_j = tg(pi I_j/L)/2.  XXZ: where the ground-state counting function
+        (density 1/(2 gamma ch(pi l/gamma))) reaches I_j/L,
+        l_j = (2 gamma/pi) arth(tg(pi I_j/L)) for |tg| < 1, else 0.3 I_j."""
+        t = np.tan(np.pi * I / L)
+        if self.gamma is None:
+            return 0.5 * t
+        inside = np.abs(t) < 1
+        return np.where(inside, 2 * self.gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)),
+                        0.3 * I)
+
+    def off_poles(self, roots):
+        """The rapidities as a complex array; ValueError if one lies within
+        1e-12 of a pole +-eta/2 (a zero of f(l -+ eta/2))."""
+        lam = _roots(roots)
+        if np.any(np.abs(self.f(lam[:, None] + [-self.eta / 2, self.eta / 2])) < 1e-12):
+            raise ValueError(f"rapidity at a pole +-{self.eta / 2}")
+        return lam
+
+    def energy(self, roots, eps):
+        """E = -(eps/2) sum_j theta_1'(l_j): eps = J for XXX, sin(gamma) for
+        XXZ, where theta_1' = 2 sin(gamma)/(ch(2l) - cos(gamma))."""
+        lam = self.off_poles(roots)
+        return complex(-eps / 2 * np.sum(self.dtheta(1, lam))) if len(lam) else 0.0
+
+
+XXX = ChainKernel()
 
 
 def rapidity_to_momentum(lam):
@@ -137,13 +196,10 @@ def _bethe_sum(factors, L, xs):
     return part[0], log_scale
 
 
-def _xxx_factors(roots):
-    return roots[:, None] - roots[None, :] + 1j, roots + 0.5j, roots - 0.5j
-
-
-def _xxz_factors(roots, eta):
-    return (np.sinh(roots[:, None] - roots[None, :] - eta),
-            np.sinh(roots - eta / 2), np.sinh(roots + eta / 2))
+def _factors(roots, f, eta):
+    """(F, plus, minus) = (f(l_s - l_j - eta), f(l_j - eta/2), f(l_j + eta/2));
+    f = sh for XXZ, and XXX is f the identity with eta = -i."""
+    return f(roots[:, None] - roots[None, :] - eta), f(roots - eta / 2), f(roots + eta / 2)
 
 
 def _roots(roots):
@@ -174,14 +230,14 @@ def offshell_wavefunction(xs, roots, L):
 
     xs may be any integer tuple (the formula is defined off the fundamental
     simplex too, which the reflection-condition checks exploit)."""
-    return _at(_xxx_factors(_roots(roots)), xs, L)
+    return _at(_factors(_roots(roots), XXX.f, -1j), xs, L)
 
 
 def offshell_vector(roots, L, normalize=True):
     """Off-shell Bethe vector over SectorBasis(L, N), component x ->
     offshell_wavefunction(x).  Normalized by default (the raw amplitudes can
     overflow double precision for large |l| and L)."""
-    return _over_sector(_xxx_factors(_roots(roots)), L, normalize)
+    return _over_sector(_factors(_roots(roots), XXX.f, -1j), L, normalize)
 
 
 def xxz_offshell_wavefunction(xs, roots, L, eta):
@@ -191,23 +247,18 @@ def xxz_offshell_wavefunction(xs, roots, L, eta):
         sum_Q sign(Q) [prod_{k<l} sh(l_Qk - l_Ql - eta)]
               prod_k sh(l_Qk - eta/2)^{x_k} sh(l_Qk + eta/2)^{L - x_k + 1}.
     """
-    return _at(_xxz_factors(_roots(roots), eta), xs, L)
+    return _at(_factors(_roots(roots), np.sinh, eta), xs, L)
 
 
 def xxz_offshell_vector(roots, L, eta, normalize=True):
     """Vector of xxz_offshell_wavefunction over SectorBasis(L, N)."""
-    return _over_sector(_xxz_factors(_roots(roots), eta), L, normalize)
+    return _over_sector(_factors(_roots(roots), np.sinh, eta), L, normalize)
 
 
 def energy_xxx(roots, J=1.0):
     """Magnon energy E = -(J/2) sum_j 1/(l_j^2 + 1/4); equals
     J sum_j (cos k_j - 1) under the rapidity map."""
-    roots = _roots(roots)
-    if len(roots) == 0:
-        return 0.0
-    if np.any(np.abs(roots - 0.5j) < 1e-14) or np.any(np.abs(roots + 0.5j) < 1e-14):
-        raise ValueError("rapidity at a pole +-i/2")
-    return complex(-J / 2 * np.sum(1.0 / (roots ** 2 + 0.25)))
+    return XXX.energy(roots, J)
 
 
 def momentum_xxx(roots):

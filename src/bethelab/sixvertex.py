@@ -65,43 +65,20 @@ class VertexWeights:
     lam: complex = None
     eta: complex = None
     xi: tuple = None
-    degenerate: bool = False
 
     @classmethod
     def from_parameters(cls, rho, lam, eta, xi=None):
         a = rho * np.sinh(lam + eta)
         b = rho * np.sinh(lam)
         c = rho * np.sinh(eta)
-        degenerate = abs(c) < 1e-14
         return cls(a, b, c, rho=rho, lam=lam, eta=eta,
-                   xi=tuple(xi) if xi is not None else None, degenerate=degenerate)
+                   xi=tuple(xi) if xi is not None else None)
 
     @classmethod
     def ice(cls):
         """The ice point a = b = c = 1, built directly from the weights (the
         hyperbolic parameterization is bypassed there on purpose)."""
         return cls(1.0, 1.0, 1.0)
-
-    @classmethod
-    def from_weights(cls, a, b, c):
-        """Direct weights; attempts the (rho, lam, eta) parameterization and
-        flags the excluded points (a +- b = -+c, c or vanishing weights)."""
-        w = cls(a, b, c)
-        if a == 0 or b == 0 or c == 0 or (a + b) in (c, -c) or (a - b) in (c, -c):
-            w.degenerate = True
-            return w
-        delta = (a * a + b * b - c * c) / (2 * a * b)
-        eta = np.arccosh(complex(delta))
-        if abs(np.sinh(eta)) < 1e-14:
-            w.degenerate = True
-            return w
-        lam = np.arcsinh(b / c * np.sinh(eta))
-        rho = c / np.sinh(eta)
-        if abs(rho * np.sinh(lam + eta) - a) < 1e-9 * max(1.0, abs(a)):
-            w.rho, w.lam, w.eta = rho, lam, eta
-        else:
-            w.degenerate = True
-        return w
 
     @property
     def parameterized(self):

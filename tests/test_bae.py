@@ -166,6 +166,64 @@ class TestXXZ:
                 assert bae.bae_residual_xxz(rep.roots.values, L, gamma) < 1e-10
 
 
+def _hole_states():
+    """(L, qnums): two holes in 0..L/2 at even L, two holes in 1..N+2 with
+    N = (L - 1)/2 - 1 at odd L (the perfbench hole-state sizes)."""
+    cases = []
+    for L in (24, 48, 80, 128):
+        for holes in ((0, L // 4), (3, L // 2)):
+            cases.append((L, tuple(n for n in range(L // 2 + 1) if n not in holes)))
+    for L in (21, 45, 81, 127):
+        N = (L - 1) // 2 - 1
+        for holes in ((1, N // 2), (N // 3, N + 2)):
+            cases.append((L, tuple(n for n in range(1, N + 3) if n not in holes)))
+    return cases
+
+
+class TestChainKernel:
+    """One log-form system, one exponential residual and one energy over the
+    rational (XXX) and trigonometric (XXZ) kernels."""
+
+    @pytest.mark.parametrize("L, qn", [(L, tuple(range(1, L // 2 + 1)))
+                                       for L in (64, 128, 192, 256, 320, 512)]
+                             + _hole_states())
+    def test_large_l_solves_hold_the_exponential_form(self, L, qn):
+        # the XXX stop rule acts on the phase form L theta_1 - 2 pi I - sum theta_2
+        rep = bae.solve_logbae(L, len(qn), qn)
+        assert rep.converged
+        assert bae.bae_residual_xxx(rep.roots, L) <= 1e-11
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rational_limit_of_the_phases(self, n):
+        x, g = np.linspace(-3.0, 3.0, 13), 1e-4
+        xxz = bae.ChainKernel(g)
+        assert np.max(np.abs(xxz.theta(n, g * x) - bae.XXX.theta(n, x))) < 1e-7
+        assert np.max(np.abs(g * xxz.dtheta(n, g * x) - bae.XXX.dtheta(n, x))) < 1e-7
+
+    def test_xxz_energy_is_the_closed_form(self):
+        gamma, lam = 0.9, np.array([0.3, -1.1 + 0.2j, 2.0])
+        ref = -np.sum(np.sin(gamma) ** 2 / (np.cosh(2 * lam) - np.cos(gamma)))
+        assert abs(bae.xxz_energy(lam, gamma) - ref) < 1e-14
+
+    def test_xxz_guards(self):
+        gamma = 0.9
+        with pytest.raises(ValueError, match="coincident"):
+            bae.bae_residual_xxz([0.3, 0.3, -0.4], 8, gamma)
+        for pole in (0.5j * gamma, -0.5j * gamma):
+            with pytest.raises(ValueError, match="pole"):
+                bae.bae_residual_xxz([pole, 0.7], 8, gamma)
+            with pytest.raises(ValueError, match="pole"):
+                bae.xxz_energy([pole], gamma)
+
+    @pytest.mark.parametrize("solve", [lambda N, q: bae.solve_logbae(8, N, q),
+                                       lambda N, q: bae.solve_logbae_xxz(8, N, 0.7, q)])
+    def test_same_quantum_number_rules(self, solve):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            solve(2, (2, 2))
+        with pytest.raises(ValueError, match="N <= L/2"):
+            solve(5, (1, 2, 3, 4, 5))
+
+
 def _qnums_near_ground(data, L):
     """N and N distinct quantum numbers within two of the ground state's
     1..N: most such sets converge (a subset of 0..L does about 1 time in 30)."""
@@ -406,14 +464,15 @@ class TestVectorizedProperties:
     @given(N=st.integers(1, 12), L=st.integers(4, 64), data=st.data())
     def test_logbae_jacobian(self, N, L, data):
         ns = np.arange(1, N + 1, dtype=float)
-        _assert_fd_jacobian(*bae._logbae_system(L, ns), _roots(data, N).real)
+        _assert_fd_jacobian(*bae._chain_system(bae.XXX, L, ns), _roots(data, N).real)
 
     @settings(max_examples=40, deadline=None)
     @given(N=st.integers(1, 12), L=st.integers(4, 64), gamma=st.floats(0.2, 2.8),
            data=st.data())
     def test_xxz_jacobian(self, N, L, gamma, data):
         ns = np.arange(1, N + 1, dtype=float)
-        _assert_fd_jacobian(*bae._xxz_system(L, gamma, ns), _roots(data, N).real)
+        _assert_fd_jacobian(*bae._chain_system(bae.ChainKernel(gamma), L, ns),
+                            _roots(data, N).real)
 
     @settings(max_examples=40, deadline=None)
     @given(N=st.integers(1, 12), ring=st.floats(2.0, 40.0), c=st.floats(0.1, 10.0),
@@ -451,6 +510,9 @@ class TestVectorizedProperties:
     def test_xxz_residual_matches_loop(self, N, L, gamma, data):
         lam = _roots(data, N, imag=1.0)
         _assume_regular(np.sinh(lam - 0.5j * gamma), np.sinh(lam + 0.5j * gamma))
+        # coincident roots raise, as for XXX (TestChainKernel::test_xxz_guards)
+        assume(min((abs(a - b) for i, a in enumerate(lam) for b in lam[i + 1:]),
+                   default=1.0) > 1e-3)
         d = lam[:, None] - lam[None, :]
         _assume_regular(np.sinh(d - 1j * gamma), np.sinh(d + 1j * gamma))
         ref = _loop_residual_xxz(lam, L, gamma)
@@ -506,15 +568,16 @@ class TestLaneBatchedNewton:
     @given(L=st.integers(6, 40), N=st.integers(1, 3), B=st.integers(1, 6), data=st.data())
     def test_logbae_lanes(self, L, N, B, data):
         ns = _increasing_qnums(data, B, N, -L // 2, L // 2 + 3)
-        _assert_lanes_match_single(lambda q: bae._logbae_system(L, q), (ns,),
-                                   bae._logbae_seed(L, ns))
+        _assert_lanes_match_single(lambda q: bae._chain_system(bae.XXX, L, q), (ns,),
+                                   bae.XXX.seed(ns - bae._qnum_offset(L, N), L))
 
     @settings(max_examples=25, deadline=None)
     @given(L=st.integers(6, 40), N=st.integers(1, 4), B=st.integers(1, 6),
            gamma=st.floats(0.2, 2.8), data=st.data())
     def test_xxz_lanes(self, L, N, B, gamma, data):
         ns = _increasing_qnums(data, B, N, -2, L // 2 + 2)
-        _assert_lanes_match_single(lambda q: bae._xxz_system(L, gamma, q), (ns,),
+        chain = bae.ChainKernel(gamma)
+        _assert_lanes_match_single(lambda q: bae._chain_system(chain, L, q), (ns,),
                                    0.3 * (ns - (N + 1) / 2))
 
     @settings(max_examples=25, deadline=None)

@@ -217,15 +217,31 @@ class TestObservables:
 
 
 def _model(kind, eta):
-    """(package wavefunction, package vector, reference factors, pole, string
-    spacing) of the rational or the hyperbolic form."""
+    """(package wavefunction, package kernel factors, reference factors, pole,
+    string spacing) of the rational or the hyperbolic form."""
     if kind == "xxx":
         return (coordinate.offshell_wavefunction,
-                lambda r, L: coordinate.offshell_vector(r, L, normalize=False),
+                lambda r: coordinate._factors(r, coordinate.XXX.f, -1j),
                 loop_references.xxx_factors(), 0.5j, 1j)
     return (lambda xs, r, L: coordinate.xxz_offshell_wavefunction(xs, r, L, eta),
-            lambda r, L: coordinate.xxz_offshell_vector(r, L, eta, normalize=False),
+            lambda r: coordinate._factors(r, np.sinh, eta),
             loop_references.xxz_factors(eta), eta / 2, eta)
+
+
+def _assert_kernel_matches_loop(kind, eta, roots, L, pole_edge=False):
+    """_bethe_sum's scaled values against the loop reference's, both brought
+    to the reference's scale (unscaled amplitudes can be subnormal or
+    overflow); an exact 0 is 0 at any scale."""
+    _, kernel_factors, factors, _, _ = _model(kind, eta)
+    xs = [xs for _, xs in build_sector_basis(L, len(roots)).configs()]
+    ref, scale = loop_references.log_terms(roots, L, xs, *factors)
+    vals, log_scale = coordinate._bethe_sum(kernel_factors(roots), L, np.array(xs))
+    live = vals != 0
+    scaled = np.zeros_like(vals)
+    scaled[live] = vals[live] * np.exp(log_scale[live] - scale)
+    assert np.max(np.abs(scaled - ref)) <= 1e-10
+    if pole_edge:
+        assert not live.any()
 
 
 def _with_edge(roots, edge, pole, spacing):
@@ -255,18 +271,15 @@ class TestKernelMatchesPermutationSum:
            eta=_COMPLEX.filter(lambda z: abs(z) > 0.1), data=st.data())
     def test_vector_matches_loop(self, kind, N, edge, eta, data):
         L = data.draw(st.integers(N, 10))
-        _, vector, factors, pole, spacing = _model(kind, eta)
+        _, _, _, pole, spacing = _model(kind, eta)
         roots = _with_edge(np.array(data.draw(st.lists(_COMPLEX, min_size=N, max_size=N))),
                            edge, pole, spacing)
-        xs = [xs for _, xs in build_sector_basis(L, N).configs()]
-        ref, scale = loop_references.log_terms(roots, L, xs, *factors)
-        v = vector(roots, L)
-        # an exact 0 is 0 at any scale; exp(-scale) alone overflows below -709
-        scaled = np.zeros_like(v)
-        scaled[v != 0] = v[v != 0] * np.exp(-scale)
-        assert np.max(np.abs(scaled - ref)) <= 1e-10
-        if edge.startswith("pole"):
-            assert np.all(v == 0)
+        _assert_kernel_matches_loop(kind, eta, roots, L, edge.startswith("pole"))
+
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_root_a_subnormal_distance_from_the_pole(self, L):
+        # the amplitudes are subnormal (log scale about -719.6 at L = 1)
+        _assert_kernel_matches_loop("xxx", None, np.array([2.2250738585e-313 + 0.5j]), L)
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["xxx", "xxz"]), N=st.integers(1, 5),

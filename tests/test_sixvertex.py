@@ -41,8 +41,6 @@ class TestRMatrix:
         lam = 0.9
         R = sixvertex.r_matrix(lam, 0.0, 1.0)
         assert np.max(np.abs(R - np.sinh(lam) * np.eye(4))) < 1e-14
-        w = sixvertex.VertexWeights.from_parameters(1.0, lam, 0.0)
-        assert w.degenerate
 
     @settings(max_examples=40, deadline=None)
     @given(abc=st.lists(st.integers(-3, 3) | st.floats(-2.0, 2.0)
@@ -68,17 +66,6 @@ class TestRMatrix:
         w = sixvertex.VertexWeights.ice()
         assert (w.a, w.b, w.c) == (1.0, 1.0, 1.0)
         assert not w.parameterized
-
-    def test_parameterization_roundtrip(self):
-        w = sixvertex.VertexWeights.from_parameters(1.1, 0.4, 0.3)
-        w2 = sixvertex.VertexWeights.from_weights(w.a, w.b, w.c)
-        assert w2.parameterized and not w2.degenerate
-        rec = w2.rho * np.sinh(w2.lam + w2.eta)
-        assert abs(rec - w.a) < 1e-9
-
-    def test_from_weights_flags_excluded_points(self):
-        assert sixvertex.VertexWeights.from_weights(1.0, 1.0, 2.0).degenerate
-        assert sixvertex.VertexWeights.from_weights(1.0, 0.5, 0.0).degenerate
 
 
 class TestYangBaxter:
