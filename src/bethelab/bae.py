@@ -1,18 +1,15 @@
 """Bethe Ansatz equations: residuals, Newton solvers, and classification.
 
-The XXX and XXZ chains are one periodic chain over a coordinate.ChainKernel
-(rational or trigonometric), and each chain quantity is written once over
-it: the exponential residual, the log-form system and its solve.
-
 Exponential-form residuals use the product over *all* k (the self term
 contributes a factor -1, which absorbs the minus sign of the textbook form):
 
-  chain: (f(l_j - eta/2)/f(l_j + eta/2))^L + prod_k f(l_j - l_k - eta)/f(l_j - l_k + eta),
-         f = id, eta = i (XXX); f = sh, eta = i gamma (XXZ, Delta = cos(gamma))
+  chain: (f(l_j - eta/2)/f(l_j + eta/2))^L + prod_k f(l_j - l_k - eta)/f(l_j - l_k + eta)
   Bose:  e^{i k_j L'} + prod_l (k_j - k_l + ic)/(k_j - k_l - ic)
 
-Logarithmic form for real roots (integers n_j, principal arctan), in one
-normalization for both chains, with phases theta_n(x) = 2 arctg(2x/n) (XXX):
+with f and eta those of the chain's coordinate.ChainKernel: XXX (f = id,
+eta = i) or xxz_kernel(gamma) (f = sh, eta = i gamma, Delta = cos(gamma)).
+Logarithmic form for real roots (integers n_j, principal arctan), in the
+phase normalization for both chains:
 
   F_j = L theta_1(l_j) - 2 pi I_j - sum_k theta_2(l_j - l_k) = 0,
   I_j = n_j - (N + 1 + L mod 2)/2,
@@ -20,8 +17,10 @@ normalization for both chains, with phases theta_n(x) = 2 arctg(2x/n) (XXX):
 so I_j is an integer for L - N odd and a half-odd integer for L - N even
 (Takahashi's parity rule) and the log form holds on the principal branch of
 the exponential form at every L.  SolveReport.residual and logbae_residual
-are max_j |F_j|, a phase, which the exponential form follows to first order:
-a converged solve holds it to about 1e-12 at every L.
+are max_j |F_j|, in radians; the exponential form follows it to first order.
+F cannot be computed closer to 0 than a few ulp of its largest terms, pi L,
+so a chain solve stops at max |F| < max(TOL, 8 ulp(pi L)): TOL up to
+L = 325, 3.6e-12 at L = 1024, 2.9e-11 at L = 8192.
 
 Every residual and Jacobian is an N x N broadcast over the differences
 l_j - l_k on a leading lane axis: a system's F(x, lanes) and J(x, lanes) take
@@ -29,12 +28,11 @@ x of shape (n,) or (B, n), B independent systems, and `lanes` picks the rows
 of per-lane parameters (quantum numbers of shape (B, N)) that x holds; None
 means all of them.  No Python loop runs over roots or over lanes.  All solves
 go through one damped-Newton routine with analytic Jacobians: step-halving
-damping, a seed per system (the kernel's for the chains), tolerance 1e-12,
+damping, a seed per system (the kernel's for the chains), tolerance TOL,
 max 200 steps.  Each lane keeps its own damping, iteration count and stop
-reason (STOP_REASONS) and leaves the working set when it stops, so a lane of
-a stack ends exactly as its own solve would; the two-magnon classification
-runs its whole quantum-number scan and its whole bound-pair grid as one stack
-each.
+reason (STOP_REASONS) and leaves the working set when it stops, so a lane of a
+stack ends exactly as its own solve would; the two-magnon classification runs
+its whole quantum-number scan and its whole bound-pair grid as one stack each.
 Iterates that run away to |x| > ROOT_ESCAPE, or converge beyond
 ROOT_ESCAPE/100, are reported as unconverged: for the log-form solves these
 are solutions with rapidities at infinity (spin-lowered descendants); in the
@@ -47,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coordinate import XXX, ChainKernel, RapiditySet
+from .coordinate import XXX, RapiditySet, xxz_kernel
 
 TOL = 1e-12
 MAX_ITER = 200
@@ -150,7 +148,7 @@ def bae_residual_xxx(roots, L):
 
 def bae_residual_xxz(roots, L, gamma):
     """Max exponential-form residual of the XXZ Bethe equations, Delta = cos(gamma)."""
-    return _chain_residual(ChainKernel(gamma), roots, L)
+    return _chain_residual(xxz_kernel(gamma), roots, L)
 
 
 def bose_residual(roots, L_ring, c):
@@ -288,18 +286,17 @@ def _solve_chain(chain, L, N, qnums):
     ns = _integer_qnums(qnums)
     if len(ns) != N:
         raise ValueError("need one quantum number per root")
-    if N > 0 and np.any(np.diff(ns) <= 0):
+    if np.any(np.diff(ns) <= 0):
         raise ValueError("quantum numbers must be strictly increasing")
     if N > L / 2:
         raise ValueError("real-root branch requires N <= L/2")
-    if N == 0:
-        return SolveReport(RapiditySet(chain.model, L, [], chain.params), 0.0, 0, True, (),
-                           chain.params)
+    params = dict(chain.params)
     lam, res, iters, stop = _damped_newton(*_chain_system(chain, L, ns),
-                                           chain.seed(ns - _qnum_offset(L, N), L))
-    roots = RapiditySet(chain.model, L, np.sort(lam).astype(complex), chain.params)
+                                           chain.seed(ns - _qnum_offset(L, N), L),
+                                           tol=max(TOL, 8 * np.spacing(np.pi * L)))
+    roots = RapiditySet(chain.model, L, np.sort(lam).astype(complex), params)
     return SolveReport(roots, res, iters, stop == "converged",
-                       tuple(int(n) for n in ns), chain.params, stop)
+                       tuple(int(n) for n in ns), params, stop)
 
 
 def solve_logbae(L, N, qnums):
@@ -315,13 +312,13 @@ def solve_logbae(L, N, qnums):
 def solve_logbae_xxz(L, N, gamma, qnums):
     """Real-root XXZ solve in the gapless parameterization Delta = cos(gamma),
     0 < gamma < pi, with the same quantum numbers as solve_logbae."""
-    return _solve_chain(ChainKernel(gamma), L, N, qnums)
+    return _solve_chain(xxz_kernel(gamma), L, N, qnums)
 
 
 def xxz_energy(roots, gamma):
     """Bethe-state energy of the XXZ chain at Delta = cos(gamma):
     E = - sum_j sin(gamma)^2 / (ch(2 l_j) - cos(gamma))."""
-    return ChainKernel(gamma).energy(roots, np.sin(gamma))
+    return xxz_kernel(gamma).energy(roots, np.sin(gamma))
 
 
 def _bose_system(L_ring, c, target):

@@ -1,5 +1,5 @@
 """Coordinate Bethe Ansatz wavefunctions for the XXX chain (and the XXZ
-analog), and ChainKernel, the chain description the bae module solves over.
+analog), and the chain kernels the bae module solves over.
 
 The regularized N-magnon wavefunction used everywhere is
 
@@ -57,45 +57,20 @@ class RapiditySet:
         return len(self.values)
 
 
+@dataclass(frozen=True)
 class ChainKernel:
-    """The Bethe-equation kernel of a periodic spin-1/2 chain, rational (XXX,
-    gamma None) or trigonometric (XXZ, Delta = cos(gamma), 0 < gamma < pi):
-    the phases theta_n(x) = 2 arctg(2x/n) or 2 arctg(cot(n gamma/2) th x) of
-    the log form, and the phase function f (the identity or sh) with its
-    shift eta (i or i gamma) of the exponential form; see the bae module.
-    XXX is the gamma -> 0 limit of XXZ at l_XXZ = gamma l_XXX."""
-
-    def __init__(self, gamma=None):
-        self.gamma = gamma
-        self.model, self.eta = ("XXX", 1j) if gamma is None else ("XXZ", 1j * gamma)
-        self.f = (lambda x: x) if gamma is None else np.sinh
-
-    @property
-    def params(self):
-        return {} if self.gamma is None else {"gamma": self.gamma}
-
-    def theta(self, n, x):
-        if self.gamma is None:
-            return 2 * np.arctan(2 / n * x)
-        return 2 * np.arctan(np.tan(np.pi / 2 - n * self.gamma / 2) * np.tanh(x))
-
-    def dtheta(self, n, x):
-        if self.gamma is None:
-            return n / (x ** 2 + n ** 2 / 4)
-        c, t = np.tan(np.pi / 2 - n * self.gamma / 2), np.tanh(x)
-        return 2 * c * (1 - t ** 2) / (1 + (c * t) ** 2)
-
-    def seed(self, I, L):
-        """Newton seed at I_j = n_j - offset.  XXX: the free magnon
-        l_j = tg(pi I_j/L)/2.  XXZ: where the ground-state counting function
-        (density 1/(2 gamma ch(pi l/gamma))) reaches I_j/L,
-        l_j = (2 gamma/pi) arth(tg(pi I_j/L)) for |tg| < 1, else 0.3 I_j."""
-        t = np.tan(np.pi * I / L)
-        if self.gamma is None:
-            return 0.5 * t
-        inside = np.abs(t) < 1
-        return np.where(inside, 2 * self.gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)),
-                        0.3 * I)
+    """The Bethe-equation kernel of a periodic spin-1/2 chain: the log form's
+    phases theta(n, x) and derivatives dtheta(n, x), the exponential form's
+    phase function f and shift eta (see the bae module), and the Newton
+    seed(I, L) at I_j = n_j - offset.  XXX is the gamma -> 0 limit of
+    xxz_kernel(gamma) at l_XXZ = gamma l_XXX."""
+    model: str
+    eta: complex
+    f: object
+    theta: object
+    dtheta: object
+    seed: object
+    params: dict = field(default_factory=dict)
 
     def off_poles(self, roots):
         """The rapidities as a complex array; ValueError if one lies within
@@ -112,7 +87,32 @@ class ChainKernel:
         return complex(-eps / 2 * np.sum(self.dtheta(1, lam))) if len(lam) else 0.0
 
 
-XXX = ChainKernel()
+# theta_n(x) = 2 arctg(2x/n), f the identity, eta = i; seeded at the free
+# magnon l_j = tg(pi I_j/L)/2
+XXX = ChainKernel("XXX", 1j, lambda x: x, lambda n, x: 2 * np.arctan(2 / n * x),
+                  lambda n, x: n / (x ** 2 + n ** 2 / 4),
+                  lambda I, L: 0.5 * np.tan(np.pi * I / L))
+
+
+def xxz_kernel(gamma):
+    """Delta = cos(gamma), 0 < gamma < pi: theta_n(x) = 2 arctg(cot(n gamma/2)
+    th x), f = sh, eta = i gamma; seeded where the ground-state counting
+    function (density 1/(2 gamma ch(pi l/gamma))) reaches I_j/L,
+    l_j = (2 gamma/pi) arth(tg(pi I_j/L)) for |tg| < 1, else 0.3 I_j."""
+    def cot(n):
+        return np.tan(np.pi / 2 - n * gamma / 2)
+
+    def dtheta(n, x):
+        c, t = cot(n), np.tanh(x)
+        return 2 * c * (1 - t ** 2) / (1 + (c * t) ** 2)
+
+    def seed(I, L):
+        t = np.tan(np.pi * I / L)
+        inside = np.abs(t) < 1
+        return np.where(inside, 2 * gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)), 0.3 * I)
+    return ChainKernel("XXZ", 1j * gamma, np.sinh,
+                       lambda n, x: 2 * np.arctan(cot(n) * np.tanh(x)), dtheta, seed,
+                       {"gamma": gamma})
 
 
 def rapidity_to_momentum(lam):
@@ -196,9 +196,10 @@ def _bethe_sum(factors, L, xs):
     return part[0], log_scale
 
 
-def _factors(roots, f, eta):
-    """(F, plus, minus) = (f(l_s - l_j - eta), f(l_j - eta/2), f(l_j + eta/2));
-    f = sh for XXZ, and XXX is f the identity with eta = -i."""
+def _factors(roots, eta, f=lambda x: x):
+    """(F, plus, minus) = (f(l_s - l_j - eta), f(l_j - eta/2), f(l_j + eta/2)):
+    f = sh with the caller's eta for XXZ, f the identity with eta = -i for XXX
+    (the wavefunction's sign convention, opposite to the bae kernels' eta)."""
     return f(roots[:, None] - roots[None, :] - eta), f(roots - eta / 2), f(roots + eta / 2)
 
 
@@ -230,14 +231,14 @@ def offshell_wavefunction(xs, roots, L):
 
     xs may be any integer tuple (the formula is defined off the fundamental
     simplex too, which the reflection-condition checks exploit)."""
-    return _at(_factors(_roots(roots), XXX.f, -1j), xs, L)
+    return _at(_factors(_roots(roots), -1j), xs, L)
 
 
 def offshell_vector(roots, L, normalize=True):
     """Off-shell Bethe vector over SectorBasis(L, N), component x ->
     offshell_wavefunction(x).  Normalized by default (the raw amplitudes can
     overflow double precision for large |l| and L)."""
-    return _over_sector(_factors(_roots(roots), XXX.f, -1j), L, normalize)
+    return _over_sector(_factors(_roots(roots), -1j), L, normalize)
 
 
 def xxz_offshell_wavefunction(xs, roots, L, eta):
@@ -247,12 +248,12 @@ def xxz_offshell_wavefunction(xs, roots, L, eta):
         sum_Q sign(Q) [prod_{k<l} sh(l_Qk - l_Ql - eta)]
               prod_k sh(l_Qk - eta/2)^{x_k} sh(l_Qk + eta/2)^{L - x_k + 1}.
     """
-    return _at(_factors(_roots(roots), np.sinh, eta), xs, L)
+    return _at(_factors(_roots(roots), eta, np.sinh), xs, L)
 
 
 def xxz_offshell_vector(roots, L, eta, normalize=True):
     """Vector of xxz_offshell_wavefunction over SectorBasis(L, N)."""
-    return _over_sector(_factors(_roots(roots), np.sinh, eta), L, normalize)
+    return _over_sector(_factors(_roots(roots), eta, np.sinh), L, normalize)
 
 
 def energy_xxx(roots, J=1.0):

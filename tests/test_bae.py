@@ -185,10 +185,11 @@ class TestChainKernel:
     rational (XXX) and trigonometric (XXZ) kernels."""
 
     @pytest.mark.parametrize("L, qn", [(L, tuple(range(1, L // 2 + 1)))
-                                       for L in (64, 128, 192, 256, 320, 512)]
+                                       for L in (64, 128, 192, 256, 320, 512, 2048, 4096)]
                              + _hole_states())
     def test_large_l_solves_hold_the_exponential_form(self, L, qn):
-        # the XXX stop rule acts on the phase form L theta_1 - 2 pi I - sum theta_2
+        # the XXX stop rule acts on the phase form L theta_1 - 2 pi I - sum theta_2,
+        # floored at 8 ulp(pi L): at L = 4096 a 1e-12 stop stalls
         rep = bae.solve_logbae(L, len(qn), qn)
         assert rep.converged
         assert bae.bae_residual_xxx(rep.roots, L) <= 1e-11
@@ -196,7 +197,7 @@ class TestChainKernel:
     @pytest.mark.parametrize("n", [1, 2])
     def test_rational_limit_of_the_phases(self, n):
         x, g = np.linspace(-3.0, 3.0, 13), 1e-4
-        xxz = bae.ChainKernel(g)
+        xxz = bae.xxz_kernel(g)
         assert np.max(np.abs(xxz.theta(n, g * x) - bae.XXX.theta(n, x))) < 1e-7
         assert np.max(np.abs(g * xxz.dtheta(n, g * x) - bae.XXX.dtheta(n, x))) < 1e-7
 
@@ -471,7 +472,7 @@ class TestVectorizedProperties:
            data=st.data())
     def test_xxz_jacobian(self, N, L, gamma, data):
         ns = np.arange(1, N + 1, dtype=float)
-        _assert_fd_jacobian(*bae._chain_system(bae.ChainKernel(gamma), L, ns),
+        _assert_fd_jacobian(*bae._chain_system(bae.xxz_kernel(gamma), L, ns),
                             _roots(data, N).real)
 
     @settings(max_examples=40, deadline=None)
@@ -511,8 +512,7 @@ class TestVectorizedProperties:
         lam = _roots(data, N, imag=1.0)
         _assume_regular(np.sinh(lam - 0.5j * gamma), np.sinh(lam + 0.5j * gamma))
         # coincident roots raise, as for XXX (TestChainKernel::test_xxz_guards)
-        assume(min((abs(a - b) for i, a in enumerate(lam) for b in lam[i + 1:]),
-                   default=1.0) > 1e-3)
+        assume(bae._pairwise_min_dist(lam) >= 1e-12)
         d = lam[:, None] - lam[None, :]
         _assume_regular(np.sinh(d - 1j * gamma), np.sinh(d + 1j * gamma))
         ref = _loop_residual_xxz(lam, L, gamma)
@@ -576,7 +576,7 @@ class TestLaneBatchedNewton:
            gamma=st.floats(0.2, 2.8), data=st.data())
     def test_xxz_lanes(self, L, N, B, gamma, data):
         ns = _increasing_qnums(data, B, N, -2, L // 2 + 2)
-        chain = bae.ChainKernel(gamma)
+        chain = bae.xxz_kernel(gamma)
         _assert_lanes_match_single(lambda q: bae._chain_system(chain, L, q), (ns,),
                                    0.3 * (ns - (N + 1) / 2))
 

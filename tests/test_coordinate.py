@@ -221,10 +221,10 @@ def _model(kind, eta):
     string spacing) of the rational or the hyperbolic form."""
     if kind == "xxx":
         return (coordinate.offshell_wavefunction,
-                lambda r: coordinate._factors(r, coordinate.XXX.f, -1j),
+                lambda r: coordinate._factors(r, -1j),
                 loop_references.xxx_factors(), 0.5j, 1j)
     return (lambda xs, r, L: coordinate.xxz_offshell_wavefunction(xs, r, L, eta),
-            lambda r: coordinate._factors(r, np.sinh, eta),
+            lambda r: coordinate._factors(r, eta, np.sinh),
             loop_references.xxz_factors(eta), eta / 2, eta)
 
 
