@@ -6,8 +6,9 @@ contributes a factor -1, which absorbs the minus sign of the textbook form):
   chain: (f(l_j - eta/2)/f(l_j + eta/2))^L + prod_k f(l_j - l_k - eta)/f(l_j - l_k + eta)
   Bose:  e^{i k_j L'} + prod_l (k_j - k_l + ic)/(k_j - k_l - ic)
 
-with f and eta those of the chain's coordinate.ChainKernel: XXX (f = id,
-eta = i) or xxz_kernel(gamma) (f = sh, eta = i gamma, Delta = cos(gamma)).
+with f (taken as log f) and eta those of the chain's coordinate.ChainKernel:
+XXX (f = id, eta = i) or xxz_kernel(gamma) (f = sh, eta = i gamma,
+Delta = cos(gamma)).
 Logarithmic form for real roots (integers n_j, principal arctan), in the
 phase normalization for both chains:
 
@@ -118,18 +119,19 @@ def _pairwise_min_dist(vals):
     return float(d.min(initial=np.inf))
 
 
-def _exp_residuals(lhs, num, den):
-    """max_j |lhs_j + prod_k num_jk/den_jk| per root set (leading axes), the
-    products taken in log form to keep |...|^L in range."""
-    rhs = np.exp(np.sum(np.log(num) - np.log(den), axis=-1))
+def _exp_residuals(lhs, log_ratio):
+    """max_j |lhs_j + prod_k num_jk/den_jk| per root set (leading axes), from
+    log_ratio = log num - log den: products taken in log form keep |...|^L in
+    range."""
+    rhs = np.exp(np.sum(log_ratio, axis=-1))
     return np.max(np.abs(lhs + rhs), axis=-1, initial=0.0)
 
 
 def _chain_residuals(chain, lam, L):
     """Exponential-form residuals of root sets lam (..., N), unguarded."""
-    f, eta, d = chain.f, chain.eta, _diff(lam)
-    return _exp_residuals(np.exp(L * (np.log(f(lam - eta / 2)) - np.log(f(lam + eta / 2)))),
-                          f(d - eta), f(d + eta))
+    logf, eta, d = chain.logf, chain.eta, _diff(lam)
+    return _exp_residuals(np.exp(L * (logf(lam - eta / 2) - logf(lam + eta / 2))),
+                          logf(d - eta) - logf(d + eta))
 
 
 def _chain_residual(chain, roots, L):
@@ -155,7 +157,8 @@ def bose_residual(roots, L_ring, c):
     """Max exponential-form residual of the delta-Bose-gas equations."""
     k = np.asarray(getattr(roots, "values", roots), complex)
     d = _diff(k)
-    return float(_exp_residuals(np.exp(1j * k * L_ring), d + 1j * c, d - 1j * c))
+    return float(_exp_residuals(np.exp(1j * k * L_ring),
+                                np.log(d + 1j * c) - np.log(d - 1j * c)))
 
 
 def _qnum_offset(L, N):
@@ -282,7 +285,10 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
 
 
 def _solve_chain(chain, L, N, qnums):
-    """Real-root solve of the chain's log form from the kernel's seed."""
+    """Real-root solve of the chain's log form from the kernel's seed.  A
+    'singular' stop with a root where theta_1' rounds to 0 (XXZ: th l rounds
+    to 1, |l| > about 19) is reported as 'run_away': that root's Jacobian row
+    vanished on its way out, before it reached ROOT_ESCAPE."""
     ns = _integer_qnums(qnums)
     if len(ns) != N:
         raise ValueError("need one quantum number per root")
@@ -294,6 +300,8 @@ def _solve_chain(chain, L, N, qnums):
     lam, res, iters, stop = _damped_newton(*_chain_system(chain, L, ns),
                                            chain.seed(ns - _qnum_offset(L, N), L),
                                            tol=max(TOL, 8 * np.spacing(np.pi * L)))
+    if stop == "singular" and np.any(chain.dtheta(1, lam) == 0):
+        stop = "run_away"
     roots = RapiditySet(chain.model, L, np.sort(lam).astype(complex), params)
     return SolveReport(roots, res, iters, stop == "converged",
                        tuple(int(n) for n in ns), params, stop)

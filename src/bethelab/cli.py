@@ -12,13 +12,16 @@ Groups and subcommands, one entry each in the `COMMANDS` table:
     verify ybe                      alias of `vertex ybe`
 
 A subcommand takes the flags its table entry names and no others
-(`bethelab GROUP COMMAND --help` lists them), plus `--json FILE` (a config,
-the serialized form of the run, which then alone decides it: only `--out`
-may accompany it), `--out DIR` (artifact directory; default prints to
-stdout) and `--seed`.  Only the invoked subcommand's parser is built.  A
-parameter the subcommand (or its `--model`) does not read, in flags or in
---json, a missing required one, a --json value that is a list or object, and
-any flag but `--out` next to `--json` are config errors.  Reports are
+(`bethelab GROUP COMMAND --help` lists each with its type and its default or
+"required"), plus `--json FILE` (a config, the serialized form of the run,
+which then alone decides it: only `--out` may accompany it), `--out DIR`
+(artifact directory; default prints to stdout) and `--seed`.  Only the
+invoked subcommand's parser is built.  The table gives each parameter's type
+and default once; each given value or default is converted once, and reports
+echo the values as given.  A parameter the subcommand (or its `--model`) does
+not read, in flags or in --json, a missing required one, a --json value that
+is a list or object, a value its type does not take (the error names the
+flag) and any flag but `--out` next to `--json` are config errors.  Reports are
 canonical JSON: identical config and seed give byte-identical bytes.  Exit
 codes: 0 success, 2 config error (one `config error:` line on stderr), 3
 solver non-convergence, 4 invariant violation (one `invariant violation:`
@@ -29,7 +32,7 @@ config error when a parameter reads as one, else an invariant violation.
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,30 +58,23 @@ class ExperimentConfig:
     seed: int = 0
     out: str = None
 
-    def to_dict(self):
-        return {"command": self.command, "params": self.params,
-                "seed": self.seed, "out": self.out}
-
     def report_dict(self):
         """The config as embedded in reports: the artifact directory is not
         part of the experiment identity, so identical runs stay byte-identical
         wherever they are written."""
         return {"command": self.command, "params": self.params, "seed": self.seed}
 
-    @classmethod
-    def from_dict(cls, d):
-        try:
-            return cls(d["command"], dict(d.get("params", {})),
-                       _int(d, "seed", 0), d.get("out"))
-        except (TypeError, AttributeError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from None
-
     def dumps(self):
-        return serialize.dumps(self.to_dict())
+        return serialize.dumps(asdict(self))
 
     @classmethod
     def loads(cls, text):
-        return cls.from_dict(serialize.loads(text))
+        d = serialize.loads(text)
+        try:
+            return cls(d["command"], dict(d.get("params", {})),
+                       _convert("seed", "int", d.get("seed"), "0"), d.get("out"))
+        except (TypeError, AttributeError) as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
 
 
 def _emit(cfg, report, extra_files=(), status=EXIT_OK):
@@ -112,77 +108,87 @@ def _non_finite(value):
         return False
 
 
-def _int(p, name, default=None):
-    """Parameter `name` as an integer (`default` when it is absent, if given).
-    A --json number must be integral: int() would run 8.7 as 8."""
-    value = p[name] if default is None else p.get(name, default)
+def _integer(value):
+    """A --json number must be integral: int() would run 8.7 as 8."""
     if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{_flag(name)} takes an integer, got {value}")
+        raise ConfigError(f"takes an integer, got {value}")
     return int(value)
 
 
-def _parse_qnums(text):
-    return tuple(int(t) for t in str(text).replace(";", ",").split(",") if t.strip())
+def _count(value):
+    n = _integer(value)  # fewer than one trial would pass a check that ran nothing
+    if n < 1:
+        raise ConfigError(f"must be >= 1, got {n}")
+    return n
 
 
-def _parse_roots(text):
-    """Roots as `re[,im]`, separated by `;`."""
-    roots = []
-    for part in filter(str.strip, str(text).split(";")):
-        z = [float(t) for t in part.split(",")]
-        if len(z) > 2:
-            raise ConfigError(f"--roots takes re[,im] per root, got {part.strip()!r}")
-        roots.append(z[0] + 1j * (z[1] if len(z) > 1 else 0.0))
-    return np.array(roots, complex)
+def _roots(text):
+    roots = [[float(t) for t in part.split(",")] for part in str(text).split(";") if part.strip()]
+    if any(len(z) > 2 for z in roots):
+        raise ValueError("a root takes re[,im]")
+    return np.array([z[0] + 1j * (z[1] if len(z) > 1 else 0.0) for z in roots], complex)
 
 
-def _trials(p, default):
-    """The trial count of a randomized check; fewer than one would report a
-    check that ran nothing as passed."""
-    trials = _int(p, "trials", default)
-    if trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {trials}")
-    return trials
+# The types of the COMMANDS specs: what a value must be, and its conversion.
+TYPES = {
+    "int": ("an integer", _integer),
+    "float": ("a real number", float),
+    "complex": ("a complex number", complex),
+    "count": ("an integer >= 1", _count),
+    "ints": ("integers a,b,...",
+             lambda v: tuple(int(t) for t in str(v).replace(";", ",").split(",") if t.strip())),
+    "roots": ("roots re[,im];re[,im];...", _roots),
+    "sector": ("'full' or an integer", lambda v: None if v == "full" else _integer(v)),
+    "str": ("a string", str),
+}
+
+
+def _convert(name, kind, value, default=None):
+    """`value` of parameter `name`, or else its `default` (`none` stays None),
+    as type `kind`; a config error names the flag."""
+    if value is None:
+        if default == "none":
+            return None
+        value = default
+    noun, convert = TYPES[kind]
+    try:
+        return convert(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{_flag(name)} {exc}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{_flag(name)} takes {noun}, got {value!r}") from None
 
 
 # ---------------------------------------------------------------- commands
-# Each takes the run's parameters `p` (flag strings, or --json values) and its
-# config, writes the report, and returns the exit status.
+# Each takes its typed parameters `p` (from `_check_params`, defaults filled
+# in) and the run's config, writes the report, and returns the exit status.
 
 
 def cmd_ed_spectrum(p, cfg):
-    L = _int(p, "L")
-    model = p.get("model", "xxx")
-    sector = p.get("sector", "full")
-    sector = None if sector in (None, "full") else _int(p, "sector")
-    if model == "xxx":
-        op = ed.build_xxx_hamiltonian(L, float(p.get("J", 1.0)), sector)
-    else:  # xxz: _check_params admits only the models in COMMANDS
-        op = ed.build_xxz_hamiltonian(L, float(p["delta"]), sector)
-    k = p.get("k")
-    spec = ed.diagonalize(op, None if k is None else _int(p, "k"))
+    # xxz unless xxx: _check_params admits only the models in COMMANDS
+    op = (ed.build_xxx_hamiltonian(p["L"], p["J"], p["sector"]) if p["model"] == "xxx"
+          else ed.build_xxz_hamiltonian(p["L"], p["delta"], p["sector"]))
+    spec = ed.diagonalize(op, p["k"])
     return _emit(cfg, {"eigenvalues": list(map(float, spec.eigenvalues))},
                  [("spectrum.csv", serialize.spectrum_to_csv(spec))])
 
 
 def cmd_bae_solve(p, cfg):
-    rep = bae.solve_logbae(_int(p, "L"), _int(p, "N"), _parse_qnums(p["qnums"]))
+    rep = bae.solve_logbae(p["L"], p["N"], p["qnums"])
     report = {"solve": serialize.solve_report_to_dict(rep)}
     if rep.converged:
-        report["energy"] = serialize.complex_pair(
-            coordinate.energy_xxx(rep.roots, float(p.get("J", 1.0))))
+        report["energy"] = serialize.complex_pair(coordinate.energy_xxx(rep.roots, p["J"]))
     return _emit(cfg, report, status=EXIT_OK if rep.converged else EXIT_NOCONV)
 
 
 def cmd_bae_residual(p, cfg):
-    roots = _parse_roots(p["roots"])
-    adm, reasons = bae.admissibility(roots)
-    return _emit(cfg, {"residual": bae.bae_residual_xxx(roots, _int(p, "L")),
+    adm, reasons = bae.admissibility(p["roots"])
+    return _emit(cfg, {"residual": bae.bae_residual_xxx(p["roots"], p["L"]),
                        "admissible": adm, "reasons": reasons})
 
 
 def cmd_bae_two_magnon(p, cfg):
-    L = _int(p, "L")
+    L = p["L"]
     rows = [{"kind": kind, "roots": serialize.complex_list(rs.values),
              "energy": serialize.complex_pair(coordinate.energy_xxx(rs)),
              "residual": bae.bae_residual_xxx(rs.values, L)}
@@ -192,14 +198,12 @@ def cmd_bae_two_magnon(p, cfg):
 
 
 def cmd_vector_build(p, cfg):
-    v = coordinate.offshell_vector(_parse_roots(p["roots"]), _int(p, "L"))
+    v = coordinate.offshell_vector(p["roots"], p["L"])
     return _emit(cfg, {"vector": serialize.complex_list(v)})
 
 
 def cmd_vector_verify(p, cfg):
-    L = _int(p, "L")
-    roots = _parse_roots(p["roots"])
-    N = len(roots)
+    L, roots, N, tol = p["L"], p["roots"], len(p["roots"]), p["tol"]
     v = coordinate.offshell_vector(roots, L)
     H = ed.build_xxx_hamiltonian(L, 1.0, N).matrix
     E = coordinate.energy_xxx(roots)
@@ -209,7 +213,6 @@ def cmd_vector_verify(p, cfg):
     P = coordinate.momentum_xxx(roots)
     shift = ed.shift_sector_matrix(ed.build_sector_basis(L, N))
     mom_res = float(np.linalg.norm(shift @ v - np.exp(1j * complex(P)) * v))
-    tol = float(p.get("tol", 1e-8))
     broken = bres < 1e-10 and (h_res > tol or hw_res > tol or mom_res > tol)
     return _emit(cfg, {"bae_residual": bres, "eigenvector_residual": h_res,
                        "hw_residual": hw_res, "momentum_residual": mom_res,
@@ -218,20 +221,19 @@ def cmd_vector_verify(p, cfg):
 
 
 def cmd_thermo_density(p, cfg):
-    rd = thermo.solve_root_density(float(p.get("q", "inf")), _int(p, "n_nodes", 128))
+    rd = thermo.solve_root_density(p["q"], p["n_nodes"])
     return _emit(cfg, {"D": thermo.density_D(rd),
                        "density": serialize.root_density_to_dict(rd)})
 
 
 def cmd_thermo_gs_energy(p, cfg):
-    rd = thermo.solve_root_density(float(p.get("q", "inf")), _int(p, "n_nodes", 128))
-    e = thermo.gs_energy_density(rd, float(p.get("J", 1.0)))
+    e = thermo.gs_energy_density(thermo.solve_root_density(p["q"], p["n_nodes"]), p["J"])
     return _emit(cfg, {"energy_per_site": e, "minus_ln2": -float(np.log(2)),
                        "deviation": abs(e + np.log(2))})
 
 
 def cmd_thermo_condensation(p, cfg):
-    lmin, lmax = _int(p, "lmin", 8), _int(p, "lmax", 16)
+    lmin, lmax = p["lmin"], p["lmax"]
     if lmin > lmax:
         # an empty scan would report a check that ran nothing as passed
         raise ConfigError(f"--lmin {lmin} > --lmax {lmax} leaves no chain length")
@@ -242,28 +244,25 @@ def cmd_thermo_condensation(p, cfg):
 
 
 def cmd_vertex_ybe(p, cfg):
-    trials = _trials(p, 100)
     rng = np.random.default_rng(cfg.seed)
     draws = np.array([rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
-                      for _ in range(trials)]).reshape(-1, 3)
+                      for _ in range(p["trials"])]).reshape(-1, 3)
     eta = np.where(np.arange(len(draws)) % 2 == 0, 0.3, 0.7 + 0.2j)
     worst = sixvertex.ybe_residual(*draws.T, eta)
-    return _emit(cfg, {"trials": trials, "max_residual": worst},
+    return _emit(cfg, {"trials": p["trials"], "max_residual": worst},
                  status=EXIT_OK if worst < 1e-12 else EXIT_INVARIANT)
 
 
 def cmd_vertex_transfer(p, cfg):
-    w = sixvertex.VertexWeights.from_parameters(
-        complex(p.get("rho", 1.0)), 0.0, complex(p["eta"]))
-    t = sixvertex.transfer(complex(p.get("lambda", 0.0)), _int(p, "L"), w)
+    w = sixvertex.VertexWeights.from_parameters(p["rho"], 0.0, p["eta"])
+    t = sixvertex.transfer(p["lambda"], p["L"], w)
     return _emit(cfg, {"matrix": serialize.matrix_to_dict(t.matrix)})
 
 
 def cmd_vertex_partition(p, cfg):
-    L, M = _int(p, "L"), _int(p, "M")
-    abc = [p.get(x, 1) for x in "abc"]
-    ints = all(float(x).is_integer() for x in abc)
-    a, b, c = (int(float(x)) if ints else float(x) for x in abc)
+    L, M, abc = p["L"], p["M"], [p[x] for x in "abc"]
+    # integral weights, all three, give an integer Z
+    a, b, c = map(int, abc) if all(x.is_integer() for x in abc) else abc
     z = sixvertex.partition_function(L, M, a, b, c)
     report = {"Z": serialize.complex_pair(z)}
     status = EXIT_OK
@@ -278,34 +277,29 @@ def cmd_vertex_partition(p, cfg):
 
 
 def cmd_vertex_ice_entropy(p, cfg):
-    table, s_inf = sixvertex.ice_entropy(_int(p, "lmax", 12))
+    table, s_inf = sixvertex.ice_entropy(p["lmax"])
     return _emit(cfg, {"table": [{"L": L, "s": s} for L, s in table],
                        "extrapolated": s_inf, "exact_2d": float(1.5 * np.log(4 / 3))},
                  [("entropy.csv", serialize.entropy_csv(table))])
 
 
 def cmd_vertex_hamiltonian_link(p, cfg):
-    op, dev = sixvertex.hamiltonian_from_transfer(
-        _int(p, "L", 4), float(p.get("eta", 0.3)), float(p.get("rho", 1.0)),
-        float(p.get("J", 1.0)), float(p.get("step", 1e-5)))
+    op, dev = sixvertex.hamiltonian_from_transfer(p["L"], p["eta"], p["rho"], p["J"],
+                                                  p["step"])
     return _emit(cfg, {"max_deviation": dev},
-                 status=EXIT_OK if dev < float(p.get("tol", 1e-6)) else EXIT_INVARIANT)
+                 status=EXIT_OK if dev < p["tol"] else EXIT_INVARIANT)
 
 
 def cmd_aba_slavnov(p, cfg):
-    L = _int(p, "L", 8)
-    N = _int(p, "N", 2)
-    gamma = float(p.get("gamma", 0.6))
-    trials = _trials(p, 5)
-    eta = 1j * gamma
+    L, N, eta = p["L"], p["N"], 1j * p["gamma"]
     try:
-        mu = aba.onshell_roots(L, N, gamma)
+        mu = aba.onshell_roots(L, N, p["gamma"])
     except RuntimeError as exc:
         sys.stderr.write(f"no convergence: {exc}\n")
         return EXIT_NOCONV
     rng = np.random.default_rng(cfg.seed)
     reports = []
-    for _ in range(trials):
+    for _ in range(p["trials"]):
         la = mu + rng.normal(size=N) * 0.2 + 1j * rng.normal(size=N) * 0.2
         sv = aba.slavnov_ratio(mu, la, L, eta)
         bf = aba.pairing_ratio_bruteforce(mu, la, L, eta)
@@ -316,31 +310,25 @@ def cmd_aba_slavnov(p, cfg):
 
 
 def cmd_aba_verify_action(p, cfg):
-    L = _int(p, "L", 6)
-    N = _int(p, "N", 2)
-    trials = _trials(p, 3)
-    eta = complex(p.get("eta", 0.4 + 0.1j))
+    N = p["N"]
     rng = np.random.default_rng(cfg.seed)
     residuals = []
-    for _ in range(trials):
+    for _ in range(p["trials"]):
         params = rng.normal(size=N + 1) * 0.5 + 1j * rng.normal(size=N + 1) * 0.3
-        residuals.append(aba.offshell_action_residual(params, 0, L, eta))
+        residuals.append(aba.offshell_action_residual(params, 0, p["L"], p["eta"]))
     worst = float(np.max(residuals))  # nan propagates
     return _emit(cfg, {"max_residual": worst},
                  status=EXIT_OK if worst < 1e-10 else EXIT_INVARIANT)
 
 
 def cmd_hubbard_ed(p, cfg):
-    op = hubbard.build_hubbard_hamiltonian(
-        _int(p, "L"), float(p["u"]), (_int(p, "N"), _int(p, "M")))
-    spec = ed.diagonalize(op)
+    spec = ed.diagonalize(hubbard.build_hubbard_hamiltonian(p["L"], p["u"], (p["N"], p["M"])))
     return _emit(cfg, {"eigenvalues": list(map(float, spec.eigenvalues))},
                  [("spectrum.csv", serialize.spectrum_to_csv(spec))])
 
 
 def _solve_liebwu(p):
-    return hubbard.solve_liebwu(_int(p, "L"), _int(p, "N"), _int(p, "M"), float(p["u"]),
-                                _parse_qnums(p["qnums"]), _parse_qnums(p.get("spin_qnums", "")))
+    return hubbard.solve_liebwu(p["L"], p["N"], p["M"], p["u"], p["qnums"], p["spin_qnums"])
 
 
 def cmd_hubbard_liebwu(p, cfg):
@@ -355,57 +343,67 @@ def cmd_hubbard_verify(p, cfg):
     roots, res, ok = _solve_liebwu(p)
     if not ok:
         return _emit(cfg, {"converged": False, "residual": res}, status=EXIT_NOCONV)
-    basis = hubbard.FermionBasis(_int(p, "L"), _int(p, "N"), _int(p, "M"))
-    H = hubbard.build_hubbard_hamiltonian(basis.L, float(p["u"]), basis).matrix
+    basis = hubbard.FermionBasis(p["L"], p["N"], p["M"])
+    H = hubbard.build_hubbard_hamiltonian(basis.L, p["u"], basis).matrix
     v = hubbard.assemble_state(roots, basis)
     E, P = hubbard.energy_momentum(roots)
     h_res = float(np.linalg.norm(H @ v - np.real(E) * v))
     return _emit(cfg, {"converged": True, "roots": serialize.nested_roots_to_dict(roots),
                        "liebwu_residual": hubbard.liebwu_residual(roots),
                        "eigenvector_residual": h_res, "E": float(np.real(E)), "P": P},
-                 status=EXIT_OK if h_res < float(p.get("tol", 1e-8)) else EXIT_INVARIANT)
+                 status=EXIT_OK if h_res < p["tol"] else EXIT_INVARIANT)
 
 
 class Command(NamedTuple):
-    """A subcommand's function and the parameters it reads.  `spec` lists their
-    names, a trailing `!` marking a required one; `models` maps each `--model`
+    """A subcommand's function and the parameters it reads: `spec` has a word
+    `name:type=default`, or `name:type!` if required, per parameter, `type` a
+    TYPES key (the default `none` leaves it None); `models` maps each `--model`
     value (the first is the default) to the spec of those only it reads."""
     run: object
     spec: str
     models: dict = None
 
     def params(self, model=None):
-        """(names, required names) read under `model`, or under any model."""
-        words = " ".join([self.spec, *(s for m, s in (self.models or {}).items()
-                                       if model in (None, m))]).split()
-        return ([w.rstrip("!") for w in words],
-                {w.rstrip("!") for w in words if w.endswith("!")})
+        """(name, type, default, model) per parameter read under `model`, or
+        under any model; the default of a required one is None."""
+        models = self.models or {}
+        specs = [(None, self.spec)] + [(m, s) for m, s in models.items() if model in (None, m)]
+        params = [(*re.fullmatch(r"(\w+):(\w+)(?:=(\S*)|!)", word).groups(), only)
+                  for only, spec in specs for word in spec.split()]
+        if models:
+            params.append(("model", "str", next(iter(models)), None))
+        return params
 
 
+_LIEBWU = "L:int! N:int! M:int! u:float! qnums:ints! spin_qnums:ints="
 COMMANDS = {
-    "ed/spectrum": Command(cmd_ed_spectrum, "L! model sector k",
-                           {"xxx": "J", "xxz": "delta!"}),
-    "bae/solve": Command(cmd_bae_solve, "L! N! qnums! J"),
-    "bae/residual": Command(cmd_bae_residual, "L! roots!"),
-    "bae/two-magnon": Command(cmd_bae_two_magnon, "L!"),
-    "bethe-vector/build": Command(cmd_vector_build, "L! roots!"),
-    "bethe-vector/verify": Command(cmd_vector_verify, "L! roots! tol"),
-    "thermo/density": Command(cmd_thermo_density, "q n_nodes"),
-    "thermo/gs-energy": Command(cmd_thermo_gs_energy, "q n_nodes J"),
-    "thermo/condensation": Command(cmd_thermo_condensation, "lmin lmax"),
-    "vertex/ybe": Command(cmd_vertex_ybe, "trials"),
-    "vertex/transfer": Command(cmd_vertex_transfer, "L! eta! rho lambda"),
-    "vertex/partition": Command(cmd_vertex_partition, "L! M! a b c"),
-    "vertex/ice-entropy": Command(cmd_vertex_ice_entropy, "lmax"),
-    "vertex/hamiltonian-link": Command(cmd_vertex_hamiltonian_link,
-                                       "L eta rho J step tol"),
-    "aba/slavnov": Command(cmd_aba_slavnov, "L N gamma trials"),
-    "aba/verify-action": Command(cmd_aba_verify_action, "L N trials eta"),
-    "hubbard/ed": Command(cmd_hubbard_ed, "L! N! M! u!"),
-    "hubbard/liebwu": Command(cmd_hubbard_liebwu, "L! N! M! u! qnums! spin_qnums"),
-    "hubbard/verify": Command(cmd_hubbard_verify, "L! N! M! u! qnums! spin_qnums tol"),
-    "verify/ybe": Command(cmd_vertex_ybe, "trials"),
+    "ed/spectrum": Command(cmd_ed_spectrum, "L:int! sector:sector=full k:int=none",
+                           {"xxx": "J:float=1.0", "xxz": "delta:float!"}),
+    "bae/solve": Command(cmd_bae_solve, "L:int! N:int! qnums:ints! J:float=1.0"),
+    "bae/residual": Command(cmd_bae_residual, "L:int! roots:roots!"),
+    "bae/two-magnon": Command(cmd_bae_two_magnon, "L:int!"),
+    "bethe-vector/build": Command(cmd_vector_build, "L:int! roots:roots!"),
+    "bethe-vector/verify": Command(cmd_vector_verify, "L:int! roots:roots! tol:float=1e-8"),
+    "thermo/density": Command(cmd_thermo_density, "q:float=inf n_nodes:int=128"),
+    "thermo/gs-energy": Command(cmd_thermo_gs_energy,
+                                "q:float=inf n_nodes:int=128 J:float=1.0"),
+    "thermo/condensation": Command(cmd_thermo_condensation, "lmin:int=8 lmax:int=16"),
+    "vertex/ybe": Command(cmd_vertex_ybe, "trials:count=100"),
+    "vertex/transfer": Command(cmd_vertex_transfer,
+                               "L:int! eta:complex! rho:complex=1.0 lambda:complex=0.0"),
+    "vertex/partition": Command(cmd_vertex_partition,
+                                "L:int! M:int! a:float=1 b:float=1 c:float=1"),
+    "vertex/ice-entropy": Command(cmd_vertex_ice_entropy, "lmax:int=12"),
+    "vertex/hamiltonian-link": Command(cmd_vertex_hamiltonian_link, "L:int=4 eta:float=0.3 "
+                                       "rho:float=1.0 J:float=1.0 step:float=1e-5 tol:float=1e-6"),
+    "aba/slavnov": Command(cmd_aba_slavnov, "L:int=8 N:int=2 gamma:float=0.6 trials:count=5"),
+    "aba/verify-action": Command(cmd_aba_verify_action,
+                                 "L:int=6 N:int=2 trials:count=3 eta:complex=0.4+0.1j"),
+    "hubbard/ed": Command(cmd_hubbard_ed, "L:int! N:int! M:int! u:float!"),
+    "hubbard/liebwu": Command(cmd_hubbard_liebwu, _LIEBWU),
+    "hubbard/verify": Command(cmd_hubbard_verify, _LIEBWU + " tol:float=1e-8"),
 }
+COMMANDS["verify/ybe"] = COMMANDS["vertex/ybe"]
 
 
 def _flag(name):
@@ -415,8 +413,8 @@ def _flag(name):
 class _Parser(argparse.ArgumentParser):
     """Parse errors are config errors: one line on stderr, exit 2.  A word
     that starts with '-' and a digit, or '-.' and a digit (-1e-3, -.5,
-    -0.3+0.1j), is a value, not a flag: no flag starts that way, and each
-    command's own conversion rejects a malformed number."""
+    -0.3+0.1j), is a value, not a flag: no flag starts that way, and the
+    parameter's type rejects a malformed number."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -449,25 +447,25 @@ def _listing_parser():
 
 
 def _command_parser(key):
-    """The parser of one subcommand, with only the flags it reads."""
+    """The parser of one subcommand, with only the flags it reads, each shown
+    with its type and its default or "required"."""
     cmd = COMMANDS[key]
     parser = _Parser(prog=f"bethelab {key.replace('/', ' ')}")
     parser.add_argument("--json", help="config file deciding the run (no other flag but --out)")
     parser.add_argument("--out", help="artifact directory")
     parser.add_argument("--seed", type=int)
-    specs = [(cmd.spec, [])] + [(s, [f"--model {m} only"])
-                                for m, s in (cmd.models or {}).items()]
-    for spec, notes in specs:
-        for word in spec.split():
-            name = word.rstrip("!")
-            note = notes + ["required"] if word.endswith("!") else notes
-            parser.add_argument(_flag(name), dest=name, help=", ".join(note) or None)
+    for name, kind, default, model in cmd.params():
+        notes = [f"--model {model} only"] if model else []
+        notes += [TYPES[kind][0],
+                  "required" if default is None else f"default {default or 'empty'}"]
+        parser.add_argument(_flag(name), dest=name, help="; ".join(notes))
     return parser
 
 
 def _check_params(key, params):
-    """Reject a parameter that subcommand `key` (under its `--model`) does not
-    read, and name each required one that is missing."""
+    """The typed parameters of subcommand `key`, each given value or default
+    converted once.  Rejects a parameter `key` (under its `--model`) does not
+    read, a list or object value, a missing required one and a bad value."""
     cmd = COMMANDS[key]
     model = None
     if cmd.models:
@@ -475,16 +473,19 @@ def _check_params(key, params):
         if model not in cmd.models:
             raise ConfigError(f"unknown model {model!r}")
         key = f"{key} --model {model}"
-    names, required = cmd.params(model)
-    extra = [n for n in params if n not in names]
+    spec = cmd.params(model)
+    extra = [n for n in params if n not in {name for name, *_ in spec}]
     if extra:
         raise ConfigError(f"{key} does not take {', '.join(map(_flag, extra))}")
     for n, v in params.items():
         if isinstance(v, (list, dict)):
             raise ConfigError(f"{key} {_flag(n)} takes one value, not a {type(v).__name__}")
-    missing = [n for n in names if n in required and params.get(n) is None]
+    missing = [name for name, _, default, _ in spec
+               if default is None and params.get(name) is None]
     if missing:
         raise ConfigError(f"{key} needs {', '.join(map(_flag, missing))}")
+    return {name: _convert(name, kind, params.get(name), default)
+            for name, kind, default, _ in spec}
 
 
 def main(argv=None):
@@ -495,7 +496,6 @@ def main(argv=None):
         listing.parse_args(argv)  # help exits 0; an unknown name exits 2
         listing.print_help()
         return EXIT_CONFIG
-    cmd = COMMANDS[key]
     args = _command_parser(key).parse_args(argv[2:])
     try:
         given = {k: v for k, v in vars(args).items()
@@ -511,11 +511,10 @@ def main(argv=None):
             seed = given.pop("seed", 0)
             cfg = ExperimentConfig(key, given, seed, args.out)
         if cfg.command != key:
-            raise ConfigError(
-                f"config command {cfg.command!r} does not match {key!r}")
-        _check_params(key, cfg.params)
+            raise ConfigError(f"config command {cfg.command!r} does not match {key!r}")
+        p = _check_params(key, cfg.params)
         with np.errstate(all="ignore"):  # a non-finite input ends in one line
-            return cmd.run(cfg.params, cfg)
+            return COMMANDS[key].run(p, cfg)
     except (ConfigError, KeyError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

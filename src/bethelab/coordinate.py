@@ -61,12 +61,13 @@ class RapiditySet:
 class ChainKernel:
     """The Bethe-equation kernel of a periodic spin-1/2 chain: the log form's
     phases theta(n, x) and derivatives dtheta(n, x), the exponential form's
-    phase function f and shift eta (see the bae module), and the Newton
-    seed(I, L) at I_j = n_j - offset.  XXX is the gamma -> 0 limit of
-    xxz_kernel(gamma) at l_XXZ = gamma l_XXX."""
+    phase function f, as logf = log f on some branch and without overflow,
+    and its shift eta (see the bae module), and the Newton seed(I, L) at
+    I_j = n_j - offset.  XXX is the gamma -> 0 limit of xxz_kernel(gamma) at
+    l_XXZ = gamma l_XXX."""
     model: str
     eta: complex
-    f: object
+    logf: object
     theta: object
     dtheta: object
     seed: object
@@ -76,7 +77,9 @@ class ChainKernel:
         """The rapidities as a complex array; ValueError if one lies within
         1e-12 of a pole +-eta/2 (a zero of f(l -+ eta/2))."""
         lam = _roots(roots)
-        if np.any(np.abs(self.f(lam[:, None] + [-self.eta / 2, self.eta / 2])) < 1e-12):
+        with np.errstate(divide="ignore"):  # log 0 at a pole itself
+            logf = self.logf(lam[:, None] + [-self.eta / 2, self.eta / 2])
+        if np.any(logf.real < np.log(1e-12)):
             raise ValueError(f"rapidity at a pole +-{self.eta / 2}")
         return lam
 
@@ -89,9 +92,16 @@ class ChainKernel:
 
 # theta_n(x) = 2 arctg(2x/n), f the identity, eta = i; seeded at the free
 # magnon l_j = tg(pi I_j/L)/2
-XXX = ChainKernel("XXX", 1j, lambda x: x, lambda n, x: 2 * np.arctan(2 / n * x),
+XXX = ChainKernel("XXX", 1j, np.log, lambda n, x: 2 * np.arctan(2 / n * x),
                   lambda n, x: n / (x ** 2 + n ** 2 / 4),
                   lambda I, L: 0.5 * np.tan(np.pi * I / L))
+
+
+def _log_sh(x):
+    """log sh x on some branch, finite where sh x overflows: with s the sign
+    of Re x, sh x = s e^{s x} (1 - e^{-2 s x})/2 and |e^{-2 s x}| <= 1."""
+    s = np.where(np.real(x) < 0, -1, 1)
+    return s * x + np.log(-s * np.expm1(-2 * s * x) / 2)
 
 
 def xxz_kernel(gamma):
@@ -110,7 +120,7 @@ def xxz_kernel(gamma):
         t = np.tan(np.pi * I / L)
         inside = np.abs(t) < 1
         return np.where(inside, 2 * gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)), 0.3 * I)
-    return ChainKernel("XXZ", 1j * gamma, np.sinh,
+    return ChainKernel("XXZ", 1j * gamma, _log_sh,
                        lambda n, x: 2 * np.arctan(cot(n) * np.tanh(x)), dtheta, seed,
                        {"gamma": gamma})
 

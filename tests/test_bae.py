@@ -216,6 +216,13 @@ class TestChainKernel:
             with pytest.raises(ValueError, match="pole"):
                 bae.xxz_energy([pole], gamma)
 
+    @pytest.mark.parametrize("roots", [[800.0, 0.3], [-800.0, 0.3], [0.3, 750.0 + 0.2j]])
+    def test_xxz_residual_of_a_far_root_is_finite(self, roots):
+        # sh overflows past |Re l| ~ 710; the residual was log(inf) - log(inf) = nan
+        with np.errstate(over="raise", invalid="raise"):
+            res = bae.bae_residual_xxz(roots, 6, 1.0)
+        assert np.isfinite(res) and res > 0.1
+
     @pytest.mark.parametrize("solve", [lambda N, q: bae.solve_logbae(8, N, q),
                                        lambda N, q: bae.solve_logbae_xxz(8, N, 0.7, q)])
     def test_same_quantum_number_rules(self, solve):
@@ -399,6 +406,15 @@ class TestStopReason:
         rep = bae.solve_logbae_xxz(40, 20, 1.0, tuple(range(3, 23)))
         assert not rep.converged
         assert rep.stop in bae.STOP_REASONS and rep.stop != "converged"
+
+    @pytest.mark.parametrize("L, N, gamma, qn", [(6, 2, 2.2224080032046385, (1, 4)),
+                                                 (40, 20, 1.0, tuple(range(3, 23)))])
+    def test_xxz_run_away_is_not_singular(self, L, N, gamma, qn):
+        # theta_1' is exactly 0 once th l rounds to 1, so the Jacobian row of
+        # a root on its way out vanishes before the root reaches ROOT_ESCAPE
+        rep = bae.solve_logbae_xxz(L, N, gamma, qn)
+        assert not rep.converged and rep.stop == "run_away"
+        assert np.max(np.abs(rep.roots.values)) > 19
 
     def test_rapidities_at_infinity(self):
         rep = bae.solve_logbae(8, 3, (1, 3, 5))

@@ -1,7 +1,9 @@
 """Canonical serialization and the command-line front end."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,8 +15,46 @@ import scipy.sparse as sp
 
 import bethelab
 from bethelab import aba, bae, coordinate, ed, hubbard, serialize, sixvertex, thermo
-from bethelab.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NOCONV, EXIT_OK,
-                          ExperimentConfig, main)
+from bethelab.cli import (COMMANDS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NOCONV, EXIT_OK,
+                          TYPES, ExperimentConfig, main)
+
+_ROOTS_L6 = "0.16245984811644645,0;-0.16245984811644645,0"  # L = 6, N = 2 ground state
+# One passing run of every subcommand, as flag strings, and a key of its report
+RUNS = {
+    "ed/spectrum": ({"model": "xxz", "delta": "0.5", "L": "4", "sector": "2"}, "eigenvalues"),
+    "bae/solve": ({"L": "6", "N": "2", "qnums": "1,2"}, "energy"),
+    "bae/residual": ({"L": "6", "roots": _ROOTS_L6}, "residual"),
+    "bae/two-magnon": ({"L": "6"}, "count"),
+    "bethe-vector/build": ({"L": "5", "roots": "0.3,0.1;-0.2,0.4"}, "vector"),
+    "bethe-vector/verify": ({"L": "6", "roots": _ROOTS_L6}, "eigenvector_residual"),
+    "thermo/density": ({"q": "4"}, "D"),
+    "thermo/gs-energy": ({"q": "inf", "n_nodes": "16", "J": "2"}, "energy_per_site"),
+    "thermo/condensation": ({"lmin": "8", "lmax": "10"}, "rows"),
+    "vertex/ybe": ({"trials": "4"}, "max_residual"),
+    "vertex/transfer": ({"L": "3", "eta": "0.4"}, "matrix"),
+    "vertex/partition": ({"L": "2", "M": "2", "a": "1.5"}, "Z_enumeration"),
+    "vertex/ice-entropy": ({"lmax": "6"}, "extrapolated"),
+    "vertex/hamiltonian-link": ({"L": "4", "eta": "0.3", "tol": "1e-5"}, "max_deviation"),
+    "aba/slavnov": ({"L": "6", "N": "1", "trials": "2"}, "max_rel_err"),
+    "aba/verify-action": ({"L": "5", "N": "1", "trials": "2"}, "max_residual"),
+    "hubbard/ed": ({"L": "4", "u": "1.0", "N": "2", "M": "1"}, "eigenvalues"),
+    "hubbard/liebwu": ({"L": "6", "N": "2", "M": "1", "u": "1.0", "qnums": "-1,0",
+                        "spin_qnums": "0"}, "roots"),
+    "hubbard/verify": ({"L": "6", "N": "2", "M": "1", "u": "2.0", "qnums": "-1,0",
+                        "spin_qnums": "0"}, "eigenvector_residual"),
+    "verify/ybe": ({"trials": "3"}, "max_residual"),
+}
+
+
+def _json_number(text):
+    """A flag string as the number a --json config would hold, where it is one."""
+    for kind in (int, float):
+        try:
+            value = kind(text)
+        except ValueError:
+            continue
+        return value if math.isfinite(value) else text
+    return text
 
 
 class TestCanonicalJson:
@@ -158,6 +198,7 @@ class TestCli:
         assert a == b and len(a) > 0
 
     @pytest.mark.parametrize("command, params, seed", [
+        *(pytest.param(key, params, 3, id=key) for key, (params, _) in RUNS.items()),
         pytest.param("ed/spectrum", {"model": "xxx", "L": "8", "sector": "4", "k": "2"},
                      0, id="ed-spectrum"),
         pytest.param("thermo/density", {"q": "2.5", "n_nodes": "32"}, 0,
@@ -172,14 +213,19 @@ class TestCli:
                      id="hubbard-liebwu"),
     ])
     def test_flag_matches_json(self, command, params, seed, tmp_path, capsys):
-        # the same string parameters as flags and as a --json config
-        for mode in ("flags", "json"):
-            assert self._run(tmp_path, mode, command, params, seed,
-                             ["--out", str(tmp_path / mode)]) == EXIT_OK
+        # the same string parameters as flags and as a --json config give the
+        # same bytes; --json numbers give the same report but for the echo
+        numbers = {k: _json_number(v) for k, v in params.items()}
+        for mode, given in (("flags", params), ("json", params), ("numbers", numbers)):
+            assert self._run(tmp_path, "flags" if mode == "flags" else "json", command,
+                             given, seed, ["--out", str(tmp_path / mode)]) == EXIT_OK
         report = (tmp_path / "flags" / "report.json").read_bytes()
         assert report == (tmp_path / "json" / "report.json").read_bytes()
         assert json.loads(report)["config"]["params"] == params
-        if command == "ed/spectrum":
+        typed = json.loads((tmp_path / "numbers" / "report.json").read_text())
+        assert typed.pop("config")["params"] == numbers
+        assert typed == {k: v for k, v in json.loads(report).items() if k != "config"}
+        if "k" in params:
             assert len(json.loads(report)["eigenvalues"]) == 2  # --k parsed as an int
 
     @staticmethod
@@ -308,6 +354,74 @@ class TestCli:
         out = capsys.readouterr().out
         assert "--q" in out and "--n-nodes" in out and "--json" in out
         assert "--lmax" not in out and "--delta" not in out
+
+    @staticmethod
+    def _help_entries(argv, capsys):
+        """{flag: the rest of its --help entry, whitespace collapsed}."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out.split("options:")[1]
+        entries = [entry.split() for entry in re.split(r"\n  (?=-)", out) if entry.strip()]
+        return {flag: " ".join(rest) for flag, *rest in entries}
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_shows_each_type_and_default(self, command, capsys):
+        entries = self._help_entries(command.split("/"), capsys)
+        for name, kind, default, model in COMMANDS[command].params():
+            entry = entries[f"--{name.replace('_', '-')}"]
+            assert TYPES[kind][0] in entry, entry
+            assert entry.endswith("required" if default is None
+                                  else f"default {default or 'empty'}"), entry
+            assert (f"--model {model} only" in entry) == (model is not None), entry
+
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["aba", "slavnov"], "--L", "L an integer; default 8"),
+        (["vertex", "hamiltonian-link"], "--tol", "TOL a real number; default 1e-6"),
+        (["ed", "spectrum"], "--k", "K an integer; default none"),
+        (["ed", "spectrum"], "--sector", "SECTOR 'full' or an integer; default full"),
+        (["ed", "spectrum"], "--delta", "DELTA --model xxz only; a real number; required"),
+        (["bae", "solve"], "--qnums", "QNUMS integers a,b,...; required"),
+        (["hubbard", "liebwu"], "--spin-qnums", "SPIN_QNUMS integers a,b,...; default empty"),
+        (["vertex", "ybe"], "--trials", "TRIALS an integer >= 1; default 100"),
+    ])
+    def test_help_entry(self, argv, flag, text, capsys):
+        assert self._help_entries(argv, capsys)[flag] == text
+
+    @pytest.mark.parametrize("mode", ["flags", "json"])
+    @pytest.mark.parametrize("command, params, message", [
+        ("ed/spectrum", {"L": "abc"}, "--L takes an integer, got 'abc'"),
+        ("ed/spectrum", {"L": ""}, "--L takes an integer, got ''"),
+        ("ed/spectrum", {"L": "1e-320"}, "--L takes an integer, got '1e-320'"),
+        ("ed/spectrum", {"L": "4", "k": "2.5"}, "--k takes an integer, got '2.5'"),
+        ("thermo/density", {"q": "1j"}, "--q takes a real number, got '1j'"),
+        ("thermo/gs-energy", {"J": "abc"}, "--J takes a real number, got 'abc'"),
+        ("vertex/transfer", {"L": "3", "eta": "0,0"},
+         "--eta takes a complex number, got '0,0'"),
+        ("vertex/ybe", {"trials": "abc"}, "--trials takes an integer >= 1, got 'abc'"),
+        ("verify/ybe", {"trials": "2.5"}, "--trials takes an integer >= 1, got '2.5'"),
+        ("aba/slavnov", {"trials": "0"}, "--trials must be >= 1, got 0"),
+        ("bae/solve", {"L": "6", "N": "2", "qnums": "1,x"},
+         "--qnums takes integers a,b,..., got '1,x'"),
+        ("hubbard/liebwu", {"L": "6", "N": "2", "M": "1", "u": "1", "qnums": "-1,0",
+                            "spin_qnums": "2.5"},
+         "--spin-qnums takes integers a,b,..., got '2.5'"),
+        ("bae/residual", {"L": "6", "roots": "0.1,a"},
+         "--roots takes roots re[,im];re[,im];..., got '0.1,a'"),
+        ("bethe-vector/build", {"L": "5", "roots": "1,2,3"},
+         "--roots takes roots re[,im];re[,im];..., got '1,2,3'"),
+        ("ed/spectrum", {"L": "4", "sector": "half"},
+         "--sector takes 'full' or an integer, got 'half'"),
+        ("ed/spectrum", {"L": "4", "sector": "1j"},
+         "--sector takes 'full' or an integer, got '1j'"),
+    ])
+    def test_malformed_value_names_its_flag(self, mode, command, params, message,
+                                            tmp_path, capsys):
+        # one value its type does not take, of each type, given as a flag or
+        # in --json: one stderr line that names the flag
+        assert self._run(tmp_path, mode, command, params) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"config error: {message}\n"
 
     def test_top_level_help_has_no_command_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -545,29 +659,10 @@ class TestCli:
                            atol=1e-12)
 
     def test_every_subcommand_runs(self, tmp_path, capsys):
-        runs = [
-            (["ed", "spectrum", "--model", "xxz", "--delta", "0.5", "--L", "4",
-              "--sector", "2"], None),
-            (["bae", "residual", "--L", "6",
-              "--roots=0.16245984811644645,0;-0.16245984811644645,0"], "residual"),
-            (["bae", "two-magnon", "--L", "6"], "count"),
-            (["bethe-vector", "build", "--L", "5", "--roots=0.3,0.1;-0.2,0.4"],
-             "vector"),
-            (["thermo", "density", "--q", "4"], "D"),
-            (["vertex", "transfer", "--L", "3", "--eta", "0.4"], "matrix"),
-            (["vertex", "ice-entropy", "--lmax", "6"], "extrapolated"),
-            (["aba", "verify-action", "--L", "5", "--N", "1", "--trials", "2"],
-             "max_residual"),
-            (["hubbard", "ed", "--L", "4", "--u", "1.0", "--N", "2", "--M", "1"],
-             "eigenvalues"),
-            (["hubbard", "liebwu", "--L", "6", "--N", "2", "--M", "1", "--u",
-              "1.0", "--qnums=-1,0", "--spin-qnums", "0"], "roots"),
-        ]
-        for argv, key in runs:
-            assert main(argv) == EXIT_OK, argv
-            report = json.loads(capsys.readouterr().out)
-            if key is not None:
-                assert key in report, argv
+        assert set(RUNS) == set(COMMANDS)
+        for command, (params, key) in RUNS.items():
+            assert self._run(tmp_path, "flags", command, params) == EXIT_OK, command
+            assert key in json.loads(capsys.readouterr().out), command
         # artifact directory: report plus CSV files
         out = tmp_path / "ed"
         assert main(["ed", "spectrum", "--model", "xxx", "--L", "4",
