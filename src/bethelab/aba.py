@@ -27,8 +27,8 @@ Q-functions, vacuum functions, transfer eigenvalues, residuals, action
 coefficients and determinant matrices are evaluated on arrays of spectral
 parameters (roots on the last axis), each formula in one place; the only loop
 over roots is the B/C products, which apply one monodromy action per root
-position to a whole stack of root sets (one row each): the action residuals,
-the linear system and the explicit pairing build their products in one sweep.
+position to a whole stack of root sets (one row each): the action residuals
+and the explicit pairing build their products in one sweep.
 """
 
 from typing import NamedTuple
@@ -279,10 +279,6 @@ def dual_action_residual(params, ell, L, eta, rho=1.0):
     return _action_residual(params, ell, L, eta, rho, True)
 
 
-def e_function(lam, eta):
-    return cth(lam) - cth(lam + eta)
-
-
 def k_function(lam, eta):
     return cth(lam - eta) - cth(lam + eta)
 
@@ -364,31 +360,16 @@ def pairing_ratio_bruteforce(mu, la, L, eta, rho=1.0):
     return complex(b_la / b_mu)
 
 
-def linear_system_residual(mu, params, L, eta, rho=1.0):
-    """Relative residual of the linear system satisfied by the pairings
-    X^j = <0|prod C({m})| B({l}_j)|0> for each choice of the dropped l:
-
-        sum_j coeff_j({l}_ell) X^j = Lambda(l_ell|{m}) X^ell .
-    """
-    w = _weights_homogeneous(L, eta, rho)
-    keep, coeffs = _action_terms(params, L, eta, rho)
-    X = _off_diagonal_product(keep, L, w, False) @ _off_diagonal_product(mu, L, w, True)
-    lhs = coeffs @ X
-    rhs = transfer_eigenvalue(params, mu, VacuumFunctions(L, eta, rho)) * X
-    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
-
-
-def onshell_roots(L, N, gamma, qnums=None):
-    """On-shell rapidities for the homogeneous chain at eta = i*gamma (the
-    real-root regime): the gapless XXZ logarithmic equations deliver them, and
-    they satisfy the Q-form on-shell condition of this module as-is.  Raises
-    ValueError above the equator (2N > L), where the solver can report
-    run-away roots as converged, and RuntimeError when the solve does not
-    converge."""
+def onshell_roots(L, N, gamma):
+    """On-shell rapidities of the lowest state (quantum numbers 1..N) for the
+    homogeneous chain at eta = i*gamma (the real-root regime): the gapless XXZ
+    logarithmic equations deliver them, and they satisfy the Q-form on-shell
+    condition of this module as-is.  Raises ValueError above the equator
+    (2N > L), where the solver can report run-away roots as converged, and
+    RuntimeError when the solve does not converge."""
     if 2 * N > L:
         raise ValueError(f"N={N} above the equator of L={L}: on-shell roots need 2N <= L")
-    if qnums is None:
-        qnums = tuple(range(1, N + 1))
+    qnums = tuple(range(1, N + 1))
     rep = solve_logbae_xxz(L, N, gamma, qnums)
     if not rep.converged:
         raise RuntimeError(f"on-shell solve failed for L={L} N={N} qnums={qnums}")

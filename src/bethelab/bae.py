@@ -17,8 +17,8 @@ phase normalization for both chains:
 
 so I_j is an integer for L - N odd and a half-odd integer for L - N even
 (Takahashi's parity rule) and the log form holds on the principal branch of
-the exponential form at every L.  SolveReport.residual and logbae_residual
-are max_j |F_j|, in radians; the exponential form follows it to first order.
+the exponential form at every L.  SolveReport.residual is max_j |F_j|, in
+radians; the exponential form follows it to first order.
 F cannot be computed closer to 0 than a few ulp of its largest terms, pi L,
 so a chain solve stops at max |F| < max(TOL, 8 ulp(pi L)): TOL up to
 L = 325, 3.6e-12 at L = 1024, 2.9e-11 at L = 8192.
@@ -57,20 +57,6 @@ CONVERGED, SINGULAR, STALLED, RUN_AWAY, MAX_ITER_STOP = range(len(STOP_REASONS))
 
 
 @dataclass
-class QuantumNumbers:
-    """Integer labels of the logarithmic Bethe equations (strictly increasing
-    for real-root branches)."""
-    n: tuple
-    L: int
-    N: int
-
-    def __post_init__(self):
-        self.n = tuple(self.n)
-        if len(self.n) != self.N:
-            raise ValueError("need one quantum number per root")
-
-
-@dataclass
 class SolveReport:
     """Outcome of a Bethe-equation solve; converged implies residual < tol.
     stop says why _damped_newton stopped (one of STOP_REASONS)."""
@@ -84,9 +70,9 @@ class SolveReport:
 
 
 def _integer_qnums(qnums):
-    """Quantum numbers (QuantumNumbers, tuple or array) as a float array;
-    ValueError unless every one is an integer."""
-    ns = np.asarray(getattr(qnums, "n", qnums), float)
+    """Quantum numbers (a tuple or an array) as a float array; ValueError
+    unless every one is an integer."""
+    ns = np.asarray(qnums, float)
     if np.any(np.mod(ns, 1) != 0):
         raise ValueError(f"quantum numbers must be integers, got {ns.tolist()}")
     return ns
@@ -179,16 +165,6 @@ def _chain_system(chain, L, ns):
     def J(lam, lanes=None):
         return _jacobian(L * chain.dtheta(1, lam), chain.dtheta(2, _diff(lam)))
     return F, J
-
-
-def logbae_residual(roots, L, qnums):
-    """Max |F_j| of the logarithmic XXX equations at real roots."""
-    lam = np.asarray(getattr(roots, "values", roots))
-    if np.iscomplexobj(lam) and np.max(np.abs(lam.imag)) > 1e-10:
-        raise ValueError("logarithmic form requires real roots")
-    ns = np.asarray(getattr(qnums, "n", qnums), float)
-    F = _chain_system(XXX, L, ns)[0]
-    return float(np.max(np.abs(F(lam.real.astype(float))))) if len(lam) else 0.0
 
 
 def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
@@ -310,9 +286,9 @@ def _solve_chain(chain, L, N, qnums):
 def solve_logbae(L, N, qnums):
     """Solve the logarithmic XXX equations for real roots.
 
-    qnums: strictly increasing integers (QuantumNumbers or a plain tuple);
-    the lowest state of the N-sector has n_j = 1..N.  Returns a SolveReport;
-    run-away iterates (rapidities at infinity) are flagged unconverged.
+    qnums: strictly increasing integers; the lowest state of the N-sector
+    has n_j = 1..N.  Returns a SolveReport; run-away iterates (rapidities at
+    infinity) are flagged unconverged.
     """
     return _solve_chain(XXX, L, N, qnums)
 
@@ -321,12 +297,6 @@ def solve_logbae_xxz(L, N, gamma, qnums):
     """Real-root XXZ solve in the gapless parameterization Delta = cos(gamma),
     0 < gamma < pi, with the same quantum numbers as solve_logbae."""
     return _solve_chain(xxz_kernel(gamma), L, N, qnums)
-
-
-def xxz_energy(roots, gamma):
-    """Bethe-state energy of the XXZ chain at Delta = cos(gamma):
-    E = - sum_j sin(gamma)^2 / (ch(2 l_j) - cos(gamma))."""
-    return xxz_kernel(gamma).energy(roots, np.sin(gamma))
 
 
 def _bose_system(L_ring, c, target):

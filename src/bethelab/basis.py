@@ -12,28 +12,6 @@ from math import comb
 
 import numpy as np
 
-# OperatorMatrix.matrix is a dense array below this dimension and the CSR from
-# it up.  `m @ v` for a complex v on XXX sector Hamiltonians, dense m vs CSR m
-# (one BLAS thread, 2-vCPU host): dim 126 8.9 us vs 3.7 us, 462 0.26 ms vs
-# 6.7 us, 924 1.03 ms vs 11 us, 3003 19.1 ms vs 33 us.  Below 512 an implicit
-# dense view is at most 2 MB real (4 MB complex), and the Hubbard blocks that
-# callers hand to numpy (up to dim 448 at L = 8) stay ndarrays.
-DENSE_DIM_LIMIT = 512
-
-
-def config_to_index(L, xs):
-    """Index of the basis state with down spins at sites xs (1-based) in the
-    full 2^L space."""
-    i = 0
-    for x in xs:
-        i |= 1 << (L - x)
-    return i
-
-
-def index_to_config(L, i):
-    """Down-spin sites (1-based, increasing) of a full-space basis index."""
-    return tuple(x for x in range(1, L + 1) if (i >> (L - x)) & 1)
-
 
 def _sector_states(L, N):
     """Sorted int64 array of the L-bit words with exactly N set bits.
@@ -55,10 +33,8 @@ class SectorBasis:
 
     state_array holds the bit configurations as a read-only int64 array,
     strictly increasing, which is ranked with np.searchsorted.  Built on
-    first use:
-    states, the same as a list of Python ints; index, which maps a
-    configuration back to its ordinal; and sites, each state's down-spin
-    sites.
+    first use: states, the same as a list of Python ints, and sites, each
+    state's down-spin sites.
     """
 
     def __init__(self, L, N):
@@ -74,10 +50,6 @@ class SectorBasis:
     @cached_property
     def states(self):
         return self.state_array.tolist()
-
-    @cached_property
-    def index(self):
-        return {s: i for i, s in enumerate(self.states)}
 
     @property
     def dim(self):
@@ -96,11 +68,6 @@ class SectorBasis:
         sites.flags.writeable = False
         return sites
 
-    def configs(self):
-        """Iterate (ordinal, down-spin site tuple) pairs."""
-        for i, xs in enumerate(self.sites.tolist()):
-            yield i, tuple(xs)
-
     def __repr__(self):
         return f"SectorBasis(L={self.L}, N={self.N}, dim={self.dim})"
 
@@ -110,7 +77,7 @@ def build_sector_basis(L, N):
 
     The most recent bases are kept and handed out again, so every caller of
     one (L, N) shares a single SectorBasis: its arrays are read-only, and its
-    states list and index dict must not be changed."""
+    states list must not be changed."""
     return _cached_sector_basis(L, N)
 
 

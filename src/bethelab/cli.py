@@ -375,31 +375,31 @@ class Command(NamedTuple):
         return params
 
 
-_LIEBWU = "L:int! N:int! M:int! u:float! qnums:ints! spin_qnums:ints="
+_LIEBWU = "L:count! N:int! M:int! u:float! qnums:ints! spin_qnums:ints="
 COMMANDS = {
-    "ed/spectrum": Command(cmd_ed_spectrum, "L:int! sector:sector=full k:int=none",
+    "ed/spectrum": Command(cmd_ed_spectrum, "L:count! sector:sector=full k:count=none",
                            {"xxx": "J:float=1.0", "xxz": "delta:float!"}),
-    "bae/solve": Command(cmd_bae_solve, "L:int! N:int! qnums:ints! J:float=1.0"),
-    "bae/residual": Command(cmd_bae_residual, "L:int! roots:roots!"),
-    "bae/two-magnon": Command(cmd_bae_two_magnon, "L:int!"),
-    "bethe-vector/build": Command(cmd_vector_build, "L:int! roots:roots!"),
-    "bethe-vector/verify": Command(cmd_vector_verify, "L:int! roots:roots! tol:float=1e-8"),
+    "bae/solve": Command(cmd_bae_solve, "L:count! N:int! qnums:ints! J:float=1.0"),
+    "bae/residual": Command(cmd_bae_residual, "L:count! roots:roots!"),
+    "bae/two-magnon": Command(cmd_bae_two_magnon, "L:count!"),
+    "bethe-vector/build": Command(cmd_vector_build, "L:count! roots:roots!"),
+    "bethe-vector/verify": Command(cmd_vector_verify, "L:count! roots:roots! tol:float=1e-8"),
     "thermo/density": Command(cmd_thermo_density, "q:float=inf n_nodes:int=128"),
     "thermo/gs-energy": Command(cmd_thermo_gs_energy,
                                 "q:float=inf n_nodes:int=128 J:float=1.0"),
-    "thermo/condensation": Command(cmd_thermo_condensation, "lmin:int=8 lmax:int=16"),
+    "thermo/condensation": Command(cmd_thermo_condensation, "lmin:count=8 lmax:count=16"),
     "vertex/ybe": Command(cmd_vertex_ybe, "trials:count=100"),
     "vertex/transfer": Command(cmd_vertex_transfer,
-                               "L:int! eta:complex! rho:complex=1.0 lambda:complex=0.0"),
+                               "L:count! eta:complex! rho:complex=1.0 lambda:complex=0.0"),
     "vertex/partition": Command(cmd_vertex_partition,
-                                "L:int! M:int! a:float=1 b:float=1 c:float=1"),
-    "vertex/ice-entropy": Command(cmd_vertex_ice_entropy, "lmax:int=12"),
-    "vertex/hamiltonian-link": Command(cmd_vertex_hamiltonian_link, "L:int=4 eta:float=0.3 "
+                                "L:count! M:count! a:float=1 b:float=1 c:float=1"),
+    "vertex/ice-entropy": Command(cmd_vertex_ice_entropy, "lmax:count=12"),
+    "vertex/hamiltonian-link": Command(cmd_vertex_hamiltonian_link, "L:count=4 eta:float=0.3 "
                                        "rho:float=1.0 J:float=1.0 step:float=1e-5 tol:float=1e-6"),
-    "aba/slavnov": Command(cmd_aba_slavnov, "L:int=8 N:int=2 gamma:float=0.6 trials:count=5"),
+    "aba/slavnov": Command(cmd_aba_slavnov, "L:count=8 N:int=2 gamma:float=0.6 trials:count=5"),
     "aba/verify-action": Command(cmd_aba_verify_action,
-                                 "L:int=6 N:int=2 trials:count=3 eta:complex=0.4+0.1j"),
-    "hubbard/ed": Command(cmd_hubbard_ed, "L:int! N:int! M:int! u:float!"),
+                                 "L:count=6 N:int=2 trials:count=3 eta:complex=0.4+0.1j"),
+    "hubbard/ed": Command(cmd_hubbard_ed, "L:count! N:int! M:int! u:float!"),
     "hubbard/liebwu": Command(cmd_hubbard_liebwu, _LIEBWU),
     "hubbard/verify": Command(cmd_hubbard_verify, _LIEBWU + " tol:float=1e-8"),
 }

@@ -261,9 +261,9 @@ def xxz_offshell_wavefunction(xs, roots, L, eta):
     return _at(_factors(_roots(roots), eta, np.sinh), xs, L)
 
 
-def xxz_offshell_vector(roots, L, eta, normalize=True):
-    """Vector of xxz_offshell_wavefunction over SectorBasis(L, N)."""
-    return _over_sector(_factors(_roots(roots), eta, np.sinh), L, normalize)
+def xxz_offshell_vector(roots, L, eta):
+    """Vector of xxz_offshell_wavefunction over SectorBasis(L, N), normalized."""
+    return _over_sector(_factors(_roots(roots), eta, np.sinh), L, True)
 
 
 def energy_xxx(roots, J=1.0):

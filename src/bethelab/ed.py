@@ -16,7 +16,15 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import DENSE_DIM_LIMIT, SectorBasis, build_sector_basis
+from .basis import SectorBasis, build_sector_basis
+
+# OperatorMatrix.matrix is a dense array below this dimension and the CSR from
+# it up.  `m @ v` for a complex v on XXX sector Hamiltonians, dense m vs CSR m
+# (one BLAS thread, 2-vCPU host): dim 126 8.9 us vs 3.7 us, 462 0.26 ms vs
+# 6.7 us, 924 1.03 ms vs 11 us, 3003 19.1 ms vs 33 us.  Below 512 an implicit
+# dense view is at most 2 MB real (4 MB complex), and the Hubbard blocks that
+# callers hand to numpy (up to dim 448 at L = 8) stay ndarrays.
+DENSE_DIM_LIMIT = 512
 
 # diagonalize uses Lanczos for the k lowest eigenpairs from LANCZOS_MIN_DIM up,
 # for k <= dim // LANCZOS_MAX_K_FRACTION; elsewhere a dense eigh of the k
@@ -83,7 +91,7 @@ class Spectrum:
 
 
 def _resolve_sector(L, sector):
-    if sector is None or sector == "full":
+    if sector is None:
         return None
     if isinstance(sector, SectorBasis):
         return sector
@@ -124,8 +132,7 @@ def _build_spin_hamiltonian(L, jxy, jz, sector):
 def build_xxx_hamiltonian(L, J=1.0, sector=None):
     """Heisenberg chain, H = J sum_j (s_j . s_{j+1} - 1/4).
 
-    sector: None or "full" for the full 2^L space, an integer N, or a
-    SectorBasis.
+    sector: None for the full 2^L space, an integer N, or a SectorBasis.
     For J < 0 the spectrum is non-negative and the all-up state has energy 0.
     """
     if L < 2:
@@ -387,8 +394,6 @@ def diagonalize(op, k=None):
     one-block operator.  Raises ValueError for non-Hermitian input or k < 1.
     Every returned pair satisfies ||H v - E v|| < 1e-10 ||v||.
     """
-    if not isinstance(op, OperatorMatrix):
-        op = OperatorMatrix(op)
     if k is not None and k < 1:
         raise ValueError(f"k={k}: need at least one eigenpair")
     if _use_lanczos(op.dim, k):

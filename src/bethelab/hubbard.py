@@ -70,8 +70,7 @@ class FermionBasis:
 
     `up` and `dn` hold the masks as int64 arrays in basis order (up masks
     outer, both in combinations order); `rank` maps mask arrays back to
-    ordinals by searchsorted on the sorted up and down masks.  `states` and
-    `index` are the same as a list of (up, dn) tuples and a dict."""
+    ordinals by searchsorted on the sorted up and down masks."""
 
     def __init__(self, L, N, M):
         if not (0 <= M <= L and 0 <= N - M <= L):
@@ -88,14 +87,6 @@ class FermionBasis:
     @property
     def dim(self):
         return len(self.up)
-
-    @cached_property
-    def states(self):
-        return list(zip(self.up.tolist(), self.dn.tolist()))
-
-    @cached_property
-    def index(self):
-        return {s: i for i, s in enumerate(self.states)}
 
     def rank(self, up, dn):
         """Ordinals of the states with masks (up, dn), arrays of basis states."""
@@ -201,10 +192,9 @@ def shift_block(basis, direction=-1):
     return OperatorMatrix(sp.coo_matrix((signs, (rows, np.arange(dim))), shape=(dim, dim)))
 
 
-def liebwu_residual(roots, L=None):
+def liebwu_residual(roots):
     """Max exponential-form residual over both equation families."""
-    L = roots.L if L is None else L
-    k, lam, u = roots.k, roots.lam, roots.u
+    L, k, lam, u = roots.L, roots.k, roots.lam, roots.u
     d = lam[None, :] - np.sin(k)[:, None]  # l_l - sin k_j, N x M
     if np.any(np.abs(d - 1j * u) < 1e-12) or np.any(np.abs(d + 1j * u) < 1e-12):
         raise ValueError("pole configuration l - sin k = +-iu")
@@ -281,10 +271,9 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=()):
     return roots, res, stop == "converged"
 
 
-def energy_momentum(roots, L=None):
+def energy_momentum(roots):
     """E = -2 sum cos k_j + u (L - 2N); P = [sum k_j] mod 2pi."""
-    L = roots.L if L is None else L
-    E = -2 * np.sum(np.cos(roots.k)) + roots.u * (L - 2 * roots.N)
+    E = -2 * np.sum(np.cos(roots.k)) + roots.u * (roots.L - 2 * roots.N)
     P = np.mod(np.sum(roots.k).real, 2 * np.pi)
     return complex(E).real if abs(complex(E).imag) < 1e-10 else complex(E), float(P)
 
@@ -321,28 +310,6 @@ def _nested_amplitudes(roots, xs, ys):
     dl = lamR[:, m] - lamR[:, n]
     A = np.prod((dl - 2j * u) / dl, axis=1)
     return A @ np.linalg.det(G)
-
-
-def nested_wavefunction(xs, spins, roots):
-    """Bethe wavefunction psi(x; a | k; lambda) of the Hubbard chain.
-
-    xs: electron coordinates (1-based, any order, ties allowed for opposite
-    spins); spins: 0 = up, 1 = down.  The ordering sector is the stable sort
-    of xs (tied coordinates keep their input order), whose sign multiplies
-    the sector formula of `_nested_amplitudes`.  The value vanishes when the
-    number of down spins differs from M.
-    """
-    if roots.N > FACTORIAL_GUARD_N or roots.M > FACTORIAL_GUARD_M:
-        raise ValueError("factorial cost guard: N <= 6, M <= 2")
-    if len(xs) != roots.N:
-        raise ValueError("need one coordinate per charge momentum")
-    Q = np.argsort(np.asarray(xs), kind="stable")
-    ys = np.flatnonzero(np.asarray(spins)[Q] == 1) + 1
-    if len(ys) != roots.M:
-        return 0.0 + 0.0j
-    inversions = np.count_nonzero(np.triu(Q[:, None] > Q[None, :]))
-    amp = _nested_amplitudes(roots, np.asarray(xs)[Q][None, :], ys[None, :])
-    return complex((-1) ** inversions * amp[0])
 
 
 def assemble_state(roots, basis=None):

@@ -61,10 +61,6 @@ def complex_list(values):
     return [complex_pair(z) for z in np.asarray(values).ravel()]
 
 
-def parse_complex_list(pairs):
-    return np.array([p[0] + 1j * p[1] for p in pairs], complex)
-
-
 def matrix_to_dict(op):
     """Matrix as {dim, format, entries: [[row, col, re, im], ...]} (nonzeros in
     row-major order); format is "coo" for sparse storage, else "dense"."""
@@ -83,35 +79,11 @@ def matrix_to_dict(op):
     return {"dim": int(m.shape[0]), "format": fmt, "entries": entries}
 
 
-def matrix_from_dict(d):
-    m = np.zeros((d["dim"], d["dim"]), complex)
-    for r, c, re, im in d["entries"]:
-        m[r, c] = re + 1j * im
-    return m
-
-
 def spectrum_to_csv(spectrum):
     lines = ["index,eigenvalue"]
     for i, w in enumerate(spectrum.eigenvalues):
         lines.append(f"{i},{w:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def rapidity_set_to_dict(rs):
-    return {
-        "model": rs.model,
-        "L": rs.L,
-        "N": rs.N,
-        "values": complex_list(rs.values),
-        "params": {k: (complex_pair(v) if isinstance(v, complex) else v)
-                   for k, v in rs.params.items()},
-    }
-
-
-def rapidity_set_from_dict(d):
-    from .coordinate import RapiditySet
-    return RapiditySet(d["model"], d["L"], parse_complex_list(d["values"]),
-                       dict(d.get("params", {})))
 
 
 def solve_report_to_dict(rep):
@@ -152,22 +124,6 @@ def entropy_csv(table):
 def nested_roots_to_dict(roots):
     return {"L": roots.L, "N": roots.N, "M": roots.M, "u": roots.u,
             "k": complex_list(roots.k), "lambda": complex_list(roots.lam)}
-
-
-def nested_roots_from_dict(d):
-    from .hubbard import NestedRoots
-    return NestedRoots(d["L"], parse_complex_list(d["k"]),
-                       parse_complex_list(d["lambda"]), d["u"])
-
-
-def weights_to_dict(w):
-    d = {"a": complex_pair(w.a), "b": complex_pair(w.b), "c": complex_pair(w.c)}
-    if w.parameterized:
-        d.update({"rho": complex_pair(w.rho), "lambda": complex_pair(w.lam),
-                  "eta": complex_pair(w.eta)})
-        if w.xi is not None:
-            d["xi"] = complex_list(w.xi)
-    return d
 
 
 def pairing_report(L, N, mu, lam, slavnov_value, brute_value):

@@ -15,7 +15,8 @@ candidate by candidate, with the double-loop admissibility test.
 
 The Hubbard block operators (Hamiltonian, S^+ and the one-site translation)
 are kept as their per-state loops over up/down bit masks, with dict ranking
-and fermion signs counted bit by bit on the interleaved orbital mask.
+and fermion signs counted bit by bit on the interleaved orbital mask.  The
+spin-chain basis is ranked bit by bit too (config_to_index and its inverse).
 
 The sparse embedding of a two-site operator on any two tensor slots
 (embed_pair) is the reference for the package's reshape action and its
@@ -39,6 +40,20 @@ import scipy.sparse as sp
 
 from bethelab import aba, bae, sixvertex
 from bethelab.coordinate import RapiditySet
+
+
+def config_to_index(L, xs):
+    """Index of the basis state with down spins at sites xs (1-based) in the
+    full 2^L space."""
+    i = 0
+    for x in xs:
+        i |= 1 << (L - x)
+    return i
+
+
+def index_to_config(L, i):
+    """Down-spin sites (1-based, increasing) of a full-space basis index."""
+    return tuple(x for x in range(1, L + 1) if (i >> (L - x)) & 1)
 
 
 def signed_permutations(n):
@@ -191,7 +206,7 @@ def assemble_state(roots, basis):
     (-1)^(K(K-1)/2), normalized."""
     L, K = roots.L, roots.N
     v = np.zeros(basis.dim, complex)
-    for i, (um, dm) in enumerate(basis.states):
+    for i, (um, dm) in enumerate(_fermion_states(basis)):
         orbs = []
         for x in range(L):
             if (um >> x) & 1:
@@ -357,6 +372,16 @@ def _combined_mask(L, um, dm):
     return m
 
 
+def _fermion_states(basis):
+    """The (up, dn) mask pairs of a hubbard.FermionBasis, in basis order."""
+    return list(zip(basis.up.tolist(), basis.dn.tolist()))
+
+
+def _fermion_index(basis):
+    """Dict from (up, dn) mask pairs to their ordinals in the basis."""
+    return {s: i for i, s in enumerate(_fermion_states(basis))}
+
+
 def _popcount_below(mask, p):
     return bin(mask & ((1 << p) - 1)).count("1")
 
@@ -365,7 +390,8 @@ def hubbard_hamiltonian(L, u, basis):
     """hubbard.build_hubbard_hamiltonian(...).matrix state by state."""
     dim = basis.dim
     H = np.zeros((dim, dim))
-    for i, (um, dm) in enumerate(basis.states):
+    index = _fermion_index(basis)
+    for i, (um, dm) in enumerate(_fermion_states(basis)):
         diag = 0.0
         for x in range(L):
             nu = (um >> x) & 1
@@ -386,7 +412,7 @@ def hubbard_hamiltonian(L, u, basis):
                     sgn *= (-1) ** _popcount_below(cm2, 2 * dst + s)
                     new = mask ^ (1 << src) | (1 << dst)
                     key = (new, dm) if s == 0 else (um, new)
-                    H[basis.index[key], i] -= sgn
+                    H[index[key], i] -= sgn
     return H
 
 
@@ -394,7 +420,8 @@ def spin_raise_block(basis, dst):
     """hubbard.spin_raise_block(basis)[0] state by state (dst: the (N, M-1)
     basis)."""
     m = np.zeros((dst.dim, basis.dim))
-    for i, (um, dm) in enumerate(basis.states):
+    index = _fermion_index(dst)
+    for i, (um, dm) in enumerate(_fermion_states(basis)):
         for x in range(basis.L):
             if ((dm >> x) & 1) and not ((um >> x) & 1):
                 cm = _combined_mask(basis.L, um, dm)
@@ -402,7 +429,7 @@ def spin_raise_block(basis, dst):
                 cm2 = cm & ~(1 << (2 * x + 1))
                 sgn *= (-1) ** _popcount_below(cm2, 2 * x)
                 key = (um | (1 << x), dm & ~(1 << x))
-                m[dst.index[key], i] += sgn
+                m[index[key], i] += sgn
     return m
 
 
@@ -411,7 +438,8 @@ def shift_block(basis, direction=-1):
     permutation sorting the shifted orbital string."""
     L = basis.L
     m = np.zeros((basis.dim, basis.dim))
-    for i, (um, dm) in enumerate(basis.states):
+    index = _fermion_index(basis)
+    for i, (um, dm) in enumerate(_fermion_states(basis)):
         orbs = []
         for x in range(L):
             if (um >> x) & 1:
@@ -439,7 +467,7 @@ def shift_block(basis, direction=-1):
                 um2 |= 1 << (p // 2)
             else:
                 dm2 |= 1 << (p // 2)
-        m[basis.index[(um2, dm2)], i] = sgn
+        m[index[(um2, dm2)], i] = sgn
     return m
 
 
@@ -536,6 +564,11 @@ def transfer_eigenvalue(lam, roots, vac):
     return np.array(out, complex)
 
 
+def e_function(lam, eta):
+    """e(l) = cth(l) - cth(l + eta), the kernel of the pairing numerator."""
+    return aba.cth(lam) - aba.cth(lam + eta)
+
+
 def determinant_ratio(mu, la, L, eta, rho, reflected):
     """aba.slavnov_ratio's determinant expression with the three N x N
     matrices filled entry by entry from scalar counting functions; with
@@ -563,8 +596,8 @@ def determinant_ratio(mu, la, L, eta, rho, reflected):
     for j in range(n):
         for k in range(n):
             second = la[k] - mu[j] if reflected else mu[j] - la[k]
-            num[j, k] = (aba.e_function(mu[j] - la[k], eta) / (1 + af[k])
-                         - aba.e_function(second, eta) / (1 + 1 / af[k]))
+            num[j, k] = (e_function(mu[j] - la[k], eta) / (1 + af[k])
+                         - e_function(second, eta) / (1 + 1 / af[k]))
             den_cauchy[j, k] = 1 / np.sinh(mu[j] - la[k])
             den_gaudin[j, k] -= aba.k_function(mu[j] - mu[k], eta) / daf[k]
     return complex(np.linalg.det(num) / (np.linalg.det(den_gaudin) * np.linalg.det(den_cauchy))

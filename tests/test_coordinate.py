@@ -233,9 +233,9 @@ def _assert_kernel_matches_loop(kind, eta, roots, L, pole_edge=False):
     to the reference's scale (unscaled amplitudes can be subnormal or
     overflow); an exact 0 is 0 at any scale."""
     _, kernel_factors, factors, _, _ = _model(kind, eta)
-    xs = [xs for _, xs in build_sector_basis(L, len(roots)).configs()]
-    ref, scale = loop_references.log_terms(roots, L, xs, *factors)
-    vals, log_scale = coordinate._bethe_sum(kernel_factors(roots), L, np.array(xs))
+    sites = build_sector_basis(L, len(roots)).sites
+    ref, scale = loop_references.log_terms(roots, L, sites.tolist(), *factors)
+    vals, log_scale = coordinate._bethe_sum(kernel_factors(roots), L, sites)
     live = vals != 0
     scaled = np.zeros_like(vals)
     scaled[live] = vals[live] * np.exp(log_scale[live] - scale)

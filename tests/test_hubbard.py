@@ -75,9 +75,7 @@ class TestBlockOperatorsMatchLoops:
     def test_rank_inverts_states(self):
         for N, M in _blocks(4):
             b = hubbard.FermionBasis(4, N, M)
-            assert b.states == [(int(u), int(d)) for u, d in zip(b.up, b.dn)]
             assert np.array_equal(b.rank(b.up, b.dn), np.arange(b.dim))
-            assert all(b.index[s] == i for i, s in enumerate(b.states))
 
 
 class TestHamiltonian:
@@ -270,42 +268,65 @@ class TestLiebWuProperties:
         assert abs(hubbard.liebwu_residual(roots) - ref) <= 1e-10 * max(1.0, ref)
 
 
+def _nested_wavefunction(xs, spins, roots):
+    """Bethe wavefunction psi(x; a | k; lambda) at one configuration, from
+    hubbard._nested_amplitudes.
+
+    xs: electron coordinates (1-based, any order, ties allowed for opposite
+    spins); spins: 0 = up, 1 = down.  The ordering sector is the stable sort
+    of xs (tied coordinates keep their input order), whose sign multiplies
+    the sector formula.  The value vanishes when the number of down spins
+    differs from M.
+    """
+    if roots.N > hubbard.FACTORIAL_GUARD_N or roots.M > hubbard.FACTORIAL_GUARD_M:
+        raise ValueError("factorial cost guard: N <= 6, M <= 2")
+    if len(xs) != roots.N:
+        raise ValueError("need one coordinate per charge momentum")
+    Q = np.argsort(np.asarray(xs), kind="stable")
+    ys = np.flatnonzero(np.asarray(spins)[Q] == 1) + 1
+    if len(ys) != roots.M:
+        return 0.0 + 0.0j
+    inversions = np.count_nonzero(np.triu(Q[:, None] > Q[None, :]))
+    amp = hubbard._nested_amplitudes(roots, np.asarray(xs)[Q][None, :], ys[None, :])
+    return complex((-1) ** inversions * amp[0])
+
+
 class TestNestedWavefunction:
     def test_m_zero_is_slater(self):
         L, N = 5, 2
         k = 2 * np.pi * np.array([1, 3]) / L
         roots = hubbard.NestedRoots(L, k, [], 1.0)
         for xs in [(1, 4), (2, 3)]:
-            psi = hubbard.nested_wavefunction(list(xs), [0, 0], roots)
+            psi = _nested_wavefunction(list(xs), [0, 0], roots)
             slater = np.linalg.det(np.exp(1j * np.outer(k, xs)))
             assert abs(psi - slater) < 1e-12 * abs(slater)
 
     def test_wrong_down_count_vanishes(self):
         roots, _, _ = hubbard.solve_liebwu(6, 2, 1, 1.0, (-1, 0), (0,))
-        assert hubbard.nested_wavefunction([2, 5], [0, 0], roots) == 0
+        assert _nested_wavefunction([2, 5], [0, 0], roots) == 0
 
     def test_antisymmetry(self):
         roots, _, _ = hubbard.solve_liebwu(6, 2, 1, 1.5, (-1, 0), (0,))
         for (xs, sp) in [(([2, 5]), ([0, 1])), (([1, 4]), ([1, 0]))]:
-            a = hubbard.nested_wavefunction(xs, sp, roots)
-            b = hubbard.nested_wavefunction(xs[::-1], sp[::-1], roots)
+            a = _nested_wavefunction(xs, sp, roots)
+            b = _nested_wavefunction(xs[::-1], sp[::-1], roots)
             assert abs(a + b) < 1e-12 * abs(a)
 
     def test_tie_continuity(self):
         # coincident coordinates with opposite spins: the two sector formulas
         # agree (the assembled coefficient does not depend on the tie order)
         roots, _, _ = hubbard.solve_liebwu(6, 2, 1, 1.5, (-1, 0), (0,))
-        a = hubbard.nested_wavefunction([3, 3], [0, 1], roots)
-        b = hubbard.nested_wavefunction([3, 3], [1, 0], roots)
+        a = _nested_wavefunction([3, 3], [0, 1], roots)
+        b = _nested_wavefunction([3, 3], [1, 0], roots)
         assert abs(a + b) < 1e-12 * abs(a)
 
     def test_guard(self):
         roots = hubbard.NestedRoots(8, np.zeros(7), np.zeros(3), 1.0)
         with pytest.raises(ValueError):
-            hubbard.nested_wavefunction([1] * 7, [0] * 7, roots)
+            _nested_wavefunction([1] * 7, [0] * 7, roots)
         roots = hubbard.NestedRoots(8, np.zeros(6), np.zeros(3), 1.0)  # M = 3 > 2
         with pytest.raises(ValueError):
-            hubbard.nested_wavefunction([1, 2, 3, 4, 5, 6], [0, 0, 0, 1, 1, 1], roots)
+            _nested_wavefunction([1, 2, 3, 4, 5, 6], [0, 0, 0, 1, 1, 1], roots)
 
 
 class TestAssembledStates:
@@ -382,7 +403,7 @@ class TestNestedKernelMatchesLoops:
         xs = data.draw(st.lists(st.integers(1, L), min_size=N, max_size=N))
         spins = data.draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))
         ref = loop_references.nested_wavefunction(xs, spins, roots)
-        psi = hubbard.nested_wavefunction(xs, spins, roots)
+        psi = _nested_wavefunction(xs, spins, roots)
         assert abs(psi - ref) <= 1e-10 * max(1.0, abs(ref))
         if sum(spins) != M:
             assert psi == 0
