@@ -29,11 +29,15 @@ x of shape (n,) or (B, n), B independent systems, and `lanes` picks the rows
 of per-lane parameters (quantum numbers of shape (B, N)) that x holds; None
 means all of them.  No Python loop runs over roots or over lanes.  All solves
 go through one damped-Newton routine with analytic Jacobians: step-halving
-damping, a seed per system (the kernel's for the chains), tolerance TOL,
-max 200 steps.  Each lane keeps its own damping, iteration count and stop
-reason (STOP_REASONS) and leaves the working set when it stops, so a lane of a
-stack ends exactly as its own solve would; the two-magnon classification runs
-its whole quantum-number scan and its whole bound-pair grid as one stack each.
+damping, a seed per system, tolerance TOL, max 200 steps.  A chain solve
+takes its seed from the kernel: where the kernel holds several (XXX: the free
+magnon and Hulthen's half-filled counting function), it evaluates F on each
+and starts from the one with the smallest max |F_j|, the first on a tie.
+Each lane keeps its own damping, iteration count and stop reason
+(STOP_REASONS) and leaves the working set when it stops, so a lane of a
+stack ends exactly as its own solve would; the two-magnon classification
+runs its whole quantum-number scan and its whole bound-pair grid as one
+stack each.
 Iterates that run away to |x| > ROOT_ESCAPE, or converge beyond
 ROOT_ESCAPE/100, are reported as unconverged: for the log-form solves these
 are solutions with rapidities at infinity (spin-lowered descendants); in the
@@ -261,9 +265,10 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
 
 
 def _solve_chain(chain, L, N, qnums):
-    """Real-root solve of the chain's log form from the kernel's seed.  A
-    'singular' stop with a root where theta_1' rounds to 0 (XXZ: th l rounds
-    to 1, |l| > about 19) is reported as 'run_away': that root's Jacobian row
+    """Real-root solve of the chain's log form from the kernel's seed, or
+    from the one of its seeds with the smallest max |F_j|.  A 'singular'
+    stop with a root where theta_1' rounds to 0 (XXZ: th l rounds to 1,
+    |l| > about 19) is reported as 'run_away': that root's Jacobian row
     vanished on its way out, before it reached ROOT_ESCAPE."""
     ns = _integer_qnums(qnums)
     if len(ns) != N:
@@ -273,9 +278,13 @@ def _solve_chain(chain, L, N, qnums):
     if N > L / 2:
         raise ValueError("real-root branch requires N <= L/2")
     params = dict(chain.params)
-    lam, res, iters, stop = _damped_newton(*_chain_system(chain, L, ns),
-                                           chain.seed(ns - _qnum_offset(L, N), L),
-                                           tol=max(TOL, 8 * np.spacing(np.pi * L)))
+    F, J = _chain_system(chain, L, ns)
+    x0 = [seed(ns - _qnum_offset(L, N), L) for seed in chain.seeds]
+    # one seed at a time: F on a (2, N) stack took 594 us against 220 us for
+    # two calls at N = 160 (2-vCPU host), and raised the peak memory of the
+    # N = 2048 solve from 186 to 243 MB
+    x0 = min(x0, key=lambda x: np.abs(F(x)).max(initial=0.0)) if len(x0) > 1 else x0[0]
+    lam, res, iters, stop = _damped_newton(F, J, x0, tol=max(TOL, 8 * np.spacing(np.pi * L)))
     if stop == "singular" and np.any(chain.dtheta(1, lam) == 0):
         stop = "run_away"
     roots = RapiditySet(chain.model, L, np.sort(lam).astype(complex), params)
@@ -385,12 +394,15 @@ def classify_two_magnon(L):
     """Enumerate admissible N = 2 solutions: real pairs from a quantum-number
     scan and conjugate ("bound") pairs l = l_r +- i d from a Newton search.
 
-    Real seeds: all strictly increasing integer pairs in -L/2 + 1 .. L/2 + 3
-    (every branch that converges at this L), solved as one stack of
-    log-form systems.  Bound seeds: l_r on a step-0.1 grid with d0 = 0.5,
-    solved as one stack; the grid spans +-(cot(pi/L) + 1.5)
-    because the smallest-momentum bound pair sits at center cot(pi/L), beyond
-    +-3 once L >= 10.  The bound-pair search runs on the shared _damped_newton
+    Real seeds: all strictly increasing integer pairs with |I_j| <= (L - 3)/2,
+    Takahashi's bound (L - N - 1)/2 on real roots, i.e. n_j in 3 - L/2 .. L/2,
+    solved as one stack of log-form systems from the free-magnon seed.  At
+    every even L in 4..16 exactly these lanes of the wider scan
+    -L/2 + 1 .. L/2 + 3 converge and all others run away
+    (tests/test_bae.py::test_two_magnon_scan_is_the_admissible_range).
+    Bound seeds: l_r on a step-0.1 grid with d0 = 0.5, solved as one stack;
+    the grid spans +-(cot(pi/L) + 1.5) because the smallest-momentum bound
+    pair sits at center cot(pi/L), beyond +-3 once L >= 10.  The bound-pair search runs on the shared _damped_newton
     (tolerance 1e-13, 100 steps); its run-away rule discards seeds that walk
     off to |l| -> infinity, where the equation holds only asymptotically.
     Candidates, real pairs first, are kept if admissible with exp-form
@@ -402,11 +414,10 @@ def classify_two_magnon(L):
     """
     if L % 2 or not (4 <= L <= 16):
         raise ValueError("L must be even, 4 <= L <= 16")
-    qn_range = range(-L // 2 + 1, L // 2 + 4)
-    ns = np.array([(n1, n2) for n1 in qn_range for n2 in qn_range if n2 > n1],
-                  float).reshape(-1, 2)
+    qn_range = range(3 - L // 2, L // 2 + 1)
+    ns = np.array([(n1, n2) for n1 in qn_range for n2 in qn_range if n2 > n1], float)
     lam, _, _, stop = _damped_newton(*_chain_system(XXX, L, ns),
-                                     XXX.seed(ns - _qnum_offset(L, 2), L))
+                                     XXX.seeds[0](ns - _qnum_offset(L, 2), L))
     real = np.sort(lam[stop == "converged"], axis=-1).astype(complex)
 
     reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)

@@ -396,7 +396,7 @@ COMMANDS = {
     "vertex/ice-entropy": Command(cmd_vertex_ice_entropy, "lmax:count=12"),
     "vertex/hamiltonian-link": Command(cmd_vertex_hamiltonian_link, "L:count=4 eta:float=0.3 "
                                        "rho:float=1.0 J:float=1.0 step:float=1e-5 tol:float=1e-6"),
-    "aba/slavnov": Command(cmd_aba_slavnov, "L:count=8 N:int=2 gamma:float=0.6 trials:count=5"),
+    "aba/slavnov": Command(cmd_aba_slavnov, "L:count=8 N:count=2 gamma:float=0.6 trials:count=5"),
     "aba/verify-action": Command(cmd_aba_verify_action,
                                  "L:count=6 N:int=2 trials:count=3 eta:complex=0.4+0.1j"),
     "hubbard/ed": Command(cmd_hubbard_ed, "L:count! N:int! M:int! u:float!"),

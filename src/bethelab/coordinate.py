@@ -62,15 +62,17 @@ class ChainKernel:
     """The Bethe-equation kernel of a periodic spin-1/2 chain: the log form's
     phases theta(n, x) and derivatives dtheta(n, x), the exponential form's
     phase function f, as logf = log f on some branch and without overflow,
-    and its shift eta (see the bae module), and the Newton seed(I, L) at
-    I_j = n_j - offset.  XXX is the gamma -> 0 limit of xxz_kernel(gamma) at
+    and its shift eta (see the bae module), and the Newton seeds, a tuple of
+    functions seed(I, L) at I_j = n_j - offset.  A solve with more than one
+    seed starts from the one with the smallest max |F_j| of the log form (see
+    bae._solve_chain).  XXX is the gamma -> 0 limit of xxz_kernel(gamma) at
     l_XXZ = gamma l_XXX."""
     model: str
     eta: complex
     logf: object
     theta: object
     dtheta: object
-    seed: object
+    seeds: tuple
     params: dict = field(default_factory=dict)
 
     def off_poles(self, roots):
@@ -90,11 +92,26 @@ class ChainKernel:
         return complex(-eps / 2 * np.sum(self.dtheta(1, lam))) if len(lam) else 0.0
 
 
+def _free_magnon(I, L):
+    """l_j = tg(pi I_j/L)/2, the XXX root of one magnon (exact at N = 1)."""
+    return 0.5 * np.tan(np.pi * I / L)
+
+
+def _counting_seed(I, L, gamma, outside):
+    """Where the half-filled ground state's counting function, density
+    1/(2 gamma ch(pi l/gamma)), reaches I_j/L: l_j = (2 gamma/pi)
+    arth(tg(pi I_j/L)) for |tg| < 1, else outside.  The rapidities are
+    gamma times XXX ones, whose density is Hulthen's 1/(2 ch pi l)."""
+    t = np.tan(np.pi * I / L)
+    inside = np.abs(t) < 1
+    return np.where(inside, 2 * gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)), outside)
+
+
 # theta_n(x) = 2 arctg(2x/n), f the identity, eta = i; seeded at the free
-# magnon l_j = tg(pi I_j/L)/2
+# magnon and at Hulthen's counting function (the free magnon outside it)
 XXX = ChainKernel("XXX", 1j, np.log, lambda n, x: 2 * np.arctan(2 / n * x),
                   lambda n, x: n / (x ** 2 + n ** 2 / 4),
-                  lambda I, L: 0.5 * np.tan(np.pi * I / L))
+                  (_free_magnon, lambda I, L: _counting_seed(I, L, 1.0, _free_magnon(I, L))))
 
 
 def _log_sh(x):
@@ -106,23 +123,17 @@ def _log_sh(x):
 
 def xxz_kernel(gamma):
     """Delta = cos(gamma), 0 < gamma < pi: theta_n(x) = 2 arctg(cot(n gamma/2)
-    th x), f = sh, eta = i gamma; seeded where the ground-state counting
-    function (density 1/(2 gamma ch(pi l/gamma))) reaches I_j/L,
-    l_j = (2 gamma/pi) arth(tg(pi I_j/L)) for |tg| < 1, else 0.3 I_j."""
+    th x), f = sh, eta = i gamma; seeded at the ground-state counting
+    function, l_j = 0.3 I_j outside it."""
     def cot(n):
         return np.tan(np.pi / 2 - n * gamma / 2)
 
     def dtheta(n, x):
         c, t = cot(n), np.tanh(x)
         return 2 * c * (1 - t ** 2) / (1 + (c * t) ** 2)
-
-    def seed(I, L):
-        t = np.tan(np.pi * I / L)
-        inside = np.abs(t) < 1
-        return np.where(inside, 2 * gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)), 0.3 * I)
     return ChainKernel("XXZ", 1j * gamma, _log_sh,
-                       lambda n, x: 2 * np.arctan(cot(n) * np.tanh(x)), dtheta, seed,
-                       {"gamma": gamma})
+                       lambda n, x: 2 * np.arctan(cot(n) * np.tanh(x)), dtheta,
+                       (lambda I, L: _counting_seed(I, L, gamma, 0.3 * I),), {"gamma": gamma})
 
 
 def rapidity_to_momentum(lam):

@@ -1,5 +1,7 @@
 """Bethe-equation residuals, solvers, and the two-magnon classification."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -161,6 +163,32 @@ def _hole_states():
     return cases
 
 
+def _offshell_states():
+    """(L, qnums): three random real-root states of each (L, N), L in
+    {8, 10, 12, 14}, N <= min(6, L/2), n_j in N+1-L/2 .. L/2 (the perfbench
+    offshell_vector sizes)."""
+    rng = np.random.default_rng(11)
+    return [(L, tuple(int(n) for n in np.sort(rng.choice(np.arange(N + 1 - L // 2, L // 2 + 1),
+                                                         N, replace=False))))
+            for L in (8, 10, 12, 14) for N in range(1, min(6, L // 2) + 1) for _ in range(3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _logbae(L, qn):
+    """solve_logbae(L, len(qn), qn), once per state: the L = 4096 ground
+    state takes about a second."""
+    return bae.solve_logbae(L, len(qn), qn)
+
+
+def _solve_from(seed, chain, L, qn):
+    """_damped_newton on the chain's log form from one seed function, with
+    the stop rule of _solve_chain."""
+    ns = np.asarray(qn, float)
+    return bae._damped_newton(*bae._chain_system(chain, L, ns),
+                              seed(ns - bae._qnum_offset(L, len(qn)), L),
+                              tol=max(bae.TOL, 8 * np.spacing(np.pi * L)))
+
+
 class TestChainKernel:
     """One log-form system, one exponential residual and one energy over the
     rational (XXX) and trigonometric (XXZ) kernels."""
@@ -171,9 +199,35 @@ class TestChainKernel:
     def test_large_l_solves_hold_the_exponential_form(self, L, qn):
         # the XXX stop rule acts on the phase form L theta_1 - 2 pi I - sum theta_2,
         # floored at 8 ulp(pi L): at L = 4096 a 1e-12 stop stalls
-        rep = bae.solve_logbae(L, len(qn), qn)
+        rep = _logbae(L, qn)
         assert rep.converged
         assert bae.bae_residual_xxx(rep.roots, L) <= 1e-11
+
+    @pytest.mark.parametrize("L", [8, 64, 320, 4096])
+    def test_half_filled_ground_states_start_from_hulthen(self, L):
+        # from the free-magnon seed alone they take 5, 7, 8 and 11 steps
+        rep = _logbae(L, tuple(range(1, L // 2 + 1)))
+        assert rep.converged and rep.iterations <= 4
+
+    @pytest.mark.parametrize("L, qn", _hole_states() + _offshell_states())
+    def test_seed_choice_keeps_the_roots(self, L, qn):
+        # the free-magnon seed alone gives the same stop and, converged, the
+        # same roots up to rounding
+        lam, _, _, stop = _solve_from(bae.XXX.seeds[0], bae.XXX, L, qn)
+        rep = bae.solve_logbae(L, len(qn), qn)
+        assert rep.stop == stop
+        if stop == "converged":
+            assert np.max(np.abs(rep.roots.values - np.sort(lam))) <= 1e-12
+
+    @pytest.mark.parametrize("L, N, gamma", [(8, 4, 0.9), (21, 9, 0.4), (80, 40, 1.3)])
+    def test_one_seed_solves_from_it(self, L, N, gamma):
+        # a single-seed kernel pays no seed choice: XXZ solves are bitwise
+        # those from its seed
+        chain, qn = bae.xxz_kernel(gamma), tuple(range(1, N + 1))
+        lam, res, iters, stop = _solve_from(chain.seeds[0], chain, L, qn)
+        rep = bae.solve_logbae_xxz(L, N, gamma, qn)
+        assert (rep.residual, rep.iterations, rep.stop) == (res, iters, stop)
+        assert np.array_equal(rep.roots.values, np.sort(lam))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rational_limit_of_the_phases(self, n):
@@ -541,6 +595,20 @@ def test_two_magnon_matches_serial_scan(L):
         assert np.max(np.abs(rs.values - rr.values)) <= 1e-14
 
 
+@pytest.mark.parametrize("L", sorted(TWO_MAGNON_COUNTS))
+def test_two_magnon_scan_is_the_admissible_range(L):
+    # on the loop reference's wider scan, the lanes with |I_j| <= (L - 3)/2,
+    # the ones classify_two_magnon solves, converge and all others run away
+    qn = range(-L // 2 + 1, L // 2 + 4)
+    ns = np.array([(n1, n2) for n1 in qn for n2 in qn if n2 > n1], float)
+    I = ns - bae._qnum_offset(L, 2)
+    _, _, _, stop = bae._damped_newton(*bae._chain_system(bae.XXX, L, ns),
+                                       bae.XXX.seeds[0](I, L))
+    admissible = np.all(np.abs(I) <= (L - 3) / 2, axis=-1)
+    assert np.array_equal(stop == "converged", admissible)
+    assert np.all(stop[~admissible] == "run_away")
+
+
 def _assert_lanes_match_single(system, params, X0, **kw):
     """system(*params) with per-lane params (B, .) solved as one stack from X0
     (B, n), against system(*row b of params) solved from X0[b]."""
@@ -566,7 +634,7 @@ class TestLaneBatchedNewton:
     def test_logbae_lanes(self, L, N, B, data):
         ns = _increasing_qnums(data, B, N, -L // 2, L // 2 + 3)
         _assert_lanes_match_single(lambda q: bae._chain_system(bae.XXX, L, q), (ns,),
-                                   bae.XXX.seed(ns - bae._qnum_offset(L, N), L))
+                                   bae.XXX.seeds[0](ns - bae._qnum_offset(L, N), L))
 
     @settings(max_examples=25, deadline=None)
     @given(L=st.integers(6, 40), N=st.integers(1, 4), B=st.integers(1, 6),

@@ -404,6 +404,8 @@ class TestCli:
         ("hubbard/verify", {"L": "0", "N": "0", "M": "0", "u": "1", "qnums": ""},
          "--L must be >= 1, got 0"),
         ("aba/slavnov", {"L": "0", "N": "0"}, "--L must be >= 1, got 0"),
+        # no pairing to check: reported max_rel_err 0 (exit 0)
+        ("aba/slavnov", {"N": "0"}, "--N must be >= 1, got 0"),
         ("thermo/condensation", {"lmin": "0", "lmax": "2"}, "--lmin must be >= 1, got 0"),
         ("thermo/condensation", {"lmin": "-4", "lmax": "-2"}, "--lmin must be >= 1, got -4"),
         ("ed/spectrum", {"L": "4", "k": "0"}, "--k must be >= 1, got 0"),
