@@ -8,10 +8,10 @@ The monodromy is written as a 2x2 matrix in the auxiliary space,
 with A + D the transfer matrix.  B lowers S^z by one; products of B's applied
 to the all-up pseudo vacuum generate (XXZ) off-shell Bethe vectors.  With
 Q(l|{n}) = prod_n sh(l - n), the vacuum eigenvalues are Q-functions of the
-inhomogeneities, a(l) = rho^L Q(l + eta|{xi}) and d(l) = rho^L Q(l|{xi}).  The
-homogeneous convention here is xi_j = eta/2, so a(l) = rho^L sh^L(l + eta/2),
-d(l) = rho^L sh^L(l - eta/2) and this module's transfer t(l) equals the
-six-vertex homogeneous transfer at l - eta/2.  A root set {m} is on shell when
+inhomogeneities, a(l) = Q(l + eta|{xi}) and d(l) = Q(l|{xi}) (the R-matrix at
+rho = 1).  The homogeneous convention here is xi_j = eta/2, so a(l) =
+sh^L(l + eta/2), d(l) = sh^L(l - eta/2) and this module's transfer t(l) equals
+the six-vertex homogeneous transfer at l - eta/2.  A root set {m} is on shell when
 
     a(m_j) Q(m_j - eta|{m}) + d(m_j) Q(m_j + eta|{m}) = 0   for every j,
 
@@ -84,20 +84,19 @@ def _q_derivative(lam, roots):
 class VacuumFunctions:
     """Vacuum eigenvalues of the monodromy diagonal blocks as Q-functions of
     the inhomogeneities xi (eta/2 at every site unless given):
-    a(l) = rho^L Q(l + eta|{xi}), d(l) = rho^L Q(l|{xi}); every method takes a
-    scalar or an array of l."""
+    a(l) = Q(l + eta|{xi}), d(l) = Q(l|{xi}); every method takes a scalar or
+    an array of l."""
 
-    def __init__(self, L, eta, rho=1.0, xi=None):
+    def __init__(self, L, eta, xi=None):
         self.L = L
         self.eta = eta
-        self.rho = rho
         self.xi = np.full(L, eta / 2, complex) if xi is None else np.asarray(xi, complex)
 
     def a(self, l):
-        return self.rho ** self.L * q_function(l + self.eta, self.xi)
+        return q_function(l + self.eta, self.xi)
 
     def d(self, l):
-        return self.rho ** self.L * q_function(l, self.xi)
+        return q_function(l, self.xi)
 
     def dlog_a(self, l):
         return _q_log_derivative(l + self.eta, self.xi)
@@ -107,11 +106,11 @@ class VacuumFunctions:
 
     def da(self, l):
         """a'(l), zero-safe at the zeros of a."""
-        return self.rho ** self.L * _q_derivative(l + self.eta, self.xi)
+        return _q_derivative(l + self.eta, self.xi)
 
     def dd(self, l):
         """d'(l), zero-safe at the zeros of d."""
-        return self.rho ** self.L * _q_derivative(l, self.xi)
+        return _q_derivative(l, self.xi)
 
 
 class MonodromyBlocks(NamedTuple):
@@ -122,17 +121,17 @@ class MonodromyBlocks(NamedTuple):
     D: np.ndarray
 
 
-def _weights_homogeneous(L, eta, rho):
-    return VertexWeights.from_parameters(rho, 0.0, eta, xi=[eta / 2] * L)
+def _weights_homogeneous(L, eta):
+    return VertexWeights.from_parameters(1.0, 0.0, eta, xi=[eta / 2] * L)
 
 
-def monodromy_blocks(lam, L, eta, rho=1.0, xi=None):
+def monodromy_blocks(lam, L, eta, xi=None):
     """Extract A(l), B(l), C(l), D(l) from the 2x2 auxiliary structure of the
     monodromy; xi defaults to the homogeneous eta/2 convention."""
     if L > 12:
         raise ValueError("monodromy blocks supported up to L = 12")
     xi_list = [eta / 2] * L if xi is None else list(xi)
-    w = VertexWeights.from_parameters(rho, 0.0, eta, xi=xi_list)
+    w = VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi_list)
     T = _monodromy_csr(lam, L, w).toarray()
     d = 2 ** L
     return MonodromyBlocks(T[:d, :d], T[:d, d:], T[d:, :d], T[d:, d:])
@@ -144,11 +143,11 @@ def pseudo_vacuum(L):
     return v
 
 
-def aba_transfer(lam, L, eta, rho=1.0):
+def aba_transfer(lam, L, eta):
     """A(l) + D(l) in the homogeneous eta/2 convention (equals the six-vertex
     transfer at l - eta/2), as an explicit matrix; the action residuals apply
     it to vectors through sixvertex._transfer_action instead."""
-    return transfer(lam, L, _weights_homogeneous(L, eta, rho)).matrix
+    return transfer(lam, L, _weights_homogeneous(L, eta)).matrix
 
 
 def _off_diagonal_product(roots, L, w, transposed):
@@ -169,18 +168,11 @@ def _off_diagonal_product(roots, L, w, transposed):
     return v
 
 
-def b_product_state(roots, L, eta, rho=1.0):
+def b_product_state(roots, L, eta):
     """prod_j B(l_j) applied to the pseudo vacuum (order immaterial: the B's
     commute), applying the R-factors to one vector per root without building
     any matrix."""
-    return _off_diagonal_product(roots, L, _weights_homogeneous(L, eta, rho), False)
-
-
-def c_product_covector(roots, L, eta, rho=1.0):
-    """<0| prod_j C(m_j) as a vector, applying the R-factors to one vector per
-    root without building any matrix; the dual pseudo vacuum is the conjugate
-    transpose of |0>, unnormalized."""
-    return _off_diagonal_product(roots, L, _weights_homogeneous(L, eta, rho), True)
+    return _off_diagonal_product(roots, L, _weights_homogeneous(L, eta), False)
 
 
 def bae_q_residual(roots, vac):
@@ -232,7 +224,7 @@ def xxz_energy_from_eigenvalue(roots, vac):
     return complex(sh(vac.eta) / 2 * lam_der / lam_val - ch(vac.eta) * vac.L / 2)
 
 
-def _action_terms(params, L, eta, rho):
+def _action_terms(params, L, eta):
     """(keep, coeffs): row j of keep is the parameters without the j-th, and
     coeffs[ell, j] the coefficient of B(keep[j]) in t(l_ell) B(keep[ell])."""
     params = np.asarray(params, complex)
@@ -240,18 +232,18 @@ def _action_terms(params, L, eta, rho):
     if _pairwise_min_dist(params) < MIN_PAIR_DISTANCE:
         raise ValueError("parameters closer than the pole guard")
     keep = np.broadcast_to(params, (n1, n1))[~np.eye(n1, dtype=bool)].reshape(n1, n1 - 1)
-    numer = _transfer_numerator(params, keep[:, None], VacuumFunctions(L, eta, rho))[0]
+    numer = _transfer_numerator(params, keep[:, None], VacuumFunctions(L, eta))[0]
     return keep, numer / q_function(params, keep)
 
 
-def _action_residual(params, ell, L, eta, rho, transposed):
+def _action_residual(params, ell, L, eta, transposed):
     """Relative residual of the action of t(l_ell) on the B-product (or, with
     transposed, of t^T on the C-product covector) over the N+1 parameters;
     the N+1 products are built as one stack."""
     if abs(sh(eta)) < 1e-12:
         raise ValueError("sh(eta) = 0 makes every B/C product vanish")
-    keep, coeffs = _action_terms(params, L, eta, rho)
-    w = _weights_homogeneous(L, eta, rho)
+    keep, coeffs = _action_terms(params, L, eta)
+    w = _weights_homogeneous(L, eta)
     vecs = _off_diagonal_product(keep, L, w, transposed)
     lhs = _transfer_action(complex(params[ell]), L, w, vecs[ell], transposed)
     rhs = coeffs[ell] @ vecs
@@ -259,7 +251,7 @@ def _action_residual(params, ell, L, eta, rho, transposed):
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
 
 
-def offshell_action_residual(params, ell, L, eta, rho=1.0):
+def offshell_action_residual(params, ell, L, eta):
     """Relative residual of the off-shell transfer action identity
 
         t(l_ell) B({l}_ell) = sum_j [a(l_j) Q(l_j - eta|{l}_ell)
@@ -269,14 +261,14 @@ def offshell_action_residual(params, ell, L, eta, rho=1.0):
     evaluated with explicit vectors on the 2^L space, t applied to the vector
     factor by factor (no transfer matrix is built); {l}_j omits the j-th of
     the N+1 parameters."""
-    return _action_residual(params, ell, L, eta, rho, False)
+    return _action_residual(params, ell, L, eta, False)
 
 
-def dual_action_residual(params, ell, L, eta, rho=1.0):
+def dual_action_residual(params, ell, L, eta):
     """Dual version of offshell_action_residual with C-products acting from
     the left; the covector times t is applied as t^T to it, again without a
     transfer matrix."""
-    return _action_residual(params, ell, L, eta, rho, True)
+    return _action_residual(params, ell, L, eta, True)
 
 
 def k_function(lam, eta):
@@ -300,7 +292,7 @@ def a_ratio_derivative(lam, roots, vac):
     return a_ratio(lam, roots, vac) * dlog
 
 
-def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
+def slavnov_ratio(mu_onshell, lam_offshell, L, eta):
     """Normalized determinant formula for the Bethe-vector pairing
 
         <0| prod C(m_j) prod B(l_k) |0>  /  <0| prod C(m_j) prod B(m_k) |0>
@@ -328,7 +320,7 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
         raise ValueError("need as many off-shell as on-shell parameters")
     if _pairwise_min_dist(np.concatenate([mu, la])) < MIN_PAIR_DISTANCE:
         raise ValueError("parameters closer than the pole guard")
-    vac = VacuumFunctions(L, eta, rho)
+    vac = VacuumFunctions(L, eta)
     if bae_q_residual(mu, vac) > ONSHELL_TOL:
         raise ValueError("the mu set is not on shell")
     lam = transfer_eigenvalue(np.concatenate([la, mu]), mu, vac)
@@ -350,11 +342,11 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta, rho=1.0):
     return complex(s1 / (s2 * s3) * np.exp(l1 - l2 - l3 + log_pref))
 
 
-def pairing_ratio_bruteforce(mu, la, L, eta, rho=1.0):
+def pairing_ratio_bruteforce(mu, la, L, eta):
     """The same ratio from explicit B/C product vectors on the 2^L space (the
     oracle): no determinant and no Bethe equations enter, only the R-matrix
     factors of the monodromy.  The B-products of {l} and {m} are one stack."""
-    w = _weights_homogeneous(L, eta, rho)
+    w = _weights_homogeneous(L, eta)
     cvec = _off_diagonal_product(mu, L, w, True)
     b_la, b_mu = _off_diagonal_product(np.stack([la, mu]), L, w, False) @ cvec
     return complex(b_la / b_mu)

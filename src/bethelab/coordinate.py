@@ -262,18 +262,14 @@ def offshell_vector(roots, L, normalize=True):
     return _over_sector(_factors(_roots(roots), -1j), L, normalize)
 
 
-def xxz_offshell_wavefunction(xs, roots, L, eta):
-    """Hyperbolic (XXZ) analog of the regularized wavefunction, normalized as
-    generated by products of monodromy B-operators:
+def xxz_offshell_vector(roots, L, eta):
+    """Hyperbolic (XXZ) analog of offshell_vector, normalized: the
+    wavefunction as generated by products of monodromy B-operators,
 
         sum_Q sign(Q) [prod_{k<l} sh(l_Qk - l_Ql - eta)]
-              prod_k sh(l_Qk - eta/2)^{x_k} sh(l_Qk + eta/2)^{L - x_k + 1}.
-    """
-    return _at(_factors(_roots(roots), eta, np.sinh), xs, L)
+              prod_k sh(l_Qk - eta/2)^{x_k} sh(l_Qk + eta/2)^{L - x_k + 1},
 
-
-def xxz_offshell_vector(roots, L, eta):
-    """Vector of xxz_offshell_wavefunction over SectorBasis(L, N), normalized."""
+    over SectorBasis(L, N)."""
     return _over_sector(_factors(_roots(roots), eta, np.sinh), L, True)
 
 

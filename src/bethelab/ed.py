@@ -243,13 +243,6 @@ def _splus_pairs(L, N):
     return np.concatenate(rows), np.concatenate(cols), (len(dst), len(src))
 
 
-def splus_sector_matrix(L, N):
-    """S^+ restricted to sectors: the OperatorMatrix mapping the N block to
-    the N-1 block."""
-    rows, cols, shape = _splus_pairs(L, N)
-    return OperatorMatrix(sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=shape))
-
-
 def apply_splus(vector, L, N):
     """S^+ v for v in the N block, as a vector of the N-1 block; no matrix is
     built."""

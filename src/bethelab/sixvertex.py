@@ -20,13 +20,13 @@ The R-factors R(l - xi_j) come from one place (_r_matrices).  Explicit
 matrices are read off the ice-rule paths of the monodromy (_ice_paths): an
 entering aux value, a chain-in state and a chain-out state allow at most one
 path of horizontal edges, so T_0 stores at most 2 3^L entries, each a product
-of one R entry per site, emitted in CSR row order.  `monodromy` takes all of
-them, `transfer` the paths that leave with the aux value they entered with,
-the dense sector blocks of transfer_sector_block and partition_function are
-filled from those by sector rank, and the RTT check inserts the idle aux slot
-into the monodromy's CSR.  `monodromy` and `transfer` hand the CSR to
-ed.OperatorMatrix, whose one rule (dense below DENSE_DIM_LIMIT = 512) decides
-what `.matrix` is: the monodromy is dense for L <= 7, the transfer for L <= 8.
+of one R entry per site, kept in two blocks by the current aux value.
+_monodromy_csr takes all of them and `transfer` the paths that leave with the
+aux value they entered with, each put in CSR order by one stable sort by row;
+the dense sector blocks of partition_function are filled from the latter by
+sector rank, and the RTT check inserts the idle aux slot into the monodromy's
+CSR.  `transfer` hands its CSR to ed.OperatorMatrix, whose one rule (dense
+below DENSE_DIM_LIMIT = 512) makes `.matrix` dense for L <= 8.
 hamiltonian_from_transfer inverts t(0) as the scaled shift it is and stays
 CSR.  Everything that meets a vector uses the reshape action _apply_pair,
 which stores nothing: vectors are rows, (..., 2^n), and each R-factor is one
@@ -164,82 +164,60 @@ def _ice_paths(lam, L, weights, a=None):
     By the ice rule the aux value after site j is h_j = h_(j-1) + s_j - s'_j,
     so an entering aux value, a chain-in state s and a chain-out state s'
     allow at most one path of horizontal edges, and T_0 stores at most
-    2 3^L entries.  The sites are walked in order; a path with aux value h
-    moves on in three ways, weighted by the matching entry of the site's
-    R(l - xi_j) from _r_matrices:
+    2 3^L entries.  The sites are walked in order, the paths kept in two
+    blocks by their aux value h; a path moves on in three ways, weighted by
+    the matching entry of the site's R(l - xi_j) from _r_matrices:
       a: both arrows pass (s_j = s'_j = h),            R[3h, 3h];
       b: the other arrow passes (s_j = s'_j = 1 - h),  R[1 + h, 1 + h];
       c: the arrows turn (s_j = 1 - h, s'_j = h),      R[2 - h, 1 + h],
          and h becomes 1 - h.
-    Moves of weight zero are dropped.
+    A new block is the moves of nonzero weight of whole old blocks in turn.
 
-    Returns (codes, values, runs).  The int32 code of an entry is
-    s' << (L + 1) | a << L | s, with a the entering aux value.  The entries
-    are grouped by exit aux value (0 first) and, within a group, by s': row
-    (b, s') of T_0 is the next runs[b, s'] entries, so the CSR rows come out
-    in order without a sort.  To keep that order, each site places the new
-    paths by run offsets, within the runs of equal s'-prefix, by their new
-    output bit.  a=None enters with both aux values; a=0 or 1 enters with a
-    alone and keeps only the paths that leave with a: the entries of
-    <a|T_0|a>, whose sum over a is the transfer matrix."""
+    Returns (codes, values, n0), the paths that leave with aux value 0 (n0 of
+    them) before those that leave with 1.  The int32 code of an entry is
+    s' << (L + 1) | a << L | s, with a the entering aux value.  A stable sort
+    by row gives the CSR, each row in the order of its moves.  a=None enters
+    with both aux values; a=0 or 1 enters with a alone and keeps only the
+    paths that leave with a: the entries of <a|T_0|a>, whose sum over a is
+    the transfer matrix."""
     if L > EXPLICIT_L_MAX:
         raise ValueError(f"explicit six-vertex matrices supported up to L = {EXPLICIT_L_MAX}")
-    enter = [0, 1] if a is None else [a]
-    codes = np.array(enter, np.int32) << L
-    values = np.ones(len(enter), complex)
-    runs = np.array([[0 in enter], [1 in enter]], np.int64)  # (aux value, s'-prefix)
-    start = np.array([[0], [runs[0, 0]]])  # where each run begins
+    codes = [np.array([h << L] if a in (None, h) else [], np.int32) for h in (0, 1)]
+    values = [np.ones(len(c), complex) for c in codes]
     for j, R in enumerate(_r_matrices(lam, L, weights), start=1):
         R = R.tolist()
-        s_bit = 1 << (L - j)
-        out_bit = s_bit << (L + 1)
-        # (aux value h, weight, code offset, next aux value, s'_j), moves a, b, c
-        moves = [move for h in (0, 1) for move in (
-                     (h, R[3 * h][3 * h], h * (out_bit | s_bit), h, h),
-                     (h, R[1 + h][1 + h], (1 - h) * (out_bit | s_bit), h, 1 - h),
-                     (h, R[2 - h][1 + h], (1 - h) * s_bit | h * out_bit, 1 - h, h))
-                 if move[1] != 0 and not (j == L and a is not None and move[3] != a)]
-        new_runs = np.zeros(runs.shape + (2,), np.int64)
-        for h, _, _, g, t in moves:
-            new_runs[g, :, t] += runs[h]
-        new_start = (np.cumsum(new_runs) - new_runs.ravel()).reshape(new_runs.shape)
-        fill = new_start.copy()
-        bounds = (0, int(runs[0].sum()), len(codes))
-        index = np.arange(len(codes))
-        new_codes = np.empty(new_runs.sum(), np.int32)
-        new_values = np.empty(len(new_codes), complex)
-        for h, w, offset, g, t in moves:
-            src = slice(bounds[h], bounds[h + 1])
-            dst = np.repeat(fill[g, :, t] - start[h], runs[h]) + index[src]
-            new_codes[dst] = codes[src] + offset if offset else codes[src]
-            new_values[dst] = values[src] * w
-            fill[g, :, t] += runs[h]
-        codes, values = new_codes, new_values
-        runs, start = new_runs.reshape(2, -1), new_start.reshape(2, -1)
-    return codes, values, runs
+        s, out = 1 << (L - j), 1 << (2 * L + 1 - j)  # the bits of s_j and s'_j
+        # (old block, weight, code offset) of the parts of the new block 0, then 1
+        parts = [[(0, R[0][0], 0), (0, R[1][1], out | s), (1, R[1][2], out)],
+                 [(0, R[2][1], s), (1, R[3][3], out | s), (1, R[2][2], 0)]]
+        if j == L and a is not None:
+            parts[1 - a] = []
+        parts = [[(h, w, off) for h, w, off in p if w != 0] for p in parts]
+        codes = [np.concatenate([codes[0][:0]] + [codes[h] + off for h, _, off in p])
+                 for p in parts]
+        values = [np.concatenate([values[0][:0]] + [values[h] * w for h, w, _ in p])
+                  for p in parts]
+    return np.concatenate(codes), np.concatenate(values), len(codes[0])
 
 
-def _csr_rows(values, columns, runs, dim):
-    """The CSR matrix whose row k is the next runs.ravel()[k] entries."""
-    indptr = np.concatenate(([0], np.cumsum(runs))).astype(np.int32)
-    return sp.csr_matrix((values, columns, indptr), shape=(dim, dim))
+def _row_sorted_csr(rows, columns, values, dim):
+    """The CSR matrix of the entries (rows, columns, values), each row's
+    entries in their given order.  The stable sort of uint16 row keys is a
+    radix sort; rows below dim <= 2^(L + 1) fit while EXPLICIT_L_MAX <= 15, as
+    the int32 codes already need."""
+    order = np.argsort(rows.astype(np.uint16), kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dim)))).astype(np.int32)
+    return sp.csr_matrix((values[order], columns[order], indptr), shape=(dim, dim))
 
 
 def _monodromy_csr(lam, L, weights):
-    """T_0(l) on aux (x) chain as CSR, read off its ice paths."""
-    codes, values, runs = _ice_paths(lam, L, weights)
+    """T_0(l) on aux (x) chain as CSR, read off its ice paths: row
+    (exit aux, s'), column (a, s)."""
+    codes, values, n0 = _ice_paths(lam, L, weights)
+    rows = codes >> (L + 1)
+    rows[n0:] |= 1 << L
     d = 2 ** (L + 1)
-    return _csr_rows(values, codes & (d - 1), runs, d)
-
-
-def monodromy(lam, L, weights):
-    """Inhomogeneous monodromy matrix T_0(l) on the 2^(L+1)-dim aux (x) chain
-    space: the ordered product R_{0,L}(l - xi_L) ... R_{0,1}(l - xi_1), read
-    off its ice paths (_ice_paths).
-
-    Returns the `matrix` of an OperatorMatrix: dense below DENSE_DIM_LIMIT
-    (L <= 7) and scipy CSR above (L <= 14)."""
-    return OperatorMatrix(_monodromy_csr(lam, L, weights)).matrix
+    return _row_sorted_csr(rows, codes & (d - 1), values, d)
 
 
 def transfer(lam, L, weights):
@@ -248,8 +226,8 @@ def transfer(lam, L, weights):
     d = 2 ** L
     halves = []
     for a in (0, 1):
-        codes, values, runs = _ice_paths(lam, L, weights, a)
-        halves.append(_csr_rows(values, codes & (d - 1), runs[a], d))
+        codes, values, _ = _ice_paths(lam, L, weights, a)
+        halves.append(_row_sorted_csr(codes >> (L + 1), codes & (d - 1), values, d))
     return OperatorMatrix(halves[0] + halves[1])
 
 
@@ -291,15 +269,6 @@ def _sector_block(paths, L, N):
     return block.reshape(dim, dim)
 
 
-def transfer_sector_block(L, N, weights, lam=0.0):
-    """Transfer matrix restricted to the N-down-spins sector (dense, in the
-    order of build_sector_basis(L, N).states).  The transfer conserves the
-    arrow number, so the full matrix is the direct sum of these blocks."""
-    if not 0 <= N <= L:
-        raise ValueError(f"down-spin count N={N} outside 0..L={L}")
-    return _sector_block(_closed_paths(lam, L, weights), L, N)
-
-
 def _three_slot(R, pos0, pos1):
     """A (B, 4, 4) stack of two-slot operators on tensor slots (pos0, pos1) of
     three, slot 0 slowest, as the (B, 8, 8) stack of Kronecker products with
@@ -313,18 +282,17 @@ def _three_slot(R, pos0, pos1):
     return out.reshape(-1, 8, 8)
 
 
-def ybe_residual(lam, mu, nu, eta, rho=1.0):
+def ybe_residual(lam, mu, nu, eta):
     """Max-entry magnitude of R12 R13 R23 - R23 R13 R12 on the 8-dim space,
-    with arguments l - m, l - n, m - n.  lam, mu, nu (and eta, rho) may be
+    with arguments l - m, l - n, m - n.  lam, mu, nu (and eta) may be
     equal-length arrays, one entry per trial; the max runs over all trials,
     evaluated as stacks of YBE_BATCH, and is nan when any trial is (an
     overflowed sinh must not read as a pass)."""
-    lam, mu, nu, eta, rho = (np.ravel(a) for a in np.broadcast_arrays(lam, mu, nu, eta, rho))
+    lam, mu, nu, eta = (np.ravel(a) for a in np.broadcast_arrays(lam, mu, nu, eta))
     args = ((lam - mu, 0, 1), (lam - nu, 0, 2), (mu - nu, 1, 2))
     worst = 0.0
     for w in (slice(s, s + YBE_BATCH) for s in range(0, len(lam), YBE_BATCH)):
-        R12, R13, R23 = (_three_slot(r_matrix(x[w], eta[w], rho[w]), p0, p1)
-                         for x, p0, p1 in args)
+        R12, R13, R23 = (_three_slot(r_matrix(x[w], eta[w]), p0, p1) for x, p0, p1 in args)
         worst = np.maximum(worst, np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)))
     return float(worst)
 
@@ -484,25 +452,25 @@ def _top_sector_eigenvalue(L, N, weights):
                            return_eigenvectors=False)[0]
 
 
-def ice_entropy(L_max, L_min=2):
-    """(1/L) ln Lambda_0 at the ice point for even L <= L_max, with Lambda_0
-    the top eigenvalue of the half-filled arrow sector, found matrix-free
-    (no monodromy or transfer block is built), plus the least-squares
-    extrapolation s_inf + alpha/L^2 + beta/L^4 of a periodic strip, whose
-    finite-size corrections run in even powers of 1/L; the fit needs at least
-    three sizes (L_max >= L_min + 4).
+def ice_entropy(L_max):
+    """(1/L) ln Lambda_0 at the ice point for even 2 <= L <= L_max, with
+    Lambda_0 the top eigenvalue of the half-filled arrow sector, found
+    matrix-free (no monodromy or transfer block is built), plus the
+    least-squares extrapolation s_inf + alpha/L^2 + beta/L^4 of a periodic
+    strip, whose finite-size corrections run in even powers of 1/L; the fit
+    needs at least three sizes (L_max >= 6).
 
     Returns (table, s_inf) where table is a list of (L, value).  The exact
     two-dimensional limit is (3/2) ln(4/3) = 0.43152...
     """
     if L_max % 2 or L_max > 14:
         raise ValueError("even L_max <= 14 required")
-    if L_max < L_min + 4:
+    if L_max < 6:
         raise ValueError(f"L_max={L_max} gives fewer than three sizes from "
-                         f"L_min={L_min}; the three-term fit needs L_max >= {L_min + 4}")
+                         "L_min=2; the three-term fit needs L_max >= 6")
     w = VertexWeights.ice()
     table = [(L, float(np.log(_top_sector_eigenvalue(L, L // 2, w)) / L))
-             for L in range(L_min, L_max + 1, 2)]
+             for L in range(2, L_max + 1, 2)]
     Ls = np.array([row[0] for row in table], float)
     y = np.array([row[1] for row in table])
     A = np.vstack([np.ones_like(Ls), 1 / Ls ** 2, 1 / Ls ** 4]).T

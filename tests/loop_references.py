@@ -304,8 +304,8 @@ def r_factors(lam, L, weights, aux=0, n=None):
 
 
 def monodromy_csr(lam, L, weights, aux=0, n=None):
-    """sixvertex.monodromy as the CSR product R_{aux,L} ... R_{aux,1} of the
-    embedded factors (on n slots, as in r_factors)."""
+    """sixvertex._monodromy_csr as the CSR product R_{aux,L} ... R_{aux,1} of
+    the embedded factors (on n slots, as in r_factors)."""
     T = None
     for R in r_factors(lam, L, weights, aux, n):
         T = R if T is None else R @ T

@@ -112,13 +112,14 @@ class TestBProductProperties:
     @given(L=st.integers(1, 6), eta=_complex((0.1, 1.0), (-1.0, 1.0)),
            roots=st.lists(_complex((-1.0, 1.0), (-1.0, 1.0)), max_size=3))
     def test_b_and_c_products_match_blocks(self, L, eta, roots):
+        w = aba._weights_homogeneous(L, eta)
         b_ref = c_ref = aba.pseudo_vacuum(L)
         for lam in roots:
             bl = aba.monodromy_blocks(lam, L, eta)
             b_ref = bl.B @ b_ref
             c_ref = bl.C.T @ c_ref
         for got, ref in ((aba.b_product_state(roots, L, eta), b_ref),
-                         (aba.c_product_covector(roots, L, eta), c_ref)):
+                         (aba._off_diagonal_product(roots, L, w, True), c_ref)):
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
@@ -134,8 +135,8 @@ class TestBProductProperties:
         rng = np.random.default_rng(seed)
         v = rng.normal(size=2 ** L) + 1j * rng.normal(size=2 ** L)
         if kind == "homogeneous":
-            w = aba._weights_homogeneous(L, eta, rho)
-            t = aba.aba_transfer(lam, L, eta, rho)
+            w = aba._weights_homogeneous(L, eta)
+            t = aba.aba_transfer(lam, L, eta)
         else:
             if kind == "inhomogeneous":
                 xi = rng.normal(size=L) * 0.3 + 1j * rng.normal(size=L) * 0.3
@@ -160,18 +161,17 @@ def _complex_list(lo, hi, min_size=0, max_size=4):
     return st.lists(_complex((lo, hi), (lo, hi)), min_size=min_size, max_size=max_size)
 
 
-def _vacuum_pair(L, eta, rho, seed):
-    """(VacuumFunctions, its scalar loop reference) for the homogeneous chain
-    (seed None) or random complex inhomogeneities."""
+def _vacuum_pair(L, eta, seed):
+    """(VacuumFunctions, its scalar loop reference at rho = 1) for the
+    homogeneous chain (seed None) or random complex inhomogeneities."""
     xi = None
     if seed is not None:
         rng = np.random.default_rng(seed)
         xi = rng.normal(size=L) * 0.3 + 1j * rng.normal(size=L) * 0.3
-    return aba.VacuumFunctions(L, eta, rho, xi), loop_references.ScalarVacuum(L, eta, rho, xi)
+    return aba.VacuumFunctions(L, eta, xi), loop_references.ScalarVacuum(L, eta, 1.0, xi)
 
 
 _vacuum_args = dict(L=st.integers(1, 10), eta=_complex((0.1, 1.0), (-1.0, 1.0)),
-                    rho=_complex((0.5, 1.5), (-0.5, 0.5)),
                     seed=st.none() | st.integers(0, 2 ** 32 - 1))
 
 
@@ -206,9 +206,9 @@ class TestArrayForms:
 
     @settings(max_examples=60, deadline=None)
     @given(ls=_complex_list(-1.0, 1.0, min_size=1), **_vacuum_args)
-    def test_vacuum_functions(self, ls, L, eta, rho, seed):
+    def test_vacuum_functions(self, ls, L, eta, seed):
         ls = np.array(ls, complex)
-        vac, ref = _vacuum_pair(L, eta, rho, seed)
+        vac, ref = _vacuum_pair(L, eta, seed)
         zeros = np.concatenate([vac.xi, vac.xi - eta])
         assume(np.min(np.abs(sh(ls[:, None] - zeros))) > 1e-3)
         for name in ("a", "d", "dlog_a", "dlog_d", "da", "dd"):
@@ -219,21 +219,21 @@ class TestArrayForms:
 
     @settings(max_examples=60, deadline=None)
     @given(roots=_complex_list(-1.0, 1.0, min_size=1), **_vacuum_args)
-    def test_bae_q_residual(self, roots, L, eta, rho, seed):
-        vac, ref = _vacuum_pair(L, eta, rho, seed)
+    def test_bae_q_residual(self, roots, L, eta, seed):
+        vac, ref = _vacuum_pair(L, eta, seed)
         assert abs(aba.bae_q_residual(roots, vac)
                    - loop_references.bae_q_residual(roots, ref)) <= 1e-11
 
     @settings(max_examples=60, deadline=None)
     @given(params=_complex_list(-1.0, 1.0, min_size=1, max_size=5), L=st.integers(1, 10),
-           eta=_complex((0.1, 1.0), (-1.0, 1.0)), rho=_complex((0.5, 1.5), (-0.5, 0.5)))
-    def test_action_coefficients(self, params, L, eta, rho):
+           eta=_complex((0.1, 1.0), (-1.0, 1.0)))
+    def test_action_coefficients(self, params, L, eta):
         params = np.array(params, complex)
         assume(bae._pairwise_min_dist(params) > 1e-3)
-        keep, coeffs = aba._action_terms(params, L, eta, rho)
-        ref = loop_references.ScalarVacuum(L, eta, rho)
+        keep, coeffs = aba._action_terms(params, L, eta)
+        ref = loop_references.ScalarVacuum(L, eta, 1.0)
         for ell in range(len(params)):
-            ref_keep, ref_coeffs = loop_references.action_terms(params, ell, L, eta, rho)
+            ref_keep, ref_coeffs = loop_references.action_terms(params, ell, L, eta, 1.0)
             assert np.array_equal(keep, np.reshape(ref_keep, keep.shape))
             # scale: the two terms of each numerator over its denominator
             scale = [(abs(ref.a(l) * loop_references.q_function(l - eta, ref_keep[ell]))
@@ -243,10 +243,10 @@ class TestArrayForms:
 
     @settings(max_examples=40, deadline=None)
     @given(L=st.sampled_from([2, 4, 6, 8, 10]), N=st.integers(1, 4), gamma=st.floats(0.3, 1.2),
-           shifts=_complex_list(-0.5, 0.5, 4, 4), rho=_complex((0.5, 1.5), (-0.5, 0.5)))
-    @example(L=2, N=1, gamma=0.5, shifts=[0.5j, 0, 0, 0], rho=1.0)
-    def test_determinant_ratio(self, L, N, gamma, shifts, rho):
-        # on-shell mu (the domain of slavnov_ratio), random complex la and rho
+           shifts=_complex_list(-0.5, 0.5, 4, 4))
+    @example(L=2, N=1, gamma=0.5, shifts=[0.5j, 0, 0, 0])
+    def test_determinant_ratio(self, L, N, gamma, shifts):
+        # on-shell mu (the domain of slavnov_ratio) and random complex la
         assume(2 * N <= L)
         try:
             mu = aba.onshell_roots(L, N, gamma)
@@ -254,8 +254,8 @@ class TestArrayForms:
             assume(False)
         la = mu + np.array(shifts[:N])
         assume(bae._pairwise_min_dist(np.concatenate([mu, la])) > 0.05)
-        got = aba.slavnov_ratio(mu, la, L, 1j * gamma, rho)
-        want = loop_references.determinant_ratio(mu, la, L, 1j * gamma, rho, reflected=True)
+        got = aba.slavnov_ratio(mu, la, L, 1j * gamma)
+        want = loop_references.determinant_ratio(mu, la, L, 1j * gamma, 1.0, reflected=True)
         if np.isfinite(want):
             assert abs(got - want) <= 1e-10 * abs(want)
         else:  # some l at a zero of a or d, or at m_j -+ eta: the loop form divides by 0
@@ -292,10 +292,10 @@ class TestTransferEigenvalue:
     @settings(max_examples=60, deadline=None)
     @given(roots=_complex_list(-1.0, 1.0, min_size=1), ls=_complex_list(-1.5, 1.5, min_size=1),
            **_vacuum_args)
-    def test_array_matches_scalar_loop(self, roots, ls, L, eta, rho, seed):
+    def test_array_matches_scalar_loop(self, roots, ls, L, eta, seed):
         ls, roots = np.array(ls, complex), np.array(roots, complex)
         assume(np.min(np.abs(sh(ls[:, None] - roots))) > 1e-3)
-        vac, ref = _vacuum_pair(L, eta, rho, seed)
+        vac, ref = _vacuum_pair(L, eta, seed)
         got = aba.transfer_eigenvalue(ls, roots, vac)
         assert got.shape == ls.shape
         want = loop_references.transfer_eigenvalue(ls, roots, ref)
@@ -307,11 +307,11 @@ class TestTransferEigenvalue:
 
     @settings(max_examples=60, deadline=None)
     @given(roots=_complex_list(-1.0, 1.0, min_size=1), **_vacuum_args)
-    def test_bitwise_at_exact_roots(self, roots, L, eta, rho, seed):
+    def test_bitwise_at_exact_roots(self, roots, L, eta, seed):
         # at l = n_j, Q' is exactly the product of the other factors of Q
         roots = np.array(roots, complex)
         assume(bae._pairwise_min_dist(roots) > 1e-3)
-        vac, _ = _vacuum_pair(L, eta, rho, seed)
+        vac, _ = _vacuum_pair(L, eta, seed)
         others = np.array([np.prod(sh(r - np.delete(roots, j))) for j, r in enumerate(roots)])
         dn = aba._transfer_numerator(roots, roots, vac)[1]
         assert np.array_equal(aba.transfer_eigenvalue(roots, roots, vac), dn / others)
@@ -341,10 +341,10 @@ class TestTransferEigenvalue:
     @settings(max_examples=60, deadline=None)
     @given(roots=_complex_list(-1.0, 1.0), ls=_complex_list(-1.5, 1.5, min_size=1),
            **_vacuum_args)
-    def test_derivative_matches_central_difference(self, roots, ls, L, eta, rho, seed):
+    def test_derivative_matches_central_difference(self, roots, ls, L, eta, seed):
         ls, roots = np.array(ls, complex), np.array(roots, complex)
         assume(np.min(np.abs(sh(ls[:, None] - roots)), initial=np.inf) > 0.1)
-        vac, _ = _vacuum_pair(L, eta, rho, seed)
+        vac, _ = _vacuum_pair(L, eta, seed)
         h = 1e-5
         diff = (aba.transfer_eigenvalue(ls + h, roots, vac)
                 - aba.transfer_eigenvalue(ls - h, roots, vac)) / (2 * h)
@@ -362,17 +362,17 @@ class TestTransferEigenvalue:
         assert abs(at_root - nearby) < 1e-5 * abs(at_root)
 
 
-def _linear_system_residual(mu, params, L, eta, rho=1.0):
+def _linear_system_residual(mu, params, L, eta):
     """Relative residual of the linear system satisfied by the pairings
     X^j = <0|prod C({m})| B({l}_j)|0> for each choice of the dropped l:
 
         sum_j coeff_j({l}_ell) X^j = Lambda(l_ell|{m}) X^ell .
     """
-    w = aba._weights_homogeneous(L, eta, rho)
-    keep, coeffs = aba._action_terms(params, L, eta, rho)
+    w = aba._weights_homogeneous(L, eta)
+    keep, coeffs = aba._action_terms(params, L, eta)
     X = aba._off_diagonal_product(keep, L, w, False) @ aba._off_diagonal_product(mu, L, w, True)
     lhs = coeffs @ X
-    rhs = aba.transfer_eigenvalue(params, mu, aba.VacuumFunctions(L, eta, rho)) * X
+    rhs = aba.transfer_eigenvalue(params, mu, aba.VacuumFunctions(L, eta)) * X
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))))
 
 

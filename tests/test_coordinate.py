@@ -181,8 +181,9 @@ class TestOnShellVectors:
         L = 6
         rep = bae.solve_logbae(L, 2, (1, 2))
         v = coordinate.offshell_vector(rep.roots, L)
-        sminus = ed.splus_sector_matrix(L, 3).csr().T  # S^- : N=2 -> N=3
-        w = sminus @ v
+        rows, cols, shape = ed._splus_pairs(L, 3)
+        w = np.zeros(shape[1], complex)
+        np.add.at(w, cols, v[rows])  # S^- v = (S^+)^T v : N=2 -> N=3
         assert coordinate.highest_weight_residual(w, L, 3) > 0.01
 
     def test_zero_vector_rejected(self):
@@ -223,7 +224,7 @@ def _model(kind, eta):
         return (coordinate.offshell_wavefunction,
                 lambda r: coordinate._factors(r, -1j),
                 loop_references.xxx_factors(), 0.5j, 1j)
-    return (lambda xs, r, L: coordinate.xxz_offshell_wavefunction(xs, r, L, eta),
+    return (lambda xs, r, L: coordinate._at(coordinate._factors(r, eta, np.sinh), xs, L),
             lambda r: coordinate._factors(r, eta, np.sinh),
             loop_references.xxz_factors(eta), eta / 2, eta)
 

@@ -496,6 +496,12 @@ class TestBlockedSolve:
         assert np.all(r < 1e-10 * np.linalg.norm(v, axis=0))
 
 
+def _splus_matrix(L, N):
+    """S^+ from sector N to N-1 as CSR, built from the pairs apply_splus adds."""
+    rows, cols, shape = ed._splus_pairs(L, N)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+
+
 class TestSectorOperators:
     """The vectorized sector operators against per-state loops."""
 
@@ -504,7 +510,7 @@ class TestSectorOperators:
         basis = build_sector_basis(L, N)
         lower = build_sector_basis(L, N - 1)
         U = ed.shift_sector_matrix(basis)
-        Sp = ed.splus_sector_matrix(L, N)
+        Sp = _splus_matrix(L, N)
         U_ref = np.zeros((basis.dim, basis.dim))
         Sp_ref = np.zeros((lower.dim, basis.dim))
         index = {s: i for i, s in enumerate(basis.states)}
@@ -515,7 +521,7 @@ class TestSectorOperators:
             for x in xs:
                 Sp_ref[lower_index[config_to_index(L, [y for y in xs if y != x])], i] += 1.0
         assert U.dense().shape == U_ref.shape and U.dense().tobytes() == U_ref.tobytes()
-        assert Sp.dense().shape == Sp_ref.shape and Sp.dense().tobytes() == Sp_ref.tobytes()
+        assert Sp.shape == Sp_ref.shape and Sp.toarray().tobytes() == Sp_ref.tobytes()
         v = np.random.default_rng(L).normal(size=basis.dim) + 1j
         assert np.allclose(ed.apply_splus(v, L, N), Sp @ v, atol=1e-13)
 
@@ -553,7 +559,7 @@ class TestSectorOperators:
     @given(L=st.integers(3, 10), data=st.data(), J=st.floats(-2.0, 2.0))
     def test_splus_intertwines_xxx_sectors(self, L, data, J):
         N = data.draw(st.integers(1, L), label="N")
-        Sp = ed.splus_sector_matrix(L, N).csr()
+        Sp = _splus_matrix(L, N)
         H_N = ed.build_xxx_hamiltonian(L, J, N).csr()
         H_lower = ed.build_xxx_hamiltonian(L, J, N - 1).csr()
         assert abs(Sp @ H_N - H_lower @ Sp).max() < 1e-12
