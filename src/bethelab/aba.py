@@ -185,16 +185,22 @@ def bae_q_residual(roots, vac):
     return float(np.max(np.abs(t1 + t2) / scale, initial=0.0))
 
 
+def _numerator(lam, roots, vac):
+    """n = a(l) Q(l - eta|{roots}) + d(l) Q(l + eta|{roots}), the numerator of
+    Lambda = n/Q, at a scalar or an array of l."""
+    lam = np.asarray(lam, complex)
+    return vac.a(lam) * q_function(lam - vac.eta, roots) \
+        + vac.d(lam) * q_function(lam + vac.eta, roots)
+
+
 def _transfer_numerator(lam, roots, vac):
-    """(n, n', Q, Q') at a scalar or an array of l, with
-    n = a(l) Q(l - eta|{roots}) + d(l) Q(l + eta|{roots}) the numerator of
+    """(n, n', Q, Q') at a scalar or an array of l: the numerator n of
     Lambda = n/Q and the derivatives in the zero-safe product-rule form."""
     lam = np.asarray(lam, complex)
     qm, qp = q_function(lam - vac.eta, roots), q_function(lam + vac.eta, roots)
-    n = vac.a(lam) * qm + vac.d(lam) * qp
     dn = (vac.da(lam) * qm + vac.a(lam) * _q_derivative(lam - vac.eta, roots)
           + vac.dd(lam) * qp + vac.d(lam) * _q_derivative(lam + vac.eta, roots))
-    return n, dn, q_function(lam, roots), _q_derivative(lam, roots)
+    return _numerator(lam, roots, vac), dn, q_function(lam, roots), _q_derivative(lam, roots)
 
 
 def transfer_eigenvalue(lam, roots, vac):
@@ -232,7 +238,7 @@ def _action_terms(params, L, eta):
     if _pairwise_min_dist(params) < MIN_PAIR_DISTANCE:
         raise ValueError("parameters closer than the pole guard")
     keep = np.broadcast_to(params, (n1, n1))[~np.eye(n1, dtype=bool)].reshape(n1, n1 - 1)
-    numer = _transfer_numerator(params, keep[:, None], VacuumFunctions(L, eta))[0]
+    numer = _numerator(params, keep[:, None], VacuumFunctions(L, eta))
     return keep, numer / q_function(params, keep)
 
 
@@ -333,7 +339,7 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta):
     ewa = -sh(eta) * den_cauchy * vac.a(la) * _q_masked(la - eta, mu, np.ones_like).T
     ewd = -sh(eta) * den_cauchy * vac.d(la) * _q_masked(la + eta, mu, np.ones_like).T
     # over wa + wd: 1/(1 + afun) and 1/(1 + 1/afun), finite where a(l_k) or d(l_k) is 0
-    num = (ewa - ewd) / _transfer_numerator(la, mu, vac)[0]
+    num = (ewa - ewd) / _numerator(la, mu, vac)
     den_gaudin = np.eye(n) - k_function(mu[:, None] - mu[None, :], eta) \
         / a_ratio_derivative(mu, mu, vac)
     s1, l1 = np.linalg.slogdet(num)

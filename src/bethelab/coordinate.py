@@ -28,12 +28,14 @@ exact zeros (with 0^0 = 1 at the extended configurations x = 0, L + 1).
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from .basis import build_sector_basis
 
 FACTORIAL_GUARD = 10  # wavefunctions of more roots than this are rejected
+BLOCK = 1 << 15       # entries per level array: (16, 8) takes 127-134 ms, unblocked 181-199
 
 
 @dataclass
@@ -235,9 +237,15 @@ def _at(factors, xs, L):
 
 
 def _over_sector(factors, L, normalize):
-    """Psi over SectorBasis(L, N), normalized or raw."""
+    """Psi over SectorBasis(L, N), normalized or raw.  The configurations are
+    independent, so they go through the recursion in row blocks whose widest
+    level, C(N, N/2) partial sums per row, has at most BLOCK entries."""
     N = len(factors[1])
-    vals, log_scale = _bethe_sum(factors, L, build_sector_basis(L, N).sites)
+    sites = build_sector_basis(L, N).sites
+    step = max(1, BLOCK // comb(N, N // 2))
+    vals, log_scale = np.empty(len(sites), complex), np.empty(len(sites))
+    for i in range(0, len(sites), step):
+        vals[i:i + step], log_scale[i:i + step] = _bethe_sum(factors, L, sites[i:i + step])
     if not normalize:
         return vals * np.exp(log_scale)
     live = vals != 0

@@ -466,8 +466,9 @@ def ice_entropy(L_max):
     if L_max % 2 or L_max > 14:
         raise ValueError("even L_max <= 14 required")
     if L_max < 6:
-        raise ValueError(f"L_max={L_max} gives fewer than three sizes from "
-                         "L_min=2; the three-term fit needs L_max >= 6")
+        sizes = ", ".join(map(str, range(2, L_max + 1, 2))) or "none"
+        raise ValueError(f"L_max={L_max} gives fewer than three sizes (L = {sizes}); "
+                         "the three-term fit needs L_max >= 6")
     w = VertexWeights.ice()
     table = [(L, float(np.log(_top_sector_eigenvalue(L, L // 2, w)) / L))
              for L in range(2, L_max + 1, 2)]

@@ -14,12 +14,19 @@ eigenvalues of an n x n companion matrix in O(n^3).  The rule is computed once
 per node count and cached (read-only arrays).  The kernel and the driving term
 are even in l and the nodes symmetric, so rho is even: the solve folds the
 equation onto the nodes l >= 0 and factors a ceil(n/2) system, 1/8 of the LU
-work of the full one.  Best of 15 calls, one BLAS thread, on a 2-vCPU Xeon
-host, for n = 128 / 256 / 512 / 1024: the rule takes 1.4-2.5 / 2.2-4.1 /
-5.0-8.3 / 12-17 ms (leggauss: 1.9-3.2 / 5.8-8.5 / 25-33 / 138-164 ms, with an
-8.4 MB matrix at n = 1024) and the solve 0.08-0.13 / 0.26-0.37 / 1.4-1.9 /
-7.1-9.1 ms (the full system: 0.18-0.28 / 1.2-1.7 / 6.2-8.8 / 43-46 ms; traced
-peak 4.3 against 8.4 MB at n = 1024).
+work of the full one.  Every kernel is evaluated in blocks of at most BLOCK
+entries (256 KB, which stay in L2), so no n x m kernel is built at any size:
+the folded matrix is filled by blocks of columns into one Fortran-order array
+that LAPACK's dgesv factors in place, and the off-grid sums (interpolation and
+the residual check's integral) run over blocks of rows.  Best of 15 calls, one
+BLAS thread, on a 2-vCPU Xeon host, for n = 128 / 256 / 512 / 1024: the rule
+takes 1.4-2.5 / 2.2-4.1 / 5.0-8.3 / 12-17 ms (leggauss: 1.9-3.2 / 5.8-8.5 /
+25-33 / 138-164 ms, with an 8.4 MB matrix at n = 1024) and the solve
+0.07-0.12 / 0.28-0.39 / 1.2-1.6 / 5.8-6.7 ms (the full system: 0.18-0.28 /
+1.2-1.7 / 6.2-8.8 / 43-46 ms; traced peak 2.5 against 8.4 MB at n = 1024).
+The residual check at 7 points, on a 528-node panelled grid, takes 0.32-0.45
+/ 0.53-0.68 / 0.91-0.95 / 1.8-1.9 ms with a 0.67 MB traced peak (whole
+kernels: 0.59-0.86 / 1.6 / 2.4-3.0 / 3.6-4.5 ms, 8.7 MB at n = 1024).
 At q = infinity the Fourier-transform solution is rho(l) = 1/(2 ch(pi l));
 then the filled-root fraction is D = 1/2 and the energy per site is
 e = -J ln 2.
@@ -34,6 +41,8 @@ N_NODES_DEFAULT = 128
 INF_CUTOFF = 14.0       # |l| beyond which 1/(2 ch(pi l)) < 1e-19
 INF_PANEL = 1.0
 INF_NODES_PER_PANEL = 24
+BLOCK = 1 << 15         # kernel entries per block: n = 1024 checks in 1.7 ms, 2.9 at 2^18
+ROW_GROUP = 16          # block rows come in 16s: OpenBLAS's gemv sums rows in groups of 8
 
 
 @dataclass
@@ -57,6 +66,43 @@ def _kernel(d):
     d += 1.0
     d *= np.pi
     return np.divide(1.0, d, out=d)
+
+
+def _kernel_sum(lam, nodes, weights, values):
+    """sum_j K(lam_i - nodes_j) weights_j values_j, in row blocks of about
+    BLOCK entries, so the (len(lam), len(nodes)) kernel is never built.
+
+    Each block is a whole number of ROW_GROUPs and none but a lone row is one
+    row long (numpy sends a one-row product to dot, not gemv), so with one
+    BLAS thread every sum is bitwise the one of the unblocked product."""
+    m = len(lam)
+    out = np.empty(m)
+    step = max(ROW_GROUP, BLOCK // len(nodes) // ROW_GROUP * ROW_GROUP)
+    cuts = list(range(0, max(m - 1, 1), step)) + [m]
+    for i, j in zip(cuts, cuts[1:]):
+        k = _kernel(lam[i:j, None] - nodes)
+        k *= weights
+        np.matmul(k, values, out=out[i:j])
+    return out
+
+
+def _folded_system(lam, wts, odd):
+    """The folded Nystrom matrix 1 + (K(l_i - l_j) + K(l_i + l_j)) w_j on the
+    nodes l >= 0 (the l = 0 column of an odd rule halved), in Fortran order so
+    that LAPACK factors it in place; filled in column blocks of at most BLOCK
+    entries, so the two kernels are never built whole."""
+    m = len(lam)
+    A = np.empty((m, m), order="F")
+    step = max(1, BLOCK // m)
+    for j in range(0, m, step):
+        a = A[:, j:j + step]
+        _kernel(np.subtract(lam[:, None], lam[j:j + step], out=a))
+        a += _kernel(lam[:, None] + lam[j:j + step])
+        a *= wts[j:j + step]
+    if odd:
+        A[:, 0] *= 0.5  # l = 0 is its own mirror: K(l_i) w_0 once (exact halving)
+    A[np.diag_indices(m)] += 1.0
+    return A
 
 
 def closed_form_density(lam):
@@ -139,14 +185,12 @@ def solve_root_density(q, n_nodes=N_NODES_DEFAULT):
     x, w = _gauss_legendre(n_nodes)
     nodes = q * x
     weights = q * w
+    from scipy.linalg.lapack import dgesv  # here: slow to import cold; the CLI starts without it
     lam, wts = nodes[n_nodes // 2:], weights[n_nodes // 2:]  # l >= 0, ascending
-    A = _kernel(lam[:, None] - lam[None, :])
-    A += _kernel(lam[:, None] + lam[None, :])
-    A *= wts
-    if n_nodes % 2:
-        A[:, 0] *= 0.5  # l = 0 is its own mirror: K(l_i) w_0 once (exact halving)
-    A[np.diag_indices(len(lam))] += 1.0
-    half = np.linalg.solve(A, _driving(lam))
+    *_, half, info = dgesv(_folded_system(lam, wts, n_nodes % 2), _driving(lam),
+                           overwrite_a=True, overwrite_b=True)
+    if info:
+        raise np.linalg.LinAlgError(f"singular Nystrom system (dgesv info = {info})")
     rho = np.concatenate((half[n_nodes % 2:][::-1], half))
     return RootDensity(q, nodes, weights, rho)
 
@@ -155,8 +199,7 @@ def interpolate_density(rd, lam):
     """Evaluate a finite-q solution off-grid through the integral equation
     itself (Nystrom natural interpolation)."""
     lam = np.asarray(lam, float)
-    K = _kernel(lam[:, None] - rd.nodes[None, :]) * rd.weights[None, :]
-    return _driving(lam) - K @ rd.values
+    return _driving(lam) - _kernel_sum(lam, rd.nodes, rd.weights, rd.values)
 
 
 def equation_residual(rd, lam_test):
@@ -167,7 +210,7 @@ def equation_residual(rd, lam_test):
     lam_test = np.asarray(lam_test, float)
     fine_n, fine_w = _panel_grid(rd.q, max(rd.q / 16, 0.25), 24)
     rho_fine = interpolate_density(rd, fine_n)
-    integral = (_kernel(lam_test[:, None] - fine_n[None, :]) * fine_w[None, :]) @ rho_fine
+    integral = _kernel_sum(lam_test, fine_n, fine_w, rho_fine)
     values = interpolate_density(rd, lam_test)
     return float(np.max(np.abs(values + integral - _driving(lam_test))))
 

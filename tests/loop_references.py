@@ -31,6 +31,10 @@ inhomogeneous vacuum through the per-term zero-safe derivative d_prod_sh, the
 transfer eigenvalue one l at a time, the Q-form residual and the action
 coefficients root by root, and the determinant matrices of the pairing
 formula entry by entry (with the kernel variant that repeats e(m_j - l_k)).
+
+The Nystrom kernels of the root-density equation are kept unblocked: the
+whole (m, n) kernel times the weights, then one product with the values, and
+the folded solve matrix from its two whole (n/2) x (n/2) kernels.
 """
 
 from itertools import permutations
@@ -602,3 +606,26 @@ def determinant_ratio(mu, la, L, eta, rho, reflected):
             den_gaudin[j, k] -= aba.k_function(mu[j] - mu[k], eta) / daf[k]
     return complex(np.linalg.det(num) / (np.linalg.det(den_gaudin) * np.linalg.det(den_cauchy))
                    * np.exp(log_pref))
+
+
+def nystrom_kernel(d):
+    """1 / (pi (1 + d^2)), the root-density kernel."""
+    return 1.0 / (np.pi * (1.0 + d ** 2))
+
+
+def kernel_sum(lam, nodes, weights, values):
+    """sum_j K(lam_i - nodes_j) weights_j values_j through the whole
+    (len(lam), len(nodes)) kernel."""
+    return (nystrom_kernel(lam[:, None] - nodes[None, :]) * weights[None, :]) @ values
+
+
+def folded_system(lam, wts, odd):
+    """1 + (K(l_i - l_j) + K(l_i + l_j)) w_j on the nodes l >= 0 from two whole
+    kernels, the l = 0 column of an odd rule halved."""
+    A = nystrom_kernel(lam[:, None] - lam[None, :])
+    A += nystrom_kernel(lam[:, None] + lam[None, :])
+    A *= wts
+    if odd:
+        A[:, 0] *= 0.5
+    A[np.diag_indices(len(lam))] += 1.0
+    return A

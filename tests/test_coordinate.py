@@ -321,7 +321,20 @@ class TestKernelScaling:
         finally:
             tracemalloc.stop()
         assert len(v) == 11440 and abs(np.linalg.norm(v) - 1) < 1e-12
-        assert peak < 100e6
+        assert peak < 5e6
+
+    @pytest.mark.parametrize("L, N, block", [(14, 7, None), (8, 4, 6), (8, 4, 12), (9, 4, 18)])
+    def test_sector_blocks_match_one_sum(self, L, N, block, monkeypatch):
+        # the configurations are independent, so row blocks give the one-block
+        # sum bitwise: (14, 7) takes four blocks of 936 rows (C(7, 3) = 35
+        # partial sums each), the smaller BLOCKs one to three rows
+        if block:
+            monkeypatch.setattr(coordinate, "BLOCK", block)
+        for factors in (coordinate._factors(random_roots(N), -1j),
+                        coordinate._factors(random_roots(N), 0.4 + 0.3j, np.sinh)):
+            vals, log_scale = coordinate._bethe_sum(factors, L, build_sector_basis(L, N).sites)
+            assert np.array_equal(coordinate._over_sector(factors, L, False),
+                                  vals * np.exp(log_scale))
 
     def test_large_roots_do_not_overflow(self):
         # raw amplitudes ~ |l|^(N (L+1)) = 1e960: only the running scale holds them

@@ -623,11 +623,13 @@ class TestCli:
         assert proc.stderr.startswith("config error: non-finite")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
-    @pytest.mark.parametrize("lmax", ["2", "4"])
-    def test_ice_entropy_too_few_sizes_is_config_error(self, lmax, capsys):
-        assert main(["vertex", "ice-entropy", "--lmax", lmax]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1
+    @pytest.mark.parametrize("lmax, sizes", [("2", "2"), ("4", "2, 4")])
+    def test_ice_entropy_too_few_sizes_is_config_error(self, lmax, sizes, capsys):
+        # the reason names the sizes the fit would get, not a setting
+        assert main(["vertex", "ice-entropy", "--lmax", lmax]) == EXIT_CONFIG == 2
+        assert capsys.readouterr().err == (
+            f"config error: L_max={lmax} gives fewer than three sizes (L = {sizes}); "
+            "the three-term fit needs L_max >= 6\n")
 
     @pytest.mark.parametrize("lmax", [6, 8, 12])
     def test_ice_entropy_fits_three_or_more_sizes(self, lmax, capsys):

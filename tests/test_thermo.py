@@ -1,11 +1,41 @@
 """Root-density integral equation and thermodynamic-limit observables."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loop_references
 from bethelab import thermo
+
+
+def _kernel_sums_match_unblocked():
+    """interpolate_density and equation_residual against the whole-kernel
+    product, bitwise, with the rows in one block, at exactly one block
+    (1024 x 32), one entry past it (331 x 99) and past it by one row (a tail
+    that joins the block before), and in several blocks."""
+    for n, m in ((1, 5), (331, 1), (331, 7), (331, 99), (331, 193), (1024, 32),
+                 (1024, 33), (1024, 65), (1024, 528)):
+        rd = thermo.solve_root_density(1.3, n)
+        lam = np.linspace(-1.7, 1.7, m)
+        ref = thermo._driving(lam) - loop_references.kernel_sum(lam, rd.nodes, rd.weights,
+                                                                rd.values)
+        assert np.array_equal(thermo.interpolate_density(rd, lam), ref), (n, m)
+    # 264 fine nodes at q = 1.3: the 200 test points take two blocks
+    rd = thermo.solve_root_density(1.3, 129)
+    lam = np.linspace(-1.2, 1.2, 200)
+    fine_n, fine_w = thermo._panel_grid(1.3, 0.25, 24)
+    rho_fine = thermo._driving(fine_n) - loop_references.kernel_sum(
+        fine_n, rd.nodes, rd.weights, rd.values)
+    values = thermo._driving(lam) - loop_references.kernel_sum(lam, rd.nodes, rd.weights,
+                                                               rd.values)
+    integral = loop_references.kernel_sum(lam, fine_n, fine_w, rho_fine)
+    ref = float(np.max(np.abs(values + integral - thermo._driving(lam))))
+    assert thermo.equation_residual(rd, lam) == ref
 
 
 class TestRootDensity:
@@ -84,8 +114,9 @@ class TestRootDensity:
             thermo.solve_root_density(q, n)
 
     def test_solve_memory(self):
-        # the folded system is two (n/2) x (n/2) arrays: 4.2 MB at n = 1024,
-        # against 8.4 MB for the full matrix
+        # the folded system is one (n/2) x (n/2) array, 2.1 MB at n = 1024, which
+        # LAPACK factors in place, plus one 256 KB kernel block (the full
+        # matrix was 8.4 MB)
         thermo._gauss_legendre(1024)
         tracemalloc.start()
         try:
@@ -93,7 +124,46 @@ class TestRootDensity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5e6
+        assert peak < 2.6e6
+
+    def test_residual_memory(self):
+        # 528 fine nodes at q = 2.75 against 1024 solve nodes: one kernel block
+        # of 32 x 1024, where the whole kernel is 4.3 MB
+        rd = thermo.solve_root_density(2.75, 1024)
+        lam = np.linspace(-2.5, 2.5, 7)
+        assert len(thermo._panel_grid(2.75, 0.25, 24)[0]) == 528
+        tracemalloc.start()
+        try:
+            thermo.equation_residual(rd, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 361, 363, 364, 2047])
+    def test_folded_system_matches_unblocked(self, n):
+        # n/2 = 1, 2, 181 (one block of whole columns), 182 (two) and 1024
+        x, w = thermo._gauss_legendre(n)
+        lam, wts = 1.7 * x[n // 2:], 1.7 * w[n // 2:]
+        A = thermo._folded_system(lam, wts, n % 2)
+        assert A.flags.f_contiguous
+        assert np.array_equal(A, loop_references.folded_system(lam, wts, n % 2))
+
+    def test_blocked_kernel_sums_match_unblocked(self):
+        # bitwise under one BLAS thread, in a fresh process: with more threads
+        # OpenBLAS splits a large gemv between them at a row that depends on
+        # its height (seen at n = 2048 with two threads), so the unblocked
+        # product itself changes with the thread count
+        tests = Path(__file__).resolve().parent
+        src = Path(thermo.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), str(tests),
+                                             os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        code = "import test_thermo; test_thermo._kernel_sums_match_unblocked()"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
     def test_counting_function_derivative(self):
