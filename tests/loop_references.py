@@ -35,6 +35,12 @@ formula entry by entry (with the kernel variant that repeats e(m_j - l_k)).
 The Nystrom kernels of the root-density equation are kept unblocked: the
 whole (m, n) kernel times the weights, then one product with the values, and
 the folded solve matrix from its two whole (n/2) x (n/2) kernels.
+
+The spin-chain operators are kept as one hand-written loop each, over sorted
+bit codes with site x in bit L - x: the XXZ bonds (xxz_entries, diagonal
+summed bond by bond), the total spin site by site (total_spin_entries) and
+S^+ between sectors (splus_pairs), where the package runs one local-term
+builder for all three.
 """
 
 from itertools import permutations
@@ -43,6 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from bethelab import aba, bae, sixvertex
+from bethelab.basis import build_sector_basis
 from bethelab.coordinate import RapiditySet
 
 
@@ -629,3 +636,53 @@ def folded_system(lam, wts, odd):
         A[:, 0] *= 0.5
     A[np.diag_indices(len(lam))] += 1.0
     return A
+
+
+def xxz_entries(L, states, jxy, jz):
+    """COO triplets of sum_j [ jxy/2 (s+s- + s-s+) + jz (s^z s^z - 1/4) ] on the
+    periodic bonds over the sorted codes states; flips first, then the
+    nonzero diagonal summed bond by bond in site order."""
+    diag = np.zeros(len(states))
+    rows, cols = [], []
+    for j in range(1, L + 1):
+        b1 = L - j
+        b2 = L - (j % L + 1)
+        anti = np.flatnonzero(((states >> b1) ^ (states >> b2)) & 1)
+        diag[anti] += -0.5 * jz  # parallel bonds: zz - 1/4 = 0, no flip
+        rows.append(np.searchsorted(states, states[anti] ^ ((1 << b1) | (1 << b2))))
+        cols.append(anti)
+    nz = np.flatnonzero(diag)
+    flips = np.full(sum(map(len, cols)), 0.5 * jxy)
+    return (np.concatenate(rows + [nz]), np.concatenate(cols + [nz]),
+            np.concatenate([flips, diag[nz]]))
+
+
+def total_spin_entries(L, op):
+    """COO triplets of sum_x op_x on the full 2^L space, site by site; op is
+    2 x 2 in the local basis (up, down) = (0, 1)."""
+    states = np.arange(2 ** L, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for x in range(1, L + 1):
+        b = L - x
+        bit = (states >> b) & 1
+        for out in range(2):
+            v = op[out, bit]
+            keep = np.flatnonzero(v)
+            rows.append((states[keep] & ~(1 << b)) | (out << b))
+            cols.append(keep)
+            vals.append(v[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def splus_pairs(L, N):
+    """(rows, cols, shape) of the unit entries of S^+ from sector N to N-1,
+    bit by bit from bit 0 (site L): clearing a set bit (a down spin) of a
+    column state gives its row state."""
+    src = build_sector_basis(L, N).state_array
+    dst = build_sector_basis(L, N - 1).state_array
+    rows, cols = [], []
+    for b in range(L):
+        down = np.flatnonzero((src >> b) & 1)
+        rows.append(np.searchsorted(dst, src[down] ^ (1 << b)))
+        cols.append(down)
+    return np.concatenate(rows), np.concatenate(cols), (len(dst), len(src))

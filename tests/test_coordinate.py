@@ -181,8 +181,10 @@ class TestOnShellVectors:
         L = 6
         rep = bae.solve_logbae(L, 2, (1, 2))
         v = coordinate.offshell_vector(rep.roots, L)
-        rows, cols, shape = ed._splus_pairs(L, 3)
-        w = np.zeros(shape[1], complex)
+        src, dst = (build_sector_basis(L, n).state_array for n in (3, 2))
+        rows, cols, _ = ed._local_entries(L, src, dst, ed._PAULI["raise"],
+                                          [(x,) for x in range(1, L + 1)])
+        w = np.zeros(len(src), complex)
         np.add.at(w, cols, v[rows])  # S^- v = (S^+)^T v : N=2 -> N=3
         assert coordinate.highest_weight_residual(w, L, 3) > 0.01
 

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from bethelab.basis import build_sector_basis
 from bethelab import basis, coordinate, ed
-from loop_references import config_to_index, index_to_config
-from oracles import kron_spin_hamiltonian, kron_total_spin
+from loop_references import (config_to_index, index_to_config, splus_pairs,
+                             total_spin_entries, xxz_entries)
+from oracles import SX, SY, SZ, kron_spin_hamiltonian, kron_total_spin
 
 
 class TestSectorBasis:
@@ -139,6 +140,18 @@ class TestHamiltonians:
             ed.diagonalize(ed.build_xxz_hamiltonian(12, 0.7, N)).eigenvalues[:3]
             for N in range(13)]))[:3]
         assert np.allclose(spec.eigenvalues, sector_lows, atol=1e-9)
+
+    def test_dense_is_a_copy_and_matrix_read_only(self):
+        # dim 70: `matrix` is the kept dense array
+        H = ed.build_xxx_hamiltonian(8, 1.0, 4)
+        v = np.zeros(H.dim)
+        v[0] = 1.0
+        d = H.dense()
+        d[0, 0] = 99.0
+        assert H.matrix[0, 0] == H.dense()[0, 0] == (H @ v)[0] == -1.0
+        with pytest.raises(ValueError):
+            H.matrix[0, 0] = 99.0
+        assert H.dense() is not H.dense()
 
     def test_storage_depends_on_dim_only(self):
         # one rule whatever the input form: CSR from DENSE_DIM_LIMIT up,
@@ -497,9 +510,12 @@ class TestBlockedSolve:
 
 
 def _splus_matrix(L, N):
-    """S^+ from sector N to N-1 as CSR, built from the pairs apply_splus adds."""
-    rows, cols, shape = ed._splus_pairs(L, N)
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+    """S^+ from sector N to N-1 as CSR, from the one-site raising terms that
+    apply_splus adds."""
+    src, dst = (build_sector_basis(L, n).state_array for n in (N, N - 1))
+    rows, cols, vals = ed._local_entries(L, src, dst, ed._PAULI["raise"].real,
+                                         [(x,) for x in range(1, L + 1)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(dst), len(src)))
 
 
 class TestSectorOperators:
@@ -564,9 +580,116 @@ class TestSectorOperators:
         H_lower = ed.build_xxx_hamiltonian(L, J, N - 1).csr()
         assert abs(Sp @ H_N - H_lower @ Sp).max() < 1e-12
 
-    @pytest.mark.parametrize("L,N,delta", [(6, 3, 1.0), (7, 2, -0.6), (8, 3, 2.5)])
-    def test_sector_hamiltonian_is_kron_oracle_block(self, L, N, delta):
-        states = build_sector_basis(L, N).states
-        block = kron_spin_hamiltonian(L, 1.0, delta)[np.ix_(states, states)]
-        H = ed.build_xxz_hamiltonian(L, delta, N).dense()
-        assert np.max(np.abs(H - block)) < 1e-12
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 8), data=st.data(), J=st.floats(-2.0, 2.0),
+           delta=st.floats(-3.0, 3.0))
+    def test_sector_hamiltonian_is_kron_oracle_block(self, L, data, J, delta):
+        sector = data.draw(st.one_of(st.none(), st.integers(0, L)), label="sector")
+        states = np.arange(2 ** L) if sector is None else build_sector_basis(L, sector).states
+        for H, jxy, jz in ((ed.build_xxx_hamiltonian(L, J, sector), J, J),
+                           (ed.build_xxz_hamiltonian(L, delta, sector), 1.0, delta)):
+            block = kron_spin_hamiltonian(L, jxy, jz)[np.ix_(states, states)]
+            assert np.max(np.abs(H.dense() - block)) < 1e-12
+            assert H.hermiticity_defect() == 0
+        for comp in "xyz":
+            S = ed.build_total_spin(L, comp).dense()
+            assert np.max(np.abs(S - kron_total_spin(L, comp))) < 1e-12
+
+
+def _csr_arrays(m):
+    m = m.csr() if isinstance(m, ed.OperatorMatrix) else sp.csr_matrix(m)
+    return m.dtype, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()
+
+
+class TestLocalEntries:
+    """Every operator of the one local-term builder against the hand-written
+    loop it replaced."""
+
+    @pytest.mark.parametrize("L", range(2, 15))
+    def test_chain_hamiltonians_are_the_bond_loop_csr(self, L):
+        # array for array, as stored: indptr, indices and data, not re-sorted
+        for sector in [None, *range(L + 1)]:
+            states = (np.arange(2 ** L, dtype=np.int64) if sector is None
+                      else build_sector_basis(L, sector).state_array)
+            n = len(states)
+            builds = [(ed.build_xxx_hamiltonian(L, J, sector), J, J) for J in (1.0, -0.8)]
+            builds += [(ed.build_xxz_hamiltonian(L, D, sector), 1.0, D) for D in (0.37, 2.5)]
+            for H, jxy, jz in builds:
+                rows, cols, vals = xxz_entries(L, states, jxy, jz)
+                ref = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+                assert _csr_arrays(H) == _csr_arrays(ref)
+
+    @pytest.mark.parametrize("L", range(2, 15))
+    def test_splus_is_the_site_loop_bitwise(self, L):
+        rng = np.random.default_rng(L)
+        for N in range(1, L + 1):
+            rows, cols, shape = splus_pairs(L, N)
+            for v in (rng.standard_normal(shape[1]),
+                      rng.standard_normal(shape[1]) + 1j * rng.standard_normal(shape[1])):
+                ref = np.zeros(shape[0], v.dtype)
+                np.add.at(ref, rows, v[cols])
+                out = ed.apply_splus(v, L, N)
+                assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_total_spin_equals_the_site_loop(self, L):
+        # equal values; the S^z diagonal stores no zeros, the loop's did
+        n = 2 ** L
+        ops = {"x": SX, "y": SY, "z": SZ, "raise": SX + 1j * SY, "lower": SX - 1j * SY}
+        refs = {}
+        for alpha, op in ops.items():
+            rows, cols, vals = total_spin_entries(L, op)
+            refs[alpha] = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+            S = ed.build_total_spin(L, alpha).csr()
+            assert S.dtype == refs[alpha].dtype and (S != refs[alpha]).nnz == 0
+        casimir = sum((refs[ax] @ refs[ax]).real for ax in "xyz")
+        assert (ed.build_total_spin(L, "casimir").csr() != casimir).nnz == 0
+
+    def test_site_order_of_a_term(self):
+        # the first site of a tuple is the most significant local bit, so
+        # |up down><down up| on (1, 3) takes site 1 down (bit 2) to site 3
+        # down (bit 0), whatever site 2 holds; on (3, 1) it does the reverse
+        states = np.arange(8, dtype=np.int64)
+        h = np.zeros((4, 4))
+        h[1, 2] = 1.0
+        rows, cols, vals = ed._local_entries(3, states, states, h, [(1, 3)])
+        assert rows.tolist() == [1, 3] and cols.tolist() == [4, 6]
+        assert vals.tolist() == [1.0, 1.0]
+        rows, cols, _ = ed._local_entries(3, states, states, h, [(3, 1)])
+        assert rows.tolist() == [4, 6] and cols.tolist() == [1, 3]
+
+    def test_diagonal_is_summed_in_site_order(self):
+        # these diagonal values round differently in another order of bonds
+        L = 10
+        states = build_sector_basis(L, 5).state_array
+        h = np.diag([1.0, 1e-16, 3e-16, 0.1])
+        bonds = [(j, j % L + 1) for j in range(1, L + 1)]
+        ref = np.zeros(len(states))
+        for j, k in bonds:
+            ref += h.diagonal()[2 * ((states >> (L - j)) & 1) + ((states >> (L - k)) & 1)]
+        rows, cols, vals = ed._local_entries(L, states, states, h, bonds)
+        assert np.array_equal(rows, np.arange(len(states))) and np.array_equal(cols, rows)
+        assert vals.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 252, 1000])
+    def test_any_block_size_gives_the_same_operator(self, monkeypatch, block):
+        # the same triplets for a bond term, its flips mirrored or not, and
+        # for one move (S^+) the same order: placements first, then codes
+        L = 10
+        states = build_sector_basis(L, 5).state_array
+        lower = build_sector_basis(L, 4).state_array
+        bonds = [(j, j % L + 1) for j in range(1, L + 1)]
+        terms = []
+        for flip_back in (-0.7, 0.3):
+            h = np.diag([0.25, -0.5, -0.75, 1.0])
+            h[1, 2], h[2, 1] = 0.3, flip_back
+            terms.append((L, states, states, h, bonds))
+        raise_term = (L, states, lower, ed._PAULI["raise"].real, [(x,) for x in range(L, 0, -1)])
+        refs = [ed._local_entries(*t) for t in terms + [raise_term]]
+        monkeypatch.setattr(ed, "BLOCK", block)
+        for t, ref in zip(terms, refs):
+            got = ed._local_entries(*t)
+            order, ref_order = (np.lexsort((r, c)) for r, c, _ in (got, ref))
+            assert all(np.array_equal(a[order], b[ref_order]) for a, b in zip(got, ref))
+        got = ed._local_entries(*raise_term)
+        assert all(np.array_equal(a, b) for a, b in zip(got, refs[-1]))

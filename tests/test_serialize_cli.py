@@ -409,6 +409,8 @@ class TestCli:
         ("thermo/condensation", {"lmin": "0", "lmax": "2"}, "--lmin must be >= 1, got 0"),
         ("thermo/condensation", {"lmin": "-4", "lmax": "-2"}, "--lmin must be >= 1, got -4"),
         ("ed/spectrum", {"L": "4", "k": "0"}, "--k must be >= 1, got 0"),
+        # a chain needs a bond: said "need at least two sites", naming no flag
+        ("ed/spectrum", {"L": "1"}, "L=1: need at least two sites"),
         ("vertex/partition", {"L": "2", "M": "0"}, "--M must be >= 1, got 0"),
         ("vertex/ice-entropy", {"lmax": "0"}, "--lmax must be >= 1, got 0"),
     ])
