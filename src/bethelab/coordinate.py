@@ -22,9 +22,10 @@ partial sum over S gains root j at the next position x_k with the factor
 configuration at once.  That is N 2^(N-1) vector operations instead of N!,
 holding at most C(N, N/2) partial sums per configuration.  The raw site
 factors grow like |l|^(L+1), so each position's factors are divided by their
-largest modulus and each level of partial sums by its largest modulus, per
-configuration, with the logs kept as a running scale.  Vanishing factors are
-exact zeros (with 0^0 = 1 at the extended configurations x = 0, L + 1).
+largest modulus and each level of partial sums by the power of two just
+above its largest modulus, per configuration, with the logs kept as a
+running scale.  Vanishing factors are exact zeros (with 0^0 = 1 at the
+extended configurations x = 0, L + 1).
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +36,8 @@ import numpy as np
 from .basis import build_sector_basis
 
 FACTORIAL_GUARD = 10  # wavefunctions of more roots than this are rejected
+LN2 = np.log(2.0)
+FLOAT_MAX = np.finfo(float).max
 BLOCK = 1 << 15       # entries per level array: (16, 8) takes 127-134 ms, unblocked 181-199
 
 
@@ -62,16 +65,19 @@ class RapiditySet:
 @dataclass(frozen=True)
 class ChainKernel:
     """The Bethe-equation kernel of a periodic spin-1/2 chain: the log form's
-    phases theta(n, x) and derivatives dtheta(n, x), the exponential form's
-    phase function f, as logf = log f on some branch and without overflow,
-    and its shift eta (see the bae module), and the Newton seeds, a tuple of
-    functions seed(I, L) at I_j = n_j - offset.  A solve with more than one
-    seed starts from the one with the smallest max |F_j| of the log form (see
-    bae._solve_chain).  XXX is the gamma -> 0 limit of xxz_kernel(gamma) at
-    l_XXZ = gamma l_XXX."""
+    phases theta(n, x) and derivatives dtheta(n, x); the exponential form's
+    shift eta (see the bae module) and phase function f, given in real
+    arithmetic of x = xr + i xi, finite at every finite x, as
+    log_ratio(xr, xi, t) = log f(x - it) - log f(x + it) for real t, a
+    complex array on some branch, and abs_f(xr, xi) = |f(x)|;
+    and the Newton seeds, a tuple of functions seed(I, L) at
+    I_j = n_j - offset.  A solve with more than one seed starts from the one
+    with the smallest max |F_j| of the log form (see bae._solve_chain).  XXX
+    is the gamma -> 0 limit of xxz_kernel(gamma) at l_XXZ = gamma l_XXX."""
     model: str
     eta: complex
-    logf: object
+    log_ratio: object
+    abs_f: object
     theta: object
     dtheta: object
     seeds: tuple
@@ -81,9 +87,8 @@ class ChainKernel:
         """The rapidities as a complex array; ValueError if one lies within
         1e-12 of a pole +-eta/2 (a zero of f(l -+ eta/2))."""
         lam = _roots(roots)
-        with np.errstate(divide="ignore"):  # log 0 at a pole itself
-            logf = self.logf(lam[:, None] + [-self.eta / 2, self.eta / 2])
-        if np.any(logf.real < np.log(1e-12)):
+        t = self.eta.imag / 2
+        if self.abs_f(lam.real[:, None], lam.imag[:, None] + (-t, t)).min(initial=np.inf) < 1e-12:
             raise ValueError(f"rapidity at a pole +-{self.eta / 2}")
         return lam
 
@@ -109,18 +114,52 @@ def _counting_seed(I, L, gamma, outside):
     return np.where(inside, 2 * gamma / np.pi * np.arctanh(np.where(inside, t, 0.0)), outside)
 
 
+def _log_polar(q, y, x):
+    """log(sqrt(q)) + i arctan2(y, x), written into one complex array."""
+    z = np.empty(np.shape(q), complex)
+    np.log(np.sqrt(q), out=z.real)
+    np.arctan2(y, x, out=z.imag)
+    return z
+
+
+def _rational_ratio(xr, xi, t):
+    """log(x - it) - log(x + it): half the log of |x - it|^2/|x + it|^2, and
+    arg((x - it) conj(x + it)) by one arctan2, exactly -pi at x = 0.  Past
+    |x| ~ 1e154 the squares overflow: both are capped at the largest double,
+    which gives the ratio 1 that they round to."""
+    r2, a, b = xr * xr, xi - t, xi + t
+    return _log_polar(np.minimum(r2 + a * a, FLOAT_MAX) / np.minimum(r2 + b * b, FLOAT_MAX),
+                      (-2 * t) * xr, r2 + a * b)
+
+
 # theta_n(x) = 2 arctg(2x/n), f the identity, eta = i; seeded at the free
 # magnon and at Hulthen's counting function (the free magnon outside it)
-XXX = ChainKernel("XXX", 1j, np.log, lambda n, x: 2 * np.arctan(2 / n * x),
+XXX = ChainKernel("XXX", 1j, _rational_ratio, np.hypot,
+                  lambda n, x: 2 * np.arctan(2 / n * x),
                   lambda n, x: n / (x ** 2 + n ** 2 / 4),
                   (_free_magnon, lambda I, L: _counting_seed(I, L, 1.0, _free_magnon(I, L))))
 
 
-def _log_sh(x):
-    """log sh x on some branch, finite where sh x overflows: with s the sign
-    of Re x, sh x = s e^{s x} (1 - e^{-2 s x})/2 and |e^{-2 s x}| <= 1."""
-    s = np.where(np.real(x) < 0, -1, 1)
-    return s * x + np.log(-s * np.expm1(-2 * s * x) / 2)
+def _sh_ratio(xr, xi, t):
+    """log sh(x - it) - log sh(x + it).  With th = th xr,
+    sh(x -+ it) = ch xr (th cos(xi -+ t) + i sin(xi -+ t)), the sine and
+    cosine of xi -+ t by angle addition from those of xi and t: the modulus
+    ratio squared is (th^2 + sin^2(xi - t) sech^2)/(th^2 + sin^2(xi + t)
+    sech^2) with sech^2 = 1 - th^2, and the phase is the arg of the first
+    bracket times the conjugate second, by one arctan2.  No ch is formed, so
+    nothing overflows."""
+    th, s, c, st, ct = np.tanh(xr), np.sin(xi), np.cos(xi), np.sin(t), np.cos(t)
+    s1, c1, s2, c2 = s * ct - c * st, c * ct + s * st, s * ct + c * st, c * ct - s * st
+    th2 = th * th
+    sech2 = 1 - th2
+    return _log_polar((th2 + s1 * s1 * sech2) / (th2 + s2 * s2 * sech2),
+                      -np.sin(2 * t) * th, th2 * c1 * c2 + s1 * s2)
+
+
+def _abs_sh(xr, xi):
+    """|sh x| = hypot(sh xr, sin xi), with xr clipped to |xr| <= 20, where
+    |sh x| is far above any pole threshold and sh cannot overflow."""
+    return np.hypot(np.sinh(np.clip(xr, -20.0, 20.0)), np.sin(xi))
 
 
 def xxz_kernel(gamma):
@@ -133,7 +172,7 @@ def xxz_kernel(gamma):
     def dtheta(n, x):
         c, t = cot(n), np.tanh(x)
         return 2 * c * (1 - t ** 2) / (1 + (c * t) ** 2)
-    return ChainKernel("XXZ", 1j * gamma, _log_sh,
+    return ChainKernel("XXZ", 1j * gamma, _sh_ratio, _abs_sh,
                        lambda n, x: 2 * np.arctan(cot(n) * np.tanh(x)), dtheta,
                        (lambda I, L: _counting_seed(I, L, gamma, 0.3 * I),), {"gamma": gamma})
 
@@ -212,10 +251,13 @@ def _bethe_sum(factors, L, xs):
         nxt = np.zeros((len(prev), len(xs)), complex)
         for m in range(k + 1):
             nxt += coef[:, m, None] * part[prev[:, m]] * g[j[:, m]]
-        level = np.abs(nxt).max(axis=0)
-        level[level == 0] = 1.0
-        part = nxt / level
-        log_scale += top + np.log(level)
+        # divide by 2^e with 2^(e-1) <= the largest modulus < 2^e (e = 0 for
+        # a zero column): exact, and no overflow where that modulus is subnormal
+        e = np.frexp(np.abs(nxt).max(axis=0))[1]
+        part = np.empty_like(nxt)
+        np.ldexp(nxt.real, -e, out=part.real)
+        np.ldexp(nxt.imag, -e, out=part.imag)
+        log_scale += top + LN2 * e
     return part[0], log_scale
 
 

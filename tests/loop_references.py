@@ -41,6 +41,11 @@ bit codes with site x in bit L - x: the XXZ bonds (xxz_entries, diagonal
 summed bond by bond), the total spin site by site (total_spin_entries) and
 S^+ between sectors (splus_pairs), where the package runs one local-term
 builder for all three.
+
+The exponential-form factors of the Bethe equations are kept as complex
+logs: log sh without overflow (log_sh), and the pole guard that compares
+log |f(l -+ eta/2)| with log 1e-12 (pole_guard_raises), where the package
+works in real arithmetic from Re and Im of its arguments.
 """
 
 from itertools import permutations
@@ -686,3 +691,19 @@ def splus_pairs(L, N):
         rows.append(np.searchsorted(dst, src[down] ^ (1 << b)))
         cols.append(down)
     return np.concatenate(rows), np.concatenate(cols), (len(dst), len(src))
+
+
+def log_sh(x):
+    """log sh x on some branch, finite where sh x overflows: with s the sign
+    of Re x, sh x = s e^{s x} (1 - e^{-2 s x})/2 and |e^{-2 s x}| <= 1."""
+    s = np.where(np.real(x) < 0, -1, 1)
+    return s * x + np.log(-s * np.expm1(-2 * s * x) / 2)
+
+
+def pole_guard_raises(roots, eta, log_f):
+    """Whether some root l has log |f(l -+ eta/2)| < log 1e-12, with log_f a
+    complex log of f (np.log for XXX, log_sh for XXZ)."""
+    lam = np.asarray(roots, complex)
+    with np.errstate(divide="ignore"):  # log 0 at a pole itself
+        logf = log_f(lam[:, None] + [-eta / 2, eta / 2])
+    return bool(np.any(logf.real < np.log(1e-12)))

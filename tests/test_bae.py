@@ -1,6 +1,7 @@
 """Bethe-equation residuals, solvers, and the two-magnon classification."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -578,6 +579,116 @@ class TestVectorizedProperties:
         _assume_regular(d + 1j * c, d - 1j * c)
         ref = _loop_residual_bose(k, ring, c)
         assert abs(bae.bose_residual(k, ring, c) - ref) <= 1e-10 * max(1.0, ref)
+
+
+# ---- the exponential-form factors in real arithmetic, in row blocks
+
+def _scaled_sh(x):
+    """|sh x|/ch(Re x): how far x is from a zero of sh, on the scale of sh."""
+    th = np.tanh(x.real)
+    return np.sqrt(th ** 2 + np.sin(x.imag) ** 2 * (1 - th ** 2))
+
+
+class TestRealArithmeticFactors:
+    """ChainKernel.log_ratio, log f(x - it) - log f(x + it) from Re x and
+    Im x, against complex arithmetic on f; the pole guard against complex
+    logs; the blocked residual against the loops, and its memory."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(xr=st.floats(-3.0, 3.0), xi=st.floats(-1.5, 1.5), t=st.floats(0.1, 2.8))
+    def test_rational_ratio(self, xr, xi, t):
+        x = complex(xr, xi)
+        assume(min(abs(x - 1j * t), abs(x + 1j * t)) > 1e-3)
+        with np.errstate(over="raise", invalid="raise"):
+            z = bae.XXX.log_ratio(np.float64(xr), np.float64(xi), t)
+        ref = (x - 1j * t) / (x + 1j * t)
+        assert abs(np.exp(z) - ref) <= 1e-14 * abs(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(xr=st.one_of(st.floats(-3.0, 3.0), st.floats(-800.0, 800.0)),
+           xi=st.floats(-1.5, 1.5), t=st.floats(0.1, 2.8))
+    def test_sh_ratio(self, xr, xi, t):
+        x = complex(xr, xi)
+        # near a zero of sh the complex-log reference loses digits of its own
+        assume(min(_scaled_sh(x - 1j * t), _scaled_sh(x + 1j * t)) > 0.05)
+        with np.errstate(over="raise", invalid="raise"):
+            z = bae.xxz_kernel(1.0).log_ratio(np.float64(xr), np.float64(xi), t)
+            ref = np.exp(loop_references.log_sh(x - 1j * t) - loop_references.log_sh(x + 1j * t))
+        assert abs(np.exp(z) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("chain", [bae.XXX, bae.xxz_kernel(0.9)], ids=["XXX", "XXZ"])
+    def test_self_term_is_minus_one(self, chain):
+        # the k = j factor f(-eta)/f(eta) of the module docstring
+        z = chain.log_ratio(np.zeros(1), np.zeros(1), chain.eta.imag)
+        assert z[0].real == 0.0 and z[0].imag == -np.pi
+
+    @pytest.mark.parametrize("roots", [[1e200, 0.3], [0.3 + 1e200j, 0.1], [1e300, -1e300, 2.0]])
+    def test_rational_residuals_of_far_roots_match_loops(self, roots):
+        # |x|^2 overflows past |x| ~ 1e154; capped, the factor is the 1 it rounds to
+        lam = np.array(roots, complex)
+        with np.errstate(over="ignore"):
+            res, bose = bae.bae_residual_xxx(lam, 8), bae.bose_residual(lam, 8.0, 1.0)
+        assert abs(res - _loop_residual_xxx(lam, 8)) <= 1e-10
+        assert abs(bose - _loop_residual_bose(lam, 8.0, 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("gamma", [None, 0.3, 0.9, np.pi / 2, 2.7])
+    def test_pole_guard_matches_complex_logs(self, gamma):
+        chain = bae.XXX if gamma is None else bae.xxz_kernel(gamma)
+        log_f = np.log if gamma is None else loop_references.log_sh
+        for pole in (chain.eta / 2, -chain.eta / 2):
+            # l = pole + r e^{i phi} rounds r by up to 1e-4 of it, near Im l = 1/2
+            for r in (1e-12 * (1 - 1e-3), 1e-12, 1e-12 * (1 + 1e-3)):
+                for phi in np.linspace(0.1, 0.1 + 2 * np.pi, 12, endpoint=False):
+                    lam = [pole + r * np.exp(1j * phi), 0.7]
+                    expect = loop_references.pole_guard_raises(lam, chain.eta, log_f)
+                    if r != 1e-12:
+                        assert expect == (r < 1e-12)
+                    try:
+                        chain.off_poles(lam)
+                        raised = False
+                    except ValueError:
+                        raised = True
+                    assert raised == expect
+            # on the real axis the distance 1e-12 is exact and is not within
+            # it; log_sh rounds log |sh 1e-12| 3.6e-15 below log 1e-12
+            for r in (1e-12, -1e-12):
+                chain.off_poles([pole + r, 0.7])
+
+    @pytest.mark.parametrize("gamma", [None, 0.9])
+    def test_multi_block_residual_matches_loop(self, gamma):
+        rng = np.random.default_rng(300)
+        lam = rng.uniform(-10.0, 10.0, 300) + 1j * rng.uniform(-0.1, 0.1, 300)
+        assert 300 > bae.BLOCK // 300  # rows per block
+        if gamma is None:
+            res, ref = bae.bae_residual_xxx(lam, 40), _loop_residual_xxx(lam, 40)
+        else:
+            res, ref = bae.bae_residual_xxz(lam, 40, gamma), _loop_residual_xxz(lam, 40, gamma)
+        assert abs(res - ref) <= 1e-10 * max(1.0, ref)
+
+    def test_stacked_blocks_match_single_sets(self):
+        rng = np.random.default_rng(3)
+        lam = rng.uniform(-5.0, 5.0, (3, 100)) + 1j * rng.uniform(-0.2, 0.2, (3, 100))
+        stacked = bae._chain_residuals(bae.XXX, lam, 24)
+        assert stacked.shape == (3,)
+        for b in range(3):
+            assert stacked[b] == bae._chain_residuals(bae.XXX, lam[b], 24)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_residual_builds_no_n_by_n_array(self, stack):
+        # 2048 roots: one complex N x N array is 67 MB; the unblocked
+        # residual peaked at 268 MB, the blocked one at 0.8 MB, and as 16
+        # stacked sets of 128 roots at 0.8 MB too
+        lam = np.linspace(-30.0, 30.0, 2048)
+        tracemalloc.start()
+        try:
+            if stack:
+                bae._chain_residuals(bae.XXX, lam.reshape(16, 128).astype(complex), 4096)
+            else:
+                bae.bae_residual_xxx(lam, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 # ---- the lane-batched Newton driver against single solves and the serial scan

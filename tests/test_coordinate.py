@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loop_references
@@ -260,6 +260,8 @@ def _with_edge(roots, edge, pole, spacing):
 
 
 _COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+# an XXZ eta whose string edge case makes a level of partial sums subnormal
+SUBNORMAL_ETA = 1 + 1.0044e-299j
 
 
 class TestKernelMatchesPermutationSum:
@@ -269,15 +271,26 @@ class TestKernelMatchesPermutationSum:
     distance i (eta), and the extended configurations x = 0 and x = L + 1."""
 
     @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(["xxx", "xxz"]), N=st.integers(1, 6),
+    @given(kind=st.sampled_from(["xxx", "xxz"]), roots=st.lists(_COMPLEX, min_size=1, max_size=6),
            edge=st.sampled_from(["none", "coincident", "pole+", "pole-", "string"]),
-           eta=_COMPLEX.filter(lambda z: abs(z) > 0.1), data=st.data())
-    def test_vector_matches_loop(self, kind, N, edge, eta, data):
-        L = data.draw(st.integers(N, 10))
+           eta=_COMPLEX.filter(lambda z: abs(z) > 0.1), L=st.integers(1, 10))
+    @example(kind="xxz", roots=[0.5j, 0j, 0j, 0.5j], edge="string", eta=SUBNORMAL_ETA, L=4)
+    def test_vector_matches_loop(self, kind, roots, edge, eta, L):
+        assume(L >= len(roots))
         _, _, _, pole, spacing = _model(kind, eta)
-        roots = _with_edge(np.array(data.draw(st.lists(_COMPLEX, min_size=N, max_size=N))),
-                           edge, pole, spacing)
+        roots = _with_edge(np.array(roots), edge, pole, spacing)
         _assert_kernel_matches_loop(kind, eta, roots, L, edge.startswith("pole"))
+
+    def test_subnormal_level_matches_direct_sum(self):
+        # the last level of partial sums has largest modulus 4.97e-316:
+        # dividing by it overflowed, and the amplitude came out nan
+        eta, xs, L = SUBNORMAL_ETA, (1, 2, 3, 4), 4
+        roots = np.array([0.5j, 0.5j + eta, 0, 0.5j])
+        ref, largest = loop_references.direct_sum(xs, roots, L,
+                                                   *loop_references.xxz_factors(eta))
+        with np.errstate(over="raise", invalid="raise"):
+            psi = coordinate._at(coordinate._factors(roots, eta, np.sinh), xs, L)
+        assert abs(psi - ref) <= 1e-10 * largest
 
     @pytest.mark.parametrize("L", range(1, 11))
     def test_root_a_subnormal_distance_from_the_pole(self, L):
