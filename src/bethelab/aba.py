@@ -34,6 +34,7 @@ and the explicit pairing build their products in one sweep.
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bae import _pairwise_min_dist, solve_logbae_xxz
 from .sixvertex import (VertexWeights, _monodromy_action, _monodromy_csr, _transfer_action,
@@ -114,11 +115,12 @@ class VacuumFunctions:
 
 
 class MonodromyBlocks(NamedTuple):
-    """A/B/C/D blocks of the monodromy at one spectral parameter."""
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+    """A/B/C/D blocks of the monodromy at one spectral parameter, each a
+    2^L x 2^L CSR matrix."""
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    C: sp.csr_matrix
+    D: sp.csr_matrix
 
 
 def _weights_homogeneous(L, eta):
@@ -127,12 +129,12 @@ def _weights_homogeneous(L, eta):
 
 def monodromy_blocks(lam, L, eta, xi=None):
     """Extract A(l), B(l), C(l), D(l) from the 2x2 auxiliary structure of the
-    monodromy; xi defaults to the homogeneous eta/2 convention."""
-    if L > 12:
-        raise ValueError("monodromy blocks supported up to L = 12")
+    monodromy, sliced from its CSR (no 2^(L+1) dense matrix; L is bounded by
+    sixvertex.EXPLICIT_L_MAX); xi defaults to the homogeneous eta/2
+    convention."""
     xi_list = [eta / 2] * L if xi is None else list(xi)
     w = VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi_list)
-    T = _monodromy_csr(lam, L, w).toarray()
+    T = _monodromy_csr(lam, L, w)
     d = 2 ** L
     return MonodromyBlocks(T[:d, :d], T[:d, d:], T[d:, :d], T[d:, d:])
 

@@ -15,7 +15,15 @@ A subcommand takes the flags its table entry names and no others
 (`bethelab GROUP COMMAND --help` lists each with its type and its default or
 "required"), plus `--json FILE` (a config, the serialized form of the run,
 which then alone decides it: only `--out` may accompany it), `--out DIR`
-(artifact directory; default prints to stdout) and `--seed`.  Only the
+(artifact directory; default prints to stdout) and `--seed`.
+
+A command is a function of its typed parameters `p`, the run's seed among
+them, that returns a `Result`: report, extra files for `--out`, exit status.
+`main` builds the run's config, the plain dict {command, params, seed} that
+every report echoes (not `out`, so a run's bytes do not depend on where it is
+written), from the flags or from --json, and writes every report;
+`serialize.dumps` alone converts it to JSON, complex values and arrays
+included.  `aba slavnov` without convergence writes no report.  Only the
 invoked subcommand's parser is built.  The table gives each parameter's type
 and default once; each given value or default is converted once, and reports
 echo the values as given.  A parameter the subcommand (or its `--model`) does
@@ -30,9 +38,9 @@ config error when a parameter reads as one, else an invariant violation.
 """
 
 import argparse
+import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,51 +58,30 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    """One reproducible run: command path, parameters, seed, output target."""
-    command: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    out: str = None
-
-    def report_dict(self):
-        """The config as embedded in reports: the artifact directory is not
-        part of the experiment identity, so identical runs stay byte-identical
-        wherever they are written."""
-        return {"command": self.command, "params": self.params, "seed": self.seed}
-
-    def dumps(self):
-        return serialize.dumps(asdict(self))
-
-    @classmethod
-    def loads(cls, text):
-        d = serialize.loads(text)
-        try:
-            return cls(d["command"], dict(d.get("params", {})),
-                       _convert("seed", "int", d.get("seed"), "0"), d.get("out"))
-        except (TypeError, AttributeError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from None
+class Result(NamedTuple):
+    """What a command returns: its report (None: nothing is written), the
+    extra files (name, text) written next to it under --out, and the exit
+    status."""
+    report: dict
+    files: tuple = ()
+    status: int = EXIT_OK
 
 
-def _emit(cfg, report, extra_files=(), status=EXIT_OK):
-    """Write `report` with the run's config embedded; return the exit status.
-    A report with a nan or an infinity is not written: a config error when a
-    parameter reads as one, else an invariant violation."""
+def _emit(config, out, report, files, status):
+    """Write `report`, the run's config embedded, to `out` or else stdout;
+    return the exit status (a non-finite report: see the module docstring)."""
     try:
-        text = serialize.dumps({"config": cfg.report_dict(), **report}) + "\n"
+        text = serialize.dumps({"config": config, **report}) + "\n"
     except ValueError:
-        for name, value in cfg.params.items():
+        for name, value in config["params"].items():
             if _non_finite(value):
                 raise ConfigError(f"non-finite {_flag(name)} = {value}") from None
         sys.stderr.write("invariant violation: non-finite value in the report\n")
         return EXIT_INVARIANT
-    if cfg.out:
-        outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.json").write_text(text)
-        for name, content in extra_files:
-            (outdir / name).write_text(content)
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        for name, content in [("report.json", text), *files]:
+            (Path(out) / name).write_text(content)
     else:
         sys.stdout.write(text)
     return status
@@ -161,143 +148,147 @@ def _convert(name, kind, value, default=None):
 
 # ---------------------------------------------------------------- commands
 # Each takes its typed parameters `p` (from `_check_params`, defaults filled
-# in) and the run's config, writes the report, and returns the exit status.
+# in, and the run's `seed`) and returns its Result; `main` writes it.
 
 
-def cmd_ed_spectrum(p, cfg):
+def cmd_ed_spectrum(p):
     # xxz unless xxx: _check_params admits only the models in COMMANDS
     op = (ed.build_xxx_hamiltonian(p["L"], p["J"], p["sector"]) if p["model"] == "xxx"
           else ed.build_xxz_hamiltonian(p["L"], p["delta"], p["sector"]))
-    spec = ed.diagonalize(op, p["k"])
-    return _emit(cfg, {"eigenvalues": list(map(float, spec.eigenvalues))},
-                 [("spectrum.csv", serialize.spectrum_to_csv(spec))])
+    return _spectrum(ed.diagonalize(op, p["k"]))
 
 
-def cmd_bae_solve(p, cfg):
+def _spectrum(spec):
+    """The report and CSV of a spectrum (ed spectrum, hubbard ed)."""
+    csv = serialize.table_csv(["index", "eigenvalue"], enumerate(spec.eigenvalues))
+    return Result({"eigenvalues": spec.eigenvalues}, [("spectrum.csv", csv)])
+
+
+def cmd_bae_solve(p):
     rep = bae.solve_logbae(p["L"], p["N"], p["qnums"])
     report = {"solve": serialize.solve_report_to_dict(rep)}
-    if rep.converged:
-        report["energy"] = serialize.complex_pair(coordinate.energy_xxx(rep.roots, p["J"]))
-    return _emit(cfg, report, status=EXIT_OK if rep.converged else EXIT_NOCONV)
+    if rep.converged:  # energy_xxx is the float 0.0 at N = 0
+        report["energy"] = complex(coordinate.energy_xxx(rep.roots, p["J"]))
+    return Result(report, status=EXIT_OK if rep.converged else EXIT_NOCONV)
 
 
-def cmd_bae_residual(p, cfg):
+def cmd_bae_residual(p):
     adm, reasons = bae.admissibility(p["roots"])
-    return _emit(cfg, {"residual": bae.bae_residual_xxx(p["roots"], p["L"]),
-                       "admissible": adm, "reasons": reasons})
+    return Result({"residual": bae.bae_residual_xxx(p["roots"], p["L"]),
+                   "admissible": adm, "reasons": reasons})
 
 
-def cmd_bae_two_magnon(p, cfg):
-    L = p["L"]
-    rows = [{"kind": kind, "roots": serialize.complex_list(rs.values),
-             "energy": serialize.complex_pair(coordinate.energy_xxx(rs)),
-             "residual": bae.bae_residual_xxx(rs.values, L)}
-            for rs, kind in bae.classify_two_magnon(L)]
-    return _emit(cfg, {"count": len(rows), "solutions": rows,
-                       "reference_level_count": bae.two_magnon_reference_count(L)})
+def cmd_bae_two_magnon(p):
+    # classify_two_magnon has screened every solution (admissible, residual
+    # <= 1e-10), so energies and residuals are taken once over the stack
+    sols = bae.classify_two_magnon(p["L"])
+    lam = np.array([rs.values for rs, _ in sols], complex).reshape(-1, 2)
+    energies = -0.5 * np.sum(coordinate.XXX.dtheta(1, lam), axis=-1)
+    residuals = bae._chain_residuals(coordinate.XXX, lam, p["L"])
+    rows = [{"kind": kind, "roots": roots, "energy": e, "residual": r}
+            for (_, kind), roots, e, r in zip(sols, lam, energies, residuals)]
+    return Result({"count": len(rows), "solutions": rows,
+                   "reference_level_count": bae.two_magnon_reference_count(p["L"])})
 
 
-def cmd_vector_build(p, cfg):
-    v = coordinate.offshell_vector(p["roots"], p["L"])
-    return _emit(cfg, {"vector": serialize.complex_list(v)})
+def cmd_vector_build(p):
+    return Result({"vector": coordinate.offshell_vector(p["roots"], p["L"])})
 
 
-def cmd_vector_verify(p, cfg):
+def cmd_vector_verify(p):
     L, roots, N, tol = p["L"], p["roots"], len(p["roots"]), p["tol"]
     v = coordinate.offshell_vector(roots, L)
     H = ed.build_xxx_hamiltonian(L, 1.0, N).matrix
-    E = coordinate.energy_xxx(roots)
-    h_res = float(np.linalg.norm(H @ v - complex(E) * v))
+    E = complex(coordinate.energy_xxx(roots))
+    h_res = float(np.linalg.norm(H @ v - E * v))
     hw_res = coordinate.highest_weight_residual(v, L, N)
     bres = bae.bae_residual_xxx(roots, L)
     P = coordinate.momentum_xxx(roots)
     shift = ed.shift_sector_matrix(ed.build_sector_basis(L, N))
     mom_res = float(np.linalg.norm(shift @ v - np.exp(1j * complex(P)) * v))
     broken = bres < 1e-10 and (h_res > tol or hw_res > tol or mom_res > tol)
-    return _emit(cfg, {"bae_residual": bres, "eigenvector_residual": h_res,
-                       "hw_residual": hw_res, "momentum_residual": mom_res,
-                       "energy": serialize.complex_pair(E)},
-                 status=EXIT_INVARIANT if broken else EXIT_OK)
+    return Result({"bae_residual": bres, "eigenvector_residual": h_res,
+                   "hw_residual": hw_res, "momentum_residual": mom_res, "energy": E},
+                  status=EXIT_INVARIANT if broken else EXIT_OK)
 
 
-def cmd_thermo_density(p, cfg):
+def cmd_thermo_density(p):
     rd = thermo.solve_root_density(p["q"], p["n_nodes"])
-    return _emit(cfg, {"D": thermo.density_D(rd),
-                       "density": serialize.root_density_to_dict(rd)})
+    return Result({"D": thermo.density_D(rd), "density": serialize.root_density_to_dict(rd)})
 
 
-def cmd_thermo_gs_energy(p, cfg):
+def cmd_thermo_gs_energy(p):
     e = thermo.gs_energy_density(thermo.solve_root_density(p["q"], p["n_nodes"]), p["J"])
-    return _emit(cfg, {"energy_per_site": e, "minus_ln2": -float(np.log(2)),
-                       "deviation": abs(e + np.log(2))})
+    return Result({"energy_per_site": e, "minus_ln2": -float(np.log(2)),
+                   "deviation": abs(e + np.log(2))})
 
 
-def cmd_thermo_condensation(p, cfg):
+def cmd_thermo_condensation(p):
     lmin, lmax = p["lmin"], p["lmax"]
     if lmin > lmax:
         # an empty scan would report a check that ran nothing as passed
         raise ConfigError(f"--lmin {lmin} > --lmax {lmax} leaves no chain length")
-    Ls = list(range(lmin, lmax + 1, 2))
-    rows = thermo.condensation_check(Ls, lambda lam: -0.5 / (lam ** 2 + 0.25))
-    return _emit(cfg, {"rows": rows},
-                 [("condensation.csv", serialize.condensation_csv(rows))])
+    rows = thermo.condensation_check(range(lmin, lmax + 1, 2),
+                                     lambda lam: -0.5 / (lam ** 2 + 0.25))
+    cols = ["L", "sum", "integral", "gap"]
+    csv = serialize.table_csv(cols, ([r[c] for c in cols] for r in rows))
+    return Result({"rows": rows}, [("condensation.csv", csv)])
 
 
-def cmd_vertex_ybe(p, cfg):
-    rng = np.random.default_rng(cfg.seed)
+def cmd_vertex_ybe(p):
+    rng = np.random.default_rng(p["seed"])
     draws = np.array([rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
                       for _ in range(p["trials"])]).reshape(-1, 3)
     eta = np.where(np.arange(len(draws)) % 2 == 0, 0.3, 0.7 + 0.2j)
     worst = sixvertex.ybe_residual(*draws.T, eta)
-    return _emit(cfg, {"trials": p["trials"], "max_residual": worst},
-                 status=EXIT_OK if worst < 1e-12 else EXIT_INVARIANT)
+    return Result({"trials": p["trials"], "max_residual": worst},
+                  status=EXIT_OK if worst < 1e-12 else EXIT_INVARIANT)
 
 
-def cmd_vertex_transfer(p, cfg):
+def cmd_vertex_transfer(p):
     w = sixvertex.VertexWeights.from_parameters(p["rho"], 0.0, p["eta"])
     t = sixvertex.transfer(p["lambda"], p["L"], w)
-    return _emit(cfg, {"matrix": serialize.matrix_to_dict(t.matrix)})
+    return Result({"matrix": serialize.matrix_to_dict(t.matrix)})
 
 
-def cmd_vertex_partition(p, cfg):
+def cmd_vertex_partition(p):
     L, M, abc = p["L"], p["M"], [p[x] for x in "abc"]
     # integral weights, all three, give an integer Z
     a, b, c = map(int, abc) if all(x.is_integer() for x in abc) else abc
     z = sixvertex.partition_function(L, M, a, b, c)
-    report = {"Z": serialize.complex_pair(z)}
+    report = {"Z": complex(z)}
     status = EXIT_OK
     if L * M <= 12:
-        ze = sixvertex.enumerate_partition(L, M, a, b, c)
-        report["Z_enumeration"] = serialize.complex_pair(complex(ze))
+        ze = complex(sixvertex.enumerate_partition(L, M, a, b, c))
+        report["Z_enumeration"] = ze
         # np.abs: Python's abs of a nan complex raises OverflowError when a
         # prior overflow left errno set
-        if np.abs(z - complex(ze)) > 1e-8 * max(1.0, np.abs(z)):
+        if np.abs(z - ze) > 1e-8 * max(1.0, np.abs(z)):
             status = EXIT_INVARIANT
-    return _emit(cfg, report, status=status)
+    return Result(report, status=status)
 
 
-def cmd_vertex_ice_entropy(p, cfg):
+def cmd_vertex_ice_entropy(p):
     table, s_inf = sixvertex.ice_entropy(p["lmax"])
-    return _emit(cfg, {"table": [{"L": L, "s": s} for L, s in table],
-                       "extrapolated": s_inf, "exact_2d": float(1.5 * np.log(4 / 3))},
-                 [("entropy.csv", serialize.entropy_csv(table))])
+    return Result({"table": [{"L": L, "s": s} for L, s in table],
+                   "extrapolated": s_inf, "exact_2d": float(1.5 * np.log(4 / 3))},
+                  [("entropy.csv", serialize.table_csv(["L", "logLambda_over_L"], table))])
 
 
-def cmd_vertex_hamiltonian_link(p, cfg):
+def cmd_vertex_hamiltonian_link(p):
     op, dev = sixvertex.hamiltonian_from_transfer(p["L"], p["eta"], p["rho"], p["J"],
                                                   p["step"])
-    return _emit(cfg, {"max_deviation": dev},
-                 status=EXIT_OK if dev < p["tol"] else EXIT_INVARIANT)
+    return Result({"max_deviation": dev}, status=EXIT_OK if dev < p["tol"] else EXIT_INVARIANT)
 
 
-def cmd_aba_slavnov(p, cfg):
+def cmd_aba_slavnov(p):
     L, N, eta = p["L"], p["N"], 1j * p["gamma"]
     try:
         mu = aba.onshell_roots(L, N, p["gamma"])
     except RuntimeError as exc:
         sys.stderr.write(f"no convergence: {exc}\n")
-        return EXIT_NOCONV
-    rng = np.random.default_rng(cfg.seed)
+        return Result(None, status=EXIT_NOCONV)
+    rng = np.random.default_rng(p["seed"])
     reports = []
     for _ in range(p["trials"]):
         la = mu + rng.normal(size=N) * 0.2 + 1j * rng.normal(size=N) * 0.2
@@ -305,53 +296,51 @@ def cmd_aba_slavnov(p, cfg):
         bf = aba.pairing_ratio_bruteforce(mu, la, L, eta)
         reports.append(serialize.pairing_report(L, N, mu, la, sv, bf))
     worst = float(np.max([rep["rel_err"] for rep in reports]))  # nan propagates
-    return _emit(cfg, {"pairings": reports, "max_rel_err": worst},
-                 status=EXIT_OK if worst < 1e-9 else EXIT_INVARIANT)
+    return Result({"pairings": reports, "max_rel_err": worst},
+                  status=EXIT_OK if worst < 1e-9 else EXIT_INVARIANT)
 
 
-def cmd_aba_verify_action(p, cfg):
+def cmd_aba_verify_action(p):
     N = p["N"]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(p["seed"])
     residuals = []
     for _ in range(p["trials"]):
         params = rng.normal(size=N + 1) * 0.5 + 1j * rng.normal(size=N + 1) * 0.3
         residuals.append(aba.offshell_action_residual(params, 0, p["L"], p["eta"]))
     worst = float(np.max(residuals))  # nan propagates
-    return _emit(cfg, {"max_residual": worst},
-                 status=EXIT_OK if worst < 1e-10 else EXIT_INVARIANT)
+    return Result({"max_residual": worst}, status=EXIT_OK if worst < 1e-10 else EXIT_INVARIANT)
 
 
-def cmd_hubbard_ed(p, cfg):
-    spec = ed.diagonalize(hubbard.build_hubbard_hamiltonian(p["L"], p["u"], (p["N"], p["M"])))
-    return _emit(cfg, {"eigenvalues": list(map(float, spec.eigenvalues))},
-                 [("spectrum.csv", serialize.spectrum_to_csv(spec))])
+def cmd_hubbard_ed(p):
+    return _spectrum(ed.diagonalize(
+        hubbard.build_hubbard_hamiltonian(p["L"], p["u"], (p["N"], p["M"]))))
 
 
 def _solve_liebwu(p):
     return hubbard.solve_liebwu(p["L"], p["N"], p["M"], p["u"], p["qnums"], p["spin_qnums"])
 
 
-def cmd_hubbard_liebwu(p, cfg):
+def cmd_hubbard_liebwu(p):
     roots, res, ok = _solve_liebwu(p)
     E, P = hubbard.energy_momentum(roots)
-    return _emit(cfg, {"roots": serialize.nested_roots_to_dict(roots),
-                       "residual": res, "converged": ok, "E": float(np.real(E)), "P": P},
-                 status=EXIT_OK if ok else EXIT_NOCONV)
+    return Result({"roots": serialize.nested_roots_to_dict(roots),
+                   "residual": res, "converged": ok, "E": float(np.real(E)), "P": P},
+                  status=EXIT_OK if ok else EXIT_NOCONV)
 
 
-def cmd_hubbard_verify(p, cfg):
+def cmd_hubbard_verify(p):
     roots, res, ok = _solve_liebwu(p)
     if not ok:
-        return _emit(cfg, {"converged": False, "residual": res}, status=EXIT_NOCONV)
+        return Result({"converged": False, "residual": res}, status=EXIT_NOCONV)
     basis = hubbard.FermionBasis(p["L"], p["N"], p["M"])
     H = hubbard.build_hubbard_hamiltonian(basis.L, p["u"], basis).matrix
     v = hubbard.assemble_state(roots, basis)
     E, P = hubbard.energy_momentum(roots)
     h_res = float(np.linalg.norm(H @ v - np.real(E) * v))
-    return _emit(cfg, {"converged": True, "roots": serialize.nested_roots_to_dict(roots),
-                       "liebwu_residual": hubbard.liebwu_residual(roots),
-                       "eigenvector_residual": h_res, "E": float(np.real(E)), "P": P},
-                 status=EXIT_OK if h_res < p["tol"] else EXIT_INVARIANT)
+    return Result({"converged": True, "roots": serialize.nested_roots_to_dict(roots),
+                   "liebwu_residual": hubbard.liebwu_residual(roots),
+                   "eigenvector_residual": h_res, "E": float(np.real(E)), "P": P},
+                  status=EXIT_OK if h_res < p["tol"] else EXIT_INVARIANT)
 
 
 class Command(NamedTuple):
@@ -504,17 +493,22 @@ def main(argv=None):
             if given:
                 raise ConfigError(f"{', '.join(map(_flag, given))} next to --json: "
                                   "the config alone decides the run")
-            cfg = ExperimentConfig.loads(Path(args.json).read_text())
-            if args.out:
-                cfg.out = args.out
+            d = json.loads(Path(args.json).read_text())
+            try:
+                config = {"command": d["command"], "params": dict(d.get("params", {})),
+                          "seed": _convert("seed", "int", d.get("seed"), "0")}
+            except (TypeError, AttributeError) as exc:
+                raise ConfigError(f"malformed config: {exc}") from None
+            out = args.out or d.get("out")
         else:
-            seed = given.pop("seed", 0)
-            cfg = ExperimentConfig(key, given, seed, args.out)
-        if cfg.command != key:
-            raise ConfigError(f"config command {cfg.command!r} does not match {key!r}")
-        p = _check_params(key, cfg.params)
+            config = {"command": key, "seed": given.pop("seed", 0), "params": given}
+            out = args.out
+        if config["command"] != key:
+            raise ConfigError(f"config command {config['command']!r} does not match {key!r}")
+        p = _check_params(key, config["params"])
         with np.errstate(all="ignore"):  # a non-finite input ends in one line
-            return COMMANDS[key].run(p, cfg)
+            report, files, status = COMMANDS[key].run({**p, "seed": config["seed"]})
+            return status if report is None else _emit(config, out, report, files, status)
     except (ConfigError, KeyError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

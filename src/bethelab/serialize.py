@@ -2,7 +2,8 @@
 
 JSON numbers are printed with 17 significant digits and keys are sorted, so a
 report built from the same inputs is byte-identical run to run.  Complex
-numbers appear as [re, im] pairs throughout.
+numbers appear as [re, im] pairs and arrays as lists throughout; `dumps` is
+the one conversion, so callers pass such values as they are.
 """
 
 import json
@@ -48,19 +49,6 @@ def dumps(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def loads(text):
-    return json.loads(text)
-
-
-def complex_pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def complex_list(values):
-    return [complex_pair(z) for z in np.asarray(values).ravel()]
-
-
 def matrix_to_dict(op):
     """Matrix as {dim, format, entries: [[row, col, re, im], ...]} (nonzeros in
     row-major order); format is "coo" for sparse storage, else "dense"."""
@@ -74,15 +62,14 @@ def matrix_to_dict(op):
         fmt = "dense"
         rows, cols = np.nonzero(m)
         vals = m[rows, cols]
-    entries = [[int(r), int(c), complex(v).real, complex(v).imag]
-               for r, c, v in zip(rows, cols, vals)]
-    return {"dim": int(m.shape[0]), "format": fmt, "entries": entries}
+    entries = [[r, c, v.real, v.imag] for r, c, v in zip(rows, cols, vals)]
+    return {"dim": m.shape[0], "format": fmt, "entries": entries}
 
 
-def spectrum_to_csv(spectrum):
-    lines = ["index,eigenvalue"]
-    for i, w in enumerate(spectrum.eigenvalues):
-        lines.append(f"{i},{w:.17g}")
+def table_csv(header, rows):
+    """CSV text: the column names, then one line per row of numbers, each
+    with 17 significant digits (an integer prints as itself)."""
+    lines = [",".join(header), *(",".join(f"{x:.17g}" for x in row) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -92,8 +79,8 @@ def solve_report_to_dict(rep):
         "L": rep.roots.L,
         "N": rep.roots.N,
         "params": rep.params,
-        "qnums": list(rep.qnums),
-        "roots": complex_list(rep.roots.values),
+        "qnums": rep.qnums,
+        "roots": rep.roots.values,
         "residual": rep.residual,
         "iterations": rep.iterations,
         "converged": rep.converged,
@@ -102,32 +89,15 @@ def solve_report_to_dict(rep):
 
 def root_density_to_dict(rd):
     return {"q": (None if np.isinf(rd.q) else rd.q),
-            "nodes": list(map(float, rd.nodes)),
-            "weights": list(map(float, rd.weights)),
-            "values": list(map(float, rd.values))}
-
-
-def condensation_csv(rows):
-    lines = ["L,sum,integral,gap"]
-    for r in rows:
-        lines.append(f"{r['L']},{r['sum']:.17g},{r['integral']:.17g},{r['gap']:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def entropy_csv(table):
-    lines = ["L,logLambda_over_L"]
-    for L, val in table:
-        lines.append(f"{L},{val:.17g}")
-    return "\n".join(lines) + "\n"
+            "nodes": rd.nodes, "weights": rd.weights, "values": rd.values}
 
 
 def nested_roots_to_dict(roots):
     return {"L": roots.L, "N": roots.N, "M": roots.M, "u": roots.u,
-            "k": complex_list(roots.k), "lambda": complex_list(roots.lam)}
+            "k": roots.k, "lambda": roots.lam}
 
 
 def pairing_report(L, N, mu, lam, slavnov_value, brute_value):
     rel = abs(slavnov_value - brute_value) / max(abs(brute_value), 1e-300)
-    return {"L": L, "N": N, "mu": complex_list(mu), "lambda": complex_list(lam),
-            "slavnov": complex_pair(slavnov_value),
-            "bruteforce": complex_pair(brute_value), "rel_err": rel}
+    return {"L": L, "N": N, "mu": mu, "lambda": lam,
+            "slavnov": slavnov_value, "bruteforce": brute_value, "rel_err": rel}

@@ -1,6 +1,8 @@
 """Algebraic Bethe Ansatz: block structure, exchange algebra, transfer
 eigenvalues, off-shell action, and the pairing determinant formula."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,10 @@ from oracles import kron_spin_hamiltonian
 
 RNG = np.random.default_rng(2024)
 sh = np.sinh
+
+
+def _dense_blocks(lam, L, eta):
+    return aba.MonodromyBlocks(*(b.toarray() for b in aba.monodromy_blocks(lam, L, eta)))
 
 
 class TestBlocks:
@@ -38,7 +44,7 @@ class TestBlocks:
 
     def test_b_lowers_sz(self):
         L, eta = 4, 0.45
-        bl = aba.monodromy_blocks(0.3, L, eta)
+        bl = _dense_blocks(0.3, L, eta)
         Sz = ed.build_total_spin(L, "z").dense()
         assert np.max(np.abs(Sz @ bl.B - bl.B @ (Sz - np.eye(2 ** L)))) < 1e-12
         assert np.max(np.abs(Sz @ bl.C - bl.C @ (Sz + np.eye(2 ** L)))) < 1e-12
@@ -47,7 +53,7 @@ class TestBlocks:
         # the three quadratic relations used by the algebraic construction
         L, eta = 4, 0.38 + 0.09j
         lam, mu = 0.31 + 0.2j, -0.44 + 0.12j
-        bl, bm = aba.monodromy_blocks(lam, L, eta), aba.monodromy_blocks(mu, L, eta)
+        bl, bm = _dense_blocks(lam, L, eta), _dense_blocks(mu, L, eta)
         assert np.max(np.abs(bl.B @ bm.B - bm.B @ bl.B)) < 1e-12
         lhs = bl.A @ bm.B
         rhs = sh(mu - lam + eta) / sh(mu - lam) * bm.B @ bl.A \
@@ -61,10 +67,24 @@ class TestBlocks:
     def test_a_plus_d_is_shifted_sixvertex_transfer(self):
         L, eta = 5, 0.38 + 0.09j
         lam = 0.29 - 0.13j
-        bl = aba.monodromy_blocks(lam, L, eta)
+        bl = _dense_blocks(lam, L, eta)
         w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, eta)
         t6 = np.asarray(sixvertex.transfer(lam - eta / 2, L, w).matrix)
         assert np.max(np.abs(bl.A + bl.D - t6)) < 1e-12
+
+    def test_blocks_build_no_dense_monodromy(self):
+        # the dense 2^11 x 2^11 monodromy alone takes 67 MB at L = 10
+        tracemalloc.start()
+        try:
+            aba.monodromy_blocks(0.3 + 0.1j, 10, 0.4 + 0.1j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_blocks_above_explicit_bound_raise(self):
+        with pytest.raises(ValueError, match="supported up to L = 14"):
+            aba.monodromy_blocks(0.3, 15, 0.4)
 
 
 class TestBProducts:

@@ -14,9 +14,9 @@ import pytest
 import scipy.sparse as sp
 
 import bethelab
-from bethelab import aba, bae, ed, serialize, sixvertex, thermo
+from bethelab import aba, bae, coordinate, ed, serialize, sixvertex, thermo
 from bethelab.cli import (COMMANDS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NOCONV, EXIT_OK,
-                          TYPES, ExperimentConfig, main)
+                          TYPES, main)
 
 _ROOTS_L6 = "0.16245984811644645,0;-0.16245984811644645,0"  # L = 6, N = 2 ground state
 # One passing run of every subcommand, as flag strings, and a key of its report
@@ -77,13 +77,6 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             serialize.dumps({"x": float("nan")})
 
-    def test_config_roundtrip_bit_exact(self):
-        cfg = ExperimentConfig("thermo/gs-energy", {"q": 1 / 7, "J": -1.0}, 3, None)
-        text = cfg.dumps()
-        again = ExperimentConfig.loads(text)
-        assert again.dumps() == text
-        assert again.params["q"] == 1 / 7
-
     def test_matrix_roundtrip(self):
         op = ed.build_xxx_hamiltonian(3, 1.0)
         d = serialize.matrix_to_dict(op)
@@ -112,7 +105,7 @@ class TestCanonicalJson:
 
     def test_spectrum_csv(self):
         spec = ed.diagonalize(ed.build_xxx_hamiltonian(2, 1.0))
-        text = serialize.spectrum_to_csv(spec)
+        text = serialize.table_csv(["index", "eigenvalue"], enumerate(spec.eigenvalues))
         lines = text.strip().split("\n")
         assert lines[0] == "index,eigenvalue"
         assert lines[1].startswith("0,-2")
@@ -176,6 +169,39 @@ class TestCli:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b and len(a) > 0
 
+    @pytest.mark.parametrize("command, mode, params", [
+        *(pytest.param(key, "flags", params, id=key) for key, (params, _) in RUNS.items()),
+        pytest.param("thermo/gs-energy", "json", {"q": 1 / 7, "J": -1.0}, id="json-numbers"),
+    ])
+    def test_echoed_config_reproduces_report(self, command, mode, params, tmp_path, capsys):
+        # the config a report echoes, written back as a --json file, reruns
+        # the same report and files byte for byte
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert self._run(tmp_path, mode, command, params, 3, ["--out", str(first)]) == EXIT_OK
+        config = json.loads((first / "report.json").read_text())["config"]
+        assert config == {"command": command, "params": params, "seed": 3}
+        echo = tmp_path / "echo.json"
+        echo.write_text(serialize.dumps(config))
+        assert main([*command.split("/"), "--json", str(echo), "--out", str(again)]) == EXIT_OK
+        names = sorted(f.name for f in first.iterdir())
+        assert names == sorted(f.name for f in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+
+    @pytest.mark.parametrize("L", range(4, 17, 2))
+    def test_two_magnon_rows_match_per_solution_values(self, L, capsys):
+        # the energies and residuals taken over the stack of solutions equal
+        # energy_xxx and bae_residual_xxx of each solution exactly
+        assert main(["bae", "two-magnon", "--L", str(L)]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["solutions"]
+        sols = bae.classify_two_magnon(L)
+        assert len(rows) == len(sols)
+        for row, (rs, kind) in zip(rows, sols):
+            E = complex(coordinate.energy_xxx(rs))
+            assert row["kind"] == kind and row["roots"] == [[z.real, z.imag] for z in rs.values]
+            assert row["energy"] == [E.real, E.imag]
+            assert row["residual"] == bae.bae_residual_xxx(rs.values, L)
+
     @pytest.mark.parametrize("command, params, seed", [
         *(pytest.param(key, params, 3, id=key) for key, (params, _) in RUNS.items()),
         pytest.param("ed/spectrum", {"model": "xxx", "L": "8", "sector": "4", "k": "2"},
@@ -222,7 +248,7 @@ class TestCli:
             flags = [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
             return main([*argv, *flags, "--seed", str(seed)])
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(ExperimentConfig(command, params, seed, None).dumps())
+        cfg_path.write_text(serialize.dumps({"command": command, "params": params, "seed": seed}))
         return main([*argv, "--json", str(cfg_path)])
 
     @pytest.mark.parametrize("mode", ["flags", "json"])
@@ -436,7 +462,8 @@ class TestCli:
     def test_partial_spectrum_report_bytes_identical(self, tmp_path, capsys):
         # full space at L = 12 is dim 4096: the Lanczos path
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(ExperimentConfig("ed/spectrum", {"L": 12, "k": 3}, 0, None).dumps())
+        cfg_path.write_text(serialize.dumps({"command": "ed/spectrum", "params": {"L": 12, "k": 3},
+                                             "seed": 0}))
         for name in ("a", "b"):
             assert main(["ed", "spectrum", "--json", str(cfg_path),
                          "--out", str(tmp_path / name)]) == EXIT_OK
@@ -458,9 +485,9 @@ class TestCli:
         assert out["hw_residual"] < 1e-8
         assert out["momentum_residual"] < 1e-8
         # the config round-trips through --json
-        cfg = ExperimentConfig("thermo/gs-energy", {"q": "inf"}, 0, None)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.dumps())
+        cfg_path.write_text(serialize.dumps({"command": "thermo/gs-energy", "params": {"q": "inf"},
+                                             "seed": 0}))
         assert main(["thermo", "gs-energy", "--json", str(cfg_path)]) == EXIT_OK
 
     def test_hubbard_verify(self, capsys):
