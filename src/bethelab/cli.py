@@ -28,12 +28,13 @@ invoked subcommand's parser is built.  The table gives each parameter's type
 and default once; each given value or default is converted once, and reports
 echo the values as given.  A parameter the subcommand (or its `--model`) does
 not read, in flags or in --json, a missing required one, a --json value that
-is a list or object, a value its type does not take (the error names the
-flag) and any flag but `--out` next to `--json` are config errors.  Reports are
-canonical JSON: identical config and seed give byte-identical bytes.  Exit
-codes: 0 success, 2 config error (one `config error:` line on stderr), 3
-solver non-convergence, 4 invariant violation (one `invariant violation:`
-line).  A report that holds a nan or an infinity is not written: the run is a
+is a list, an object, true or false, a value its type does not take (the
+error names the flag), a --json `params` that is not an object or `out` that
+is not a string, and any flag but `--out` next to `--json` are config
+errors.  Reports are canonical JSON: identical config and seed give
+byte-identical bytes.  Exit codes: 0 success, 2 config error (one `config
+error:` line on stderr), 3 solver non-convergence, 4 invariant violation
+(one `invariant violation:` line).  A report that holds a nan or an infinity is not written: the run is a
 config error when a parameter reads as one, else an invariant violation.
 """
 
@@ -139,6 +140,8 @@ def _convert(name, kind, value, default=None):
         value = default
     noun, convert = TYPES[kind]
     try:
+        if isinstance(value, bool):  # a --json true or false: int() takes it as 1 or 0
+            raise TypeError
         return convert(value)
     except ConfigError as exc:
         raise ConfigError(f"{_flag(name)} {exc}") from None
@@ -495,10 +498,14 @@ def main(argv=None):
                                   "the config alone decides the run")
             d = json.loads(Path(args.json).read_text())
             try:
-                config = {"command": d["command"], "params": dict(d.get("params", {})),
+                config = {"command": d["command"], "params": d.get("params", {}),
                           "seed": _convert("seed", "int", d.get("seed"), "0")}
             except (TypeError, AttributeError) as exc:
                 raise ConfigError(f"malformed config: {exc}") from None
+            if not isinstance(config["params"], dict):
+                raise ConfigError(f"config params takes an object, got {config['params']!r}")
+            if not isinstance(d.get("out"), (str, type(None))):
+                raise ConfigError(f"config out takes a directory name, got {d['out']!r}")
             out = args.out or d.get("out")
         else:
             config = {"command": key, "seed": given.pop("seed", 0), "params": given}

@@ -15,6 +15,7 @@ few-site terms that one builder, _local_entries, applies to sorted codes.
 """
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,12 +91,35 @@ class OperatorMatrix:
         return float(abs(self._csr - self._csr.conj().T).max())
 
 
-class Spectrum:
-    """Eigenvalues in ascending order with optional eigenvector columns."""
+class SpectrumBlock(NamedTuple):
+    """The eigenvectors of one connected component: vectors[:, j] is the
+    eigenvector of eigenvalue ranks[j] (ascending) on the indices rows, and
+    zero on every other index."""
+    rows: np.ndarray
+    ranks: np.ndarray
+    vectors: np.ndarray
 
-    def __init__(self, eigenvalues, eigenvectors=None):
+
+class Spectrum:
+    """Eigenvalues in ascending order and their eigenvectors, held per
+    connected component as `blocks` (SpectrumBlock).  `eigenvectors`, the
+    (dim, k) array of all of them, is assembled when first read and kept; a
+    one-block spectrum's is its block's array as it is."""
+
+    def __init__(self, eigenvalues, blocks):
         self.eigenvalues = np.asarray(eigenvalues, float)
-        self.eigenvectors = eigenvectors
+        self.blocks = blocks
+
+    @cached_property
+    def eigenvectors(self):
+        if len(self.blocks) == 1:
+            return self.blocks[0].vectors
+        dim = sum(len(b.rows) for b in self.blocks)
+        v = np.zeros((dim, len(self.eigenvalues)),
+                     np.result_type(*(b.vectors for b in self.blocks)))
+        for b in self.blocks:
+            v[np.ix_(b.rows, b.ranks)] = b.vectors
+        return v
 
 
 def _local_entries(L, src, dst, h, sites):
@@ -327,24 +351,29 @@ def _eigh(a, k):
     return eigh(a, subset_by_index=[0, k - 1])
 
 
+def _one_block(w, v):
+    """The Spectrum of eigenpairs (w, v) on every index of one component."""
+    return Spectrum(w, [SpectrumBlock(np.arange(len(v)), np.arange(len(w)), v)])
+
+
 def _blocked_eigh(op, blocks, k):
     """The k lowest (all for k None) eigenpairs of an operator that does not
     couple the index arrays `blocks`, one dense eigh of the min(k, n) lowest
-    pairs per block of n indices."""
+    pairs per block of n indices, as a Spectrum of one SpectrumBlock each."""
     m = op.csr()
     pairs = [_eigh(m[idx][:, idx].toarray(), k) for idx in blocks]
     w = np.concatenate([p[0] for p in pairs])
     order = np.argsort(w, kind="stable")[:k]
     rank = np.full(len(w), -1)
     rank[order] = np.arange(len(order))
-    v = np.zeros((op.dim, len(order)), np.result_type(*(p[1] for p in pairs)))
+    spectrum_blocks = []
     start = 0
     for idx, (wb, vb) in zip(blocks, pairs):
         r = rank[start:start + len(wb)]
         r = r[r >= 0]  # a prefix: the stable sort keeps eigh's ascending order
-        v[np.ix_(idx, r)] = vb[:, :len(r)]
+        spectrum_blocks.append(SpectrumBlock(idx, r, vb[:, :len(r)]))
         start += len(wb)
-    return w[order], v
+    return Spectrum(w[order], spectrum_blocks)
 
 
 def _dense_hermiticity_defect(a):
@@ -377,10 +406,11 @@ def diagonalize(op, k=None):
     nonzero entries (a full-space chain Hamiltonian splits into its
     magnetization blocks; sector and Hubbard operators are one block), for
     the min(k, n) lowest pairs of a block of n indices when k is given.  The
-    eigenvalues are merged by a stable argsort and the block vectors
-    scattered into (dim, k or dim) columns, each nonzero on one block only.
-    A one-block operator is densified once and solved as it is.  A dense
-    solve finds every copy of a degenerate level, so it needs no re-check.
+    eigenvalues are merged by a stable argsort, and each block keeps its own
+    vectors with their ranks in the merged order (Spectrum.blocks), so no
+    (dim, k or dim) array is built unless `eigenvectors` is read.  A
+    one-block operator is densified once and solved as it is.  A dense solve
+    finds every copy of a degenerate level, so it needs no re-check.
 
     The Hermiticity check reads the stored entries, or the dense array of a
     one-block operator.  Raises ValueError for non-Hermitian input or k < 1.
@@ -391,7 +421,7 @@ def diagonalize(op, k=None):
     if _use_lanczos(op.dim, k):
         _require_hermitian(op.hermiticity_defect())
         try:
-            return Spectrum(*_lanczos(op.csr(), k))
+            return _one_block(*_lanczos(op.csr(), k))
         except sp.linalg.ArpackError:
             # ARPACK stops when the Krylov space of its start vector is an
             # invariant subspace it cannot extend (H = 0, H = c 1)
@@ -399,10 +429,10 @@ def diagonalize(op, k=None):
     blocks = _components(op)
     if len(blocks) > 1:
         _require_hermitian(op.hermiticity_defect())
-        return Spectrum(*_blocked_eigh(op, blocks, k))
+        return _blocked_eigh(op, blocks, k)
     a = op.csr().toarray()
     _require_hermitian(_dense_hermiticity_defect(a))
-    return Spectrum(*_eigh(a, k))
+    return _one_block(*_eigh(a, k))
 
 
 def commutator_norm(A, B):
@@ -413,35 +443,111 @@ def commutator_norm(A, B):
     return float(abs(a @ b - b @ a).max())
 
 
+def _level_starts(w):
+    """Index of the first eigenvalue of each degenerate level of the
+    ascending w: a level runs on while w[i] - w[first] <= the tolerance."""
+    starts, a = [], 0
+    while a < len(w):
+        starts.append(a)
+        a += int(np.searchsorted(w[a:] - w[a], MULTIPLET_DEGENERACY_TOL, "right"))
+    return np.array(starts)
+
+
+def _casimir_blocks(spectrum, cas):
+    """(vectors, ranks, c) per group of the spectrum's blocks that the CSR
+    cas couples: the group's eigenvectors on its rows, columns in ascending
+    rank, and c, cas restricted to those rows."""
+    blocks = spectrum.blocks
+    label = np.empty(cas.shape[0], np.intp)
+    for b, block in enumerate(blocks):
+        label[block.rows] = b
+    ends = np.repeat(label, np.diff(cas.indptr)), label[cas.indices]  # of each stored entry
+    groups = [[b] for b in blocks]
+    if not np.array_equal(*ends):  # cas couples some blocks: merge them
+        from scipy.sparse.csgraph import connected_components  # see _components
+        coupled = sp.coo_matrix((np.ones(cas.nnz), ends), shape=(len(blocks),) * 2)
+        _, group = connected_components(coupled, directed=False)
+        groups = [[blocks[b] for b in np.flatnonzero(group == g)]
+                  for g in range(group.max() + 1)]
+    rows = [np.concatenate([b.rows for b in members]) for members in groups]
+    # cas permuted once, each group's rows in turn: group g is the diagonal
+    # block of its rows, with the columns numbered as its rows are
+    position = np.empty(cas.shape[0], np.intp)
+    for r in rows:
+        position[r] = np.arange(len(r))
+    permuted = cas[np.concatenate(rows)]
+    local = position[permuted.indices]
+    a = 0
+    for members, r in zip(groups, rows):
+        lo, hi = permuted.indptr[a], permuted.indptr[a + len(r)]
+        c = sp.csr_matrix((permuted.data[lo:hi], local[lo:hi],
+                           permuted.indptr[a:a + len(r) + 1] - lo), shape=(len(r),) * 2)
+        a += len(r)
+        if len(members) == 1:
+            yield members[0].vectors, members[0].ranks, c
+            continue
+        ranks = np.sort(np.concatenate([b.ranks for b in members]))
+        v = np.zeros((len(r), len(ranks)), np.result_type(*(b.vectors for b in members)))
+        i = 0
+        for b in members:
+            v[i:i + len(b.rows), np.searchsorted(ranks, b.ranks)] = b.vectors
+            i += len(b.rows)
+        yield v, ranks, c
+
+
 def multiplet_structure(spectrum, casimir):
     """Group eigenvalues into degenerate levels and report SU(2) content.
 
     Returns a list of (energy, multiplicity, spin list) where the spin list
     gives the S values of complete 2S+1 multiplets inside the level.  Raises
-    if a level does not decompose into complete multiplets.
+    if a level does not decompose into complete multiplets; the first level
+    that does not raises, a Casimir eigenvalue that is not S(S+1) before an
+    incomplete multiplet.
+
+    A level runs from an eigenvalue while the next ones lie within
+    MULTIPLET_DEGENERACY_TOL of it.  The Casimir is applied per group of
+    spectrum blocks that it couples (the magnetization blocks of a
+    full-space chain; H = 0 leaves every state a block of its own), and each
+    level's Casimir matrix is formed over its columns in one group at a
+    time, since it has no entry between two groups.  A one-column matrix is
+    its Rayleigh quotient, and the matrices of each size go to one batched
+    eigvalsh.
     """
     w = spectrum.eigenvalues
-    v = spectrum.eigenvectors
-    cas = casimir.csr()
-    levels = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[start] > MULTIPLET_DEGENERACY_TOL:
-            block = v[:, start:i]
-            c_eigs = np.linalg.eigvalsh(block.conj().T @ (cas @ block)).real
-            spins = {}
-            for ce in c_eigs:
-                s_val = (-1 + np.sqrt(1 + 4 * max(ce, 0))) / 2
-                s_round = round(2 * s_val) / 2
-                if abs(s_val - s_round) > 1e-6:
-                    raise ValueError(f"Casimir eigenvalue {ce} is not S(S+1)")
-                spins[s_round] = spins.get(s_round, 0) + 1
-            content = []
-            for s_round, count in sorted(spins.items()):
-                n_mult, rem = divmod(count, int(2 * s_round + 1))
-                if rem:
-                    raise ValueError("incomplete SU(2) multiplet in level")
-                content += [s_round] * n_mult
-            levels.append((w[start], i - start, content))
-            start = i
-    return levels
+    starts = _level_starts(w)
+    sizes = np.diff(np.append(starts, len(w)))
+    level = np.repeat(np.arange(len(starts)), sizes)
+    mats = {}  # column count n -> [(the level of each matrix, (runs, n, n) matrices)]
+    for v, ranks, c in _casimir_blocks(spectrum, casimir.csr()):
+        cv = c @ v
+        lev = level[ranks]
+        first = np.flatnonzero(np.diff(lev, prepend=-1))  # the columns of a level are a run
+        count = np.diff(np.append(first, len(lev)))
+        for n in np.unique(count):
+            cols = first[count == n, None] + np.arange(n)
+            m = v[:, cols].transpose(1, 2, 0).conj() @ cv[:, cols].transpose(1, 0, 2)
+            mats.setdefault(n, []).append((lev[cols[:, 0]], m))
+    c_level, c_eigs = [], []
+    for n, parts in mats.items():
+        m = np.concatenate([p[1] for p in parts])
+        c_level.append(np.repeat(np.concatenate([p[0] for p in parts]), n))
+        c_eigs.append(m[:, 0, 0].real if n == 1 else np.linalg.eigvalsh(m).ravel())
+    c_level, c_eigs = np.concatenate(c_level), np.concatenate(c_eigs)
+    s_val = (-1 + np.sqrt(1 + 4 * np.maximum(c_eigs, 0))) / 2
+    twice = np.rint(2 * s_val).astype(np.int64)  # 2S
+    not_spin = np.abs(s_val - twice / 2) > 1e-6
+    base = twice.max() + 1
+    key, count = np.unique(c_level * base + twice, return_counts=True)  # by level, then S
+    key_level, key_twice = np.divmod(key, base)
+    copies, rem = np.divmod(count, key_twice + 1)
+    bad = min(c_level[not_spin].min(initial=len(starts)),
+              key_level[rem > 0].min(initial=len(starts)))
+    if bad < len(starts):
+        ce = c_eigs[not_spin & (c_level == bad)]
+        if ce.size:
+            raise ValueError(f"Casimir eigenvalue {ce.min()} is not S(S+1)")
+        raise ValueError("incomplete SU(2) multiplet in level")
+    spins = np.repeat(key_twice / 2, copies).tolist()
+    at = np.cumsum(np.bincount(np.repeat(key_level, copies), minlength=len(starts))).tolist()
+    return [(w[start], size, spins[a:b]) for start, size, a, b in
+            zip(starts.tolist(), sizes.tolist(), [0] + at, at)]

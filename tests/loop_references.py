@@ -42,6 +42,11 @@ summed bond by bond), the total spin site by site (total_spin_entries) and
 S^+ between sectors (splus_pairs), where the package runs one local-term
 builder for all three.
 
+The SU(2) multiplet check is kept in its one-block form (multiplet_structure):
+the spectrum's whole (dim, k) eigenvector array, the Casimir applied to it
+level by level, and the S(S+1) bookkeeping eigenvalue by eigenvalue, where
+the package works per connected block of the spectrum.
+
 The exponential-form factors of the Bethe equations are kept as complex
 logs: log sh without overflow (log_sh), and the pole guard that compares
 log |f(l -+ eta/2)| with log 1e-12 (pole_guard_raises), where the package
@@ -53,7 +58,7 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from bethelab import aba, bae, sixvertex
+from bethelab import aba, bae, ed, sixvertex
 from bethelab.basis import build_sector_basis
 from bethelab.coordinate import RapiditySet
 
@@ -707,3 +712,36 @@ def pole_guard_raises(roots, eta, log_f):
     with np.errstate(divide="ignore"):  # log 0 at a pole itself
         logf = log_f(lam[:, None] + [-eta / 2, eta / 2])
     return bool(np.any(logf.real < np.log(1e-12)))
+
+
+def multiplet_structure(spectrum, casimir):
+    """(energy, multiplicity, spin list) per degenerate level: the dense
+    eigenvector columns of each level, the eigenvalues of the Casimir between
+    them, and the complete 2S+1 multiplets they count.  Raises at the first
+    level with a Casimir eigenvalue that is not S(S+1) or an incomplete
+    multiplet."""
+    w = spectrum.eigenvalues
+    v = spectrum.eigenvectors
+    cas = casimir.csr()
+    levels = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[start] > ed.MULTIPLET_DEGENERACY_TOL:
+            block = v[:, start:i]
+            c_eigs = np.linalg.eigvalsh(block.conj().T @ (cas @ block)).real
+            spins = {}
+            for ce in c_eigs:
+                s_val = (-1 + np.sqrt(1 + 4 * max(ce, 0))) / 2
+                s_round = round(2 * s_val) / 2
+                if abs(s_val - s_round) > 1e-6:
+                    raise ValueError(f"Casimir eigenvalue {ce} is not S(S+1)")
+                spins[s_round] = spins.get(s_round, 0) + 1
+            content = []
+            for s_round, count in sorted(spins.items()):
+                n_mult, rem = divmod(count, int(2 * s_round + 1))
+                if rem:
+                    raise ValueError("incomplete SU(2) multiplet in level")
+                content += [s_round] * n_mult
+            levels.append((w[start], i - start, content))
+            start = i
+    return levels

@@ -1,5 +1,7 @@
 """Exact-diagonalization module: bases, Hamiltonians, symmetries."""
 
+import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bethelab.basis import build_sector_basis
-from bethelab import basis, coordinate, ed
+from bethelab import basis, cli, coordinate, ed
+import loop_references
 from loop_references import (config_to_index, index_to_config, splus_pairs,
                              total_spin_entries, xxz_entries)
 from oracles import SX, SY, SZ, kron_spin_hamiltonian, kron_total_spin
@@ -507,6 +510,89 @@ class TestBlockedSolve:
         v = spec.eigenvectors
         r = np.linalg.norm(m @ v - v * spec.eigenvalues, axis=0)
         assert np.all(r < 1e-10 * np.linalg.norm(v, axis=0))
+
+
+def _multiplet_outcome(check, spec, cas):
+    """The levels `check` reports, or the kind of ValueError it raises."""
+    try:
+        return check(spec, cas)
+    except ValueError as exc:
+        return "not S(S+1)" if "not S(S+1)" in str(exc) else str(exc)
+
+
+class TestBlockedMultiplets:
+    """multiplet_structure works per block of the spectrum against the
+    one-block check kept in tests/loop_references.py, which reads the dense
+    eigenvector array."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 9),
+           J=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1.0, -1.0])),
+           k=st.one_of(st.none(), st.integers(1, 40)))
+    @example(L=9, J=1.0, k=None)
+    @example(L=8, J=0.0, k=None)  # H = 0: every state a block of its own
+    @example(L=9, J=-0.5, k=3)  # Lanczos, one block
+    def test_xxx_levels_match_the_reference(self, L, J, k):
+        spec = ed.diagonalize(ed.build_xxx_hamiltonian(L, J), k)
+        cas = ed.build_total_spin(L, "casimir")
+        got = _multiplet_outcome(ed.multiplet_structure, spec, cas)
+        assert "eigenvectors" not in vars(spec)  # the dense array is never built
+        want = _multiplet_outcome(loop_references.multiplet_structure, spec, cas)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert [(e.tobytes(), n, spins) for e, n, spins in got] == \
+               [(e.tobytes(), n, spins) for e, n, spins in want]
+        if k is None:
+            assert sum(n for _, n, _ in got) == 2 ** L
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(2, 9), delta=st.floats(-2.0, 2.0))
+    @example(L=9, delta=0.5)
+    @example(L=6, delta=-1.0)
+    def test_xxz_raises_where_the_reference_raises(self, L, delta):
+        assume(abs(delta - 1.0) > 1e-3)
+        spec = ed.diagonalize(ed.build_xxz_hamiltonian(L, delta))
+        cas = ed.build_total_spin(L, "casimir")
+        assert _multiplet_outcome(ed.multiplet_structure, spec, cas) == \
+               _multiplet_outcome(loop_references.multiplet_structure, spec, cas)
+
+    def test_l11_spectrum_builds_no_dense_eigenvector_array(self):
+        # the (2048, 2048) array scattered from the blocks took a 37.6 MB
+        # traced peak; the block vectors alone are 5.4 MB.  A small solve
+        # first, so that no lazy import is traced
+        ed.diagonalize(ed.build_xxx_hamiltonian(4, 1.0))
+        H = ed.build_xxx_hamiltonian(11, 1.0)
+        tracemalloc.start()
+        try:
+            spec = ed.diagonalize(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert "eigenvectors" not in vars(spec)
+        assert sum(b.vectors.size for b in spec.blocks) == math.comb(22, 11)
+
+    def test_l11_cli_spectrum_stays_under_the_same_bound(self, capsys):
+        assert cli.main(["ed", "spectrum", "--L", "4"]) == cli.EXIT_OK
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.main(["ed", "spectrum", "--L", "11"]) == cli.EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert len(json.loads(capsys.readouterr().out)["eigenvalues"]) == 2 ** 11
+
+    def test_eigenvectors_are_assembled_once(self):
+        spec = ed.diagonalize(ed.build_xxz_hamiltonian(6, 0.7))
+        v = spec.eigenvectors
+        assert spec.eigenvectors is v and v.shape == (64, 64)
+        for b in spec.blocks:
+            assert np.array_equal(v[np.ix_(b.rows, b.ranks)], b.vectors)
+        one = ed.diagonalize(ed.build_xxz_hamiltonian(6, 0.7, 3))
+        assert len(one.blocks) == 1 and one.eigenvectors is one.blocks[0].vectors
 
 
 def _splus_matrix(L, N):

@@ -323,6 +323,27 @@ class TestCli:
         assert main(["ed", "spectrum", "--json", str(cfg_path)]) == EXIT_CONFIG
         self._config_error(capsys)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("out", 5, "config out takes a directory name, got 5"),
+        ("params", [["q", "4"]], "config params takes an object, got [['q', '4']]"),
+        ("params", None, "config params takes an object, got None"),
+        ("seed", True, "--seed takes an integer, got True"),
+        ("params", {"q": True}, "--q takes a real number, got True"),
+    ])
+    def test_json_config_field_of_wrong_type_is_config_error(self, field, value, message,
+                                                             tmp_path, capsys):
+        # out = 5 reached Path(5) in a traceback, a list of pairs went through
+        # dict() and was echoed as an object, and seed true ran as seed 1
+        config = {"command": "thermo/gs-energy", "params": {"q": "4"}, "seed": 0, field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(serialize.dumps(config))
+        argv = ["thermo", "gs-energy", "--json", str(cfg_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert self._config_error(capsys) == f"config error: {message}\n"
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert self._config_error(capsys) == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags, named", [
         (["--L", "4"], "--L"),
         (["--seed", "3"], "--seed"),
