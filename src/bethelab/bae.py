@@ -32,18 +32,25 @@ Every log-form residual and Jacobian is an N x N broadcast over the
 differences l_j - l_k on a leading lane axis: a system's F(x, lanes) and
 J(x, lanes) take x of shape (n,) or (B, n), B independent systems, and
 `lanes` picks the rows of per-lane parameters (quantum numbers of shape
-(B, N)) that x holds; None means all of them.  No Python loop runs over
-roots or over lanes.  All solves go through one damped-Newton routine with
-analytic Jacobians: step-halving damping, a seed per system, tolerance TOL,
-max 200 steps.  A chain solve takes its seed from the kernel: where the
-kernel holds several (XXX: the free magnon and Hulthen's half-filled
-counting function), it evaluates F on each and starts from the one with the
-smallest max |F_j|, the first on a tie.
+(B, N), chain lengths, root counts) that x holds; None means all of them.
+No Python loop runs over roots or over lanes.  All solves go through one
+damped-Newton routine with analytic Jacobians: step-halving damping, a seed
+per system, a tolerance per system (TOL, or a chain's floor above), max 200
+steps.  A chain solve takes its seed from the kernel: where the kernel holds
+several (XXX: the free magnon and Hulthen's half-filled counting function),
+it evaluates F on each and starts from the one with the smallest max |F_j|,
+the first on a tie.
 Each lane keeps its own damping, iteration count and stop reason
 (STOP_REASONS) and leaves the working set when it stops, so a lane of a
-stack ends exactly as its own solve would; the two-magnon classification
-runs its whole quantum-number scan and its whole bound-pair grid as one
-stack each.
+stack ends as its own solve would; the two-magnon classification runs its
+whole quantum-number scan and its whole bound-pair grid as one stack each.
+Chain solves of different L and N (a scan over chain lengths) run as lanes
+of few stacks: sorted by N, B lanes of up to n roots share a stack while
+B n^2 <= BLOCK.  A lane of fewer than n roots is padded with slots that are
+decoupled (F_j = l_j, a unit Jacobian row, left out of every theta_2 sum),
+which changes its roots only by rounding (the sums group differently); a
+stack of equal N runs unpadded, and a lane alone in its stack exactly as a
+single solve.
 Iterates that run away to |x| > ROOT_ESCAPE, or converge beyond
 ROOT_ESCAPE/100, are reported as unconverged: for the log-form solves these
 are solutions with rapidities at infinity (spin-lowered descendants); in the
@@ -84,7 +91,7 @@ def _integer_qnums(qnums):
     """Quantum numbers (a tuple or an array) as a float array; ValueError
     unless every one is an integer."""
     ns = np.asarray(qnums, float)
-    if np.any(np.mod(ns, 1) != 0):
+    if (ns % 1 != 0).any():
         raise ValueError(f"quantum numbers must be integers, got {ns.tolist()}")
     return ns
 
@@ -98,9 +105,9 @@ def _jacobian(drive, K):
     """Jacobian of F_j = f(x_j) - sum_{k != j} g(x_j - x_k) from drive = f'(x_j)
     and K = g'(x_j - x_k): K off the diagonal, drive - (row sum of K) on it.
     K, of shape (..., N, N), is overwritten."""
-    i = np.arange(K.shape[-1])
-    K[..., i, i] = 0.0
-    K[..., i, i] = drive - K.sum(axis=-1)
+    diag = np.einsum("...ii->...i", K)  # a writeable view
+    diag[...] = 0.0
+    diag[...] = drive - K.sum(axis=-1)
     return K
 
 
@@ -176,38 +183,63 @@ def _qnum_offset(L, N):
     return (N + 1 + L % 2) / 2
 
 
-def _chain_system(chain, L, ns):
+def _stop_floor(L):
+    """max(TOL, 8 ulp(pi L)), the closest to 0 that F of a chain of length L
+    can be computed; elementwise for an array of lengths."""
+    return np.maximum(TOL, 8 * np.spacing(np.pi * L))
+
+
+def _chain_system(chain, L, ns, counts=None):
     """(F, J) of the chain's log form
     F_j = L theta_1(l_j) - 2 pi I_j - sum_k theta_2(l_j - l_k); ns of shape
-    (N,), or (B, N) for one set of quantum numbers per lane."""
-    phases, offset = 2 * np.pi * ns, 2 * np.pi * _qnum_offset(L, ns.shape[-1])
+    (N,), or (B, n) for one set of quantum numbers per lane.  L is one chain
+    length, or one per lane of shape (B, 1).  counts (B, 1), when the lanes'
+    root counts differ, gives each lane's N: the slots j >= counts[b] of
+    lane b are padding, with F_j = l_j, a unit Jacobian row and no part in
+    any theta_2 sum, so they stay at 0 from a zero seed."""
+    L, N = np.asarray(L), ns.shape[-1] if counts is None else counts
+    phases, offset = 2 * np.pi * ns, 2 * np.pi * _qnum_offset(L, N)
+    if counts is not None:
+        valid = np.arange(ns.shape[-1]) < counts
+        pairs = (valid[:, :, None] & valid[:, None, :]).astype(float)  # a float mask multiplies faster
 
     def F(lam, lanes=None):
-        return (L * chain.theta(1, lam) - _per_lane(phases, lanes) + offset
-                - np.sum(chain.theta(2, _diff(lam)), axis=-1))
+        t2 = chain.theta(2, _diff(lam))
+        if counts is not None:
+            t2 *= _per_lane(pairs, lanes)
+        f = (_per_lane(L, lanes) * chain.theta(1, lam) - _per_lane(phases, lanes)
+             + _per_lane(offset, lanes) - t2.sum(axis=-1))
+        return f if counts is None else np.where(_per_lane(valid, lanes), f, lam)
 
     def J(lam, lanes=None):
-        return _jacobian(L * chain.dtheta(1, lam), chain.dtheta(2, _diff(lam)))
+        drive, K = _per_lane(L, lanes) * chain.dtheta(1, lam), chain.dtheta(2, _diff(lam))
+        if counts is not None:
+            K *= _per_lane(pairs, lanes)
+            drive = np.where(_per_lane(valid, lanes), drive, 1.0)
+        return _jacobian(drive, K)
     return F, J
 
 
-def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
+def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER, f0=None):
     """Newton iteration with step-halving damping, over one system or a stack.
 
-    x0 has shape (n,) for one system or (B, n) for B independent lanes; F and
-    J are called as F(x, lanes), J(x, lanes) on the rows x of the lanes still
-    running (lanes None while all of them are).  Each lane keeps its own
-    step halving, iteration count and stop reason, one of STOP_REASONS:
+    x0 has shape (n,) for one system or (B, n) for B independent lanes, and
+    tol is one tolerance or one per lane (B,); F and J are called as
+    F(x, lanes), J(x, lanes) on the rows x of the lanes still running (lanes
+    None while all of them are).  Each lane keeps its own step halving,
+    iteration count and stop reason, one of STOP_REASONS:
     'converged' (max |F| < tol), 'singular' (the Jacobian solve failed),
     'stalled' (50 halvings did not lower max |F|), 'run_away' (an iterate
     beyond ROOT_ESCAPE, or a converged one beyond ROOT_ESCAPE/100) or
-    'max_iter'.  A stopped lane leaves the working set.
+    'max_iter'.  A stopped lane leaves the working set.  f0, when given, is
+    F(x0), which the caller has already computed.
 
     Returns (x, maxres, iters, reason): for x0 of shape (n,) an array, a
     float, an int and a string; for (B, n) arrays of shape (B, n), (B,), (B,)
     and (B,) (reasons as strings).
     """
     x = np.array(x0, float, ndmin=2)
+    tol = np.full(len(x), tol)
     out, res_out = np.empty_like(x), np.empty(len(x))
     iters, stop = np.empty(len(x), int), np.empty(len(x), int)
     lanes, sub = np.arange(len(x)), None  # sub: the lanes argument of F and J
@@ -217,10 +249,10 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
         out[sel], res_out[sel], iters[sel], stop[sel] = x[drop], res[drop], it, why
         return ~drop
 
-    f = F(x, sub)
+    f = F(x, sub) if f0 is None else np.array(f0, float, ndmin=2)
     res = np.abs(f).max(axis=-1, initial=0.0)
     for it in range(1, max_iter + 1):
-        done = res < tol
+        done = res < tol[lanes]
         if done.any():
             far = np.abs(x[done]).max(axis=-1, initial=0.0) > 0.01 * ROOT_ESCAPE
             keep = retire(done, np.where(far, RUN_AWAY, CONVERGED), it - 1)
@@ -284,32 +316,74 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER):
     return out, res_out, iters, np.array(STOP_REASONS)[stop]
 
 
-def _solve_chain(chain, L, N, qnums):
-    """Real-root solve of the chain's log form from the kernel's seed, or
-    from the one of its seeds with the smallest max |F_j|.  A 'singular'
+def _solve_chains(chain, Ls, Ns, qnums):
+    """Real-root solves of the chain's log form, one SolveReport per lane
+    (L, N, qnums), in input order.  Every lane is checked before any solve.
+    The lanes run as the stacks of _lane_stacks, each from the kernel's seed
+    or, lane by lane, from the one of its seeds with the smallest max |F_j|,
+    and each stops at its own floor max(TOL, 8 ulp(pi L)).  A 'singular'
     stop with a root where theta_1' rounds to 0 (XXZ: th l rounds to 1,
     |l| > about 19) is reported as 'run_away': that root's Jacobian row
     vanished on its way out, before it reached ROOT_ESCAPE."""
-    ns = _integer_qnums(qnums)
-    if len(ns) != N:
-        raise ValueError("need one quantum number per root")
-    if np.any(np.diff(ns) <= 0):
-        raise ValueError("quantum numbers must be strictly increasing")
-    if N > L / 2:
-        raise ValueError("real-root branch requires N <= L/2")
-    params = dict(chain.params)
-    F, J = _chain_system(chain, L, ns)
-    x0 = [seed(ns - _qnum_offset(L, N), L) for seed in chain.seeds]
-    # one seed at a time: F on a (2, N) stack took 594 us against 220 us for
-    # two calls at N = 160 (2-vCPU host), and raised the peak memory of the
-    # N = 2048 solve from 186 to 243 MB
-    x0 = min(x0, key=lambda x: np.abs(F(x)).max(initial=0.0)) if len(x0) > 1 else x0[0]
-    lam, res, iters, stop = _damped_newton(F, J, x0, tol=max(TOL, 8 * np.spacing(np.pi * L)))
-    if stop == "singular" and np.any(chain.dtheta(1, lam) == 0):
-        stop = "run_away"
-    roots = RapiditySet(chain.model, L, np.sort(lam).astype(complex), params)
-    return SolveReport(roots, res, iters, stop == "converged",
-                       tuple(int(n) for n in ns), params, stop)
+    nss = [_integer_qnums(q) for q in qnums]
+    for L, N, ns in zip(Ls, Ns, nss):
+        if len(ns) != N:
+            raise ValueError("need one quantum number per root")
+        if (ns[1:] <= ns[:-1]).any():
+            raise ValueError("quantum numbers must be strictly increasing")
+        if N > L / 2:
+            raise ValueError("real-root branch requires N <= L/2")
+    reports = [None] * len(nss)
+    for stack in _lane_stacks([len(ns) for ns in nss]):
+        L = np.array([[Ls[i]] for i in stack], float)
+        counts = np.array([[len(nss[i])] for i in stack])
+        c = np.array([[_qnum_offset(Ls[i], len(nss[i]))] for i in stack])
+        ns = np.empty((len(stack), counts[-1, 0]))
+        ns[:] = c  # a padding slot: I = 0, where every seed is 0
+        for row, i in zip(ns, stack):
+            row[:len(nss[i])] = nss[i]
+        F, J = _chain_system(chain, L, ns, counts if counts[0, 0] < counts[-1, 0] else None)
+        x0 = [seed(ns - c, L) for seed in chain.seeds]
+        x, f = x0[0], None
+        if len(x0) > 1:
+            # one seed at a time: F on a (2, N) stack took 594 us against 220 us
+            # for two calls at N = 160 (2-vCPU host), and raised the peak memory
+            # of the N = 2048 solve from 186 to 243 MB; the earlier seed wins a
+            # tie, and Newton starts from its F
+            f = F(x)
+            for xs in x0[1:]:
+                fs = F(xs)
+                pick = np.abs(fs).max(axis=-1, initial=0.0) < np.abs(f).max(axis=-1, initial=0.0)
+                x, f = np.where(pick[:, None], xs, x), np.where(pick[:, None], fs, f)
+        lam, res, iters, stop = _damped_newton(F, J, x, tol=_stop_floor(L[:, 0]), f0=f)
+        for i, x, r, it, why in zip(stack, lam, res.tolist(), iters.tolist(), stop.tolist()):
+            x = x[:len(nss[i])]
+            if why == "singular" and np.any(chain.dtheta(1, x) == 0):
+                why = "run_away"
+            params = dict(chain.params)
+            roots = RapiditySet(chain.model, Ls[i], np.sort(x).astype(complex), params)
+            reports[i] = SolveReport(roots, r, it, why == "converged",
+                                     tuple(nss[i].astype(int).tolist()), params, why)
+    return reports
+
+
+def _lane_stacks(counts):
+    """Lane indices grouped into stacks: sorted by root count (stable), a
+    stack takes the next lane while its B lanes of up to n roots keep
+    B n^2 <= BLOCK Jacobian entries, and one lane in any case; a lane of
+    more than sqrt(BLOCK / 2) roots always runs alone and unpadded."""
+    stacks = []
+    for i in sorted(range(len(counts)), key=counts.__getitem__):
+        if stacks and (len(stacks[-1]) + 1) * counts[i] ** 2 <= BLOCK:
+            stacks[-1].append(i)
+        else:
+            stacks.append([i])
+    return stacks
+
+
+def _solve_chain(chain, L, N, qnums):
+    """Real-root solve of the chain's log form: _solve_chains of one lane."""
+    return _solve_chains(chain, [L], [N], [qnums])[0]
 
 
 def solve_logbae(L, N, qnums):
@@ -433,7 +507,7 @@ def classify_two_magnon(L):
     Returns a list of (RapiditySet, kind) with kind 'real-pair' | 'bound-pair'.
     """
     if L % 2 or not (4 <= L <= 16):
-        raise ValueError("L must be even, 4 <= L <= 16")
+        raise ValueError(f"L={L}: the two-magnon scan takes even L, 4 <= L <= 16")
     qn_range = range(3 - L // 2, L // 2 + 1)
     ns = np.array([(n1, n2) for n1 in qn_range for n2 in qn_range if n2 > n1], float)
     lam, _, _, stop = _damped_newton(*_chain_system(XXX, L, ns),
@@ -452,10 +526,27 @@ def classify_two_magnon(L):
     pole, coincident, diff_i = _inadmissible(cand, EQUALITY_TOL)  # the pair {+-i/2} fails
     ok = ~(pole.any(axis=-1) | coincident.any(axis=(-2, -1)) | diff_i.any(axis=(-2, -1)))
     ok[ok] = ~(_chain_residuals(XXX, cand[ok], L) > 1e-10)
-    keys = np.sort_complex(cand[ok])
-    near = np.max(np.abs(keys[:, None] - keys[None, :]), axis=-1) < 1e-6
-    ok[ok] = ~np.triu(near, 1).any(axis=0)
+    ok[ok] = ~_near_duplicates(np.sort_complex(cand[ok]))
     return [(RapiditySet("XXX", L, cand[i].copy()), kinds[i]) for i in np.flatnonzero(ok)]
+
+
+def _near_duplicates(keys, tol=1e-6):
+    """Mask of the rows of keys (C, n) within tol of an earlier row, in the
+    largest |k_i - k_j| over the n entries.  Only pairs whose first entries'
+    real parts lie within 2 tol (a margin over the rounding of differences)
+    are compared: sorted by that real part, each row meets the rows after it
+    in its window, so no C x C array is built."""
+    r = keys[:, 0].real
+    order = np.argsort(r, kind="stable")
+    rs = r[order]
+    after = np.searchsorted(rs, rs + 2 * tol, side="right") - np.arange(1, len(rs) + 1)
+    p = np.repeat(np.arange(len(rs)), after)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(after) - after, after)
+    i, j = order[p], order[q]
+    near = np.max(np.abs(keys[i] - keys[j]), axis=-1, initial=0.0) < tol
+    dup = np.zeros(len(keys), bool)
+    dup[np.maximum(i, j)[near]] = True
+    return dup
 
 
 def two_magnon_reference_count(L):

@@ -72,7 +72,7 @@ class ChainKernel:
     complex array on some branch, and abs_f(xr, xi) = |f(x)|;
     and the Newton seeds, a tuple of functions seed(I, L) at
     I_j = n_j - offset.  A solve with more than one seed starts from the one
-    with the smallest max |F_j| of the log form (see bae._solve_chain).  XXX
+    with the smallest max |F_j| of the log form (see bae._solve_chains).  XXX
     is the gamma -> 0 limit of xxz_kernel(gamma) at l_XXZ = gamma l_XXX."""
     model: str
     eta: complex

@@ -230,18 +230,21 @@ def condensation_check(L_list, f):
     """Compare the finite-size sums (1/L) sum_j f(l_j) over ground-state roots
     with the thermodynamic integral int rho f for each L.
 
-    Returns a list of dicts with keys L, sum, integral, gap.  Signals the
+    Every L must be even; the ground states of all of them are solved as
+    lanes of few Newton stacks (bae._solve_chains).  Returns a list of dicts
+    with keys L, sum, integral, gap, in the order of L_list.  Signals the
     condensation property: the gap decays as L grows.
     """
-    from .bae import solve_logbae
+    from .bae import XXX, _solve_chains
+    Ls = list(L_list)
+    for L in Ls:
+        if L % 2:
+            raise ValueError(f"L={L}: condensation scan expects even L")
     rd = solve_root_density(np.inf)
     integral = float(np.sum(rd.weights * rd.values * f(rd.nodes)))
+    reps = _solve_chains(XXX, Ls, [L // 2 for L in Ls], [np.arange(1, L // 2 + 1) for L in Ls])
     rows = []
-    for L in L_list:
-        if L % 2:
-            raise ValueError("condensation scan expects even L")
-        N = L // 2
-        rep = solve_logbae(L, N, tuple(range(1, N + 1)))
+    for L, rep in zip(Ls, reps):
         if not rep.converged:
             raise RuntimeError(f"ground-state solve failed at L={L}")
         s = float(np.sum(f(rep.roots.values.real)) / L)

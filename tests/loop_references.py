@@ -11,7 +11,8 @@ at small N only.
 The two-magnon classification is kept in its serial form too: one
 solve_logbae per quantum-number pair, one single-lane _damped_newton per
 bound-pair seed, and admissibility, residual and de-duplication checked
-candidate by candidate, with the double-loop admissibility test.
+candidate by candidate, with the double-loop admissibility test; and its
+near-duplicate filter over the whole array of candidate distances.
 
 The Hubbard block operators (Hamiltonian, S^+ and the one-site translation)
 are kept as their per-state loops over up/down bit masks, with dict ranking
@@ -295,6 +296,13 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
         if stop == "converged" and abs(z[1]) >= 1e-4:
             add(np.array([z[0] + 1j * z[1], z[0] - 1j * z[1]]), "bound-pair")
     return found
+
+
+def near_duplicates(keys, tol=1e-6):
+    """bae._near_duplicates from the whole C x C array of distances: a row is
+    a duplicate when any earlier row lies within tol."""
+    near = np.max(np.abs(keys[:, None] - keys[None, :]), axis=-1) < tol
+    return np.triu(near, 1).any(axis=0)
 
 
 def embed_pair(R4, pos0, pos1, n):

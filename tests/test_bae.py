@@ -720,6 +720,34 @@ def test_two_magnon_scan_is_the_admissible_range(L):
     assert np.all(stop[~admissible] == "run_away")
 
 
+@pytest.mark.parametrize("L", sorted(TWO_MAGNON_COUNTS))
+def test_two_magnon_windowed_filter_matches_quadratic(L, monkeypatch):
+    sols = bae.classify_two_magnon(L)
+    monkeypatch.setattr(bae, "_near_duplicates", loop_references.near_duplicates)
+    ref = bae.classify_two_magnon(L)
+    assert [k for _, k in sols] == [k for _, k in ref]
+    assert all(rs.values.tobytes() == rr.values.tobytes() for (rs, _), (rr, _) in zip(sols, ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)), min_size=1,
+                     max_size=6),
+       picks=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.0, 4e-7, 9e-7, 1e-6,
+                                                                    1.1e-6, 3e-6]),
+                                st.integers(0, 3)), max_size=30))
+def test_near_duplicates_match_quadratic(base, picks):
+    # rows near a few centres, shifted by steps around the 1e-6 threshold in
+    # one part of one entry, so that chains of near rows and ties occur
+    rows = []
+    for b, step, where in picks:
+        c = base[b % len(base)]
+        row = np.array([complex(*c), complex(c[1], c[0])])
+        row[where // 2] += step * (1j if where % 2 else 1.0)
+        rows.append(row)
+    keys = np.array(rows, complex).reshape(-1, 2)
+    assert np.array_equal(bae._near_duplicates(keys), loop_references.near_duplicates(keys))
+
+
 def _assert_lanes_match_single(system, params, X0, **kw):
     """system(*params) with per-lane params (B, .) solved as one stack from X0
     (B, n), against system(*row b of params) solved from X0[b]."""
@@ -823,6 +851,120 @@ class TestLaneBatchedNewton:
         F, J = bae._bound_pair_system(8)
         X, res, iters, stop = bae._damped_newton(F, J, np.empty((0, 2)))
         assert X.shape == (0, 2) and len(res) == len(iters) == len(stop) == 0
+
+    def test_tolerance_per_lane(self):
+        # two copies of one system: the lane with tol 0 never converges and
+        # halts where no halved step lowers |F|, the other stops at its floor
+        F, J = bae._chain_system(bae.XXX, 8192, np.tile(np.arange(1.0, 5.0), (2, 1)))
+        x0 = bae.XXX.seeds[0](np.tile(np.arange(1.0, 5.0) - 2.5, (2, 1)), 8192)
+        tol = np.array([0.0, bae._stop_floor(8192)])
+        X, res, iters, stop = bae._damped_newton(F, J, x0, tol=tol)
+        assert stop[0] != "converged" and stop[1] == "converged" and iters[0] > iters[1]
+        F1, J1 = bae._chain_system(bae.XXX, 8192, np.arange(1.0, 5.0))
+        for b in range(2):
+            x1, r1, it1, s1 = bae._damped_newton(F1, J1, x0[b], tol=tol[b])
+            assert (iters[b], stop[b], res[b]) == (it1, s1, r1) and np.array_equal(X[b], x1)
+
+
+def _ground_lanes(Ls):
+    return [L // 2 for L in Ls], [range(1, L // 2 + 1) for L in Ls]
+
+
+def _assert_stack_matches_single(chain, Ls, Ns, qnums):
+    """_solve_chains over the lanes against one _solve_chain per lane: the same
+    stops and iteration counts, roots within 1e-13, and bitwise equal where a
+    lane is alone in its stack.  No stack of two or more lanes holds more
+    than BLOCK Jacobian entries."""
+    shapes, newton = [], bae._damped_newton
+
+    def spy(F, J, x0, **kw):
+        shapes.append(np.shape(x0))
+        return newton(F, J, x0, **kw)
+    bae._damped_newton = spy
+    try:
+        reps = bae._solve_chains(chain, Ls, Ns, qnums)
+    finally:
+        bae._damped_newton = newton
+    assert all(B * n * n <= bae.BLOCK for B, n in shapes if B > 1)
+    alone = {s[0] for s in bae._lane_stacks(Ns) if len(s) == 1}
+    for i, (L, N, q, rep) in enumerate(zip(Ls, Ns, qnums, reps)):
+        one = bae._solve_chain(chain, L, N, q)
+        assert (rep.stop, rep.iterations, rep.converged) == (one.stop, one.iterations,
+                                                              one.converged)
+        assert rep.roots.L == L and rep.qnums == one.qnums and rep.params == one.params
+        assert np.max(np.abs(rep.roots.values - one.roots.values), initial=0.0) <= 1e-13
+        if i in alone:
+            assert np.array_equal(rep.roots.values, one.roots.values)
+            assert rep.residual == one.residual
+
+
+class TestStackedChainSolves:
+    """Chain solves of different L and N as lanes of few stacks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(Ls=st.lists(st.integers(2, 64).map(lambda h: 2 * h), min_size=1, max_size=10))
+    def test_xxx_ground_states(self, Ls):
+        _assert_stack_matches_single(bae.XXX, Ls, *_ground_lanes(Ls))
+
+    @settings(max_examples=25, deadline=None)
+    @given(Ls=st.lists(st.integers(2, 32).map(lambda h: 2 * h), min_size=1, max_size=10),
+           gamma=st.floats(0.3, 1.5))
+    def test_xxz_ground_states(self, Ls, gamma):
+        _assert_stack_matches_single(bae.xxz_kernel(gamma), Ls, *_ground_lanes(Ls))
+
+    @settings(max_examples=25, deadline=None)
+    @given(lanes=st.lists(st.tuples(st.integers(4, 40), st.integers(0, 8)), min_size=1,
+                          max_size=8))
+    def test_xxx_lowest_states_of_any_sector(self, lanes):
+        # odd L too, and N = 0: the lowest state of each (L, N) sector
+        Ls = [L for L, _ in lanes]
+        Ns = [min(N, L // 2) for L, N in lanes]
+        _assert_stack_matches_single(bae.XXX, Ls, Ns, [range(1, N + 1) for N in Ns])
+
+    def test_one_lane_stack_is_the_single_solve(self):
+        # N = 100 > sqrt(BLOCK / 2): alone in its stack next to small lanes
+        Ls = [16, 200, 12]
+        assert bae._lane_stacks(_ground_lanes(Ls)[0]) == [[2, 0], [1]]
+        rep = bae._solve_chains(bae.XXX, Ls, *_ground_lanes(Ls))[1]
+        one = bae.solve_logbae(200, 100, range(1, 101))
+        assert rep.roots.values.tobytes() == one.roots.values.tobytes()
+        assert (rep.residual, rep.iterations, rep.stop) == (one.residual, one.iterations,
+                                                            one.stop)
+
+    def test_lanes_stop_at_their_own_floors(self, monkeypatch):
+        tols, newton = [], bae._damped_newton
+
+        def spy(F, J, x0, tol=bae.TOL, **kw):
+            tols.append(np.copy(tol))
+            return newton(F, J, x0, tol=tol, **kw)
+        monkeypatch.setattr(bae, "_damped_newton", spy)
+        reps = bae._solve_chains(bae.XXX, [400, 8192], [4, 4], [range(1, 5)] * 2)
+        floors = [bae._stop_floor(400), bae._stop_floor(8192)]
+        assert bae.TOL < floors[0] < floors[1]
+        assert len(tols) == 1 and list(tols[0]) == floors
+        monkeypatch.undo()
+        for L, floor, rep in zip((400, 8192), floors, reps):
+            one = bae.solve_logbae(L, 4, (1, 2, 3, 4))
+            assert rep.converged and rep.residual < floor
+            assert np.array_equal(rep.roots.values, one.roots.values)
+            assert (rep.residual, rep.iterations) == (one.residual, one.iterations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 200), max_size=40))
+    def test_stacks_stay_within_block(self, counts):
+        stacks = bae._lane_stacks(counts)
+        assert sorted(i for s in stacks for i in s) == list(range(len(counts)))
+        assert [counts[i] for s in stacks for i in s] == sorted(counts)
+        for s in stacks:
+            assert len(s) == 1 or len(s) * max(counts[i] for i in s) ** 2 <= bae.BLOCK
+
+    def test_every_lane_is_checked_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(bae, "_damped_newton", None)  # a solve would raise TypeError
+        with pytest.raises(ValueError, match="N <= L/2"):
+            bae._solve_chains(bae.XXX, [8, 8], [2, 5], [(1, 2), (1, 2, 3, 4, 5)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            bae._solve_chains(bae.XXX, [8, 8], [2, 2], [(1, 2), (2, 1)])
+        assert bae._solve_chains(bae.XXX, [], [], []) == []
 
 
 _ROOT_POOL = [0.5j, -0.5j, 0.3, 0.3 + 1j, 0.3 - 1j, 0.3 + 1e-9, -0.7 + 0.2j, -0.7 + 1.2j,

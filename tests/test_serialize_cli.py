@@ -458,6 +458,10 @@ class TestCli:
         ("ed/spectrum", {"L": "4", "k": "0"}, "--k must be >= 1, got 0"),
         # a chain needs a bond: said "need at least two sites", naming no flag
         ("ed/spectrum", {"L": "1"}, "L=1: need at least two sites"),
+        # chain lengths out of a command's range: the message named no value
+        ("thermo/condensation", {"lmin": "7", "lmax": "9"},
+         "L=7: condensation scan expects even L"),
+        ("bae/two-magnon", {"L": "18"}, "L=18: the two-magnon scan takes even L, 4 <= L <= 16"),
         ("vertex/partition", {"L": "2", "M": "0"}, "--M must be >= 1, got 0"),
         ("vertex/ice-entropy", {"lmax": "0"}, "--lmax must be >= 1, got 0"),
     ])

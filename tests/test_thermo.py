@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import loop_references
-from bethelab import thermo
+from bethelab import bae, thermo
 
 
 def _kernel_sums_match_unblocked():
@@ -222,6 +223,16 @@ class TestGaussLegendre:
         assert peak < 1e6
 
 
+def _energy(lam):
+    return -0.5 / (lam ** 2 + 0.25)
+
+
+def _per_l_sum(L):
+    """(1/L) sum_j e(l_j) over the roots of one solve_logbae ground state."""
+    rep = bae.solve_logbae(L, L // 2, tuple(range(1, L // 2 + 1)))
+    return float(np.sum(_energy(rep.roots.values.real)) / L)
+
+
 class TestCondensation:
     def test_constant_observable_gives_filling(self):
         rows = thermo.condensation_check([8, 12], lambda lam: np.ones_like(lam))
@@ -254,3 +265,38 @@ class TestCondensation:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             thermo.condensation_check([7], lambda lam: lam)
+
+    def test_odd_length_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(bae, "_solve_chains", None)  # a solve would raise TypeError
+        with pytest.raises(ValueError, match="^L=9: condensation scan expects even L$"):
+            thermo.condensation_check([8, 10, 9, 7], lambda lam: lam)
+
+    def test_rows_in_input_order(self):
+        Ls = [16, 8, 12, 8, 16]
+        rows = thermo.condensation_check(Ls, _energy)
+        assert [r["L"] for r in rows] == Ls
+        assert rows[0] == rows[4] and rows[1] == rows[3]
+        for r in rows:
+            assert abs(r["sum"] - _per_l_sum(r["L"])) <= 1e-15
+
+    def test_error_names_first_failing_length(self, monkeypatch):
+        solve = bae._solve_chains
+
+        def failing(chain, Ls, Ns, qnums):
+            reps = solve(chain, Ls, Ns, qnums)
+            return [replace(r, converged=False) if L in (8, 12) else r for L, r in zip(Ls, reps)]
+        monkeypatch.setattr(bae, "_solve_chains", failing)
+        with pytest.raises(RuntimeError, match="^ground-state solve failed at L=12$"):
+            thermo.condensation_check([16, 12, 10, 8], _energy)
+
+    def test_lone_lanes_are_the_single_solves(self):
+        # from N = 64 on each length of the large-L scan is alone in its
+        # stack, and its row is bitwise the one of its own solve_logbae;
+        # L = 8..64 share a stack and agree to rounding
+        Ls = [8, 16, 32, 64, 128, 250, 500, 1000, 2000]
+        assert bae._lane_stacks([L // 2 for L in Ls]) == [[0, 1, 2, 3], [4], [5], [6], [7], [8]]
+        for r in thermo.condensation_check(Ls, _energy):
+            if r["L"] >= 128:
+                assert r["sum"] == _per_l_sum(r["L"])
+            else:
+                assert abs(r["sum"] - _per_l_sum(r["L"])) <= 1e-15
