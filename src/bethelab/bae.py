@@ -244,10 +244,14 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER, f0=None):
     iters, stop = np.empty(len(x), int), np.empty(len(x), int)
     lanes, sub = np.arange(len(x)), None  # sub: the lanes argument of F and J
 
-    def retire(drop, why, it):
-        sel = lanes[drop]
+    def retire(drop, why, it, *more):
+        """Record the lanes drop as stopped (why, it) at x and res; return
+        the arrays more without their rows."""
+        nonlocal lanes, sub
+        sel, keep = lanes[drop], ~drop
         out[sel], res_out[sel], iters[sel], stop[sel] = x[drop], res[drop], it, why
-        return ~drop
+        lanes = sub = lanes[keep]
+        return [a[keep] for a in more]
 
     f = F(x, sub) if f0 is None else np.array(f0, float, ndmin=2)
     res = np.abs(f).max(axis=-1, initial=0.0)
@@ -255,11 +259,9 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER, f0=None):
         done = res < tol[lanes]
         if done.any():
             far = np.abs(x[done]).max(axis=-1, initial=0.0) > 0.01 * ROOT_ESCAPE
-            keep = retire(done, np.where(far, RUN_AWAY, CONVERGED), it - 1)
-            if not keep.any():
+            x, f, res = retire(done, np.where(far, RUN_AWAY, CONVERGED), it - 1, x, f, res)
+            if not len(x):
                 break
-            x, f, res, lanes = x[keep], f[keep], res[keep], lanes[keep]
-            sub = lanes
         Jx = J(x, sub)
         try:
             step = np.linalg.solve(Jx, -f[..., None])[..., 0]
@@ -271,9 +273,7 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER, f0=None):
                     step[r] = np.linalg.solve(Jx[r], -f[r])
                 except np.linalg.LinAlgError:
                     bad[r] = True
-            keep = retire(bad, SINGULAR, it)
-            x, f, res, lanes, step = x[keep], f[keep], res[keep], lanes[keep], step[keep]
-            sub = lanes
+            x, f, res, step = retire(bad, SINGULAR, it, x, f, res, step)
             if not len(x):
                 break
         x_new = x + step
@@ -298,15 +298,11 @@ def _damped_newton(F, J, x0, tol=TOL, max_iter=MAX_ITER, f0=None):
             else:
                 stalled = np.zeros(len(x), bool)
                 stalled[p] = True
-                keep = retire(stalled, STALLED, it)
-                x_new, f_new, res_new, lanes = x_new[keep], f_new[keep], res_new[keep], lanes[keep]
-                sub = lanes
+                x_new, f_new, res_new = retire(stalled, STALLED, it, x_new, f_new, res_new)
         x, f, res = x_new, f_new, res_new
         away = np.abs(x).max(axis=-1) > ROOT_ESCAPE
         if away.any():
-            keep = retire(away, RUN_AWAY, it)
-            x, f, res, lanes = x[keep], f[keep], res[keep], lanes[keep]
-            sub = lanes
+            x, f, res = retire(away, RUN_AWAY, it, x, f, res)
         if not len(x):
             break
     else:

@@ -98,6 +98,16 @@ class ChainKernel:
         lam = self.off_poles(roots)
         return complex(-eps / 2 * np.sum(self.dtheta(1, lam))) if len(lam) else 0.0
 
+    def momentum(self, roots):
+        """P = i sum_j log f(l_j - eta/2)/f(l_j + eta/2), so that e^{iP} is
+        prod_j f(l_j + eta/2)/f(l_j - eta/2), with Re P reduced by np.mod
+        into [0, 2pi]: a float when |Im P| < 1e-10 (self-conjugate root
+        sets), complex otherwise.  For XXX, e^{ik_j} = (l_j + i/2)/(l_j - i/2)."""
+        lam = self.off_poles(roots)
+        p = 1j * complex(np.sum(self.log_ratio(lam.real, lam.imag, self.eta.imag / 2)))
+        real_part = np.mod(p.real, 2 * np.pi)
+        return float(real_part) if abs(p.imag) < 1e-10 else real_part + 1j * p.imag
+
 
 def _free_magnon(I, L):
     """l_j = tg(pi I_j/L)/2, the XXX root of one magnon (exact at N = 1)."""
@@ -175,19 +185,6 @@ def xxz_kernel(gamma):
     return ChainKernel("XXZ", 1j * gamma, _sh_ratio, _abs_sh,
                        lambda n, x: 2 * np.arctan(cot(n) * np.tanh(x)), dtheta,
                        (lambda I, L: _counting_seed(I, L, gamma, 0.3 * I),), {"gamma": gamma})
-
-
-def rapidity_to_momentum(lam):
-    """Quasi-momentum k of a rapidity, e^{ik} = (l + i/2)/(l - i/2).
-
-    Principal branch: Re(k) in (-pi, pi], Im(k) = -ln|e^{ik}|.  The map has a
-    pole at l = -i/2 (and k -> 0 as l -> infinity).  A scalar gives a complex,
-    an array of rapidities the array of momenta."""
-    lam = np.asarray(lam, complex)
-    if np.any(np.abs(lam + 0.5j) < 1e-14):
-        raise ValueError("rapidity at the pole -i/2")
-    k = -1j * np.log((lam + 0.5j) / (lam - 0.5j))
-    return complex(k) if k.ndim == 0 else k
 
 
 _PLACEMENTS = {}
@@ -330,18 +327,8 @@ def energy_xxx(roots, J=1.0):
 
 
 def momentum_xxx(roots):
-    """Lattice momentum P = [-i sum_j ln((l_j + i/2)/(l_j - i/2))] mod 2pi.
-
-    Principal log per root, result reduced into [0, 2pi).  Real (float) for
-    self-conjugate root sets; complex otherwise."""
-    roots = _roots(roots)
-    if len(roots) == 0:
-        return 0.0
-    p = complex(np.sum(rapidity_to_momentum(roots)))
-    real_part = np.mod(p.real, 2 * np.pi)
-    if abs(p.imag) < 1e-10:
-        return float(real_part)
-    return real_part + 1j * p.imag
+    """Lattice momentum P of XXX rapidities, ChainKernel.momentum of XXX."""
+    return XXX.momentum(roots)
 
 
 def highest_weight_residual(vector, L, N):

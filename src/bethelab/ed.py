@@ -242,24 +242,25 @@ def build_total_spin(L, alpha):
 
     alpha: 'x' | 'y' | 'z' | 'raise' | 'lower' | 'casimir'.
     'raise'/'lower' are S^+/S^- = S^x +- i S^y; 'casimir' is (S^x)^2 + (S^y)^2
-    + (S^z)^2 with eigenvalues S(S+1), stored real.
+    + (S^z)^2 with eigenvalues S(S+1), stored real, built as
+    3L/4 + sum_{i<j} (P_ij - 1/2) with P_ij the exchange of sites i and j.
     """
     if L < 1:
         raise ValueError("need at least one site")
-    n = 2 ** L
+    states = np.arange(2 ** L, dtype=np.int64)
     if alpha == "casimir":
-        # (S^y)^2 has real entries, so the imaginary part of the sum is exactly 0
-        total = sp.csr_matrix((n, n))
-        for ax in ("x", "y", "z"):
-            m = build_total_spin(L, ax).csr()
-            total = total + (m @ m).real
-        return OperatorMatrix(total)
-    if alpha not in _PAULI:
+        h = np.diag([0.5, -0.5, -0.5, 0.5])  # P_ij - 1/2 in the pair's local basis
+        h[1, 2] = h[2, 1] = 1.0
+        pairs = [(i, j) for i in range(1, L + 1) for j in range(i + 1, L + 1)]
+        entries = [_local_entries(L, states, states, h, pairs)] if pairs else []
+        constant = (states, states, np.full(len(states), 0.75 * L))
+        rows, cols, vals = map(np.concatenate, zip(*entries, constant))
+    elif alpha in _PAULI:
+        rows, cols, vals = _local_entries(L, states, states, _PAULI[alpha],
+                                          [(x,) for x in range(1, L + 1)])
+    else:
         raise ValueError(f"unknown spin component {alpha!r}")
-    states = np.arange(n, dtype=np.int64)
-    rows, cols, vals = _local_entries(L, states, states, _PAULI[alpha],
-                                      [(x,) for x in range(1, L + 1)])
-    return OperatorMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    return OperatorMatrix(sp.coo_matrix((vals, (rows, cols)), shape=(len(states),) * 2))
 
 
 def apply_splus(vector, L, N):

@@ -130,7 +130,7 @@ def build_hubbard_hamiltonian(L, u, sector):
     is applied to all states at once and ranked with FermionBasis.rank.  The
     entries are collected as COO triplets (repeated hops of L = 2 add up)."""
     if L > 8:
-        raise ValueError("full blocks supported up to L = 8")
+        raise ValueError(f"L={L}: full blocks supported up to L = 8")
     basis = sector if isinstance(sector, FermionBasis) else FermionBasis(L, *sector)
     dim = basis.dim
     occ = basis.occupations

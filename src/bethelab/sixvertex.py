@@ -464,7 +464,7 @@ def ice_entropy(L_max):
     two-dimensional limit is (3/2) ln(4/3) = 0.43152...
     """
     if L_max % 2 or L_max > 14:
-        raise ValueError("even L_max <= 14 required")
+        raise ValueError(f"L_max={L_max}: even L_max <= 14 required")
     if L_max < 6:
         sizes = ", ".join(map(str, range(2, L_max + 1, 2))) or "none"
         raise ValueError(f"L_max={L_max} gives fewer than three sizes (L = {sizes}); "

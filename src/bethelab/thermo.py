@@ -164,6 +164,15 @@ def _panel_grid(half_width, panel, per_panel):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+@lru_cache(maxsize=1)
+def _infinite_support_grid():
+    """The panelled grid of q = infinity, built once, as read-only arrays
+    (the residual check's grids depend on q and are not kept)."""
+    nodes, weights = _panel_grid(INF_CUTOFF, INF_PANEL, INF_NODES_PER_PANEL)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def solve_root_density(q, n_nodes=N_NODES_DEFAULT):
     """Solve the root-density integral equation on (-q, q).
 
@@ -178,7 +187,7 @@ def solve_root_density(q, n_nodes=N_NODES_DEFAULT):
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes}")
     if np.isinf(q):
-        nodes, weights = _panel_grid(INF_CUTOFF, INF_PANEL, INF_NODES_PER_PANEL)
+        nodes, weights = _infinite_support_grid()
         return RootDensity(np.inf, nodes, weights, closed_form_density(nodes))
     if q <= 0:
         raise ValueError("support half-width q must be positive")

@@ -41,7 +41,9 @@ The spin-chain operators are kept as one hand-written loop each, over sorted
 bit codes with site x in bit L - x: the XXZ bonds (xxz_entries, diagonal
 summed bond by bond), the total spin site by site (total_spin_entries) and
 S^+ between sectors (splus_pairs), where the package runs one local-term
-builder for all three.
+builder for all three.  The Casimir is kept as the sum of the squares of the
+three full-space components (casimir), where the package sums the exchange
+terms of all site pairs.
 
 The SU(2) multiplet check is kept in its one-block form (multiplet_structure):
 the spectrum's whole (dim, k) eigenvector array, the Casimir applied to it
@@ -51,7 +53,10 @@ the package works per connected block of the spectrum.
 The exponential-form factors of the Bethe equations are kept as complex
 logs: log sh without overflow (log_sh), and the pole guard that compares
 log |f(l -+ eta/2)| with log 1e-12 (pole_guard_raises), where the package
-works in real arithmetic from Re and Im of its arguments.
+works in real arithmetic from Re and Im of its arguments.  The XXX
+quasi-momentum is kept root by root as the principal complex log of
+(l + i/2)/(l - i/2) (rapidity_to_momentum), where the package sums the
+chain kernel's real-arithmetic log ratio.
 """
 
 from itertools import permutations
@@ -692,6 +697,16 @@ def total_spin_entries(L, op):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
+def casimir(L):
+    """(S^x)^2 + (S^y)^2 + (S^z)^2 on the full 2^L space as a real CSR: each
+    component squared by a sparse product, the real parts summed."""
+    total = sp.csr_matrix((2 ** L, 2 ** L))
+    for ax in ("x", "y", "z"):
+        m = ed.build_total_spin(L, ax).csr()
+        total = total + (m @ m).real
+    return total
+
+
 def splus_pairs(L, N):
     """(rows, cols, shape) of the unit entries of S^+ from sector N to N-1,
     bit by bit from bit 0 (site L): clearing a set bit (a down spin) of a
@@ -711,6 +726,13 @@ def log_sh(x):
     of Re x, sh x = s e^{s x} (1 - e^{-2 s x})/2 and |e^{-2 s x}| <= 1."""
     s = np.where(np.real(x) < 0, -1, 1)
     return s * x + np.log(-s * np.expm1(-2 * s * x) / 2)
+
+
+def rapidity_to_momentum(lam):
+    """Quasi-momentum k of one XXX rapidity, e^{ik} = (l + i/2)/(l - i/2),
+    on the principal branch: Re k in (-pi, pi]."""
+    lam = complex(lam)
+    return complex(-1j * np.log((lam + 0.5j) / (lam - 0.5j)))
 
 
 def pole_guard_raises(roots, eta, log_f):

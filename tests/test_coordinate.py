@@ -18,37 +18,85 @@ def random_roots(n, scale=0.8):
     return RNG.normal(size=n) * scale + 1j * RNG.normal(size=n) * scale / 2
 
 
+def _mod_2pi(x):
+    """Distance of the real x from 0 mod 2pi."""
+    return abs(np.remainder(x + np.pi, 2 * np.pi) - np.pi)
+
+
 class TestRapidityMap:
+    # the momentum of one root is its quasi-momentum k, e^{ik} = (l + i/2)/(l - i/2)
     def test_zero_gives_pi(self):
-        assert abs(coordinate.rapidity_to_momentum(0.0) - np.pi) < 1e-14
+        assert abs(coordinate.momentum_xxx([0.0]) - np.pi) < 1e-14
+        assert abs(loop_references.rapidity_to_momentum(0.0) - np.pi) < 1e-14
 
     def test_large_rapidity_gives_zero(self):
-        assert abs(coordinate.rapidity_to_momentum(1e9)) < 1e-8
+        assert _mod_2pi(coordinate.momentum_xxx([1e9])) < 1e-8
+        assert abs(loop_references.rapidity_to_momentum(1e9)) < 1e-8
 
     def test_half(self):
         # (1/2 + i/2)/(1/2 - i/2) = i, so k = pi/2
-        assert abs(coordinate.rapidity_to_momentum(0.5) - np.pi / 2) < 1e-14
+        assert abs(coordinate.momentum_xxx([0.5]) - np.pi / 2) < 1e-14
 
     def test_pole(self):
-        with pytest.raises(ValueError):
-            coordinate.rapidity_to_momentum(-0.5j)
+        # both poles raise (the principal log gave nan at +i/2)
+        for pole in (-0.5j, 0.5j):
+            for roots in ([pole], np.array([0.3, pole])):
+                with pytest.raises(ValueError, match="pole"):
+                    coordinate.momentum_xxx(roots)
 
     def test_array_matches_scalars(self):
         rng = np.random.default_rng(5)
         roots = rng.normal(size=6) + 0.5j * rng.normal(size=6)
-        ks = coordinate.rapidity_to_momentum(roots)
-        assert type(coordinate.rapidity_to_momentum(roots[0])) is complex
-        assert ks.shape == roots.shape
-        ref = [-1j * np.log((complex(l) + 0.5j) / (complex(l) - 0.5j)) for l in roots]
-        assert np.max(np.abs(ks - ref)) < 1e-14
-        with pytest.raises(ValueError):
-            coordinate.rapidity_to_momentum(np.array([0.3, -0.5j]))
+        P = coordinate.momentum_xxx(roots)
+        ks = [coordinate.momentum_xxx([l]) for l in roots]
+        assert isinstance(P, complex) and all(isinstance(k, complex) for k in ks)
+        refs = [loop_references.rapidity_to_momentum(l) for l in roots]
+        for k, ref in zip(ks, refs):
+            assert _mod_2pi(k.real - ref.real) < 1e-14 and abs(k.imag - ref.imag) < 1e-14
+        total = sum(refs)
+        assert _mod_2pi(P.real - total.real) < 1e-13 and abs(P.imag - total.imag) < 1e-13
 
     def test_branch(self):
-        k = coordinate.rapidity_to_momentum(0.3 + 0.2j)
-        assert -np.pi < k.real <= np.pi
-        z = (0.3 + 0.2j + 0.5j) / (0.3 + 0.2j - 0.5j)
-        assert abs(np.exp(1j * k) - z) < 1e-14
+        lam = 0.3 + 0.2j
+        k, ref = coordinate.momentum_xxx([lam]), loop_references.rapidity_to_momentum(lam)
+        assert 0 <= k.real < 2 * np.pi and -np.pi < ref.real <= np.pi
+        z = (lam + 0.5j) / (lam - 0.5j)
+        assert abs(np.exp(1j * k) - z) < 1e-14 and abs(np.exp(1j * ref) - z) < 1e-14
+
+
+_KERNELS = {"xxx": (coordinate.XXX, lambda x: x),
+            "xxz": (coordinate.xxz_kernel(0.9), np.sinh),
+            "xxz_wide": (coordinate.xxz_kernel(2.6), np.sinh)}
+
+
+class TestKernelMomentum:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(_KERNELS)), data=st.data(),
+           re=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+    def test_exp_momentum_is_the_product(self, kind, data, re):
+        # e^{iP} = prod_j f(l_j + eta/2)/f(l_j - eta/2)
+        kernel, f = _KERNELS[kind]
+        im = data.draw(st.lists(st.floats(-1.4, 1.4), min_size=len(re), max_size=len(re)))
+        lam = np.array(re) + 1j * np.array(im)
+        up, down = f(lam + kernel.eta / 2), f(lam - kernel.eta / 2)
+        assume(min(np.abs(up).min(), np.abs(down).min()) > 1e-3)
+        P = kernel.momentum(lam)
+        assert 0 <= np.real(P) <= 2 * np.pi  # np.mod rounds a tiny negative sum up to 2pi
+        prod = np.prod(up / down)
+        assert abs(np.exp(1j * P) / prod - 1) < 1e-11
+
+    @pytest.mark.parametrize("kind", sorted(_KERNELS))
+    def test_poles_raise(self, kind):
+        kernel, _ = _KERNELS[kind]
+        for pole in (kernel.eta / 2, -kernel.eta / 2):
+            for roots in ([pole], [0.4, pole + 1e-13]):
+                with pytest.raises(ValueError, match="pole"):
+                    kernel.momentum(roots)
+
+    def test_empty_and_self_conjugate(self):
+        for kernel, _ in _KERNELS.values():
+            assert kernel.momentum([]) == 0.0 and type(kernel.momentum([])) is float
+            assert type(kernel.momentum([0.3 + 0.2j, 0.3 - 0.2j])) is float
 
 
 class TestWavefunction:
@@ -201,7 +249,7 @@ class TestObservables:
     def test_energy_magnon_form(self):
         roots = random_roots(4, scale=1.3)
         E = coordinate.energy_xxx(roots, 0.9)
-        ks = [coordinate.rapidity_to_momentum(l) for l in roots]
+        ks = [loop_references.rapidity_to_momentum(l) for l in roots]
         assert abs(E - 0.9 * sum(np.cos(k) - 1 for k in ks)) < 1e-10
 
     def test_energy_pole(self):

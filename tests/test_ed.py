@@ -224,6 +224,17 @@ class TestTotalSpin:
         total = sum(S @ S for S in (ed.build_total_spin(L, ax).dense() for ax in "xyz"))
         assert np.array_equal(cas.toarray(), total)
 
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_casimir_equals_squared_components(self, L):
+        # the pair-exchange build stores the entries of the sum of squared
+        # components, array for array once both have sorted indices
+        cas, ref = ed.build_total_spin(L, "casimir").csr().copy(), loop_references.casimir(L)
+        cas.sort_indices()
+        ref.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(cas, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_sz_eigenvalue_on_configurations(self):
         L = 5
         Sz = ed.build_total_spin(L, "z").dense()

@@ -462,6 +462,10 @@ class TestCli:
         ("thermo/condensation", {"lmin": "7", "lmax": "9"},
          "L=7: condensation scan expects even L"),
         ("bae/two-magnon", {"L": "18"}, "L=18: the two-magnon scan takes even L, 4 <= L <= 16"),
+        ("hubbard/ed", {"L": "9", "N": "1", "M": "1", "u": "1"},
+         "L=9: full blocks supported up to L = 8"),
+        ("vertex/ice-entropy", {"lmax": "16"}, "L_max=16: even L_max <= 14 required"),
+        ("vertex/ice-entropy", {"lmax": "13"}, "L_max=13: even L_max <= 14 required"),
         ("vertex/partition", {"L": "2", "M": "0"}, "--M must be >= 1, got 0"),
         ("vertex/ice-entropy", {"lmax": "0"}, "--lmax must be >= 1, got 0"),
     ])

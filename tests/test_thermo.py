@@ -92,6 +92,16 @@ class TestRootDensity:
         b = thermo.solve_root_density(2.0, 64)
         assert np.array_equal(a.values, b.values)
 
+    def test_infinite_support_grid_cached_read_only(self):
+        # every q = inf solve (one per condensation scan) shares one grid
+        a, b = thermo.solve_root_density(np.inf), thermo.solve_root_density(np.inf)
+        assert a.nodes is b.nodes and a.weights is b.weights
+        assert not a.nodes.flags.writeable and not a.weights.flags.writeable
+        fresh = thermo._panel_grid(thermo.INF_CUTOFF, thermo.INF_PANEL,
+                                   thermo.INF_NODES_PER_PANEL)
+        assert np.array_equal(a.nodes, fresh[0]) and np.array_equal(a.weights, fresh[1])
+        assert len(a.nodes) == 28 * thermo.INF_NODES_PER_PANEL
+
     @pytest.mark.parametrize("q", [0.7, 2.3, 3.9])
     @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 1024])
     def test_folded_solve_matches_full_system(self, n, q):
