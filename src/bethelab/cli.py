@@ -201,7 +201,7 @@ def cmd_vector_build(p):
 def cmd_vector_verify(p):
     L, roots, N, tol = p["L"], p["roots"], len(p["roots"]), p["tol"]
     v = coordinate.offshell_vector(roots, L)
-    H = ed.build_xxx_hamiltonian(L, 1.0, N).matrix
+    H = ed.build_xxx_hamiltonian(L, 1.0, N)
     E = complex(coordinate.energy_xxx(roots))
     h_res = float(np.linalg.norm(H @ v - E * v))
     hw_res = coordinate.highest_weight_residual(v, L, N)
@@ -336,7 +336,7 @@ def cmd_hubbard_verify(p):
     if not ok:
         return Result({"converged": False, "residual": res}, status=EXIT_NOCONV)
     basis = hubbard.FermionBasis(p["L"], p["N"], p["M"])
-    H = hubbard.build_hubbard_hamiltonian(basis.L, p["u"], basis).matrix
+    H = hubbard.build_hubbard_hamiltonian(basis.L, p["u"], basis)
     v = hubbard.assemble_state(roots, basis)
     E, P = hubbard.energy_momentum(roots)
     h_res = float(np.linalg.norm(H @ v - np.real(E) * v))

@@ -100,13 +100,21 @@ class ChainKernel:
 
     def momentum(self, roots):
         """P = i sum_j log f(l_j - eta/2)/f(l_j + eta/2), so that e^{iP} is
-        prod_j f(l_j + eta/2)/f(l_j - eta/2), with Re P reduced by np.mod
-        into [0, 2pi]: a float when |Im P| < 1e-10 (self-conjugate root
-        sets), complex otherwise.  For XXX, e^{ik_j} = (l_j + i/2)/(l_j - i/2)."""
+        prod_j f(l_j + eta/2)/f(l_j - eta/2), with Re P reduced into
+        [0, 2pi) by _angle_mod_2pi: a float when |Im P| < 1e-10
+        (self-conjugate root sets), complex otherwise.  For XXX,
+        e^{ik_j} = (l_j + i/2)/(l_j - i/2)."""
         lam = self.off_poles(roots)
         p = 1j * complex(np.sum(self.log_ratio(lam.real, lam.imag, self.eta.imag / 2)))
-        real_part = np.mod(p.real, 2 * np.pi)
-        return float(real_part) if abs(p.imag) < 1e-10 else real_part + 1j * p.imag
+        real_part = _angle_mod_2pi(p.real)
+        return real_part if abs(p.imag) < 1e-10 else real_part + 1j * p.imag
+
+
+def _angle_mod_2pi(x):
+    """The real x reduced into [0, 2pi) as a float.  np.mod rounds a tiny
+    negative x up to exactly 2pi, which is taken as 0."""
+    r = float(np.mod(x, 2 * np.pi))
+    return 0.0 if r == 2 * np.pi else r
 
 
 def _free_magnon(I, L):

@@ -87,12 +87,19 @@ class OperatorMatrix:
 
     def hermiticity_defect(self):
         """Largest |m_ij - conj(m_ji)| over the stored entries; no dense
-        matrix is built."""
-        return float(abs(self._csr - self._csr.conj().T).max())
+        matrix is built.  The conjugate transpose is the CSC of the CSR's own
+        arrays, made a CSR; when a canonical CSR stores its entries where the
+        transpose does, the data arrays are compared as they are, else they
+        are subtracted as sparse matrices."""
+        m = self._csr
+        h = sp.csc_matrix((m.data.conj(), m.indices, m.indptr), shape=m.shape[::-1]).tocsr()
+        same = m.has_canonical_format and all(map(np.array_equal, (m.indptr, m.indices),
+                                                  (h.indptr, h.indices)))
+        return float(np.abs(m.data - h.data if same else (m - h).data).max(initial=0.0))
 
 
 class SpectrumBlock(NamedTuple):
-    """The eigenvectors of one connected component: vectors[:, j] is the
+    """The eigenvectors of one block of indices: vectors[:, j] is the
     eigenvector of eigenvalue ranks[j] (ascending) on the indices rows, and
     zero on every other index."""
     rows: np.ndarray
@@ -102,7 +109,8 @@ class SpectrumBlock(NamedTuple):
 
 class Spectrum:
     """Eigenvalues in ascending order and their eigenvectors, held per
-    connected component as `blocks` (SpectrumBlock).  `eigenvectors`, the
+    block of indices that the operator does not join to another (see
+    diagonalize) as `blocks` (SpectrumBlock).  `eigenvectors`, the
     (dim, k) array of all of them, is assembled when first read and kept; a
     one-block spectrum's is its block's array as it is."""
 
@@ -333,14 +341,38 @@ def _lanczos(m, k):
         w, v = np.append(w, mu), np.hstack([v, x])
 
 
-def _components(op):
-    """Index arrays, ascending, of the connected components of the graph of
-    op's nonzero entries, in the order of their smallest index."""
-    # imported here: csgraph loads scipy.sparse.linalg, slow to import cold
-    from scipy.sparse.csgraph import connected_components
-    _, labels = connected_components(op.csr() != 0, directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+def _blocks(op):
+    """Index arrays, ascending, of the sets of op's indices with equal
+    popcount, in ascending popcount, when no stored entry of op joins two of
+    them (a full-space chain operator's magnetization sectors); else one
+    array of every index."""
+    m = op.csr()
+    pop = np.bitwise_count(np.arange(m.shape[0]))
+    if not np.array_equal(np.repeat(pop, np.diff(m.indptr)), pop[m.indices]):
+        return [np.arange(m.shape[0])]
+    order = np.argsort(pop, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(pop))[:-1])
+
+
+def _diagonal_blocks(m, blocks):
+    """The diagonal blocks of the CSR m on the ascending index arrays
+    `blocks`, which partition its indices and which no stored entry joins,
+    each a CSR with its columns numbered as its rows are.  m is permuted
+    once, each block's rows in turn; a single block is m itself."""
+    if len(blocks) == 1:
+        return [m]
+    position = np.empty(m.shape[0], np.intp)
+    for r in blocks:
+        position[r] = np.arange(len(r))
+    permuted = m[np.concatenate(blocks)]
+    local = position[permuted.indices]
+    out, a = [], 0
+    for r in blocks:
+        lo, hi = permuted.indptr[a], permuted.indptr[a + len(r)]
+        out.append(sp.csr_matrix((permuted.data[lo:hi], local[lo:hi],
+                                  permuted.indptr[a:a + len(r) + 1] - lo), shape=(len(r),) * 2))
+        a += len(r)
+    return out
 
 
 def _eigh(a, k):
@@ -350,43 +382,6 @@ def _eigh(a, k):
         return np.linalg.eigh(a)
     from scipy.linalg import eigh  # here: slow to import cold, and the CLI starts without it
     return eigh(a, subset_by_index=[0, k - 1])
-
-
-def _one_block(w, v):
-    """The Spectrum of eigenpairs (w, v) on every index of one component."""
-    return Spectrum(w, [SpectrumBlock(np.arange(len(v)), np.arange(len(w)), v)])
-
-
-def _blocked_eigh(op, blocks, k):
-    """The k lowest (all for k None) eigenpairs of an operator that does not
-    couple the index arrays `blocks`, one dense eigh of the min(k, n) lowest
-    pairs per block of n indices, as a Spectrum of one SpectrumBlock each."""
-    m = op.csr()
-    pairs = [_eigh(m[idx][:, idx].toarray(), k) for idx in blocks]
-    w = np.concatenate([p[0] for p in pairs])
-    order = np.argsort(w, kind="stable")[:k]
-    rank = np.full(len(w), -1)
-    rank[order] = np.arange(len(order))
-    spectrum_blocks = []
-    start = 0
-    for idx, (wb, vb) in zip(blocks, pairs):
-        r = rank[start:start + len(wb)]
-        r = r[r >= 0]  # a prefix: the stable sort keeps eigh's ascending order
-        spectrum_blocks.append(SpectrumBlock(idx, r, vb[:, :len(r)]))
-        start += len(wb)
-    return Spectrum(w[order], spectrum_blocks)
-
-
-def _dense_hermiticity_defect(a):
-    """Largest |a_ij - conj(a_ji)| of a dense square array."""
-    d = a.T.conj().copy()  # C order; a - a.T.conj() reads a.T by a long stride, slowly
-    d -= a
-    return np.abs(d).max()
-
-
-def _require_hermitian(defect):
-    if defect > 1e-12:
-        raise ValueError("matrix is not Hermitian")
 
 
 def diagonalize(op, k=None):
@@ -403,37 +398,48 @@ def diagonalize(op, k=None):
     a result (an operator with too few distinct eigenvalues, such as H = 0)
     the dense eigh answers instead.
 
-    The dense solve runs one eigh per connected component of the graph of the
-    nonzero entries (a full-space chain Hamiltonian splits into its
-    magnetization blocks; sector and Hubbard operators are one block), for
-    the min(k, n) lowest pairs of a block of n indices when k is given.  The
-    eigenvalues are merged by a stable argsort, and each block keeps its own
-    vectors with their ranks in the merged order (Spectrum.blocks), so no
-    (dim, k or dim) array is built unless `eigenvectors` is read.  A
-    one-block operator is densified once and solved as it is.  A dense solve
-    finds every copy of a degenerate level, so it needs no re-check.
+    The dense solve runs one eigh per block of _blocks: the magnetization
+    sectors of a full-space chain operator, whose indices are its spin
+    codes, and one block of every index for any operator whose stored
+    entries join two popcount classes (sector and Hubbard operators).  Each
+    block gives the min(k, n) lowest pairs of its n indices when k is given.
+    The eigenvalues are merged by a stable argsort, and each block keeps its
+    own vectors with their ranks in the merged order (Spectrum.blocks), so
+    no (dim, k or dim) array is built unless `eigenvectors` is read.  A
+    dense solve finds every copy of a degenerate level, so it needs no
+    re-check.
 
-    The Hermiticity check reads the stored entries, or the dense array of a
-    one-block operator.  Raises ValueError for non-Hermitian input or k < 1.
-    Every returned pair satisfies ||H v - E v|| < 1e-10 ||v||.
+    Hermiticity is checked once, on the stored entries, before any solve.
+    Raises ValueError for non-Hermitian input or k < 1.  Every returned pair
+    satisfies ||H v - E v|| < 1e-10 ||v||.
     """
     if k is not None and k < 1:
         raise ValueError(f"k={k}: need at least one eigenpair")
+    if op.hermiticity_defect() > 1e-12:
+        raise ValueError("matrix is not Hermitian")
+    m, pairs = op.csr(), None
     if _use_lanczos(op.dim, k):
-        _require_hermitian(op.hermiticity_defect())
         try:
-            return _one_block(*_lanczos(op.csr(), k))
+            blocks, pairs = [np.arange(op.dim)], [_lanczos(m, k)]
         except sp.linalg.ArpackError:
             # ARPACK stops when the Krylov space of its start vector is an
             # invariant subspace it cannot extend (H = 0, H = c 1)
             pass
-    blocks = _components(op)
-    if len(blocks) > 1:
-        _require_hermitian(op.hermiticity_defect())
-        return _blocked_eigh(op, blocks, k)
-    a = op.csr().toarray()
-    _require_hermitian(_dense_hermiticity_defect(a))
-    return _one_block(*_eigh(a, k))
+    if pairs is None:
+        blocks = _blocks(op)
+        pairs = [_eigh(b.toarray(), k) for b in _diagonal_blocks(m, blocks)]
+    w = np.concatenate([p[0] for p in pairs])
+    order = np.argsort(w, kind="stable")[:k]
+    rank = np.full(len(w), -1)
+    rank[order] = np.arange(len(order))
+    spectrum_blocks = []
+    start = 0
+    for idx, (wb, vb) in zip(blocks, pairs):
+        r = rank[start:start + len(wb)]
+        r = r[r >= 0]  # a prefix: the stable sort keeps each block's ascending order
+        spectrum_blocks.append(SpectrumBlock(idx, r, vb[:, :len(r)]))
+        start += len(wb)
+    return Spectrum(w[order], spectrum_blocks)
 
 
 def commutator_norm(A, B):
@@ -455,45 +461,18 @@ def _level_starts(w):
 
 
 def _casimir_blocks(spectrum, cas):
-    """(vectors, ranks, c) per group of the spectrum's blocks that the CSR
-    cas couples: the group's eigenvectors on its rows, columns in ascending
-    rank, and c, cas restricted to those rows."""
+    """(vectors, ranks, c) per block of the spectrum: its eigenvectors on its
+    rows, their ranks, and c, the CSR cas restricted to its rows.  If a
+    stored entry of cas joins two blocks, one triple over the dense
+    `spectrum.eigenvectors` and cas itself."""
     blocks = spectrum.blocks
     label = np.empty(cas.shape[0], np.intp)
     for b, block in enumerate(blocks):
         label[block.rows] = b
-    ends = np.repeat(label, np.diff(cas.indptr)), label[cas.indices]  # of each stored entry
-    groups = [[b] for b in blocks]
-    if not np.array_equal(*ends):  # cas couples some blocks: merge them
-        from scipy.sparse.csgraph import connected_components  # see _components
-        coupled = sp.coo_matrix((np.ones(cas.nnz), ends), shape=(len(blocks),) * 2)
-        _, group = connected_components(coupled, directed=False)
-        groups = [[blocks[b] for b in np.flatnonzero(group == g)]
-                  for g in range(group.max() + 1)]
-    rows = [np.concatenate([b.rows for b in members]) for members in groups]
-    # cas permuted once, each group's rows in turn: group g is the diagonal
-    # block of its rows, with the columns numbered as its rows are
-    position = np.empty(cas.shape[0], np.intp)
-    for r in rows:
-        position[r] = np.arange(len(r))
-    permuted = cas[np.concatenate(rows)]
-    local = position[permuted.indices]
-    a = 0
-    for members, r in zip(groups, rows):
-        lo, hi = permuted.indptr[a], permuted.indptr[a + len(r)]
-        c = sp.csr_matrix((permuted.data[lo:hi], local[lo:hi],
-                           permuted.indptr[a:a + len(r) + 1] - lo), shape=(len(r),) * 2)
-        a += len(r)
-        if len(members) == 1:
-            yield members[0].vectors, members[0].ranks, c
-            continue
-        ranks = np.sort(np.concatenate([b.ranks for b in members]))
-        v = np.zeros((len(r), len(ranks)), np.result_type(*(b.vectors for b in members)))
-        i = 0
-        for b in members:
-            v[i:i + len(b.rows), np.searchsorted(ranks, b.ranks)] = b.vectors
-            i += len(b.rows)
-        yield v, ranks, c
+    if not np.array_equal(np.repeat(label, np.diff(cas.indptr)), label[cas.indices]):
+        return [(spectrum.eigenvectors, np.arange(len(spectrum.eigenvalues)), cas)]
+    return [(b.vectors, b.ranks, c)
+            for b, c in zip(blocks, _diagonal_blocks(cas, [b.rows for b in blocks]))]
 
 
 def multiplet_structure(spectrum, casimir):
@@ -506,11 +485,11 @@ def multiplet_structure(spectrum, casimir):
     incomplete multiplet.
 
     A level runs from an eigenvalue while the next ones lie within
-    MULTIPLET_DEGENERACY_TOL of it.  The Casimir is applied per group of
-    spectrum blocks that it couples (the magnetization blocks of a
-    full-space chain; H = 0 leaves every state a block of its own), and each
-    level's Casimir matrix is formed over its columns in one group at a
-    time, since it has no entry between two groups.  A one-column matrix is
+    MULTIPLET_DEGENERACY_TOL of it.  The Casimir is applied per spectrum
+    block (the magnetization sectors of a full-space chain), and each
+    level's Casimir matrix is formed over its columns in one block at a
+    time, since it has no entry between two blocks; a Casimir that joins two
+    blocks is applied once to all the eigenvectors.  A one-column matrix is
     its Rayleigh quotient, and the matrices of each size go to one batched
     eigvalsh.
     """

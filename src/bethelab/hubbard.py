@@ -17,7 +17,7 @@ k_j and M spin rapidities l_l solving
     prod_j (l_l - sin k_j - iu)/(l_l - sin k_j + iu)
         = prod_{m != l} (l_l - l_m - 2iu)/(l_l - l_m + 2iu),
 
-with E = -2 sum cos k_j + u(L - 2N) and P = sum k_j mod 2pi.  The nested
+with E = -2 sum cos k_j + u(L - 2N) and P = sum k_j in [0, 2pi).  The nested
 wavefunction's sum over charge permutations is, for each ordering of the spin
 rapidities, one determinant, so whole occupation bases are assembled by one
 batched `np.linalg.det` (`_nested_amplitudes`).
@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bae import _damped_newton, _diff, _integer_qnums, _jacobian, _per_lane
+from .coordinate import _angle_mod_2pi
 from .ed import OperatorMatrix
 
 FACTORIAL_GUARD_N = 6
@@ -272,10 +273,10 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=()):
 
 
 def energy_momentum(roots):
-    """E = -2 sum cos k_j + u (L - 2N); P = [sum k_j] mod 2pi."""
+    """E = -2 sum cos k_j + u (L - 2N); P = Re sum k_j reduced into [0, 2pi)."""
     E = -2 * np.sum(np.cos(roots.k)) + roots.u * (roots.L - 2 * roots.N)
-    P = np.mod(np.sum(roots.k).real, 2 * np.pi)
-    return complex(E).real if abs(complex(E).imag) < 1e-10 else complex(E), float(P)
+    P = _angle_mod_2pi(np.sum(roots.k).real)
+    return complex(E).real if abs(complex(E).imag) < 1e-10 else complex(E), P
 
 
 def _nested_amplitudes(roots, xs, ys):

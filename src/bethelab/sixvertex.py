@@ -56,13 +56,13 @@ EXPLICIT_L_MAX = 14  # explicit matrices: 2 3^L entries, codes of 2L + 1 bits in
 
 @dataclass
 class VertexWeights:
-    """Boltzmann weights (a, b, c), optionally carrying the hyperbolic
-    parameterization (rho, lam, eta) and inhomogeneities xi."""
+    """Boltzmann weights (a, b, c), optionally carrying the normalization
+    rho and crossing parameter eta of the hyperbolic parameterization and
+    inhomogeneities xi."""
     a: complex
     b: complex
     c: complex
     rho: complex = None
-    lam: complex = None
     eta: complex = None
     xi: tuple = None
 
@@ -71,8 +71,7 @@ class VertexWeights:
         a = rho * np.sinh(lam + eta)
         b = rho * np.sinh(lam)
         c = rho * np.sinh(eta)
-        return cls(a, b, c, rho=rho, lam=lam, eta=eta,
-                   xi=tuple(xi) if xi is not None else None)
+        return cls(a, b, c, rho=rho, eta=eta, xi=tuple(xi) if xi is not None else None)
 
     @classmethod
     def ice(cls):

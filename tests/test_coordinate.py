@@ -81,7 +81,7 @@ class TestKernelMomentum:
         up, down = f(lam + kernel.eta / 2), f(lam - kernel.eta / 2)
         assume(min(np.abs(up).min(), np.abs(down).min()) > 1e-3)
         P = kernel.momentum(lam)
-        assert 0 <= np.real(P) <= 2 * np.pi  # np.mod rounds a tiny negative sum up to 2pi
+        assert 0 <= np.real(P) < 2 * np.pi
         prod = np.prod(up / down)
         assert abs(np.exp(1j * P) / prod - 1) < 1e-11
 
@@ -92,6 +92,17 @@ class TestKernelMomentum:
             for roots in ([pole], [0.4, pole + 1e-13]):
                 with pytest.raises(ValueError, match="pole"):
                     kernel.momentum(roots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(_KERNELS)),
+           roots=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=6))
+    @example(kind="xxx", roots=[-4.9e-98 + 1j])  # np.mod alone gave exactly 2pi
+    def test_momentum_in_zero_to_two_pi(self, kind, roots):
+        try:
+            P = _KERNELS[kind][0].momentum(roots)
+        except ValueError:  # a root at a pole
+            return
+        assert 0 <= np.real(P) < 2 * np.pi
 
     def test_empty_and_self_conjugate(self):
         for kernel, _ in _KERNELS.values():

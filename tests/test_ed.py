@@ -297,8 +297,15 @@ class TestDiagonalize:
         m = m.tocsr()
         with pytest.raises(ValueError):
             ed.diagonalize(ed.OperatorMatrix(m), k=2)
-        with pytest.raises(ValueError):
-            ed.diagonalize(ed.OperatorMatrix(m))
+        # the check reads the stored entries: the dense array would be 200 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                ed.diagonalize(ed.OperatorMatrix(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_sparse_hermiticity_defect(self):
         H = ed.build_xxx_hamiltonian(12, 1.0)  # dim 4096, stored sparse
@@ -306,6 +313,13 @@ class TestDiagonalize:
         m = H.matrix.tolil()
         m[3, 5] += 0.25
         assert ed.OperatorMatrix(m.tocsr()).hermiticity_defect() == 0.25
+        # a non-canonical CSR stores m_01 twice; the two entries are summed
+        for upper, defect in [(0.25, 0.0), (0.125, 0.125)]:
+            d = sp.csr_matrix((np.array([0.25, upper, 0.5]), np.array([1, 1, 0]),
+                               np.array([0, 2, 3])), shape=(2, 2))
+            op = ed.OperatorMatrix(d)
+            assert not op.csr().has_canonical_format
+            assert op.hermiticity_defect() == defect
 
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
@@ -418,8 +432,9 @@ def _eigh_sizes(monkeypatch):
 
 
 class TestBlockedSolve:
-    """Dense solves run one eigh per connected component of the nonzero
-    entries; a full-space chain operator splits into magnetization blocks."""
+    """Dense solves run one eigh per popcount class of the indices when no
+    stored entry joins two classes, else one eigh; a full-space chain
+    operator splits into magnetization blocks."""
 
     @settings(max_examples=25, deadline=None)
     @given(L=st.integers(1, 10), kind=st.sampled_from(["xxz", "random"]),
@@ -432,7 +447,7 @@ class TestBlockedSolve:
         else:
             m = _sz_conserving_hermitian(L, np.random.default_rng(seed))
         op = ed.OperatorMatrix(m if dense else sp.csr_matrix(m))
-        assert len(ed._components(op)) == L + 1
+        assert len(ed._blocks(op)) == L + 1
         spec = ed.diagonalize(op)
         w_ref = np.linalg.eigh(m)[0]
         scale = max(1.0, np.max(np.abs(w_ref)))
@@ -448,7 +463,7 @@ class TestBlockedSolve:
         L = 6
         m = ed.build_xxz_hamiltonian(L, 0.7).csr() + 0.3 * ed.build_total_spin(L, "x").csr()
         op = ed.OperatorMatrix(m)
-        assert len(ed._components(op)) == 1
+        assert len(ed._blocks(op)) == 1
         sizes = _eigh_sizes(monkeypatch)
         spec = ed.diagonalize(op)
         assert sizes == [2 ** L]
@@ -457,18 +472,19 @@ class TestBlockedSolve:
         v = spec.eigenvectors
         assert np.max(np.abs(d @ v - v * spec.eigenvalues)) < 1e-10
 
-    def test_diagonal_operator_splits_per_index(self, monkeypatch):
+    def test_diagonal_operator_splits_per_popcount(self, monkeypatch):
+        # indices 0 | 1, 2, 4 | 3 by popcount; ranks follow that order
         op = ed.OperatorMatrix(np.eye(5))
-        assert len(ed._components(op)) == 5
+        assert [b.tolist() for b in ed._blocks(op)] == [[0], [1, 2, 4], [3]]
         sizes = _eigh_sizes(monkeypatch)
         spec = ed.diagonalize(op)
         assert np.array_equal(spec.eigenvalues, np.ones(5))
-        assert np.array_equal(spec.eigenvectors, np.eye(5))
-        assert sizes == [1] * 5
+        assert np.array_equal(spec.eigenvectors, np.eye(5)[:, [0, 1, 2, 4, 3]])
+        assert sizes == [1, 3, 1]
 
     def test_sector_operator_is_one_block(self, monkeypatch):
         H = ed.build_xxx_hamiltonian(8, 1.0, 4)
-        assert len(ed._components(H)) == 1
+        assert len(ed._blocks(H)) == 1
         sizes = _eigh_sizes(monkeypatch)
         ed.diagonalize(H)
         assert sizes == [70]
@@ -504,7 +520,8 @@ class TestBlockedSolve:
            complex_entries=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_scrambled_blocks(self, sizes, complex_entries, seed):
         """Random Hermitian blocks under a random permutation of the indices,
-        so a block is neither contiguous nor a set of equal popcounts."""
+        so a block is neither contiguous nor a set of equal popcounts: an
+        entry that joins two popcounts makes the operator one block."""
         rng = np.random.default_rng(seed)
         blocks = []
         for n in sizes:
@@ -512,9 +529,11 @@ class TestBlockedSolve:
             blocks.append(a + a.conj().T)
         perm = rng.permutation(sum(sizes))
         m = sp.block_diag(blocks).toarray()[np.ix_(perm, perm)]
+        pop = np.array([bin(i).count("1") for i in range(len(m))])
+        joined = np.any((m != 0) & (pop[:, None] != pop[None, :]))
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             spec = ed.diagonalize(ed.OperatorMatrix(m))
-        assert eigh.call_count == len(sizes)
+        assert eigh.call_count == (1 if joined else len(set(pop)))
         w_ref = np.linalg.eigh(m)[0]
         scale = max(1.0, np.max(np.abs(w_ref)))
         assert np.max(np.abs(spec.eigenvalues - w_ref)) < 1e-12 * scale
@@ -567,6 +586,18 @@ class TestBlockedMultiplets:
         cas = ed.build_total_spin(L, "casimir")
         assert _multiplet_outcome(ed.multiplet_structure, spec, cas) == \
                _multiplet_outcome(loop_references.multiplet_structure, spec, cas)
+
+    def test_casimir_that_joins_blocks_matches_the_reference(self):
+        # S^x joins every pair of neighbouring magnetization blocks, so the
+        # check runs on all the eigenvectors at once
+        L = 6
+        spec = ed.diagonalize(ed.build_xxx_hamiltonian(L, 1.0))
+        cas = ed.OperatorMatrix(ed.build_total_spin(L, "casimir").csr()
+                                + 0.1 * ed.build_total_spin(L, "x").csr())
+        with pytest.raises(ValueError, match=r"Casimir eigenvalue 1\.89+\d* is not S\(S\+1\)"):
+            ed.multiplet_structure(spec, cas)
+        with pytest.raises(ValueError, match=r"Casimir eigenvalue 1\.89+\d* is not S\(S\+1\)"):
+            loop_references.multiplet_structure(spec, cas)
 
     def test_l11_spectrum_builds_no_dense_eigenvector_array(self):
         # the (2048, 2048) array scattered from the blocks took a 37.6 MB

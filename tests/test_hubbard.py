@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loop_references
@@ -224,6 +224,13 @@ class TestLiebWu:
         roots = hubbard.NestedRoots(4, [], [], 0.9)
         E, P = hubbard.energy_momentum(roots)
         assert E == pytest.approx(0.9 * 4) and P == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+    @example(k=[-1e-17, 0.0])  # np.mod alone gave exactly 2pi
+    def test_momentum_in_zero_to_two_pi(self, k):
+        _, P = hubbard.energy_momentum(hubbard.NestedRoots(4, k, [], 1.0))
+        assert type(P) is float and 0 <= P < 2 * np.pi
 
 
 def _loop_liebwu_residual(k, lam, u, L):

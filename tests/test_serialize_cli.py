@@ -746,13 +746,19 @@ class TestCli:
     def test_import_leaves_sparse_linalg_unloaded(self):
         # scipy.sparse.linalg and scipy.linalg are reached lazily, where an
         # eigensolve needs them, so a plain import of the front end does not
-        # pay for them
+        # pay for them; a dense spin-sector or Hubbard solve needs neither
+        # scipy.sparse.linalg nor scipy.sparse.csgraph
         src = str(Path(bethelab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", "import sys, bethelab.cli; "
-                               "print('scipy.sparse.linalg' in sys.modules, "
-                               "'scipy.linalg' in sys.modules)"],
-                              capture_output=True, text=True,
+        code = ("import contextlib, io, sys, bethelab.cli as cli\n"
+                "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    codes = [cli.main(['ed', 'spectrum', '--L', '8', '--sector', '4']),\n"
+                "             cli.main(['hubbard', 'ed', '--L', '6', '--N', '2', '--M', '1',\n"
+                "                       '--u', '1'])]\n"
+                "print(*codes, 'scipy.sparse.linalg' in sys.modules,\n"
+                "      'scipy.sparse.csgraph' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False False"
+        assert proc.stdout.split("\n")[:2] == ["False False", f"{EXIT_OK} {EXIT_OK} False False"]
