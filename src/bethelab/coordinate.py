@@ -29,6 +29,7 @@ extended configurations x = 0, L + 1).
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -195,30 +196,26 @@ def xxz_kernel(gamma):
                        (lambda I, L: _counting_seed(I, L, gamma, 0.3 * I),), {"gamma": gamma})
 
 
-_PLACEMENTS = {}
-
-
+@cache
 def _placements(N):
     """Tables of the subset recursion over N roots, cached per N.  Level n
     lists the n-subsets T of roots (ascending bit masks) and, for each member
     j of T: the index of T minus j in level n - 1 (`prev`), j, the members of
     T minus j as a boolean row over the roots (`rest`), and the sign
     (-1)^{#{s in T: s > j}} of appending j to an ordering of T minus j."""
-    if N not in _PLACEMENTS:
-        masks = np.arange(1 << N)
-        bits = (masks[:, None] >> np.arange(N)) & 1
-        size = bits.sum(axis=1)
-        rank = np.zeros(1 << N, np.intp)
-        levels = []
-        for n in range(1, N + 1):
-            T = masks[size == n]
-            j = np.nonzero(bits[T])[1].reshape(len(T), n)
-            S = T[:, None] & ~(1 << j)
-            sign = 1 - 2 * (size[T[:, None] >> (j + 1)] % 2)
-            levels.append((rank[S], j, bits[S].astype(bool), sign))
-            rank[T] = np.arange(len(T))
-        _PLACEMENTS[N] = levels
-    return _PLACEMENTS[N]
+    masks = np.arange(1 << N)
+    bits = (masks[:, None] >> np.arange(N)) & 1
+    size = bits.sum(axis=1)
+    rank = np.zeros(1 << N, np.intp)
+    levels = []
+    for n in range(1, N + 1):
+        T = masks[size == n]
+        j = np.nonzero(bits[T])[1].reshape(len(T), n)
+        S = T[:, None] & ~(1 << j)
+        sign = 1 - 2 * (size[T[:, None] >> (j + 1)] % 2)
+        levels.append((rank[S], j, bits[S].astype(bool), sign))
+        rank[T] = np.arange(len(T))
+    return levels
 
 
 def _site_factors(plus, minus, x, L):

@@ -8,7 +8,9 @@ twice; L = 1 has no hopping and its four levels are {u, -u, -u, u}).
 
 Fermion conventions: orbital p = 2(x-1) + s, site-major with up before down;
 basis states are ascending creation strings, and c+_p / c_p carry the sign
-(-1)^(number of occupied orbitals below p).
+(-1)^(number of occupied orbitals below p).  The (N, M) block lists its states
+with the up masks outer and both mask lists ascending (`basis._sector_states`);
+one builder, `_one_body`, gives the hops of H and the on-site flips of S^+.
 
 Eigenstates in the (N electrons, M down spins) block carry N charge momenta
 k_j and M spin rapidities l_l solving
@@ -25,12 +27,13 @@ batched `np.linalg.det` (`_nested_amplitudes`).
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
 
 from .bae import _damped_newton, _diff, _integer_qnums, _jacobian, _per_lane
+from .basis import _sector_states
 from .coordinate import _angle_mod_2pi
 from .ed import OperatorMatrix
 
@@ -51,8 +54,8 @@ class NestedRoots:
     def __post_init__(self):
         self.k = np.asarray(self.k, complex)
         self.lam = np.asarray(self.lam, complex)
-        if 2 * len(self.lam) > len(self.k) or len(self.k) > self.L:
-            raise ValueError("need 2M <= N <= L")
+        if 2 * self.M > self.N or self.N > self.L:
+            raise ValueError(f"L={self.L}, N={self.N}, M={self.M}: need 0 <= 2M <= N <= L")
 
     @property
     def N(self):
@@ -69,19 +72,17 @@ class FermionBasis:
     spin populations fit on the lattice; the 2M <= N <= L restriction applies
     to nested root sets, not to the basis.)
 
-    `up` and `dn` hold the masks as int64 arrays in basis order (up masks
-    outer, both in combinations order); `rank` maps mask arrays back to
-    ordinals by searchsorted on the sorted up and down masks."""
+    `up` and `dn` hold the masks as int64 arrays in basis order: up masks
+    outer, each list ascending (`basis._sector_states`), so `rank` maps mask
+    arrays back to ordinals by one searchsorted per spin."""
 
     def __init__(self, L, N, M):
         if not (0 <= M <= L and 0 <= N - M <= L):
-            raise ValueError("spin populations must fit on the lattice")
+            raise ValueError(f"L={L}, N={N}, M={M}: spin populations must fit on the lattice")
         if L > 62:
             raise ValueError(f"L={L}: the bit masks are int64, need L <= 62")
         self.L, self.N, self.M = L, N, M
-        self._ups, self._dns = (np.array([sum(1 << x for x in c)
-                                          for c in combinations(range(L), n)], np.int64)
-                                for n in (N - M, M))
+        self._ups, self._dns = _sector_states(L, N - M), _sector_states(L, M)
         self.up = np.repeat(self._ups, len(self._dns))
         self.dn = np.tile(self._dns, len(self._ups))
 
@@ -91,7 +92,7 @@ class FermionBasis:
 
     def rank(self, up, dn):
         """Ordinals of the states with masks (up, dn), arrays of basis states."""
-        return _rank(self._ups, up) * len(self._dns) + _rank(self._dns, dn)
+        return np.searchsorted(self._ups, up) * len(self._dns) + np.searchsorted(self._dns, dn)
 
     @cached_property
     def occupations(self):
@@ -111,25 +112,30 @@ class FermionBasis:
         return below
 
 
-def _rank(words, w):
-    """Positions in `words` (distinct, any order) of the entries of w."""
-    order = np.argsort(words)
-    return order[np.searchsorted(words[order], w)]
-
-
-def _hop_signs(basis, src, dst):
-    """(-1)^(occupied orbitals below src + those below dst once src is
-    emptied): the sign of c+_dst c_src on each state."""
-    below = basis.occupied_below
-    return 1 - 2 * ((below[:, src] + below[:, dst] - (src < dst)) & 1)
+def _one_body(basis, dst, pairs):
+    """COO triplets (rows, cols, signs) of sum_{(p, q) in pairs} c+_q c_p from
+    the `basis` block to the `dst` block.  Each state with orbital p filled and
+    q empty moves its electron, with the sign (-1)^(occupied orbitals below p
+    + those below q once p is emptied)."""
+    occ, below = basis.occupations, basis.occupied_below
+    rows, cols, signs = [], [], []
+    for p, q in pairs:
+        hit = np.flatnonzero(occ[:, p] > occ[:, q])  # p filled, q empty
+        masks = [basis.up[hit], basis.dn[hit]]
+        masks[p % 2] = masks[p % 2] ^ (1 << (p // 2))
+        masks[q % 2] = masks[q % 2] | (1 << (q // 2))
+        rows.append(dst.rank(*masks))
+        cols.append(hit)
+        signs.append(1 - 2 * ((below[hit, p] + below[hit, q] - (p < q)) & 1))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(signs).astype(float)
 
 
 def build_hubbard_hamiltonian(L, u, sector):
     """Hubbard Hamiltonian in the (N, M) block (sector a tuple or FermionBasis).
 
-    The diagonal is summed site by site; each hop c+_{j,s} c_{j',s} on a bond
-    is applied to all states at once and ranked with FermionBasis.rank.  The
-    entries are collected as COO triplets (repeated hops of L = 2 add up)."""
+    The diagonal is summed site by site; the hops c+_{j,s} c_{j',s} of every
+    bond come from `_one_body` as COO triplets (at L = 1 no state can hop from
+    site 0 to itself; the repeated hops of L = 2 add up)."""
     if L > 8:
         raise ValueError(f"L={L}: full blocks supported up to L = 8")
     basis = sector if isinstance(sector, FermionBasis) else FermionBasis(L, *sector)
@@ -138,37 +144,21 @@ def build_hubbard_hamiltonian(L, u, sector):
     diag = np.zeros(dim)
     for x in range(L):
         diag += u * (1 - 2 * occ[:, 2 * x]) * (1 - 2 * occ[:, 2 * x + 1])
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
-    for j in range(L):  # at L = 1 no state can hop from site 0 to itself
-        jp = (j + 1) % L
-        for s in (0, 1):
-            for src, dst in ((jp, j), (j, jp)):
-                ps, pd = 2 * src + s, 2 * dst + s
-                hop = np.flatnonzero(occ[:, ps] > occ[:, pd])  # src filled, dst empty
-                moved = (1 << src) | (1 << dst)
-                up, dn = basis.up[hop], basis.dn[hop]
-                rows.append(basis.rank(up ^ moved, dn) if s == 0 else basis.rank(up, dn ^ moved))
-                cols.append(hop)
-                vals.append(-_hop_signs(basis, ps, pd)[hop].astype(float))
-    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dim, dim))
-    return OperatorMatrix(m)
+    hops = [(2 * src + s, 2 * dst + s) for j in range(L) for s in (0, 1)
+            for src, dst in (((j + 1) % L, j), (j, (j + 1) % L))]
+    rows, cols, signs = _one_body(basis, basis, hops)
+    on_site = np.arange(dim)
+    entries = (np.concatenate([diag, -signs]),
+               (np.concatenate([on_site, rows]), np.concatenate([on_site, cols])))
+    return OperatorMatrix(sp.coo_matrix(entries, shape=(dim, dim)))
 
 
 def spin_raise_block(basis):
     """S^+ = sum_j c+_{j,up} c_{j,dn} mapping the (N, M) block to (N, M-1):
     (OperatorMatrix, the (N, M-1) FermionBasis)."""
     dst = FermionBasis(basis.L, basis.N, basis.M - 1)
-    occ = basis.occupations
-    rows, cols, vals = [], [], []
-    for x in range(basis.L):
-        flip = np.flatnonzero(occ[:, 2 * x + 1] > occ[:, 2 * x])  # a down electron at x, no up one
-        rows.append(dst.rank(basis.up[flip] | (1 << x), basis.dn[flip] & ~(1 << x)))
-        cols.append(flip)
-        vals.append(_hop_signs(basis, 2 * x + 1, 2 * x)[flip].astype(float))
-    m = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dst.dim, basis.dim))
-    return OperatorMatrix(m), dst
+    rows, cols, signs = _one_body(basis, dst, [(2 * x + 1, 2 * x) for x in range(basis.L)])
+    return OperatorMatrix(sp.coo_matrix((signs, (rows, cols)), shape=(dst.dim, basis.dim))), dst
 
 
 def shift_block(basis, direction=-1):
@@ -255,13 +245,14 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=()):
     rapidities (the spin-lowered descendants) are flagged unconverged.
     """
     if not (0 <= 2 * M <= N <= L):
-        raise ValueError("need 0 <= 2M <= N <= L")
+        raise ValueError(f"L={L}, N={N}, M={M}: need 0 <= 2M <= N <= L")
     if u == 0:
         raise ValueError("u = 0 makes the Lieb-Wu equations singular")
     ns = _integer_qnums(charge_qnums)
     ss = _integer_qnums(spin_qnums)
     if len(ns) != N or len(ss) != M:
-        raise ValueError("need one charge number per k and one spin number per lambda")
+        raise ValueError(f"N={N}, M={M}: need one charge number per k and one spin number "
+                         f"per lambda, got {len(ns)} and {len(ss)}")
     k0 = (2 * np.pi * ns + _charge_offset(M)) / L
     phase = np.pi * ss / N
     lam0 = np.where(np.abs(phase) < 1.4, u * np.tan(phase), 3.0 * np.sign(phase))
@@ -296,7 +287,8 @@ def _nested_amplitudes(roots, xs, ys):
     One batched determinant over the (M!, n) stack of N x N matrices.
     """
     if roots.N > FACTORIAL_GUARD_N or roots.M > FACTORIAL_GUARD_M:
-        raise ValueError("factorial cost guard: N <= 6, M <= 2")
+        raise ValueError(f"N={roots.N}, M={roots.M}: factorial cost guard: "
+                         f"N <= {FACTORIAL_GUARD_N}, M <= {FACTORIAL_GUARD_M}")
     u, M = roots.u, roots.M
     lamR = roots.lam[np.array(list(permutations(range(M))), np.intp)]  # (M!, M)
     d = lamR[:, :, None] - np.sin(roots.k)                       # (M!, M, N)

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ class TestFermionBasis:
         # (N=1, M=1) is a valid Fock block; the 2M <= N <= L restriction
         # constrains nested root sets only
         assert hubbard.FermionBasis(4, 1, 1).dim == 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^L=4, N=1, M=1: need 0 <= 2M <= N <= L$"):
             hubbard.NestedRoots(4, np.array([0.1]), np.array([0.2]), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^L=4, N=9, M=0: spin populations must fit"):
             hubbard.FermionBasis(4, 9, 0)
 
     def test_masks_fit_int64(self):
@@ -73,9 +74,15 @@ class TestBlockOperatorsMatchLoops:
         assert isinstance(H, np.ndarray) and H.shape == (448, 448)
 
     def test_rank_inverts_states(self):
-        for N, M in _blocks(4):
-            b = hubbard.FermionBasis(4, N, M)
-            assert np.array_equal(b.rank(b.up, b.dn), np.arange(b.dim))
+        # basis order: up masks outer, both mask lists ascending
+        for L in range(1, 7):
+            for N, M in _blocks(L):
+                b = hubbard.FermionBasis(L, N, M)
+                assert np.array_equal(b.rank(b.up, b.dn), np.arange(b.dim))
+                ups, dns = np.unique(b.up), np.unique(b.dn)
+                assert len(ups) == comb(L, N - M) and len(dns) == comb(L, M)
+                assert np.array_equal(b.up, np.repeat(ups, len(dns)))
+                assert np.array_equal(b.dn, np.tile(dns, len(ups)))
 
 
 class TestHamiltonian:
@@ -220,6 +227,10 @@ class TestLiebWu:
         with pytest.raises(ValueError):
             hubbard.solve_liebwu(6, 2, 1, 0.0, (-1, 0), (0,))
 
+    def test_quantum_number_counts_named(self):
+        with pytest.raises(ValueError, match=r"^N=2, M=1: .* per lambda, got 3 and 0$"):
+            hubbard.solve_liebwu(6, 2, 1, 1.0, (-1, 0, 1))
+
     def test_energy_momentum_trivials(self):
         roots = hubbard.NestedRoots(4, [], [], 0.9)
         E, P = hubbard.energy_momentum(roots)
@@ -329,6 +340,8 @@ class TestNestedWavefunction:
 
     def test_guard(self):
         roots = hubbard.NestedRoots(8, np.zeros(7), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match=r"^N=7, M=3: factorial cost guard: N <= 6, M <= 2$"):
+            hubbard.assemble_state(roots)
         with pytest.raises(ValueError):
             _nested_wavefunction([1] * 7, [0] * 7, roots)
         roots = hubbard.NestedRoots(8, np.zeros(6), np.zeros(3), 1.0)  # M = 3 > 2

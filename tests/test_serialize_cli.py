@@ -464,6 +464,12 @@ class TestCli:
         ("bae/two-magnon", {"L": "18"}, "L=18: the two-magnon scan takes even L, 4 <= L <= 16"),
         ("hubbard/ed", {"L": "9", "N": "1", "M": "1", "u": "1"},
          "L=9: full blocks supported up to L = 8"),
+        # hubbard populations: the message named no value
+        ("hubbard/ed", {"L": "4", "N": "9", "M": "0", "u": "1"},
+         "L=4, N=9, M=0: spin populations must fit on the lattice"),
+        ("hubbard/liebwu", {"L": "6", "N": "3", "M": "2", "u": "1", "qnums": "-1,0,1",
+                            "spin_qnums": "0,1"},
+         "L=6, N=3, M=2: need 0 <= 2M <= N <= L"),
         ("vertex/ice-entropy", {"lmax": "16"}, "L_max=16: even L_max <= 14 required"),
         ("vertex/ice-entropy", {"lmax": "13"}, "L_max=13: even L_max <= 14 required"),
         ("vertex/partition", {"L": "2", "M": "0"}, "--M must be >= 1, got 0"),
