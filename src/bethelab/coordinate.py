@@ -102,13 +102,14 @@ class ChainKernel:
     def momentum(self, roots):
         """P = i sum_j log f(l_j - eta/2)/f(l_j + eta/2), so that e^{iP} is
         prod_j f(l_j + eta/2)/f(l_j - eta/2), with Re P reduced into
-        [0, 2pi) by _angle_mod_2pi: a float when |Im P| < 1e-10
-        (self-conjugate root sets), complex otherwise.  For XXX,
+        [0, 2pi) by _angle_mod_2pi: a float when |Im P| < 1e-12
+        (self-conjugate root sets, where it is rounding), complex otherwise,
+        so that dropping Im P scales e^{iP} by at most 1e-12 relative.  For XXX,
         e^{ik_j} = (l_j + i/2)/(l_j - i/2)."""
         lam = self.off_poles(roots)
         p = 1j * complex(np.sum(self.log_ratio(lam.real, lam.imag, self.eta.imag / 2)))
         real_part = _angle_mod_2pi(p.real)
-        return real_part if abs(p.imag) < 1e-10 else real_part + 1j * p.imag
+        return real_part if abs(p.imag) < 1e-12 else real_part + 1j * p.imag
 
 
 def _angle_mod_2pi(x):

@@ -86,6 +86,16 @@ class TestKernelMomentum:
         assert abs(np.exp(1j * P) / prod - 1) < 1e-11
 
     @pytest.mark.parametrize("kind", sorted(_KERNELS))
+    def test_small_imaginary_part_is_kept(self, kind):
+        # Im P = 8e-11 for XXX: a float return broke e^{iP} = prod by 8e-11
+        kernel, f = _KERNELS[kind]
+        lam = np.array([0, 0, 0, 1 + 1e-10j])
+        P = kernel.momentum(lam)
+        assert isinstance(P, complex) and P.imag != 0
+        prod = np.prod(f(lam + kernel.eta / 2) / f(lam - kernel.eta / 2))
+        assert abs(np.exp(1j * P) / prod - 1) < 1e-11
+
+    @pytest.mark.parametrize("kind", sorted(_KERNELS))
     def test_poles_raise(self, kind):
         kernel, _ = _KERNELS[kind]
         for pole in (kernel.eta / 2, -kernel.eta / 2):
