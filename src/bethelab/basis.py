@@ -18,13 +18,15 @@ def _sector_states(L, N):
 
     Built bit by bit: the words with n set bits among the low l+1 bits are
     those among the low l bits (all below 2^l) followed by the words with
-    n-1 set bits there plus bit l, so each concatenation stays sorted.
+    n-1 set bits there plus bit l, so each concatenation stays sorted.  Only
+    the levels n that can still reach N with the bits left, and that the
+    bits so far can fill, are built.
     """
     words = [np.zeros(1, np.int64)] + [np.zeros(0, np.int64)] * N  # words[n]: n set bits
     for bit in range(L):
         high = np.int64(1) << bit
-        words = [words[0]] + [np.concatenate((words[n], words[n - 1] | high))
-                              for n in range(1, N + 1)]
+        for n in range(min(N, bit + 1), max(N - L + bit, 0), -1):  # down: words[n - 1] is old
+            words[n] = np.concatenate((words[n], words[n - 1] | high))
     return words[N]
 
 

@@ -23,22 +23,24 @@ them, that returns a `Result`: report, extra files for `--out`, exit status.
 every report echoes (not `out`, so a run's bytes do not depend on where it is
 written), from the flags or from --json, and writes every report;
 `serialize.dumps` alone converts it to JSON, complex values and arrays
-included.  `aba slavnov` without convergence writes no report.  Only the
-invoked subcommand's parser is built.  The table gives each parameter's type
-and default once; each given value or default is converted once, and reports
-echo the values as given.  A parameter the subcommand (or its `--model`) does
-not read, in flags or in --json, a missing required one, a --json value that
-is a list, an object, true or false, a value its type does not take (the
-error names the flag), a --json `params` that is not an object or `out` that
-is not a string, and any flag but `--out` next to `--json` are config
-errors.  Reports are canonical JSON: identical config and seed give
+included.  `aba slavnov` without convergence writes no report.  A subcommand's
+parser is built once per process on first use.  The table gives each
+parameter's type and default once; each given value or default is converted
+once, and reports echo the values as given.  A parameter the subcommand (or
+its `--model`) does not read, in flags or in --json, a missing required one, a
+--json value that is a list, an object, true or false, a value its type does
+not take (the error names the flag), a --json `params` that is not an object
+or `out` that is not a string, and any flag but `--out` next to `--json` are
+config errors.  Reports are canonical JSON: identical config and seed give
 byte-identical bytes.  Exit codes: 0 success, 2 config error (one `config
-error:` line on stderr), 3 solver non-convergence, 4 invariant violation
-(one `invariant violation:` line).  A report that holds a nan or an infinity is not written: the run is a
-config error when a parameter reads as one, else an invariant violation.
+error:` line on stderr), 3 solver non-convergence, 4 invariant violation (one
+`invariant violation:` line).  A report that holds a nan or an infinity is not
+written: the run is a config error when a parameter reads as one, else an
+invariant violation.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -360,11 +362,17 @@ class Command(NamedTuple):
         under any model; the default of a required one is None."""
         models = self.models or {}
         specs = [(None, self.spec)] + [(m, s) for m, s in models.items() if model in (None, m)]
-        params = [(*re.fullmatch(r"(\w+):(\w+)(?:=(\S*)|!)", word).groups(), only)
-                  for only, spec in specs for word in spec.split()]
+        params = [(*word, only) for only, spec in specs for word in _spec_words(spec)]
         if models:
             params.append(("model", "str", next(iter(models)), None))
         return params
+
+
+@functools.cache
+def _spec_words(spec):
+    """(name, type, default) per word of a `Command` spec, parsed once."""
+    return tuple(re.fullmatch(r"(\w+):(\w+)(?:=(\S*)|!)", word).groups()
+                 for word in spec.split())
 
 
 _LIEBWU = "L:count! N:int! M:int! u:float! qnums:ints! spin_qnums:ints="
@@ -438,9 +446,11 @@ def _listing_parser():
     return parser
 
 
+@functools.cache
 def _command_parser(key):
     """The parser of one subcommand, with only the flags it reads, each shown
-    with its type and its default or "required"."""
+    with its type and its default or "required".  Built once: a parser keeps
+    nothing from one parse_args call to the next."""
     cmd = COMMANDS[key]
     parser = _Parser(prog=f"bethelab {key.replace('/', ' ')}")
     parser.add_argument("--json", help="config file deciding the run (no other flag but --out)")

@@ -57,8 +57,14 @@ works in real arithmetic from Re and Im of its arguments.  The XXX
 quasi-momentum is kept root by root as the principal complex log of
 (l + i/2)/(l - i/2) (rapidity_to_momentum), where the package sums the
 chain kernel's real-arithmetic log ratio.
+
+Canonical JSON is kept in its recursive isinstance form (dumps): one call per
+value, numpy arrays through their nested lists, each float checked and
+formatted alone, where the package looks up a writer by type and formats a
+float or complex array in one sweep.
 """
 
+import json
 from itertools import permutations
 
 import numpy as np
@@ -775,3 +781,40 @@ def multiplet_structure(spectrum, casimir):
             levels.append((w[start], i - start, content))
             start = i
     return levels
+
+
+def _format_float(x):
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError("non-finite value in canonical JSON")
+    return repr(0.0) if x == 0 else f"{x:.17g}"
+
+
+def dumps(obj, indent=0):
+    """Canonical JSON text: sorted keys, fixed float format, complex -> [re, im]."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        if not items:
+            return "{}"
+        body = ",\n".join(f'{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2)}'
+                          for k, v in items)
+        return "{\n" + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        return "[" + ", ".join(dumps(v, indent) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return dumps(obj.tolist(), indent)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return dumps([obj.real, obj.imag], indent)
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,15 @@ class TestSectorBasis:
             build_sector_basis(4, 5)
         with pytest.raises(ValueError):
             build_sector_basis(4, -1)
+
+    def test_sector_states_match_combinations(self):
+        # every (L, N) with L <= 14: the ascending int64 words with N set bits
+        for L in range(15):
+            for N in range(L + 1):
+                words = basis._sector_states(L, N)
+                assert words.dtype == np.int64
+                assert words.tolist() == sorted(sum(1 << b for b in bits)
+                                                for bits in combinations(range(L), N)), (L, N)
 
     def test_one_read_only_basis_per_sector(self):
         b = build_sector_basis(9, 4)

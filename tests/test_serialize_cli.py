@@ -12,9 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bethelab
-from bethelab import aba, bae, coordinate, ed, serialize, sixvertex, thermo
+import loop_references
+from bethelab import aba, bae, cli, coordinate, ed, serialize, sixvertex, thermo
 from bethelab.cli import (COMMANDS, EXIT_CONFIG, EXIT_INVARIANT, EXIT_NOCONV, EXIT_OK,
                           TYPES, main)
 
@@ -57,6 +61,47 @@ def _json_number(text):
     return text
 
 
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+             -1e-300, 1.7976931348623157e308]
+_REALS = st.floats(**_FINITE) | st.sampled_from(_EXTREMES)
+_COMPLEXES = st.builds(complex, _REALS, _REALS)
+# Python and numpy scalars, float32 included
+_SCALARS = st.one_of(
+    _REALS, _REALS.map(np.float64), st.floats(width=32, **_FINITE).map(np.float32),
+    _COMPLEXES, _COMPLEXES.map(np.complex128),
+    st.complex_numbers(width=64, **_FINITE).map(np.complex64),
+    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32), st.booleans(),
+    st.booleans().map(np.bool_), st.text(max_size=6), st.none())
+# float, complex, int and bool arrays of 0-3 dimensions, empty ones and zero-size axes
+_ARRAYS = st.sampled_from([np.float64, np.float32, np.complex128, np.complex64, np.int64,
+                           np.bool_]).flatmap(lambda dtype: hnp.arrays(
+    dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    elements=hnp.from_dtype(np.dtype(dtype), **_FINITE)))
+_VALUES = st.recursive(_SCALARS | _ARRAYS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)), max_leaves=12)
+
+
+def _non_finite(draw):
+    """A nan or an infinity as a float, a numpy scalar, one part of a complex,
+    or one entry of a float or complex array (its imaginary part included)."""
+    bad = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    kind = draw(st.integers(0, 6))
+    if kind < 5:
+        return [bad, np.float64(bad), np.float32(bad), complex(1.0, bad),
+                np.complex128(complex(bad, 0.0))][kind]
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3))
+    a = np.zeros(shape, complex if kind == 6 else float)
+    index = draw(st.integers(0, a.size - 1))
+    if kind == 6:
+        a.reshape(-1)[index] = complex(0.5, bad)
+    else:
+        a.reshape(-1)[index] = bad
+    return a
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         text = serialize.dumps({"x": 1 / 3, "y": 0.0, "n": 7})
@@ -76,6 +121,23 @@ class TestCanonicalJson:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             serialize.dumps({"x": float("nan")})
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES | _ARRAYS)
+    def test_same_bytes_as_the_recursive_form(self, obj):
+        for indent in (0, 2):
+            assert serialize.dumps(obj, indent) == loop_references.dumps(obj, indent)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES, st.data())
+    def test_non_finite_anywhere_raises(self, obj, data):
+        bad = _non_finite(data.draw)
+        for wrap in data.draw(st.lists(st.sampled_from([list, tuple]), max_size=3)):
+            bad = wrap([obj, bad])
+        report = {"ok": obj, "bad": {"inner": bad}}
+        for dumps in (serialize.dumps, loop_references.dumps):
+            with pytest.raises(ValueError):
+                dumps(report)
 
     def test_matrix_roundtrip(self):
         op = ed.build_xxx_hamiltonian(3, 1.0)
@@ -737,6 +799,35 @@ class TestCli:
         assert main(["thermo", "condensation", "--lmin", "8", "--lmax", "10",
                      "--out", str(out2)]) == EXIT_OK
         assert (out2 / "condensation.csv").read_text().startswith("L,sum,integral,gap")
+
+    def test_reused_parser_gives_the_outcomes_of_a_fresh_one(self, capsys):
+        # --k given then omitted, config errors (from the parser and from a
+        # value) then a valid call, and --help: exit code, stderr and report as
+        # with a parser built for each call
+        calls = [["ed", "spectrum", "--L", "6", "--k", "2"], ["ed", "spectrum", "--L", "6"],
+                 ["ed", "spectrum", "--L", "6", "--bogus", "1"], ["ed", "spectrum", "--L", "0"],
+                 ["ed", "spectrum", "--model", "xxz", "--delta", "0.5", "--L", "4"],
+                 ["ed", "spectrum", "--help"]]
+
+        def outcome(argv, fresh):
+            if fresh:
+                cli._command_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, err, out
+
+        reused = [outcome(argv, fresh=False) for argv in calls]
+        assert reused == [outcome(argv, fresh=True) for argv in calls]
+        assert [code for code, *_ in reused] == [EXIT_OK, EXIT_OK, EXIT_CONFIG, EXIT_CONFIG,
+                                                 EXIT_OK, 0]
+        assert [len(json.loads(out)["eigenvalues"]) for _, _, out in reused[:2]] == [2, 64]
+        for _, err, _ in reused[2:4]:
+            assert err.startswith("config error:") and err.count("\n") == 1
+        assert "--delta" in reused[5][2]
+        assert cli._command_parser("ed/spectrum") is cli._command_parser("ed/spectrum")
 
     def test_console_script_entry(self):
         # the child imports the same bethelab as this process, installed or not
