@@ -97,7 +97,7 @@ class ChainKernel:
         """E = -(eps/2) sum_j theta_1'(l_j): eps = J for XXX, sin(gamma) for
         XXZ, where theta_1' = 2 sin(gamma)/(ch(2l) - cos(gamma))."""
         lam = self.off_poles(roots)
-        return complex(-eps / 2 * np.sum(self.dtheta(1, lam))) if len(lam) else 0.0
+        return complex(-eps / 2 * self.dtheta(1, lam).sum()) if len(lam) else 0.0
 
     def momentum(self, roots):
         """P = i sum_j log f(l_j - eta/2)/f(l_j + eta/2), so that e^{iP} is
@@ -284,7 +284,9 @@ def _at(factors, xs, L):
 def _over_sector(factors, L, normalize):
     """Psi over SectorBasis(L, N), normalized or raw.  The configurations are
     independent, so they go through the recursion in row blocks whose widest
-    level, C(N, N/2) partial sums per row, has at most BLOCK entries."""
+    level, C(N, N/2) partial sums per row, has at most BLOCK entries.  A raw
+    Psi may vanish; normalizing one whose every amplitude is an exact zero
+    (a rapidity at a pole, or coincident rapidities) raises ValueError."""
     N = len(factors[1])
     sites = build_sector_basis(L, N).sites
     step = max(1, BLOCK // comb(N, N // 2))
@@ -295,7 +297,9 @@ def _over_sector(factors, L, normalize):
         return vals * np.exp(log_scale)
     live = vals != 0
     if not live.any():
-        return vals
+        pole = not (factors[1].all() and factors[2].all())
+        raise ValueError("every amplitude vanishes: "
+                         + ("a rapidity at a pole" if pole else "coincident rapidities"))
     vals = vals * np.exp(np.where(live, log_scale - log_scale[live].max(), 0.0))
     return vals / np.linalg.norm(vals)
 

@@ -206,7 +206,9 @@ def _charge_offset(M):
 
 def _liebwu_system(L, N, M, u, ns, ss):
     """(F, J) of the logarithmic Lieb-Wu equations in z = (k, lambda), z of
-    shape (N + M,) or (B, N + M); ns and ss (N,), (M,) or per lane (B, .)."""
+    shape (N + M,) or (B, N + M); ns and ss (N,), (M,) or per lane (B, .).
+    F is written into one (..., N + M) array, charge rows first, and J into
+    one (..., N + M, N + M) array block by block."""
     off_c = _charge_offset(M)
     off_s = np.pi * (M - 1 - N)
     off_s -= 2 * np.pi * np.round(off_s / (2 * np.pi))
@@ -214,20 +216,24 @@ def _liebwu_system(L, N, M, u, ns, ss):
 
     def F(z, lanes=None):
         k, lam = z[..., :N], z[..., N:]
+        f = np.empty(z.shape)
         a = 2 * np.arctan((np.sin(k)[..., :, None] - lam[..., None, :]) / u)  # N x M
-        G = k * L - 2 * np.pi * _per_lane(ns, lanes) - off_c + a.sum(axis=-1)
-        Hs = (-a.sum(axis=-2) - np.sum(2 * np.arctan(_diff(lam) / (2 * u)), axis=-1)
-              - off_s - 2 * np.pi * _per_lane(ss, lanes))
-        return np.concatenate([G, Hs], axis=-1)
+        np.add(k * L - 2 * np.pi * _per_lane(ns, lanes) - off_c, a.sum(axis=-1), out=f[..., :N])
+        np.subtract(-a.sum(axis=-2) - np.sum(2 * np.arctan(_diff(lam) / (2 * u)), axis=-1)
+                    - off_s, 2 * np.pi * _per_lane(ss, lanes), out=f[..., N:])
+        return f
 
     def J(z, lanes=None):
         k, lam = z[..., :N], z[..., N:]
         ck = np.cos(k)
+        jac = np.zeros(z.shape + z.shape[-1:])
         A = 2 * u / (u ** 2 + (np.sin(k)[..., :, None] - lam[..., None, :]) ** 2)  # N x M
-        spin = _jacobian(A.sum(axis=-2), 4 * u / (4 * u ** 2 + _diff(lam) ** 2))
-        charge = np.zeros(k.shape + (N,))
-        charge[..., i, i] = L + ck * A.sum(axis=-1)
-        return np.block([[charge, -A], [-(A * ck[..., :, None]).swapaxes(-1, -2), spin]])
+        jac[..., i, i] = L + ck * A.sum(axis=-1)
+        np.negative(A, out=jac[..., :N, N:])
+        np.negative((A * ck[..., :, None]).swapaxes(-1, -2), out=jac[..., N:, :N])
+        spin = np.divide(4 * u, 4 * u ** 2 + _diff(lam) ** 2, out=jac[..., N:, N:])
+        _jacobian(A.sum(axis=-2), spin)
+        return jac
     return F, J
 
 

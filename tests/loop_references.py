@@ -58,6 +58,16 @@ quasi-momentum is kept root by root as the principal complex log of
 (l + i/2)/(l - i/2) (rapidity_to_momentum), where the package sums the
 chain kernel's real-arithmetic log ratio.
 
+The Newton systems are kept in their stacked form: the bound-pair F and J
+(bound_pair_system) by np.stack of real and imaginary parts, the Lieb-Wu F
+by np.concatenate and its J by np.block (liebwu_system), where the package
+writes each into one preallocated array.  The damped-Newton driver is kept
+as it gathered the running lanes' tolerances on every step, selected rows
+by boolean masks and took every per-lane maximum over the last axis
+(damped_newton), where the package slices the tolerances as lanes retire,
+takes rows by index and tests for run-away against the stack-wide maximum
+first.
+
 Canonical JSON is kept in its recursive isinstance form (dumps): one call per
 value, numpy arrays through their nested lists, each float checked and
 formatted alone, where the package looks up a writer by type and formats a
@@ -70,7 +80,7 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from bethelab import aba, bae, ed, sixvertex
+from bethelab import aba, bae, ed, hubbard, sixvertex
 from bethelab.basis import build_sector_basis
 from bethelab.coordinate import RapiditySet
 
@@ -307,6 +317,124 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
         if stop == "converged" and abs(z[1]) >= 1e-4:
             add(np.array([z[0] + 1j * z[1], z[0] - 1j * z[1]]), "bound-pair")
     return found
+
+
+def bound_pair_system(L):
+    """bae._bound_pair_system with F and J stacked from real and imaginary parts."""
+
+    def p(z):
+        l = z[..., 0] + 1j * z[..., 1]
+        return l, np.exp(L * (np.log(l - 0.5j) - np.log(l + 0.5j)))
+
+    def F(z, lanes=None):
+        g = p(z)[1] - (2 * z[..., 1] - 1) / (2 * z[..., 1] + 1)
+        return np.stack([g.real, g.imag], axis=-1)
+
+    def J(z, lanes=None):
+        l, pl = p(z)
+        dl = pl * L * (1 / (l - 0.5j) - 1 / (l + 0.5j))
+        dd = 1j * dl - 4 / (2 * z[..., 1] + 1) ** 2
+        return np.stack([np.stack([dl.real, dd.real], axis=-1),
+                         np.stack([dl.imag, dd.imag], axis=-1)], axis=-2)
+    return F, J
+
+
+def liebwu_system(L, N, M, u, ns, ss):
+    """hubbard._liebwu_system with F concatenated and J assembled by np.block."""
+    off_c = hubbard._charge_offset(M)
+    off_s = np.pi * (M - 1 - N)
+    off_s -= 2 * np.pi * np.round(off_s / (2 * np.pi))
+    i = np.arange(N)
+
+    def F(z, lanes=None):
+        k, lam = z[..., :N], z[..., N:]
+        a = 2 * np.arctan((np.sin(k)[..., :, None] - lam[..., None, :]) / u)  # N x M
+        G = k * L - 2 * np.pi * bae._per_lane(ns, lanes) - off_c + a.sum(axis=-1)
+        Hs = (-a.sum(axis=-2) - np.sum(2 * np.arctan(bae._diff(lam) / (2 * u)), axis=-1)
+              - off_s - 2 * np.pi * bae._per_lane(ss, lanes))
+        return np.concatenate([G, Hs], axis=-1)
+
+    def J(z, lanes=None):
+        k, lam = z[..., :N], z[..., N:]
+        ck = np.cos(k)
+        A = 2 * u / (u ** 2 + (np.sin(k)[..., :, None] - lam[..., None, :]) ** 2)  # N x M
+        spin = bae._jacobian(A.sum(axis=-2), 4 * u / (4 * u ** 2 + bae._diff(lam) ** 2))
+        charge = np.zeros(k.shape + (N,))
+        charge[..., i, i] = L + ck * A.sum(axis=-1)
+        return np.block([[charge, -A], [-(A * ck[..., :, None]).swapaxes(-1, -2), spin]])
+    return F, J
+
+
+def damped_newton(F, J, x0, tol=bae.TOL, max_iter=bae.MAX_ITER, f0=None):
+    """bae._damped_newton as it gathered tol[lanes] on every step, selected
+    rows by boolean masks and took the per-lane maxima over the last axis."""
+    x = np.array(x0, float, ndmin=2)
+    tol = np.full(len(x), tol)
+    out, res_out = np.empty_like(x), np.empty(len(x))
+    iters, stop = np.empty(len(x), int), np.empty(len(x), int)
+    lanes, sub = np.arange(len(x)), None
+
+    def retire(drop, why, it, *more):
+        nonlocal lanes, sub
+        sel, keep = lanes[drop], ~drop
+        out[sel], res_out[sel], iters[sel], stop[sel] = x[drop], res[drop], it, why
+        lanes = sub = lanes[keep]
+        return [a[keep] for a in more]
+
+    f = F(x, sub) if f0 is None else np.array(f0, float, ndmin=2)
+    res = np.abs(f).max(axis=-1, initial=0.0)
+    for it in range(1, max_iter + 1):
+        done = res < tol[lanes]
+        if done.any():
+            far = np.abs(x[done]).max(axis=-1, initial=0.0) > 0.01 * bae.ROOT_ESCAPE
+            x, f, res = retire(done, np.where(far, bae.RUN_AWAY, bae.CONVERGED), it - 1, x, f, res)
+            if not len(x):
+                break
+        Jx = J(x, sub)
+        try:
+            step = np.linalg.solve(Jx, -f[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step, bad = np.zeros_like(x), np.zeros(len(x), bool)
+            for r in range(len(x)):
+                try:
+                    step[r] = np.linalg.solve(Jx[r], -f[r])
+                except np.linalg.LinAlgError:
+                    bad[r] = True
+            x, f, res, step = retire(bad, bae.SINGULAR, it, x, f, res, step)
+            if not len(x):
+                break
+        x_new = x + step
+        f_new = F(x_new, sub)
+        res_new = np.abs(f_new).max(axis=-1)
+        ok = res_new < res
+        if not ok.all():
+            p, t = np.flatnonzero(~ok), 1.0
+            for _ in range(49):
+                t /= 2
+                xp = x[p] + t * step[p]
+                fp = F(xp, lanes[p])
+                rp = np.abs(fp).max(axis=-1)
+                ok = rp < res[p]
+                q = p[ok]
+                x_new[q], f_new[q], res_new[q] = xp[ok], fp[ok], rp[ok]
+                p = p[~ok]
+                if not len(p):
+                    break
+            else:
+                stalled = np.zeros(len(x), bool)
+                stalled[p] = True
+                x_new, f_new, res_new = retire(stalled, bae.STALLED, it, x_new, f_new, res_new)
+        x, f, res = x_new, f_new, res_new
+        away = np.abs(x).max(axis=-1) > bae.ROOT_ESCAPE
+        if away.any():
+            x, f, res = retire(away, bae.RUN_AWAY, it, x, f, res)
+        if not len(x):
+            break
+    else:
+        retire(np.ones(len(x), bool), bae.MAX_ITER_STOP, max_iter)
+    if np.ndim(x0) == 1:
+        return out[0], float(res_out[0]), int(iters[0]), bae.STOP_REASONS[stop[0]]
+    return out, res_out, iters, np.array(bae.STOP_REASONS)[stop]
 
 
 def near_duplicates(keys, tol=1e-6):

@@ -729,6 +729,112 @@ def test_two_magnon_windowed_filter_matches_quadratic(L, monkeypatch):
     assert all(rs.values.tobytes() == rr.values.tobytes() for (rs, _), (rr, _) in zip(sols, ref))
 
 
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _lane_subset(data, B):
+    return np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=B, max_size=B)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(1, 20), B=st.integers(1, 6), data=st.data())
+def test_bound_pair_system_writes_the_stacked_bytes(L, B, data):
+    # F and J filled in place hold the bytes of the stacked form, on a (B, 2)
+    # stack, one (2,) input and a subset of lanes
+    z = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=2 * B,
+                                    max_size=2 * B))).reshape(B, 2)
+    lanes = _lane_subset(data, B)
+    (F, J), (Fr, Jr) = bae._bound_pair_system(L), loop_references.bound_pair_system(L)
+    with np.errstate(all="ignore"):  # d = -1/2 divides by zero in both forms
+        for args in [(z,), (z[0],), (z[lanes], lanes)]:
+            assert _same_bytes(F(*args), Fr(*args)) and _same_bytes(J(*args), Jr(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(2, 12), N=st.integers(1, 5), B=st.integers(1, 5),
+       u=st.floats(0.2, 4.0), data=st.data())
+def test_liebwu_system_writes_the_block_bytes(L, N, B, u, data):
+    # per-lane quantum numbers on a (B, N + M) stack and a subset of its
+    # lanes, and shared ones on one (N + M,) input
+    M = data.draw(st.integers(0, N // 2))
+    ns, ss = _increasing_qnums(data, B, N, -3, 3), _increasing_qnums(data, B, M, -2, 2)
+    z = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=B * (N + M),
+                                    max_size=B * (N + M)))).reshape(B, N + M)
+    lanes = _lane_subset(data, B)
+    for (F, J), (Fr, Jr), args in [
+            (hubbard._liebwu_system(L, N, M, u, ns, ss),
+             loop_references.liebwu_system(L, N, M, u, ns, ss), [(z,), (z[lanes], lanes)]),
+            (hubbard._liebwu_system(L, N, M, u, ns[0], ss[0]),
+             loop_references.liebwu_system(L, N, M, u, ns[0], ss[0]), [(z[0],)])]:
+        for a in args:
+            assert _same_bytes(F(*a), Fr(*a)) and _same_bytes(J(*a), Jr(*a))
+
+
+def _with_stacked_newton(monkeypatch):
+    """Swap in the stacked bound-pair and Lieb-Wu systems and the driver
+    that gathers tolerances and per-lane maxima on every step."""
+    monkeypatch.setattr(bae, "_bound_pair_system", loop_references.bound_pair_system)
+    monkeypatch.setattr(hubbard, "_liebwu_system", loop_references.liebwu_system)
+    for module in (bae, hubbard):
+        monkeypatch.setattr(module, "_damped_newton", loop_references.damped_newton)
+
+
+@pytest.mark.parametrize("L", sorted(TWO_MAGNON_COUNTS))
+def test_two_magnon_bytes_match_stacked_newton(L, monkeypatch):
+    sols = bae.classify_two_magnon(L)
+    _with_stacked_newton(monkeypatch)
+    ref = bae.classify_two_magnon(L)
+    assert [k for _, k in sols] == [k for _, k in ref]
+    assert all(_same_bytes(rs.values, rr.values) for (rs, _), (rr, _) in zip(sols, ref))
+
+
+# (L, N, M, u, charge numbers, spin numbers): M = 0, 1, 2, weak and strong
+# coupling, and a spin rapidity that runs away (unconverged)
+LIEBWU_BATTERY = [(4, 2, 0, 1.0, (-1, 0), ()), (6, 2, 1, 1.0, (-1, 0), (0,)),
+                  (8, 4, 1, 2.0, (-1, 0, 1, 2), (0,)), (8, 3, 1, 0.3, (-1, 0, 1), (0,)),
+                  (6, 4, 2, 1.5, (-2, -1, 0, 1), (0, 1)), (32, 6, 1, 0.7, (-3, -2, -1, 0, 1, 2), (0,)),
+                  (12, 5, 2, 4.0, (-2, -1, 0, 1, 2), (-1, 1)), (6, 2, 1, 1.0, (-1, 0), (2,))]
+
+
+def test_liebwu_bytes_match_stacked_newton(monkeypatch):
+    runs = [hubbard.solve_liebwu(*case) for case in LIEBWU_BATTERY]
+    _with_stacked_newton(monkeypatch)
+    for case, (roots, res, ok) in zip(LIEBWU_BATTERY, runs):
+        ref, ref_res, ref_ok = hubbard.solve_liebwu(*case)
+        assert (res, ok) == (ref_res, ref_ok)
+        assert _same_bytes(roots.k, ref.k) and _same_bytes(roots.lam, ref.lam)
+    assert not all(ok for _, _, ok in runs)
+
+
+def test_damped_newton_bytes_match_the_gathering_driver():
+    # bound-pair stacks from random seeds at every even L and the wide
+    # real-pair scans (converged and run-away lanes), with one tolerance per
+    # lane; and 1/x, whose step doubles x, next to a nan seed (stalled)
+    rng = np.random.default_rng(11)
+    calls = []
+    for L in range(4, 17, 2):
+        z0 = np.stack([rng.uniform(-4, 4, 40), rng.uniform(0.05, 1.5, 40)], axis=-1)
+        calls.append((bae._bound_pair_system(L), z0, dict(tol=1e-13, max_iter=100)))
+        calls.append((bae._bound_pair_system(L), z0[0], dict(tol=1e-13, max_iter=100)))
+        qn = range(-L // 2 + 1, L // 2 + 4)
+        ns = np.array([(n1, n2) for n1 in qn for n2 in qn if n2 > n1], float)
+        calls.append((bae._chain_system(bae.XXX, L, ns),
+                      bae.XXX.seeds[0](ns - bae._qnum_offset(L, 2), L),
+                      dict(tol=np.geomspace(1e-14, 1e-10, len(ns)))))
+
+    def inverse(x, lanes=None):
+        return 1 / x
+    calls.append(((inverse, lambda x, lanes=None: -1 / x[..., None] ** 2),
+                  np.array([[1e4], [np.nan], [3.0]]), {}))
+    for system, x0, kw in calls:
+        with np.errstate(all="ignore"):
+            got = bae._damped_newton(*system, x0, **kw)
+            ref = loop_references.damped_newton(*system, x0, **kw)
+        assert all(_same_bytes(a, b) for a, b in zip(got, ref))
+
+
 @settings(max_examples=200, deadline=None)
 @given(base=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)), min_size=1,
                      max_size=6),

@@ -133,6 +133,9 @@ class TestWavefunction:
         v = coordinate.offshell_vector([lam, lam], L, normalize=False)
         scale = abs(coordinate.offshell_wavefunction((1, 2), [lam, lam + 1.0], L))
         assert np.max(np.abs(v)) < 1e-10 * scale
+        # every amplitude is an exact zero here: normalizing it raises
+        with pytest.raises(ValueError, match="vanishes: coincident rapidities"):
+            coordinate.offshell_vector([lam, lam], L)
 
     def test_difference_i_collapses_to_single_term(self):
         # a pair at distance exactly i zeroes every permutation term with the
@@ -152,6 +155,8 @@ class TestWavefunction:
         for root in (0.5j, -0.5j):
             v = coordinate.offshell_vector([root, 0.7], L, normalize=False)
             assert np.max(np.abs(v)) == 0
+            with pytest.raises(ValueError, match="vanishes: a rapidity at a pole"):
+                coordinate.offshell_vector([root, 0.7], L)
 
     def test_symmetric_in_roots(self):
         L = 7

@@ -268,6 +268,31 @@ class TestTotalSpin:
         assert ed.commutator_norm(Hxxx, Sx) < 1e-12
 
 
+def _reflection_split_eigvalsh(H, m, L, N):
+    """All eigenvalues of the sector Hamiltonian H (dense m), ascending, from
+    its blocks even and odd under the site reflection x -> L + 1 - x, which
+    reverses the L bits of a code.  The reflection commutes with H (checked
+    on the stored entries), so the two blocks' eigenvalues are H's; each
+    block is about half the size, a quarter of the eigvalsh work in all.
+    The blocks are Q^T m Q for the orthonormal (e_r +- e_p)/|e_r +- e_p| of
+    each orbit {r, p}, r <= p; a fixed code (r = p) is even only."""
+    states = build_sector_basis(L, N).state_array
+    rev = np.zeros_like(states)
+    for bit in range(L):
+        rev |= ((states >> bit) & 1) << (L - 1 - bit)
+    perm = np.searchsorted(states, rev)
+    h = H.csr()
+    assert abs(h[perm][:, perm] - h).max() <= 1e-12
+    r = np.flatnonzero(np.arange(len(perm)) <= perm)
+    p = perm[r]
+    pair = r != p
+    norm = np.where(pair, np.sqrt(2.0), 2.0)
+    rows_sum, rows_diff = m[r] + m[p], m[r[pair]] - m[p[pair]]
+    even = (rows_sum[:, r] + rows_sum[:, p]) / np.outer(norm, norm)
+    odd = (rows_diff[:, r[pair]] - rows_diff[:, p[pair]]) / 2
+    return np.sort(np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)]))
+
+
 class TestDiagonalize:
     def test_identity(self):
         w = ed.diagonalize(ed.OperatorMatrix(np.eye(5))).eigenvalues
@@ -361,7 +386,7 @@ class TestDiagonalize:
         H = build(L, coupling, N)
         spec = ed.diagonalize(H, k)
         m = H.dense()
-        full = np.linalg.eigvalsh(m)
+        full = _reflection_split_eigvalsh(H, m, L, N)
         assert spec.eigenvalues.shape == (k,)
         assert np.max(np.abs(spec.eigenvalues - full[:k])) < 1e-9
         v = spec.eigenvectors

@@ -507,6 +507,11 @@ class TestCli:
         ("bae/solve", {"L": "0", "N": "0", "qnums": ""}, "--L must be >= 1, got 0"),
         ("bae/residual", {"L": "-2", "roots": "0.1"}, "--L must be >= 1, got -2"),
         ("bethe-vector/build", {"L": "0", "roots": ""}, "--L must be >= 1, got 0"),
+        # every amplitude an exact zero: "normalized" to a zero vector (exit 0)
+        ("bethe-vector/build", {"L": "8", "roots": "0.5,0.5;0.5,0.5"},
+         "every amplitude vanishes: coincident rapidities"),
+        ("bethe-vector/build", {"L": "8", "roots": "0,0.5;0.3"},
+         "every amplitude vanishes: a rapidity at a pole"),
         ("hubbard/ed", {"L": "0", "N": "0", "M": "0", "u": "1"}, "--L must be >= 1, got 0"),
         ("hubbard/liebwu", {"L": "0", "N": "0", "M": "0", "u": "1", "qnums": ""},
          "--L must be >= 1, got 0"),
