@@ -132,8 +132,8 @@ def monodromy_blocks(lam, L, eta, xi=None):
     monodromy, sliced from its CSR (no 2^(L+1) dense matrix; L is bounded by
     sixvertex.EXPLICIT_L_MAX); xi defaults to the homogeneous eta/2
     convention."""
-    xi_list = [eta / 2] * L if xi is None else list(xi)
-    w = VertexWeights.from_parameters(1.0, 0.0, eta, xi=xi_list)
+    w = (_weights_homogeneous(L, eta) if xi is None
+         else VertexWeights.from_parameters(1.0, 0.0, eta, xi=list(xi)))
     T = _monodromy_csr(lam, L, w)
     d = 2 ** L
     return MonodromyBlocks(T[:d, :d], T[:d, d:], T[d:, :d], T[d:, d:])

@@ -511,15 +511,21 @@ def classify_two_magnon(L):
     (tests/test_bae.py::test_two_magnon_scan_is_the_admissible_range).
     Bound seeds: l_r on a step-0.1 grid with d0 = 0.5, solved as one stack;
     the grid spans +-(cot(pi/L) + 1.5) because the smallest-momentum bound
-    pair sits at center cot(pi/L), beyond +-3 once L >= 10.  The bound-pair search runs on the shared _damped_newton
-    (tolerance 1e-13, 100 steps); its run-away rule discards seeds that walk
-    off to |l| -> infinity, where the equation holds only asymptotically.
-    Candidates, real pairs first, are kept if admissible with exp-form
-    residual at most 1e-10 and not within 1e-6 of an earlier candidate.
-    The exactly singular pair {+i/2, -i/2} (a genuine two-magnon level
-    at momentum pi for even L) is inadmissible and intentionally not returned.
+    pair sits at center cot(pi/L), beyond +-3 once L >= 10.  The bound-pair
+    search runs on the shared _damped_newton (tolerance 1e-13, 100 steps);
+    its run-away rule discards seeds that walk off to |l| -> infinity, where
+    the equation holds only asymptotically.
+    Real pairs are admissible and at least 1e-3 apart (same test), so only
+    bound candidates are screened: each must be admissible, which also keeps
+    the residual off the poles.  Every candidate then needs an exp-form
+    residual of at most 1e-10, and a bound pair within 1e-6 of an earlier
+    one in (Re l, |Im l|) is dropped; |Im l| >= 1e-4 keeps bound pairs off
+    the real ones.  The exactly singular pair {+i/2, -i/2} (a genuine
+    two-magnon level at momentum pi for even L) is inadmissible and
+    intentionally not returned.
 
-    Returns a list of (RapiditySet, kind) with kind 'real-pair' | 'bound-pair'.
+    Returns a list of (RapiditySet, kind) with kind 'real-pair' | 'bound-pair',
+    real pairs first.
     """
     if L % 2 or not (4 <= L <= 16):
         raise ValueError(f"L={L}: the two-magnon scan takes even L, 4 <= L <= 16")
@@ -535,33 +541,17 @@ def classify_two_magnon(L):
     z, _, _, stop = _damped_newton(*_bound_pair_system(L), z0, tol=1e-13, max_iter=100)
     z = z[(stop == "converged") & (np.abs(z[:, 1]) >= 1e-4)]
     bound = np.stack([z[:, 0] + 1j * z[:, 1], z[:, 0] - 1j * z[:, 1]], axis=-1)
+    pole, coincident, diff_i = _inadmissible(bound, EQUALITY_TOL)
+    bound = bound[~(pole.any(axis=-1) | coincident.any(axis=(-2, -1)) | diff_i.any(axis=(-2, -1)))]
 
     cand = np.concatenate([real, bound])
-    kinds = ["real-pair"] * len(real) + ["bound-pair"] * len(bound)
-    pole, coincident, diff_i = _inadmissible(cand, EQUALITY_TOL)  # the pair {+-i/2} fails
-    ok = ~(pole.any(axis=-1) | coincident.any(axis=(-2, -1)) | diff_i.any(axis=(-2, -1)))
-    ok[ok] = ~(_chain_residuals(XXX, cand[ok], L) > 1e-10)
-    ok[ok] = ~_near_duplicates(np.sort_complex(cand[ok]))
-    return [(RapiditySet("XXX", L, cand[i].copy()), kinds[i]) for i in np.flatnonzero(ok)]
-
-
-def _near_duplicates(keys, tol=1e-6):
-    """Mask of the rows of keys (C, n) within tol of an earlier row, in the
-    largest |k_i - k_j| over the n entries.  Only pairs whose first entries'
-    real parts lie within 2 tol (a margin over the rounding of differences)
-    are compared: sorted by that real part, each row meets the rows after it
-    in its window, so no C x C array is built."""
-    r = keys[:, 0].real
-    order = np.argsort(r, kind="stable")
-    rs = r[order]
-    after = np.searchsorted(rs, rs + 2 * tol, side="right") - np.arange(1, len(rs) + 1)
-    p = np.repeat(np.arange(len(rs)), after)
-    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(after) - after, after)
-    i, j = order[p], order[q]
-    near = np.max(np.abs(keys[i] - keys[j]), axis=-1, initial=0.0) < tol
-    dup = np.zeros(len(keys), bool)
-    dup[np.maximum(i, j)[near]] = True
-    return dup
+    ok = ~(_chain_residuals(XXX, cand, L) > 1e-10)
+    rows = len(real) + np.flatnonzero(ok[len(real):])  # the bound pairs left
+    l = cand[rows, 0]
+    near = np.hypot(l.real[:, None] - l.real, np.abs(l.imag)[:, None] - np.abs(l.imag)) < 1e-6
+    ok[rows] = ~np.triu(near, 1).any(axis=0)
+    return [(RapiditySet("XXX", L, cand[i].copy()), "real-pair" if i < len(real) else "bound-pair")
+            for i in np.flatnonzero(ok)]
 
 
 def two_magnon_reference_count(L):

@@ -33,10 +33,11 @@ not take (the error names the flag), a --json `params` that is not an object
 or `out` that is not a string, and any flag but `--out` next to `--json` are
 config errors.  Reports are canonical JSON: identical config and seed give
 byte-identical bytes.  Exit codes: 0 success, 2 config error (one `config
-error:` line on stderr), 3 solver non-convergence, 4 invariant violation (one
-`invariant violation:` line).  A report that holds a nan or an infinity is not
-written: the run is a config error when a parameter reads as one, else an
-invariant violation.
+error:` line on stderr), 3 solver non-convergence, 4 invariant violation (a
+failed check writes its report and nothing on stderr).  A report that holds a
+nan or an infinity is not written: the run is a config error when a parameter
+reads as one, else an invariant violation with one `invariant violation:` line
+on stderr.
 """
 
 import argparse

@@ -245,11 +245,14 @@ def solve_liebwu(L, N, M, u, charge_qnums, spin_qnums=()):
              = [pi (M-1-N)] + 2 pi s_l + sum_{m != l} 2 arctg((l_l - l_m)/(2u))
 
     with the bracketed constants reduced mod 2pi; they carry the parity
-    offsets, so n_j and s_l must be integers (ValueError otherwise).  Seeds:
-    k0 from the decoupled charge part, l0 from the strong-coupling spin
-    chain.  Returns (NestedRoots, residual, converged); run-away spin
-    rapidities (the spin-lowered descendants) are flagged unconverged.
+    offsets, so n_j and s_l must be integers, and L >= 2 (the one-site block
+    has no hop); ValueError otherwise.  Seeds: k0 from the decoupled charge
+    part, l0 from the strong-coupling spin chain.  Returns (NestedRoots,
+    residual, converged); run-away spin rapidities (the spin-lowered
+    descendants) are flagged unconverged.
     """
+    if L < 2:
+        raise ValueError(f"L={L}: need at least two sites")
     if not (0 <= 2 * M <= N <= L):
         raise ValueError(f"L={L}, N={N}, M={M}: need 0 <= 2M <= N <= L")
     if u == 0:

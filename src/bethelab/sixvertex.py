@@ -335,8 +335,9 @@ def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
 
     R(0) = rho sh(eta) P, so t(0) = c U^{-1} with c = (rho sh eta)^L and U the
     shift operator of the ed module; t(0)^{-1} t'(0) is then U t'(0) / c, and
-    everything stays CSR.  Raises ValueError when t(0) is not c U^{-1} to
-    1e-12 |c|, and unless step is finite and > 0.
+    everything stays CSR.  Raises ValueError when c is 0, subnormal or
+    infinite at finite rho and eta, when t(0) is not c U^{-1} to 1e-12 |c|,
+    and unless step is finite and > 0.
     """
     if L < 3:
         raise ValueError("needs L >= 3 (distinct-site shift)")
@@ -345,12 +346,14 @@ def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
     w = VertexWeights.from_parameters(rho, 0.0, eta)
     if abs(np.sinh(eta)) < 1e-12:
         raise ValueError("sh(eta) = 0 makes t(0) singular")
+    c = w.c ** L
+    if np.isfinite([rho, eta]).all() and not np.finfo(float).tiny <= abs(c) < np.inf:
+        raise ValueError(f"rho={rho}, eta={eta}: (rho sh eta)^{L} is 0, subnormal or infinite")
     delta = complex(np.cosh(eta))
     if abs(delta.imag) > 1e-12:
         raise ValueError("ch(eta) must be real to compare with the XXZ chain")
     t0, tp, tm = (transfer(x, L, w).csr() for x in (0.0, step, -step))
     U = build_shift_operator(L).csr()
-    c = w.c ** L
     if _max_entry(t0 - c * U.T) > 1e-12 * abs(c):
         raise ValueError("t(0) is not (rho sh eta)^L times the inverse shift")
     tprime = (tp - tm) / (2 * step)

@@ -437,13 +437,6 @@ def damped_newton(F, J, x0, tol=bae.TOL, max_iter=bae.MAX_ITER, f0=None):
     return out, res_out, iters, np.array(bae.STOP_REASONS)[stop]
 
 
-def near_duplicates(keys, tol=1e-6):
-    """bae._near_duplicates from the whole C x C array of distances: a row is
-    a duplicate when any earlier row lies within tol."""
-    near = np.max(np.abs(keys[:, None] - keys[None, :]), axis=-1) < tol
-    return np.triu(near, 1).any(axis=0)
-
-
 def embed_pair(R4, pos0, pos1, n):
     """Sparse embedding of a two-site operator on tensor slots (pos0, pos1)
     out of n slots, slot 0 slowest."""

@@ -525,6 +525,22 @@ class TestCli:
         ("ed/spectrum", {"L": "4", "k": "0"}, "--k must be >= 1, got 0"),
         # a chain needs a bond: said "need at least two sites", naming no flag
         ("ed/spectrum", {"L": "1"}, "L=1: need at least two sites"),
+        # the one-site Hubbard block has no hop: liebwu reported E = -3
+        # (exit 0) and verify an eigenvector residual of 2 (exit 4)
+        ("hubbard/liebwu", {"L": "1", "N": "1", "M": "0", "u": "1", "qnums": "0"},
+         "L=1: need at least two sites"),
+        ("hubbard/verify", {"L": "1", "N": "1", "M": "0", "u": "1", "qnums": "0"},
+         "L=1: need at least two sites"),
+        # t(0) = (rho sh eta)^L U^-1 out of range: a deviation of 2.09 or a
+        # non-finite report (exit 4)
+        ("vertex/hamiltonian-link", {"rho": "0"},
+         "rho=0.0, eta=0.3: (rho sh eta)^4 is 0, subnormal or infinite"),
+        ("vertex/hamiltonian-link", {"rho": "1e-80"},
+         "rho=1e-80, eta=0.3: (rho sh eta)^4 is 0, subnormal or infinite"),
+        ("vertex/hamiltonian-link", {"rho": "1e80"},
+         "rho=1e+80, eta=0.3: (rho sh eta)^4 is 0, subnormal or infinite"),
+        ("vertex/hamiltonian-link", {"eta": "1000"},
+         "rho=1.0, eta=1000.0: (rho sh eta)^4 is 0, subnormal or infinite"),
         # chain lengths out of a command's range: the message named no value
         ("thermo/condensation", {"lmin": "7", "lmax": "9"},
          "L=7: condensation scan expects even L"),
