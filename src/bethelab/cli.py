@@ -282,8 +282,7 @@ def cmd_vertex_ice_entropy(p):
 
 
 def cmd_vertex_hamiltonian_link(p):
-    op, dev = sixvertex.hamiltonian_from_transfer(p["L"], p["eta"], p["rho"], p["J"],
-                                                  p["step"])
+    _, dev = sixvertex.hamiltonian_from_transfer(p["L"], p["eta"], p["rho"])
     return Result({"max_deviation": dev}, status=EXIT_OK if dev < p["tol"] else EXIT_INVARIANT)
 
 
@@ -395,8 +394,8 @@ COMMANDS = {
     "vertex/partition": Command(cmd_vertex_partition,
                                 "L:count! M:count! a:float=1 b:float=1 c:float=1"),
     "vertex/ice-entropy": Command(cmd_vertex_ice_entropy, "lmax:count=12"),
-    "vertex/hamiltonian-link": Command(cmd_vertex_hamiltonian_link, "L:count=4 eta:float=0.3 "
-                                       "rho:float=1.0 J:float=1.0 step:float=1e-5 tol:float=1e-6"),
+    "vertex/hamiltonian-link": Command(cmd_vertex_hamiltonian_link,
+                                       "L:count=4 eta:float=0.3 rho:float=1.0 tol:float=1e-12"),
     "aba/slavnov": Command(cmd_aba_slavnov, "L:count=8 N:count=2 gamma:float=0.6 trials:count=5"),
     "aba/verify-action": Command(cmd_aba_verify_action,
                                  "L:count=6 N:int=2 trials:count=3 eta:complex=0.4+0.1j"),

@@ -17,7 +17,7 @@ one site, i.e. the inverse of the momentum-convention shift operator built in
 the ed module.
 
 The R-factors R(l - xi_j) come from one place (_r_matrices).  Explicit
-matrices are read off the ice-rule paths of the monodromy (_ice_paths): an
+matrices are read off the ice-rule paths of their list (_ice_paths): an
 entering aux value, a chain-in state and a chain-out state allow at most one
 path of horizontal edges, so T_0 stores at most 2 3^L entries, each a product
 of one R entry per site, kept in two blocks by the current aux value.
@@ -27,8 +27,8 @@ the dense sector blocks of partition_function are filled from the latter by
 sector rank, and the RTT check inserts the idle aux slot into the monodromy's
 CSR.  `transfer` hands its CSR to ed.OperatorMatrix, whose one rule (dense
 below DENSE_DIM_LIMIT = 512) makes `.matrix` dense for L <= 8.
-hamiltonian_from_transfer inverts t(0) as the scaled shift it is and stays
-CSR.  Everything that meets a vector uses the reshape action _apply_pair,
+hamiltonian_from_transfer inverts t(0) as the scaled shift it is, sums t'(0)
+exactly (L walks) and stays CSR.  Vectors meet the reshape action _apply_pair,
 which stores nothing: vectors are rows, (..., 2^n), and each R-factor is one
 matmul of a 4 x 4 R (or a stack with one R per row) on the (aux, site) pair
 brought to the front.  _monodromy_action, with one l for all rows or one per
@@ -49,7 +49,6 @@ import scipy.sparse as sp
 from .basis import build_sector_basis
 from .ed import OperatorMatrix, build_shift_operator, build_xxz_hamiltonian
 
-FD_STEP = 1e-5
 YBE_BATCH = 4096  # Yang-Baxter trials per stacked product: 4 MB per (B, 8, 8) array
 EXPLICIT_L_MAX = 14  # explicit matrices: 2 3^L entries, codes of 2L + 1 bits in int32
 
@@ -113,8 +112,8 @@ def _r_matrices(lam, L, weights):
     """The R(l - xi_j), j = 1..L, in the order they act (site 1 first): a
     4 x 4 each for a scalar l, a (K, 4, 4) stack each for K values of l;
     direct weights give L copies of one 4 x 4."""
-    if L < 1:
-        raise ValueError(f"chain length L={L} must be >= 1")
+    if not 1 <= L <= EXPLICIT_L_MAX:
+        raise ValueError(f"L={L}: chains from L = 1 are supported up to L = {EXPLICIT_L_MAX}")
     if weights.parameterized:
         shifts = np.asarray(lam)[..., None] - weights.inhomogeneities(L)
         return list(np.moveaxis(r_matrix(shifts, weights.eta, weights.rho), -3, 0))
@@ -157,15 +156,16 @@ def _transfer_action(lam, L, weights, v, transposed=False):
     return y[0, :d] + y[1, d:]
 
 
-def _ice_paths(lam, L, weights, a=None):
-    """The nonzero entries of the monodromy T_0(l), one per ice-rule path.
+def _ice_paths(Rs, a=None):
+    """The nonzero entries of the monodromy of the R-factors Rs, one per path.
 
     By the ice rule the aux value after site j is h_j = h_(j-1) + s_j - s'_j,
     so an entering aux value, a chain-in state s and a chain-out state s'
     allow at most one path of horizontal edges, and T_0 stores at most
-    2 3^L entries.  The sites are walked in order, the paths kept in two
-    blocks by their aux value h; a path moves on in three ways, weighted by
-    the matching entry of the site's R(l - xi_j) from _r_matrices:
+    2 3^L entries.  The L = len(Rs) sites are walked in order, the paths kept
+    in two blocks by their aux value h; a path moves on in three ways,
+    weighted by the matching entry of the site's R-factor (T_0(l) for
+    Rs = _r_matrices(l, L, weights)):
       a: both arrows pass (s_j = s'_j = h),            R[3h, 3h];
       b: the other arrow passes (s_j = s'_j = 1 - h),  R[1 + h, 1 + h];
       c: the arrows turn (s_j = 1 - h, s'_j = h),      R[2 - h, 1 + h],
@@ -179,11 +179,10 @@ def _ice_paths(lam, L, weights, a=None):
     with both aux values; a=0 or 1 enters with a alone and keeps only the
     paths that leave with a: the entries of <a|T_0|a>, whose sum over a is
     the transfer matrix."""
-    if L > EXPLICIT_L_MAX:
-        raise ValueError(f"explicit six-vertex matrices supported up to L = {EXPLICIT_L_MAX}")
+    L = len(Rs)
     codes = [np.array([h << L] if a in (None, h) else [], np.int32) for h in (0, 1)]
     values = [np.ones(len(c), complex) for c in codes]
-    for j, R in enumerate(_r_matrices(lam, L, weights), start=1):
+    for j, R in enumerate(Rs, start=1):
         R = R.tolist()
         s, out = 1 << (L - j), 1 << (2 * L + 1 - j)  # the bits of s_j and s'_j
         # (old block, weight, code offset) of the parts of the new block 0, then 1
@@ -212,7 +211,7 @@ def _row_sorted_csr(rows, columns, values, dim):
 def _monodromy_csr(lam, L, weights):
     """T_0(l) on aux (x) chain as CSR, read off its ice paths: row
     (exit aux, s'), column (a, s)."""
-    codes, values, n0 = _ice_paths(lam, L, weights)
+    codes, values, n0 = _ice_paths(_r_matrices(lam, L, weights))
     rows = codes >> (L + 1)
     rows[n0:] |= 1 << L
     d = 2 ** (L + 1)
@@ -221,13 +220,13 @@ def _monodromy_csr(lam, L, weights):
 
 def transfer(lam, L, weights):
     """Transfer matrix tr_0 T_0(l) on the 2^L chain space, as the
-    OperatorMatrix of the CSR sum of <0|T_0|0> and <1|T_0|1>."""
+    OperatorMatrix of the CSR sum of <0|T_0|0> and <1|T_0|1>, built one
+    after the other."""
     d = 2 ** L
-    halves = []
-    for a in (0, 1):
-        codes, values, _ = _ice_paths(lam, L, weights, a)
-        halves.append(_row_sorted_csr(codes >> (L + 1), codes & (d - 1), values, d))
-    return OperatorMatrix(halves[0] + halves[1])
+    Rs = _r_matrices(lam, L, weights)
+    t0, t1 = (_row_sorted_csr(codes >> (L + 1), codes & (d - 1), values, d)
+              for codes, values, _ in (_ice_paths(Rs, a) for a in (0, 1)))
+    return OperatorMatrix(t0 + t1)
 
 
 @cache
@@ -247,11 +246,9 @@ def _closed_paths(lam, L, weights):
     transfer matrix, as (codes, sector, values) per aux value, sector the
     number of down spins of s.  A path that leaves with the aux value it
     entered with keeps the arrow number, so s' lies in the same sector."""
-    paths = []
-    for a in (0, 1):
-        codes, values, _ = _ice_paths(lam, L, weights, a)
-        paths.append((codes, np.bitwise_count(codes & (2 ** L - 1)), values))
-    return paths
+    Rs = _r_matrices(lam, L, weights)
+    paths = [_ice_paths(Rs, a) for a in (0, 1)]
+    return [(codes, np.bitwise_count(codes & (2 ** L - 1)), values) for codes, values, _ in paths]
 
 
 def _sector_block(paths, L, N):
@@ -324,25 +321,22 @@ def rtt_residual(lam, mu, L, weights):
     return _max_entry(R @ T0 @ T0p - T0p @ T0 @ R)
 
 
-def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
+def hamiltonian_from_transfer(L, eta, rho=1.0):
     """Reconstruct the XXZ Hamiltonian from the homogeneous transfer matrix:
 
-        H = J [ sh(eta)/2 * t(0)^{-1} t'(0) - ch(eta) L/2 ],   Delta = ch(eta),
+        H = sh(eta)/2 * t(0)^{-1} t'(0) - ch(eta) L/2,   Delta = ch(eta),
 
-    with t'(0) from central finite differences of step `step`.  Returns
-    (OperatorMatrix, max entry deviation from the directly built Hamiltonian).
-    The deviation shrinks proportionally to step^2.
-
-    R(0) = rho sh(eta) P, so t(0) = c U^{-1} with c = (rho sh eta)^L and U the
-    shift operator of the ed module; t(0)^{-1} t'(0) is then U t'(0) / c, and
-    everything stays CSR.  Raises ValueError when c is 0, subnormal or
-    infinite at finite rho and eta, when t(0) is not c U^{-1} to 1e-12 |c|,
-    and unless step is finite and > 0.
+    with the exact t'(0): over sites j, the sum of the closed ice paths of the
+    R(0) with R'(0), of weights (rho ch eta, rho, 0), at site j.  R(0) =
+    rho sh(eta) P, so t(0) = c U^{-1} with c = (rho sh eta)^L and U the shift
+    operator of the ed module; t(0)^{-1} t'(0) is then U t'(0) / c, and
+    everything stays CSR.  Returns (OperatorMatrix, max entry deviation from
+    the directly built H relative to its largest entry).  Raises ValueError
+    when c is 0, subnormal or infinite at finite rho and eta, and when t(0)
+    is not c U^{-1} to 1e-12 |c|.
     """
     if L < 3:
         raise ValueError("needs L >= 3 (distinct-site shift)")
-    if not 0 < step < np.inf:
-        raise ValueError(f"finite-difference step must be finite and > 0, got {step}")
     w = VertexWeights.from_parameters(rho, 0.0, eta)
     if abs(np.sinh(eta)) < 1e-12:
         raise ValueError("sh(eta) = 0 makes t(0) singular")
@@ -352,15 +346,21 @@ def hamiltonian_from_transfer(L, eta, rho=1.0, J=1.0, step=FD_STEP):
     delta = complex(np.cosh(eta))
     if abs(delta.imag) > 1e-12:
         raise ValueError("ch(eta) must be real to compare with the XXZ chain")
-    t0, tp, tm = (transfer(x, L, w).csr() for x in (0.0, step, -step))
     U = build_shift_operator(L).csr()
-    if _max_entry(t0 - c * U.T) > 1e-12 * abs(c):
+    if _max_entry(transfer(0.0, L, w).csr() - c * U.T) > 1e-12 * abs(c):
         raise ValueError("t(0) is not (rho sh eta)^L times the inverse shift")
-    tprime = (tp - tm) / (2 * step)
-    h_rec = J * (np.sinh(eta) / 2 * ((U / c) @ tprime)
-                 - delta.real * L / 2 * sp.identity(2 ** L, format="csr"))
-    h_dir = J * build_xxz_hamiltonian(L, delta.real).csr()
-    return OperatorMatrix(h_rec), _max_entry(h_rec - h_dir)
+    Rs = _r_matrices(0.0, L, w)
+    dR = r_matrix_from_weights(rho * np.cosh(eta), rho, 0)
+    walks = [_ice_paths(Rs[:j] + [dR] + Rs[j + 1:]) for j in range(L)]
+    codes, values, exits = (np.concatenate(x) for x in
+                            zip(*[(k, v, np.arange(len(k)) >= n0) for k, v, n0 in walks]))
+    closed = (codes >> L & 1) == exits  # left with the aux value it entered with
+    codes, d = codes[closed], 2 ** L
+    tprime = _row_sorted_csr(codes >> (L + 1), codes & (d - 1), values[closed], d)
+    h_rec = (np.sinh(eta) / 2 * ((U / c) @ tprime)
+             - delta.real * L / 2 * sp.identity(d, format="csr"))
+    h_dir = build_xxz_hamiltonian(L, delta.real).csr()
+    return OperatorMatrix(h_rec), _max_entry(h_rec - h_dir) / _max_entry(h_dir)
 
 
 def partition_function(L, M, a, b, c):

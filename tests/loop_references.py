@@ -25,6 +25,9 @@ Yang-Baxter Kronecker stacks.  The monodromy is kept as the CSR product of
 its embedded R-factors (each R(l - xi_j) a sparse 2^(L+1) matrix built by
 embed_pair), the B/C products in the same embedded-matrix form (each factor
 applied as R @ x), and the edge enumeration in its per-configuration loop.
+The transfer-to-Hamiltonian link is kept with t'(0) from the central
+difference of two transfer matrices (hamiltonian_from_transfer_fd), where the
+package sums the exact derivative site by site.
 
 The algebraic Bethe layer is kept in its scalar form: the closed-form
 homogeneous vacuum rho^L sh^L(l +- eta/2) with its derivatives, the
@@ -485,6 +488,18 @@ def off_diagonal_product(roots, L, weights, transposed):
             x = R @ x
         v = x[:len(v)]
     return v
+
+
+def hamiltonian_from_transfer_fd(L, eta, rho, step):
+    """The operator of sixvertex.hamiltonian_from_transfer with t'(0) taken
+    as the central difference (t(step) - t(-step)) / (2 step): it differs
+    from the exact one by O(step^2)."""
+    w = sixvertex.VertexWeights.from_parameters(rho, 0.0, eta)
+    tp, tm = (sixvertex.transfer(x, L, w).csr() for x in (step, -step))
+    U = ed.build_shift_operator(L).csr()
+    tprime = (tp - tm) / (2 * step)
+    return (np.sinh(eta) / 2 * ((U / w.c ** L) @ tprime)
+            - np.cosh(eta).real * L / 2 * sp.identity(2 ** L, format="csr"))
 
 
 def enumerate_partition(L, M, a, b, c):

@@ -38,7 +38,7 @@ RUNS = {
     "vertex/transfer": ({"L": "3", "eta": "0.4"}, "matrix"),
     "vertex/partition": ({"L": "2", "M": "2", "a": "1.5"}, "Z_enumeration"),
     "vertex/ice-entropy": ({"lmax": "6"}, "extrapolated"),
-    "vertex/hamiltonian-link": ({"L": "4", "eta": "0.3", "tol": "1e-5"}, "max_deviation"),
+    "vertex/hamiltonian-link": ({"L": "4", "eta": "0.3", "tol": "1e-11"}, "max_deviation"),
     "aba/slavnov": ({"L": "6", "N": "1", "trials": "2"}, "max_rel_err"),
     "aba/verify-action": ({"L": "5", "N": "1", "trials": "2"}, "max_residual"),
     "hubbard/ed": ({"L": "4", "u": "1.0", "N": "2", "M": "1"}, "eigenvalues"),
@@ -465,7 +465,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, flag, text", [
         (["aba", "slavnov"], "--L", "L an integer >= 1; default 8"),
-        (["vertex", "hamiltonian-link"], "--tol", "TOL a real number; default 1e-6"),
+        (["vertex", "hamiltonian-link"], "--tol", "TOL a real number; default 1e-12"),
         (["ed", "spectrum"], "--k", "K an integer >= 1; default none"),
         (["ed", "spectrum"], "--sector", "SECTOR 'full' or an integer; default full"),
         (["ed", "spectrum"], "--delta", "DELTA --model xxz only; a real number; required"),
@@ -623,7 +623,14 @@ class TestCli:
     def test_invariant_violation_exit(self, capsys):
         # an unreachable tolerance on a passing computation must flag exit 4
         assert main(["vertex", "hamiltonian-link", "--L", "4", "--eta", "0.3",
-                     "--tol", "1e-15"]) == EXIT_INVARIANT
+                     "--tol", "0"]) == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("eta", ["10", "40"])
+    def test_hamiltonian_link_passes_at_large_eta(self, eta, capsys):
+        # the central difference left a deviation of 4.5e-5 at eta = 10, and
+        # at eta = 40 the diagonal ch(eta) L/2 is about 5e17
+        assert main(["vertex", "hamiltonian-link", "--L", "8", "--eta", eta]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["max_deviation"] < 1e-12
 
     @pytest.mark.parametrize("argv", [
         ["vertex", "partition", "--L", "0", "--M", "1"],
@@ -727,10 +734,19 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         assert f"non-finite --a = {value}" in self._config_error(capsys)
 
-    @pytest.mark.parametrize("step", ["0", "-1e-5"])
-    def test_non_positive_step_is_config_error(self, step, capsys):
-        assert main(["vertex", "hamiltonian-link", "--L", "4", f"--step={step}"]) == EXIT_CONFIG
-        assert "step must be finite and > 0" in self._config_error(capsys)
+    @pytest.mark.parametrize("mode", ["flags", "json"])
+    @pytest.mark.parametrize("flag, value", [("step", "1e-5"), ("J", "0")])
+    def test_hamiltonian_link_takes_no_step_or_coupling(self, mode, flag, value,
+                                                        tmp_path, capsys):
+        # t'(0) is exact and the deviation relative, so neither has a meaning
+        params = {"L": "4", flag: value}
+        if mode == "flags":  # an unknown flag is a parser error
+            with pytest.raises(SystemExit) as exc:
+                self._run(tmp_path, mode, "vertex/hamiltonian-link", params)
+            assert exc.value.code == EXIT_CONFIG
+        else:
+            assert self._run(tmp_path, mode, "vertex/hamiltonian-link", params) == EXIT_CONFIG
+        assert f"--{flag}" in self._config_error(capsys)
 
     @pytest.mark.parametrize("argv", [
         ["vertex", "transfer", "--L", "3", "--eta", "-1e-3"],
@@ -744,9 +760,12 @@ class TestCli:
         a = (tmp_path / "spaced" / "report.json").read_bytes()
         assert a == (tmp_path / "joined" / "report.json").read_bytes() and len(a) > 0
 
-    def test_negative_step_after_a_space_reaches_its_check(self, capsys):
-        assert main(["vertex", "hamiltonian-link", "--L", "4", "--step", "-1e-5"]) == EXIT_CONFIG
-        assert "step must be finite and > 0" in self._config_error(capsys)
+    def test_negative_eta_after_a_space_reaches_the_link(self, capsys):
+        argv = ["vertex", "hamiltonian-link", "--L", "4", "--eta"]
+        assert main(argv + ["-1e-3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["params"]["eta"] == "-1e-3"
+        assert main(argv + ["-1e-13"]) == EXIT_CONFIG
+        assert "sh(eta) = 0 makes t(0) singular" in self._config_error(capsys)
 
     @pytest.mark.parametrize("mode", ["flags", "json"])
     def test_empty_condensation_range_is_config_error(self, mode, capsys, tmp_path):

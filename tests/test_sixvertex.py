@@ -229,16 +229,23 @@ class TestTransfer:
 
 
 class TestHamiltonianLink:
-    def test_reconstruction_accuracy(self):
-        _, dev = sixvertex.hamiltonian_from_transfer(4, 0.3)
-        assert dev < 1e-7
+    @pytest.mark.parametrize("L", [4, 14])
+    def test_reconstruction_accuracy(self, L):
+        _, dev = sixvertex.hamiltonian_from_transfer(L, 0.3)
+        assert dev < 1e-12
 
-    def test_step_halving_quadratic(self):
-        devs = [sixvertex.hamiltonian_from_transfer(4, 0.3, step=s)[1]
-                for s in (1e-4, 5e-5, 2.5e-5)]
-        assert devs[0] > devs[1] > devs[2]
-        assert abs(devs[0] / devs[1] - 4) < 0.5
-        assert abs(devs[1] / devs[2] - 4) < 0.5
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(3, 8), imaginary=st.booleans(), x=st.floats(0.05, 2.0),
+           rho=st.floats(0.2, 3.0))
+    def test_exact_derivative_is_the_limit_of_central_differences(self, L, imaginary, x, rho):
+        """The operator with the exact t'(0) against the central difference
+        of step h, for real eta = x and for eta = i (1.5 x): they differ by
+        O(h^2), the difference falling by a factor 4 when h halves."""
+        eta = 1.5j * x if imaginary else x
+        h_exact = sixvertex.hamiltonian_from_transfer(L, eta, rho)[0].csr()
+        errs = [abs(h_exact - loop_references.hamiltonian_from_transfer_fd(L, eta, rho, h)).max()
+                for h in (2e-3, 1e-3)]
+        assert abs(errs[0] / errs[1] - 4) < 0.05
 
     def test_small_eta_approaches_xxx(self):
         for eta, tol in ((0.2, 0.05), (0.05, 3e-3)):
@@ -250,12 +257,7 @@ class TestHamiltonianLink:
         # the L = 11 transfer (dim 2048) and its monodromy (dim 4096) are CSR,
         # and t(0) is inverted as a scaled shift
         _, dev = sixvertex.hamiltonian_from_transfer(11, 0.3)
-        assert dev < 1e-6
-
-    @pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf])
-    def test_rejects_step_that_is_not_finite_and_positive(self, step):
-        with pytest.raises(ValueError, match="step"):
-            sixvertex.hamiltonian_from_transfer(4, 0.3, step=step)
+        assert dev < 1e-12
 
     def test_rejects_t0_that_is_not_a_scaled_shift(self, monkeypatch):
         transfer = sixvertex.transfer
@@ -502,7 +504,7 @@ class TestProperties:
         """sh(l)^2 underflows to 0 at these l: the ice paths keep that path
         with value 0 (18 entries at L = 2), which the CSR product drops."""
         w = sixvertex.VertexWeights.from_parameters(1.0, 0.0, 1.0, xi=(0.0, 0.0))
-        assert len(sixvertex._ice_paths(lam, 2, w)[0]) == 2 * 3 ** 2
+        assert len(sixvertex._ice_paths(sixvertex._r_matrices(lam, 2, w))[0]) == 2 * 3 ** 2
         assert loop_references.monodromy_csr(lam, 2, w).nnz == 16
         self._check_ice_paths(lam, 2, w)
 
@@ -517,9 +519,10 @@ class TestProperties:
         t_ref = ref[:d, :d] + ref[d:, d:]
         t = sixvertex.transfer(lam, L, w).csr()
         assert abs(t - t_ref).max() <= 1e-14 * abs(t_ref).max()
-        _, values, _ = sixvertex._ice_paths(lam, L, w)
+        Rs = sixvertex._r_matrices(lam, L, w)
+        _, values, _ = sixvertex._ice_paths(Rs)
         assert np.count_nonzero(values) == ref.nnz and t.nnz == t_ref.nnz
-        if all(np.count_nonzero(R) == 6 for R in sixvertex._r_matrices(lam, L, w)):
+        if all(np.count_nonzero(R) == 6 for R in Rs):
             assert len(values) == 2 * 3 ** L
 
     @settings(max_examples=40, deadline=None)
