@@ -26,9 +26,10 @@ which was validated against the explicit pairing of B/C product vectors.
 Q-functions, vacuum functions, transfer eigenvalues, residuals, action
 coefficients and determinant matrices are evaluated on arrays of spectral
 parameters (roots on the last axis), each formula in one place; the only loop
-over roots is the B/C products, which apply one monodromy action per root
-position to a whole stack of root sets (one row each): the action residuals
-and the explicit pairing build their products in one sweep.
+over roots is the B/C products, which apply the monodromy's two-site blocks
+(built for every root position at once) one root position after the other
+to a whole stack of root sets (one row each): the action residuals and the
+explicit pairing build their products in one sweep.
 """
 
 from typing import NamedTuple
@@ -37,13 +38,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bae import _pairwise_min_dist, solve_logbae_xxz
-from .sixvertex import (VertexWeights, _monodromy_action, _monodromy_csr, _transfer_action,
-                        transfer)
+from .sixvertex import (VertexWeights, _apply_blocks, _check_length, _monodromy_csr,
+                        _pair_blocks, _transfer_action, transfer)
 
 sh = np.sinh
 ch = np.cosh
 MIN_PAIR_DISTANCE = 1e-6  # closest two parameters the action and pairing formulas accept
 ONSHELL_TOL = 1e-10  # largest Q-form BAE residual slavnov_ratio accepts as on shell
+PRODUCT_L_MAX = 12  # B/C products: one 2^(L+1) row per root set and root position
 
 
 def cth(x):
@@ -67,19 +69,22 @@ def _q_log_derivative(lam, roots):
     return np.sum(cth(_shifts(lam, roots)), axis=-1)
 
 
-def _q_masked(lam, roots, own):
-    """own(l - n_m) prod_{k != m} sh(l - n_k) for every m (on the last axis),
-    each a product masked on its own factor, so it stays exact where
-    sh(l - n_m) = 0; for a scalar or an array of l."""
-    x = _shifts(lam, roots)[..., None, :]
-    return np.prod(np.where(np.eye(x.shape[-1], dtype=bool), own(x), sh(x)), axis=-1)
+def _all_but_one(s):
+    """prod_{k != m} s_k for every m (on the last axis), the product of the
+    exclusive prefix and suffix products: exact where s_m = 0, and O(n)
+    memory per row."""
+    out = np.ones_like(s)
+    s[..., :-1].cumprod(axis=-1, out=out[..., 1:])
+    out[..., :-1] *= s[..., :0:-1].cumprod(axis=-1)[..., ::-1]
+    return out
 
 
 def _q_derivative(lam, roots):
     """Q'(l|{roots}) = sum_m ch(l - n_m) prod_{k != m} sh(l - n_k), exact at a
     root (where it is the product of the other factors); for a scalar or an
     array of l."""
-    return np.sum(_q_masked(lam, roots, ch), axis=-1)
+    x = _shifts(lam, roots)
+    return (ch(x) * _all_but_one(sh(x))).sum(axis=-1)
 
 
 class VacuumFunctions:
@@ -124,7 +129,17 @@ class MonodromyBlocks(NamedTuple):
 
 
 def _weights_homogeneous(L, eta):
+    """The eta/2-convention weights, after the explicit L bound is checked."""
+    _check_length(L)
     return VertexWeights.from_parameters(1.0, 0.0, eta, xi=[eta / 2] * L)
+
+
+def _product_weights(L, eta):
+    """_weights_homogeneous for the B/C products, after their L bound is
+    checked: past it nothing of size L is built."""
+    if L > PRODUCT_L_MAX:
+        raise ValueError(f"B/C products supported up to L = {PRODUCT_L_MAX}")
+    return _weights_homogeneous(L, eta)
 
 
 def monodromy_blocks(lam, L, eta, xi=None):
@@ -156,17 +171,17 @@ def _off_diagonal_product(roots, L, w, transposed):
     """prod_j B(l_j)|0>, or prod_j C(l_j)^T |0> with the transposed monodromy,
     for the weights w and roots of shape (N,), or (K, N) for K root sets at
     once (one product per row): for each root position, one 2^(L+1) row per
-    set enters with aux = 1, goes through the R-factors by reshape, and keeps
-    its aux = 0 half."""
-    if L > 12:
-        raise ValueError("B/C products supported up to L = 12")
+    set enters with aux = 1, goes through the R-factors two sites at a time
+    by reshape, and keeps its aux = 0 half.  The callers bound L through
+    _product_weights."""
     roots = np.atleast_1d(np.asarray(roots, complex))
     d = 2 ** L
     v = np.zeros(roots.shape[:-1] + (d,), complex)
     v[..., 0] = 1.0
-    for lam in np.moveaxis(roots, -1, 0):
+    blocks = _pair_blocks(np.moveaxis(roots, -1, 0), L, w)  # of all positions at once
+    for n in range(roots.shape[-1]):
         x = np.concatenate([np.zeros_like(v), v], axis=-1)
-        v = _monodromy_action(lam, L, w, x, transposed)[..., :d]
+        v = _apply_blocks([(j, P[n]) for j, P in blocks], x, transposed)[..., :d]
     return v
 
 
@@ -174,7 +189,7 @@ def b_product_state(roots, L, eta):
     """prod_j B(l_j) applied to the pseudo vacuum (order immaterial: the B's
     commute), applying the R-factors to one vector per root without building
     any matrix."""
-    return _off_diagonal_product(roots, L, _weights_homogeneous(L, eta), False)
+    return _off_diagonal_product(roots, L, _product_weights(L, eta), False)
 
 
 def bae_q_residual(roots, vac):
@@ -250,8 +265,8 @@ def _action_residual(params, ell, L, eta, transposed):
     the N+1 products are built as one stack."""
     if abs(sh(eta)) < 1e-12:
         raise ValueError("sh(eta) = 0 makes every B/C product vanish")
+    w = _product_weights(L, eta)
     keep, coeffs = _action_terms(params, L, eta)
-    w = _weights_homogeneous(L, eta)
     vecs = _off_diagonal_product(keep, L, w, transposed)
     lhs = _transfer_action(complex(params[ell]), L, w, vecs[ell], transposed)
     rhs = coeffs[ell] @ vecs
@@ -267,7 +282,7 @@ def offshell_action_residual(params, ell, L, eta):
                               / Q(l_j|{l}_j) * B({l}_j)
 
     evaluated with explicit vectors on the 2^L space, t applied to the vector
-    factor by factor (no transfer matrix is built); {l}_j omits the j-th of
+    two sites at a time (no transfer matrix is built); {l}_j omits the j-th of
     the N+1 parameters."""
     return _action_residual(params, ell, L, eta, False)
 
@@ -338,8 +353,8 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta):
     # wd = d(l) Q(l + eta|{m}), with the factor of Q(l_k -+ eta) that cancels
     # the pole of e at l_k = m_j +- eta divided out:
     # e(x) sh(x + eta) = sh(eta) / sh(x) for x = m_j - l_k and x = l_k - m_j
-    ewa = -sh(eta) * den_cauchy * vac.a(la) * _q_masked(la - eta, mu, np.ones_like).T
-    ewd = -sh(eta) * den_cauchy * vac.d(la) * _q_masked(la + eta, mu, np.ones_like).T
+    ewa = -sh(eta) * den_cauchy * vac.a(la) * _all_but_one(sh(_shifts(la - eta, mu))).T
+    ewd = -sh(eta) * den_cauchy * vac.d(la) * _all_but_one(sh(_shifts(la + eta, mu))).T
     # over wa + wd: 1/(1 + afun) and 1/(1 + 1/afun), finite where a(l_k) or d(l_k) is 0
     num = (ewa - ewd) / _numerator(la, mu, vac)
     den_gaudin = np.eye(n) - k_function(mu[:, None] - mu[None, :], eta) \
@@ -354,7 +369,7 @@ def pairing_ratio_bruteforce(mu, la, L, eta):
     """The same ratio from explicit B/C product vectors on the 2^L space (the
     oracle): no determinant and no Bethe equations enter, only the R-matrix
     factors of the monodromy.  The B-products of {l} and {m} are one stack."""
-    w = _weights_homogeneous(L, eta)
+    w = _product_weights(L, eta)
     cvec = _off_diagonal_product(mu, L, w, True)
     b_la, b_mu = _off_diagonal_product(np.stack([la, mu]), L, w, False) @ cvec
     return complex(b_la / b_mu)

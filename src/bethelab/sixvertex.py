@@ -29,12 +29,15 @@ CSR.  `transfer` hands its CSR to ed.OperatorMatrix, whose one rule (dense
 below DENSE_DIM_LIMIT = 512) makes `.matrix` dense for L <= 8.
 hamiltonian_from_transfer inverts t(0) as the scaled shift it is, sums t'(0)
 exactly (L walks) and stays CSR.  Vectors meet the reshape action _apply_pair,
-which stores nothing: vectors are rows, (..., 2^n), and each R-factor is one
-matmul of a 4 x 4 R (or a stack with one R per row) on the (aux, site) pair
-brought to the front.  _monodromy_action, with one l for all rows or one per
-row, gives the aba module's B/C products for a whole stack of root sets, and
-_transfer_action, the only way t(l) reaches a vector, gives the aba action
-residuals and the matrix-free square-ice eigenvalue.  The Yang-Baxter and
+which stores nothing: vectors are rows, (..., 2^n), and each block, an 8 x 8
+on (aux, s_j, s_j+1) or a 4 x 4 on (aux, s_j), or a stack with one block per
+row, is one matmul on its slots brought to the front.  _pair_blocks
+multiplies the R-factors of each two consecutive sites into one 8 x 8 (one
+einsum for all pairs, for one l, one per row or one per root position), and
+_apply_blocks applies them in turn, L/2 passes over the rows instead of L.
+They give the aba module's B/C products for a whole stack of root sets, the
+matrix-free square-ice eigenvalue, and through _monodromy_action and
+_transfer_action the aba action residuals.  The Yang-Baxter and
 RTT checks' R-matrices are Kronecker products with identities: the 8 x 8
 stacks of _three_slot and the sparse R (x) 1 of rtt_residual.
 """
@@ -108,40 +111,67 @@ def r_matrix(lam, eta, rho=1.0):
                                  rho * np.sinh(eta))
 
 
-def _r_matrices(lam, L, weights):
-    """The R(l - xi_j), j = 1..L, in the order they act (site 1 first): a
-    4 x 4 each for a scalar l, a (K, 4, 4) stack each for K values of l;
-    direct weights give L copies of one 4 x 4."""
+def _check_length(L):
+    """Raise ValueError for an L outside 1..EXPLICIT_L_MAX; callers check
+    before they build anything of size L."""
     if not 1 <= L <= EXPLICIT_L_MAX:
         raise ValueError(f"L={L}: chains from L = 1 are supported up to L = {EXPLICIT_L_MAX}")
+
+
+def _r_matrices(lam, L, weights):
+    """The R(l - xi_j), j = 1..L, in the order they act (site 1 first), as
+    one array: (L, 4, 4) for a scalar l, (L, ..., 4, 4) for an array of l;
+    direct weights give copies of one 4 x 4 in that shape."""
+    _check_length(L)
     if weights.parameterized:
         shifts = np.asarray(lam)[..., None] - weights.inhomogeneities(L)
-        return list(np.moveaxis(r_matrix(shifts, weights.eta, weights.rho), -3, 0))
-    return [r_matrix_from_weights(weights.a, weights.b, weights.c)] * L
+        return np.moveaxis(r_matrix(shifts, weights.eta, weights.rho), -3, 0)
+    R = r_matrix_from_weights(weights.a, weights.b, weights.c)
+    return np.full((L,) + np.shape(lam) + (4, 4), R)
 
 
-def _apply_pair(R4, j, x):
-    """R4 on tensor slots (0, j) of n, applied to each row of x without
-    building the 2^n matrix: x of shape (..., 2^n), aux slot 0 slowest, is
-    viewed as (..., 2, A, 2, B) with A = 2^(j-1), B = 2^(n-1-j), the (aux,
-    site j) pair is brought to the front as (..., 4, A B), and one matmul
-    applies R4, a 4 x 4 or a (K, 4, 4) stack with one R per row."""
-    n = x.shape[-1].bit_length() - 1
-    A, B = 2 ** (j - 1), 2 ** (n - 1 - j)
-    xs = x.reshape(*x.shape[:-1], 2, A, 2, B).swapaxes(-3, -2)
-    y = R4 @ xs.reshape(*x.shape[:-1], 4, A * B)
+def _apply_pair(R, j, x):
+    """R on tensor slots (0, j) of n, or (0, j, j + 1) for an 8 x 8 R, applied
+    to each row of x without building the 2^n matrix: x of shape (..., 2^n),
+    aux slot 0 slowest, is viewed as (..., 2, A, k, B) with A = 2^(j-1), k = 2
+    or 4 the dimension of the sites and B the rest, the (aux, sites) block is
+    brought to the front as (..., 2k, A B), and one matmul applies R, a
+    2k x 2k or a (K, 2k, 2k) stack with one R per row."""
+    k = R.shape[-1] // 2
+    A = 2 ** (j - 1)
+    xs = x.reshape(*x.shape[:-1], 2, A, k, -1).swapaxes(-3, -2)
+    y = R @ xs.reshape(*x.shape[:-1], 2 * k, -1)
     return y.reshape(xs.shape).swapaxes(-3, -2).reshape(x.shape)
+
+
+def _pair_blocks(lam, L, weights):
+    """T_0(l) as the blocks that act in turn, site 1 first: (j, P) with P the
+    8 x 8 R_{0,j+1} R_{0,j} on (aux, s_j, s_j+1), all pairs built by one
+    einsum, and at odd L (L, R_{0,L}), a 4 x 4 on (aux, s_L).  l of any shape
+    gives a stack of that shape per block."""
+    Rs = _r_matrices(lam, L, weights)
+    blocks = [(L, Rs[-1])] * (L % 2)
+    if L > 1:  # an einsum over no pairs costs about as much as the action at L = 1
+        r = Rs.reshape(Rs.shape[:-2] + (2,) * 4)  # (out aux, out site, in aux, in site)
+        pairs = np.einsum("j...qTpt,j...pSas->j...qSTast", r[1::2], r[:L - 1:2])
+        blocks[:0] = zip(range(1, L, 2), pairs.reshape(pairs.shape[:-6] + (8, 8)))
+    return blocks
+
+
+def _apply_blocks(blocks, x, transposed=False):
+    """The product of _pair_blocks applied to each row of x, one _apply_pair
+    per block, L/2 passes over the rows; transposed=True applies its
+    transpose, the blocks transposed in reverse order."""
+    for j, R in [(j, R.swapaxes(-1, -2)) for j, R in blocks[::-1]] if transposed else blocks:
+        x = _apply_pair(R, j, x)
+    return x
 
 
 def _monodromy_action(lam, L, weights, x, transposed=False):
     """T_0(l) @ x for each row of x, on the 2^(L+1)-dim aux (x) chain space:
     x of shape (2^(L+1),) or (K, 2^(L+1)), l a scalar or one value per row,
-    applied factor by factor through _apply_pair; transposed=True applies
-    T_0(l)^T, the reversed product (R is symmetric)."""
-    factors = list(enumerate(_r_matrices(lam, L, weights), start=1))
-    for j, R4 in factors[::-1] if transposed else factors:
-        x = _apply_pair(R4, j, x)
-    return x
+    applied two sites at a time; transposed=True applies T_0(l)^T."""
+    return _apply_blocks(_pair_blocks(lam, L, weights), x, transposed)
 
 
 def _transfer_action(lam, L, weights, v, transposed=False):
@@ -349,7 +379,7 @@ def hamiltonian_from_transfer(L, eta, rho=1.0):
     U = build_shift_operator(L).csr()
     if _max_entry(transfer(0.0, L, w).csr() - c * U.T) > 1e-12 * abs(c):
         raise ValueError("t(0) is not (rho sh eta)^L times the inverse shift")
-    Rs = _r_matrices(0.0, L, w)
+    Rs = list(_r_matrices(0.0, L, w))
     dR = r_matrix_from_weights(rho * np.cosh(eta), rho, 0)
     walks = [_ice_paths(Rs[:j] + [dR] + Rs[j + 1:]) for j in range(L)]
     codes, values, exits = (np.concatenate(x) for x in
@@ -438,15 +468,19 @@ def enumerate_partition(L, M, a, b, c):
 def _top_sector_eigenvalue(L, N, weights):
     """Largest eigenvalue of a real symmetric transfer block of sector N
     (the ice point has one), by Lanczos on the matrix-free block: each matvec
-    embeds the sector vector in 2^L, applies _transfer_action and restricts
-    the result to the sector.  ARPACK raises when it does not converge."""
+    embeds the sector vector in the rows |a> (x) v, a = 0, 1, applies the
+    monodromy's blocks (built once) and sums the two traced halves on the
+    sector, as _transfer_action does on the whole space.  ARPACK raises when
+    it does not converge."""
     idx = build_sector_basis(L, N).state_array
     dim = len(idx)
+    blocks = _pair_blocks(0.0, L, weights)  # real, as the ice weights are
 
     def matvec(v):
-        full = np.zeros(2 ** L)
-        full[idx] = v
-        return _transfer_action(0.0, L, weights, full)[idx]  # real, as the ice weights are
+        x = np.zeros((2, 2 ** (L + 1)))
+        x[0, idx] = x[1, 2 ** L + idx] = v
+        y = _apply_blocks(blocks, x)
+        return y[0, idx] + y[1, 2 ** L + idx]
 
     op = sp.linalg.LinearOperator((dim, dim), matvec, dtype=float)
     # ncv = 8 converges in 8-13 matvecs for L = 4..14; the default ncv = 20 takes 21

@@ -19,12 +19,15 @@ are kept as their per-state loops over up/down bit masks, with dict ranking
 and fermion signs counted bit by bit on the interleaved orbital mask.  The
 spin-chain basis is ranked bit by bit too (config_to_index and its inverse).
 
-The sparse embedding of a two-site operator on any two tensor slots
-(embed_pair) is the reference for the package's reshape action and its
-Yang-Baxter Kronecker stacks.  The monodromy is kept as the CSR product of
-its embedded R-factors (each R(l - xi_j) a sparse 2^(L+1) matrix built by
+The sparse embedding of an operator on any tensor slots (embed_block, and
+embed_pair for two) is the reference for the package's reshape action and
+its Yang-Baxter Kronecker stacks.  The monodromy is kept as the CSR product
+of its embedded R-factors (each R(l - xi_j) a sparse 2^(L+1) matrix built by
 embed_pair), the B/C products in the same embedded-matrix form (each factor
-applied as R @ x), and the edge enumeration in its per-configuration loop.
+applied as R @ x), the monodromy action as the sweep of one reshape action
+per 4 x 4 R-factor (monodromy_action_by_factor), where the package applies
+the factors of two sites at a time, and the edge enumeration in its
+per-configuration loop.
 The transfer-to-Hamiltonian link is kept with t'(0) from the central
 difference of two transfer matrices (hamiltonian_from_transfer_fd), where the
 package sums the exact derivative site by site.
@@ -33,8 +36,11 @@ The algebraic Bethe layer is kept in its scalar form: the closed-form
 homogeneous vacuum rho^L sh^L(l +- eta/2) with its derivatives, the
 inhomogeneous vacuum through the per-term zero-safe derivative d_prod_sh, the
 transfer eigenvalue one l at a time, the Q-form residual and the action
-coefficients root by root, and the determinant matrices of the pairing
-formula entry by entry (with the kernel variant that repeats e(m_j - l_k)).
+coefficients root by root, the determinant matrices of the pairing
+formula entry by entry (with the kernel variant that repeats e(m_j - l_k)),
+and the products of all factors of Q but one as an (n, n) stack masked on
+the diagonal (q_masked), where the package multiplies exclusive prefix and
+suffix products.
 
 The Nystrom kernels of the root-density equation are kept unblocked: the
 whole (m, n) kernel times the weights, then one product with the values, and
@@ -440,22 +446,30 @@ def damped_newton(F, J, x0, tol=bae.TOL, max_iter=bae.MAX_ITER, f0=None):
     return out, res_out, iters, np.array(bae.STOP_REASONS)[stop]
 
 
+def embed_block(R, slots, n):
+    """Sparse embedding of an operator on the tensor slots `slots` (the first
+    slowest in R's index) out of n slots, slot 0 slowest."""
+    bits = [1 << (n - 1 - pos) for pos in slots]  # of the index, per slot
+    digits = [1 << (len(slots) - 1 - i) for i in range(len(slots))]  # of R's index
+    idx = np.arange(2 ** n)
+    block = sum(d * ((idx & b) > 0) for b, d in zip(bits, digits))  # block state of each index
+    rest = idx & ~sum(bits)
+    place = np.array([sum(b for b, d in zip(bits, digits) if k & d)
+                      for k in range(2 ** len(slots))])
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
+    for out, inp in zip(*np.nonzero(R)):
+        src = idx[block == inp]
+        rows.append(rest[src] | place[out])
+        cols.append(src)
+        vals.append(np.full(src.shape, R[out, inp], complex))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 ** n, 2 ** n)).tocsr()
+
+
 def embed_pair(R4, pos0, pos1, n):
     """Sparse embedding of a two-site operator on tensor slots (pos0, pos1)
     out of n slots, slot 0 slowest."""
-    bit0, bit1 = 1 << (n - 1 - pos0), 1 << (n - 1 - pos1)
-    idx = np.arange(2 ** n)
-    pair = 2 * ((idx & bit0) > 0) + ((idx & bit1) > 0)  # two-site state of each index
-    rest = idx & ~(bit0 | bit1)
-    place = np.array([0, bit1, bit0, bit0 | bit1])
-    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
-    for out, inp in zip(*np.nonzero(R4)):
-        src = idx[pair == inp]
-        rows.append(rest[src] | place[out])
-        cols.append(src)
-        vals.append(np.full(src.shape, R4[out, inp], complex))
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(2 ** n, 2 ** n)).tocsr()
+    return embed_block(R4, (pos0, pos1), n)
 
 
 def r_factors(lam, L, weights, aux=0, n=None):
@@ -474,6 +488,15 @@ def monodromy_csr(lam, L, weights, aux=0, n=None):
     for R in r_factors(lam, L, weights, aux, n):
         T = R if T is None else R @ T
     return T
+
+
+def monodromy_action_by_factor(lam, L, weights, x, transposed=False):
+    """sixvertex._monodromy_action as one reshape action per 4 x 4 R-factor,
+    site 1 first (site L first for T_0(l)^T: R is symmetric)."""
+    factors = list(enumerate(sixvertex._r_matrices(lam, L, weights), start=1))
+    for j, R4 in factors[::-1] if transposed else factors:
+        x = sixvertex._apply_pair(R4, j, x)
+    return x
 
 
 def off_diagonal_product(roots, L, weights, transposed):
@@ -652,6 +675,14 @@ def d_prod_sh(args):
     sum_m ch(args_m) prod_{n != m} sh(args_n)."""
     terms = np.sinh(args)
     return sum(np.cosh(args[m]) * np.prod(np.delete(terms, m)) for m in range(len(args)))
+
+
+def q_masked(lam, roots, own):
+    """own(l - n_m) prod_{k != m} sh(l - n_k) for every m (on the last axis),
+    as the (..., n, n) stack of factors masked on its diagonal, for a scalar
+    or an array of l."""
+    x = np.asarray(lam, complex)[..., None, None] - np.asarray(roots, complex)
+    return np.prod(np.where(np.eye(x.shape[-1], dtype=bool), own(x), np.sinh(x)), axis=-1)
 
 
 class ScalarVacuum:

@@ -86,6 +86,25 @@ class TestBlocks:
         with pytest.raises(ValueError, match="supported up to L = 14"):
             aba.monodromy_blocks(0.3, 15, 0.4)
 
+    @pytest.mark.parametrize("call, bound", [
+        (lambda L: aba.monodromy_blocks(0.3, L, 0.4), 14),
+        (lambda L: aba.offshell_action_residual([0.1, 0.3j, 0.5], 0, L, 0.4 + 0.1j), 12),
+        (lambda L: aba.dual_action_residual([0.1, 0.3j, 0.5], 0, L, 0.4 + 0.1j), 12),
+        (lambda L: aba.pairing_ratio_bruteforce([0.1], [0.2], L, 0.4j), 12),
+        (lambda L: aba.b_product_state([0.1], L, 0.4j), 12),
+    ], ids=["monodromy_blocks", "offshell_action_residual", "dual_action_residual",
+            "pairing_ratio_bruteforce", "b_product_state"])
+    def test_length_past_its_bound_raises_before_building(self, call, bound):
+        # nothing of size L (inhomogeneities, vacuum values) is built first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"supported up to L = {bound}"):
+                call(10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestBProducts:
     def test_single_b_components(self):
@@ -219,10 +238,34 @@ class TestArrayForms:
     @settings(max_examples=40, deadline=None)
     @given(roots=_complex_list(-1.0, 1.0, min_size=1))
     def test_q_derivative_at_a_root(self, roots):
-        # exactly at a root, Q' is the product of the other factors
+        # exactly at a root, Q' is the product of the other factors: every other
+        # term is exactly 0; that product has its own order of multiplication
         roots = np.array(roots, complex)
-        others = [np.prod(sh(r - np.delete(roots, j))) for j, r in enumerate(roots)]
+        others = np.diagonal(aba._all_but_one(sh(roots[:, None] - roots)))
         assert np.array_equal(aba._q_derivative(roots, roots), others)
+        want = [np.prod(sh(r - np.delete(roots, j))) for j, r in enumerate(roots)]
+        assert np.all(np.abs(others - want) <= 1e-14 * np.abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(roots=_complex_list(-1.0, 1.0, min_size=1, max_size=8), data=st.data())
+    def test_products_but_one_match_the_masked_stack(self, roots, data):
+        """The prefix-times-suffix products of all factors but one, and Q',
+        against the masked (n, n) stack, at generic l and at l exactly on one
+        root (one zero factor) or on a root given twice (two zero factors,
+        where Q' is exactly 0)."""
+        roots = np.array(roots, complex)
+        j = data.draw(st.integers(0, len(roots) - 1))
+        twice = np.append(roots, roots[j])
+        ls = np.append(data.draw(_complex_list(-1.5, 1.5)), roots[j])
+        for n in (roots, twice):
+            got = aba._all_but_one(sh(ls[:, None] - n))
+            want = loop_references.q_masked(ls, n, np.ones_like)
+            assert got.shape == want.shape == ls.shape + n.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            terms = loop_references.q_masked(ls, n, np.cosh)
+            got = aba._q_derivative(ls, n)
+            assert np.all(np.abs(got - terms.sum(-1)) <= 1e-14 * np.abs(terms).sum(-1))
+        assert aba._q_derivative(roots[j], twice) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(ls=_complex_list(-1.0, 1.0, min_size=1), **_vacuum_args)
@@ -332,7 +375,7 @@ class TestTransferEigenvalue:
         roots = np.array(roots, complex)
         assume(bae._pairwise_min_dist(roots) > 1e-3)
         vac, _ = _vacuum_pair(L, eta, seed)
-        others = np.array([np.prod(sh(r - np.delete(roots, j))) for j, r in enumerate(roots)])
+        others = np.diagonal(aba._all_but_one(sh(roots[:, None] - roots)))
         dn = aba._transfer_numerator(roots, roots, vac)[1]
         assert np.array_equal(aba.transfer_eigenvalue(roots, roots, vac), dn / others)
         for r, p in zip(roots, others):  # one l at a time, as before the array form

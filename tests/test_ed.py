@@ -484,7 +484,11 @@ class TestBlockedSolve:
         op = ed.OperatorMatrix(m if dense else sp.csr_matrix(m))
         assert len(ed._blocks(op)) == L + 1
         spec = ed.diagonalize(op)
-        w_ref = np.linalg.eigvalsh(m)
+        # the reference spectrum per popcount class, which no entry of m joins
+        pop = np.bitwise_count(np.arange(2 ** L))
+        assert not np.any(m[pop[:, None] != pop])
+        w_ref = np.sort(np.concatenate([np.linalg.eigvalsh(m[np.ix_(c, c)]) for c in
+                                        (np.flatnonzero(pop == k) for k in range(L + 1))]))
         scale = max(1.0, np.max(np.abs(w_ref)))
         v = spec.eigenvectors
         assert v.shape == m.shape

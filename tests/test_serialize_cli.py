@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -571,6 +572,20 @@ class TestCli:
             main(["--help"])
         out = capsys.readouterr().out
         assert "thermo" in out and "--lmax" not in out and "--n-nodes" not in out
+
+    @pytest.mark.parametrize("command", ["verify-action", "slavnov"])
+    def test_aba_length_past_the_product_bound_builds_nothing(self, command, capsys):
+        # the L <= 12 bound of the B/C products is checked before the vacuum
+        # over L sites or any slavnov_ratio array of size L is built
+        tracemalloc.start()
+        try:
+            status = main(["aba", command, "--L", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == EXIT_CONFIG and peak < 1e6
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "config error: B/C products supported up to L = 12\n"
 
     def test_ed_spectrum_bad_k_is_config_error(self, capsys):
         assert main(["ed", "spectrum", "--L", "4", "--k", "two"]) == EXIT_CONFIG

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import loop_references
@@ -308,7 +308,7 @@ class TestPartitionFunction:
             raise AssertionError("the enumeration oracle called the R-matrix code")
 
         for name in ("r_matrix_from_weights", "_r_matrices", "_ice_paths", "_closed_paths",
-                     "_transfer_action", "_monodromy_action"):
+                     "_transfer_action", "_monodromy_action", "_pair_blocks", "_apply_blocks"):
             monkeypatch.setattr(sixvertex, name, unused)
         assert sixvertex.enumerate_partition(3, 2, 1, 2, 3) == \
             loop_references.enumerate_partition(3, 2, 1, 2, 3)
@@ -406,25 +406,29 @@ class TestProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(L=st.integers(1, 7), data=st.data(), batch=st.sampled_from([None, 1, 3]),
-           stacked=st.booleans())
-    def test_pair_action_is_embedded_matrix(self, L, data, batch, stacked):
-        """The reshape action of any complex 4 x 4 (six-vertex sparsity or
-        not) equals the embedded CSR factor times the vector, row by row with
-        a leading batch axis; a (batch, 4, 4) stack applies its own R to each
+           stacked=st.booleans(), sites=st.sampled_from([1, 2]))
+    def test_pair_action_is_embedded_matrix(self, L, data, batch, stacked, sites):
+        """The reshape action of any complex 4 x 4 on slots (0, j), or 8 x 8
+        on (0, j, j + 1) (six-vertex sparsity or not), equals the embedded CSR
+        block times the vector, row by row with a leading batch axis; a
+        (batch, 4, 4) or (batch, 8, 8) stack applies its own block to each
         row."""
-        j = data.draw(st.integers(1, L))
+        assume(sites <= L)
+        j = data.draw(st.integers(1, L + 1 - sites))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         rng = np.random.default_rng(seed)
         stacked = stacked and batch is not None
-        rshape = (batch, 4, 4) if stacked else (4, 4)
+        size = 2 ** (sites + 1)
+        rshape = (batch, size, size) if stacked else (size, size)
         mask = rng.random(rshape) < data.draw(st.floats(0.0, 1.0))
-        R4 = np.where(mask, rng.normal(size=rshape) + 1j * rng.normal(size=rshape), 0)
+        R = np.where(mask, rng.normal(size=rshape) + 1j * rng.normal(size=rshape), 0)
         shape = (2 ** (L + 1),) if batch is None else (batch, 2 ** (L + 1))
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        got = sixvertex._apply_pair(R4, j, x)
+        got = sixvertex._apply_pair(R, j, x)
         assert got.shape == x.shape
+        slots = (0,) + tuple(range(j, j + sites))
         for k, (g, row) in enumerate(zip(np.atleast_2d(got), np.atleast_2d(x))):
-            ref = loop_references.embed_pair(R4[k] if stacked else R4, 0, j, L + 1) @ row
+            ref = loop_references.embed_block(R[k] if stacked else R, slots, L + 1) @ row
             assert np.linalg.norm(g - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
 
     @staticmethod
@@ -489,6 +493,23 @@ class TestProperties:
             T = loop_references.monodromy_csr(lk, L, w)
             ref = (T.T if transposed else T) @ xk
             assert np.linalg.norm(gk - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(1, 9), data=st.data(), transposed=st.booleans(),
+           K=st.sampled_from([None, 1, 3]), per_row=st.booleans())
+    def test_monodromy_action_is_the_factor_sweep(self, L, data, transposed, K, per_row):
+        """The two-site blocks give T_0(l) (or its transpose) as the sweep of
+        one reshape action per R-factor does, at odd and even L, for one l or
+        one per row, direct weights or inhomogeneous ones."""
+        w = self._draw_weights(data, L)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        shape = (2 ** (L + 1),) if K is None else (K, 2 ** (L + 1))
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        lam = rng.uniform(-1, 1, K if per_row and K else None) + 1j * rng.uniform(-1, 1)
+        got = sixvertex._monodromy_action(lam, L, w, x, transposed)
+        ref = loop_references.monodromy_action_by_factor(lam, L, w, x, transposed)
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
 
     @settings(max_examples=40, deadline=None)
     @given(L=st.integers(1, 7), data=st.data(), lam=_complex((-1.0, 1.0), (-1.0, 1.0)))
