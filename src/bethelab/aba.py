@@ -64,11 +64,6 @@ def q_function(lam, roots):
     return np.prod(sh(_shifts(lam, roots)), axis=-1)
 
 
-def _q_log_derivative(lam, roots):
-    """d/dl log Q(l|{roots}) away from the zeros, for a scalar or an array of l."""
-    return np.sum(cth(_shifts(lam, roots)), axis=-1)
-
-
 def _all_but_one(s):
     """prod_{k != m} s_k for every m (on the last axis), the product of the
     exclusive prefix and suffix products: exact where s_m = 0, and O(n)
@@ -77,6 +72,14 @@ def _all_but_one(s):
     s[..., :-1].cumprod(axis=-1, out=out[..., 1:])
     out[..., :-1] *= s[..., :0:-1].cumprod(axis=-1)[..., ::-1]
     return out
+
+
+def _q_parts(x):
+    """(Q, Q', Q'/Q) from the shifts x = l - n (roots on the last axis), sh
+    and ch taken once: Q' in the zero-safe form of _q_derivative, and Q'/Q as
+    sum_n cth(l - n), away from the zeros."""
+    s, c = sh(x), ch(x)
+    return s.prod(axis=-1), (c * _all_but_one(s)).sum(axis=-1), (c / s).sum(axis=-1)
 
 
 def _q_derivative(lam, roots):
@@ -103,12 +106,6 @@ class VacuumFunctions:
 
     def d(self, l):
         return q_function(l, self.xi)
-
-    def dlog_a(self, l):
-        return _q_log_derivative(l + self.eta, self.xi)
-
-    def dlog_d(self, l):
-        return _q_log_derivative(l, self.xi)
 
     def da(self, l):
         """a'(l), zero-safe at the zeros of a."""
@@ -196,8 +193,13 @@ def bae_q_residual(roots, vac):
     """Max relative residual of a(m_j) Q(m_j - eta) + d(m_j) Q(m_j + eta) = 0
     over the set (the on-shell condition in Q-form)."""
     roots = np.asarray(roots, complex)
-    t1 = vac.a(roots) * q_function(roots - vac.eta, roots)
-    t2 = vac.d(roots) * q_function(roots + vac.eta, roots)
+    return _q_form_residual(vac.a(roots) * q_function(roots - vac.eta, roots),
+                            vac.d(roots) * q_function(roots + vac.eta, roots))
+
+
+def _q_form_residual(t1, t2):
+    """max_j |t1_j + t2_j| / max(|t1_j|, |t2_j|), the relative Q-form residual
+    from its two terms."""
     scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-300)
     return float(np.max(np.abs(t1 + t2) / scale, initial=0.0))
 
@@ -298,23 +300,6 @@ def k_function(lam, eta):
     return cth(lam - eta) - cth(lam + eta)
 
 
-def a_ratio(lam, roots, vac):
-    """Exponential counting function  afun(l|{m}) = d(l) Q(l + eta|{m}) /
-    (a(l) Q(l - eta|{m})) for a scalar or an array of l; equals -1 at on-shell
-    roots."""
-    return (vac.d(lam) * q_function(lam + vac.eta, roots)
-            / (vac.a(lam) * q_function(lam - vac.eta, roots)))
-
-
-def a_ratio_derivative(lam, roots, vac):
-    """d afun/dl from the product form (logarithmic derivative), for a scalar
-    or an array of l."""
-    dlog = vac.dlog_d(lam) - vac.dlog_a(lam) \
-        + _q_log_derivative(lam + vac.eta, roots) \
-        - _q_log_derivative(lam - vac.eta, roots)
-    return a_ratio(lam, roots, vac) * dlog
-
-
 def slavnov_ratio(mu_onshell, lam_offshell, L, eta):
     """Normalized determinant formula for the Bethe-vector pairing
 
@@ -344,24 +329,34 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta):
     if _pairwise_min_dist(np.concatenate([mu, la])) < MIN_PAIR_DISTANCE:
         raise ValueError("parameters closer than the pole guard")
     vac = VacuumFunctions(L, eta)
-    if bae_q_residual(mu, vac) > ONSHELL_TOL:
+    # at the m_j: a, d and Q(m_j -+ eta|{m}), each with its derivative and
+    # logarithmic derivative, from one stack of shifts per pair
+    (a, d), (da, dd), (dlog_a, dlog_d) = _q_parts(_shifts(mu + np.array([[eta], [0]]), vac.xi))
+    (qm, qp), (dqm, dqp), (dlog_qm, dlog_qp) = _q_parts(
+        _shifts(mu - np.array([[eta], [-eta]]), mu))
+    if _q_form_residual(a * qm, d * qp) > ONSHELL_TOL:
         raise ValueError("the mu set is not on shell")
-    lam = transfer_eigenvalue(np.concatenate([la, mu]), mu, vac)
-    log_pref = np.sum(np.log(lam[:n]) - np.log(lam[n:]))
+    x = _shifts(mu, mu)
+    # Lambda(m_j) = n'/Q', the pole of n/Q at a root being removable, with
+    # Q'(m_j) the product of the other factors; afun'(m_j) = afun d log afun
+    lam_mu = (da * qm + a * dqm + dd * qp + d * dqp) / np.diagonal(_all_but_one(sh(x)))
+    dafun = d * qp / (a * qm) * (dlog_d - dlog_a + dlog_qp - dlog_qm)
+    den_gaudin = np.eye(n) - k_function(x, eta) / dafun
+    # at the off-shell l_k: sh(l_k - eta - m_j), sh(l_k + eta - m_j) and
+    # sh(l_k - m_j), one row per l_k, and (a(l_k), d(l_k))
+    s = sh(_shifts(la - np.array([[eta], [-eta], [0]]), mu))
+    w = q_function(la + np.array([[eta], [0]]), vac.xi)
+    numer = (w * s[:2].prod(axis=-1)).sum(axis=0)  # n = wa + wd, Lambda = n/Q
+    log_pref = np.sum(np.log(numer / s[2].prod(axis=-1)) - np.log(lam_mu))
     den_cauchy = 1 / sh(mu[:, None] - la[None, :])
     # e(m_j - l_k) wa_k and e(l_k - m_j) wd_k, wa = a(l) Q(l - eta|{m}) and
     # wd = d(l) Q(l + eta|{m}), with the factor of Q(l_k -+ eta) that cancels
     # the pole of e at l_k = m_j +- eta divided out:
     # e(x) sh(x + eta) = sh(eta) / sh(x) for x = m_j - l_k and x = l_k - m_j
-    ewa = -sh(eta) * den_cauchy * vac.a(la) * _all_but_one(sh(_shifts(la - eta, mu))).T
-    ewd = -sh(eta) * den_cauchy * vac.d(la) * _all_but_one(sh(_shifts(la + eta, mu))).T
+    ewa, ewd = (-sh(eta) * den_cauchy * wk * p.T for wk, p in zip(w, _all_but_one(s[:2])))
     # over wa + wd: 1/(1 + afun) and 1/(1 + 1/afun), finite where a(l_k) or d(l_k) is 0
-    num = (ewa - ewd) / _numerator(la, mu, vac)
-    den_gaudin = np.eye(n) - k_function(mu[:, None] - mu[None, :], eta) \
-        / a_ratio_derivative(mu, mu, vac)
-    s1, l1 = np.linalg.slogdet(num)
-    s2, l2 = np.linalg.slogdet(den_gaudin)
-    s3, l3 = np.linalg.slogdet(den_cauchy)
+    num = (ewa - ewd) / numer
+    (s1, s2, s3), (l1, l2, l3) = np.linalg.slogdet(np.stack([num, den_gaudin, den_cauchy]))
     return complex(s1 / (s2 * s3) * np.exp(l1 - l2 - l3 + log_pref))
 
 

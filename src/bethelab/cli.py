@@ -265,7 +265,11 @@ def cmd_vertex_partition(p):
     report = {"Z": complex(z)}
     status = EXIT_OK
     if L * M <= 12:
-        ze = complex(sixvertex.enumerate_partition(L, M, a, b, c))
+        ze = sixvertex.enumerate_partition(L, M, a, b, c)
+        try:
+            ze = complex(ze)
+        except OverflowError:  # an exact int past the float range reads as infinite
+            ze = complex(np.inf if ze > 0 else -np.inf)
         report["Z_enumeration"] = ze
         # np.abs: Python's abs of a nan complex raises OverflowError when a
         # prior overflow left errno set

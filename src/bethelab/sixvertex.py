@@ -23,10 +23,11 @@ path of horizontal edges, so T_0 stores at most 2 3^L entries, each a product
 of one R entry per site, kept in two blocks by the current aux value.
 _monodromy_csr takes all of them and `transfer` the paths that leave with the
 aux value they entered with, each put in CSR order by one stable sort by row;
-the dense sector blocks of partition_function are filled from the latter by
-sector rank, and the RTT check inserts the idle aux slot into the monodromy's
-CSR.  `transfer` hands its CSR to ed.OperatorMatrix, whose one rule (dense
-below DENSE_DIM_LIMIT = 512) makes `.matrix` dense for L <= 8.
+the dense sector blocks of partition_function, those of the torus's shorter
+side, are filled from the latter by sector rank, and the RTT check inserts
+the idle aux slot into the monodromy's CSR.  `transfer` hands its CSR to
+ed.OperatorMatrix, whose one rule (dense below DENSE_DIM_LIMIT = 512) makes
+`.matrix` dense for L <= 8.
 hamiltonian_from_transfer inverts t(0) as the scaled shift it is, sums t'(0)
 exactly (L walks) and stays CSR.  Vectors meet the reshape action _apply_pair,
 which stores nothing: vectors are rows, (..., 2^n), and each block, an 8 x 8
@@ -394,11 +395,19 @@ def hamiltonian_from_transfer(L, eta, rho=1.0):
 
 
 def partition_function(L, M, a, b, c):
-    """Z_{L,M}(a,b,c) = tr (tr_0 T_0)^M via the sector blocks of one transfer
-    matrix (the transfer conserves the arrow number, so the trace is the sum
-    of block traces)."""
+    """Z_{L,M}(a,b,c) = tr (tr_0 T_0)^M on the L x M torus via the sector
+    blocks of one transfer matrix (the transfer conserves the arrow number,
+    so the trace is the sum of block traces), taken along the shorter side:
+    turning the torus by 90 degrees swaps rows and columns and a with b, so
+    for M < L it is Z_{M,L}(b,a,c), min(L, M) sites to the max(L, M)-th
+    power."""
     if M < 1:
         raise ValueError("M >= 1 required")
+    if min(L, M) > EXPLICIT_L_MAX:
+        raise ValueError(f"L={L}, M={M}: the shorter side of the torus is supported "
+                         f"up to {EXPLICIT_L_MAX}")
+    if M < L:
+        L, M, a, b = M, L, b, a
     paths = _closed_paths(0.0, L, VertexWeights(a, b, c))
     return complex(sum(np.trace(np.linalg.matrix_power(_sector_block(paths, L, N), M))
                        for N in range(L + 1)))

@@ -230,9 +230,12 @@ class TestArrayForms:
         assert np.array_equal(got, [loop_references.q_function(l, roots) for l in ls])
         want = np.array([loop_references.d_prod_sh(l - roots) for l in ls])
         assert np.all(np.abs(aba._q_derivative(ls, roots) - want) <= 1e-13 * bound)
+        with np.errstate(divide="ignore", invalid="ignore"):  # Q'/Q at a root of Q
+            q, dq, dlog = aba._q_parts(x)
+        assert np.array_equal(q, got) and np.array_equal(dq, aba._q_derivative(ls, roots))
         assume(np.min(np.abs(sh(x)), initial=np.inf) > 1e-3)
         want = np.sum(1 / np.tanh(x), axis=-1)
-        assert np.all(np.abs(aba._q_log_derivative(ls, roots) - want)
+        assert np.all(np.abs(dlog - want)
                       <= 1e-13 * (1 + np.sum(np.abs(1 / np.tanh(x)), axis=-1)))
 
     @settings(max_examples=40, deadline=None)
@@ -274,8 +277,12 @@ class TestArrayForms:
         vac, ref = _vacuum_pair(L, eta, seed)
         zeros = np.concatenate([vac.xi, vac.xi - eta])
         assume(np.min(np.abs(sh(ls[:, None] - zeros))) > 1e-3)
-        for name in ("a", "d", "dlog_a", "dlog_d", "da", "dd"):
-            got = getattr(vac, name)(ls)
+        funcs = {"a": vac.a, "d": vac.d, "da": vac.da, "dd": vac.dd,
+                 # the logarithmic derivatives slavnov_ratio takes from _q_parts
+                 "dlog_a": lambda l: aba._q_parts(aba._shifts(l + eta, vac.xi))[2],
+                 "dlog_d": lambda l: aba._q_parts(aba._shifts(l, vac.xi))[2]}
+        for name, f in funcs.items():
+            got = f(ls)
             want = np.array([getattr(ref, name)(l) for l in ls])
             assert got.shape == ls.shape
             assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want))), name

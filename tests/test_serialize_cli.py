@@ -749,6 +749,26 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         assert f"non-finite --a = {value}" in self._config_error(capsys)
 
+    @pytest.mark.parametrize("weights", [["1e200", "1e200", "1e200"], ["1e200", "0.5", "1.5"],
+                                         ["-1e200", "1e200", "1e200"]])
+    def test_overflowing_partition_is_invariant_violation(self, weights, capsys):
+        # integral weights give the enumeration's exact int, here past the
+        # float range; it once ended in an OverflowError traceback
+        argv = ["vertex", "partition", "--L", "2", "--M", "2"]
+        argv += [x for flag, w in zip(("--a", "--b", "--c"), weights) for x in (flag, w)]
+        assert main(argv) == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "invariant violation: non-finite value in the report\n"
+
+    def test_partition_turns_to_the_shorter_side(self, capsys):
+        zs = []
+        for L, M in (("20", "2"), ("2", "20")):
+            assert main(["vertex", "partition", "--L", L, "--M", M]) == EXIT_OK
+            zs.append(json.loads(capsys.readouterr().out)["Z"])
+        assert zs[0] == zs[1] == [3488881554, 0.0]
+        assert main(["vertex", "partition", "--L", "20", "--M", "16"]) == EXIT_CONFIG
+        assert "L=20, M=16" in self._config_error(capsys)
+
     @pytest.mark.parametrize("mode", ["flags", "json"])
     @pytest.mark.parametrize("flag, value", [("step", "1e-5"), ("J", "0")])
     def test_hamiltonian_link_takes_no_step_or_coupling(self, mode, flag, value,

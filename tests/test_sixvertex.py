@@ -314,10 +314,14 @@ class TestPartitionFunction:
             loop_references.enumerate_partition(3, 2, 1, 2, 3)
 
     @pytest.mark.parametrize("args, parent_peak_mb", [((10, 1, 1, 2, 3), 4.75),
-                                                      ((12, 1, 1, 1, 1), 42.6)])
+                                                      ((12, 1, 1, 1, 1), 42.6),
+                                                      ((10, 10, 1, 2, 3), 5.31)])
     def test_peak_memory(self, args, parent_peak_mb):
         """The traced peak stays below that of the CSR-product transfer
-        (4.75 MB and 42.6 MB, tracemalloc on the same calls)."""
+        (4.75 MB and 42.6 MB, tracemalloc on the same calls).  Turned to the
+        shorter side, those two take one-site blocks; the 10 x 10 torus keeps
+        the 10-site sector blocks under the check, at the 5.31 MB traced
+        before the turn."""
         sixvertex.partition_function(*args)  # cached sector ranks out of the count
         tracemalloc.start()
         try:
@@ -326,6 +330,43 @@ class TestPartitionFunction:
         finally:
             tracemalloc.stop()
         assert peak <= parent_peak_mb * 1e6
+
+    @settings(max_examples=80, deadline=None)
+    @given(L=st.integers(1, 16), data=st.data(), exact=st.booleans())
+    def test_turned_torus_matches_enumeration(self, L, data, exact):
+        """Z on the L x M and the M x L torus against the enumeration, and
+        Z_{L,M}(a, b, c) = Z_{M,L}(b, a, c).  Integer weights |w| <= 2 keep
+        every entry of the matrix powers below 2^(LM + max(L, M)) 2^(LM)
+        <= 2^48, so the transfer route is exact there."""
+        M = data.draw(st.integers(1, 16 // L))
+        weights = st.integers(-2, 2) if exact else _complex((-2.0, 2.0), (-1.0, 1.0))
+        a, b, c = data.draw(st.lists(weights, min_size=3, max_size=3))
+        z = sixvertex.partition_function(L, M, a, b, c)
+        pairs = [(z, sixvertex.enumerate_partition(L, M, a, b, c)),
+                 (sixvertex.partition_function(M, L, a, b, c),
+                  sixvertex.enumerate_partition(M, L, a, b, c)),
+                 (sixvertex.partition_function(M, L, b, a, c), z)]
+        if exact:
+            assert all(got == want for got, want in pairs)
+        else:
+            scale = abs(sixvertex.enumerate_partition(L, M, abs(a), abs(b), abs(c)))
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-12 * max(1.0, scale)
+
+    @pytest.mark.parametrize("L, M", [(10, 1), (1, 10), (5, 3), (3, 5), (4, 4), (20, 2)])
+    def test_transfer_runs_along_the_shorter_side(self, L, M, monkeypatch):
+        """The ice-path walk has min(L, M) sites, and a turned torus swaps a
+        with b (Z itself is symmetric in a <-> b, so only the weights show it)."""
+        seen = []
+        closed_paths = sixvertex._closed_paths
+
+        def recording(lam, sites, weights):
+            seen.append((sites, weights.a, weights.b, weights.c))
+            return closed_paths(lam, sites, weights)
+
+        monkeypatch.setattr(sixvertex, "_closed_paths", recording)
+        sixvertex.partition_function(L, M, 1, 2, 3)
+        assert seen == [(min(L, M),) + ((2, 1, 3) if M < L else (1, 2, 3))]
 
     def test_zero_weights(self):
         assert sixvertex.partition_function(2, 2, 0, 0, 0) == 0
