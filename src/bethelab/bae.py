@@ -43,7 +43,8 @@ the first on a tie.
 Each lane keeps its own damping, iteration count and stop reason
 (STOP_REASONS) and leaves the working set when it stops, so a lane of a
 stack ends as its own solve would; the two-magnon classification runs its
-whole quantum-number scan and its whole bound-pair grid as one stack each.
+quantum-number scan as one stack and its bound pairs, one unknown per total
+momentum (Bethe's momentum equation), as another.
 Chain solves of different L and N (a scan over chain lengths) run as lanes
 of few stacks: sorted by N, B lanes of up to n roots share a stack while
 B n^2 <= BLOCK.  A lane of fewer than n roots is padded with slots that are
@@ -53,10 +54,9 @@ stack of equal N runs unpadded, and a lane alone in its stack exactly as a
 single solve.
 Iterates that run away to |x| > ROOT_ESCAPE, or converge beyond
 ROOT_ESCAPE/100, are reported as unconverged: for the log-form solves these
-are solutions with rapidities at infinity (spin-lowered descendants); in the
-bound-pair search they are seeds that walk off to |l| -> infinity, where both
-sides of the equation tend to 1.  The log forms fold parity offsets into
-their constants, so their quantum numbers must be integers.
+are solutions with rapidities at infinity (spin-lowered descendants).  The
+log forms fold parity offsets into their constants, so their quantum numbers
+must be integers.
 """
 
 from dataclasses import dataclass, field
@@ -470,38 +470,52 @@ def admissibility(roots, tol=EQUALITY_TOL):
     return len(reasons) == 0, reasons
 
 
-def _bound_pair_system(L):
-    """(F, J) of the N = 2 bound-pair equation in z = (l_r, d), l = l_r + i d:
-    G = ((l - i/2)/(l + i/2))^L - (2d - 1)/(2d + 1), split into (Re G, Im G).
-    G is holomorphic in l up to the d-dependent constant, whose d-derivative
-    is 4/(2d + 1)^2.  z has shape (2,) or (B, 2).  F and J are written into
-    one float array each, through its complex view: F's last axis is G, and
-    J's columns dG/dl_r and dG/dd are written as the rows of its transpose."""
+def _momentum_system(L, c, s):
+    """(F, J) of Bethe's momentum equation of a bound pair k = h +- iv, in v:
+    F(v) = c - e^{-v}(1 - s e^{-(L-2)v})/(1 - s e^{-Lv}), with c = cos h and
+    s = +1 (odd m) or -1 (even m), h = pi m/L, per lane (B, 1).  F rises from
+    c - 1 (even m) or c - (L - 2)/L (odd m) at v = 0 to c as v grows."""
 
-    def p(z):
-        """l - i/2, l + i/2 and ((l - i/2)/(l + i/2))^L."""
-        l = z[..., 0] + 1j * z[..., 1]
-        below, above = l - 0.5j, l + 0.5j
-        return below, above, np.exp(L * (np.log(below) - np.log(above)))
+    def g(v, lanes):
+        """s, e^{-v}, e^{-Lv}, 1 - s e^{-Lv} and c - F."""
+        sl, a, e = _per_lane(s, lanes), np.exp(-v), np.exp(-L * v)
+        return sl, a, e, 1 - sl * e, a * (1 - sl * np.exp(-(L - 2) * v)) / (1 - sl * e)
 
-    def F(z, lanes=None):
-        f, d2 = np.empty(z.shape), 2 * z[..., 1]
-        f.view(complex)[..., 0] = p(z)[2] - (d2 - 1) / (d2 + 1)
-        return f
+    def F(v, lanes=None):
+        return _per_lane(c, lanes) - g(v, lanes)[-1]
 
-    def J(z, lanes=None):
-        below, above, pl = p(z)
-        jt = np.empty(z.shape + (2,))
-        cols = jt.view(complex)[..., 0]
-        cols[..., 0] = dl = pl * L * (1 / below - 1 / above)
-        cols[..., 1] = 1j * dl - 4 / (2 * z[..., 1] + 1) ** 2
-        return jt.swapaxes(-1, -2)
+    def J(v, lanes=None):
+        sl, a, e, D, gv = g(v, lanes)
+        return (gv - sl * e / a * (L - 2 - L * a * a + 2 * sl * e) / D ** 2)[..., None]
     return F, J
+
+
+def _bound_pairs(L):
+    """Every bound pair of the two-magnon sector of an even L, unscreened:
+    rows [x + i d, x - i d] ascending in x.  k = h +- iv, h = pi m/L and
+    0 < m < L/2, turn the Bethe equations into c ch(Lv/2) = ch((L/2 - 1)v)
+    (even m) or c sh(Lv/2) = sh((L/2 - 1)v) (odd m), c = cos h, with one root
+    v > 0 each (_momentum_system), none at odd m with c L >= L - 2; -h gives
+    -x.  l = cot(k/2)/2 gives x = sin h/(2 den), den = ch v - c (a sum of
+    squares), and d = 1/2 + (c - e^{-v})/(2 den), a product by the equation:
+    d is correctly rounded where |2d - 1| < 1e-2, as the exp-form gate needs."""
+    m = np.arange(1, L // 2)
+    m = m[(m % 2 == 0) | (L * np.cos(np.pi * m / L) < L - 2)]  # the m with a root
+    h = np.pi * m / L
+    c, s = np.cos(h), np.where(m % 2, 1.0, -1.0)
+    v = _damped_newton(*_momentum_system(L, c[:, None], s[:, None]),
+                       np.maximum(-np.log(c), 0.01)[:, None], tol=1e-15)[0][:, 0]
+    den = 2 * np.sinh(v / 2) ** 2 + 2 * np.sin(h / 2) ** 2
+    delta = s * np.exp(-(L - 1) * v) * np.expm1(-2 * v) / (2 * (1 - s * np.exp(-L * v)) * den)
+    x = 0.5 * np.sin(h) / den
+    l = np.sort_complex(np.concatenate([-x, x]) + 1j * (0.5 + np.concatenate([delta, delta])))
+    return np.stack([l, l.conj()], axis=-1)
 
 
 def classify_two_magnon(L):
     """Enumerate admissible N = 2 solutions: real pairs from a quantum-number
-    scan and conjugate ("bound") pairs l = l_r +- i d from a Newton search.
+    scan and conjugate ("bound") pairs l = x +- i d, one per total momentum,
+    from Bethe's momentum equation (_bound_pairs).
 
     Real seeds: all strictly increasing integer pairs with |I_j| <= (L - 3)/2,
     Takahashi's bound (L - N - 1)/2 on real roots, i.e. n_j in 3 - L/2 .. L/2,
@@ -509,23 +523,17 @@ def classify_two_magnon(L):
     every even L in 4..16 exactly these lanes of the wider scan
     -L/2 + 1 .. L/2 + 3 converge and all others run away
     (tests/test_bae.py::test_two_magnon_scan_is_the_admissible_range).
-    Bound seeds: l_r on a step-0.1 grid with d0 = 0.5, solved as one stack;
-    the grid spans +-(cot(pi/L) + 1.5) because the smallest-momentum bound
-    pair sits at center cot(pi/L), beyond +-3 once L >= 10.  The bound-pair
-    search runs on the shared _damped_newton (tolerance 1e-13, 100 steps);
-    its run-away rule discards seeds that walk off to |l| -> infinity, where
-    the equation holds only asymptotically.
+    Bound pairs: one lane per momentum of one _damped_newton stack (tolerance
+    1e-15, seed max(-ln c, 0.01)), so no two are the same pair.
     Real pairs are admissible and at least 1e-3 apart (same test), so only
-    bound candidates are screened: each must be admissible, which also keeps
-    the residual off the poles.  Every candidate then needs an exp-form
-    residual of at most 1e-10, and a bound pair within 1e-6 of an earlier
-    one in (Re l, |Im l|) is dropped; |Im l| >= 1e-4 keeps bound pairs off
-    the real ones.  The exactly singular pair {+i/2, -i/2} (a genuine
+    bound pairs are screened: each must be admissible, which also keeps the
+    residual off the poles.  Every candidate then needs an exp-form residual
+    of at most 1e-10.  The exactly singular pair {+i/2, -i/2} (a genuine
     two-magnon level at momentum pi for even L) is inadmissible and
     intentionally not returned.
 
     Returns a list of (RapiditySet, kind) with kind 'real-pair' | 'bound-pair',
-    real pairs first.
+    real pairs first, bound pairs ascending in Re l.
     """
     if L % 2 or not (4 <= L <= 16):
         raise ValueError(f"L={L}: the two-magnon scan takes even L, 4 <= L <= 16")
@@ -535,21 +543,12 @@ def classify_two_magnon(L):
                                      XXX.seeds[0](ns - _qnum_offset(L, 2), L))
     real = np.sort(lam[stop == "converged"], axis=-1).astype(complex)
 
-    reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)
-    grid = np.arange(-reach, reach + 1e-9, 0.1)
-    z0 = np.stack([grid, np.full(len(grid), 0.5)], axis=-1)
-    z, _, _, stop = _damped_newton(*_bound_pair_system(L), z0, tol=1e-13, max_iter=100)
-    z = z[(stop == "converged") & (np.abs(z[:, 1]) >= 1e-4)]
-    bound = np.stack([z[:, 0] + 1j * z[:, 1], z[:, 0] - 1j * z[:, 1]], axis=-1)
+    bound = _bound_pairs(L)
     pole, coincident, diff_i = _inadmissible(bound, EQUALITY_TOL)
     bound = bound[~(pole.any(axis=-1) | coincident.any(axis=(-2, -1)) | diff_i.any(axis=(-2, -1)))]
 
     cand = np.concatenate([real, bound])
     ok = ~(_chain_residuals(XXX, cand, L) > 1e-10)
-    rows = len(real) + np.flatnonzero(ok[len(real):])  # the bound pairs left
-    l = cand[rows, 0]
-    near = np.hypot(l.real[:, None] - l.real, np.abs(l.imag)[:, None] - np.abs(l.imag)) < 1e-6
-    ok[rows] = ~np.triu(near, 1).any(axis=0)
     return [(RapiditySet("XXX", L, cand[i].copy()), "real-pair" if i < len(real) else "bound-pair")
             for i in np.flatnonzero(ok)]
 

@@ -8,11 +8,13 @@ and the nested sum over charge permutations P and spin orderings R per
 configuration.  Cost grows like N! (times M! for the nested state); use them
 at small N only.
 
-The two-magnon classification is kept in its serial form too: one
-solve_logbae per quantum-number pair, one single-lane _damped_newton per
-bound-pair seed, and admissibility, residual and de-duplication checked
-candidate by candidate, with the double-loop admissibility test; and its
-near-duplicate filter over the whole array of candidate distances.
+The two-magnon classification is kept as the serial grid search it
+replaced: one solve_logbae per quantum-number pair, one single-lane
+_damped_newton per bound-pair seed on a 0.1-step grid of Re l (on its own
+bound_pair_system in (Re l, Im l)), and admissibility, residual and
+de-duplication checked candidate by candidate, with the double-loop
+admissibility test, where the package solves Bethe's momentum equation, one
+unknown per total momentum.
 
 The Hubbard block operators (Hamiltonian, S^+ and the one-site translation)
 are kept as their per-state loops over up/down bit masks, with dict ranking
@@ -67,10 +69,11 @@ quasi-momentum is kept root by root as the principal complex log of
 (l + i/2)/(l - i/2) (rapidity_to_momentum), where the package sums the
 chain kernel's real-arithmetic log ratio.
 
-The Newton systems are kept in their stacked form: the bound-pair F and J
-(bound_pair_system) by np.stack of real and imaginary parts, the Lieb-Wu F
-by np.concatenate and its J by np.block (liebwu_system), where the package
-writes each into one preallocated array.  The damped-Newton driver is kept
+The Newton systems are kept in their stacked form: the grid search's
+bound-pair F and J (bound_pair_system) by np.stack of real and imaginary
+parts, the Lieb-Wu F by np.concatenate and its J by np.block
+(liebwu_system), where the package writes Lieb-Wu's into one preallocated
+array.  The damped-Newton driver is kept
 as it gathered the running lanes' tolerances on every step, selected rows
 by boolean masks and took every per-lane maximum over the last axis
 (damped_newton), where the package slices the tolerances as lanes retire,
@@ -320,7 +323,7 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
     if grid is None:
         reach = max(3.0, 1.0 / np.tan(np.pi / L) + 1.5)
         grid = np.arange(-reach, reach + 1e-9, 0.1)
-    F, J = bae._bound_pair_system(L)
+    F, J = bound_pair_system(L)
     for lr0 in grid:
         z, _, _, stop = bae._damped_newton(F, J, (lr0, delta0), tol=1e-13, max_iter=100)
         if stop == "converged" and abs(z[1]) >= 1e-4:
@@ -329,7 +332,11 @@ def classify_two_magnon(L, qn_range=None, grid=None, delta0=0.5):
 
 
 def bound_pair_system(L):
-    """bae._bound_pair_system with F and J stacked from real and imaginary parts."""
+    """(F, J) of the N = 2 bound-pair equation in z = (l_r, d), l = l_r + i d:
+    G = ((l - i/2)/(l + i/2))^L - (2d - 1)/(2d + 1), split into (Re G, Im G)
+    and stacked from real and imaginary parts.  G is holomorphic in l up to
+    the d-dependent constant, whose d-derivative is 4/(2d + 1)^2.  z has
+    shape (2,) or (B, 2)."""
 
     def p(z):
         l = z[..., 0] + 1j * z[..., 1]

@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -456,14 +457,6 @@ class TestStopReason:
         rep = bae.solve_logbae(8, 3, (1, 3, 5))
         assert not rep.converged and rep.stop == "run_away"
 
-    def test_two_magnon_seed_runs_away(self):
-        # without the run-away rule this seed "converges" at |l| ~ 1e13,
-        # where bae_residual_xxx < 1e-10 accepts it
-        F, J = bae._bound_pair_system(4)
-        z, _, _, stop = bae._damped_newton(F, J, (1.0, 0.5), tol=1e-13, max_iter=100)
-        assert stop == "run_away"
-        assert np.max(np.abs(z)) > bae.ROOT_ESCAPE
-
 
 # ---- property tests of the vectorized layer at random sizes and roots
 
@@ -539,10 +532,18 @@ class TestVectorizedProperties:
     @given(L=st.sampled_from(range(4, 17, 2)), lr=st.floats(-3.0, 3.0),
            d=st.floats(0.1, 1.5))
     def test_bound_pair_jacobian(self, L, lr, d):
-        # at l = i/2 (the singular pair) G = 0, so _damped_newton stops before
-        # evaluating J, whose p * (1/(l - i/2) - ...) form is 0 * inf there
+        # the grid search's system, kept as a test reference; at l = i/2 (the
+        # singular pair) G = 0, so _damped_newton stops before evaluating J,
+        # whose p * (1/(l - i/2) - ...) form is 0 * inf there
         _assume_regular(lr + 1j * d - 0.5j)
-        _assert_fd_jacobian(*bae._bound_pair_system(L), [lr, d])
+        _assert_fd_jacobian(*loop_references.bound_pair_system(L), [lr, d])
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.sampled_from(range(4, 17, 2)), m=st.integers(1, 7), v=st.floats(0.05, 3.0))
+    def test_momentum_jacobian(self, L, m, v):
+        assume(m < L / 2)
+        c, s = np.array([np.cos(np.pi * m / L)]), np.array([1.0 if m % 2 else -1.0])
+        _assert_fd_jacobian(*bae._momentum_system(L, c, s), [v])
 
     @settings(max_examples=40, deadline=None)
     @given(N=st.integers(0, 10), L=st.integers(2, 40), data=st.data())
@@ -698,12 +699,98 @@ TWO_MAGNON_COUNTS = {4: 1, 6: 8, 8: 19, 10: 32, 12: 51, 14: 72, 16: 97}
 
 @pytest.mark.parametrize("L", sorted(TWO_MAGNON_COUNTS))
 def test_two_magnon_matches_serial_scan(L):
+    # real pairs in order; bound pairs as a set, sorted by Re l: the grid
+    # search stops at |G| < 1e-13, up to 2.8e-14 (L = 16) from the exact pair
     sols = bae.classify_two_magnon(L)
     ref = loop_references.classify_two_magnon(L)
     assert len(sols) == len(ref) == TWO_MAGNON_COUNTS[L]
     assert [k for _, k in sols] == [k for _, k in ref]
-    for (rs, _), (rr, _) in zip(sols, ref):
-        assert np.max(np.abs(rs.values - rr.values)) <= 1e-14
+    real = [rs.values for rs, k in sols if k == "real-pair"]
+    for a, b in zip(real, [rr.values for rr, k in ref if k == "real-pair"]):
+        assert np.max(np.abs(a - b)) <= 1e-14
+    bound = np.array([rs.values for rs, k in sols if k == "bound-pair"]).reshape(-1, 2)
+    grid = np.array([rr.values for rr, k in ref if k == "bound-pair"]).reshape(-1, 2)
+    assert np.all(np.diff(bound[:, 0].real) > 0)
+    grid = grid[np.argsort(grid[:, 0].real)]
+    assert np.max(np.abs(bound - grid), initial=0.0) <= 1e-13
+
+
+def _momentum_oracle(L, mpmath):
+    """Per momentum index m, 0 < m < L/2: None where the momentum equation
+    has no root v > 0, else the exact pair (x, d) of l = x +- i d as mpf,
+    from the root of c ch(Lv/2) = ch((L/2 - 1)v) (even m) or
+    c sh(Lv/2) = sh((L/2 - 1)v) (odd m), c = cos(pi m/L), at 50 digits."""
+    out = {}
+    with mpmath.workdps(50):
+        for m in range(1, (L + 1) // 2):
+            h = mpmath.pi * m / L
+            c, f = mpmath.cos(h), mpmath.cosh if m % 2 == 0 else mpmath.sinh
+
+            def G(v):
+                return c * f(L * v / 2) - f((L / 2 - 1) * v)
+            grid = [mpmath.mpf(k) / 20 for k in range(1, 1201)]  # v in (0, 60]
+            if all(G(v) > 0 for v in grid):
+                out[m] = None
+                continue
+            lo = max(v for v in grid if G(v) < 0)
+            v = mpmath.findroot(G, (lo, lo + mpmath.mpf(1) / 20), solver="anderson")
+            assert lo <= v <= lo + 0.05 and abs(G(v)) < mpmath.mpf(10) ** -45
+            den = mpmath.cosh(v) - c
+            out[m] = (mpmath.sin(h) / (2 * den), mpmath.sinh(v) / (2 * den))
+    return out
+
+
+class TestMomentumOracle:
+    """_bound_pairs and classify_two_magnon against the momentum equation
+    solved to 50 digits."""
+
+    @pytest.mark.parametrize("L", sorted(TWO_MAGNON_COUNTS))
+    def test_pairs_are_the_rounded_exact_ones(self, L):
+        mpmath = pytest.importorskip("mpmath")
+        exact = _momentum_oracle(L, mpmath)
+        # odd m with c L >= L - 2 has no root, and every other m one
+        for m, pair in exact.items():
+            assert (pair is None) == (m % 2 == 1 and np.cos(np.pi * m / L) * L >= L - 2)
+        xd = sorted((sg * float(p[0]), float(p[1])) for p in exact.values() if p is not None
+                    for sg in (-1, 1))
+        pairs = bae._bound_pairs(L)
+        assert len(pairs) == len(xd)
+        x, d = pairs[:, 0].real, pairs[:, 0].imag
+        assert np.array_equal(pairs, np.conj(pairs[:, ::-1]))
+        rounded = np.array([[xr + 1j * dr, xr - 1j * dr] for xr, dr in xd]).reshape(-1, 2)
+        xr, dr = rounded[:, 0].real, rounded[:, 0].imag
+        # d correctly rounded where the gate is at its floor, x within 4 ulp
+        narrow = np.abs(2 * dr - 1) < 1e-2
+        assert np.array_equal(d[narrow], dr[narrow])
+        assert np.all(np.abs(x - xr) <= 4 * np.spacing(np.abs(xr)))
+        assert np.all(np.abs(d - dr) <= 4 * np.spacing(dr))
+        # the kept bound pairs are the rounded exact pairs that are admissible
+        # and pass the exp-form gate
+        pole, coincident, diff_i = bae._inadmissible(rounded, bae.EQUALITY_TOL)
+        keep = ~(pole.any(axis=-1) | coincident.any(axis=(-2, -1)) | diff_i.any(axis=(-2, -1)))
+        keep &= ~(bae._chain_residuals(bae.XXX, rounded, L) > 1e-10)
+        sols = bae.classify_two_magnon(L)
+        kept = np.array([rs.values for rs, k in sols if k == "bound-pair"]).reshape(-1, 2)
+        assert np.array_equal(kept, pairs[keep])
+        assert len(sols) == TWO_MAGNON_COUNTS[L]
+
+
+@pytest.mark.parametrize("L", sorted(TWO_MAGNON_COUNTS))
+def test_momentum_stack_completes_the_sector(L):
+    # real pairs and every momentum-stack pair, kept or dropped, are all the
+    # highest-weight levels but the singular pair's; the dropped pairs are
+    # genuine levels that fail only the exp-form gate
+    sols = bae.classify_two_magnon(L)
+    real = [rs.values for rs, k in sols if k == "real-pair"]
+    kept = [rs.values for rs, k in sols if k == "bound-pair"]
+    pairs = bae._bound_pairs(L)
+    assert len(real) + len(pairs) == comb(L, 2) - L - 1
+    dropped = [p for p in pairs if not any(np.array_equal(p, q) for q in kept)]
+    assert len(dropped) == len(pairs) - len(kept)
+    w = ed.diagonalize(ed.build_xxx_hamiltonian(L, 1.0, 2)).eigenvalues
+    for p in dropped:
+        e = coordinate.energy_xxx(p).real
+        assert np.min(np.abs(w - e)) <= 1e-12 * abs(e)
 
 
 @pytest.mark.parametrize("L", sorted(TWO_MAGNON_COUNTS))
@@ -719,7 +806,7 @@ def test_two_magnon_scan_is_the_admissible_range(L):
     assert np.array_equal(stop == "converged", admissible)
     assert np.all(stop[~admissible] == "run_away")
     # classify_two_magnon screens only the bound pairs: the converged real
-    # pairs are admissible and far apart against its 1e-6 duplicate rule
+    # pairs are admissible and at least 1e-3 apart
     real = np.sort(lam[admissible], axis=-1)
     assert all(bae.admissibility(pair)[0] for pair in real)
     gap = np.max(np.abs(real[:, None] - real[None, :]), axis=-1)
@@ -733,20 +820,6 @@ def _same_bytes(a, b):
 
 def _lane_subset(data, B):
     return np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=B, max_size=B)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(L=st.integers(1, 20), B=st.integers(1, 6), data=st.data())
-def test_bound_pair_system_writes_the_stacked_bytes(L, B, data):
-    # F and J filled in place hold the bytes of the stacked form, on a (B, 2)
-    # stack, one (2,) input and a subset of lanes
-    z = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=2 * B,
-                                    max_size=2 * B))).reshape(B, 2)
-    lanes = _lane_subset(data, B)
-    (F, J), (Fr, Jr) = bae._bound_pair_system(L), loop_references.bound_pair_system(L)
-    with np.errstate(all="ignore"):  # d = -1/2 divides by zero in both forms
-        for args in [(z,), (z[0],), (z[lanes], lanes)]:
-            assert _same_bytes(F(*args), Fr(*args)) and _same_bytes(J(*args), Jr(*args))
 
 
 @settings(max_examples=60, deadline=None)
@@ -770,9 +843,8 @@ def test_liebwu_system_writes_the_block_bytes(L, N, B, u, data):
 
 
 def _with_stacked_newton(monkeypatch):
-    """Swap in the stacked bound-pair and Lieb-Wu systems and the driver
-    that gathers tolerances and per-lane maxima on every step."""
-    monkeypatch.setattr(bae, "_bound_pair_system", loop_references.bound_pair_system)
+    """Swap in the stacked Lieb-Wu system and the driver that gathers
+    tolerances and per-lane maxima on every step."""
     monkeypatch.setattr(hubbard, "_liebwu_system", loop_references.liebwu_system)
     for module in (bae, hubbard):
         monkeypatch.setattr(module, "_damped_newton", loop_references.damped_newton)
@@ -806,15 +878,20 @@ def test_liebwu_bytes_match_stacked_newton(monkeypatch):
 
 
 def test_damped_newton_bytes_match_the_gathering_driver():
-    # bound-pair stacks from random seeds at every even L and the wide
-    # real-pair scans (converged and run-away lanes), with one tolerance per
-    # lane; and 1/x, whose step doubles x, next to a nan seed (stalled)
+    # the grid search's bound-pair stacks from random seeds at every even L,
+    # the momentum stacks and the wide real-pair scans (converged and
+    # run-away lanes), with one tolerance per lane; and 1/x, whose step
+    # doubles x, next to a nan seed (stalled)
     rng = np.random.default_rng(11)
     calls = []
     for L in range(4, 17, 2):
         z0 = np.stack([rng.uniform(-4, 4, 40), rng.uniform(0.05, 1.5, 40)], axis=-1)
-        calls.append((bae._bound_pair_system(L), z0, dict(tol=1e-13, max_iter=100)))
-        calls.append((bae._bound_pair_system(L), z0[0], dict(tol=1e-13, max_iter=100)))
+        calls.append((loop_references.bound_pair_system(L), z0, dict(tol=1e-13, max_iter=100)))
+        calls.append((loop_references.bound_pair_system(L), z0[0], dict(tol=1e-13, max_iter=100)))
+        c = np.cos(np.pi * np.arange(1, L // 2) / L)[:, None]
+        s = np.where(np.arange(1, L // 2) % 2, 1.0, -1.0)[:, None]
+        calls.append((bae._momentum_system(L, c, s), rng.uniform(0.01, 2.0, (len(c), 1)),
+                      dict(tol=1e-15)))
         qn = range(-L // 2 + 1, L // 2 + 4)
         ns = np.array([(n1, n2) for n1 in qn for n2 in qn if n2 > n1], float)
         calls.append((bae._chain_system(bae.XXX, L, ns),
@@ -893,7 +970,7 @@ class TestLaneBatchedNewton:
     def test_bound_pair_lanes(self, L, B, data):
         lr = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=B, max_size=B))
         d = data.draw(st.lists(st.floats(0.1, 1.5), min_size=B, max_size=B))
-        _assert_lanes_match_single(lambda: bae._bound_pair_system(L), (),
+        _assert_lanes_match_single(lambda: loop_references.bound_pair_system(L), (),
                                    np.stack([lr, d], axis=-1), tol=1e-13, max_iter=100)
 
     def test_mixed_batch_ends_in_every_stop_reason(self):
@@ -932,7 +1009,7 @@ class TestLaneBatchedNewton:
         _assert_lanes_match_single(system, (kind,), x0, max_iter=10)
 
     def test_empty_stack(self):
-        F, J = bae._bound_pair_system(8)
+        F, J = loop_references.bound_pair_system(8)
         X, res, iters, stop = bae._damped_newton(F, J, np.empty((0, 2)))
         assert X.shape == (0, 2) and len(res) == len(iters) == len(stop) == 0
 
