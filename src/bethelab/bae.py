@@ -39,7 +39,8 @@ per system, a tolerance per system (TOL, or a chain's floor above), max 200
 steps.  A chain solve takes its seed from the kernel: where the kernel holds
 several (XXX: the free magnon and Hulthen's half-filled counting function),
 it evaluates F on each and starts from the one with the smallest max |F_j|,
-the first on a tie.
+the first on a tie; a lane with some |I_j| past Takahashi's (L - N - 1)/2,
+which has no finite real solution, starts from the first.
 Each lane keeps its own damping, iteration count and stop reason
 (STOP_REASONS) and leaves the working set when it stops, so a lane of a
 stack ends as its own solve would; the two-magnon classification runs its
@@ -329,11 +330,12 @@ def _solve_chains(chain, Ls, Ns, qnums):
     """Real-root solves of the chain's log form, one SolveReport per lane
     (L, N, qnums), in input order.  Every lane is checked before any solve.
     The lanes run as the stacks of _lane_stacks, each from the kernel's seed
-    or, lane by lane, from the one of its seeds with the smallest max |F_j|,
-    and each stops at its own floor max(TOL, 8 ulp(pi L)).  A 'singular'
-    stop with a root where theta_1' rounds to 0 (XXZ: th l rounds to 1,
-    |l| > about 19) is reported as 'run_away': that root's Jacobian row
-    vanished on its way out, before it reached ROOT_ESCAPE."""
+    or, lane by lane, from the one of its seeds with the smallest max |F_j|
+    (the first where some |I_j| > (L - N - 1)/2), and each stops at its own
+    floor max(TOL, 8 ulp(pi L)).  A 'singular' stop with a root where
+    theta_1' rounds to 0 (XXZ: th l rounds to 1, |l| > about 19) is reported
+    as 'run_away': that root's Jacobian row vanished on its way out, before
+    it reached ROOT_ESCAPE."""
     nss = [_integer_qnums(q) for q in qnums]
     for L, N, ns in zip(Ls, Ns, nss):
         if len(ns) != N:
@@ -358,11 +360,16 @@ def _solve_chains(chain, Ls, Ns, qnums):
             # one seed at a time: F on a (2, N) stack took 594 us against 220 us
             # for two calls at N = 160 (2-vCPU host), and raised the peak memory
             # of the N = 2048 solve from 186 to 243 MB; the earlier seed wins a
-            # tie, and Newton starts from its F
+            # tie, and Newton starts from its F.  A lane with some |I_j| past
+            # Takahashi's (L - N - 1)/2 keeps the first seed: it has no finite
+            # real solution, and from the free magnon its roots run away (5
+            # steps at L = 12, N = 5, where Hulthen's seed ran 200 to max_iter)
             f = F(x)
+            wild = np.abs(ns - c).max(axis=-1, initial=0.0) > (L - counts - 1)[:, 0] / 2
             for xs in x0[1:]:
                 fs = F(xs)
                 pick = np.abs(fs).max(axis=-1, initial=0.0) < np.abs(f).max(axis=-1, initial=0.0)
+                pick &= ~wild
                 x, f = np.where(pick[:, None], xs, x), np.where(pick[:, None], fs, f)
         lam, res, iters, stop = _damped_newton(F, J, x, tol=_stop_floor(L[:, 0]), f0=f)
         for i, x, r, it, why in zip(stack, lam, res.tolist(), iters.tolist(), stop.tolist()):

@@ -13,17 +13,26 @@ mirrored, where `numpy.polynomial.legendre.leggauss` solves for the
 eigenvalues of an n x n companion matrix in O(n^3).  The rule is computed once
 per node count and cached (read-only arrays).  The kernel and the driving term
 are even in l and the nodes symmetric, so rho is even: the solve folds the
-equation onto the nodes l >= 0 and factors a ceil(n/2) system, 1/8 of the LU
-work of the full one.  Every kernel is evaluated in blocks of at most BLOCK
-entries (256 KB, which stay in L2), so no n x m kernel is built at any size:
-the folded matrix is filled by blocks of columns into one Fortran-order array
-that LAPACK's dgesv factors in place, and the off-grid sums (interpolation and
-the residual check's integral) run over blocks of rows.  Best of 15 calls, one
-BLAS thread, on a 2-vCPU Xeon host, for n = 128 / 256 / 512 / 1024: the rule
-takes 1.4-2.5 / 2.2-4.1 / 5.0-8.3 / 12-17 ms (leggauss: 1.9-3.2 / 5.8-8.5 /
-25-33 / 138-164 ms, with an 8.4 MB matrix at n = 1024) and the solve
-0.07-0.12 / 0.28-0.39 / 1.2-1.6 / 5.8-6.7 ms (the full system: 0.18-0.28 /
-1.2-1.7 / 6.2-8.8 / 43-46 ms; traced peak 2.5 against 8.4 MB at n = 1024).
+equation onto the nodes l >= 0, a ceil(n/2) system (1 + G D) rho = f with
+G_ij = K(l_i - l_j) + K(l_i + l_j) and D the folded weights (the l = 0 weight
+of an odd n halved).  Its symmetrized form S = 1 + D^1/2 G D^1/2 is positive
+definite, as the Lorentzian kernel is, with its spectrum in [1, 2) where the
+rule resolves the kernel (int K < 1), so conjugate gradients solve
+S y = D^1/2 f, rho = D^-1/2 y, in 1-21 steps for q <= 100, n <= 2047, with no
+LU (rules with nodes much further apart than the kernel is wide take more: 123
+at q = 1e8, n = 1024; past CG_MAX_ITER, as at q >= 1e7, n = 4096, the solve
+raises).  Every kernel is evaluated in blocks of at most BLOCK entries (256 KB,
+which stay in L2), so no n x m kernel is built at any size: the upper triangle
+of S, all that BLAS dsymv reads, is filled by blocks of columns into one
+Fortran-order array, and the off-grid sums (interpolation and the residual
+check's integral) run over blocks of rows.  Best of 15 calls, one BLAS thread,
+on a busy 2-vCPU Xeon host, for n = 128 / 256 / 512 / 1024: the rule takes
+1.4-2.5 / 2.2-4.1 / 5.0-8.3 / 12-17 ms (leggauss: 1.9-3.2 / 5.8-8.5 / 25-33 /
+138-164 ms, with an 8.4 MB matrix at n = 1024) and the solve 0.16-0.30 /
+0.32-0.50 / 0.88-1.21 / 3.1-4.2 ms (LAPACK's dgesv on the folded matrix, in
+alternating runs: 0.09-0.15 / 0.33-0.49 / 1.40-1.96 / 7.2-10.1 ms; the full
+system: 0.18-0.28 / 1.2-1.7 / 6.2-8.8 / 43-46 ms; traced peak 2.5 against
+8.4 MB at n = 1024).
 The residual check at 7 points, on a 528-node panelled grid, takes 0.32-0.45
 / 0.53-0.68 / 0.91-0.95 / 1.8-1.9 ms with a 0.67 MB traced peak (whole
 kernels: 0.59-0.86 / 1.6 / 2.4-3.0 / 3.6-4.5 ms, 8.7 MB at n = 1024).
@@ -43,6 +52,7 @@ INF_PANEL = 1.0
 INF_NODES_PER_PANEL = 24
 BLOCK = 1 << 15         # kernel entries per block: n = 1024 checks in 1.7 ms, 2.9 at 2^18
 ROW_GROUP = 16          # block rows come in 16s: OpenBLAS's gemv sums rows in groups of 8
+CG_MAX_ITER = 200       # conjugate-gradient steps: at most 21 for q <= 100, n <= 2047
 
 
 @dataclass
@@ -86,23 +96,49 @@ def _kernel_sum(lam, nodes, weights, values):
     return out
 
 
-def _folded_system(lam, wts, odd):
-    """The folded Nystrom matrix 1 + (K(l_i - l_j) + K(l_i + l_j)) w_j on the
-    nodes l >= 0 (the l = 0 column of an odd rule halved), in Fortran order so
-    that LAPACK factors it in place; filled in column blocks of at most BLOCK
-    entries, so the two kernels are never built whole."""
+def _symmetrized_fold(lam, r):
+    """The upper triangle of S = 1 + r_i (K(l_i - l_j) + K(l_i + l_j)) r_j on
+    the nodes l >= 0, r the square roots of the folded weights, in Fortran
+    order for BLAS dsymv.  Filled in column blocks of at most BLOCK entries,
+    each down to the foot of its diagonal block, so the two kernels are never
+    built whole and the strict lower triangle below the diagonal blocks is
+    left unset."""
     m = len(lam)
-    A = np.empty((m, m), order="F")
+    S = np.empty((m, m), order="F")
     step = max(1, BLOCK // m)
     for j in range(0, m, step):
-        a = A[:, j:j + step]
-        _kernel(np.subtract(lam[:, None], lam[j:j + step], out=a))
-        a += _kernel(lam[:, None] + lam[j:j + step])
-        a *= wts[j:j + step]
-    if odd:
-        A[:, 0] *= 0.5  # l = 0 is its own mirror: K(l_i) w_0 once (exact halving)
-    A[np.diag_indices(m)] += 1.0
-    return A
+        k = j + step
+        a = S[:k, j:k]
+        _kernel(np.subtract(lam[:k, None], lam[j:k], out=a))
+        a += _kernel(lam[:k, None] + lam[j:k])
+        a *= r[:k, None]
+        a *= r[j:k]
+    S[np.diag_indices(m)] += 1.0
+    return S
+
+
+def _conjugate_gradients(S, b, r_inv, tol):
+    """y with S y = b, S symmetric positive definite and given by its upper
+    triangle, by conjugate gradients from y = 0.  Stops once the recurred
+    residual, scaled by r_inv, is at most tol in every entry; LinAlgError
+    naming that residual if CG_MAX_ITER steps do not get there."""
+    from scipy.linalg.blas import dsymv  # here: slow to import cold; the CLI starts without it
+    y, res, p = np.zeros_like(b), b.copy(), b.copy()
+    rr = res @ res
+    for steps in range(CG_MAX_ITER + 1):
+        err = np.max(np.abs(res) * r_inv)
+        if err <= tol:
+            return y
+        if steps == CG_MAX_ITER:
+            raise np.linalg.LinAlgError(f"conjugate gradients: residual {err:.3g} > {tol:.3g} "
+                                        f"after {steps} steps")
+        Sp = dsymv(1.0, S, p)
+        alpha = rr / (p @ Sp)
+        y += alpha * p
+        res -= alpha * Sp
+        rr, rr_old = res @ res, rr
+        p *= rr / rr_old
+        p += res
 
 
 def closed_form_density(lam):
@@ -178,28 +214,31 @@ def solve_root_density(q, n_nodes=N_NODES_DEFAULT):
 
     Finite q: Gauss-Legendre Nystrom discretization, folded by parity onto
     the nodes l_i >= 0: rho_i + sum_j (K(l_i - l_j) + K(l_i + l_j)) w_j rho_j
-    = f(l_i), the l = 0 column of an odd n counted once; the dense solve of
-    that ceil(n/2) system gives the same rho as the full one, and its mirror
-    is even exactly.  q = inf: the closed form on a panelled grid over
-    [-14, 14] (exponential tail below 1e-19), so the returned quadrature
-    integrates it to machine precision.
+    = f(l_i), the l = 0 weight of an odd n counted once, solved by conjugate
+    gradients on its symmetrized form until max |f - A rho| (recurred) is
+    below eps f(0); that gives the full system's rho to rounding, and its
+    mirror is even exactly.  LinAlgError if CG_MAX_ITER steps do not get
+    there.  q = inf: the closed form on a panelled grid over [-14, 14]
+    (exponential tail below 1e-19), so the returned quadrature integrates it
+    to machine precision.
     """
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes}")
+    if not q > 0:  # nan and -inf too
+        raise ValueError("support half-width q must be positive")
     if np.isinf(q):
         nodes, weights = _infinite_support_grid()
         return RootDensity(np.inf, nodes, weights, closed_form_density(nodes))
-    if q <= 0:
-        raise ValueError("support half-width q must be positive")
     x, w = _gauss_legendre(n_nodes)
     nodes = q * x
     weights = q * w
-    from scipy.linalg.lapack import dgesv  # here: slow to import cold; the CLI starts without it
-    lam, wts = nodes[n_nodes // 2:], weights[n_nodes // 2:]  # l >= 0, ascending
-    *_, half, info = dgesv(_folded_system(lam, wts, n_nodes % 2), _driving(lam),
-                           overwrite_a=True, overwrite_b=True)
-    if info:
-        raise np.linalg.LinAlgError(f"singular Nystrom system (dgesv info = {info})")
+    lam, d = nodes[n_nodes // 2:], weights[n_nodes // 2:].copy()  # l >= 0, ascending
+    if n_nodes % 2:
+        d[0] *= 0.5  # l = 0 is its own mirror: K(l_i) w_0 once (exact halving)
+    r, f = np.sqrt(d), _driving(lam)  # f is largest at lam[0]
+    y = _conjugate_gradients(_symmetrized_fold(lam, r), r * f, 1.0 / r,
+                             np.finfo(float).eps * f[0])
+    half = y / r
     rho = np.concatenate((half[n_nodes % 2:][::-1], half))
     return RootDensity(q, nodes, weights, rho)
 

@@ -41,12 +41,13 @@ transfer eigenvalue one l at a time, the Q-form residual and the action
 coefficients root by root, the determinant matrices of the pairing
 formula entry by entry (with the kernel variant that repeats e(m_j - l_k)),
 and the products of all factors of Q but one as an (n, n) stack masked on
-the diagonal (q_masked), where the package multiplies exclusive prefix and
-suffix products.
+the diagonal at 50 digits (q_masked), where the package multiplies exclusive
+prefix and suffix products in floats.
 
 The Nystrom kernels of the root-density equation are kept unblocked: the
 whole (m, n) kernel times the weights, then one product with the values, and
-the folded solve matrix from its two whole (n/2) x (n/2) kernels.
+the folded solve matrix and its symmetrized form from two whole (n/2) x (n/2)
+kernels.
 
 The spin-chain operators are kept as one hand-written loop each, over sorted
 bit codes with site x in bit L - x: the XXZ bonds (xxz_entries, diagonal
@@ -687,9 +688,20 @@ def d_prod_sh(args):
 def q_masked(lam, roots, own):
     """own(l - n_m) prod_{k != m} sh(l - n_k) for every m (on the last axis),
     as the (..., n, n) stack of factors masked on its diagonal, for a scalar
-    or an array of l."""
-    x = np.asarray(lam, complex)[..., None, None] - np.asarray(roots, complex)
-    return np.prod(np.where(np.eye(x.shape[-1], dtype=bool), own(x), np.sinh(x)), axis=-1)
+    or an array of l; own maps an mpmath number to one.  Every entry is taken
+    at 50 digits with mpmath and rounded once, so it is the reference below
+    the smallest normal too, where float products round to the subnormal
+    spacing."""
+    import mpmath
+    lam, roots = np.asarray(lam, complex), np.asarray(roots, complex)
+    out = np.empty(lam.shape + roots.shape, complex)
+    with mpmath.workdps(50):
+        for i in np.ndindex(lam.shape):
+            x = [mpmath.mpc(lam[i]) - mpmath.mpc(r) for r in roots]
+            s = [mpmath.sinh(v) for v in x]
+            for m in range(len(x)):
+                out[i + (m,)] = complex(own(x[m]) * mpmath.fprod(s[:m] + s[m + 1:]))
+    return out
 
 
 class ScalarVacuum:
@@ -839,6 +851,17 @@ def folded_system(lam, wts, odd):
         A[:, 0] *= 0.5
     A[np.diag_indices(len(lam))] += 1.0
     return A
+
+
+def symmetrized_fold(lam, r):
+    """1 + r_i (K(l_i - l_j) + K(l_i + l_j)) r_j on the nodes l >= 0 from two
+    whole kernels, r the square roots of the folded weights."""
+    S = nystrom_kernel(lam[:, None] - lam[None, :])
+    S += nystrom_kernel(lam[:, None] + lam[None, :])
+    S *= r[:, None]
+    S *= r
+    S[np.diag_indices(len(lam))] += 1.0
+    return S
 
 
 def xxz_entries(L, states, jxy, jz):

@@ -3,6 +3,7 @@ eigenvalues, off-shell action, and the pairing determinant formula."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -200,6 +201,13 @@ def _complex_list(lo, hi, min_size=0, max_size=4):
     return st.lists(_complex((lo, hi), (lo, hi)), min_size=min_size, max_size=max_size)
 
 
+@st.composite
+def _roots_and_index(draw):
+    """Up to 8 complex roots and the index of one of them."""
+    roots = draw(_complex_list(-1.0, 1.0, min_size=1, max_size=8))
+    return roots, draw(st.integers(0, len(roots) - 1))
+
+
 def _vacuum_pair(L, eta, seed):
     """(VacuumFunctions, its scalar loop reference at rho = 1) for the
     homogeneous chain (seed None) or random complex inhomogeneities."""
@@ -250,24 +258,29 @@ class TestArrayForms:
         assert np.all(np.abs(others - want) <= 1e-14 * np.abs(want))
 
     @settings(max_examples=60, deadline=None)
-    @given(roots=_complex_list(-1.0, 1.0, min_size=1, max_size=8), data=st.data())
-    def test_products_but_one_match_the_masked_stack(self, roots, data):
+    @given(case=_roots_and_index(), ls=_complex_list(-1.5, 1.5))
+    @example(case=([0j, 1 + 0j, 0j, 0j], 0), ls=[2.104089513455762e-104j])
+    def test_products_but_one_match_the_masked_stack(self, case, ls):
         """The prefix-times-suffix products of all factors but one, and Q',
-        against the masked (n, n) stack, at generic l and at l exactly on one
-        root (one zero factor) or on a root given twice (two zero factors,
-        where Q' is exactly 0)."""
-        roots = np.array(roots, complex)
-        j = data.draw(st.integers(0, len(roots) - 1))
+        against the masked (n, n) stack at 50 digits, at generic l and at l
+        exactly on one root (one zero factor) or on a root given twice (two
+        zero factors, where Q' is exactly 0).  The bound is 1e-14 relative;
+        below the smallest normal it is 1e-14 of that normal, since there the
+        float products round to the subnormal spacing (the pinned example's
+        1.09e-311j is one spacing off)."""
+        roots, j = np.array(case[0], complex), case[1]
         twice = np.append(roots, roots[j])
-        ls = np.append(data.draw(_complex_list(-1.5, 1.5)), roots[j])
+        ls = np.append(np.array(ls, complex), roots[j])
+        tiny = np.finfo(float).tiny
         for n in (roots, twice):
             got = aba._all_but_one(sh(ls[:, None] - n))
-            want = loop_references.q_masked(ls, n, np.ones_like)
+            want = loop_references.q_masked(ls, n, lambda x: 1)
             assert got.shape == want.shape == ls.shape + n.shape
-            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-            terms = loop_references.q_masked(ls, n, np.cosh)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), tiny))
+            terms = loop_references.q_masked(ls, n, mpmath.cosh)
             got = aba._q_derivative(ls, n)
-            assert np.all(np.abs(got - terms.sum(-1)) <= 1e-14 * np.abs(terms).sum(-1))
+            scale = np.maximum(np.abs(terms).sum(-1), tiny)
+            assert np.all(np.abs(got - terms.sum(-1)) <= 1e-14 * scale)
         assert aba._q_derivative(roots[j], twice) == 0
 
     @settings(max_examples=60, deadline=None)

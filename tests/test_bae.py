@@ -221,6 +221,17 @@ class TestChainKernel:
         if stop == "converged":
             assert np.max(np.abs(rep.roots.values - np.sort(lam))) <= 1e-12
 
+    @pytest.mark.parametrize("qn", [(-6, -2, 0, 5, 7), (-5, -4, 0, 5, 7)])
+    def test_out_of_range_states_keep_the_free_magnon(self, qn):
+        # some |I_j| past Takahashi's (L - N - 1)/2 = 3 at L = 12, N = 5: no
+        # finite real solution, and from Hulthen's seed (the smaller max |F|)
+        # Newton ran 200 steps to a max_iter stop
+        lam, res, iters, stop = _solve_from(bae.XXX.seeds[0], bae.XXX, 12, qn)
+        rep = bae.solve_logbae(12, 5, qn)
+        assert rep.stop == "run_away" and rep.iterations <= 10
+        assert (rep.residual, rep.iterations, rep.stop) == (res, iters, stop)
+        assert np.array_equal(rep.roots.values, np.sort(lam).astype(complex))
+
     @pytest.mark.parametrize("L, N, gamma", [(8, 4, 0.9), (21, 9, 0.4), (80, 40, 1.3)])
     def test_one_seed_solves_from_it(self, L, N, gamma):
         # a single-seed kernel pays no seed choice: XXZ solves are bitwise

@@ -102,11 +102,12 @@ class TestRootDensity:
         assert np.array_equal(a.nodes, fresh[0]) and np.array_equal(a.weights, fresh[1])
         assert len(a.nodes) == 28 * thermo.INF_NODES_PER_PANEL
 
-    @pytest.mark.parametrize("q", [0.7, 2.3, 3.9])
+    @pytest.mark.parametrize("q", [0.7, 2.3, 3.9, 20.0, 100.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 1024])
     def test_folded_solve_matches_full_system(self, n, q):
         # the solve runs on the nodes l >= 0; the full n x n Nystrom system on
-        # the same rule is the reference
+        # the same rule is the reference (q = 20 and 100 take the most
+        # conjugate-gradient steps, 17 and 20 at n = 1024)
         rd = thermo.solve_root_density(q, n)
         nodes, weights = rd.nodes, rd.weights
         K = 1.0 / (np.pi * (1.0 + (nodes[:, None] - nodes[None, :]) ** 2)) * weights[None, :]
@@ -114,9 +115,10 @@ class TestRootDensity:
         assert rd.values.shape == (n,)
         assert np.max(np.abs(rd.values - rho)) <= 1e-14
 
-    def test_invalid_q(self):
-        with pytest.raises(ValueError):
-            thermo.solve_root_density(-1.0)
+    @pytest.mark.parametrize("q", [-1.0, 0.0, np.nan, -np.inf])
+    def test_invalid_q(self, q):
+        with pytest.raises(ValueError, match="^support half-width q must be positive$"):
+            thermo.solve_root_density(q)
 
     @pytest.mark.parametrize("q", [2.0, np.inf])
     @pytest.mark.parametrize("n", [0, -3, 2.0])
@@ -124,10 +126,20 @@ class TestRootDensity:
         with pytest.raises(ValueError, match=f"n_nodes must be a positive integer, got {n}"):
             thermo.solve_root_density(q, n)
 
+    def test_cg_cap_raises(self, monkeypatch):
+        # a solve that misses its tolerance within the step cap raises, naming
+        # the residual it reached; q = 2 at n = 128 takes 7 steps
+        monkeypatch.setattr(thermo, "CG_MAX_ITER", 6)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^conjugate gradients: residual \S+ > \S+ after 6 steps$"):
+            thermo.solve_root_density(2.0, 128)
+        monkeypatch.setattr(thermo, "CG_MAX_ITER", 7)
+        thermo.solve_root_density(2.0, 128)
+
     def test_solve_memory(self):
-        # the folded system is one (n/2) x (n/2) array, 2.1 MB at n = 1024, which
-        # LAPACK factors in place, plus one 256 KB kernel block (the full
-        # matrix was 8.4 MB)
+        # the symmetrized fold is one (n/2) x (n/2) array, 2.1 MB at n = 1024,
+        # of which the upper triangle is filled, plus one 256 KB kernel block
+        # and a few vectors (the full matrix was 8.4 MB)
         thermo._gauss_legendre(1024)
         tracemalloc.start()
         try:
@@ -152,13 +164,21 @@ class TestRootDensity:
         assert peak < 1e6
 
     @pytest.mark.parametrize("n", [1, 2, 3, 361, 363, 364, 2047])
-    def test_folded_system_matches_unblocked(self, n):
-        # n/2 = 1, 2, 181 (one block of whole columns), 182 (two) and 1024
+    def test_symmetrized_fold_matches_unblocked(self, n):
+        # n/2 = 1, 2, 181 (one block of whole columns), 182 (two) and 1024;
+        # the upper triangle, which is all that dsymv reads, bitwise, and
+        # within rounding of D^1/2 A D^-1/2 of the dense folded system A
         x, w = thermo._gauss_legendre(n)
         lam, wts = 1.7 * x[n // 2:], 1.7 * w[n // 2:]
-        A = thermo._folded_system(lam, wts, n % 2)
-        assert A.flags.f_contiguous
-        assert np.array_equal(A, loop_references.folded_system(lam, wts, n % 2))
+        d = wts.copy()
+        d[0] *= 1 - 0.5 * (n % 2)  # the folded weights: l = 0 of an odd rule once
+        r = np.sqrt(d)
+        S = thermo._symmetrized_fold(lam, r)
+        assert S.flags.f_contiguous
+        ref = np.triu(loop_references.symmetrized_fold(lam, r))
+        assert np.array_equal(np.triu(S), ref)
+        A = loop_references.folded_system(lam, wts, n % 2)
+        assert np.allclose(np.triu(A * r[:, None] / r), ref, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_blocked_kernel_sums_match_unblocked(self):
         # bitwise under one BLAS thread, in a fresh process: with more threads
