@@ -23,20 +23,18 @@ import scipy.sparse as sp
 from .basis import SectorBasis, build_sector_basis
 
 # OperatorMatrix.matrix is a dense array below this dimension and the CSR from
-# it up.  `m @ v` for a complex v on XXX sector Hamiltonians, dense m vs CSR m
-# (one BLAS thread, 2-vCPU host): dim 126 8.9 us vs 3.7 us, 462 0.26 ms vs
-# 6.7 us, 924 1.03 ms vs 11 us, 3003 19.1 ms vs 33 us.  Below 512 an implicit
-# dense view is at most 2 MB real (4 MB complex), and the Hubbard blocks that
-# callers hand to numpy (up to dim 448 at L = 8) stay ndarrays.
+# it up, so an implicit dense view is at most 2 MB real (4 MB complex), and the
+# Hubbard blocks that callers hand to numpy (up to dim 448 at L = 8) stay ndarrays.
 DENSE_DIM_LIMIT = 512
 
 # diagonalize uses Lanczos for the k lowest eigenpairs from LANCZOS_MIN_DIM up,
 # for k <= dim // LANCZOS_MAX_K_FRACTION; elsewhere a dense eigh of the k
-# lowest pairs is faster.  One BLAS thread, XXX half-filled sectors, k = 2,
-# dense subset eigh vs _lanczos, two sets of runs: dim 252 2.4-2.8 ms vs
-# 4.0-6.1 ms, dim 462 9.2-9.8 ms vs 7.7-9.7 ms, dim 924 62-69 ms vs 6.1-10.4 ms.
+# lowest pairs is faster.
 LANCZOS_MIN_DIM = 400
 LANCZOS_MAX_K_FRACTION = 32
+# diagonalize splits blocks by index reversal (spin inversion) from this
+# dimension up; below it the split costs more than it saves.
+SPLIT_MIN_DIM = 128
 LANCZOS_GUARD = 2  # extra eigenpairs solved for and dropped
 LANCZOS_SEED = 1101  # seeds the fixed Lanczos start vectors
 LANCZOS_DEGENERACY_TOL = 1e-10  # how far below the k-th a missed copy must lie
@@ -101,7 +99,8 @@ class OperatorMatrix:
 class SpectrumBlock(NamedTuple):
     """The eigenvectors of one block of indices: vectors[:, j] is the
     eigenvector of eigenvalue ranks[j] (ascending) on the indices rows, and
-    zero on every other index."""
+    zero on every other index (a reversed view of the vectors of a block
+    it mirrors, see diagonalize)."""
     rows: np.ndarray
     ranks: np.ndarray
     vectors: np.ndarray
@@ -384,6 +383,38 @@ def _eigh(a, k):
     return eigh(a, subset_by_index=[0, k - 1])
 
 
+def _reversal_symmetric(m):
+    """True when the CSR m is canonical and m[i, j] == m[n-1-i, n-1-j]: its
+    three arrays reversed, indptr and indices counted from the ends, are m's."""
+    return (m.has_canonical_format
+            and np.array_equal(m.indptr, m.indptr[-1] - m.indptr[::-1])
+            and np.array_equal(m.indices, m.shape[0] - 1 - m.indices[::-1])
+            and np.array_equal(m.data, m.data[::-1]))
+
+
+def _eigh_halves(b, k):
+    """_eigh of the Hermitian CSR b of even size n = 2h that commutes with
+    index reversal J: b = [[A, B], [J B J, J A J]] = Q diag(A + B J, A - B J)
+    Q^H with Q = [[1, 1], [J, -J]] / sqrt 2, both halves read off b's top h
+    rows.  A half's vector u is (u, +-J u) / sqrt 2, in merged order."""
+    h = b.shape[0] // 2
+    top = b[:h].toarray()
+    a, bj = top[:, :h], top[:, :h - 1:-1]  # A, and B J: columns n-1 down to h
+    (wp, up), (wm, um) = _eigh(a + bj, k), _eigh(a - bj, k)
+    del top, a, bj  # freed before v is allocated
+    w = np.concatenate([wp, wm])
+    order = np.argsort(w, kind="stable")[:k]
+    v = np.empty((2 * h, len(order)), np.result_type(up, um))
+    plus = order < len(wp)
+    for u, cols, sign in ((up, plus, 1), (um, ~plus, -1)):
+        u = u[:, :np.count_nonzero(cols)]  # a prefix: each half is ascending
+        u *= np.sqrt(0.5)
+        v[:h, cols] = u
+        u *= sign
+        v[h:, cols] = u[::-1]
+    return w[order], v
+
+
 def diagonalize(op, k=None):
     """Eigen-decomposition of a Hermitian OperatorMatrix.
 
@@ -407,7 +438,10 @@ def diagonalize(op, k=None):
     own vectors with their ranks in the merged order (Spectrum.blocks), so
     no (dim, k or dim) array is built unless `eigenvectors` is read.  A
     dense solve finds every copy of a degenerate level, so it needs no
-    re-check.
+    re-check.  From SPLIT_MIN_DIM up, if op commutes exactly with index
+    reversal (spin inversion of spin codes), a block that reverses an
+    earlier one takes its pairs, vectors reversed, and an even block that
+    is its own reversal is solved as two halves (_eigh_halves).
 
     Hermiticity is checked once, on the stored entries, before any solve.
     Raises ValueError for non-Hermitian input or k < 1.  Every returned pair
@@ -426,8 +460,17 @@ def diagonalize(op, k=None):
             # invariant subspace it cannot extend (H = 0, H = c 1)
             pass
     if pairs is None:
-        blocks = _blocks(op)
-        pairs = [_eigh(b.toarray(), k) for b in _diagonal_blocks(m, blocks)]
+        blocks, pairs = _blocks(op), []
+        split = op.dim >= SPLIT_MIN_DIM and _reversal_symmetric(m)
+        for i, b in enumerate(_diagonal_blocks(m, blocks)):
+            j = len(blocks) - 1 - i  # popcount p against L - p when dim is 2^L
+            mirrored = split and j <= i and np.array_equal(blocks[j], op.dim - 1 - blocks[i][::-1])
+            if mirrored and j < i:
+                pairs.append((pairs[j][0], pairs[j][1][::-1]))
+            elif mirrored and b.shape[0] % 2 == 0:
+                pairs.append(_eigh_halves(b, k))
+            else:
+                pairs.append(_eigh(b.toarray(), k))
     w = np.concatenate([p[0] for p in pairs])
     order = np.argsort(w, kind="stable")[:k]
     rank = np.full(len(w), -1)

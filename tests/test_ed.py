@@ -512,7 +512,10 @@ class TestBlockedSolve:
         assert np.max(np.abs(d @ v - v * spec.eigenvalues)) < 1e-10
 
     def test_diagonal_operator_splits_per_popcount(self, monkeypatch):
-        # indices 0 | 1, 2, 4 | 3 by popcount; ranks follow that order
+        # indices 0 | 1, 2, 4 | 3 by popcount; ranks follow that order.
+        # np.eye(5) commutes with index reversal, but reversal maps no block
+        # to a block, so a split from any dimension up leaves them alone
+        monkeypatch.setattr(ed, "SPLIT_MIN_DIM", 0)
         op = ed.OperatorMatrix(np.eye(5))
         assert [b.tolist() for b in ed._blocks(op)] == [[0], [1, 2, 4], [3]]
         sizes = _eigh_sizes(monkeypatch)
@@ -537,11 +540,14 @@ class TestBlockedSolve:
 
     @pytest.mark.parametrize("L,k", [(6, 5), (10, 40)])
     def test_k_on_the_eigh_branch(self, monkeypatch, L, k):
+        # dim 64 is below SPLIT_MIN_DIM: one eigh per magnetization block.
+        # At dim 1024 the blocks above half filling mirror those below it,
+        # and the half-filled block of 252 is solved as two halves
         H = ed.build_xxz_hamiltonian(L, 0.7)
         assert not ed._use_lanczos(H.dim, k)
         sizes = _eigh_sizes(monkeypatch)
         spec = ed.diagonalize(H, k)
-        assert max(sizes) < 2 ** L and sum(sizes) == 2 ** L
+        assert sizes == {6: [1, 6, 15, 20, 15, 6, 1], 10: [1, 10, 45, 120, 210, 126, 126]}[L]
         m = H.dense()
         assert spec.eigenvalues.shape == (k,) and spec.eigenvectors.shape == (2 ** L, k)
         assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(m)[:k])) < 1e-12
@@ -551,8 +557,23 @@ class TestBlockedSolve:
     def test_l12_solves_no_block_above_half_filling(self, monkeypatch):
         sizes = _eigh_sizes(monkeypatch)
         spec = ed.diagonalize(ed.build_xxz_hamiltonian(12, 0.7))
-        assert max(sizes) == 924 and sum(sizes) == 4096
+        assert sizes == [1, 12, 66, 220, 495, 792, 462, 462]
         assert spec.eigenvectors.shape == (4096, 4096)
+
+    def test_l12_traced_peak(self):
+        # the parent of the spin-flip split peaked at 24.7 MB, and a split
+        # that kept its dense halves alive next to the merged vectors at
+        # 21.5 MB; the block vectors alone are 14.2 MB
+        ed.diagonalize(ed.build_xxx_hamiltonian(4, 1.0))
+        H = ed.build_xxz_hamiltonian(12, 0.7)
+        tracemalloc.start()
+        try:
+            spec = ed.diagonalize(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert len(spec.eigenvalues) == 4096
 
     @settings(max_examples=40, deadline=None)
     @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
@@ -579,6 +600,88 @@ class TestBlockedSolve:
         v = spec.eigenvectors
         r = np.linalg.norm(m @ v - v * spec.eigenvalues, axis=0)
         assert np.all(r < 1e-10 * np.linalg.norm(v, axis=0))
+
+
+def _centrosymmetric_hermitian(n, complex_entries, rng):
+    """Random Hermitian n x n array with a[i, j] == a[n-1-i, n-1-j] exactly."""
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_entries else 0)
+    a = a + a.conj().T
+    return (a + a[::-1, ::-1]) / 2
+
+
+class TestSpinFlipSplit:
+    """From SPLIT_MIN_DIM up, a dense solve of an operator that commutes
+    with index reversal J (spin inversion of spin codes) takes a block that
+    J maps to an earlier one from that block, and solves an even block that
+    J maps to itself as its two halves A +- B J."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(half=st.integers(1, 24), floor=st.integers(0, 60), complex_entries=st.booleans(),
+           k=st.one_of(st.none(), st.integers(1, 50)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_halves_match_eigh(self, half, floor, complex_entries, k, seed):
+        n = 2 * half
+        m = _centrosymmetric_hermitian(n, complex_entries, np.random.default_rng(seed))
+        with mock.patch.object(ed, "SPLIT_MIN_DIM", floor), \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as full, \
+                mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh) as lowest:
+            spec = ed.diagonalize(ed.OperatorMatrix(m), k)
+        sizes = [c.args[0].shape[0] for c in full.call_args_list + lowest.call_args_list]
+        assert sizes == ([half, half] if n >= floor else [n])
+        w_ref = np.linalg.eigh(m)[0][:k]
+        scale = max(1.0, np.max(np.abs(w_ref)))
+        assert np.max(np.abs(spec.eigenvalues - w_ref)) < 1e-12 * scale
+        v = spec.eigenvectors
+        assert v.shape == (n, len(w_ref))
+        r = np.linalg.norm(m @ v - v * spec.eigenvalues, axis=0)
+        assert np.all(r < 1e-10 * np.linalg.norm(v, axis=0))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(w_ref)))) < 1e-12
+
+    @pytest.mark.parametrize("L,N", [(10, 5), (8, None)])
+    def test_one_ulp_takes_the_unsplit_path(self, monkeypatch, L, N):
+        H = ed.build_xxz_hamiltonian(L, 0.7, N)
+        m = H.csr().copy()
+        assert ed._reversal_symmetric(m)
+        m.data[m.indptr[3]] = np.nextafter(m.data[m.indptr[3]], np.inf)  # row 3, diagonal
+        assert not ed._reversal_symmetric(m)
+        sizes = _eigh_sizes(monkeypatch)
+        ed.diagonalize(ed.OperatorMatrix(m))
+        assert sizes == ([252] if N else [1, 8, 28, 56, 70, 56, 28, 8, 1])
+
+    def test_odd_size_takes_the_unsplit_path(self, monkeypatch):
+        m = _centrosymmetric_hermitian(ed.SPLIT_MIN_DIM + 1, False, np.random.default_rng(5))
+        assert ed._reversal_symmetric(ed.OperatorMatrix(m).csr())
+        sizes = _eigh_sizes(monkeypatch)
+        ed.diagonalize(ed.OperatorMatrix(m))
+        assert sizes == [ed.SPLIT_MIN_DIM + 1]
+
+    @pytest.mark.parametrize("L", [8, 9])
+    def test_mirror_sectors_are_bitwise_reversed(self, L):
+        spec = ed.diagonalize(ed.build_xxz_hamiltonian(L, 0.37))
+        assert len(spec.blocks) == L + 1
+        for p in range((L + 1) // 2):
+            a, b = spec.blocks[p], spec.blocks[L - p]
+            assert np.array_equal(spec.eigenvalues[a.ranks], spec.eigenvalues[b.ranks])
+            assert np.array_equal(b.vectors, a.vectors[::-1])
+
+    @settings(max_examples=20, deadline=None)
+    @given(L=st.integers(1, 5).map(lambda h: 2 * h), delta=st.floats(-3.0, 3.0),
+           sector=st.booleans(), field=st.floats(0.1, 2.0))
+    def test_reversal_commutes_with_xxz(self, L, delta, sector, field):
+        # [H, R] = 0 for spin inversion R, which is index reversal on the
+        # sorted codes of the full space and of the half-filled sector; a
+        # field on the S^z of the full space, or of site 1 in the sector,
+        # breaks it
+        H = ed.build_xxz_hamiltonian(L, delta, L // 2 if sector else None)
+        R = sp.csr_matrix((np.ones(H.dim), np.arange(H.dim)[::-1], np.arange(H.dim + 1)))
+        assert ed.commutator_norm(H, R) == 0.0 and ed._reversal_symmetric(H.csr())
+        if sector:
+            states = build_sector_basis(L, L // 2).state_array
+            rows, cols, vals = ed._local_entries(L, states, states, ed._PAULI["z"].real, [(1,)])
+            sz = sp.csr_matrix((vals, (rows, cols)), shape=(H.dim,) * 2)
+        else:
+            sz = ed.build_total_spin(L, "z").csr().real
+        broken = H.csr() + field * sz
+        assert ed.commutator_norm(broken, R) > 0.0 and not ed._reversal_symmetric(broken)
 
 
 def _multiplet_outcome(check, spec, cas):
