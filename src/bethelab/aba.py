@@ -76,29 +76,24 @@ def _all_but_one(s):
 
 def _q_parts(x):
     """(Q, Q', Q'/Q) from the shifts x = l - n (roots on the last axis), sh
-    and ch taken once: Q' in the zero-safe form of _q_derivative, and Q'/Q as
+    and ch taken once: Q' = sum_m ch(l - n_m) prod_{k != m} sh(l - n_k), exact
+    at a root (where it is the product of the other factors), and Q'/Q as
     sum_n cth(l - n), away from the zeros."""
     s, c = sh(x), ch(x)
     return s.prod(axis=-1), (c * _all_but_one(s)).sum(axis=-1), (c / s).sum(axis=-1)
 
 
-def _q_derivative(lam, roots):
-    """Q'(l|{roots}) = sum_m ch(l - n_m) prod_{k != m} sh(l - n_k), exact at a
-    root (where it is the product of the other factors); for a scalar or an
-    array of l."""
-    x = _shifts(lam, roots)
-    return (ch(x) * _all_but_one(sh(x))).sum(axis=-1)
-
-
 class VacuumFunctions:
     """Vacuum eigenvalues of the monodromy diagonal blocks as Q-functions of
     the inhomogeneities xi (eta/2 at every site unless given):
-    a(l) = Q(l + eta|{xi}), d(l) = Q(l|{xi}); every method takes a scalar or
-    an array of l."""
+    a(l) = Q(l + eta|{xi}), d(l) = Q(l|{xi}); both take a scalar or an array
+    of l, and _q_parts gives their derivatives."""
 
     def __init__(self, L, eta, xi=None):
         self.L = L
         self.eta = eta
+        if xi is not None and len(xi) != L:
+            raise ValueError("need one inhomogeneity per site")
         self.xi = np.full(L, eta / 2, complex) if xi is None else np.asarray(xi, complex)
 
     def a(self, l):
@@ -106,14 +101,6 @@ class VacuumFunctions:
 
     def d(self, l):
         return q_function(l, self.xi)
-
-    def da(self, l):
-        """a'(l), zero-safe at the zeros of a."""
-        return _q_derivative(l + self.eta, self.xi)
-
-    def dd(self, l):
-        """d'(l), zero-safe at the zeros of d."""
-        return _q_derivative(l, self.xi)
 
 
 class MonodromyBlocks(NamedTuple):
@@ -214,12 +201,15 @@ def _numerator(lam, roots, vac):
 
 def _transfer_numerator(lam, roots, vac):
     """(n, n', Q, Q') at a scalar or an array of l: the numerator n of
-    Lambda = n/Q and the derivatives in the zero-safe product-rule form."""
+    Lambda = n/Q and the derivatives in the zero-safe product-rule form, from
+    one stack of shifts against the xi and one against the roots (their
+    logarithmic derivatives, infinite at a zero, are not used)."""
     lam = np.asarray(lam, complex)
-    qm, qp = q_function(lam - vac.eta, roots), q_function(lam + vac.eta, roots)
-    dn = (vac.da(lam) * qm + vac.a(lam) * _q_derivative(lam - vac.eta, roots)
-          + vac.dd(lam) * qp + vac.d(lam) * _q_derivative(lam + vac.eta, roots))
-    return _numerator(lam, roots, vac), dn, q_function(lam, roots), _q_derivative(lam, roots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (a, d), (da, dd), _ = _q_parts(_shifts(np.stack([lam + vac.eta, lam]), vac.xi))
+        (qm, qp, q), (dqm, dqp, dq), _ = _q_parts(
+            _shifts(np.stack([lam - vac.eta, lam + vac.eta, lam]), roots))
+    return a * qm + d * qp, da * qm + a * dqm + dd * qp + d * dqp, q, dq
 
 
 def transfer_eigenvalue(lam, roots, vac):
@@ -233,20 +223,12 @@ def transfer_eigenvalue(lam, roots, vac):
     return (np.where(near, dn, n) / np.where(near, dq, q))[()]
 
 
-def transfer_eigenvalue_derivative(lam, roots, vac):
-    """Analytic d Lambda/dl = (n' - Lambda Q')/Q away from the roots, for a
-    scalar or an array of l."""
-    n, dn, q, dq = _transfer_numerator(lam, roots, vac)
-    return ((dn - n / q * dq) / q)[()]
-
-
 def xxz_energy_from_eigenvalue(roots, vac):
     """XXZ energy from the logarithmic derivative of the transfer eigenvalue
-    at l = eta/2: E = sh(eta)/2 * Lambda'/Lambda - ch(eta) L / 2."""
-    l0 = vac.eta / 2
-    lam_val = transfer_eigenvalue(l0, roots, vac)
-    lam_der = transfer_eigenvalue_derivative(l0, roots, vac)
-    return complex(sh(vac.eta) / 2 * lam_der / lam_val - ch(vac.eta) * vac.L / 2)
+    at l = eta/2: E = sh(eta)/2 * Lambda'/Lambda - ch(eta) L / 2, where
+    Lambda'/Lambda = (n' Q - n Q') / (n Q)."""
+    n, dn, q, dq = _transfer_numerator(vac.eta / 2, roots, vac)
+    return complex(sh(vac.eta) / 2 * (dn * q - n * dq) / (n * q) - ch(vac.eta) * vac.L / 2)
 
 
 def _action_terms(params, L, eta):

@@ -25,17 +25,7 @@ raises).  Every kernel is evaluated in blocks of at most BLOCK entries (256 KB,
 which stay in L2), so no n x m kernel is built at any size: the upper triangle
 of S, all that BLAS dsymv reads, is filled by blocks of columns into one
 Fortran-order array, and the off-grid sums (interpolation and the residual
-check's integral) run over blocks of rows.  Best of 15 calls, one BLAS thread,
-on a busy 2-vCPU Xeon host, for n = 128 / 256 / 512 / 1024: the rule takes
-1.4-2.5 / 2.2-4.1 / 5.0-8.3 / 12-17 ms (leggauss: 1.9-3.2 / 5.8-8.5 / 25-33 /
-138-164 ms, with an 8.4 MB matrix at n = 1024) and the solve 0.16-0.30 /
-0.32-0.50 / 0.88-1.21 / 3.1-4.2 ms (LAPACK's dgesv on the folded matrix, in
-alternating runs: 0.09-0.15 / 0.33-0.49 / 1.40-1.96 / 7.2-10.1 ms; the full
-system: 0.18-0.28 / 1.2-1.7 / 6.2-8.8 / 43-46 ms; traced peak 2.5 against
-8.4 MB at n = 1024).
-The residual check at 7 points, on a 528-node panelled grid, takes 0.32-0.45
-/ 0.53-0.68 / 0.91-0.95 / 1.8-1.9 ms with a 0.67 MB traced peak (whole
-kernels: 0.59-0.86 / 1.6 / 2.4-3.0 / 3.6-4.5 ms, 8.7 MB at n = 1024).
+check's integral) run over blocks of rows.
 At q = infinity the Fourier-transform solution is rho(l) = 1/(2 ch(pi l));
 then the filled-root fraction is D = 1/2 and the energy per site is
 e = -J ln 2.

@@ -29,19 +29,42 @@ PROGRAMS = [PACKAGE / "__init__.py", *sorted((ROOT / "demos").glob("*.py")),
 CLI_ENTRIES = {"main", "COMMANDS"}
 
 
-def _names(source):
-    """The identifiers in the code of `source`."""
-    names = set()
+def _name_tokens(source):
+    """(identifier, line number) for each name in the code of `source`."""
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
-            names.add(tok.string)
+            yield tok.string, tok.start[0]
         elif tok.type == tokenize.STRING and "f" in re.match(r"\w*", tok.string)[0].lower():
             for node in ast.walk(ast.parse(tok.string, mode="eval")):
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    yield node.id, tok.start[0] + node.lineno - 1
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+                    yield node.attr, tok.start[0] + node.lineno - 1
+
+
+def _names(source):
+    """The identifiers in the code of `source`."""
+    return {name for name, _ in _name_tokens(source)}
+
+
+def code_lines(path):
+    """The line numbers of `path` that hold a NAME token (an identifier or a
+    keyword): its code, without docstrings, comments, blank lines and lines
+    of brackets alone."""
+    return {line for _, line in _name_tokens(Path(path).read_text())}
+
+
+def _doc_lines(path):
+    """The line numbers of `path` inside a docstring or holding a comment,
+    less its code lines."""
+    text = Path(path).read_text()
+    lines = {tok.start[0] for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+             if tok.type == tokenize.COMMENT}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            lines.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return lines - code_lines(path)
 
 
 def _targets(node):
@@ -105,3 +128,23 @@ def test_a_name_in_a_docstring_comment_or_string_reaches_nothing(tmp_path):
     program.write_text('"""Calls used, not helper."""\nfrom pkg.mod import used\n\n'
                        'used()  # helper is not called\nprint("helper")\n')
     assert _unreached(package, [program]) == ["mod.helper"]
+
+
+
+def test_code_lines_are_the_lines_that_hold_a_name(tmp_path):
+    """Docstring, comment, blank and bracket-only lines are not code; a line
+    whose only name is an f-string's replacement field is."""
+    path = tmp_path / "mod.py"
+    path.write_text('"""Module\ndocstring."""\n\n# comment\nx = [\n    1,\n]\nf"{x}"\n')
+    assert code_lines(path) == {5, 8}
+    assert _doc_lines(path) == {1, 2, 4}
+
+
+if __name__ == "__main__":
+    # python tests/test_reachability.py: line counts of each package module
+    rows = [(path.name, len(path.read_text().splitlines()), len(_doc_lines(path)),
+             len(code_lines(path))) for path in sorted(PACKAGE.glob("*.py"))]
+    rows.append(("total", *(sum(col) for col in list(zip(*rows))[1:])))
+    print(f"{'module':16} {'wc -l':>6} {'doc':>6} {'code':>6}")
+    for row in rows:
+        print(f"{row[0]:16} {row[1]:6d} {row[2]:6d} {row[3]:6d}")
