@@ -226,9 +226,9 @@ def transfer_eigenvalue(lam, roots, vac):
 def xxz_energy_from_eigenvalue(roots, vac):
     """XXZ energy from the logarithmic derivative of the transfer eigenvalue
     at l = eta/2: E = sh(eta)/2 * Lambda'/Lambda - ch(eta) L / 2, where
-    Lambda'/Lambda = (n' Q - n Q') / (n Q)."""
+    Lambda'/Lambda = (n' - n Q'/Q) / n (no product of n and Q to underflow)."""
     n, dn, q, dq = _transfer_numerator(vac.eta / 2, roots, vac)
-    return complex(sh(vac.eta) / 2 * (dn * q - n * dq) / (n * q) - ch(vac.eta) * vac.L / 2)
+    return complex(sh(vac.eta) / 2 * (dn - n / q * dq) / n - ch(vac.eta) * vac.L / 2)
 
 
 def _action_terms(params, L, eta):

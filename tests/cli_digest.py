@@ -9,7 +9,7 @@ none was written) and the call's stderr.  Two checkouts whose reports are
 byte-identical print the same lines, so a diff of two digests lists the
 reports a change moved.
 
-Run:  OPENBLAS_NUM_THREADS=1 python tests/cli_digest.py [--root CHECKOUT] [--seeds 6]
+Run:  OPENBLAS_NUM_THREADS=1 python tests/cli_digest.py [--root CHECKOUT]
 """
 
 import argparse
@@ -52,12 +52,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                     help="checkout whose src/ and perfbench/ are run (default: this one)")
-    ap.add_argument("--seeds", type=int, default=6, help="seeds 0 .. SEEDS - 1")
     args = ap.parse_args(argv)
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
     warnings.simplefilter("ignore", RuntimeWarning)  # as the benchmark worker does
     with tempfile.TemporaryDirectory() as workdir:
-        for line in digest(range(args.seeds), Path(workdir)):
+        for line in digest(range(6), Path(workdir)):
             print(line)
 
 

@@ -390,6 +390,15 @@ class TestTransferEigenvalue:
         E2 = bae.xxz_kernel(gamma).energy(mu, np.sin(gamma))
         assert abs(E - E2) < 1e-9
 
+    def test_energy_where_n_times_q_underflows(self):
+        # |n| ~ 6e-303 and |Q| ~ 1e-10 at l = eta/2: their product is below
+        # the float range, their quotients are not
+        L, N, gamma = 172, 5, 0.02
+        mu = aba.onshell_roots(L, N, gamma)
+        E = aba.xxz_energy_from_eigenvalue(mu, aba.VacuumFunctions(L, 1j * gamma))
+        E2 = bae.xxz_kernel(gamma).energy(mu, np.sin(gamma))
+        assert abs(E - E2) < 1e-12 * abs(E2)
+
     @settings(max_examples=60, deadline=None)
     @given(roots=_complex_list(-1.0, 1.0, min_size=1), ls=_complex_list(-1.5, 1.5, min_size=1),
            **_vacuum_args)
