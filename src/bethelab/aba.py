@@ -75,19 +75,18 @@ def _all_but_one(s):
 
 
 def _q_parts(x):
-    """(Q, Q', Q'/Q) from the shifts x = l - n (roots on the last axis), sh
-    and ch taken once: Q' = sum_m ch(l - n_m) prod_{k != m} sh(l - n_k), exact
-    at a root (where it is the product of the other factors), and Q'/Q as
-    sum_n cth(l - n), away from the zeros."""
-    s, c = sh(x), ch(x)
-    return s.prod(axis=-1), (c * _all_but_one(s)).sum(axis=-1), (c / s).sum(axis=-1)
+    """(Q, Q') from the shifts x = l - n (roots on the last axis):
+    Q' = sum_m ch(l - n_m) prod_{k != m} sh(l - n_k), exact at a root (where
+    it is the product of the other factors)."""
+    s = sh(x)
+    return s.prod(axis=-1), (ch(x) * _all_but_one(s)).sum(axis=-1)
 
 
 class VacuumFunctions:
     """Vacuum eigenvalues of the monodromy diagonal blocks as Q-functions of
     the inhomogeneities xi (eta/2 at every site unless given):
     a(l) = Q(l + eta|{xi}), d(l) = Q(l|{xi}); both take a scalar or an array
-    of l, and _q_parts gives their derivatives."""
+    of l, and _transfer_numerator takes their derivatives from _q_parts."""
 
     def __init__(self, L, eta, xi=None):
         self.L = L
@@ -180,8 +179,7 @@ def bae_q_residual(roots, vac):
     """Max relative residual of a(m_j) Q(m_j - eta) + d(m_j) Q(m_j + eta) = 0
     over the set (the on-shell condition in Q-form)."""
     roots = np.asarray(roots, complex)
-    return _q_form_residual(vac.a(roots) * q_function(roots - vac.eta, roots),
-                            vac.d(roots) * q_function(roots + vac.eta, roots))
+    return _q_form_residual(*_transfer_numerator(roots, roots, vac)[:2])
 
 
 def _q_form_residual(t1, t2):
@@ -200,16 +198,15 @@ def _numerator(lam, roots, vac):
 
 
 def _transfer_numerator(lam, roots, vac):
-    """(n, n', Q, Q') at a scalar or an array of l: the numerator n of
-    Lambda = n/Q and the derivatives in the zero-safe product-rule form, from
-    one stack of shifts against the xi and one against the roots (their
-    logarithmic derivatives, infinite at a zero, are not used)."""
+    """(wa, wd, wa', wd', Q, Q') at a scalar or an array of l, Lambda =
+    (wa + wd)/Q with wa = a(l) Q(l - eta|{roots}), wd = d(l) Q(l + eta|{roots}),
+    the derivatives in the zero-safe product-rule form, from one stack of
+    shifts against the xi and one against the roots."""
     lam = np.asarray(lam, complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        (a, d), (da, dd), _ = _q_parts(_shifts(np.stack([lam + vac.eta, lam]), vac.xi))
-        (qm, qp, q), (dqm, dqp, dq), _ = _q_parts(
-            _shifts(np.stack([lam - vac.eta, lam + vac.eta, lam]), roots))
-    return a * qm + d * qp, da * qm + a * dqm + dd * qp + d * dqp, q, dq
+    (a, d), (da, dd) = _q_parts(_shifts(np.stack([lam + vac.eta, lam]), vac.xi))
+    (qm, qp, q), (dqm, dqp, dq) = _q_parts(
+        _shifts(np.stack([lam - vac.eta, lam + vac.eta, lam]), roots))
+    return a * qm, d * qp, da * qm + a * dqm, dd * qp + d * dqp, q, dq
 
 
 def transfer_eigenvalue(lam, roots, vac):
@@ -218,17 +215,18 @@ def transfer_eigenvalue(lam, roots, vac):
 
     The apparent pole at l = root is removable on shell; within 1e-8 of a root
     the value is computed by the derivative (l'Hopital) form n'/Q'."""
-    n, dn, q, dq = _transfer_numerator(lam, roots, vac)
+    wa, wd, dwa, dwd, q, dq = _transfer_numerator(lam, roots, vac)
     near = np.min(np.abs(_shifts(lam, roots)), axis=-1, initial=np.inf) <= 1e-8
-    return (np.where(near, dn, n) / np.where(near, dq, q))[()]
+    return (np.where(near, dwa + dwd, wa + wd) / np.where(near, dq, q))[()]
 
 
 def xxz_energy_from_eigenvalue(roots, vac):
     """XXZ energy from the logarithmic derivative of the transfer eigenvalue
     at l = eta/2: E = sh(eta)/2 * Lambda'/Lambda - ch(eta) L / 2, where
-    Lambda'/Lambda = (n' - n Q'/Q) / n (no product of n and Q to underflow)."""
-    n, dn, q, dq = _transfer_numerator(vac.eta / 2, roots, vac)
-    return complex(sh(vac.eta) / 2 * (dn - n / q * dq) / n - ch(vac.eta) * vac.L / 2)
+    Lambda'/Lambda = (n' - n Q'/Q) / n, n = wa + wd (no n Q to underflow)."""
+    wa, wd, dwa, dwd, q, dq = _transfer_numerator(vac.eta / 2, roots, vac)
+    n = wa + wd
+    return complex(sh(vac.eta) / 2 * (dwa + dwd - n / q * dq) / n - ch(vac.eta) * vac.L / 2)
 
 
 def _action_terms(params, L, eta):
@@ -252,7 +250,7 @@ def _action_residual(params, ell, L, eta, transposed):
     w = _product_weights(L, eta)
     keep, coeffs = _action_terms(params, L, eta)
     vecs = _off_diagonal_product(keep, L, w, transposed)
-    lhs = _transfer_action(complex(params[ell]), L, w, vecs[ell], transposed)
+    lhs = _transfer_action(_pair_blocks(params[ell], L, w), vecs[ell], transposed)
     rhs = coeffs[ell] @ vecs
     return float(np.linalg.norm(lhs - rhs)
                  / max(np.linalg.norm(lhs), np.linalg.norm(rhs)))
@@ -311,19 +309,15 @@ def slavnov_ratio(mu_onshell, lam_offshell, L, eta):
     if _pairwise_min_dist(np.concatenate([mu, la])) < MIN_PAIR_DISTANCE:
         raise ValueError("parameters closer than the pole guard")
     vac = VacuumFunctions(L, eta)
-    # at the m_j: a, d and Q(m_j -+ eta|{m}), each with its derivative and
-    # logarithmic derivative, from one stack of shifts per pair
-    (a, d), (da, dd), (dlog_a, dlog_d) = _q_parts(_shifts(mu + np.array([[eta], [0]]), vac.xi))
-    (qm, qp), (dqm, dqp), (dlog_qm, dlog_qp) = _q_parts(
-        _shifts(mu - np.array([[eta], [-eta]]), mu))
-    if _q_form_residual(a * qm, d * qp) > ONSHELL_TOL:
+    # at the m_j: wa = a Q(m_j - eta|{m}), wd = d Q(m_j + eta|{m}) and Q'
+    wa, wd, dwa, dwd, _, dq = _transfer_numerator(mu, mu, vac)
+    if _q_form_residual(wa, wd) > ONSHELL_TOL:
         raise ValueError("the mu set is not on shell")
-    x = _shifts(mu, mu)
     # Lambda(m_j) = n'/Q', the pole of n/Q at a root being removable, with
-    # Q'(m_j) the product of the other factors; afun'(m_j) = afun d log afun
-    lam_mu = (da * qm + a * dqm + dd * qp + d * dqp) / np.diagonal(_all_but_one(sh(x)))
-    dafun = d * qp / (a * qm) * (dlog_d - dlog_a + dlog_qp - dlog_qm)
-    den_gaudin = np.eye(n) - k_function(x, eta) / dafun
+    # Q'(m_j) the product of the other factors; afun = wd/wa and its derivative
+    lam_mu = (dwa + dwd) / dq
+    dafun = (dwd - wd / wa * dwa) / wa
+    den_gaudin = np.eye(n) - k_function(_shifts(mu, mu), eta) / dafun
     # at the off-shell l_k: sh(l_k - eta - m_j), sh(l_k + eta - m_j) and
     # sh(l_k - m_j), one row per l_k, and (a(l_k), d(l_k))
     s = sh(_shifts(la - np.array([[eta], [-eta], [0]]), mu))

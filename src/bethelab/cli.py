@@ -224,7 +224,7 @@ def cmd_thermo_density(p):
 
 
 def cmd_thermo_gs_energy(p):
-    e = thermo.gs_energy_density(thermo.solve_root_density(p["q"], p["n_nodes"]), p["J"])
+    e = thermo.gs_energy_density(thermo.solve_root_density(p["q"], p["n_nodes"]))
     return Result({"energy_per_site": e, "minus_ln2": -float(np.log(2)),
                    "deviation": abs(e + np.log(2))})
 
@@ -391,8 +391,7 @@ COMMANDS = {
     "bethe-vector/build": Command(cmd_vector_build, "L:count! roots:roots!"),
     "bethe-vector/verify": Command(cmd_vector_verify, "L:count! roots:roots! tol:float=1e-8"),
     "thermo/density": Command(cmd_thermo_density, "q:float=inf n_nodes:int=128"),
-    "thermo/gs-energy": Command(cmd_thermo_gs_energy,
-                                "q:float=inf n_nodes:int=128 J:float=1.0"),
+    "thermo/gs-energy": Command(cmd_thermo_gs_energy, "q:float=inf n_nodes:int=128"),
     "thermo/condensation": Command(cmd_thermo_condensation, "lmin:count=8 lmax:count=16"),
     "vertex/ybe": Command(cmd_vertex_ybe, "trials:count=100"),
     "vertex/transfer": Command(cmd_vertex_transfer,

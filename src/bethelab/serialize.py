@@ -88,17 +88,10 @@ def matrix_to_dict(op):
     """Matrix as {dim, format, entries: [[row, col, re, im], ...]} (nonzeros in
     row-major order); format is "coo" for sparse storage, else "dense"."""
     m = op.matrix if hasattr(op, "matrix") else op
-    if sp.issparse(m):
-        coo = m.tocsr().sorted_indices().tocoo()
-        fmt = "coo"
-        rows, cols, vals = coo.row, coo.col, coo.data
-    else:
-        m = np.asarray(m)
-        fmt = "dense"
-        rows, cols = np.nonzero(m)
-        vals = m[rows, cols]
-    entries = [[r, c, v.real, v.imag] for r, c, v in zip(rows, cols, vals)]
-    return {"dim": m.shape[0], "format": fmt, "entries": entries}
+    coo = sp.csr_matrix(m).sorted_indices().tocoo()
+    entries = [[r, c, v.real, v.imag] for r, c, v in zip(coo.row, coo.col, coo.data)]
+    return {"dim": coo.shape[0], "format": "coo" if sp.issparse(m) else "dense",
+            "entries": entries}
 
 
 def table_csv(header, rows):

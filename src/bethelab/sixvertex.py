@@ -37,8 +37,8 @@ multiplies the R-factors of each two consecutive sites into one 8 x 8 (one
 einsum for all pairs, for one l, one per row or one per root position), and
 _apply_blocks applies them in turn, L/2 passes over the rows instead of L.
 They give the aba module's B/C products for a whole stack of root sets, the
-matrix-free square-ice eigenvalue, and through _monodromy_action and
-_transfer_action the aba action residuals.  The Yang-Baxter and
+matrix-free square-ice eigenvalue, and the aba action residuals; t(l) v
+has one entry point, _transfer_action on the blocks.  The Yang-Baxter and
 RTT checks' R-matrices are Kronecker products with identities: the 8 x 8
 stacks of _three_slot and the sparse R (x) 1 of rtt_residual.
 """
@@ -168,22 +168,16 @@ def _apply_blocks(blocks, x, transposed=False):
     return x
 
 
-def _monodromy_action(lam, L, weights, x, transposed=False):
-    """T_0(l) @ x for each row of x, on the 2^(L+1)-dim aux (x) chain space:
-    x of shape (2^(L+1),) or (K, 2^(L+1)), l a scalar or one value per row,
-    applied two sites at a time; transposed=True applies T_0(l)^T."""
-    return _apply_blocks(_pair_blocks(lam, L, weights), x, transposed)
-
-
-def _transfer_action(lam, L, weights, v, transposed=False):
+def _transfer_action(blocks, v, transposed=False):
     """t(l) @ v = sum_a <a|T_0(l)|a> v, or t(l)^T @ v with transposed=True,
-    as one _monodromy_action on the two rows |a> (x) v, a = 0, 1; equals
-    transfer(lam, L, weights).matrix @ v without building it.  A real v
-    under real direct weights stays real; complex R-factors make it complex."""
+    for blocks = _pair_blocks(l, L, weights): one _apply_blocks on the two
+    rows |a> (x) v, a = 0, 1; equals transfer(l, L, weights).matrix @ v
+    without building it.  A real v under real blocks stays real; complex
+    R-factors make it complex."""
     d = len(v)
     x = np.zeros((2, 2 * d), np.result_type(v, float))
     x[0, :d] = x[1, d:] = v
-    y = _monodromy_action(lam, L, weights, x, transposed)
+    y = _apply_blocks(blocks, x, transposed)
     return y[0, :d] + y[1, d:]
 
 
@@ -477,19 +471,17 @@ def enumerate_partition(L, M, a, b, c):
 def _top_sector_eigenvalue(L, N, weights):
     """Largest eigenvalue of a real symmetric transfer block of sector N
     (the ice point has one), by Lanczos on the matrix-free block: each matvec
-    embeds the sector vector in the rows |a> (x) v, a = 0, 1, applies the
-    monodromy's blocks (built once) and sums the two traced halves on the
-    sector, as _transfer_action does on the whole space.  ARPACK raises when
-    it does not converge."""
+    puts the sector vector on the whole space, applies _transfer_action with
+    the monodromy's blocks (built once) and reads the sector back.  ARPACK
+    raises when it does not converge."""
     idx = build_sector_basis(L, N).state_array
     dim = len(idx)
     blocks = _pair_blocks(0.0, L, weights)  # real, as the ice weights are
 
     def matvec(v):
-        x = np.zeros((2, 2 ** (L + 1)))
-        x[0, idx] = x[1, 2 ** L + idx] = v
-        y = _apply_blocks(blocks, x)
-        return y[0, idx] + y[1, 2 ** L + idx]
+        u = np.zeros(2 ** L)
+        u[idx] = v
+        return _transfer_action(blocks, u)[idx]
 
     op = sp.linalg.LinearOperator((dim, dim), matvec, dtype=float)
     # ncv = 8 converges in 8-13 matvecs for L = 4..14; the default ncv = 20 takes 21

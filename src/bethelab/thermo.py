@@ -208,9 +208,9 @@ def solve_root_density(q, n_nodes=N_NODES_DEFAULT):
     gradients on its symmetrized form until max |f - A rho| (recurred) is
     below eps f(0); that gives the full system's rho to rounding, and its
     mirror is even exactly.  LinAlgError if CG_MAX_ITER steps do not get
-    there.  q = inf: the closed form on a panelled grid over [-14, 14]
-    (exponential tail below 1e-19), so the returned quadrature integrates it
-    to machine precision.
+    there, ValueError if a weight q w_i underflows to 0.  q = inf: the closed
+    form on a panelled grid over [-14, 14] (exponential tail below 1e-19), so
+    the returned quadrature integrates it to machine precision.
     """
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes}")
@@ -222,6 +222,8 @@ def solve_root_density(q, n_nodes=N_NODES_DEFAULT):
     x, w = _gauss_legendre(n_nodes)
     nodes = q * x
     weights = q * w
+    if not weights.all():  # a zero weight would put 1/0 into the symmetrized solve
+        raise ValueError(f"q = {q} with n_nodes = {n_nodes} underflows a quadrature weight to 0")
     lam, d = nodes[n_nodes // 2:], weights[n_nodes // 2:].copy()  # l >= 0, ascending
     if n_nodes % 2:
         d[0] *= 0.5  # l = 0 is its own mirror: K(l_i) w_0 once (exact halving)

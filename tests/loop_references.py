@@ -499,7 +499,7 @@ def monodromy_csr(lam, L, weights, aux=0, n=None):
 
 
 def monodromy_action_by_factor(lam, L, weights, x, transposed=False):
-    """sixvertex._monodromy_action as one reshape action per 4 x 4 R-factor,
+    """sixvertex._apply_blocks of _pair_blocks as one reshape action per 4 x 4 R-factor,
     site 1 first (site L first for T_0(l)^T: R is symmetric)."""
     factors = list(enumerate(sixvertex._r_matrices(lam, L, weights), start=1))
     for j, R4 in factors[::-1] if transposed else factors:

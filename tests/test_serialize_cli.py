@@ -33,7 +33,7 @@ RUNS = {
     "bethe-vector/build": ({"L": "5", "roots": "0.3,0.1;-0.2,0.4"}, "vector"),
     "bethe-vector/verify": ({"L": "6", "roots": _ROOTS_L6}, "eigenvector_residual"),
     "thermo/density": ({"q": "4"}, "D"),
-    "thermo/gs-energy": ({"q": "inf", "n_nodes": "16", "J": "2"}, "energy_per_site"),
+    "thermo/gs-energy": ({"q": "3", "n_nodes": "16"}, "energy_per_site"),
     "thermo/condensation": ({"lmin": "8", "lmax": "10"}, "rows"),
     "vertex/ybe": ({"trials": "4"}, "max_residual"),
     "vertex/transfer": ({"L": "3", "eta": "0.4"}, "matrix"),
@@ -157,6 +157,13 @@ class TestCanonicalJson:
         assert d["format"] == "coo"
         assert [e[:3] for e in d["entries"]] == [[0, 0, 1.0], [0, 2, 2.0], [1, 1, 3.0]]
 
+    def test_stored_zero_kept_only_in_sparse_input(self):
+        # a zero stored in the CSR is an entry; a zero of a dense matrix is not
+        m = sp.csr_matrix((np.array([0.0, 1.0]), np.array([1, 0]), np.array([0, 1, 2])),
+                          shape=(2, 2))
+        assert serialize.matrix_to_dict(m)["entries"] == [[0, 1, 0.0, 0.0], [1, 0, 1.0, 0.0]]
+        assert serialize.matrix_to_dict(m.toarray())["entries"] == [[1, 0, 1.0, 0.0]]
+
     def test_transfer_entries_same_in_both_formats(self):
         # the L = 9 transfer (dim 512) is CSR and reported as "coo"; its
         # entries are those of the dense matrix, in the same row-major order
@@ -234,7 +241,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, mode, params", [
         *(pytest.param(key, "flags", params, id=key) for key, (params, _) in RUNS.items()),
-        pytest.param("thermo/gs-energy", "json", {"q": 1 / 7, "J": -1.0}, id="json-numbers"),
+        pytest.param("thermo/gs-energy", "json", {"q": 1 / 7, "n_nodes": 17}, id="json-numbers"),
     ])
     def test_echoed_config_reproduces_report(self, command, mode, params, tmp_path, capsys):
         # the config a report echoes, written back as a --json file, reruns
@@ -484,7 +491,7 @@ class TestCli:
         ("ed/spectrum", {"L": "1e-320"}, "--L takes an integer >= 1, got '1e-320'"),
         ("ed/spectrum", {"L": "4", "k": "2.5"}, "--k takes an integer >= 1, got '2.5'"),
         ("thermo/density", {"q": "1j"}, "--q takes a real number, got '1j'"),
-        ("thermo/gs-energy", {"J": "abc"}, "--J takes a real number, got 'abc'"),
+        ("thermo/gs-energy", {"n_nodes": "abc"}, "--n-nodes takes an integer, got 'abc'"),
         ("vertex/transfer", {"L": "3", "eta": "0,0"},
          "--eta takes a complex number, got '0,0'"),
         ("vertex/ybe", {"trials": "abc"}, "--trials takes an integer >= 1, got 'abc'"),
@@ -732,6 +739,23 @@ class TestCli:
         cfg.write_text('{"command": "thermo/gs-energy", "params": {"q": Infinity, "n_nodes": 16}}')
         assert main(["thermo", "gs-energy", "--json", str(cfg)]) == EXIT_CONFIG
         assert "non-finite --q = inf" in self._config_error(capsys)
+
+    @pytest.mark.parametrize("mode", ["flags", "json"])
+    def test_gs_energy_takes_no_coupling(self, mode, tmp_path, capsys):
+        # the report's deviation is measured from the J = 1 value -ln 2
+        params = {"q": "inf", "J": "2"}
+        if mode == "flags":  # an unknown flag is a parser error
+            with pytest.raises(SystemExit) as exc:
+                self._run(tmp_path, mode, "thermo/gs-energy", params)
+            assert exc.value.code == EXIT_CONFIG
+        else:
+            assert self._run(tmp_path, mode, "thermo/gs-energy", params) == EXIT_CONFIG
+        assert "--J" in self._config_error(capsys)
+
+    def test_underflowing_quadrature_weight_is_config_error(self, capsys):
+        argv = ["thermo", "density", "--q", "1e-320", "--n-nodes", "1024"]
+        assert main(argv) == EXIT_CONFIG
+        assert "q = 1e-320 with n_nodes = 1024" in self._config_error(capsys)
 
     @pytest.mark.parametrize("mode", ["flags", "json"])
     def test_root_with_three_numbers_is_config_error(self, mode, capsys, tmp_path):

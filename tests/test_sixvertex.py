@@ -54,12 +54,14 @@ class TestRMatrix:
         """Real direct weights give a real transfer action, but the explicit
         monodromy and transfer, and parameterized R-factors, stay complex."""
         w = sixvertex.VertexWeights(1.0, 2.0, 0.5)
-        assert sixvertex._transfer_action(0.0, 3, w, np.ones(8)).dtype == float
+        assert sixvertex._transfer_action(sixvertex._pair_blocks(0.0, 3, w),
+                                          np.ones(8)).dtype == float
         assert sixvertex._monodromy_csr(0.0, 3, w).dtype == complex
         assert sixvertex.transfer(0.0, 3, w).csr().dtype == complex
         p = sixvertex.VertexWeights.from_parameters(1.0, 0.0, 0.4)
         assert all(R.dtype == complex for R in sixvertex._r_matrices(0.2, 3, p))
-        assert sixvertex._transfer_action(0.2, 3, p, np.ones(8)).dtype == complex
+        assert sixvertex._transfer_action(sixvertex._pair_blocks(0.2, 3, p),
+                                          np.ones(8)).dtype == complex
 
     def test_ice_point_direct_weights(self):
         w = sixvertex.VertexWeights.ice()
@@ -308,7 +310,7 @@ class TestPartitionFunction:
             raise AssertionError("the enumeration oracle called the R-matrix code")
 
         for name in ("r_matrix_from_weights", "_r_matrices", "_ice_paths", "_closed_paths",
-                     "_transfer_action", "_monodromy_action", "_pair_blocks", "_apply_blocks"):
+                     "_transfer_action", "_pair_blocks", "_apply_blocks"):
             monkeypatch.setattr(sixvertex, name, unused)
         assert sixvertex.enumerate_partition(3, 2, 1, 2, 3) == \
             loop_references.enumerate_partition(3, 2, 1, 2, 3)
@@ -528,7 +530,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         lam = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
         x = rng.normal(size=(K, 2 ** (L + 1))) + 1j * rng.normal(size=(K, 2 ** (L + 1)))
-        got = sixvertex._monodromy_action(lam, L, w, x, transposed)
+        got = sixvertex._apply_blocks(sixvertex._pair_blocks(lam, L, w), x, transposed)
         assert got.shape == x.shape
         for lk, xk, gk in zip(lam, x, got):
             T = loop_references.monodromy_csr(lk, L, w)
@@ -547,7 +549,7 @@ class TestProperties:
         shape = (2 ** (L + 1),) if K is None else (K, 2 ** (L + 1))
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         lam = rng.uniform(-1, 1, K if per_row and K else None) + 1j * rng.uniform(-1, 1)
-        got = sixvertex._monodromy_action(lam, L, w, x, transposed)
+        got = sixvertex._apply_blocks(sixvertex._pair_blocks(lam, L, w), x, transposed)
         ref = loop_references.monodromy_action_by_factor(lam, L, w, x, transposed)
         assert got.shape == x.shape
         assert np.linalg.norm(got - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))

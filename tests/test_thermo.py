@@ -120,6 +120,15 @@ class TestRootDensity:
         with pytest.raises(ValueError, match="^support half-width q must be positive$"):
             thermo.solve_root_density(q)
 
+    def test_underflowing_weight_raises(self):
+        # q w_i = 0 would divide by zero in the symmetrized solve; subnormal
+        # but nonzero weights still solve, to the q -> 0 limit 2/pi
+        with pytest.raises(ValueError, match="^q = 1e-320 with n_nodes = 1024 underflows"):
+            thermo.solve_root_density(1e-320, 1024)
+        rd = thermo.solve_root_density(1e-318, 1024)
+        assert np.all(rd.weights > 0)
+        assert np.max(np.abs(rd.values - 2 / np.pi)) <= 1e-15
+
     @pytest.mark.parametrize("q", [2.0, np.inf])
     @pytest.mark.parametrize("n", [0, -3, 2.0])
     def test_invalid_n_nodes(self, n, q):
